@@ -35,9 +35,11 @@ excluded from mass accounting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from scipy import integrate
 
@@ -45,6 +47,7 @@ from .errors import (
     CapabilityError,
     ConvergenceError,
     DomainError,
+    EvalOverflowError,
     ValidityError,
 )
 from . import specfun
@@ -88,8 +91,11 @@ class Kernel:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A built entry. make_entry shares one instance among all callers with
+    equal parameters, so params is a read-only mapping."""
+
     name: str
-    params: Dict[str, float]
+    params: Mapping[str, float]
     diffusion: DiffusionSpec
     potential: PotentialSpec
     kernel: Kernel
@@ -99,6 +105,9 @@ class CatalogEntry:
     state_power: float = 1.0  # expectations/transforms weight exp(-lam*y^state_power)
     functional_param: str = ""  # which param is the Laplace variable of the functional
     notes: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
 
 def _log_i(nu: float, z: float) -> float:
@@ -1042,7 +1051,24 @@ def make_entry(name: str, **params: float) -> CatalogEntry:
     if unknown:
         raise DomainError(f"make_entry: {name} does not take parameters "
                           f"{sorted(unknown)} (takes {list(names)})")
-    return builder(**params)
+    # type(v) is in the key so that n=3 and n=3.0 build separate entries
+    key = tuple(sorted((k, type(v), v) for k, v in params.items()))
+    try:
+        hash(key)
+    except TypeError:  # e.g. a 0-d numpy array: built every time, not cached
+        return builder(**params)
+    return _build_entry(name, key)
+
+
+# Distinct parameter sets seen per benchmark cycle: points 33, tabulate 695,
+# verify 42. An entry is about 4 KB, so a full cache holds about 4 MB.
+_ENTRY_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_ENTRY_CACHE_SIZE)
+def _build_entry(name: str, key: Tuple[Tuple[str, type, float], ...]) -> CatalogEntry:
+    # a build that raises is not cached, so invalid parameters raise every time
+    return _BUILDERS[name][0](**{k: v for k, _, v in key})
 
 
 def _resolve(entry, params: Optional[Dict[str, float]]) -> CatalogEntry:
@@ -1112,7 +1138,12 @@ def expectation(entry, params: Optional[Dict[str, float]], lam: float,
     if method == "quadrature":
         return _quadrature_expectation(e, lam, t, x)
     if e.expectation_closed is not None:
-        return e.expectation_closed(lam, t, x)
+        try:
+            return e.expectation_closed(lam, t, x)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise EvalOverflowError(
+                f"expectation: closed form for entry {e.name} failed at "
+                f"lam={lam!r}, t={t!r}, x={x!r} ({exc})") from exc
     if method == "closed":
         raise CapabilityError(f"expectation: entry {e.name} has no closed form")
     return _quadrature_expectation(e, lam, t, x)

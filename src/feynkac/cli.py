@@ -16,6 +16,7 @@ seed) produce byte-identical output. FEYNKAC_TOL overrides suite tolerances.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -108,8 +109,10 @@ def _emit_csv(stream, header: Sequence[str], rows: Sequence[Sequence[str]]) -> N
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: argparse would otherwise read --mu (an
+    # entry parameter) as an abbreviation of --mu-grid
     parser = argparse.ArgumentParser(
-        prog="feynkac",
+        prog="feynkac", allow_abbrev=False,
         description="Transition densities, fundamental solutions, and "
                     "exponential-functional expectations for a catalog of "
                     "one-dimensional diffusions.")
@@ -121,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--entry", required=True, help="catalog entry name")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    pd = sub.add_parser("density", help="evaluate a kernel")
+    pd = sub.add_parser("density", help="evaluate a kernel", allow_abbrev=False)
     common(pd)
     pd.add_argument("--t", type=float, required=True)
     pd.add_argument("--x", type=float, required=True)
@@ -130,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--check-mass", dest="check_mass", action="store_true",
                     help="verify that continuous part + Dirac masses integrate to 1")
 
-    pe = sub.add_parser("expect", help="evaluate expectations")
+    pe = sub.add_parser("expect", help="evaluate expectations",
+                        allow_abbrev=False)
     common(pe)
     pe.add_argument("--t", type=float, required=True)
     pe.add_argument("--x", type=float, required=True)
@@ -141,14 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--method", choices=("auto", "closed", "quadrature"),
                     default="auto")
 
-    pv = sub.add_parser("verify", help="run verification suites")
+    pv = sub.add_parser("verify", help="run verification suites",
+                        allow_abbrev=False)
     pv.add_argument("--suite", required=True,
                     choices=tuple(sorted(verify.SUITES)) + ("all",))
     pv.add_argument("--entry", help="restrict report rows to one entry")
     pv.add_argument("--format", choices=("csv", "json"), default="csv")
     pv.add_argument("--tol", type=float,
-                    default=(float(os.environ["FEYNKAC_TOL"])
-                             if os.environ.get("FEYNKAC_TOL") else None),
                     help="override the suite tolerance "
                          "(default from FEYNKAC_TOL when set)")
     pv.add_argument("--paths", type=int, help="Monte Carlo paths")
@@ -156,6 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, help="Monte Carlo seed")
 
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built once per process (parsing does not
+    change it)."""
+    return build_parser()
 
 
 def _cmd_density(args, extra: Sequence[str], out) -> int:
@@ -252,7 +262,14 @@ def _cmd_verify(args, extra: Sequence[str], out) -> int:
             n_paths=args.paths or base.n_paths,
             n_steps=args.steps or base.n_steps,
             seed=base.seed if args.seed is None else args.seed)
-    report = verify.run_suite(args.suite, tol=args.tol, mc_spec=mc_spec,
+    tol = args.tol
+    env_tol = os.environ.get("FEYNKAC_TOL")
+    if tol is None and env_tol:
+        try:
+            tol = float(env_tol)
+        except ValueError:
+            raise ValidityError(f"FEYNKAC_TOL expects a number, got {env_tol!r}")
+    report = verify.run_suite(args.suite, tol=tol, mc_spec=mc_spec,
                               entry_filter=args.entry)
     if args.format == "csv":
         report.to_csv(out)
@@ -267,7 +284,7 @@ def _cmd_verify(args, extra: Sequence[str], out) -> int:
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
+    parser = _parser()
     try:
         args, extra = parser.parse_known_args(argv)
     except SystemExit as exc:

@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate
-from scipy import stats
 
 from .errors import (
     CapabilityError,

@@ -12,7 +12,7 @@ import scipy.stats as ss
 
 from feynkac import catalog as cat
 from feynkac.errors import (CapabilityError, ConvergenceError, DomainError,
-                            ValidityError)
+                            EvalOverflowError, ValidityError)
 
 T, X = 1.0, 1.0
 
@@ -41,6 +41,53 @@ def test_make_entry_rejects_unknown_names_and_parameters():
         cat.make_entry("nope")
     with pytest.raises(DomainError):
         cat.make_entry("besq", n=3.0, zz=1.0)
+
+
+def test_make_entry_shares_one_entry_per_parameter_set():
+    e1 = cat.make_entry("cir", a=1.1, b=0.8, sigma=0.6)
+    e2 = cat.make_entry("cir", sigma=0.6, b=0.8, a=1.1)
+    assert e1 is e2
+    assert cat.make_entry("cir", a=1.1, b=0.8, sigma=0.7) is not e1
+
+
+def test_int_and_float_parameters_give_equal_values():
+    # 3 and 3.0 are separate cache keys; they must still agree
+    assert cat.make_entry("besq", n=3) is not cat.make_entry("besq", n=3.0)
+    assert cat.density("besq", {"n": 3}, T, X, 1.3) == \
+        cat.density("besq", {"n": 3.0}, T, X, 1.3)
+    assert cat.expectation("besq", {"n": 3}, 0.3, T, X) == \
+        cat.expectation("besq", {"n": 3.0}, 0.3, T, X)
+
+
+def test_unhashable_parameter_values_still_build():
+    ref = cat.density("besq", {"n": 3.0}, T, X, 1.3)
+    assert cat.density("besq", {"n": np.array(3.0)}, T, X, 1.3) == ref
+
+
+def test_invalid_parameters_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValidityError):
+            cat.make_entry("bessel", a=0.4)
+        with pytest.raises(ValidityError):
+            cat.density("bessel", {"a": 0.4}, T, X, 1.0)
+
+
+def test_entry_params_are_read_only():
+    entry = cat.make_entry("besq", n=3.0)
+    with pytest.raises(TypeError):
+        entry.params["n"] = 5.0
+    assert dict(entry.params) == {"n": 3.0, "mu": 0.0, "nu": 0.0}
+    assert entry.params["n"] == 3.0
+    assert cat.make_entry("besq", n=3.0).params["n"] == 3.0
+    rows = cat.joint_laplace_in_mu(entry, None, 0.3, T, X, [0.0, 0.5])
+    assert rows[0][1] == pytest.approx(0.4096281656329643, rel=1e-12)
+    assert rows[1][1] < rows[0][1]
+
+
+def test_closed_form_arithmetic_error_is_feynkac_error():
+    # the tanh_drift closed form overflows math.cosh here
+    with pytest.raises(EvalOverflowError):
+        cat.expectation("tanh_drift", {}, 1.0, 1e-4, 1000.0)
 
 
 @pytest.mark.parametrize("name,params", [

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from feynkac import catalog
 from feynkac.cli import main
 
 
@@ -128,6 +129,25 @@ def test_expect_numerical_failure_exit_code():
     assert code == 3
 
 
+def test_expect_passes_mu_parameter():
+    # --mu is an entry parameter, not an abbreviation of --mu-grid
+    code, out = run("expect", "--entry", "cir", "--a", "1", "--b", "1",
+                    "--sigma", "1", "--mu", "0.5", "--t", "1", "--x", "1",
+                    "--lambda", "1")
+    assert code == 0
+    ref = catalog.expectation("cir", {"a": 1.0, "b": 1.0, "sigma": 1.0,
+                                      "mu": 0.5}, 1.0, 1.0, 1.0)
+    assert out.splitlines()[1] == f"1,1,1,{ref:.15g}"
+
+
+def test_expect_closed_form_overflow_is_numerical_error():
+    # the tanh_drift closed form overflows in math.cosh: exit 3, no traceback
+    code, out = run("expect", "--entry", "tanh_drift", "--t", "1e-4",
+                    "--x", "1000", "--lambda", "1")
+    assert code == 3
+    assert out == ""
+
+
 def test_expect_capability_gap_is_usage_error():
     code, _ = run("expect", "--entry", "rational_drift", "--a", "1",
                   "--mu_inv", "0.6", "--t", "1", "--x", "1", "--lambda", "1")
@@ -156,6 +176,19 @@ def test_verify_tolerance_from_environment(monkeypatch):
     monkeypatch.setenv("FEYNKAC_TOL", "1e-30")
     code, _ = run("verify", "--suite", "hartman")
     assert code == 1
+
+
+def test_verify_tolerance_from_environment_read_at_call_time(monkeypatch):
+    # the parser is built once per process; FEYNKAC_TOL set after the first
+    # main() call must still be honoured
+    assert run("verify", "--suite", "hartman")[0] == 0
+    monkeypatch.setenv("FEYNKAC_TOL", "1e-30")
+    assert run("verify", "--suite", "hartman")[0] == 1
+
+
+def test_verify_tolerance_from_environment_must_be_a_number(monkeypatch):
+    monkeypatch.setenv("FEYNKAC_TOL", "tight")
+    assert run("verify", "--suite", "hartman")[0] == 2
 
 
 def test_verify_unknown_suite_is_usage_error():
@@ -200,6 +233,16 @@ def test_output_is_byte_identical_across_invocations():
     out2 = run(*args)
     assert out1 == out2
     assert out1[0] == 0
+
+
+def test_reused_parser_gives_the_same_output():
+    density = ("density", "--entry", "besq", "--n", "3", "--t", "1",
+               "--x", "1", "--y-grid", "0.5:2:0.5")
+    check = ("verify", "--suite", "hartman", "--format", "json")
+    first = [run(*density), run(*check)]
+    for _ in range(2):
+        assert [run(*density), run(*check)] == first
+    assert [code for code, _ in first] == [0, 0]
 
 
 def test_no_arguments_is_usage_error():
