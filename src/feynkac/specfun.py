@@ -68,17 +68,29 @@ def bessel_i(nu: float, z: float, policy: EvalPolicy = DEFAULT_POLICY, *, scaled
     _check_finite("bessel_i", nu, z)
     if z < 0:
         raise DomainError("bessel_i: z must be >= 0")
-    if scaled:
-        out = float(sc.ive(nu, z))
-    else:
-        out = float(sc.iv(nu, z))
-        if math.isinf(out):
-            raise EvalOverflowError(
-                f"bessel_i: I_{nu}({z}) overflows double precision; use scaled=True"
-            )
+    out = float(sc.ive(nu, z)) if scaled else float(sc.iv(nu, z))
+    if math.isinf(out):  # never for the scaled value
+        raise EvalOverflowError(
+            f"bessel_i: I_{nu}({z}) overflows double precision; use scaled=True")
     if math.isnan(out):
+        if scaled:
+            return _ive_large_z(nu, z)
         raise ConvergenceError(f"bessel_i: evaluation failed at nu={nu}, z={z}")
     return out
+
+
+def _ive_large_z(nu: float, z: float) -> float:
+    """e^{-z} I_nu(z) by the large-argument expansion (DLMF 10.40.1), for z
+    beyond scipy's ive (NaN from about 1e9 on). Raises ConvergenceError where
+    the series does not settle (small z, or nu^2 comparable to z)."""
+    mu = 4.0 * nu * nu
+    term = total = 1.0
+    for k in range(1, 30):
+        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * z)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return total / math.sqrt(2.0 * math.pi * z)
+    raise ConvergenceError(f"bessel_i: evaluation failed at nu={nu}, z={z}")
 
 
 def log_bessel_i(nu: float, z: float) -> float:
@@ -97,7 +109,9 @@ def log_bessel_i(nu: float, z: float) -> float:
             return -math.inf
         raise DomainError("log_bessel_i: I_nu(0) undefined for nu < 0")
     scaled = float(sc.ive(nu, z))
-    if scaled <= 0.0:
+    if not scaled > 0.0:
+        if math.isnan(scaled):
+            return math.log(_ive_large_z(nu, z)) + z
         if scaled == 0.0:
             # underflow of the scaled value; fall back to the small-z leading term
             if nu > -1:

@@ -4,6 +4,7 @@ elementary-function rewrites of half-integer Bessel cases, and direct
 quadrature of the defining integrals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,33 @@ def test_expectation_closed_form_agrees_with_quadrature(name, params):
     quad = cat.expectation(name, params, 0.8, 0.9, 1.1, method="quadrature")
     assert closed == pytest.approx(quad, rel=1e-8)
     assert cat.expectation(name, params, 0.8, 0.9, 1.1) == closed
+
+
+def test_quadrature_expectation_non_finite_raises():
+    # the unscaled Bessel functions of generic_linear overflow inside the
+    # integrand; quad then reports NaN for both value and error
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ConvergenceError):
+            cat.expectation("generic_linear", {"sigma": 1, "A": 1, "B": -0.3},
+                            0.0, 0.3, 1.3, method="quadrature")
+
+
+@pytest.mark.parametrize("name,params,drift,sigma", [
+    ("bessel", {"a": 0.8}, 0.8e-3, 0.5),
+    ("bessel_drift", {"a": 0.8, "b": 0.5}, 1.3e-3 + 0.5, 0.5),
+    ("radial_ou", {"a": 0.8, "b": 0.5}, 0.8e-3 + 500.0, 1.0),
+])
+def test_density_at_small_time_and_large_state(name, params, drift, sigma):
+    # the Bessel argument x*y/t reaches 1e10; over t = 1e-4 the kernel is the
+    # Gaussian of one Euler step to well within 1e-3
+    t, x = 1e-4, 1e3
+    var = 2.0 * sigma * t
+    ref = math.exp(-(drift * t) ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    p = cat.density(name, params, t, x, x)
+    assert p == pytest.approx(ref, rel=1e-3)
+    assert cat.density(name, params, t, x, x, log=True) == pytest.approx(
+        math.log(p), abs=1e-5)
 
 
 def test_expectation_at_zero_killing_zero_weight_is_one():

@@ -5,9 +5,14 @@ independently of the library."""
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import feynkac
 from feynkac import catalog
 from feynkac.cli import main
 
@@ -16,6 +21,16 @@ def run(*args, env=None, monkeypatch=None):
     buf = io.StringIO()
     code = main(list(args), out=buf)
     return code, buf.getvalue()
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout of feynkac."""
+    src = os.path.dirname(os.path.dirname(feynkac.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +163,16 @@ def test_expect_closed_form_overflow_is_numerical_error():
     assert out == ""
 
 
+def test_expect_quadrature_non_finite_is_numerical_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out = run("expect", "--entry", "generic_linear", "--sigma", "1",
+                        "--A", "1", "--B", "-0.3", "--t", "0.3", "--x", "1.3",
+                        "--lambda", "0", "--method", "quadrature")
+    assert code == 3
+    assert out == ""
+
+
 def test_expect_capability_gap_is_usage_error():
     code, _ = run("expect", "--entry", "rational_drift", "--a", "1",
                   "--mu_inv", "0.6", "--t", "1", "--x", "1", "--lambda", "1")
@@ -247,3 +272,47 @@ def test_reused_parser_gives_the_same_output():
 
 def test_no_arguments_is_usage_error():
     assert run()[0] == 2
+
+
+_DENSITY = ["density", "--entry", "besq", "--n", "3", "--t", "1", "--x", "1",
+            "--y", "1"]
+_EXPECT_CLOSED = ["expect", "--entry", "cir", "--a", "1.1", "--b", "0.8",
+                  "--sigma", "0.6", "--t", "1", "--x", "1",
+                  "--lambda-grid", "0.5:2:0.5"]
+_EXPECT_QUADRATURE = _EXPECT_CLOSED + ["--method", "quadrature"]
+_VERIFY_MASS = ["verify", "--suite", "mass"]
+
+_IMPORT_BUDGET_SCRIPT = """
+import io, json, sys
+import feynkac, feynkac.cli as cli
+
+def run(args):
+    buf = io.StringIO()
+    return [cli.main(args, out=buf), buf.getvalue()]
+
+density, closed, quadrature, mass = json.loads(sys.argv[1])
+results = [run(density), run(closed)]
+loaded = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+results += [run(quadrature), run(mass)]
+print(json.dumps({"loaded": loaded, "results": results}))
+"""
+
+
+def test_closed_form_routes_do_not_load_quadrature():
+    # a fresh interpreter, so that what the test session imported does not
+    # mask what feynkac itself loads
+    cases = [_DENSITY, _EXPECT_CLOSED, _EXPECT_QUADRATURE, _VERIFY_MASS]
+    proc = run_python("-c", _IMPORT_BUDGET_SCRIPT, json.dumps(cases))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["loaded"] == []
+    # the quadrature route and the verify suites load scipy.integrate on
+    # first use and print what an already loaded one prints
+    assert [tuple(r) for r in got["results"]] == [run(*c) for c in cases]
+    assert [code for code, _ in got["results"]] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("args", [_DENSITY, ["density", "--entry", "foo"]])
+def test_python_dash_m_matches_main(args):
+    proc = run_python("-m", "feynkac", *args)
+    assert (proc.returncode, proc.stdout) == run(*args)

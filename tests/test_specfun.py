@@ -4,13 +4,15 @@ no code path with the implementation under test."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
 from hypothesis import given, settings, strategies as st
 
 from feynkac import specfun as sf
-from feynkac.errors import (DomainError, EvalOverflowError, PoleError)
+from feynkac.errors import (ConvergenceError, DomainError, EvalOverflowError,
+                            PoleError)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +97,27 @@ def test_log_bessel_i_large_argument_finite_and_asymptotic():
         lg = sf.log_bessel_i(0.7, z)
         assert math.isfinite(lg)
         assert lg == pytest.approx(z - 0.5 * math.log(2 * math.pi * z), rel=1e-6)
+
+
+@pytest.mark.parametrize("z", [2e9, 1e10, 1e14])
+@pytest.mark.parametrize("nu", [0.0, 0.1, -0.3, 2.5, 30.0])
+def test_bessel_i_beyond_scipy_range_against_mpmath(nu, z):
+    # scipy's ive returns NaN from about z = 1e9 on; densities at small t
+    # and large x reach such arguments
+    with mpmath.workdps(30):
+        ref = mpmath.besseli(nu, z)
+        scaled_ref = float(ref * mpmath.exp(-z))
+        log_ref = float(mpmath.log(ref))
+    assert sf.bessel_i(nu, z, scaled=True) == pytest.approx(scaled_ref, rel=1e-14)
+    assert sf.log_bessel_i(nu, z) == pytest.approx(log_ref, rel=1e-15)
+
+
+def test_bessel_i_failure_beyond_scipy_range_raises():
+    # the large-argument series does not settle when nu^2 is comparable to z
+    with pytest.raises(ConvergenceError):
+        sf.bessel_i(1e6, 2e9, scaled=True)
+    with pytest.raises(ConvergenceError):
+        sf.log_bessel_i(1e6, 2e9)
 
 
 def test_log_bessel_i_at_zero():

@@ -88,6 +88,14 @@ def test_integrate_semi_infinite_divergent_raises():
             v.integrate_semi_infinite(lambda y: 1.0 / (1.0 + y))
 
 
+def test_integrate_semi_infinite_non_finite_raises():
+    # a NaN error estimate compares false against any bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ConvergenceError):
+            v.integrate_semi_infinite(lambda y: math.nan)
+
+
 # ---------------------------------------------------------------------------
 # numerical Laplace inversion
 # ---------------------------------------------------------------------------
