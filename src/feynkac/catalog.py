@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
+import numpy as np
+
 from .errors import (
     CapabilityError,
     ConvergenceError,
@@ -263,8 +265,11 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
         else PotentialSpec(form="zero")
 
     def log_p(t: float, x: float, y: float) -> float:
+        # -(x^2+y^2)/(2t) + log I(xy/t) = -(x-y)^2/(2t) + log(ive): no terms
+        # of size xy/t that cancel
         return (math.log(y) - math.log(t) + (a - 0.5) * (math.log(y) - math.log(x))
-                - (x * x + y * y) / (2.0 * t) + _log_i(nu_ix - 1.0, x * y / t))
+                - (x - y) ** 2 / (2.0 * t)
+                + specfun.log_bessel_ive(nu_ix - 1.0, x * y / t))
 
     u0 = StationarySolution(eval=lambda y: y ** d,
                             log_eval=lambda y: d * math.log(y),
@@ -330,9 +335,14 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
         else PotentialSpec(form="zero")
 
     def log_p(t: float, x: float, y: float) -> float:
-        return (math.log(y) + _log_i(a, b * y) - _log_i(a, b * x) - math.log(t)
-                - (x * x + y * y) / (2.0 * t) - 0.5 * b * b * t
-                + _log_i(atil, x * y / t))
+        # scaled Bessel factors, as in the bessel kernel: the log I(a, .)
+        # ratio is b*(y - x) plus a log(ive) ratio, and -(x^2+y^2)/(2t) +
+        # log I(xy/t) = -(x-y)^2/(2t) + log(ive)
+        log_ive = specfun.log_bessel_ive
+        return (math.log(y) - math.log(t) + b * (y - x)
+                + log_ive(a, b * y) - log_ive(a, b * x)
+                - (x - y) ** 2 / (2.0 * t) - 0.5 * b * b * t
+                + log_ive(atil, x * y / t))
 
     def u0_log(y: float) -> float:
         return _log_i(atil, b * y) - _log_i(a, b * y)
@@ -571,7 +581,7 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
         return 2.0 * (abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0))
 
     diff = DiffusionSpec(gamma=1.0, sigma=1.0,
-                         drift=lambda x: 2.0 * x * math.tanh(x),
+                         drift=lambda x: 2.0 * x * np.tanh(x),
                          drift_derivative=lambda x: 2.0 * math.tanh(x)
                          + 2.0 * x / math.cosh(x) ** 2,
                          drift_antiderivative=F, label="tanh_drift")
@@ -648,13 +658,20 @@ def _make_radial_ou(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
                          label="radial_ou")
     pot = PotentialSpec(form="power", mu=mu, n=2.0) if mu else PotentialSpec(form="zero")
 
+    log_half_alpha = math.log(0.5 * alpha)
+
     def log_p(t: float, x: float, y: float) -> float:
         at = alpha * t
-        return (math.log(0.5) + math.log(y) + (nu_ix - 1.0) * (math.log(y) - math.log(x))
-                + math.log(alpha) - math.log(math.sinh(at)) - b * nu_ix * t
-                - alpha * (x * x + y * y) / (4.0 * math.tanh(at))
-                - 0.25 * b * (x * x - y * y)
-                + _log_i(nu_ix - 1.0, alpha * x * y / (2.0 * math.sinh(at))))
+        sh, th = math.sinh(at), math.tanh(at)
+        # -alpha(x^2+y^2)/(4 tanh) + log I(z), z = alpha*x*y/(2 sinh), is
+        # regrouped with coth - csch = tanh(at/2) = sh*th/(sh + th), so that
+        # log(ive) = log I(z) - z carries the Bessel factor
+        return (log_half_alpha + math.log(y) + (nu_ix - 1.0) * (math.log(y) - math.log(x))
+                - math.log(sh) - b * nu_ix * t
+                - alpha * (x - y) ** 2 / (4.0 * th)
+                - 0.5 * alpha * x * y * sh * th / (sh + th)
+                - 0.25 * b * (x - y) * (x + y)
+                + specfun.log_bessel_ive(nu_ix - 1.0, alpha * x * y / (2.0 * sh)))
 
     def expect(lam: float, t: float, x: float) -> float:
         # E_x[exp(-lam*X_t^2 - mu int X_s^2 ds)]
@@ -751,10 +768,10 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
 
     def g(x: float) -> float:
         return (0.5 * (A - 0.5 * b * b) + 0.5 * (a - 0.5 * a * a + B) / x
-                + 0.5 * (a * b - 0.5 * b) / math.sqrt(x))
+                + 0.5 * (a * b - 0.5 * b) / np.sqrt(x))
 
     diff = DiffusionSpec(gamma=1.0, sigma=1.0,
-                         drift=lambda x: a - b * math.sqrt(x),
+                         drift=lambda x: a - b * np.sqrt(x),
                          drift_derivative=lambda x: -0.5 * b / math.sqrt(x),
                          drift_antiderivative=lambda x: a * math.log(x)
                          - 2.0 * b * math.sqrt(x),

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import catalog, verify
 from .errors import (
@@ -257,7 +257,7 @@ def _cmd_verify(args, extra: Sequence[str], out) -> int:
         raise ValidityError(f"verify: unexpected arguments {extra!r}")
     mc_spec = None
     if args.paths or args.steps or args.seed is not None:
-        base = verify.McSpec()
+        base = verify.MC_SUITE_SPEC
         mc_spec = verify.McSpec(
             n_paths=args.paths or base.n_paths,
             n_steps=args.steps or base.n_steps,

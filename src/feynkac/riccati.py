@@ -77,6 +77,10 @@ def _second_derivative(func: Callable[[float], float], x: float, rel_step: float
 class DiffusionSpec:
     """A diffusion on [0, inf): generator sigma*x^gamma*d2/dx2 + f(x)*d/dx.
 
+    drift f takes a float or a float64 array and returns a value of the same
+    shape, or a scalar (a constant drift). The Euler estimator
+    (verify.mc_expectation) calls it once per step on all paths; a drift
+    that only takes floats falls back to a slow element-wise path.
     drift_antiderivative is F with F'(x) = f(x)/x^gamma (checked numerically
     at construction). drift_derivative, when given, makes residuals exact
     instead of finite-differenced.
@@ -157,6 +161,10 @@ class PotentialSpec:
         return False
 
     def __call__(self, x: float) -> float:
+        """g(x) for a float or a float64 array: the same shape, or a scalar
+        (the zero form). The Euler estimator (verify.mc_expectation) calls it
+        once per step on all paths; a tabulated func that only takes floats
+        falls back to a slow element-wise path."""
         if self.form == "zero":
             return 0.0
         if self.form == "power":

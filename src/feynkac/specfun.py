@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 import scipy.special as sc
 
 from .errors import ConvergenceError, DomainError, EvalOverflowError, PoleError
@@ -23,6 +22,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "bessel_i",
     "log_bessel_i",
+    "log_bessel_ive",
     "bessel_k",
     "hypergeom_1f1",
     "tricomi_u",
@@ -99,6 +99,16 @@ def log_bessel_i(nu: float, z: float) -> float:
     Only valid where I_nu(z) > 0, i.e. nu >= 0 or z large enough for
     negative non-integer orders; returns -inf on underflow at z=0+.
     """
+    return log_bessel_ive(nu, z) + z
+
+
+def log_bessel_ive(nu: float, z: float) -> float:
+    """log(e^{-z} I_nu(z)) = log I_nu(z) - z, without forming either term.
+
+    For kernels whose exponent carries -z: adding log I_nu(z) and the
+    exponent as two numbers of size z loses about z*1e-16 absolutely.
+    Same domain and errors as log_bessel_i.
+    """
     _check_finite("log_bessel_i", nu, z)
     if z < 0:
         raise DomainError("log_bessel_i: z must be >= 0")
@@ -111,14 +121,14 @@ def log_bessel_i(nu: float, z: float) -> float:
     scaled = float(sc.ive(nu, z))
     if not scaled > 0.0:
         if math.isnan(scaled):
-            return math.log(_ive_large_z(nu, z)) + z
+            return math.log(_ive_large_z(nu, z))
         if scaled == 0.0:
             # underflow of the scaled value; fall back to the small-z leading term
             if nu > -1:
-                return nu * math.log(z / 2.0) - float(sc.gammaln(nu + 1.0))
+                return nu * math.log(z / 2.0) - float(sc.gammaln(nu + 1.0)) - z
             raise ConvergenceError(f"log_bessel_i: underflow at nu={nu}, z={z}")
         raise DomainError(f"log_bessel_i: I_{nu}({z}) < 0, log undefined")
-    return math.log(scaled) + z
+    return math.log(scaled)
 
 
 def bessel_k(nu: float, z: float, policy: EvalPolicy = DEFAULT_POLICY, *, scaled: bool = False) -> float:

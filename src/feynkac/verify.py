@@ -46,6 +46,7 @@ from . import symmetry
 __all__ = [
     "QuadratureSpec",
     "McSpec",
+    "MC_SUITE_SPEC",
     "CheckRow",
     "VerificationReport",
     "integrate_semi_infinite",
@@ -310,14 +311,17 @@ def check_whittaker_identity(sigma: float, a: float, b: float, t: float,
 
 def _vectorized(func: Callable[[float], float],
                 probe: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a scalar callable for array arguments. Callables built from
-    arithmetic and numpy-compatible operations are used directly (fast path);
-    anything else falls back to element-wise evaluation."""
+    """Wrap a drift or potential for path arrays. A callable that passes the
+    probe at x = probe (it takes a float64 array and returns that shape, or
+    a scalar, equal to its value at the float) is called once per step on
+    the whole array, a scalar result filled out to the path shape. Anything
+    else is evaluated element by element."""
     try:
-        out = func(np.full(3, float(probe)))
-        arr = np.asarray(out, dtype=float)
-        if arr.shape == (3,) and np.all(np.isfinite(arr)) \
-                and np.allclose(arr, func(float(probe))):
+        out = np.asarray(func(np.full(3, float(probe))), dtype=float)
+        if out.shape in ((), (3,)) and np.all(np.isfinite(out)) \
+                and np.allclose(out, func(float(probe))):
+            if out.ndim == 0:  # a constant, e.g. the squared-Bessel drift
+                return lambda a: np.full(a.shape, func(a), dtype=float)
             return lambda a: np.asarray(func(a), dtype=float)
     except Exception:
         pass
@@ -331,6 +335,10 @@ class McSpec:
     seed: int = 20260826
     clip: float = 1e-8
     max_nan_fraction: float = 1e-3
+
+
+# the mc suite's settings; the CLI fills in from these what it is not given
+MC_SUITE_SPEC = McSpec(n_paths=20000, n_steps=300)
 
 
 def mc_expectation(entry: cat.CatalogEntry, lam: float, t: float, x: float,
@@ -359,18 +367,20 @@ def mc_expectation(entry: cat.CatalogEntry, lam: float, t: float, x: float,
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(spec.n_paths))
 
     dt = t / spec.n_steps
+    sqrt_dt = math.sqrt(dt)
     X = np.full(spec.n_paths, float(x))
+    Xp = np.maximum(X, spec.clip)  # the truncated state the coefficients see
     g_int = np.zeros(spec.n_paths)
     f_vec = _vectorized(diff.drift, x)
     if not zero_pot:
         g_vec = _vectorized(pot.__call__, x)
-        g_prev = g_vec(np.maximum(X, spec.clip))
+        g_prev = g_vec(Xp)
     for _ in range(spec.n_steps):
-        Xp = np.maximum(X, spec.clip)
-        dW = rng.normal(0.0, math.sqrt(dt), size=spec.n_paths)
+        dW = rng.normal(0.0, sqrt_dt, size=spec.n_paths)
         X = X + f_vec(Xp) * dt + np.sqrt(2.0 * diff.sigma * Xp ** diff.gamma) * dW
+        Xp = np.maximum(X, spec.clip)
         if not zero_pot:
-            g_now = g_vec(np.maximum(X, spec.clip))
+            g_now = g_vec(Xp)
             g_int += 0.5 * dt * (g_prev + g_now)
             g_prev = g_now
     Xp = np.maximum(X, 0.0)
@@ -726,7 +736,7 @@ def _suite_hartman(tol: float = 1e-10) -> VerificationReport:
 def _suite_mc(spec: Optional[McSpec] = None) -> VerificationReport:
     """Single-run Monte Carlo agreement at 3 standard errors."""
     report = VerificationReport("mc")
-    spec = spec or McSpec(n_paths=20000, n_steps=300)
+    spec = spec or MC_SUITE_SPEC
     cases = [
         (cat.make_entry("besq", n=3.0), 0.5, True),
         (cat.make_entry("besq", n=3.0), 0.5, False),

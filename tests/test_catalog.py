@@ -6,6 +6,7 @@ quadrature of the defining integrals."""
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -257,6 +258,48 @@ def test_density_at_small_time_and_large_state(name, params, drift, sigma):
     assert p == pytest.approx(ref, rel=1e-3)
     assert cat.density(name, params, t, x, x, log=True) == pytest.approx(
         math.log(p), abs=1e-5)
+
+
+def _mp_bessel(a, mu, t, x, y):
+    d = 0.5 - a + mpmath.sqrt(mu / 2 + (a - 0.5) ** 2)
+    return (y / t * (y / x) ** (a - 0.5) * mpmath.exp(-(x * x + y * y) / (2 * t))
+            * mpmath.besseli(d + a - 0.5, x * y / t))
+
+
+def _mp_bessel_drift(a, b, mu, t, x, y):
+    return (y / t * mpmath.besseli(a, b * y) / mpmath.besseli(a, b * x)
+            * mpmath.exp(-(x * x + y * y) / (2 * t) - b * b * t / 2)
+            * mpmath.besseli(mpmath.sqrt(a * a + 2 * mu), x * y / t))
+
+
+def _mp_radial_ou(a, b, mu, t, x, y):
+    alpha, nu = mpmath.sqrt(b * b + 4 * mu), (a + 1) / 2
+    at = alpha * t
+    return (y / 2 * (y / x) ** (nu - 1) * alpha / mpmath.sinh(at)
+            * mpmath.exp(-b * nu * t - alpha * (x * x + y * y) / (4 * mpmath.tanh(at))
+                         - b * (x * x - y * y) / 4)
+            * mpmath.besseli(nu - 1, alpha * x * y / (2 * mpmath.sinh(at))))
+
+
+@pytest.mark.parametrize("name,params,reference", [
+    ("bessel", {"a": 0.8, "mu": 0.0}, _mp_bessel),
+    ("bessel", {"a": 1.2, "mu": 0.6}, _mp_bessel),
+    ("bessel_drift", {"a": 0.5, "b": 1.3, "mu": 0.3}, _mp_bessel_drift),
+    ("radial_ou", {"a": 2.0, "b": -0.4, "mu": 0.3}, _mp_radial_ou),
+    ("radial_ou", {"a": 0.9, "b": -0.5, "mu": 0.7}, _mp_radial_ou),
+])
+@pytest.mark.parametrize("t,x,y", [(1e-4, 1e3, 1e3), (1e-4, 1e3, 1e3 + 1e-2),
+                                   (1e-3, 50.0, 50.1), (0.8, 1.2, 0.9)])
+def test_bessel_type_density_against_mpmath(name, params, reference, t, x, y):
+    # -(x^2+y^2)/(2t) and log I(xy/t) are each about 1e10 at the first two
+    # points; the kernels must not form them separately
+    with mpmath.workdps(40):
+        ref = reference(*map(mpmath.mpf, list(params.values()) + [t, x, y]))
+        log_ref = float(mpmath.log(ref))
+        ref = float(ref)
+    assert cat.density(name, params, t, x, y) == pytest.approx(ref, rel=1e-12)
+    assert cat.density(name, params, t, x, y, log=True) == pytest.approx(
+        log_ref, abs=1e-12)
 
 
 def test_expectation_at_zero_killing_zero_weight_is_one():

@@ -230,6 +230,16 @@ def test_verify_entry_filter():
     assert all("besq" in r for r in rows)
 
 
+def test_verify_monte_carlo_defaults_are_the_suite_settings():
+    # a flag left out takes the mc suite's own value, so naming the default
+    # seed, or the default path count, changes nothing
+    suite = run("verify", "--suite", "mc")
+    assert suite[0] == 0
+    assert run("verify", "--suite", "mc", "--seed", "20260826") == suite
+    assert run("verify", "--suite", "mc", "--paths", "500") == \
+        run("verify", "--suite", "mc", "--paths", "500", "--steps", "300")
+
+
 def test_verify_json_format():
     code, out = run("verify", "--suite", "hartman", "--format", "json")
     assert code == 0

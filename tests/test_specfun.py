@@ -120,6 +120,18 @@ def test_bessel_i_failure_beyond_scipy_range_raises():
         sf.log_bessel_i(1e6, 2e9)
 
 
+@pytest.mark.parametrize("nu,z", [(0.0, 1e-3), (0.7, 2.5), (2.5, 40.0),
+                                  (-0.3, 7.0), (30.0, 1e4), (0.1, 1e10),
+                                  (300.0, 1e-6)])
+def test_log_bessel_ive_against_mpmath(nu, z):
+    # the scaled log is read directly, never as log I_nu(z) - z, so it
+    # keeps its relative accuracy where z dwarfs it
+    with mpmath.workdps(40):
+        ref = float(mpmath.log(mpmath.besseli(nu, z)) - z)
+    assert sf.log_bessel_ive(nu, z) == pytest.approx(ref, rel=1e-13)
+    assert sf.log_bessel_i(nu, z) == sf.log_bessel_ive(nu, z) + z
+
+
 def test_log_bessel_i_at_zero():
     assert sf.log_bessel_i(0.0, 0.0) == 0.0
     assert sf.log_bessel_i(2.0, 0.0) == -math.inf

@@ -182,6 +182,61 @@ def test_mc_exact_sampler_limited_to_supported_entries():
                          exact=True)
 
 
+# entries whose drift and killing take path arrays: the Euler step makes one
+# call per step for each, never one per path
+_ARRAY_NATIVE = [
+    ("besq", {"n": 3.0}),  # constant drift: a scalar, filled out to the paths
+    ("tanh_drift", {"mu": 0.5}),
+    ("sqrt_drift", {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6}),
+    ("cir", {"a": 1.0, "b": 1.0, "sigma": 1.0, "mu": 0.3}),
+    ("bessel", {"a": 1.2, "mu": 0.6}),
+    ("radial_ou", {"a": 2.0, "b": -0.4, "mu": 0.3}),
+]
+_SMALL_MC = v.McSpec(n_paths=200, n_steps=50)
+
+
+def _no_vectorize(*args, **kwargs):
+    raise AssertionError("np.vectorize called")
+
+
+@pytest.mark.parametrize("name,params", _ARRAY_NATIVE)
+def test_mc_euler_step_runs_on_path_arrays(name, params, monkeypatch):
+    entry = cat.make_entry(name, **params)
+    monkeypatch.setattr(np, "vectorize", _no_vectorize)
+    mean, se = v.mc_expectation(entry, 0.3, 0.8, 1.2, _SMALL_MC, exact=False)
+    assert math.isfinite(mean) and 0.0 < mean < 1.0 and se > 0.0
+
+
+@pytest.mark.parametrize("name,params", _ARRAY_NATIVE)
+def test_mc_euler_step_matches_element_wise_evaluation(name, params, monkeypatch):
+    entry = cat.make_entry(name, **params)
+    fast = v.mc_expectation(entry, 0.3, 0.8, 1.2, _SMALL_MC, exact=False)
+    monkeypatch.setattr(v, "_vectorized",
+                        lambda func, probe: np.vectorize(func, otypes=[float]))
+    slow = v.mc_expectation(entry, 0.3, 0.8, 1.2, _SMALL_MC, exact=False)
+    if name in ("besq", "cir"):
+        assert fast == slow
+    else:
+        assert fast[0] == pytest.approx(slow[0], rel=1e-12, abs=0.0)
+        assert fast[1] == pytest.approx(slow[1], rel=1e-12, abs=0.0)
+
+
+def test_mc_euler_step_falls_back_for_scalar_only_drift(monkeypatch):
+    # the Bessel-ratio drift calls scalar specfun routines: element-wise
+    calls = []
+    vectorize = np.vectorize
+
+    def counting_vectorize(func, *args, **kwargs):
+        calls.append(func)
+        return vectorize(func, *args, **kwargs)
+
+    entry = cat.make_entry("bessel_drift", a=0.5, b=1.3)
+    monkeypatch.setattr(np, "vectorize", counting_vectorize)
+    mean, _ = v.mc_expectation(entry, 0.3, 0.8, 1.2, _SMALL_MC)
+    assert calls == [entry.diffusion.drift]
+    assert 0.0 < mean < 1.0
+
+
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
