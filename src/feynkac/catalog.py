@@ -13,6 +13,37 @@ killing potential to:
 Kernels evaluate in the log domain wherever they are positive, so small-t
 Bessel factors do not overflow.
 
+One Bessel core
+---------------
+CIR, radial Ornstein-Uhlenbeck and Bessel processes are time-changed,
+rescaled squared Bessel (BESQ) processes (Goeing-Jaeschke & Yor, "A survey
+and some generalizations of Bessel processes", Bernoulli 9, 2003). So every
+positive kernel here is its own drift, power and Jacobian terms times one
+factor in X = sx^2, Y = sy^2:
+
+  (c w / sinh wt) exp(-c w coth(wt) (X + Y)) I_nu(2 c w sx sy / sinh wt),
+
+with the limit (c/t) exp(-(c/t)(X + Y)) I_nu(2 c sx sy / t) at w = 0.
+_log_bessel_core returns its log, regrouped as
+
+  log(e^-z I_nu(z)) - c w coth(wt) (sx - sy)^2 - 2 c w tanh(wt/2) sx sy,
+
+so that no two terms of size (X + Y)/t cancel at small t.
+
+  entry                                  c        w             sx
+  besq                                   1/2      sqrt(2 mu)    sqrt(x)
+  cir, generic_quadratic                 1/sigma  sqrt(A)/2     sqrt(x)
+  tanh_drift                             1        sqrt(1 + mu)  sqrt(x)
+  rational_drift                         1        sqrt(mu)      sqrt(x)
+  rational_showcase, sqrt_drift          1        0             sqrt(x)
+  generic_linear                         1/sigma  0             sqrt(x)
+  bessel, bessel_drift                   1/2      0             x
+  radial_ou                              1/4      alpha         x
+
+Entries in x with sx = x carry the Jacobian 2y of Y = y^2. The two-branch
+kernels of generic_linear and generic_quadratic add their signed branches
+with _scaled_sum, still in the log domain.
+
 Entries
 -------
 besq                squared Bessel process, killing mu*x + nu/x
@@ -110,8 +141,31 @@ class CatalogEntry:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
 
-def _log_i(nu: float, z: float) -> float:
-    return specfun.log_bessel_i(nu, z)
+def _log_bessel_core(nu: float, c: float, omega: float, t: float, sx: float,
+                     sy: float) -> float:
+    """log[(c w / sinh wt) exp(-c w coth(wt)(sx^2 + sy^2))
+    I_nu(2 c w sx sy / sinh wt)], the factor every positive kernel shares;
+    omega = 0 is the limit omega -> 0. See the module docstring."""
+    if omega == 0.0:
+        return (math.log(c / t) - c * (sx - sy) ** 2 / t
+                + specfun.log_bessel_ive(nu, 2.0 * c * sx * sy / t))
+    wt, cw = omega * t, c * omega
+    sh = math.sinh(wt)
+    return (math.log(cw / sh) - cw * (sx - sy) ** 2 / math.tanh(wt)
+            - 2.0 * cw * math.tanh(0.5 * wt) * sx * sy
+            + specfun.log_bessel_ive(nu, 2.0 * cw * sx * sy / sh))
+
+
+def _scaled_sum(c1: float, l1: float, c2: float,
+                l2: float) -> Tuple[float, float]:
+    """(s, m) with c1 e^l1 + c2 e^l2 = s e^m for signed c1, c2. Plain math:
+    scipy.special.logsumexp costs 100 us a call, a kernel point 2-5 us."""
+    if not c2:
+        return c1, l1
+    if not c1:
+        return c2, l2
+    m = max(l1, l2)
+    return c1 * math.exp(l1 - m) + c2 * math.exp(l2 - m), m
 
 
 def _kernel(logf, atoms=()) -> Kernel:
@@ -166,18 +220,9 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
     pot = PotentialSpec(form="inverse_plus_linear", mu=mu, nu_coeff=nu) \
         if (mu or nu) else PotentialSpec(form="zero")
 
-    def _rates(t: float) -> Tuple[float, float, float]:
-        """(log prefactor, exponential rate, Bessel argument scale /sqrt(y))."""
-        if mu == 0.0:
-            return -math.log(2.0 * t), 0.5 / t, 1.0 / t
-        bt = b * t
-        return (math.log(b) - math.log(2.0 * math.sinh(bt)),
-                0.5 * b / math.tanh(bt), b / math.sinh(bt))
-
     def log_p(t: float, x: float, y: float) -> float:
-        lg_pref, rate, bessel_scale = _rates(t)
-        return (lg_pref + 0.25 * (n - 2.0) * (math.log(y) - math.log(x))
-                - rate * (x + y) + _log_i(w, bessel_scale * math.sqrt(x * y)))
+        return (0.25 * (n - 2.0) * (math.log(y) - math.log(x))
+                + _log_bessel_core(w, 0.5, b, t, math.sqrt(x), math.sqrt(y)))
 
     def u0_log(y: float) -> float:
         return d * math.log(y)
@@ -211,11 +256,11 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
             num = -(x * b / 2.0) * (1.0 + 2.0 * lam * cth / b) / (cth + 2.0 * lam / b)
             den = math.cosh(b * t) + (2.0 * lam / b) * math.sinh(b * t)
             return math.exp(num) / den ** (0.5 * n)
-        lg_pref, rate, bessel_scale = _rates(t)
+        bt = b * t
+        sh, rate = math.sinh(bt), 0.5 * b / math.tanh(bt)
         q = 0.25 * (n - 2.0)
-        c = 0.5 * bessel_scale * math.sqrt(x)
-        val = specfun.laplace_bessel_moment(q, w, lam + rate, c)
-        return math.exp(lg_pref - q * math.log(x) - rate * x) * val
+        val = specfun.laplace_bessel_moment(q, w, lam + rate, 0.5 * b * math.sqrt(x) / sh)
+        return math.exp(math.log(b / (2.0 * sh)) - q * math.log(x) - rate * x) * val
 
     return CatalogEntry(
         name="besq", params={"n": n, "mu": mu, "nu": nu},
@@ -265,11 +310,8 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
         else PotentialSpec(form="zero")
 
     def log_p(t: float, x: float, y: float) -> float:
-        # -(x^2+y^2)/(2t) + log I(xy/t) = -(x-y)^2/(2t) + log(ive): no terms
-        # of size xy/t that cancel
-        return (math.log(y) - math.log(t) + (a - 0.5) * (math.log(y) - math.log(x))
-                - (x - y) ** 2 / (2.0 * t)
-                + specfun.log_bessel_ive(nu_ix - 1.0, x * y / t))
+        return (math.log(2.0 * y) + (a - 0.5) * (math.log(y) - math.log(x))
+                + _log_bessel_core(nu_ix - 1.0, 0.5, 0.0, t, x, y))
 
     u0 = StationarySolution(eval=lambda y: y ** d,
                             log_eval=lambda y: d * math.log(y),
@@ -312,8 +354,10 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
     _check_nonneg("bessel_drift", mu=mu)
     atil = math.sqrt(a * a + 2.0 * mu)
 
+    log_ive = specfun.log_bessel_ive
+
     def _ratio(z: float) -> float:
-        return math.exp(_log_i(a + 1.0, z) - _log_i(a, z))
+        return math.exp(log_ive(a + 1.0, z) - log_ive(a, z))
 
     def drift(x: float) -> float:
         return (a + 0.5) / x + b * _ratio(b * x)
@@ -326,7 +370,7 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
             + b * b * (1.0 - (2.0 * a + 1.0) * r / z - r * r)
 
     def F(x: float) -> float:
-        return 0.5 * math.log(x) + _log_i(a, b * x)
+        return 0.5 * math.log(x) + log_ive(a, b * x) + b * x
 
     diff = DiffusionSpec(gamma=0.0, sigma=0.5, drift=drift,
                          drift_derivative=drift_derivative,
@@ -335,17 +379,13 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
         else PotentialSpec(form="zero")
 
     def log_p(t: float, x: float, y: float) -> float:
-        # scaled Bessel factors, as in the bessel kernel: the log I(a, .)
-        # ratio is b*(y - x) plus a log(ive) ratio, and -(x^2+y^2)/(2t) +
-        # log I(xy/t) = -(x-y)^2/(2t) + log(ive)
-        log_ive = specfun.log_bessel_ive
-        return (math.log(y) - math.log(t) + b * (y - x)
-                + log_ive(a, b * y) - log_ive(a, b * x)
-                - (x - y) ** 2 / (2.0 * t) - 0.5 * b * b * t
-                + log_ive(atil, x * y / t))
+        # the log I(a, .) ratio is b*(y - x) plus a log(ive) ratio
+        return (math.log(2.0 * y) + b * (y - x)
+                + log_ive(a, b * y) - log_ive(a, b * x) - 0.5 * b * b * t
+                + _log_bessel_core(atil, 0.5, 0.0, t, x, y))
 
     def u0_log(y: float) -> float:
-        return _log_i(atil, b * y) - _log_i(a, b * y)
+        return log_ive(atil, b * y) - log_ive(a, b * y)
 
     u0 = StationarySolution(eval=lambda y: math.exp(u0_log(y)), log_eval=u0_log,
                             description=f"Bessel-ratio branch index {atil:.6g}/{a:.6g}",
@@ -355,8 +395,8 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
         den = 1.0 + 2.0 * lam * t
         if den <= 0:
             raise DomainError("bessel_drift transform: 1 + 2*lam*t must be > 0")
-        lg = (-lam * (b * b * t * t + x * x) / den - math.log(den)
-              + _log_i(atil, b * x / den) - _log_i(a, b * x))
+        lg = (-lam * (x + b * t) ** 2 / den - math.log(den)
+              + log_ive(atil, b * x / den) - log_ive(a, b * x))
         return math.exp(lg)
 
     return CatalogEntry(
@@ -371,14 +411,23 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
 # entry 4: mean-reverting square-root process
 # ---------------------------------------------------------------------------
 
+def _affine_log_kernel(a: float, b: float, sigma: float, A: float,
+                       nu: float) -> Callable[[float, float, float], float]:
+    """Log kernel of dX = (a - bX) dt + sqrt(2 sigma X) dW killed at mu/x +
+    mu_lin*x (A = b^2 + 4*sigma*mu_lin; index nu): cir, generic_quadratic."""
+    p, c, omega = 0.5 * a / sigma - 0.5, 1.0 / sigma, 0.5 * math.sqrt(A)
+
+    def log_p(t: float, x: float, y: float) -> float:
+        return (p * (math.log(y) - math.log(x)) + 0.5 * b * (x - y + a * t) / sigma
+                + _log_bessel_core(nu, c, omega, t, math.sqrt(x), math.sqrt(y)))
+    return log_p
+
+
 def _make_cir(a: float, b: float, sigma: float, mu: float = 0.0,
               mu_lin: float = 0.0) -> CatalogEntry:
     """dX = (a - bX) dt + sqrt(2 sigma X) dW; killing mu/x + mu_lin*x."""
     _check_positive("cir", a=a, b=b, sigma=sigma)
     _check_nonneg("cir", mu=mu, mu_lin=mu_lin)
-    A = b * b + 4.0 * mu_lin * sigma
-    rA = math.sqrt(A)
-    B = -a * b
     nu_ix = math.sqrt((a - sigma) ** 2 + 4.0 * mu * sigma) / sigma
 
     diff = DiffusionSpec(gamma=1.0, sigma=sigma, drift=lambda x: a - b * x,
@@ -390,15 +439,7 @@ def _make_cir(a: float, b: float, sigma: float, mu: float = 0.0,
     else:
         pot = PotentialSpec(form="zero")
 
-    def log_p(t: float, x: float, y: float) -> float:
-        sh = math.sinh(0.5 * rA * t)
-        th = math.tanh(0.5 * rA * t)
-        F = diff.drift_antiderivative
-        return (0.5 * (math.log(A) + math.log(x) - math.log(y))
-                - math.log(2.0 * sigma * sh)
-                + (F(y) - F(x) - B * t) / (2.0 * sigma)
-                - rA * (x + y) / (2.0 * sigma * th)
-                + _log_i(nu_ix, rA * math.sqrt(x * y) / (sigma * sh)))
+    log_p = _affine_log_kernel(a, b, sigma, b * b + 4.0 * mu_lin * sigma, nu_ix)
 
     def expect(lam: float, t: float, x: float) -> float:
         # E_x[exp(-lam*X_t - mu int ds/X_s)], closed Whittaker form (mu_lin=0)
@@ -458,22 +499,13 @@ def _make_rational_drift(a: float, mu: float = 0.0,
 
     def log_u1(t: float, x: float) -> float:
         # unit-parameter symmetry orbit of u0 = exp(-sqrt(mu)x)/(2+ax)
-        if mu == 0.0:
-            return -x / t - math.log(2.0 + a * x)
-        em1 = math.expm1(2.0 * rmu * t)
-        return -rmu * x - 2.0 * rmu * x / em1 - math.log(2.0 + a * x)
+        rate = rmu + 2.0 * rmu / math.expm1(2.0 * rmu * t) if mu else 1.0 / t
+        return -rate * x - math.log(2.0 + a * x)
 
     def log_p(t: float, x: float, y: float) -> float:
-        if mu == 0.0:
-            return (math.log(2.0 + a * y) - math.log(2.0 + a * x)
-                    - (x + y) / t + 0.5 * (math.log(x) - math.log(y))
-                    - math.log(t) + _log_i(1.0, 2.0 * math.sqrt(x * y) / t))
-        em1 = math.expm1(2.0 * rmu * t)
-        sh = math.sinh(rmu * t)
         return (math.log(2.0 + a * y) - math.log(2.0 + a * x)
-                + rmu * (y - x) - 2.0 * rmu * (x + y * (em1 + 1.0)) / em1
-                + 0.5 * (math.log(mu) + math.log(x) - math.log(y))
-                - math.log(sh) + _log_i(1.0, 2.0 * math.sqrt(mu * x * y) / sh))
+                + 0.5 * (math.log(x) - math.log(y))
+                + _log_bessel_core(1.0, 1.0, rmu, t, math.sqrt(x), math.sqrt(y)))
 
     atom = AtomSpec(weight=lambda t, x: 2.0 * math.exp(log_u1(t, x)), order=0)
 
@@ -531,15 +563,17 @@ def _rational_drift_inverse(a: float, mu_inv: float,
         return y ** dm * (2.0 + a * y ** root) / (2.0 + a * y)
 
     def g_term(rho: float, c: float, y: float) -> float:
-        # (y/c)^{(rho-1)/2} I_{rho-1}(2 sqrt(c y)); finite-part kernel for rho<0
+        # (y/c)^{(rho-1)/2} e^-z I_{rho-1}(z), z = 2 sqrt(cy); finite part for rho<0
         return (y / c) ** (0.5 * (rho - 1.0)) * specfun.bessel_i(
-            rho - 1.0, 2.0 * math.sqrt(c * y))
+            rho - 1.0, 2.0 * math.sqrt(c * y), scaled=True)
 
     def cont(t: float, x: float, y: float) -> float:
         c = x / (t * t)
         bracket = (a * x ** dp * t ** (-2.0 * dp) * g_term(2.0 * dp, c, y)
                    + 2.0 * x ** dm * t ** (-2.0 * dm) * g_term(2.0 * dm, c, y))
-        return math.exp(-(x + y) / t) * bracket / ((2.0 + a * x) * u0_val(y))
+        # e^{-(x+y)/t} I(z) = e^{-(sqrt(x)-sqrt(y))^2/t} e^-z I(z)
+        return (math.exp(-(math.sqrt(x) - math.sqrt(y)) ** 2 / t) * bracket
+                / ((2.0 + a * x) * u0_val(y)))
 
     u0 = StationarySolution(eval=u0_val,
                             description="combined power branch (value 1 at mu_inv=0)",
@@ -576,26 +610,21 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
     _check_nonneg("tanh_drift", mu=mu)
     k = math.sqrt(1.0 + mu)
 
-    def F(x: float) -> float:
-        # antiderivative of 2 tanh(x), overflow-safe
-        return 2.0 * (abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0))
+    def log_cosh(z: float) -> float:
+        return abs(z) + math.log1p(math.exp(-2.0 * abs(z))) - math.log(2.0)
 
     diff = DiffusionSpec(gamma=1.0, sigma=1.0,
                          drift=lambda x: 2.0 * x * np.tanh(x),
                          drift_derivative=lambda x: 2.0 * math.tanh(x)
                          + 2.0 * x / math.cosh(x) ** 2,
-                         drift_antiderivative=F, label="tanh_drift")
+                         # antiderivative of 2 tanh(x), overflow-safe
+                         drift_antiderivative=lambda x: 2.0 * log_cosh(x),
+                         label="tanh_drift")
     pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
 
-    def log_cosh(z: float) -> float:
-        return abs(z) + math.log1p(math.exp(-2.0 * abs(z))) - math.log(2.0)
-
     def log_p(t: float, x: float, y: float) -> float:
-        kt = k * t
-        return (log_cosh(y) - log_cosh(x) - math.log(math.sinh(kt))
-                - k * (x + y) / math.tanh(kt)
-                + math.log(k) + 0.5 * (math.log(x) - math.log(y))
-                + _log_i(1.0, 2.0 * k * math.sqrt(x * y) / math.sinh(kt)))
+        return (log_cosh(y) - log_cosh(x) + 0.5 * (math.log(x) - math.log(y))
+                + _log_bessel_core(1.0, 1.0, k, t, math.sqrt(x), math.sqrt(y)))
 
     def log_u1(t: float, x: float) -> float:
         return -k * x / math.tanh(k * t) - log_cosh(x)
@@ -658,20 +687,10 @@ def _make_radial_ou(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
                          label="radial_ou")
     pot = PotentialSpec(form="power", mu=mu, n=2.0) if mu else PotentialSpec(form="zero")
 
-    log_half_alpha = math.log(0.5 * alpha)
-
     def log_p(t: float, x: float, y: float) -> float:
-        at = alpha * t
-        sh, th = math.sinh(at), math.tanh(at)
-        # -alpha(x^2+y^2)/(4 tanh) + log I(z), z = alpha*x*y/(2 sinh), is
-        # regrouped with coth - csch = tanh(at/2) = sh*th/(sh + th), so that
-        # log(ive) = log I(z) - z carries the Bessel factor
-        return (log_half_alpha + math.log(y) + (nu_ix - 1.0) * (math.log(y) - math.log(x))
-                - math.log(sh) - b * nu_ix * t
-                - alpha * (x - y) ** 2 / (4.0 * th)
-                - 0.5 * alpha * x * y * sh * th / (sh + th)
-                - 0.25 * b * (x - y) * (x + y)
-                + specfun.log_bessel_ive(nu_ix - 1.0, alpha * x * y / (2.0 * sh)))
+        return (math.log(2.0 * y) + (nu_ix - 1.0) * (math.log(y) - math.log(x))
+                - b * nu_ix * t - 0.25 * b * (x - y) * (x + y)
+                + _log_bessel_core(nu_ix - 1.0, 0.25, alpha, t, x, y))
 
     def expect(lam: float, t: float, x: float) -> float:
         # E_x[exp(-lam*X_t^2 - mu int X_s^2 ds)]
@@ -714,9 +733,9 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
     pot = PotentialSpec(form="zero")
 
     def log_r(t: float, x: float, y: float) -> float:
-        return (math.log(x) - math.log(y) - math.log(t)
+        return (math.log(x) - math.log(y)
                 + math.log(b + a * y * y) - math.log(b + a * x * x)
-                - (x + y) / t + _log_i(2.0, 2.0 * math.sqrt(x * y) / t))
+                + _log_bessel_core(2.0, 1.0, 0.0, t, math.sqrt(x), math.sqrt(y)))
 
     atom0 = AtomSpec(order=0, weight=lambda t, x:
                      b * (x + t) * math.exp(-x / t) / (t * (b + a * x * x)))
@@ -754,6 +773,9 @@ def rational_showcase_continuous_mass(a: float, b: float, t: float, x: float) ->
 # entry 9: drift a - b*sqrt(x) with its computable potential
 # ---------------------------------------------------------------------------
 
+_SERIES_REL_TOL, _SERIES_MAX_TERMS = 1e-13, 500  # sqrt_drift expectation series
+
+
 def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
     """dX = (a - b sqrt(X)) dt + sqrt(2X) dW. The potential is determined by
     the drift: g = (A - b^2/2)/2 + (a - a^2/2 + B)/(2x) + (ab - b/2)/(2 sqrt(x)).
@@ -779,13 +801,14 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
     pot = PotentialSpec(form="tabulated", func=g)
 
     def log_p(t: float, x: float, y: float) -> float:
-        return (-math.log(t) + 0.5 * (1.0 - a) * (math.log(x) - math.log(y))
-                + b * (math.sqrt(x) - math.sqrt(y)) - 0.5 * A * t
-                - (x + y) / t + _log_i(w, 2.0 * math.sqrt(x * y) / t))
+        sx, sy = math.sqrt(x), math.sqrt(y)
+        return (0.5 * (1.0 - a) * (math.log(x) - math.log(y)) + b * (sx - sy)
+                - 0.5 * A * t + _log_bessel_core(w, 1.0, 0.0, t, sx, sy))
 
     def u0_log(y: float) -> float:
+        z = math.sqrt(2.0 * A * y)
         return 0.5 * (1.0 - a) * math.log(y) + b * math.sqrt(y) \
-            + _log_i(w, math.sqrt(2.0 * A * y))
+            + specfun.log_bessel_ive(w, z) + z
 
     u0 = StationarySolution(eval=lambda y: math.exp(u0_log(y)), log_eval=u0_log,
                             description=f"Bessel branch index {w:.6g}",
@@ -795,13 +818,13 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
         den = 1.0 + lam * t
         if den <= 0:
             raise DomainError("sqrt_drift transform: 1 + lam*t must be > 0")
+        z = math.sqrt(2.0 * A * x) / den
         lg = (0.5 * (1.0 - a) * math.log(x) - math.log(den)
               + b * math.sqrt(x) - lam * (x + 0.5 * A * t * t) / den
-              + _log_i(w, math.sqrt(2.0 * A * x) / den))
+              + specfun.log_bessel_ive(w, z) + z)
         return math.exp(lg)
 
-    def expect(lam: float, t: float, x: float,
-               policy: specfun.EvalPolicy = specfun.DEFAULT_POLICY) -> float:
+    def expect(lam: float, t: float, x: float) -> float:
         # series in the sqrt-term of the drift weight:
         # exp(-b sqrt(y)) = sum_j (-b)^j y^{j/2} / j!, each term a
         # Laplace-Bessel moment
@@ -812,12 +835,12 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
         s = lam + 1.0 / t
         c = math.sqrt(x) / t
         total, coef, largest = 0.0, 1.0, 0.0
-        for j in range(policy.max_terms):
+        for j in range(_SERIES_MAX_TERMS):
             mom = specfun.laplace_bessel_moment(0.5 * (a - 1.0 + j), w, s, c)
             term = coef * mom
             total += term
             largest = max(largest, abs(term))
-            if j > 3 and abs(term) < policy.rel_tol * max(abs(total), 1e-300):
+            if j > 3 and abs(term) < _SERIES_REL_TOL * max(abs(total), 1e-300):
                 if largest > 1e13 * max(abs(total), 1e-300):
                     raise ConvergenceError(
                         "sqrt_drift expectation: alternating series loses "
@@ -827,7 +850,7 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
             coef *= -b / (j + 1.0)  # (-b)^j / j! without overflow
         raise ConvergenceError(
             "sqrt_drift expectation: series did not converge "
-            f"in {policy.max_terms} terms")
+            f"in {_SERIES_MAX_TERMS} terms")
 
     return CatalogEntry(
         name="sqrt_drift", params={"a": a, "b": b, "A": A, "B": B},
@@ -863,49 +886,38 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
     if c1 == 0.0 and c2 == 0.0:
         raise ValidityError("generic_linear: (c1, c2) must not both be zero")
     c = math.sqrt(2.0 * A) / sigma
+    log_ive = specfun.log_bessel_ive
 
-    def _combo(order: float, z: float) -> float:
-        val = 0.0
-        if c1:
-            val += c1 * specfun.bessel_i(order, z)
-        if c2:
-            val += c2 * specfun.bessel_i(-order, z)
-        return val
+    def _combo(order: float, z: float) -> float:  # e^-z (c1 I_order + c2 I_-order)(z)
+        return ((c1 * specfun.bessel_i(order, z, scaled=True) if c1 else 0.0)
+                + (c2 * specfun.bessel_i(-order, z, scaled=True) if c2 else 0.0))
 
-    def y_fn(x: float) -> float:
-        return math.sqrt(x) * _combo(alpha, c * math.sqrt(x))
+    def log_y(x: float) -> float:
+        # log y(x); y(x) = sqrt(x) (c1 I_alpha + c2 I_-alpha)(c sqrt(x))
+        z = c * math.sqrt(x)
+        val = _combo(alpha, z)
+        if val <= 0:
+            raise DomainError(f"generic_linear: y({x}) <= 0")
+        return 0.5 * math.log(x) + math.log(val) + z
 
     def w_fn(x: float) -> float:  # y'/y
         z = c * math.sqrt(x)
-        num = 0.0
-        if c1:
-            num += 0.5 * c1 * (specfun.bessel_i(alpha - 1.0, z)
-                               + specfun.bessel_i(alpha + 1.0, z))
-        if c2:
-            num += 0.5 * c2 * (specfun.bessel_i(-alpha - 1.0, z)
-                               + specfun.bessel_i(-alpha + 1.0, z))
+        num = 0.5 * (_combo(alpha - 1.0, z) + _combo(alpha + 1.0, z))
         den = _combo(alpha, z)
         if den == 0.0:
             raise DomainError(f"generic_linear: drift pole at x={x}")
         return 0.5 / x + (0.5 * c / math.sqrt(x)) * (num / den)
-
-    def drift(x: float) -> float:
-        return 2.0 * sigma * x * w_fn(x)
 
     def drift_derivative(x: float) -> float:
         wx = w_fn(x)
         wpx = (A * x + B) / (2.0 * sigma * sigma * x * x) - wx * wx
         return 2.0 * sigma * (wx + x * wpx)
 
-    def F(x: float) -> float:
-        val = y_fn(x)
-        if val <= 0:
-            raise DomainError(f"generic_linear: y({x}) <= 0")
-        return 2.0 * sigma * math.log(val)
-
-    diff = DiffusionSpec(gamma=1.0, sigma=sigma, drift=drift,
+    diff = DiffusionSpec(gamma=1.0, sigma=sigma,
+                         drift=lambda x: 2.0 * sigma * x * w_fn(x),
                          drift_derivative=drift_derivative,
-                         drift_antiderivative=F, label="generic_linear")
+                         drift_antiderivative=lambda x: 2.0 * sigma * log_y(x),
+                         label="generic_linear")
     pot = PotentialSpec(form="power", mu=mu, n=-1.0) if mu else PotentialSpec(form="zero")
 
     def u0_val(y: float) -> float:
@@ -916,25 +928,25 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
                             limit_at_mu_zero="constant_one")
 
     def cont(t: float, x: float, y: float) -> float:
-        st = sigma * t
-        bracket = 0.0
-        zi = 2.0 * math.sqrt(x * y) / st
-        zy = c * math.sqrt(y)
-        if c1:
-            bracket += c1 * specfun.bessel_i(nu_ix, zi) * specfun.bessel_i(nu_ix, zy)
-        if c2:
-            bracket += c2 * specfun.bessel_i(-nu_ix, zi) * specfun.bessel_i(-nu_ix, zy)
-        pref = math.exp(0.5 * math.log(x) - math.log(st) - F(x) / (2.0 * sigma)
-                        - (x + y) / st - A * t / (2.0 * sigma))
-        return pref * bracket / u0_val(y)
+        # c1 I_nu(zi) I_nu(zy) + c2 I_-nu(zi) I_-nu(zy), zy = c sqrt(y): each branch
+        # is the Bessel core times e^-zy I(zy); e^zy is carried outside the sum
+        sx, sy = math.sqrt(x), math.sqrt(y)
+        zy = c * sy
+        l1 = (_log_bessel_core(nu_ix, 1.0 / sigma, 0.0, t, sx, sy)
+              + log_ive(nu_ix, zy)) if c1 else 0.0
+        l2 = (_log_bessel_core(-nu_ix, 1.0 / sigma, 0.0, t, sx, sy)
+              + log_ive(-nu_ix, zy)) if c2 else 0.0
+        s, m = _scaled_sum(c1, l1, c2, l2)
+        return s * math.exp(m + zy + 0.5 * math.log(x) - log_y(x)
+                            - A * t / (2.0 * sigma)) / u0_val(y)
 
     def t_rhs(lam: float, t: float, x: float) -> float:
         den = 1.0 + lam * sigma * t
         if den <= 0:
             raise DomainError("generic_linear transform: 1 + lam*sigma*t must be > 0")
-        pref = math.sqrt(x) * math.exp(-F(x) / (2.0 * sigma)
-                                       - lam * (x + 0.5 * A * t * t) / den) / den
-        return pref * _combo(nu_ix, c * math.sqrt(x) / den)
+        z = c * math.sqrt(x) / den
+        return math.exp(0.5 * math.log(x) - log_y(x) + z
+                        - lam * (x + 0.5 * A * t * t) / den) / den * _combo(nu_ix, z)
 
     return CatalogEntry(
         name="generic_linear",
@@ -943,8 +955,8 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
         kernel=Kernel(continuous=cont, log_continuous=None),
         u0=u0, transform_rhs=t_rhs, expectation_closed=None,
         state_power=1.0, functional_param="mu",
-        notes="expectation via quadrature fallback; kernel in linear domain "
-              "because the two-branch bracket can be formed from mixed signs")
+        notes="expectation via quadrature fallback; no log form because the "
+              "two-branch bracket can be formed from mixed signs")
 
 
 # ---------------------------------------------------------------------------
@@ -961,10 +973,7 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
     A = b * b + 4.0 * mu * sigma
     if A <= 0:
         raise ValidityError("generic_quadratic: requires b != 0 or mu > 0")
-    rA = math.sqrt(A)
-    B = -a * b
-    C = 0.5 * a * a - a * sigma
-    nu_ix = math.sqrt(sigma * sigma + 2.0 * C) / sigma  # = |a - sigma|/sigma
+    nu_ix = abs(a - sigma) / sigma
 
     diff = DiffusionSpec(gamma=1.0, sigma=sigma, drift=lambda x: a - b * x,
                          drift_derivative=lambda x: -b,
@@ -972,47 +981,26 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
                          label="generic_quadratic")
     pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
 
+    log_p = _affine_log_kernel(a, b, sigma, A, nu_ix)  # cir with mu_lin = mu
     nu_is_int = abs(nu_ix - round(nu_ix)) < 1e-12
 
-    def _second(z: float) -> float:
-        if nu_is_int:
-            return specfun.bessel_k(round(nu_ix), z)
-        return specfun.bessel_i(-nu_ix, z)
-
     def cont(t: float, x: float, y: float) -> float:
-        sh = math.sinh(0.5 * rA * t)
-        th = math.tanh(0.5 * rA * t)
-        F = diff.drift_antiderivative
-        z = rA * math.sqrt(x * y) / (sigma * sh)
-        pref = math.exp(0.5 * (math.log(A) + math.log(x) - math.log(y))
-                        - math.log(2.0 * sigma * sh)
-                        + (F(y) - F(x) - B * t) / (2.0 * sigma)
-                        - rA * (x + y) / (2.0 * sigma * th))
-        bracket = 0.0
-        if c1:
-            bracket += c1 * specfun.bessel_i(nu_ix, z)
-        if c2:
-            bracket += c2 * _second(z)
-        return pref * bracket
-
-    def log_cont(t: float, x: float, y: float) -> float:
-        if c2 != 0.0:
-            raise DomainError("generic_quadratic: log form available for c2 = 0 only")
-        sh = math.sinh(0.5 * rA * t)
-        th = math.tanh(0.5 * rA * t)
-        F = diff.drift_antiderivative
-        return (0.5 * (math.log(A) + math.log(x) - math.log(y))
-                - math.log(2.0 * sigma * sh) + math.log(c1)
-                + (F(y) - F(x) - B * t) / (2.0 * sigma)
-                - rA * (x + y) / (2.0 * sigma * th)
-                + _log_i(nu_ix, rA * math.sqrt(x * y) / (sigma * sh)))
+        # c1 I_nu(z) + c2 S(z) = I_nu(z) (c1 + c2 S(z)/I_nu(z)), S = K_nu or
+        # I_-nu, at the Bessel argument z of log_p
+        z = math.sqrt(A * x * y) / (sigma * math.sinh(0.5 * math.sqrt(A) * t))
+        if nu_is_int:
+            s2, l2 = specfun.bessel_k(round(nu_ix), z, scaled=True), -2.0 * z
+        else:
+            s2, l2 = specfun.bessel_i(-nu_ix, z, scaled=True), 0.0
+        s, m = _scaled_sum(c1, 0.0, c2 * s2, l2 - specfun.log_bessel_ive(nu_ix, z))
+        return s * math.exp(log_p(t, x, y) + m)
 
     return CatalogEntry(
         name="generic_quadratic",
         params={"sigma": sigma, "a": a, "b": b, "mu": mu, "c1": c1, "c2": c2},
         diffusion=diff, potential=pot,
-        kernel=Kernel(continuous=cont,
-                      log_continuous=log_cont if c2 == 0.0 else None),
+        kernel=_kernel(lambda t, x, y: math.log(c1) + log_p(t, x, y))
+        if c2 == 0.0 and c1 > 0 else Kernel(continuous=cont, log_continuous=None),
         u0=None, transform_rhs=None, expectation_closed=None,
         state_power=1.0, functional_param="mu",
         notes="no Laplace-type transform for this family (the group parameter "
@@ -1086,31 +1074,46 @@ def _resolve(entry, params: Optional[Dict[str, float]]) -> CatalogEntry:
     return make_entry(entry, **(params or {}))
 
 
+def _evaluate(route: str, e: CatalogEntry, fn: Callable[..., float],
+              *args: float) -> float:
+    """fn(*args) as a finite number: an arithmetic failure or a non-finite
+    result raises EvalOverflowError."""
+    try:
+        val = fn(*args)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise EvalOverflowError(f"{route}: entry {e.name} failed at {args!r} "
+                                f"({exc})") from exc
+    if not math.isfinite(val):
+        raise EvalOverflowError(f"{route}: entry {e.name} gave {val!r} at {args!r}")
+    return val
+
+
 def density(entry, params: Optional[Dict[str, float]], t: float, x: float,
             y: float, log: bool = False) -> float:
     """Continuous part of the fundamental solution at y (atoms are reported
     through the entry's kernel, not here)."""
     e = _resolve(entry, params)
-    if t <= 0 or x <= 0 or y < 0:
+    t, x, y = float(t), float(x), float(y)
+    if not (t > 0 and x > 0 and y >= 0):
         raise DomainError("density: requires t > 0, x > 0, y >= 0")
-    if log:
-        if e.kernel.log_continuous is None:
-            raise CapabilityError(
-                f"density: entry {e.name} has no log form (kernel may be signed)")
-        return e.kernel.log_continuous(t, x, y)
-    return e.kernel.continuous(t, x, y)
+    fn = e.kernel.log_continuous if log else e.kernel.continuous
+    if fn is None:
+        raise CapabilityError(
+            f"density: entry {e.name} has no log form (kernel may be signed)")
+    return _evaluate("density", e, fn, t, x, y)
 
 
 def transform_rhs(entry, params: Optional[Dict[str, float]], lam: float,
                   t: float, x: float) -> float:
     """Closed-form right-hand side of the entry's transform identity."""
     e = _resolve(entry, params)
+    lam, t, x = float(lam), float(t), float(x)
     if lam < 0:
         raise DomainError("transform_rhs: lam >= 0 required")
     if e.transform_rhs is None:
         raise CapabilityError(f"transform_rhs: entry {e.name} has no "
                               "Laplace-type transform identity")
-    return e.transform_rhs(lam, t, x)
+    return _evaluate("transform_rhs", e, e.transform_rhs, lam, t, x)
 
 
 def _quadrature_expectation(e: CatalogEntry, lam: float, t: float,
@@ -1141,22 +1144,17 @@ def expectation(entry, params: Optional[Dict[str, float]], lam: float,
     """E_x[exp(-lam*X_t^m - killing functionals)], m = entry.state_power.
     method: 'auto' (closed form if available), 'closed', 'quadrature'."""
     e = _resolve(entry, params)
-    if t <= 0 or x <= 0:
+    lam, t, x = float(lam), float(t), float(x)
+    if not (t > 0 and x > 0):
         raise DomainError("expectation: requires t > 0, x > 0")
     if method not in ("auto", "closed", "quadrature"):
         raise DomainError(f"expectation: unknown method {method!r}")
-    if method == "quadrature":
-        return _quadrature_expectation(e, lam, t, x)
-    if e.expectation_closed is not None:
-        try:
-            return e.expectation_closed(lam, t, x)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalOverflowError(
-                f"expectation: closed form for entry {e.name} failed at "
-                f"lam={lam!r}, t={t!r}, x={x!r} ({exc})") from exc
-    if method == "closed":
-        raise CapabilityError(f"expectation: entry {e.name} has no closed form")
-    return _quadrature_expectation(e, lam, t, x)
+    if method == "quadrature" or e.expectation_closed is None:
+        if method == "closed":
+            raise CapabilityError(f"expectation: entry {e.name} has no closed form")
+        return _evaluate("expectation", e,
+                         functools.partial(_quadrature_expectation, e), lam, t, x)
+    return _evaluate("expectation", e, e.expectation_closed, lam, t, x)
 
 
 def joint_laplace_in_mu(entry, params: Optional[Dict[str, float]], lam: float,

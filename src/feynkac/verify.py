@@ -44,7 +44,6 @@ from .riccati import DiffusionSpec, PotentialSpec, RiccatiParams, fit_riccati, \
 from . import symmetry
 
 __all__ = [
-    "QuadratureSpec",
     "McSpec",
     "MC_SUITE_SPEC",
     "CheckRow",
@@ -151,29 +150,23 @@ class VerificationReport:
 # quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    limit: int = 400
-    split: float = 1.0  # interior split point separating origin and tail
+_QUAD_REL_TOL = 1e-10
+_QUAD_ABS_TOL = 1e-14
+_QUAD_LIMIT = 400
+_QUAD_SPLIT = 1.0  # interior split point separating origin and tail
 
 
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def integrate_semi_infinite(f: Callable[[float], float],
-                            spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Integral of f over (0, inf), split at spec.split so that an integrable
+def integrate_semi_infinite(f: Callable[[float], float]) -> float:
+    """Integral of f over (0, inf), split at y = 1 so that an integrable
     origin singularity and the tail are resolved independently. Raises
     ConvergenceError unless the value is finite and the error in tolerance."""
     from scipy import integrate  # see catalog._quadrature_expectation
-    head, e1 = integrate.quad(f, 0.0, spec.split, limit=spec.limit,
-                              epsabs=spec.abs_tol, epsrel=spec.rel_tol)
-    tail, e2 = integrate.quad(f, spec.split, math.inf, limit=spec.limit,
-                              epsabs=spec.abs_tol, epsrel=spec.rel_tol)
+    head, e1 = integrate.quad(f, 0.0, _QUAD_SPLIT, limit=_QUAD_LIMIT,
+                              epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL)
+    tail, e2 = integrate.quad(f, _QUAD_SPLIT, math.inf, limit=_QUAD_LIMIT,
+                              epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL)
     total, err = head + tail, e1 + e2
-    if not (math.isfinite(total) and err <= 100.0 * (spec.abs_tol + spec.rel_tol * abs(total))):
+    if not (math.isfinite(total) and err <= 100.0 * (_QUAD_ABS_TOL + _QUAD_REL_TOL * abs(total))):
         raise ConvergenceError(
             f"integrate_semi_infinite: error estimate {err!r} out of tolerance "
             f"for value {total!r}")
@@ -249,8 +242,7 @@ def laplace_invert(F: Callable[[float], float], t: float, order: int = 14,
 # ---------------------------------------------------------------------------
 
 def whittaker_forward(phi: Callable[[float], float], k: float, nu: float,
-                      lam: float,
-                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+                      lam: float) -> float:
     """Index transform int_0^inf (lam*y)^(-k-1/2) e^(-lam*y/2)
     W_{k+1/2, nu}(lam*y) phi(y) dy computed by quadrature."""
     if lam <= 0:
@@ -261,7 +253,7 @@ def whittaker_forward(phi: Callable[[float], float], k: float, nu: float,
         return z ** (-k - 0.5) * math.exp(-0.5 * z) \
             * specfun.whittaker_w(k + 0.5, nu, z) * phi(y)
 
-    return integrate_semi_infinite(f, spec)
+    return integrate_semi_infinite(f)
 
 
 def check_whittaker_identity(sigma: float, a: float, b: float, t: float,
@@ -418,8 +410,7 @@ def residual_convergence_order(u: Callable[[float, float], float],
 # ---------------------------------------------------------------------------
 
 def check_transform_identity(entry: cat.CatalogEntry, lam: float, t: float,
-                             x: float, tol: float = 1e-8,
-                             spec: QuadratureSpec = DEFAULT_QUADRATURE) -> CheckRow:
+                             x: float, tol: float = 1e-8) -> CheckRow:
     """Quadrature of exp(-lam*y^m)*u0(y) against the kernel (atoms included)
     versus the entry's closed-form transform."""
     if entry.u0 is None or entry.transform_rhs is None:
@@ -431,7 +422,7 @@ def check_transform_identity(entry: cat.CatalogEntry, lam: float, t: float,
         return math.exp(-lam * y ** m) * entry.u0(y)
 
     lhs = integrate_semi_infinite(
-        lambda y: phi(y) * entry.kernel.continuous(t, x, y), spec)
+        lambda y: phi(y) * entry.kernel.continuous(t, x, y))
     lhs += _atom_contribution(entry, phi, t, x)
     rhs = entry.transform_rhs(lam, t, x)
     return CheckRow(f"transform[{entry.name}]", f"lam={lam},t={t},x={x}",
@@ -439,12 +430,11 @@ def check_transform_identity(entry: cat.CatalogEntry, lam: float, t: float,
 
 
 def check_mass(entry: cat.CatalogEntry, t: float, x: float,
-               expected: float = 1.0, tol: float = 1e-8,
-               spec: QuadratureSpec = DEFAULT_QUADRATURE) -> CheckRow:
+               expected: float = 1.0, tol: float = 1e-8) -> CheckRow:
     """Total mass of the kernel: continuous part plus Dirac masses (Dirac
     derivatives carry no mass)."""
     total = integrate_semi_infinite(
-        lambda y: entry.kernel.continuous(t, x, y), spec)
+        lambda y: entry.kernel.continuous(t, x, y))
     for atom in entry.kernel.atoms:
         if atom.order == 0:
             total += atom.weight(t, x)
@@ -452,22 +442,19 @@ def check_mass(entry: cat.CatalogEntry, t: float, x: float,
 
 
 def check_chapman(entry: cat.CatalogEntry, s: float, t: float, x: float,
-                  z: float, tol: float = 1e-6,
-                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> CheckRow:
+                  z: float, tol: float = 1e-6) -> CheckRow:
     """Two-step composition of the kernel equals the one-step kernel."""
     if entry.kernel.atoms:
         raise CapabilityError("check_chapman: implemented for atom-free kernels")
     lhs = integrate_semi_infinite(
-        lambda y: entry.kernel.continuous(s, x, y) * entry.kernel.continuous(t, y, z),
-        spec)
+        lambda y: entry.kernel.continuous(s, x, y) * entry.kernel.continuous(t, y, z))
     rhs = entry.kernel.continuous(s + t, x, z)
     return CheckRow(f"chapman[{entry.name}]", f"s={s},t={t},x={x},z={z}",
                     rhs, lhs, tol)
 
 
 def bessel_expectation_by_integral(a: float, mu: float, lam: float, t: float,
-                                   x: float,
-                                   spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+                                   x: float) -> float:
     """Alternative single-integral representation of the Bessel-entry
     expectation E_x[exp(-lam*X_t^2 - (mu/4) int ds/X_s^2)]: an average of
     killing-free Laplace transforms over an auxiliary rate with a Gamma-type
@@ -484,7 +471,7 @@ def bessel_expectation_by_integral(a: float, mu: float, lam: float, t: float,
             / den ** (1.0 + gam)
 
     pref = x ** (2.0 * p) / math.gamma(p)
-    return pref * integrate_semi_infinite(f, spec)
+    return pref * integrate_semi_infinite(f)
 
 
 def hartman_ratio_gap(n: float, nu: float, t: float, x: float, y: float) -> Tuple[float, float]:

@@ -3,6 +3,7 @@ Reference values come from independent routes: scipy.stats kernels,
 elementary-function rewrites of half-integer Bessel cases, and direct
 quadrature of the defining integrals."""
 
+import dataclasses
 import math
 import warnings
 
@@ -13,6 +14,7 @@ import scipy.integrate as si
 import scipy.stats as ss
 
 from feynkac import catalog as cat
+from feynkac import specfun as sf
 from feynkac.errors import (CapabilityError, ConvergenceError, DomainError,
                             EvalOverflowError, ValidityError)
 
@@ -234,12 +236,14 @@ def test_expectation_closed_form_agrees_with_quadrature(name, params):
 
 
 def test_quadrature_expectation_non_finite_raises():
-    # the unscaled Bessel functions of generic_linear overflow inside the
-    # integrand; quad then reports NaN for both value and error
+    # a kernel that overflows inside the integrand: quad then reports NaN for
+    # both value and error
+    entry = cat.make_entry("generic_linear", sigma=1.0, A=1.0, B=-0.3)
+    nan_kernel = cat.Kernel(continuous=lambda t, x, y: math.nan, log_continuous=None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ConvergenceError):
-            cat.expectation("generic_linear", {"sigma": 1, "A": 1, "B": -0.3},
+            cat.expectation(dataclasses.replace(entry, kernel=nan_kernel), None,
                             0.0, 0.3, 1.3, method="quadrature")
 
 
@@ -300,6 +304,189 @@ def test_bessel_type_density_against_mpmath(name, params, reference, t, x, y):
     assert cat.density(name, params, t, x, y) == pytest.approx(ref, rel=1e-12)
     assert cat.density(name, params, t, x, y, log=True) == pytest.approx(
         log_ref, abs=1e-12)
+
+
+def _mp_besq(n, mu, nu, t, x, y):
+    w = mpmath.sqrt((n - 2) ** 2 + 8 * nu) / 2
+    if mu == 0:
+        pref, rate, scale = 1 / (2 * t), 1 / (2 * t), 1 / t
+    else:
+        b = mpmath.sqrt(2 * mu)
+        pref, rate, scale = (b / (2 * mpmath.sinh(b * t)), b / (2 * mpmath.tanh(b * t)),
+                             b / mpmath.sinh(b * t))
+    return (pref * (y / x) ** ((n - 2) / 4) * mpmath.exp(-rate * (x + y))
+            * mpmath.besseli(w, scale * mpmath.sqrt(x * y)))
+
+
+def _mp_cir(a, b, sigma, mu, mu_lin, t, x, y):
+    rA = mpmath.sqrt(b * b + 4 * mu_lin * sigma)
+    nu = mpmath.sqrt((a - sigma) ** 2 + 4 * mu * sigma) / sigma
+    sh, th = mpmath.sinh(rA * t / 2), mpmath.tanh(rA * t / 2)
+    drift = (a * mpmath.log(y / x) - b * (y - x) + a * b * t) / (2 * sigma)
+    return (rA / (2 * sigma * sh) * mpmath.sqrt(x / y)
+            * mpmath.exp(drift - rA * (x + y) / (2 * sigma * th))
+            * mpmath.besseli(nu, rA * mpmath.sqrt(x * y) / (sigma * sh)))
+
+
+def _mp_tanh_drift(mu, t, x, y):
+    k = mpmath.sqrt(1 + mu)
+    return (mpmath.cosh(y) / mpmath.cosh(x) * mpmath.sqrt(x / y) * k / mpmath.sinh(k * t)
+            * mpmath.exp(-k * (x + y) / mpmath.tanh(k * t))
+            * mpmath.besseli(1, 2 * k * mpmath.sqrt(x * y) / mpmath.sinh(k * t)))
+
+
+def _mp_rational_drift(a, mu, t, x, y):
+    r = mpmath.sqrt(mu)
+    pref = (2 + a * y) / (2 + a * x) * mpmath.sqrt(x / y)
+    if mu == 0:
+        return (pref / t * mpmath.exp(-(x + y) / t)
+                * mpmath.besseli(1, 2 * mpmath.sqrt(x * y) / t))
+    return (pref * r / mpmath.sinh(r * t) * mpmath.exp(-r * (x + y) / mpmath.tanh(r * t))
+            * mpmath.besseli(1, 2 * r * mpmath.sqrt(x * y) / mpmath.sinh(r * t)))
+
+
+def _mp_rational_showcase(a, b, t, x, y):
+    return (x / y * (b + a * y * y) / (b + a * x * x) / t * mpmath.exp(-(x + y) / t)
+            * mpmath.besseli(2, 2 * mpmath.sqrt(x * y) / t))
+
+
+def _mp_sqrt_drift(a, b, A, B, t, x, y):
+    return ((x / y) ** ((1 - a) / 2) / t
+            * mpmath.exp(b * (mpmath.sqrt(x) - mpmath.sqrt(y)) - A * t / 2 - (x + y) / t)
+            * mpmath.besseli(mpmath.sqrt(1 + 2 * B), 2 * mpmath.sqrt(x * y) / t))
+
+
+def _mp_generic_quadratic(sigma, a, b, mu, t, x, y):
+    return _mp_cir(a, b, sigma, 0, mu, t, x, y)
+
+
+@pytest.mark.parametrize("name,params,reference", [
+    ("besq", {"n": 3.0, "mu": 0.0, "nu": 0.0}, _mp_besq),
+    ("besq", {"n": 2.5, "mu": 0.0, "nu": 0.4}, _mp_besq),
+    ("besq", {"n": 4.5, "mu": 0.3, "nu": 0.2}, _mp_besq),
+    ("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6, "mu": 0.0, "mu_lin": 0.0}, _mp_cir),
+    ("cir", {"a": 0.9, "b": 1.4, "sigma": 0.6, "mu": 0.5, "mu_lin": 0.3}, _mp_cir),
+    ("tanh_drift", {"mu": 0.5}, _mp_tanh_drift),
+    ("rational_drift", {"a": 2.0, "mu": 0.0}, _mp_rational_drift),
+    ("rational_drift", {"a": 0.7, "mu": 0.3}, _mp_rational_drift),
+    ("rational_showcase", {"a": 0.5, "b": 2.0}, _mp_rational_showcase),
+    ("sqrt_drift", {"a": 1.2, "b": 0.5, "A": 1.0, "B": 0.8}, _mp_sqrt_drift),
+    ("generic_quadratic", {"sigma": 1.0, "a": 1.0, "b": 1.0, "mu": 0.0},
+     _mp_generic_quadratic),
+    ("generic_quadratic", {"sigma": 0.6, "a": 1.1, "b": 0.8, "mu": 0.5},
+     _mp_generic_quadratic),
+])
+@pytest.mark.parametrize("t,x,y", [(1e-4, 1e3, 1e3), (0.7, 1.3, 0.9),
+                                   (1.9, 2.5, 3.7)])
+def test_besq_core_density_against_mpmath(name, params, reference, t, x, y):
+    # at t = 1e-4, x = y = 1e3 the exponent and log I are each about 1e7
+    with mpmath.workdps(40):
+        ref = reference(*map(mpmath.mpf, list(params.values()) + [t, x, y]))
+        log_ref = float(mpmath.log(ref))
+        ref = float(ref)
+    assert cat.density(name, params, t, x, y) == pytest.approx(ref, rel=1e-12)
+    assert cat.density(name, params, t, x, y, log=True) == pytest.approx(
+        log_ref, abs=1e-12)
+
+
+# The linear-domain two-branch kernels of generic_linear and generic_quadratic
+# as they were before they moved onto the log-domain Bessel core; frozen as
+# oracles where the unscaled Bessel functions do not overflow.
+
+def _linear_generic_linear(sigma, A, B, mu, c1, c2, t, x, y):
+    alpha = math.sqrt(2.0 * B + sigma * sigma) / sigma
+    nu = math.sqrt(2.0 * B + sigma * sigma + 4.0 * mu * sigma) / sigma
+    c = math.sqrt(2.0 * A) / sigma
+
+    def combo(order, z):
+        return c1 * sf.bessel_i(order, z) + c2 * sf.bessel_i(-order, z)
+
+    def u0(v):
+        return combo(nu, c * math.sqrt(v)) / combo(alpha, c * math.sqrt(v))
+
+    F = 2.0 * sigma * math.log(math.sqrt(x) * combo(alpha, c * math.sqrt(x)))
+    st = sigma * t
+    zi, zy = 2.0 * math.sqrt(x * y) / st, c * math.sqrt(y)
+    bracket = (c1 * sf.bessel_i(nu, zi) * sf.bessel_i(nu, zy)
+               + c2 * sf.bessel_i(-nu, zi) * sf.bessel_i(-nu, zy))
+    pref = math.exp(0.5 * math.log(x) - math.log(st) - F / (2.0 * sigma)
+                    - (x + y) / st - A * t / (2.0 * sigma))
+    return pref * bracket / u0(y)
+
+
+def _linear_generic_quadratic(sigma, a, b, mu, c1, c2, t, x, y):
+    A = b * b + 4.0 * mu * sigma
+    rA = math.sqrt(A)
+    nu = abs(a - sigma) / sigma
+    sh, th = math.sinh(0.5 * rA * t), math.tanh(0.5 * rA * t)
+    z = rA * math.sqrt(x * y) / (sigma * sh)
+    F = lambda v: a * math.log(v) - b * v  # noqa: E731
+    pref = math.exp(0.5 * (math.log(A) + math.log(x) - math.log(y))
+                    - math.log(2.0 * sigma * sh)
+                    + (F(y) - F(x) + a * b * t) / (2.0 * sigma)
+                    - rA * (x + y) / (2.0 * sigma * th))
+    if abs(nu - round(nu)) < 1e-12:
+        second = sf.bessel_k(round(nu), z)
+    else:
+        second = sf.bessel_i(-nu, z)
+    return pref * (c1 * sf.bessel_i(nu, z) + c2 * second)
+
+
+@pytest.mark.parametrize("name,params,oracle", [
+    ("generic_linear", {"sigma": 1.0, "A": 1.0, "B": -0.3, "mu": 0.0,
+                        "c1": 1.0, "c2": 0.0}, _linear_generic_linear),
+    ("generic_linear", {"sigma": 0.8, "A": 1.5, "B": -0.2, "mu": 0.05,
+                        "c1": 1.0, "c2": 0.7}, _linear_generic_linear),
+    ("generic_linear", {"sigma": 1.0, "A": 1.2, "B": -0.3, "mu": 0.05,
+                        "c1": 2.0, "c2": -0.5}, _linear_generic_linear),
+    ("generic_quadratic", {"sigma": 0.6, "a": 1.1, "b": 0.8, "mu": 0.5,
+                           "c1": 1.0, "c2": 0.4}, _linear_generic_quadratic),
+    ("generic_quadratic", {"sigma": 0.8, "a": 2.7, "b": 0.5, "mu": 0.0,
+                           "c1": 1.0, "c2": -0.3}, _linear_generic_quadratic),
+    ("generic_quadratic", {"sigma": 1.0, "a": 2.0, "b": 1.0, "mu": 0.2,
+                           "c1": 0.5, "c2": 1.0}, _linear_generic_quadratic),
+])
+@pytest.mark.parametrize("t,x,y", [(0.3, 1.3, 0.4), (0.7, 1.3, 0.9),
+                                   (1.9, 2.5, 3.7), (0.05, 2.0, 2.2)])
+def test_two_branch_kernels_match_linear_domain_oracle(name, params, oracle, t, x, y):
+    ref = oracle(*params.values(), t, x, y)
+    assert cat.density(name, params, t, x, y) == pytest.approx(ref, rel=1e-13)
+
+
+def test_generic_kernels_finite_where_linear_domain_overflowed():
+    # I(2 sqrt(xy)/t) = I(2e7) overflows; the log-domain kernels stay finite
+    assert cat.density("generic_quadratic", {"sigma": 1, "a": 1, "b": 1},
+                       1e-4, 1e3, 1e3) == pytest.approx(
+        cat.density("cir", {"a": 1, "b": 1, "sigma": 1}, 1e-4, 1e3, 1e3), rel=1e-14)
+    p = cat.density("generic_linear", {"sigma": 1, "A": 1, "B": -0.3}, 1e-4, 1e3, 1e3)
+    assert math.isfinite(p) and p > 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, x: cat.expectation("tanh_drift", {}, 0.0, t, x),
+    lambda t, x: cat.expectation("radial_ou", {"a": 1.5, "b": 0.6}, 0.0, t, x),
+])
+def test_numpy_scalar_overflow_raises_like_python_floats(call):
+    # with np.float64 arguments a division by zero used to give inf or NaN
+    # (with a RuntimeWarning) or a raw ValueError
+    for t, x in [(50.0, 1.0), (np.float64(50.0), np.float64(1.0)),
+                 (np.float64(50.0), np.float64(1e3))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalOverflowError):
+                call(t, x)
+
+
+def test_numpy_scalar_arguments_give_python_float_values():
+    t, x, y, lam = (np.float64(v) for v in (0.5, 1.0, 1.2, 0.5))
+    for got, want in [
+            (cat.density("besq", {"n": 3.0}, t, x, y),
+             cat.density("besq", {"n": 3.0}, 0.5, 1.0, 1.2)),
+            (cat.transform_rhs("besq", {"n": 3.0}, lam, t, x),
+             cat.transform_rhs("besq", {"n": 3.0}, 0.5, 0.5, 1.0)),
+            (cat.expectation("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6}, lam, t, x),
+             cat.expectation("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6}, 0.5, 0.5, 1.0))]:
+        assert type(got) is float and got == want
 
 
 def test_expectation_at_zero_killing_zero_weight_is_one():

@@ -61,6 +61,15 @@ def test_density_grid_and_mass_check():
     assert out.rstrip().endswith("pass")
 
 
+def test_generic_linear_mass_check_passes():
+    # the kernel's Bessel factors reach I(870) inside the mass integral
+    code, out = run("density", "--entry", "generic_linear", "--sigma", "0.8",
+                    "--A", "1.5", "--B", "-0.2", "--t", "0.559", "--x", "2.541",
+                    "--y", "1", "--check-mass")
+    assert code == 0
+    assert out.rstrip().endswith("pass")
+
+
 def test_density_atoms_reported():
     code, out = run("density", "--entry", "rational_showcase", "--a", "1",
                     "--b", "1", "--t", "1", "--x", "1", "--y", "1")
@@ -164,11 +173,11 @@ def test_expect_closed_form_overflow_is_numerical_error():
 
 
 def test_expect_quadrature_non_finite_is_numerical_error():
+    # E_x[exp(X_t/2)] diverges for the squared Bessel process at t = 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        code, out = run("expect", "--entry", "generic_linear", "--sigma", "1",
-                        "--A", "1", "--B", "-0.3", "--t", "0.3", "--x", "1.3",
-                        "--lambda", "0", "--method", "quadrature")
+        code, out = run("expect", "--entry", "besq", "--n", "3", "--t", "1",
+                        "--x", "1", "--lambda", "-0.5", "--method", "quadrature")
     assert code == 3
     assert out == ""
 

@@ -122,14 +122,27 @@ def test_bessel_i_failure_beyond_scipy_range_raises():
 
 @pytest.mark.parametrize("nu,z", [(0.0, 1e-3), (0.7, 2.5), (2.5, 40.0),
                                   (-0.3, 7.0), (30.0, 1e4), (0.1, 1e10),
-                                  (300.0, 1e-6)])
+                                  (300.0, 1e-6), (300.0, 10.0), (1000.0, 100.0)])
 def test_log_bessel_ive_against_mpmath(nu, z):
     # the scaled log is read directly, never as log I_nu(z) - z, so it
-    # keeps its relative accuracy where z dwarfs it
+    # keeps its relative accuracy where z dwarfs it; at (300, 10) and
+    # (1000, 100) e^-z I_nu(z) underflows and the whole series is summed
     with mpmath.workdps(40):
         ref = float(mpmath.log(mpmath.besseli(nu, z)) - z)
     assert sf.log_bessel_ive(nu, z) == pytest.approx(ref, rel=1e-13)
     assert sf.log_bessel_i(nu, z) == sf.log_bessel_ive(nu, z) + z
+
+
+@pytest.mark.parametrize("nu,z", [(0.6324555320336759, 4.0), (0.3, 2.8),
+                                  (-0.63, 8.0)])
+def test_scaled_bessel_i_at_non_integer_order_against_mpmath(nu, z):
+    # scipy's ive is off by up to 6e-14 here; kernels use these values
+    with mpmath.workdps(40):
+        ref = mpmath.besseli(nu, z) * mpmath.exp(-z)
+        log_ref = float(mpmath.log(ref))
+        ref = float(ref)
+    assert sf.bessel_i(nu, z, scaled=True) == pytest.approx(ref, rel=4e-15)
+    assert sf.log_bessel_ive(nu, z) == pytest.approx(log_ref, abs=4e-15)
 
 
 def test_log_bessel_i_at_zero():
@@ -298,10 +311,3 @@ def test_laplace_bessel_moment_domain_errors():
         sf.laplace_bessel_moment(-2.0, 0.5, 1.0, 1.0)
     with pytest.raises(PoleError):
         sf.laplace_bessel_moment(1.0, -2.0, 1.0, 1.0)
-
-
-def test_eval_policy_validation():
-    with pytest.raises(ValueError):
-        sf.EvalPolicy(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        sf.EvalPolicy(max_terms=0)
