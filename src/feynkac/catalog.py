@@ -5,8 +5,8 @@ killing potential to:
 
   * a fundamental-solution kernel q(t, x, y) = continuous part + boundary
     atoms at y = 0 (a Dirac mass, sometimes a Dirac-derivative term);
-  * the closed-form right-hand side of its generalized Laplace transform
-    identity, when the symmetry provides one;
+  * the right-hand side of its generalized Laplace transform identity, when
+    the symmetry provides one (see "Transforms and atoms");
   * a closed-form expectation E_x[exp(-lambda*X_t^m - functionals)] where
     available, with a quadrature fallback.
 
@@ -43,6 +43,28 @@ so that no two terms of size (X + Y)/t cancel at small t.
 Entries in x with sx = x carry the Jacobian 2y of Y = y^2. The two-branch
 kernels of generic_linear and generic_quadratic add their signed branches
 with _scaled_sum, still in the log domain.
+
+Transforms and atoms
+--------------------
+A transform identity integrates exp(-lam y^m) u0(y) against the kernel; its
+right-hand side is symmetry.orbit_transform of the entry's u0 and of Riccati
+constants the builder declares (tests check them against fit_riccati):
+
+  entry                                              family     A
+  besq (mu = 0), bessel, rational_showcase,          linear     0
+    rational_drift (mu = 0 or mu_inv)
+  bessel_drift                                       linear     b^2/2
+  sqrt_drift                                         linear     A/2
+  generic_linear                                     linear     A/(2 sigma)
+  tanh_drift                                         quadratic  4(1 + mu)
+  rational_drift (mu > 0)                            quadratic  4 mu
+
+Linear entries take the laplace_scaling orbit at lam, quadratic ones the
+exp_scaling orbit at eps = sigma lam/(sqrt(A) + sigma lam). That orbit at
+eps = 1 is the tanh_drift atom weight (symmetry.atom_weight), and half the
+rational_drift one, whose u0 is 1/2 at 0+; rational_drift keeps its own
+formula because at mu = 0 its pair is in the linear family, where the group
+has no eps = 1 orbit. besq with mu > 0 has neither u0 nor transform.
 
 Entries
 -------
@@ -82,8 +104,8 @@ from .errors import (
     ValidityError,
 )
 from . import specfun
-from .riccati import DiffusionSpec, PotentialSpec
-from .symmetry import StationarySolution
+from .riccati import DiffusionSpec, PotentialSpec, RiccatiParams
+from .symmetry import StationarySolution, atom_weight, gauge_solution, orbit_transform
 
 __all__ = [
     "AtomSpec",
@@ -113,11 +135,13 @@ class AtomSpec:
 @dataclass(frozen=True)
 class Kernel:
     """Continuous kernel part plus atoms. log_continuous is None only for
-    kernels that can take negative values (finite-part cases)."""
+    kernels that can take negative values. A finite_part kernel is not
+    integrable near y = 0 and has pointwise values only."""
 
     continuous: Callable[[float, float, float], float]
     log_continuous: Optional[Callable[[float, float, float], float]]
     atoms: Tuple[AtomSpec, ...] = ()
+    finite_part: bool = False
 
 
 @dataclass(frozen=True)
@@ -136,6 +160,7 @@ class CatalogEntry:
     state_power: float = 1.0  # expectations/transforms weight exp(-lam*y^state_power)
     functional_param: str = ""  # which param is the Laplace variable of the functional
     notes: str = ""
+    riccati: Optional[RiccatiParams] = None  # declared constants of the transform orbit
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
@@ -224,22 +249,13 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
         return (0.25 * (n - 2.0) * (math.log(y) - math.log(x))
                 + _log_bessel_core(w, 0.5, b, t, math.sqrt(x), math.sqrt(y)))
 
-    def u0_log(y: float) -> float:
-        return d * math.log(y)
-
-    u0 = StationarySolution(eval=lambda y: y ** d, log_eval=u0_log,
-                            description=f"power branch y^{d:.6g}",
-                            limit_at_mu_zero="constant_one" if (n >= 2 or nu > 0)
-                            else "nonconstant")
-
-    def t_rhs(lam: float, t: float, x: float) -> float:
-        # integral of exp(-lam*y) y^d against the kernel (no mu*x killing)
-        if mu != 0.0:
-            raise CapabilityError("besq: transform identity available for mu = 0 only")
-        den = 1.0 + 2.0 * lam * t
-        if den <= 0:
-            raise DomainError("besq transform: 1 + 2*lam*t must be > 0")
-        return x ** d * den ** (-(2.0 * d + 0.5 * n)) * math.exp(-lam * x / den)
+    u0 = ric = rhs = None
+    if mu == 0.0:  # y^d does not solve the stationary ODE with mu*x killing
+        u0 = gauge_solution(diff, lambda y: (d + 0.25 * n) * math.log(y),
+                            f"power branch y^{d:.6g}",
+                            "constant_one" if (n >= 2 or nu > 0) else "nonconstant")
+        ric = RiccatiParams("linear", A=0.0, B=0.5 * n * (n - 4.0) + 4.0 * nu)
+        rhs = orbit_transform(diff, u0, ric)
 
     def expect(lam: float, t: float, x: float) -> float:
         if lam < 0:
@@ -265,7 +281,7 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
     return CatalogEntry(
         name="besq", params={"n": n, "mu": mu, "nu": nu},
         diffusion=diff, potential=pot, kernel=_kernel(log_p),
-        u0=u0, transform_rhs=t_rhs, expectation_closed=expect,
+        u0=u0, riccati=ric, transform_rhs=rhs, expectation_closed=expect,
         state_power=1.0, functional_param="nu" if nu else "mu",
         notes="mu*x killing requires n >= 2; nu/x killing shifts the Bessel index")
 
@@ -313,16 +329,9 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
         return (math.log(2.0 * y) + (a - 0.5) * (math.log(y) - math.log(x))
                 + _log_bessel_core(nu_ix - 1.0, 0.5, 0.0, t, x, y))
 
-    u0 = StationarySolution(eval=lambda y: y ** d,
-                            log_eval=lambda y: d * math.log(y),
-                            description=f"power branch y^{d:.6g}",
-                            limit_at_mu_zero="constant_one")
-
-    def t_rhs(lam: float, t: float, x: float) -> float:
-        den = 1.0 + 2.0 * lam * t
-        if den <= 0:
-            raise DomainError("bessel transform: 1 + 2*lam*t must be > 0")
-        return x ** d * den ** (-nu_ix) * math.exp(-lam * x * x / den)
+    u0 = gauge_solution(diff, lambda y: (d + a) * math.log(y),
+                        f"power branch y^{d:.6g}", "constant_one")
+    ric = RiccatiParams("linear", A=0.0, B=0.5 * a * (a - 1.0) + 0.25 * mu)
 
     def expect(lam: float, t: float, x: float) -> float:
         # E_x[exp(-lam*X_t^2 - (mu/4) int ds/X_s^2)]
@@ -336,8 +345,8 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
     return CatalogEntry(
         name="bessel", params={"a": a, "mu": mu},
         diffusion=diff, potential=pot, kernel=_kernel(log_p),
-        u0=u0, transform_rhs=t_rhs, expectation_closed=expect,
-        state_power=2.0, functional_param="mu",
+        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        expectation_closed=expect, state_power=2.0, functional_param="mu",
         notes="expectation weight is exp(-lam*X_t^2); an independent integral "
               "representation of the same expectation is used as a cross-check")
 
@@ -384,26 +393,16 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
                 + log_ive(a, b * y) - log_ive(a, b * x) - 0.5 * b * b * t
                 + _log_bessel_core(atil, 0.5, 0.0, t, x, y))
 
-    def u0_log(y: float) -> float:
-        return log_ive(atil, b * y) - log_ive(a, b * y)
-
-    u0 = StationarySolution(eval=lambda y: math.exp(u0_log(y)), log_eval=u0_log,
-                            description=f"Bessel-ratio branch index {atil:.6g}/{a:.6g}",
-                            limit_at_mu_zero="constant_one")
-
-    def t_rhs(lam: float, t: float, x: float) -> float:
-        den = 1.0 + 2.0 * lam * t
-        if den <= 0:
-            raise DomainError("bessel_drift transform: 1 + 2*lam*t must be > 0")
-        lg = (-lam * (x + b * t) ** 2 / den - math.log(den)
-              + log_ive(atil, b * x / den) - log_ive(a, b * x))
-        return math.exp(lg)
+    u0 = gauge_solution(diff, lambda y: 0.5 * math.log(y) + log_ive(atil, b * y) + b * y,
+                        f"Bessel-ratio branch index {atil:.6g}/{a:.6g}",
+                        "constant_one")
+    ric = RiccatiParams("linear", A=0.5 * b * b, B=0.5 * (a * a - 0.25) + mu)
 
     return CatalogEntry(
         name="bessel_drift", params={"a": a, "b": b, "mu": mu},
         diffusion=diff, potential=pot, kernel=_kernel(log_p),
-        u0=u0, transform_rhs=t_rhs, expectation_closed=None,
-        state_power=2.0, functional_param="mu",
+        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        expectation_closed=None, state_power=2.0, functional_param="mu",
         notes="no closed-form Laplace expectation; quadrature fallback only")
 
 
@@ -509,21 +508,10 @@ def _make_rational_drift(a: float, mu: float = 0.0,
 
     atom = AtomSpec(weight=lambda t, x: 2.0 * math.exp(log_u1(t, x)), order=0)
 
-    def u0_log(y: float) -> float:
-        return -rmu * y - math.log(2.0 + a * y)
-
-    u0 = StationarySolution(eval=lambda y: math.exp(u0_log(y)), log_eval=u0_log,
-                            description="decaying exponential branch /(2+ay)",
-                            limit_at_mu_zero="nonconstant")
-
-    def t_rhs(lam: float, t: float, x: float) -> float:
-        if lam < 0:
-            raise DomainError("rational_drift transform: lam >= 0 required")
-        if mu == 0.0:
-            return math.exp(-lam * x / (1.0 + lam * t)) / (2.0 + a * x)
-        em1 = math.expm1(2.0 * rmu * t)
-        return math.exp(u0_log(x)) * math.exp(
-            -2.0 * lam * rmu * x / (lam * em1 + 2.0 * rmu * (em1 + 1.0)))
+    u0 = gauge_solution(diff, lambda y: -rmu * y,
+                        "decaying exponential branch /(2+ay)", "nonconstant")
+    ric = RiccatiParams("quadratic", A=4.0 * mu, B=0.0) if mu \
+        else RiccatiParams("linear", A=0.0, B=0.0)
 
     def expect(lam: float, t: float, x: float) -> float:
         # E_x[exp(-lam*X_t - mu int X_s ds)] = U1 * e^{z} * (2 + a c^2/s^2),
@@ -543,8 +531,8 @@ def _make_rational_drift(a: float, mu: float = 0.0,
         name="rational_drift", params={"a": a, "mu": mu, "mu_inv": 0.0},
         diffusion=diff, potential=pot,
         kernel=_kernel(log_p, atoms=(atom,)),
-        u0=u0, transform_rhs=t_rhs, expectation_closed=expect,
-        state_power=1.0, functional_param="mu",
+        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        expectation_closed=expect, state_power=1.0, functional_param="mu",
         notes="Dirac mass at 0: weight is twice the unit symmetry orbit because "
               "the stationary branch has value 1/2 at the origin")
 
@@ -577,26 +565,16 @@ def _rational_drift_inverse(a: float, mu_inv: float,
 
     u0 = StationarySolution(eval=u0_val,
                             description="combined power branch (value 1 at mu_inv=0)",
-                            limit_at_mu_zero="constant_one")
-
-    def t_rhs(lam: float, t: float, x: float) -> float:
-        den = 1.0 + lam * t
-        if den <= 0:
-            raise DomainError("rational_drift transform: 1 + lam*t must be > 0")
-        return (a * x ** dp / den ** (2.0 * dp) + 2.0 * x ** dm / den ** (2.0 * dm)) \
-            * math.exp(-lam * x / den) / (2.0 + a * x)
-
-    def expect(lam: float, t: float, x: float) -> float:
-        raise CapabilityError(
-            "rational_drift: the mu_inv/x expectation needs finite-part "
-            "integration that is not implemented")
+                            limit_at_mu_zero="constant_one",
+                            log_gauge=lambda y: math.log(2.0 * y ** dm + a * y ** dp))
+    ric = RiccatiParams("linear", A=0.0, B=2.0 * mu_inv)
 
     return CatalogEntry(
         name="rational_drift", params={"a": a, "mu": 0.0, "mu_inv": mu_inv},
         diffusion=diff, potential=pot,
-        kernel=Kernel(continuous=cont, log_continuous=None),
-        u0=u0, transform_rhs=t_rhs, expectation_closed=expect,
-        state_power=1.0, functional_param="mu_inv",
+        kernel=Kernel(continuous=cont, log_continuous=None, finite_part=True),
+        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        expectation_closed=None, state_power=1.0, functional_param="mu_inv",
         notes="finite-part kernel: pointwise values only; the second bracket "
               "term is non-integrable near y=0 and quadrature checks do not apply")
 
@@ -626,24 +604,11 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
         return (log_cosh(y) - log_cosh(x) + 0.5 * (math.log(x) - math.log(y))
                 + _log_bessel_core(1.0, 1.0, k, t, math.sqrt(x), math.sqrt(y)))
 
-    def log_u1(t: float, x: float) -> float:
-        return -k * x / math.tanh(k * t) - log_cosh(x)
-
-    atom = AtomSpec(weight=lambda t, x: math.exp(log_u1(t, x)), order=0)
-
-    def u0_log(y: float) -> float:
-        return -k * y - log_cosh(y)
-
-    u0 = StationarySolution(eval=lambda y: math.exp(u0_log(y)), log_eval=u0_log,
-                            description="decaying branch exp(-ky)/cosh(y)",
-                            limit_at_mu_zero="nonconstant")
-
-    def t_rhs(lam: float, t: float, x: float) -> float:
-        if lam < 0:
-            raise DomainError("tanh_drift transform: lam >= 0 required")
-        em1 = math.expm1(2.0 * k * t)
-        return math.exp(u0_log(x)
-                        - 2.0 * lam * k * x / (lam * em1 + 2.0 * k * (em1 + 1.0)))
+    u0 = gauge_solution(diff, lambda y: -k * y, "decaying branch exp(-ky)/cosh(y)",
+                        "nonconstant")
+    ric = RiccatiParams("quadratic", A=4.0 * (1.0 + mu), B=0.0)
+    u1 = atom_weight(diff, pot, u0, ric)  # (x, t); u0(0+) = 1
+    atom = AtomSpec(weight=lambda t, x: u1(x, t), order=0)
 
     def expect(lam: float, t: float, x: float) -> float:
         # E_x[exp(-lam*X_t - mu int X_s ds)]; the two cosh exponentials each
@@ -652,16 +617,16 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
             raise DomainError("tanh_drift expectation: lam >= 0 required")
         kt = k * t
         csch = 1.0 / math.sinh(kt)
-        u1 = math.exp(log_u1(t, x))
+        u1x = u1(x, t)
         a1 = k * k * x * csch / (k * math.cosh(kt) + (lam - 1.0) * math.sinh(kt))
         a2 = k * k * x * csch / (k * math.cosh(kt) + (lam + 1.0) * math.sinh(kt))
-        return 0.5 * u1 * (math.exp(a1) + math.exp(a2))
+        return 0.5 * u1x * (math.exp(a1) + math.exp(a2))
 
     return CatalogEntry(
         name="tanh_drift", params={"mu": mu},
         diffusion=diff, potential=pot, kernel=_kernel(log_p, atoms=(atom,)),
-        u0=u0, transform_rhs=t_rhs, expectation_closed=expect,
-        state_power=1.0, functional_param="mu",
+        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        expectation_closed=expect, state_power=1.0, functional_param="mu",
         notes="Dirac mass at 0 with weight equal to the unit symmetry orbit "
               "(the stationary branch has value 1 at the origin)")
 
@@ -744,21 +709,18 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
 
     u0 = StationarySolution(eval=lambda y: 1.0, log_eval=lambda y: 0.0,
                             description="constant 1",
-                            limit_at_mu_zero="constant_one")
-
-    def t_rhs(lam: float, t: float, x: float) -> float:
-        den = 1.0 + lam * t
-        if den <= 0:
-            raise DomainError("rational_showcase transform: 1 + lam*t must be > 0")
-        return (a * x * x + b * den ** 4) / ((b + a * x * x) * den ** 3) \
-            * math.exp(-lam * x / den)
+                            limit_at_mu_zero="constant_one",
+                            log_gauge=lambda y: (math.log(b + a * y * y)
+                                                 - 0.5 * math.log(y)))
+    ric = RiccatiParams("linear", A=0.0, B=1.5)
+    rhs = orbit_transform(diff, u0, ric)
 
     return CatalogEntry(
         name="rational_showcase", params={"a": a, "b": b},
         diffusion=diff, potential=pot,
         kernel=_kernel(log_r, atoms=(atom0, atom1)),
-        u0=u0, transform_rhs=t_rhs, expectation_closed=t_rhs,
-        state_power=1.0, functional_param="",
+        u0=u0, riccati=ric, transform_rhs=rhs,
+        expectation_closed=rhs, state_power=1.0, functional_param="",
         notes="structural entry: Dirac-derivative atom carried with signed "
               "weight, excluded from mass; continuous-only mass has a known "
               "closed-form defect")
@@ -805,24 +767,12 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
         return (0.5 * (1.0 - a) * (math.log(x) - math.log(y)) + b * (sx - sy)
                 - 0.5 * A * t + _log_bessel_core(w, 1.0, 0.0, t, sx, sy))
 
-    def u0_log(y: float) -> float:
+    def log_gauge(y: float) -> float:  # log(sqrt(y) I_w(sqrt(2Ay)))
         z = math.sqrt(2.0 * A * y)
-        return 0.5 * (1.0 - a) * math.log(y) + b * math.sqrt(y) \
-            + specfun.log_bessel_ive(w, z) + z
+        return 0.5 * math.log(y) + specfun.log_bessel_ive(w, z) + z
 
-    u0 = StationarySolution(eval=lambda y: math.exp(u0_log(y)), log_eval=u0_log,
-                            description=f"Bessel branch index {w:.6g}",
-                            limit_at_mu_zero="unknown")
-
-    def t_rhs(lam: float, t: float, x: float) -> float:
-        den = 1.0 + lam * t
-        if den <= 0:
-            raise DomainError("sqrt_drift transform: 1 + lam*t must be > 0")
-        z = math.sqrt(2.0 * A * x) / den
-        lg = (0.5 * (1.0 - a) * math.log(x) - math.log(den)
-              + b * math.sqrt(x) - lam * (x + 0.5 * A * t * t) / den
-              + specfun.log_bessel_ive(w, z) + z)
-        return math.exp(lg)
+    u0 = gauge_solution(diff, log_gauge, f"Bessel branch index {w:.6g}")
+    ric = RiccatiParams("linear", A=0.5 * A, B=B)
 
     def expect(lam: float, t: float, x: float) -> float:
         # series in the sqrt-term of the drift weight:
@@ -855,8 +805,8 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
     return CatalogEntry(
         name="sqrt_drift", params={"a": a, "b": b, "A": A, "B": B},
         diffusion=diff, potential=pot, kernel=_kernel(log_p),
-        u0=u0, transform_rhs=t_rhs, expectation_closed=expect,
-        state_power=1.0, functional_param="",
+        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        expectation_closed=expect, state_power=1.0, functional_param="",
         notes="killing sign convention: exp(-int g ds); flagged because the "
               "opposite convention also appears for this family")
 
@@ -892,12 +842,12 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
         return ((c1 * specfun.bessel_i(order, z, scaled=True) if c1 else 0.0)
                 + (c2 * specfun.bessel_i(-order, z, scaled=True) if c2 else 0.0))
 
-    def log_y(x: float) -> float:
-        # log y(x); y(x) = sqrt(x) (c1 I_alpha + c2 I_-alpha)(c sqrt(x))
+    def log_y(x: float, order: float = alpha) -> float:
+        # log y(x); y(x) = sqrt(x) (c1 I_order + c2 I_-order)(c sqrt(x))
         z = c * math.sqrt(x)
-        val = _combo(alpha, z)
+        val = _combo(order, z)
         if val <= 0:
-            raise DomainError(f"generic_linear: y({x}) <= 0")
+            raise DomainError(f"generic_linear: y({x}) <= 0 at index {order}")
         return 0.5 * math.log(x) + math.log(val) + z
 
     def w_fn(x: float) -> float:  # y'/y
@@ -925,7 +875,9 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
 
     u0 = StationarySolution(eval=u0_val,
                             description=f"index-shift ratio {nu_ix:.6g}/{alpha:.6g}",
-                            limit_at_mu_zero="constant_one")
+                            limit_at_mu_zero="constant_one",
+                            log_gauge=lambda y: log_y(y, nu_ix))
+    ric = RiccatiParams("linear", A=0.5 * A / sigma, B=B + 2.0 * sigma * mu)
 
     def cont(t: float, x: float, y: float) -> float:
         # c1 I_nu(zi) I_nu(zy) + c2 I_-nu(zi) I_-nu(zy), zy = c sqrt(y): each branch
@@ -940,21 +892,13 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
         return s * math.exp(m + zy + 0.5 * math.log(x) - log_y(x)
                             - A * t / (2.0 * sigma)) / u0_val(y)
 
-    def t_rhs(lam: float, t: float, x: float) -> float:
-        den = 1.0 + lam * sigma * t
-        if den <= 0:
-            raise DomainError("generic_linear transform: 1 + lam*sigma*t must be > 0")
-        z = c * math.sqrt(x) / den
-        return math.exp(0.5 * math.log(x) - log_y(x) + z
-                        - lam * (x + 0.5 * A * t * t) / den) / den * _combo(nu_ix, z)
-
     return CatalogEntry(
         name="generic_linear",
         params={"sigma": sigma, "A": A, "B": B, "mu": mu, "c1": c1, "c2": c2},
         diffusion=diff, potential=pot,
         kernel=Kernel(continuous=cont, log_continuous=None),
-        u0=u0, transform_rhs=t_rhs, expectation_closed=None,
-        state_power=1.0, functional_param="mu",
+        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        expectation_closed=None, state_power=1.0, functional_param="mu",
         notes="expectation via quadrature fallback; no log form because the "
               "two-branch bracket can be formed from mixed signs")
 
@@ -1118,11 +1062,18 @@ def transform_rhs(entry, params: Optional[Dict[str, float]], lam: float,
 
 def _quadrature_expectation(e: CatalogEntry, lam: float, t: float,
                             x: float) -> float:
+    if e.kernel.finite_part:
+        raise CapabilityError(f"expectation: entry {e.name} has a finite-part "
+                              "kernel; quadrature is not offered")
     from scipy import integrate  # loaded here: 0.3 s that closed forms never need
     m = e.state_power
+    log_k, k = e.kernel.log_continuous, e.kernel.continuous
 
     def f(y: float) -> float:
-        return math.exp(-lam * y ** m) * e.kernel.continuous(t, x, y)
+        # one exp of the summed logs: exp(-lam*y^m) alone overflows for lam < 0
+        if log_k is not None:
+            return math.exp(log_k(t, x, y) - lam * y ** m)
+        return math.exp(-lam * y ** m) * k(t, x, y)
 
     val, err = integrate.quad(f, 0.0, math.inf, limit=400,
                               epsabs=1e-12, epsrel=1e-11)

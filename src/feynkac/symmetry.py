@@ -20,7 +20,10 @@ Four symmetry families are implemented (names describe the t=0 weight):
 
 The unit-parameter exp_scaling orbit U_1 of a non-invariant stationary
 solution vanishes as t -> 0+ and supplies the weight of the boundary atom that
-mass-deficient kernels need.
+mass-deficient kernels need; orbit_transform makes transform identities of
+the laplace_scaling and exp_scaling orbits. Every orbit is
+log_gauge(moved x) - F(x)/(2*sigma) + elementary terms, with
+log_gauge = log u0 + F/(2*sigma), so a special function in F is evaluated once.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .errors import (
     ConstructionError,
     DomainError,
     EvalOverflowError,
-    PoleError,
 )
 from . import specfun
 from .riccati import DiffusionSpec, PotentialSpec, RiccatiParams, fit_riccati
@@ -50,6 +52,8 @@ __all__ = [
     "exp_scaling_symmetry",
     "exp_kummer_symmetry",
     "atom_weight",
+    "orbit_transform",
+    "gauge_solution",
     "pde_residual",
 ]
 
@@ -65,13 +69,15 @@ class StationarySolution:
     log_eval, when present, allows overflow-free propagation to large
     arguments. limit_at_mu_zero records whether the branch degenerates to the
     constant 1 when the killing is switched off (the selection criterion for
-    the transform identities).
+    the transform identities). log_gauge, when present, is
+    log u0 + F/(2*sigma), the part of u0 the symmetry groups move.
     """
 
     eval: Callable[[float], float]
     description: str
     limit_at_mu_zero: str = "unknown"
     log_eval: Optional[Callable[[float], float]] = None
+    log_gauge: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
         if self.limit_at_mu_zero not in ("constant_one", "nonconstant", "unknown"):
@@ -152,8 +158,9 @@ def _mu_zero_variant(pot: PotentialSpec) -> Optional[PotentialSpec]:
 
 
 def _linear_family_solution(diff: DiffusionSpec, params: RiccatiParams,
-                            branch: str) -> Tuple[Callable, Callable, str]:
-    """Stationary branch for the linear family, gamma != 2.
+                            branch: str) -> Tuple[Callable[[float], float], str]:
+    """Gauge part log w and description of a stationary branch for the linear
+    family, gamma != 2.
 
     Substituting u0 = exp(-F/(2*sigma)) * w(z), z = x^(2-gamma), turns the
     stationary ODE into z^2 w'' + p*z*w' - (a*z + b)*w = 0 with
@@ -176,35 +183,35 @@ def _linear_family_solution(diff: DiffusionSpec, params: RiccatiParams,
     if a == 0.0:
         expo = ((1.0 - p) + (nu if branch == "principal" else -nu)) / 2.0
 
-        def log_u0(x: float) -> float:
-            return -diff.F(x) / (2.0 * s) + expo * q * math.log(x)
+        def log_w(x: float) -> float:
+            return expo * q * math.log(x)
 
         desc = f"power branch x^{{{expo * q:.6g}}} times exp(-F/(2 sigma))"
     elif branch == "principal":
-        def log_u0(x: float) -> float:
+        def log_w(x: float) -> float:
             z = x ** q
-            return (-diff.F(x) / (2.0 * s) + 0.5 * (1.0 - p) * math.log(z)
+            return (0.5 * (1.0 - p) * math.log(z)
                     + specfun.log_bessel_i(nu, 2.0 * math.sqrt(a * z)))
 
         desc = f"growing Bessel branch I_{{{nu:.6g}}}"
     else:
-        def log_u0(x: float) -> float:
+        def log_w(x: float) -> float:
             z = x ** q
             arg = 2.0 * math.sqrt(a * z)
             kv = specfun.bessel_k(nu, arg, scaled=True)
-            return (-diff.F(x) / (2.0 * s) + 0.5 * (1.0 - p) * math.log(z)
-                    + math.log(kv) - arg)
+            return 0.5 * (1.0 - p) * math.log(z) + math.log(kv) - arg
 
         desc = f"decaying Bessel branch K_{{{nu:.6g}}}"
 
-    return (lambda x: math.exp(log_u0(x))), log_u0, desc
+    return log_w, desc
 
 
 def _quadratic_family_solution(diff: DiffusionSpec, params: RiccatiParams,
                                branch: str,
                                coefficients: Optional[Tuple[float, float]]
-                               ) -> Tuple[Callable, Callable, str]:
-    """Stationary branch for the quadratic family, gamma = 1, A > 0:
+                               ) -> Tuple[Callable[[float], float], str]:
+    """Gauge part and description of a stationary branch for the quadratic
+    family, gamma = 1, A > 0:
     u0 = x^(beta/2) * exp(-(F(x) + sqrt(A)*x)/(2*sigma)) * M(alpha, beta, ...)
     with M either the regular Kummer function or the Tricomi function."""
     s = diff.sigma
@@ -224,9 +231,9 @@ def _quadratic_family_solution(diff: DiffusionSpec, params: RiccatiParams,
     else:
         c1, c2 = 0.0, 1.0
 
-    def log_u0(x: float) -> float:
+    def log_w(x: float) -> float:
         z = rA * x / s
-        base = 0.5 * beta * math.log(x) - (diff.F(x) + rA * x) / (2.0 * s)
+        base = 0.5 * beta * math.log(x) - 0.5 * z
         if c2 == 0.0:
             return base + math.log(c1) + _log_hyp1f1(alpha, beta, z)
         val = 0.0
@@ -239,7 +246,32 @@ def _quadratic_family_solution(diff: DiffusionSpec, params: RiccatiParams,
 
     kind = "regular Kummer" if c2 == 0.0 else ("Tricomi" if c1 == 0.0 else "mixed Kummer")
     desc = f"{kind} branch (alpha={alpha:.6g}, beta={beta:.6g}, c=({c1:.6g},{c2:.6g}))"
-    return (lambda x: math.exp(log_u0(x))), log_u0, desc
+    return log_w, desc
+
+
+def gauge_solution(diff: DiffusionSpec, log_gauge: Callable[[float], float],
+                   description: str, limit_at_mu_zero: str = "unknown"
+                   ) -> StationarySolution:
+    """u0 = exp(log_gauge - F/(2*sigma)), not validated. F is read directly
+    where it has a closed form, so u0(0) is defined where F(0) is (atoms)."""
+    s2, F = 2.0 * diff.sigma, diff.drift_antiderivative or diff.F
+
+    def log_u0(x: float) -> float:
+        return log_gauge(x) - F(x) / s2
+
+    return StationarySolution(eval=lambda x: math.exp(log_u0(x)),
+                              description=description,
+                              limit_at_mu_zero=limit_at_mu_zero, log_eval=log_u0,
+                              log_gauge=log_gauge)
+
+
+def _gauge(diff: DiffusionSpec, u0: StationarySolution) -> Tuple[Callable, Callable]:
+    """(log_gauge of u0, F); F read as in gauge_solution."""
+    F = diff.drift_antiderivative or diff.F
+    if u0.log_gauge is not None:
+        return u0.log_gauge, F
+    s2 = 2.0 * diff.sigma
+    return (lambda x: u0.log(x) + F(x) / s2), F
 
 
 def stationary_solution(diff: DiffusionSpec, pot: PotentialSpec,
@@ -274,19 +306,18 @@ def stationary_solution(diff: DiffusionSpec, pot: PotentialSpec,
     if params.family == "linear":
         if diff.gamma == 2.0:
             raise CapabilityError("stationary_solution: gamma=2 uses the log families")
-        ev, log_ev, desc = _linear_family_solution(diff, params, branch)
+        log_w, desc = _linear_family_solution(diff, params, branch)
     elif params.family == "quadratic":
         if diff.gamma != 1.0:
             raise CapabilityError(
                 "stationary_solution: quadratic family implemented for gamma=1")
-        ev, log_ev, desc = _quadratic_family_solution(diff, params, branch, coefficients)
+        log_w, desc = _quadratic_family_solution(diff, params, branch, coefficients)
     else:
         raise CapabilityError(
             f"stationary_solution: no constructor for family {params.family!r}")
 
     limit = _mu_zero_limit_tag(diff, pot, branch, coefficients)
-    sol = StationarySolution(eval=ev, log_eval=log_ev, description=desc,
-                             limit_at_mu_zero=limit)
+    sol = gauge_solution(diff, log_w, desc, limit)
     sol.validate(diff, pot, check_points)
     return sol
 
@@ -303,11 +334,12 @@ def _mu_zero_limit_tag(diff: DiffusionSpec, pot: PotentialSpec, branch: str,
         if params0 is None:
             return "unknown"
         if params0.family == "linear":
-            ev, _, _ = _linear_family_solution(diff, params0, branch)
+            log_w, _ = _linear_family_solution(diff, params0, branch)
         elif params0.family == "quadratic" and diff.gamma == 1.0:
-            ev, _, _ = _quadratic_family_solution(diff, params0, branch, coefficients)
+            log_w, _ = _quadratic_family_solution(diff, params0, branch, coefficients)
         else:
             return "unknown"
+        ev = gauge_solution(diff, log_w, "").eval
         ref = ev(1.0)
         if ref <= 0:
             return "nonconstant"
@@ -315,6 +347,29 @@ def _mu_zero_limit_tag(diff: DiffusionSpec, pot: PotentialSpec, branch: str,
         return "constant_one" if max(abs(v - 1.0) for v in vals) < 1e-8 else "nonconstant"
     except Exception:
         return "unknown"
+
+
+def _laplace_orbit(diff: DiffusionSpec, u0: StationarySolution,
+                   A: float) -> Callable[[float, float, float], float]:
+    """(lam, t, x) -> the laplace_scaling orbit of u0."""
+    g, s = diff.gamma, diff.sigma
+    if g == 2.0:
+        raise CapabilityError("laplace_scaling_symmetry: gamma=2 uses log_scaling")
+    q = 2.0 - g
+    p, sq2, shift, s2, r = (1.0 - g) / q, s * q * q, A * s * q * q, 2.0 * s, 2.0 / q
+    phi, F = _gauge(diff, u0)
+
+    def orbit(lam: float, t: float, x: float) -> float:
+        if x <= 0:
+            raise DomainError("laplace_scaling_symmetry: x must be > 0")
+        den = 1.0 + sq2 * lam * t  # 1 + 4*eps*t with eps = sigma*q^2*lam/4
+        if den <= 0:
+            raise DomainError(
+                f"laplace_scaling_symmetry: out of the symmetry's domain (1+4*eps*t={den:.3g})")
+        return math.exp(-p * math.log(den) - lam * (x ** q + shift * t * t) / den
+                        + phi(x / den ** r) - F(x) / s2)
+
+    return orbit
 
 
 def laplace_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
@@ -326,27 +381,9 @@ def laplace_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
     is the generalized Laplace transform identity the kernels are checked
     against.
     """
-    g, s = diff.gamma, diff.sigma
-    if g == 2.0:
-        raise CapabilityError("laplace_scaling_symmetry: gamma=2 uses log_scaling")
-    q = 2.0 - g
-
-    def ev(lam: float, x: float, t: float) -> float:
-        if x <= 0:
-            raise DomainError("laplace_scaling_symmetry: x must be > 0")
-        eps = 0.25 * s * q * q * lam
-        den = 1.0 + 4.0 * eps * t
-        if den <= 0:
-            raise DomainError(
-                f"laplace_scaling_symmetry: out of the symmetry's domain (1+4*eps*t={den:.3g})")
-        xbar = x / den ** (2.0 / q)
-        lg = (-(1.0 - g) / q * math.log(den)
-              - 4.0 * eps * (x ** q + A * s * q * q * t * t) / (s * q * q * den)
-              + (diff.F(xbar) - diff.F(x)) / (2.0 * s)
-              + u0.log(xbar))
-        return math.exp(lg)
-
-    return SymmetrySolution(eval=ev, family="laplace_scaling", stationary=u0)
+    orbit = _laplace_orbit(diff, u0, A)
+    return SymmetrySolution(eval=lambda lam, x, t: orbit(lam, t, x),
+                            family="laplace_scaling", stationary=u0)
 
 
 def log_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
@@ -356,6 +393,7 @@ def log_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
     s = diff.sigma
     if diff.gamma != 2.0:
         raise CapabilityError("log_scaling_symmetry: requires gamma=2")
+    phi, F = _gauge(diff, u0)
 
     def ev(eps: float, x: float, t: float) -> float:
         if x <= 0:
@@ -365,11 +403,9 @@ def log_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
             raise DomainError(
                 f"log_scaling_symmetry: out of the symmetry's domain (1+4*eps*t={den:.3g})")
         lx = math.log(x)
-        xbar = math.exp(lx / den)
         lg = (-0.5 * math.log(den)
               - eps * (lx * lx - 2.0 * s * t * lx + (4.0 * A + s) * s * t * t) / (s * den)
-              + (diff.F(xbar) - diff.F(x)) / (2.0 * s)
-              + u0.log(xbar))
+              + phi(math.exp(lx / den)) - F(x) / (2.0 * s))
         return math.exp(lg)
 
     return SymmetrySolution(eval=ev, family="log_scaling", stationary=u0)
@@ -378,34 +414,38 @@ def log_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
 _INVARIANCE_SAMPLES = ((0.5, 1.0, 0.7), (-0.3, 2.0, 0.4), (0.9, 0.6, 1.2))
 
 
+def _exp_orbit(diff: DiffusionSpec, u0: StationarySolution,
+               params: RiccatiParams) -> Callable[[float, float, float], float]:
+    """(eps, x, t) -> the exp_scaling orbit of u0."""
+    if diff.gamma != 1.0:
+        raise CapabilityError("exp_scaling_symmetry: requires gamma=1")
+    if params.A <= 0:
+        raise CapabilityError("exp_scaling_symmetry: requires A > 0")
+    rA, s2 = math.sqrt(params.A), 2.0 * diff.sigma
+    b = params.B / s2
+    phi, F = _gauge(diff, u0)
+
+    def orbit(eps: float, x: float, t: float) -> float:
+        if x <= 0:
+            raise DomainError("exp_scaling_symmetry: x must be > 0")
+        em = math.expm1(rA * t) + (1.0 - eps)  # E - eps
+        if em <= 0:
+            raise DomainError(
+                f"exp_scaling_symmetry: out of the symmetry's domain (E-eps={em:.3g})")
+        shift = x * eps / em  # the group moves x to x*E/(E - eps) = x + shift
+        return math.exp(b * (math.log(em) / rA - t) - rA * shift / s2
+                        + phi(x + shift) - F(x) / s2)
+
+    return orbit
+
+
 def exp_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
                          u0: StationarySolution,
                          params: RiccatiParams) -> SymmetrySolution:
     """Symmetry for gamma = 1 drifts in the quadratic family with A > 0. The
     group moves x to x*E/(E - eps), E = exp(sqrt(A)*t). Stationary solutions
     can be fixed points of the group; that is detected and flagged."""
-    s = diff.sigma
-    if diff.gamma != 1.0:
-        raise CapabilityError("exp_scaling_symmetry: requires gamma=1")
-    if params.A <= 0:
-        raise CapabilityError("exp_scaling_symmetry: requires A > 0")
-    rA = math.sqrt(params.A)
-
-    def ev(eps: float, x: float, t: float) -> float:
-        if x <= 0:
-            raise DomainError("exp_scaling_symmetry: x must be > 0")
-        E = math.exp(rA * t)
-        if E - eps <= 0:
-            raise DomainError(
-                f"exp_scaling_symmetry: out of the symmetry's domain (E-eps={E - eps:.3g})")
-        xbar = x * E / (E - eps)
-        lg = (-params.B * t / (2.0 * s)
-              + params.B / (2.0 * s * rA) * math.log(E - eps)
-              - rA * x * eps / (2.0 * s * (E - eps))
-              + (diff.F(xbar) - diff.F(x)) / (2.0 * s)
-              + u0.log(xbar))
-        return math.exp(lg)
-
+    ev = _exp_orbit(diff, u0, params)
     invariant = True
     for eps, x, t in _INVARIANCE_SAMPLES:
         try:
@@ -422,7 +462,8 @@ def exp_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
 
 
 def exp_kummer_symmetry(diff: DiffusionSpec, params: RiccatiParams) -> SymmetrySolution:
-    """Tricomi-function orbit of the exp_scaling group (gamma = 1, A > 0):
+    """Tricomi-function orbit of the exp_scaling group (gamma = 1, A > 0): the
+    exp_scaling orbit of the Tricomi stationary branch, that is
 
         U_eps = e^{-Bt/(2s)} (E-eps)^{B/(2s rA)} z^{beta/2} e^{-F(x)/(2s)}
                 * exp(-rA*x*(E+eps)/(2s(E-eps))) * TricomiU(alpha, beta, rA*z/s)
@@ -431,37 +472,10 @@ def exp_kummer_symmetry(diff: DiffusionSpec, params: RiccatiParams) -> SymmetryS
     Its t=0, eps=0 value is the Tricomi stationary branch itself. Used by the
     Whittaker-transform verification.
     """
-    s = diff.sigma
-    if diff.gamma != 1.0:
-        raise CapabilityError("exp_kummer_symmetry: requires gamma=1")
-    if params.A <= 0:
-        raise CapabilityError("exp_kummer_symmetry: requires A > 0")
-    rA = math.sqrt(params.A)
-    disc = 1.0 + 2.0 * params.C / (s * s)
-    if disc < 0:
-        raise CapabilityError("exp_kummer_symmetry: complex Kummer index")
-    beta = 1.0 + math.sqrt(disc)
-    alpha = 0.5 * beta + params.B / (2.0 * s * rA)
-    if beta <= 0 and beta == int(beta):
-        raise PoleError(f"exp_kummer_symmetry: beta={beta} is a non-positive integer")
-
-    def ev(eps: float, x: float, t: float) -> float:
-        if x <= 0:
-            raise DomainError("exp_kummer_symmetry: x must be > 0")
-        E = math.exp(rA * t)
-        if E - eps <= 0:
-            raise DomainError(
-                f"exp_kummer_symmetry: out of the symmetry's domain (E-eps={E - eps:.3g})")
-        z = x * E / (E - eps)
-        lg = (-params.B * t / (2.0 * s)
-              + params.B / (2.0 * s * rA) * math.log(E - eps)
-              + 0.5 * beta * math.log(z)
-              - diff.F(x) / (2.0 * s)
-              - rA * x * (E + eps) / (2.0 * s * (E - eps))
-              + math.log(specfun.tricomi_u(alpha, beta, rA * z / s)))
-        return math.exp(lg)
-
-    return SymmetrySolution(eval=ev, family="exp_kummer", params=params)
+    log_w, desc = _quadratic_family_solution(diff, params, "secondary", None)
+    u0 = gauge_solution(diff, log_w, desc)
+    return SymmetrySolution(eval=_exp_orbit(diff, u0, params), family="exp_kummer",
+                            params=params, stationary=u0)
 
 
 def atom_weight(diff: DiffusionSpec, pot: PotentialSpec,
@@ -476,6 +490,31 @@ def atom_weight(diff: DiffusionSpec, pot: PotentialSpec,
             "atom_weight: the chosen stationary solution is a fixed point of the "
             "symmetry; its orbit carries no atom")
     return lambda x, t: sym(1.0, x, t)
+
+
+def orbit_transform(diff: DiffusionSpec, u0: StationarySolution,
+                    params: RiccatiParams) -> Callable[[float, float, float], float]:
+    """(lam, t, x) -> integral of exp(-lam*y^(2-gamma)) u0(y) against the
+    kernel (atoms included): the orbit of u0 with t = 0 profile
+    exp(-lam*x^(2-gamma)) u0(x). Linear family: the laplace_scaling orbit at
+    lam. Quadratic family: the exp_scaling orbit at
+    eps = sigma*lam/(sqrt(A) + sigma*lam), which has that profile only for the
+    decaying exponential branch (log_gauge = -sqrt(A)*x/(2*sigma) + const,
+    B = 0); other u0 raise CapabilityError."""
+    if params.family == "linear":
+        return _laplace_orbit(diff, u0, params.A)
+    if params.family != "quadratic":
+        raise CapabilityError(
+            f"orbit_transform: no transform orbit for family {params.family!r}")
+    orbit = _exp_orbit(diff, u0, params)
+    s, rA = diff.sigma, math.sqrt(params.A)
+    for x in _CHECK_POINTS:  # eps = 1/2 is lam = sqrt(A)/sigma
+        want = u0(x) * math.exp(-rA * x / s)
+        if abs(orbit(0.5, x, 0.0) - want) > 1e-9 * want:
+            raise CapabilityError(
+                "orbit_transform: the exp_scaling orbit of this stationary "
+                "solution does not start from exp(-lam*x) u0(x)")
+    return lambda lam, t, x: orbit(s * lam / (rA + s * lam), x, t)
 
 
 def pde_residual(u: Callable[[float, float], float], diff: DiffusionSpec,

@@ -4,7 +4,9 @@ elementary-function rewrites of half-integer Bessel cases, and direct
 quadrature of the defining integrals."""
 
 import dataclasses
+import importlib.util
 import math
+import pathlib
 import warnings
 
 import mpmath
@@ -17,6 +19,7 @@ from feynkac import catalog as cat
 from feynkac import specfun as sf
 from feynkac.errors import (CapabilityError, ConvergenceError, DomainError,
                             EvalOverflowError, ValidityError)
+from feynkac.riccati import fit_riccati
 
 T, X = 1.0, 1.0
 
@@ -573,3 +576,237 @@ def test_density_domain_checks():
         cat.density("besq", {"n": 3.0}, -1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         cat.density("besq", {"n": 3.0}, 1.0, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# transforms and atoms from the symmetry orbits
+# ---------------------------------------------------------------------------
+
+def _benchmark_pool():
+    """The benchmark's parameter pool (perfbench/workloads.py, POOL)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(name, p) for name in sorted(module.POOL) for p in module.POOL[name]]
+
+
+POOL = _benchmark_pool()
+
+
+# The hand-written transform right-hand sides and tanh_drift atom weight that
+# the catalog carried before it derived them from the symmetry orbits, frozen
+# as oracles.
+
+def _log_cosh(z):
+    return abs(z) + math.log1p(math.exp(-2.0 * abs(z))) - math.log(2.0)
+
+
+def _rhs_besq(lam, t, x, n, mu=0.0, nu=0.0):
+    w = 0.5 * math.sqrt((n - 2.0) ** 2 + 8.0 * nu)
+    d = 0.25 * (2.0 - n) + 0.5 * w
+    den = 1.0 + 2.0 * lam * t
+    return x ** d * den ** (-(2.0 * d + 0.5 * n)) * math.exp(-lam * x / den)
+
+
+def _rhs_bessel(lam, t, x, a, mu=0.0):
+    d = 0.5 - a + math.sqrt(0.5 * mu + (a - 0.5) ** 2)
+    den = 1.0 + 2.0 * lam * t
+    return x ** d * den ** (-(d + a + 0.5)) * math.exp(-lam * x * x / den)
+
+
+def _rhs_bessel_drift(lam, t, x, a, b, mu=0.0):
+    atil = math.sqrt(a * a + 2.0 * mu)
+    den = 1.0 + 2.0 * lam * t
+    return math.exp(-lam * (x + b * t) ** 2 / den - math.log(den)
+                    + sf.log_bessel_ive(atil, b * x / den) - sf.log_bessel_ive(a, b * x))
+
+
+def _rhs_rational_drift(lam, t, x, a, mu=0.0, mu_inv=0.0):
+    if mu_inv:
+        root = math.sqrt(1.0 + 4.0 * mu_inv)
+        dp, dm = 0.5 * (1.0 + root), 0.5 * (1.0 - root)
+        den = 1.0 + lam * t
+        return (a * x ** dp / den ** (2.0 * dp) + 2.0 * x ** dm / den ** (2.0 * dm)) \
+            * math.exp(-lam * x / den) / (2.0 + a * x)
+    if mu == 0.0:
+        return math.exp(-lam * x / (1.0 + lam * t)) / (2.0 + a * x)
+    rmu = math.sqrt(mu)
+    em1 = math.expm1(2.0 * rmu * t)
+    return math.exp(-rmu * x - math.log(2.0 + a * x)) * math.exp(
+        -2.0 * lam * rmu * x / (lam * em1 + 2.0 * rmu * (em1 + 1.0)))
+
+
+def _rhs_tanh_drift(lam, t, x, mu=0.0):
+    k = math.sqrt(1.0 + mu)
+    em1 = math.expm1(2.0 * k * t)
+    return math.exp(-k * x - _log_cosh(x)
+                    - 2.0 * lam * k * x / (lam * em1 + 2.0 * k * (em1 + 1.0)))
+
+
+def _atom_tanh_drift(t, x, mu=0.0):
+    k = math.sqrt(1.0 + mu)
+    return math.exp(-k * x / math.tanh(k * t) - _log_cosh(x))
+
+
+def _rhs_rational_showcase(lam, t, x, a, b):
+    den = 1.0 + lam * t
+    return (a * x * x + b * den ** 4) / ((b + a * x * x) * den ** 3) \
+        * math.exp(-lam * x / den)
+
+
+def _rhs_sqrt_drift(lam, t, x, a, b, A, B):
+    w = math.sqrt(1.0 + 2.0 * B)
+    den = 1.0 + lam * t
+    z = math.sqrt(2.0 * A * x) / den
+    return math.exp(0.5 * (1.0 - a) * math.log(x) - math.log(den) + b * math.sqrt(x)
+                    - lam * (x + 0.5 * A * t * t) / den + sf.log_bessel_ive(w, z) + z)
+
+
+def _rhs_generic_linear(lam, t, x, sigma, A, B, mu=0.0, c1=1.0, c2=0.0):
+    alpha = math.sqrt(2.0 * B + sigma * sigma) / sigma
+    nu = math.sqrt(2.0 * B + sigma * sigma + 4.0 * mu * sigma) / sigma
+    c = math.sqrt(2.0 * A) / sigma
+
+    def combo(order, z):
+        return ((c1 * sf.bessel_i(order, z, scaled=True) if c1 else 0.0)
+                + (c2 * sf.bessel_i(-order, z, scaled=True) if c2 else 0.0))
+
+    zx = c * math.sqrt(x)
+    log_y = 0.5 * math.log(x) + math.log(combo(alpha, zx)) + zx
+    den = 1.0 + lam * sigma * t
+    z = zx / den
+    return math.exp(0.5 * math.log(x) - log_y + z
+                    - lam * (x + 0.5 * A * t * t) / den) / den * combo(nu, z)
+
+
+_RHS_ORACLES = {name[len("_rhs_"):]: fn for name, fn in dict(globals()).items()
+                if name.startswith("_rhs_")}
+# pool members with a transform (besq with mu > 0 has none), the transform
+# suite's entries that the pool lacks, the finite-part rational_drift and a
+# two-branch generic_linear
+_TRANSFORM_MEMBERS = [m for m in POOL if m[0] in _RHS_ORACLES
+                      and not (m[0] == "besq" and m[1].get("mu"))] + [
+    ("besq", {"n": 3.0, "nu": 0.6}), ("bessel", {"a": 1.2, "mu": 0.8}),
+    ("rational_drift", {"a": 1.0, "mu_inv": 0.6}),
+    ("generic_linear", {"sigma": 0.8, "A": 1.5, "B": -0.2, "mu": 0.05,
+                        "c1": 1.0, "c2": 0.7})]
+# covers the benchmark's point ranges (lam 0-3, t 0.2-2, x 0.3-3) and the
+# transform suite's grid (lam up to 5)
+_TRANSFORM_GRID = [(lam, t, x) for lam in (0.0, 0.1, 0.37, 1.6, 3.0, 5.0)
+                   for t in (0.2, 0.25, 0.9, 2.0) for x in (0.3, 0.5, 1.0, 2.0, 3.0)]
+
+
+def _ids(member):
+    return f"{member[0]}-{'-'.join(f'{k}={v:g}' for k, v in member[1].items())}"
+
+
+@pytest.mark.parametrize("member", _TRANSFORM_MEMBERS, ids=_ids)
+def test_derived_transform_matches_frozen_oracle(member):
+    name, params = member
+    entry = cat.make_entry(name, **params)
+    for lam, t, x in _TRANSFORM_GRID:
+        assert cat.transform_rhs(entry, None, lam, t, x) == pytest.approx(
+            _RHS_ORACLES[name](lam, t, x, **params), rel=1e-13)
+
+
+@pytest.mark.parametrize("member", _TRANSFORM_MEMBERS, ids=_ids)
+def test_declared_riccati_constants_match_the_fit(member):
+    entry = cat.make_entry(*member[:1], **member[1])
+    fit = fit_riccati(entry.diffusion, entry.potential, np.geomspace(0.2, 20.0, 24))
+    declared = entry.riccati
+    assert declared.family == fit.family
+    for k in ("A", "B", "C"):
+        assert getattr(declared, k) == pytest.approx(getattr(fit, k), abs=1e-8)
+
+
+def test_every_transform_has_declared_constants():
+    for name, params in POOL:
+        entry = cat.make_entry(name, **params)
+        assert (entry.transform_rhs is None) == (entry.riccati is None)
+
+
+def test_tanh_drift_atom_weight_matches_frozen_formula():
+    for name, params in POOL:
+        if name != "tanh_drift":
+            continue
+        (atom,) = cat.make_entry(name, **params).kernel.atoms
+        for t, x in [(1e-2, 0.3), (0.2, 1.0), (0.9, 3.0), (2.0, 0.5), (5.0, 10.0)]:
+            assert atom.weight(t, x) == pytest.approx(
+                _atom_tanh_drift(t, x, **params), rel=1e-13)
+
+
+@pytest.mark.parametrize("member", [m for m in POOL if m[0] in
+                                    ("rational_drift", "tanh_drift", "rational_showcase")],
+                         ids=_ids)
+def test_atom_weights_are_the_large_lambda_limit_of_the_transform(member):
+    # the transform pairs each atom with u0 at the origin: as lam -> infinity
+    # the continuous part drops out, leaving w0*u0(0+) + lam*w1*u0(0+) + O(1/lam)
+    entry = cat.make_entry(*member[:1], **member[1])
+    u00 = entry.u0(0.0)
+    w = {atom.order: atom.weight for atom in entry.kernel.atoms}
+    for t, x in [(0.3, 0.5), (1.0, 1.0), (2.0, 2.5)]:
+        w0, w1 = w[0](t, x) * u00, (w[1](t, x) * u00 if 1 in w else 0.0)
+        rest = [cat.transform_rhs(entry, None, lam, t, x) - lam * w1 - w0
+                for lam in (1e3, 1e4)]
+        assert abs(rest[1]) < 1e-3 * w0
+        assert abs(rest[1]) == pytest.approx(0.1 * abs(rest[0]), rel=0.05)
+
+
+def _count_specfun_calls(monkeypatch, counts):
+    for name in sf.__all__:
+        fn = getattr(sf, name)
+        if callable(fn):
+            def counted(*args, _fn=fn, **kwargs):
+                counts[0] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(sf, name, counted)
+
+
+@pytest.mark.parametrize("member", _TRANSFORM_MEMBERS, ids=_ids)
+def test_derived_transform_makes_no_more_specfun_calls(member, monkeypatch):
+    name, params = member
+    counts = [0]
+    _count_specfun_calls(monkeypatch, counts)
+    entry = cat._BUILDERS[name][0](**params)  # built after the patch, uncached
+    for lam, t, x in _TRANSFORM_GRID[::7]:
+        counts[0] = 0
+        _RHS_ORACLES[name](lam, t, x, **params)
+        oracle = counts[0]
+        counts[0] = 0
+        entry.transform_rhs(lam, t, x)
+        assert counts[0] <= oracle
+
+
+def test_published_stationary_solutions_solve_their_ode():
+    # besq with mu > 0 used to publish y^d, which ignores the mu*x killing
+    for name, params in POOL + [("rational_drift", {"a": 1.0, "mu_inv": 0.6})]:
+        entry = cat.make_entry(name, **params)
+        if entry.u0 is not None:
+            entry.u0.validate(entry.diffusion, entry.potential)
+
+
+def test_besq_with_linear_killing_has_no_transform():
+    entry = cat.make_entry("besq", n=4.5, mu=0.3)
+    assert entry.u0 is None and entry.transform_rhs is None
+    with pytest.raises(CapabilityError):
+        cat.transform_rhs(entry, None, 0.5, 1.0, 1.0)
+
+
+def test_quadrature_is_not_offered_on_a_finite_part_kernel():
+    with pytest.raises(CapabilityError):
+        cat.expectation("rational_drift", {"a": 1.0, "mu_inv": 0.6}, 0.0, 1.0, 1.0,
+                        method="quadrature")
+
+
+def test_quadrature_expectation_with_negative_lambda():
+    # E_1[exp(0.4 X_1)] for n = 3: the ncx2 moment generating function
+    # (1 - 2*0.4)^(-3/2) exp(0.4/(1 - 2*0.4))
+    ref = 0.2 ** -1.5 * math.exp(2.0)
+    assert ref == pytest.approx(82.6121586338418, rel=1e-13)
+    assert cat.expectation("besq", {"n": 3}, -0.4, 1.0, 1.0, method="quadrature") \
+        == pytest.approx(ref, rel=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ConvergenceError):  # diverges from lam = -1/(2t) on
+            cat.expectation("besq", {"n": 3}, -0.5, 1.0, 1.0, method="quadrature")

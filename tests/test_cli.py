@@ -188,6 +188,26 @@ def test_expect_capability_gap_is_usage_error():
     assert code == 2
 
 
+def test_expect_quadrature_on_finite_part_kernel_is_usage_error():
+    # the mu_inv/x kernel is not integrable near y = 0
+    code, out = run("expect", "--entry", "rational_drift", "--a", "1",
+                    "--mu_inv", "0.6", "--t", "1", "--x", "1", "--lambda", "0",
+                    "--method", "quadrature")
+    assert code == 2
+    assert out == ""
+
+
+def test_expect_quadrature_with_negative_lambda():
+    # E_1[exp(0.4 X_1)] = (1 - 0.8)^(-3/2) exp(0.4/(1 - 0.8)) for n = 3
+    code, out = run("expect", "--entry", "besq", "--n", "3", "--t", "1",
+                    "--x", "1", "--lambda", "-0.4", "--method", "quadrature")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "lambda,t,x,expectation"
+    assert float(lines[1].split(",")[3]) == pytest.approx(0.2 ** -1.5 * math.exp(2.0),
+                                                          rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and the
-catalog reads Bessel I only in scaled or log-scaled form.
+"""Source hygiene: every module-level import in the package is used, the
+catalog reads Bessel I only in scaled or log-scaled form, and it takes its
+transform right-hand sides from the symmetry module instead of writing them.
 
 No linter is part of the toolchain, so this walks the package sources with
 ast. A name counts as used when the module reads it anywhere (including in
@@ -83,3 +84,46 @@ def test_the_check_sees_an_unscaled_bessel_i():
                      "d = specfun.log_bessel_ive(1.0, z)\n"
                      "f = specfun.bessel_i\n")
     assert sorted(_unscaled_bessel_uses(tree)) == [1, 3, 5]
+
+
+def _local_transforms(tree: ast.Module):
+    """Lines of CatalogEntry(...) calls whose transform_rhs is a lambda or a
+    function defined inside the same builder: a hand-written transform where
+    symmetry.orbit_transform derives one from the entry's u0."""
+    for builder in tree.body:
+        if not isinstance(builder, ast.FunctionDef):
+            continue
+        local = {n.name for n in ast.walk(builder)
+                 if isinstance(n, ast.FunctionDef) and n is not builder}
+        local |= {t.id for n in ast.walk(builder)
+                  if isinstance(n, ast.Assign) and isinstance(n.value, ast.Lambda)
+                  for t in n.targets if isinstance(t, ast.Name)}
+        for call in ast.walk(builder):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "CatalogEntry"):
+                continue
+            for k in call.keywords:
+                if k.arg == "transform_rhs" and (
+                        isinstance(k.value, ast.Lambda)
+                        or isinstance(k.value, ast.Name) and k.value.id in local):
+                    yield call.lineno
+
+
+def test_catalog_writes_no_transform_by_hand():
+    path = pathlib.Path(feynkac.__file__).parent / "catalog.py"
+    bad = list(_local_transforms(ast.parse(path.read_text(), filename=str(path))))
+    assert not bad, f"catalog.py: hand-written transform_rhs on lines {bad}"
+
+
+def test_the_check_sees_a_hand_written_transform():
+    tree = ast.parse("def _make_a():\n"
+                     "    def t_rhs(lam, t, x):\n"
+                     "        return 1.0\n"
+                     "    return CatalogEntry(transform_rhs=t_rhs)\n"
+                     "def _make_b():\n"
+                     "    f = lambda lam, t, x: 1.0\n"
+                     "    g = orbit_transform(diff, u0, ric)\n"
+                     "    return (CatalogEntry(transform_rhs=f), CatalogEntry(transform_rhs=g),\n"
+                     "            CatalogEntry(transform_rhs=lambda lam, t, x: 1.0),\n"
+                     "            CatalogEntry(transform_rhs=None))\n")
+    assert sorted(_local_transforms(tree)) == [4, 8, 9]

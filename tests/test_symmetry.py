@@ -253,6 +253,54 @@ def test_exp_scaling_requires_quadratic_with_positive_leading_constant():
 
 
 # ---------------------------------------------------------------------------
+# transform right-hand sides from the orbits
+# ---------------------------------------------------------------------------
+
+def test_stationary_solutions_carry_their_gauge_part():
+    # u0 = exp(log_gauge - F/(2 sigma)) for each family's constructor
+    for diff, pot, branch in [(*_sq_bessel(nu=0.4), "principal"),
+                              (*_tanh_pair(), "secondary")]:
+        u0 = sym.stationary_solution(diff, pot, branch=branch)
+        for x in (0.5, 1.3, 4.0):
+            assert u0.log(x) == pytest.approx(
+                u0.log_gauge(x) - diff.F(x) / (2.0 * diff.sigma), rel=1e-14, abs=1e-14)
+
+
+def test_orbit_transform_starts_from_the_laplace_weight():
+    # t = 0: exp(-lam*x^(2-gamma)) u0(x), for a linear-family gauge part and
+    # for the decaying exponential branch of the quadratic family
+    besq = cat.make_entry("besq", n=3.0, nu=0.4)
+    tanh = cat.make_entry("tanh_drift", mu=0.4)
+    for e in (besq, tanh):
+        rhs = sym.orbit_transform(e.diffusion, e.u0, e.riccati)
+        q = 2.0 - e.diffusion.gamma
+        for lam in (0.0, 0.3, 2.5):
+            for x in (0.4, 1.0, 2.7):
+                assert rhs(lam, 0.0, x) == pytest.approx(
+                    math.exp(-lam * x ** q) * e.u0(x), rel=1e-13)
+
+
+def test_orbit_transform_without_a_fitted_stationary_gauge():
+    # a u0 without log_gauge is moved as log u0 + F/(2 sigma)
+    e = cat.make_entry("besq", n=3.0)
+    bare = sym.StationarySolution(eval=e.u0.eval, description="bare")
+    rhs = sym.orbit_transform(e.diffusion, bare, e.riccati)
+    for lam, t, x in [(0.3, 0.25, 0.5), (1.5, 1.0, 2.0)]:
+        assert rhs(lam, t, x) == pytest.approx(e.transform_rhs(lam, t, x), rel=1e-14)
+
+
+def test_orbit_transform_rejects_what_it_cannot_derive():
+    diff, pot = _tanh_pair()
+    params = fit_riccati(diff, pot, GRID)
+    kummer = sym.stationary_solution(diff, pot, branch="principal", params=params)
+    with pytest.raises(CapabilityError):  # its exp_scaling orbit is not Laplace-type
+        sym.orbit_transform(diff, kummer, params)
+    from feynkac.riccati import RiccatiParams
+    with pytest.raises(CapabilityError):
+        sym.orbit_transform(diff, kummer, RiccatiParams("log_linear", A=1.0, B=0.0))
+
+
+# ---------------------------------------------------------------------------
 # Kummer-function orbit of the exponential scaling group
 # ---------------------------------------------------------------------------
 
