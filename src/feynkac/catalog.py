@@ -19,7 +19,7 @@ CIR, radial Ornstein-Uhlenbeck and Bessel processes are time-changed,
 rescaled squared Bessel (BESQ) processes (Goeing-Jaeschke & Yor, "A survey
 and some generalizations of Bessel processes", Bernoulli 9, 2003). So every
 positive kernel here is its own drift, power and Jacobian terms times one
-factor in X = sx^2, Y = sy^2:
+factor in X = sx^2, Y = sy^2, the core:
 
   (c w / sinh wt) exp(-c w coth(wt) (X + Y)) I_nu(2 c w sx sy / sinh wt),
 
@@ -30,19 +30,32 @@ _log_bessel_core returns its log, regrouped as
 
 so that no two terms of size (X + Y)/t cancel at small t.
 
-  entry                                  c        w             sx
-  besq                                   1/2      sqrt(2 mu)    sqrt(x)
-  cir, generic_quadratic                 1/sigma  sqrt(A)/2     sqrt(x)
-  tanh_drift                             1        sqrt(1 + mu)  sqrt(x)
-  rational_drift                         1        sqrt(mu)      sqrt(x)
-  rational_showcase, sqrt_drift          1        0             sqrt(x)
-  generic_linear                         1/sigma  0             sqrt(x)
-  bessel, bessel_drift                   1/2      0             x
-  radial_ou                              1/4      alpha         x
+Here sx = x^(m/2), sy = y^(m/2) for the state power m. Except bessel_drift's
+and the two-branch ones of generic_linear and generic_quadratic (signed
+branches, added with _scaled_sum), every kernel is an h-transform of the core,
 
-Entries in x with sx = x carry the Jacobian 2y of Y = y^2. The two-branch
-kernels of generic_linear and generic_quadratic add their signed branches
-with _scaled_sum, still in the log domain.
+  m y^(m-1) e^(g t) (u(Y)/u(X)) core(Y),  u(Y) = sum_i c_i Y^p_i e^(-beta_i Y),
+
+and _core_sum builds from that one statement both the log kernel and the
+closed-form expectation E_x[exp(-lam X_t^m)] = e^(g t) sum_i w_i(X) B_i +
+atoms, with w_i(X) = c_i X^p_i e^(-beta_i X)/u(X) and B_i the Laplace-Bessel
+moment of term i, one log-1F1 (_log_core_moments). With s = sigma:
+
+  entry              c     w             m  terms (c_i, p_i, beta_i)        g
+  besq               1/2   sqrt(2 mu)    1  (1, (n-2)/4, 0)                 0
+  cir                1/s   sqrt(A)/2     1  (1, a/2s - 1/2, b/2s)           ab/2s
+  tanh_drift         1     sqrt(1 + mu)  1  (1/2, -1/2, -1), (1/2, -1/2, 1) 0
+  rational_drift     1     sqrt(mu)      1  (2, -1/2, 0), (a, 1/2, 0)       0
+  rational_showcase  1     0             1  (b, -1, 0), (a, 1, 0)           0
+  sqrt_drift         1     0             1  ((-b)^j/j!, (a-1+j)/2, 0)       -A/2
+  bessel             1/2   0             2  (1, (a-1/2)/2, 0)               0
+  radial_ou          1/4   alpha         2  (1, (a-1)/4, -b/4)              -b(a+1)/2
+  generic_linear     1/s   0             1  (generic_quadratic: as cir)
+  bessel_drift       1/2   0             2
+
+sqrt_drift's terms, j = 0, 1, ..., are the series of y^((a-1)/2) e^(-b sqrt(y)):
+its kernel is written out, and its expectation sums the series moment by
+moment. rational_showcase's closed form is its transform.
 
 Transforms and atoms
 --------------------
@@ -114,6 +127,7 @@ __all__ = [
     "ENTRY_NAMES",
     "make_entry",
     "density",
+    "atom_weights",
     "transform_rhs",
     "expectation",
     "joint_laplace_in_mu",
@@ -159,7 +173,6 @@ class CatalogEntry:
     expectation_closed: Optional[Callable[[float, float, float], float]]  # (lam,t,x)
     state_power: float = 1.0  # expectations/transforms weight exp(-lam*y^state_power)
     functional_param: str = ""  # which param is the Laplace variable of the functional
-    notes: str = ""
     riccati: Optional[RiccatiParams] = None  # declared constants of the transform orbit
 
     def __post_init__(self) -> None:
@@ -193,10 +206,99 @@ def _scaled_sum(c1: float, l1: float, c2: float,
     return c1 * math.exp(l1 - m) + c2 * math.exp(l2 - m), m
 
 
+def _log_sum_exp(ls) -> float:
+    """log(sum(exp(l) for l in ls)); returns a single l unchanged."""
+    top = max(ls)
+    return top + math.log(sum([math.exp(l - top) for l in ls]))
+
+
+def _log_core_moments(nu: float, c: float, omega: float, lam: float, t: float,
+                      sx: float, terms):
+    """Yield, for each (p, beta) of terms, log B = log of e^(beta X) X^-p
+    integral_0^inf Y^p e^(-(lam + beta) Y) core(Y) dY, X = sx^2: the moment
+    with its e^(c^2/s) and the core's exponent regrouped into -X Q/D, whose
+    terms are all nonnegative when c omega >= |beta|, so nothing cancels."""
+    X = sx * sx
+    lX = math.log(X)
+    if omega == 0.0:
+        log_k, arg = math.log(c / t), c * sx / t
+    else:  # 2 e^(-wt) cosh(wt) = 1 + E, 2 e^(-wt) sinh(wt) = em
+        wt, cw = omega * t, c * omega
+        E, em = math.exp(-2.0 * wt), -math.expm1(-2.0 * wt)
+        log_k = math.log(2.0 * cw / em) - wt
+        arg = 2.0 * cw * sx * math.exp(-wt) / em
+    for p, beta in terms:
+        if omega == 0.0:
+            den = (lam + beta) * t + c
+            s, q_over_d = den / t, (c * lam - beta * (lam + beta) * t) / den
+        else:
+            d = (lam + beta + cw) * em + 2.0 * cw * E
+            s = d / em
+            q_over_d = (lam * ((cw - beta) + E * (cw + beta))
+                        + (cw - beta) * (cw + beta) * em) / d
+        yield (specfun.log_laplace_bessel_moment_scaled(p, nu, s, arg)
+               + log_k - X * q_over_d - p * lX)
+
+
+def _with_atoms(val: float, atoms, lam: float, t: float, x: float, m: float) -> float:
+    """val plus the atoms' part of E_x[exp(-lam X_t^m)]: a Dirac mass adds its
+    weight, a Dirac derivative its weight times -(d/dy) exp(-lam y^m) at 0."""
+    for atom in atoms:
+        w = atom.weight(t, x)
+        if atom.order == 0:
+            val += w  # exp(-lam*0) = 1
+        else:
+            val += lam * w if m == 1.0 else 0.0
+    return val
+
+
 def _kernel(logf, atoms=()) -> Kernel:
     def cont(t: float, x: float, y: float) -> float:
         return math.exp(logf(t, x, y))
     return Kernel(continuous=cont, log_continuous=logf, atoms=tuple(atoms))
+
+
+def _core_sum(nu: float, c: float, omega: float, terms, g: float = 0.0, m: float = 1.0,
+              atoms=()) -> Tuple[Kernel, Callable]:
+    """(kernel, closed-form expectation) of the h-transformed core of the
+    module docstring, terms = ((c_i, p_i, beta_i), ...) with c_i > 0."""
+    logc = tuple((math.log(ci), p, beta) for ci, p, beta in terms)
+    pb = tuple((p, beta) for _, p, beta in terms)
+    single, (_, p0, beta0), atoms = len(terms) == 1, terms[0], tuple(atoms)
+
+    def log_terms(z: float, lz: float):  # log c_i Z^p_i e^(-beta_i Z), lz = log Z
+        return [lc + p * lz - beta * z for lc, p, beta in logc]
+
+    def log_w(x: float):  # log w_i(X), X = x^m, for two or more terms
+        ls = log_terms(x ** m, m * math.log(x))
+        top = _log_sum_exp(ls)
+        return [l - top for l in ls]
+
+    def log_p(t: float, x: float, y: float) -> float:
+        if m == 2.0:  # with the Jacobian 2y
+            sx, sy, dY, jac = x, y, (y - x) * (y + x), math.log(2.0 * y)
+        else:
+            sx, sy, dY, jac = math.sqrt(x), math.sqrt(y), y - x, 0.0
+        lx, ly = math.log(x), math.log(y)
+        if single:  # (Y/X)^p0 e^(-beta0 (Y - X)), Y - X formed without cancellation
+            ratio = p0 * m * (ly - lx) - beta0 * dY
+        else:
+            ratio = (_log_sum_exp(log_terms(y ** m, m * ly))
+                     - _log_sum_exp(log_terms(x ** m, m * lx)))
+        return jac + g * t + ratio + _log_bessel_core(nu, c, omega, t, sx, sy)
+
+    def expect(lam: float, t: float, x: float) -> float:
+        if lam < 0:
+            raise DomainError("expectation: lam >= 0 required")
+        sx = x if m == 2.0 else math.sqrt(x)
+        moments = _log_core_moments(nu, c, omega, lam, t, sx, pb)
+        if single:
+            val = math.exp(g * t + next(moments))
+        else:
+            val = sum([math.exp(lw + g * t + lb) for lw, lb in zip(log_w(x), moments)])
+        return _with_atoms(val, atoms, lam, t, x, m)
+
+    return _kernel(log_p, atoms), expect
 
 
 def _check_positive(name: str, **vals: float) -> None:
@@ -223,8 +325,7 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
 
     Kernel: Bessel-type with index-shift absorbing both killings; the mu > 0
     case needs n >= 2 (the C2 = 0 branch is the transition density only
-    there). Expectations: a regular-Kummer formula for mu = 0, a cosh/sinh
-    formula for nu = 0, and a Laplace-Bessel moment for the joint case.
+    there). The expectation is one Laplace-Bessel moment for all mu, nu.
     """
     if b is not None:
         if mu:
@@ -245,9 +346,7 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
     pot = PotentialSpec(form="inverse_plus_linear", mu=mu, nu_coeff=nu) \
         if (mu or nu) else PotentialSpec(form="zero")
 
-    def log_p(t: float, x: float, y: float) -> float:
-        return (0.25 * (n - 2.0) * (math.log(y) - math.log(x))
-                + _log_bessel_core(w, 0.5, b, t, math.sqrt(x), math.sqrt(y)))
+    kernel, expect = _core_sum(w, 0.5, b, ((1.0, 0.25 * (n - 2.0), 0.0),))
 
     u0 = ric = rhs = None
     if mu == 0.0:  # y^d does not solve the stationary ODE with mu*x killing
@@ -257,33 +356,11 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
         ric = RiccatiParams("linear", A=0.0, B=0.5 * n * (n - 4.0) + 4.0 * nu)
         rhs = orbit_transform(diff, u0, ric)
 
-    def expect(lam: float, t: float, x: float) -> float:
-        if lam < 0:
-            raise DomainError("besq expectation: lam >= 0 required")
-        if mu == 0.0:
-            alpha, beta = d + 0.5 * n, 2.0 * d + 0.5 * n
-            z = x / (2.0 * t + 4.0 * t * t * lam)
-            lg = (-x / (2.0 * t) + d * (math.log(x) - math.log(2.0 * t))
-                  + specfun.gamma_ln(alpha) - specfun.gamma_ln(beta)
-                  - alpha * math.log1p(2.0 * lam * t))
-            return math.exp(lg) * specfun.hypergeom_1f1(alpha, beta, z)
-        if nu == 0.0:
-            cth = 1.0 / math.tanh(b * t)
-            num = -(x * b / 2.0) * (1.0 + 2.0 * lam * cth / b) / (cth + 2.0 * lam / b)
-            den = math.cosh(b * t) + (2.0 * lam / b) * math.sinh(b * t)
-            return math.exp(num) / den ** (0.5 * n)
-        bt = b * t
-        sh, rate = math.sinh(bt), 0.5 * b / math.tanh(bt)
-        q = 0.25 * (n - 2.0)
-        val = specfun.laplace_bessel_moment(q, w, lam + rate, 0.5 * b * math.sqrt(x) / sh)
-        return math.exp(math.log(b / (2.0 * sh)) - q * math.log(x) - rate * x) * val
-
     return CatalogEntry(
         name="besq", params={"n": n, "mu": mu, "nu": nu},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p),
+        diffusion=diff, potential=pot, kernel=kernel,
         u0=u0, riccati=ric, transform_rhs=rhs, expectation_closed=expect,
-        state_power=1.0, functional_param="nu" if nu else "mu",
-        notes="mu*x killing requires n >= 2; nu/x killing shifts the Bessel index")
+        state_power=1.0, functional_param="nu" if nu else "mu")
 
 
 def besq_cosh_variant(t: float, x: float, y: float) -> float:
@@ -325,30 +402,19 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
     pot = PotentialSpec(form="power", mu=mu / 4.0, n=-2.0) if mu \
         else PotentialSpec(form="zero")
 
-    def log_p(t: float, x: float, y: float) -> float:
-        return (math.log(2.0 * y) + (a - 0.5) * (math.log(y) - math.log(x))
-                + _log_bessel_core(nu_ix - 1.0, 0.5, 0.0, t, x, y))
+    # E_x[exp(-lam*X_t^2 - (mu/4) int ds/X_s^2)]
+    kernel, expect = _core_sum(nu_ix - 1.0, 0.5, 0.0, ((1.0, 0.5 * (a - 0.5), 0.0),),
+                               m=2.0)
 
     u0 = gauge_solution(diff, lambda y: (d + a) * math.log(y),
                         f"power branch y^{d:.6g}", "constant_one")
     ric = RiccatiParams("linear", A=0.0, B=0.5 * a * (a - 1.0) + 0.25 * mu)
 
-    def expect(lam: float, t: float, x: float) -> float:
-        # E_x[exp(-lam*X_t^2 - (mu/4) int ds/X_s^2)]
-        alpha = 0.25 * (1.0 + 2.0 * a + 2.0 * nu_ix)
-        z = x * x / (2.0 * t + 4.0 * t * t * lam)
-        lg = (-x * x / (2.0 * t) + 0.5 * d * (2.0 * math.log(x) - math.log(2.0 * t))
-              + specfun.gamma_ln(alpha) - specfun.gamma_ln(nu_ix)
-              - alpha * math.log1p(2.0 * t * lam))
-        return math.exp(lg) * specfun.hypergeom_1f1(alpha, nu_ix, z)
-
     return CatalogEntry(
         name="bessel", params={"a": a, "mu": mu},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p),
+        diffusion=diff, potential=pot, kernel=kernel,
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=expect, state_power=2.0, functional_param="mu",
-        notes="expectation weight is exp(-lam*X_t^2); an independent integral "
-              "representation of the same expectation is used as a cross-check")
+        expectation_closed=expect, state_power=2.0, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +422,8 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
-    """dX = ((a+1/2)/X + b*I_{a+1}(bX)/I_a(bX)) dt + dW; killing mu/x^2."""
+    """dX = ((a+1/2)/X + b*I_{a+1}(bX)/I_a(bX)) dt + dW; killing mu/x^2. No
+    closed-form expectation: quadrature only."""
     if not a > -1.0:
         raise ValidityError("bessel_drift: requires a > -1")
     _check_positive("bessel_drift", b=b)
@@ -402,24 +469,20 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
         name="bessel_drift", params={"a": a, "b": b, "mu": mu},
         diffusion=diff, potential=pot, kernel=_kernel(log_p),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=None, state_power=2.0, functional_param="mu",
-        notes="no closed-form Laplace expectation; quadrature fallback only")
+        expectation_closed=None, state_power=2.0, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
 # entry 4: mean-reverting square-root process
 # ---------------------------------------------------------------------------
 
-def _affine_log_kernel(a: float, b: float, sigma: float, A: float,
-                       nu: float) -> Callable[[float, float, float], float]:
-    """Log kernel of dX = (a - bX) dt + sqrt(2 sigma X) dW killed at mu/x +
-    mu_lin*x (A = b^2 + 4*sigma*mu_lin; index nu): cir, generic_quadratic."""
-    p, c, omega = 0.5 * a / sigma - 0.5, 1.0 / sigma, 0.5 * math.sqrt(A)
-
-    def log_p(t: float, x: float, y: float) -> float:
-        return (p * (math.log(y) - math.log(x)) + 0.5 * b * (x - y + a * t) / sigma
-                + _log_bessel_core(nu, c, omega, t, math.sqrt(x), math.sqrt(y)))
-    return log_p
+def _affine_core(a: float, b: float, sigma: float, A: float, nu: float):
+    """_core_sum of dX = (a - bX) dt + sqrt(2 sigma X) dW killed at mu/x +
+    mu_lin*x (A = b^2 + 4 sigma mu_lin, index nu); beta = c b/2 is formed as
+    c*omega is, so that the two are equal at A = b^2."""
+    c = 1.0 / sigma
+    return _core_sum(nu, c, 0.5 * math.sqrt(A), ((1.0, 0.5 * a * c - 0.5, 0.5 * b * c),),
+                     g=0.5 * a * b * c)
 
 
 def _make_cir(a: float, b: float, sigma: float, mu: float = 0.0,
@@ -438,31 +501,15 @@ def _make_cir(a: float, b: float, sigma: float, mu: float = 0.0,
     else:
         pot = PotentialSpec(form="zero")
 
-    log_p = _affine_log_kernel(a, b, sigma, b * b + 4.0 * mu_lin * sigma, nu_ix)
-
-    def expect(lam: float, t: float, x: float) -> float:
-        # E_x[exp(-lam*X_t - mu int ds/X_s)], closed Whittaker form (mu_lin=0)
-        if mu_lin != 0.0:
-            raise CapabilityError("cir: closed-form expectation requires mu_lin = 0")
-        if lam < 0:
-            raise DomainError("cir expectation: lam >= 0 required")
-        k = a / (2.0 * sigma)
-        alph = (b / (2.0 * sigma)) * (1.0 + 1.0 / math.tanh(0.5 * b * t)) + lam
-        beta = b * math.sqrt(x) / (2.0 * sigma * math.sinh(0.5 * b * t))
-        z = beta * beta / alph
-        lg = (specfun.gamma_ln(k + 0.5 * nu_ix + 0.5) - specfun.gamma_ln(nu_ix + 1.0)
-              + (b / (2.0 * sigma)) * (a * t + x - x / math.tanh(0.5 * b * t))
-              - k * (math.log(alph) + math.log(x)) + 0.5 * z)
-        return math.exp(lg) * specfun.whittaker_m(-k, 0.5 * nu_ix, z)
+    # E_x[exp(-lam*X_t - mu int ds/X_s - mu_lin int X_s ds)]
+    kernel, expect = _affine_core(a, b, sigma, b * b + 4.0 * mu_lin * sigma, nu_ix)
 
     return CatalogEntry(
         name="cir", params={"a": a, "b": b, "sigma": sigma, "mu": mu,
                             "mu_lin": mu_lin},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p),
+        diffusion=diff, potential=pot, kernel=kernel,
         u0=None, transform_rhs=None, expectation_closed=expect,
-        state_power=1.0, functional_param="mu",
-        notes="kernel covers mu/x, mu_lin*x and joint killing; the closed "
-              "expectation covers mu/x only")
+        state_power=1.0, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -501,40 +548,21 @@ def _make_rational_drift(a: float, mu: float = 0.0,
         rate = rmu + 2.0 * rmu / math.expm1(2.0 * rmu * t) if mu else 1.0 / t
         return -rate * x - math.log(2.0 + a * x)
 
-    def log_p(t: float, x: float, y: float) -> float:
-        return (math.log(2.0 + a * y) - math.log(2.0 + a * x)
-                + 0.5 * (math.log(x) - math.log(y))
-                + _log_bessel_core(1.0, 1.0, rmu, t, math.sqrt(x), math.sqrt(y)))
-
     atom = AtomSpec(weight=lambda t, x: 2.0 * math.exp(log_u1(t, x)), order=0)
+    # u(y) = (2 + ay)/sqrt(y); E_x[exp(-lam*X_t - mu int X_s ds)]
+    kernel, expect = _core_sum(1.0, 1.0, rmu, ((2.0, -0.5, 0.0), (a, 0.5, 0.0)),
+                               atoms=(atom,))
 
     u0 = gauge_solution(diff, lambda y: -rmu * y,
                         "decaying exponential branch /(2+ay)", "nonconstant")
     ric = RiccatiParams("quadratic", A=4.0 * mu, B=0.0) if mu \
         else RiccatiParams("linear", A=0.0, B=0.0)
 
-    def expect(lam: float, t: float, x: float) -> float:
-        # E_x[exp(-lam*X_t - mu int X_s ds)] = U1 * e^{z} * (2 + a c^2/s^2),
-        # z = c^2/s, c^2 = mu*x/sinh^2, s = lam + sqrt(mu)*coth -- derived by
-        # integrating the kernel brackets with the Laplace-Bessel moment.
-        if lam < 0:
-            raise DomainError("rational_drift expectation: lam >= 0 required")
-        if mu == 0.0:
-            c2, s = x / (t * t), lam + 1.0 / t
-        else:
-            sh = math.sinh(rmu * t)
-            c2, s = mu * x / (sh * sh), lam + rmu / math.tanh(rmu * t)
-        z = c2 / s
-        return math.exp(log_u1(t, x) + z) * (2.0 + a * c2 / (s * s))
-
     return CatalogEntry(
         name="rational_drift", params={"a": a, "mu": mu, "mu_inv": 0.0},
-        diffusion=diff, potential=pot,
-        kernel=_kernel(log_p, atoms=(atom,)),
+        diffusion=diff, potential=pot, kernel=kernel,
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=expect, state_power=1.0, functional_param="mu",
-        notes="Dirac mass at 0: weight is twice the unit symmetry orbit because "
-              "the stationary branch has value 1/2 at the origin")
+        expectation_closed=expect, state_power=1.0, functional_param="mu")
 
 
 def _rational_drift_inverse(a: float, mu_inv: float,
@@ -574,9 +602,7 @@ def _rational_drift_inverse(a: float, mu_inv: float,
         diffusion=diff, potential=pot,
         kernel=Kernel(continuous=cont, log_continuous=None, finite_part=True),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=None, state_power=1.0, functional_param="mu_inv",
-        notes="finite-part kernel: pointwise values only; the second bracket "
-              "term is non-integrable near y=0 and quadrature checks do not apply")
+        expectation_closed=None, state_power=1.0, functional_param="mu_inv")
 
 
 # ---------------------------------------------------------------------------
@@ -600,35 +626,20 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
                          label="tanh_drift")
     pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
 
-    def log_p(t: float, x: float, y: float) -> float:
-        return (log_cosh(y) - log_cosh(x) + 0.5 * (math.log(x) - math.log(y))
-                + _log_bessel_core(1.0, 1.0, k, t, math.sqrt(x), math.sqrt(y)))
-
     u0 = gauge_solution(diff, lambda y: -k * y, "decaying branch exp(-ky)/cosh(y)",
                         "nonconstant")
     ric = RiccatiParams("quadratic", A=4.0 * (1.0 + mu), B=0.0)
     u1 = atom_weight(diff, pot, u0, ric)  # (x, t); u0(0+) = 1
     atom = AtomSpec(weight=lambda t, x: u1(x, t), order=0)
-
-    def expect(lam: float, t: float, x: float) -> float:
-        # E_x[exp(-lam*X_t - mu int X_s ds)]; the two cosh exponentials each
-        # integrate to a Laplace-Bessel moment in closed form.
-        if lam < 0:
-            raise DomainError("tanh_drift expectation: lam >= 0 required")
-        kt = k * t
-        csch = 1.0 / math.sinh(kt)
-        u1x = u1(x, t)
-        a1 = k * k * x * csch / (k * math.cosh(kt) + (lam - 1.0) * math.sinh(kt))
-        a2 = k * k * x * csch / (k * math.cosh(kt) + (lam + 1.0) * math.sinh(kt))
-        return 0.5 * u1x * (math.exp(a1) + math.exp(a2))
+    # u(y) = cosh(y)/sqrt(y); E_x[exp(-lam*X_t - mu int X_s ds)]
+    kernel, expect = _core_sum(1.0, 1.0, k, ((0.5, -0.5, -1.0), (0.5, -0.5, 1.0)),
+                               atoms=(atom,))
 
     return CatalogEntry(
         name="tanh_drift", params={"mu": mu},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p, atoms=(atom,)),
+        diffusion=diff, potential=pot, kernel=kernel,
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=expect, state_power=1.0, functional_param="mu",
-        notes="Dirac mass at 0 with weight equal to the unit symmetry orbit "
-              "(the stationary branch has value 1 at the origin)")
+        expectation_closed=expect, state_power=1.0, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -652,30 +663,16 @@ def _make_radial_ou(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
                          label="radial_ou")
     pot = PotentialSpec(form="power", mu=mu, n=2.0) if mu else PotentialSpec(form="zero")
 
-    def log_p(t: float, x: float, y: float) -> float:
-        return (math.log(2.0 * y) + (nu_ix - 1.0) * (math.log(y) - math.log(x))
-                - b * nu_ix * t - 0.25 * b * (x - y) * (x + y)
-                + _log_bessel_core(nu_ix - 1.0, 0.25, alpha, t, x, y))
-
-    def expect(lam: float, t: float, x: float) -> float:
-        # E_x[exp(-lam*X_t^2 - mu int X_s^2 ds)]
-        if lam < 0:
-            raise DomainError("radial_ou expectation: lam >= 0 required")
-        at = alpha * t
-        cth = 1.0 / math.tanh(at)
-        g = b - 4.0 * lam
-        lg = (-0.25 * b * x * x
-              + alpha * (alpha - g * cth) * x * x / (4.0 * (g - alpha * cth))
-              - b * nu_ix * t
-              - nu_ix * math.log(math.cosh(at) - g * math.sinh(at) / alpha))
-        return math.exp(lg)
+    # u(y) = y^(nu - 1) e^(b y^2/4); E_x[exp(-lam*X_t^2 - mu int X_s^2 ds)]
+    kernel, expect = _core_sum(nu_ix - 1.0, 0.25, alpha,
+                               ((1.0, 0.5 * (nu_ix - 1.0), -0.25 * b),),
+                               g=-b * nu_ix, m=2.0)
 
     return CatalogEntry(
         name="radial_ou", params={"a": a, "b": b, "mu": mu},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p),
+        diffusion=diff, potential=pot, kernel=kernel,
         u0=None, transform_rhs=None, expectation_closed=expect,
-        state_power=2.0, functional_param="mu",
-        notes="expectation weight is exp(-lam*X_t^2)")
+        state_power=2.0, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -697,15 +694,13 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
         label="rational_showcase")
     pot = PotentialSpec(form="zero")
 
-    def log_r(t: float, x: float, y: float) -> float:
-        return (math.log(x) - math.log(y)
-                + math.log(b + a * y * y) - math.log(b + a * x * x)
-                + _log_bessel_core(2.0, 1.0, 0.0, t, math.sqrt(x), math.sqrt(y)))
-
     atom0 = AtomSpec(order=0, weight=lambda t, x:
                      b * (x + t) * math.exp(-x / t) / (t * (b + a * x * x)))
     atom1 = AtomSpec(order=1, weight=lambda t, x:
                      b * t * math.exp(-x / t) / (b + a * x * x))
+    # u(y) = (b + a y^2)/y; the closed expectation is the transform (u0 = 1)
+    kernel, _ = _core_sum(2.0, 1.0, 0.0, ((b, -1.0, 0.0), (a, 1.0, 0.0)),
+                          atoms=(atom0, atom1))
 
     u0 = StationarySolution(eval=lambda y: 1.0, log_eval=lambda y: 0.0,
                             description="constant 1",
@@ -717,13 +712,9 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
 
     return CatalogEntry(
         name="rational_showcase", params={"a": a, "b": b},
-        diffusion=diff, potential=pot,
-        kernel=_kernel(log_r, atoms=(atom0, atom1)),
+        diffusion=diff, potential=pot, kernel=kernel,
         u0=u0, riccati=ric, transform_rhs=rhs,
-        expectation_closed=rhs, state_power=1.0, functional_param="",
-        notes="structural entry: Dirac-derivative atom carried with signed "
-              "weight, excluded from mass; continuous-only mass has a known "
-              "closed-form defect")
+        expectation_closed=rhs, state_power=1.0, functional_param="")
 
 
 def rational_showcase_continuous_mass(a: float, b: float, t: float, x: float) -> float:
@@ -735,7 +726,40 @@ def rational_showcase_continuous_mass(a: float, b: float, t: float, x: float) ->
 # entry 9: drift a - b*sqrt(x) with its computable potential
 # ---------------------------------------------------------------------------
 
-_SERIES_REL_TOL, _SERIES_MAX_TERMS = 1e-13, 500  # sqrt_drift expectation series
+# sqrt_drift series: it stops at a term below _SERIES_REL_TOL of the sum and raises
+# where sum |term| > _SERIES_MAX_CANCELLATION |sum| (fewer than ~10 digits left)
+_SERIES_REL_TOL, _SERIES_MAX_TERMS, _SERIES_MAX_CANCELLATION = 1e-13, 500, 1e5
+
+
+def _sqrt_drift_expectation(a: float, b: float, A: float, w: float, lam: float,
+                            t: float, x: float) -> float:
+    """E_x[exp(-lam*X_t - int g ds)] of sqrt_drift, whose u(y) = y^((a-1)/2)
+    e^(-b sqrt(y)) is the series sum_j (-b)^j/j! y^((a-1+j)/2): each series
+    term is one moment of _log_core_moments, weighted by (-b sqrt(x))^j/j!."""
+    if lam < 0:
+        raise DomainError("expectation: lam >= 0 required")
+    sx = math.sqrt(x)
+    log_bx = math.log(abs(b) * sx) if b else -math.inf
+    total = size = log_coef = 0.0
+    sign = 1.0
+    moments = _log_core_moments(w, 1.0, 0.0, lam, t, sx, (
+        (0.5 * (a - 1.0 + j), 0.0) for j in range(_SERIES_MAX_TERMS)))
+    for j, log_moment in enumerate(moments):
+        term = sign * math.exp(log_coef + log_moment)
+        total += term
+        size += abs(term)
+        if j > 3 and abs(term) < _SERIES_REL_TOL * max(abs(total), 1e-300):
+            if size > _SERIES_MAX_CANCELLATION * max(abs(total), 1e-300):
+                raise ConvergenceError(
+                    "sqrt_drift expectation: alternating series loses "
+                    f"precision (sum of |terms| {size:.3e} vs sum {total:.3e}); "
+                    "b*sqrt(x_typ) is too large for double precision")
+            return math.exp(b * sx - 0.5 * A * t) * total
+        log_coef += log_bx - math.log(j + 1.0)
+        sign = -sign if b > 0 else sign
+    raise ConvergenceError(
+        "sqrt_drift expectation: series did not converge "
+        f"in {_SERIES_MAX_TERMS} terms")
 
 
 def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
@@ -774,41 +798,12 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
     u0 = gauge_solution(diff, log_gauge, f"Bessel branch index {w:.6g}")
     ric = RiccatiParams("linear", A=0.5 * A, B=B)
 
-    def expect(lam: float, t: float, x: float) -> float:
-        # series in the sqrt-term of the drift weight:
-        # exp(-b sqrt(y)) = sum_j (-b)^j y^{j/2} / j!, each term a
-        # Laplace-Bessel moment
-        if lam < 0:
-            raise DomainError("sqrt_drift expectation: lam >= 0 required")
-        pref = (-math.log(t) + 0.5 * (1.0 - a) * math.log(x) + b * math.sqrt(x)
-                - 0.5 * A * t - x / t)
-        s = lam + 1.0 / t
-        c = math.sqrt(x) / t
-        total, coef, largest = 0.0, 1.0, 0.0
-        for j in range(_SERIES_MAX_TERMS):
-            mom = specfun.laplace_bessel_moment(0.5 * (a - 1.0 + j), w, s, c)
-            term = coef * mom
-            total += term
-            largest = max(largest, abs(term))
-            if j > 3 and abs(term) < _SERIES_REL_TOL * max(abs(total), 1e-300):
-                if largest > 1e13 * max(abs(total), 1e-300):
-                    raise ConvergenceError(
-                        "sqrt_drift expectation: alternating series loses "
-                        f"precision (peak term {largest:.3e} vs sum {total:.3e}); "
-                        "b*sqrt(x_typ) is too large for double precision")
-                return math.exp(pref) * total
-            coef *= -b / (j + 1.0)  # (-b)^j / j! without overflow
-        raise ConvergenceError(
-            "sqrt_drift expectation: series did not converge "
-            f"in {_SERIES_MAX_TERMS} terms")
-
     return CatalogEntry(
         name="sqrt_drift", params={"a": a, "b": b, "A": A, "B": B},
         diffusion=diff, potential=pot, kernel=_kernel(log_p),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=expect, state_power=1.0, functional_param="",
-        notes="killing sign convention: exp(-int g ds); flagged because the "
-              "opposite convention also appears for this family")
+        expectation_closed=functools.partial(_sqrt_drift_expectation, a, b, A, w),
+        state_power=1.0, functional_param="")
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +831,6 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
     if c1 == 0.0 and c2 == 0.0:
         raise ValidityError("generic_linear: (c1, c2) must not both be zero")
     c = math.sqrt(2.0 * A) / sigma
-    log_ive = specfun.log_bessel_ive
 
     def _combo(order: float, z: float) -> float:  # e^-z (c1 I_order + c2 I_-order)(z)
         return ((c1 * specfun.bessel_i(order, z, scaled=True) if c1 else 0.0)
@@ -880,17 +874,20 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
     ric = RiccatiParams("linear", A=0.5 * A / sigma, B=B + 2.0 * sigma * mu)
 
     def cont(t: float, x: float, y: float) -> float:
-        # c1 I_nu(zi) I_nu(zy) + c2 I_-nu(zi) I_-nu(zy), zy = c sqrt(y): each branch
-        # is the Bessel core times e^-zy I(zy); e^zy is carried outside the sum
+        # sum_i w_i e^(core_i) / (w1 + w2) times y(y)/sqrt(y) over y(x)/sqrt(x),
+        # zy = c sqrt(y), w_i = c_i e^-zy I_(+-nu)(zy): the sum over u0(y)'s
+        # numerator c1 I_nu(zy) + c2 I_-nu(zy), so one branch needs no I(zy)
         sx, sy = math.sqrt(x), math.sqrt(y)
         zy = c * sy
-        l1 = (_log_bessel_core(nu_ix, 1.0 / sigma, 0.0, t, sx, sy)
-              + log_ive(nu_ix, zy)) if c1 else 0.0
-        l2 = (_log_bessel_core(-nu_ix, 1.0 / sigma, 0.0, t, sx, sy)
-              + log_ive(-nu_ix, zy)) if c2 else 0.0
-        s, m = _scaled_sum(c1, l1, c2, l2)
-        return s * math.exp(m + zy + 0.5 * math.log(x) - log_y(x)
-                            - A * t / (2.0 * sigma)) / u0_val(y)
+        w1, w2 = float(c1 != 0.0), float(c2 != 0.0)
+        if c1 and c2:
+            w1 = c1 * specfun.bessel_i(nu_ix, zy, scaled=True)
+            w2 = c2 * specfun.bessel_i(-nu_ix, zy, scaled=True)
+        l1 = _log_bessel_core(nu_ix, 1.0 / sigma, 0.0, t, sx, sy) if w1 else 0.0
+        l2 = _log_bessel_core(-nu_ix, 1.0 / sigma, 0.0, t, sx, sy) if w2 else 0.0
+        s, m = _scaled_sum(w1, l1, w2, l2)
+        return s / (w1 + w2) * _combo(alpha, zy) * math.exp(
+            m + zy + 0.5 * math.log(x) - log_y(x) - A * t / (2.0 * sigma))
 
     return CatalogEntry(
         name="generic_linear",
@@ -898,9 +895,7 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
         diffusion=diff, potential=pot,
         kernel=Kernel(continuous=cont, log_continuous=None),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=None, state_power=1.0, functional_param="mu",
-        notes="expectation via quadrature fallback; no log form because the "
-              "two-branch bracket can be formed from mixed signs")
+        expectation_closed=None, state_power=1.0, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +906,8 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
                             c1: float = 1.0, c2: float = 0.0) -> CatalogEntry:
     """dX = (a - bX) dt + sqrt(2 sigma X) dW; killing mu*x. The group-invariant
     kernel of the quadratic family, default branch weights (1, 0); I_{-nu} is
-    read as K_nu at integer nu."""
+    read as K_nu at integer nu. No Laplace-type transform (the group parameter
+    enters exponentially); the Whittaker-transform check uses it."""
     _check_positive("generic_quadratic", sigma=sigma, a=a)
     _check_nonneg("generic_quadratic", mu=mu)
     A = b * b + 4.0 * mu * sigma
@@ -925,7 +921,7 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
                          label="generic_quadratic")
     pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
 
-    log_p = _affine_log_kernel(a, b, sigma, A, nu_ix)  # cir with mu_lin = mu
+    log_p = _affine_core(a, b, sigma, A, nu_ix)[0].log_continuous  # cir, mu_lin = mu
     nu_is_int = abs(nu_ix - round(nu_ix)) < 1e-12
 
     def cont(t: float, x: float, y: float) -> float:
@@ -946,9 +942,7 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
         kernel=_kernel(lambda t, x, y: math.log(c1) + log_p(t, x, y))
         if c2 == 0.0 and c1 > 0 else Kernel(continuous=cont, log_continuous=None),
         u0=None, transform_rhs=None, expectation_closed=None,
-        state_power=1.0, functional_param="mu",
-        notes="no Laplace-type transform for this family (the group parameter "
-              "enters exponentially); used by the Whittaker-transform check")
+        state_power=1.0, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -1047,6 +1041,17 @@ def density(entry, params: Optional[Dict[str, float]], t: float, x: float,
     return _evaluate("density", e, fn, t, x, y)
 
 
+def atom_weights(entry, params: Optional[Dict[str, float]], t: float,
+                 x: float) -> list:
+    """(location, order, weight) of each boundary atom of the kernel at (t, x)."""
+    e = _resolve(entry, params)
+    t, x = float(t), float(x)
+    if not (t > 0 and x > 0):
+        raise DomainError("atom_weights: requires t > 0, x > 0")
+    return [(a.location, a.order, _evaluate("atom_weights", e, a.weight, t, x))
+            for a in e.kernel.atoms]
+
+
 def transform_rhs(entry, params: Optional[Dict[str, float]], lam: float,
                   t: float, x: float) -> float:
     """Closed-form right-hand side of the entry's transform identity."""
@@ -1081,13 +1086,7 @@ def _quadrature_expectation(e: CatalogEntry, lam: float, t: float,
         raise ConvergenceError(
             f"expectation: quadrature for entry {e.name} did not converge "
             f"(estimate {val!r}, error {err!r})")
-    for atom in e.kernel.atoms:
-        w = atom.weight(t, x)
-        if atom.order == 0:
-            val += w  # exp(-lam*0) = 1
-        else:
-            val += lam * w if m == 1.0 else 0.0  # -(d/dy) exp(-lam*y^m) at 0
-    return val
+    return _with_atoms(val, e.kernel.atoms, lam, t, x, m)
 
 
 def expectation(entry, params: Optional[Dict[str, float]], lam: float,

@@ -180,11 +180,11 @@ def _cmd_density(args, extra: Sequence[str], out) -> int:
     for y in ys:
         if y <= 0:
             continue  # the y=0 boundary carries the atoms, listed below
-        dens = entry.kernel.continuous(t, x, y)
-        log_dens = (entry.kernel.log_continuous(t, x, y)
+        dens = catalog.density(entry, None, t, x, y)
+        log_dens = (catalog.density(entry, None, t, x, y, log=True)
                     if entry.kernel.log_continuous is not None else None)
         rows.append((t, x, y, dens, log_dens))
-    atoms = [(a.location, a.order, a.weight(t, x)) for a in entry.kernel.atoms]
+    atoms = catalog.atom_weights(entry, None, t, x)
     mass_row = None
     if args.check_mass:
         mass_row = verify.check_mass(entry, t, x)

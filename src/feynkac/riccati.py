@@ -31,7 +31,7 @@ v = f(x)*ln(x)/x, evaluated directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -92,12 +92,11 @@ class DiffusionSpec:
     drift_antiderivative: Optional[Callable[[float], float]] = None
     label: str = ""
     drift_derivative: Optional[Callable[[float], float]] = None
-    skip_validation: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise DomainError("DiffusionSpec: sigma must be > 0")
-        if self.skip_validation or self.drift_antiderivative is None:
+        if self.drift_antiderivative is None:
             return
         for x in _VALIDATION_POINTS:
             want = self.drift(x) / x ** self.gamma

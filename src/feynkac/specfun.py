@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import scipy.special as sc
+from scipy.special import cython_special  # scalar entry points of the same C code
 
 from .errors import ConvergenceError, DomainError, EvalOverflowError, PoleError
 
@@ -22,12 +23,14 @@ __all__ = [
     "log_bessel_ive",
     "bessel_k",
     "hypergeom_1f1",
+    "log_hypergeom_1f1",
     "tricomi_u",
     "whittaker_m",
     "whittaker_w",
     "gamma_ln",
     "erf",
     "laplace_bessel_moment",
+    "log_laplace_bessel_moment_scaled",
 ]
 
 
@@ -62,7 +65,7 @@ def _ive(nu: float, z: float) -> float:
     non-integer nu; below z = 700, wherever scipy's iv is finite, iv times
     exp(-z) is within about 2e-15 of mpmath."""
     if z < 700.0:
-        out = float(sc.iv(nu, z))
+        out = cython_special.iv(float(nu), float(z))
         if math.isfinite(out):
             return out * math.exp(-z)
     return float(sc.ive(nu, z))
@@ -169,7 +172,7 @@ def hypergeom_1f1(a: float, b: float, z: float) -> float:
         # scipy.special.hyp1f1 misbehaves for tiny |z|; the truncated series
         # is exact to double precision here
         return 1.0 + a / b * z
-    out = float(sc.hyp1f1(a, b, z))
+    out = cython_special.hyp1f1(float(a), float(b), float(z))
     if math.isnan(out):
         raise ConvergenceError(f"hypergeom_1f1: evaluation failed at ({a}, {b}, {z})")
     if math.isinf(out):
@@ -243,43 +246,51 @@ def erf(x: float) -> float:
     return float(sc.erf(x))
 
 
-def laplace_bessel_moment(p: float, nu: float, s: float, c: float) -> float:
-    """Closed form of the moment integral
+def log_hypergeom_1f1(a: float, b: float, z: float) -> float:
+    """log 1F1(a, b, z) where 1F1(a, b, z) > 0; where the direct value
+    overflows or fails, by Kummer's transform 1F1(a, b, z) = e^z 1F1(b-a, b, -z)."""
+    _check_finite("log_hypergeom_1f1", a, b, z)
+    if a == 0.0:  # 1F1(0, b, z) = 1: the moments of most catalog kernels
+        return 0.0
+    try:
+        f = hypergeom_1f1(a, b, z)
+        if f > 0.0:
+            return math.log(f)
+    except (EvalOverflowError, ConvergenceError):
+        pass
+    f = hypergeom_1f1(b - a, b, -z)
+    if not f > 0.0:
+        raise DomainError(f"log_hypergeom_1f1: 1F1({a}, {b}, {z}) <= 0, log undefined")
+    return z + math.log(f)
 
-        integral_0^inf  y^p e^{-s y} I_nu(2 c sqrt(y)) dy
-      = c^nu Gamma(p + nu/2 + 1) / (Gamma(nu+1) s^{p + nu/2 + 1})
-        * 1F1(p + nu/2 + 1, nu + 1, c^2 / s),
 
-    the workhorse behind every Bessel-kernel expectation here. Requires
-    s > 0, c >= 0, p + nu/2 + 1 > 0. Assembled in log domain: the 1F1 factor
-    grows like e^{c^2/s}, which is then tamed by the caller's exponents.
-    """
+def log_laplace_bessel_moment_scaled(p: float, nu: float, s: float, c: float) -> float:
+    """log of e^{-c^2/s} times the moment integral behind every Bessel-kernel
+    expectation, integral_0^inf y^p e^{-s y} I_nu(2 c sqrt(y)) dy =
+    c^nu Gamma(q) / (Gamma(nu+1) s^q) 1F1(q, nu + 1, c^2 / s), q = p + nu/2 + 1.
+    As log_bessel_ive leaves out e^z, this leaves out the e^{c^2/s} that 1F1
+    grows by (Kummer's transform leaves 1F1(nu + 1 - q, nu + 1, -c^2/s)), for
+    callers to cancel against their own exponent."""
     _check_finite("laplace_bessel_moment", p, nu, s, c)
-    if s <= 0:
-        raise DomainError("laplace_bessel_moment: s must be > 0")
-    if c < 0:
-        raise DomainError("laplace_bessel_moment: c must be >= 0")
     q = p + 0.5 * nu + 1.0
-    if q <= 0:
-        raise DomainError("laplace_bessel_moment: p + nu/2 + 1 must be > 0 (divergent integral)")
-    if _is_nonpositive_integer(nu + 1.0):
+    if not (s > 0 and c >= 0 and q > 0):  # q <= 0: the integral diverges
+        raise DomainError("laplace_bessel_moment: requires s > 0, c >= 0 and "
+                          f"p + nu/2 + 1 > 0 (got p={p}, nu={nu}, s={s}, c={c})")
+    if nu <= -1.0 and _is_nonpositive_integer(nu + 1.0):
         raise PoleError(f"laplace_bessel_moment: nu+1={nu+1} non-positive integer")
     if c == 0.0:
         if nu != 0.0:
-            return 0.0 if nu > 0 else math.inf
-        return math.exp(gamma_ln(q) - q * math.log(s))
+            return -math.inf if nu > 0 else math.inf
+        return math.lgamma(q) - q * math.log(s)
     w = c * c / s
-    # split 1F1 via Kummer's transform when w is large enough to overflow
-    f = float(sc.hyp1f1(q, nu + 1.0, w))
-    if math.isfinite(f) and f > 0.0:
-        lg = nu * math.log(c) + gamma_ln(q) - gamma_ln(nu + 1.0) - q * math.log(s) + math.log(f)
-    else:
-        f2 = float(sc.hyp1f1(nu + 1.0 - q, nu + 1.0, -w))
-        if not (math.isfinite(f2) and f2 > 0.0):
-            raise ConvergenceError(
-                f"laplace_bessel_moment: 1F1 failed at q={q}, nu={nu}, w={w}")
-        lg = (nu * math.log(c) + gamma_ln(q) - gamma_ln(nu + 1.0)
-              - q * math.log(s) + w + math.log(f2))
+    return (nu * math.log(c) + math.lgamma(q) - math.lgamma(nu + 1.0) - q * math.log(s)
+            + log_hypergeom_1f1(nu + 1.0 - q, nu + 1.0, -w))
+
+
+def laplace_bessel_moment(p: float, nu: float, s: float, c: float) -> float:
+    """The moment integral itself (see log_laplace_bessel_moment_scaled);
+    EvalOverflowError where it exceeds double precision."""
+    lg = log_laplace_bessel_moment_scaled(p, nu, s, c) + c * c / s
     if lg > 700.0:
         raise EvalOverflowError("laplace_bessel_moment: overflow; rescale the problem")
     return math.exp(lg)

@@ -38,7 +38,6 @@ from .errors import (
     CapabilityError,
     ConstructionError,
     DomainError,
-    EvalOverflowError,
 )
 from . import specfun
 from .riccati import DiffusionSpec, PotentialSpec, RiccatiParams, fit_riccati
@@ -132,21 +131,6 @@ class SymmetrySolution:
         return self.eval(p, x, t)
 
 
-def _log_hyp1f1(a: float, b: float, z: float) -> float:
-    """log of 1F1(a, b, z) for positive values, with a Kummer-transform
-    fallback when the direct evaluation overflows."""
-    try:
-        v = specfun.hypergeom_1f1(a, b, z)
-        if v > 0 and math.isfinite(v):
-            return math.log(v)
-    except EvalOverflowError:
-        pass
-    w = specfun.hypergeom_1f1(b - a, b, -z)
-    if w <= 0:
-        raise DomainError(f"_log_hyp1f1: non-positive value at ({a}, {b}, {z})")
-    return z + math.log(w)
-
-
 def _mu_zero_variant(pot: PotentialSpec) -> Optional[PotentialSpec]:
     if pot.form == "zero":
         return pot
@@ -235,7 +219,7 @@ def _quadratic_family_solution(diff: DiffusionSpec, params: RiccatiParams,
         z = rA * x / s
         base = 0.5 * beta * math.log(x) - 0.5 * z
         if c2 == 0.0:
-            return base + math.log(c1) + _log_hyp1f1(alpha, beta, z)
+            return base + math.log(c1) + specfun.log_hypergeom_1f1(alpha, beta, z)
         val = 0.0
         if c1 != 0.0:
             val += c1 * specfun.hypergeom_1f1(alpha, beta, z)

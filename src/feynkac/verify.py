@@ -432,7 +432,10 @@ def check_transform_identity(entry: cat.CatalogEntry, lam: float, t: float,
 def check_mass(entry: cat.CatalogEntry, t: float, x: float,
                expected: float = 1.0, tol: float = 1e-8) -> CheckRow:
     """Total mass of the kernel: continuous part plus Dirac masses (Dirac
-    derivatives carry no mass)."""
+    derivatives carry no mass). A finite-part kernel has no mass integral."""
+    if entry.kernel.finite_part:
+        raise CapabilityError(f"check_mass: entry {entry.name} has a finite-part "
+                              "kernel; it has pointwise values only")
     total = integrate_semi_infinite(
         lambda y: entry.kernel.continuous(t, x, y))
     for atom in entry.kernel.atoms:

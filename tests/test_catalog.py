@@ -12,7 +12,9 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.integrate as si
+import scipy.special as sc
 import scipy.stats as ss
 
 from feynkac import catalog as cat
@@ -92,9 +94,10 @@ def test_entry_params_are_read_only():
 
 
 def test_closed_form_arithmetic_error_is_feynkac_error():
-    # the tanh_drift closed form overflows math.cosh here
+    # at t = 400 the factor e^(-2t) of the tanh_drift moment underflows to 0
+    # and a division by zero follows
     with pytest.raises(EvalOverflowError):
-        cat.expectation("tanh_drift", {}, 1.0, 1e-4, 1000.0)
+        cat.expectation("tanh_drift", {}, 0.0, 400.0, 1.0)
 
 
 @pytest.mark.parametrize("name,params", [
@@ -471,13 +474,17 @@ def test_generic_kernels_finite_where_linear_domain_overflowed():
 ])
 def test_numpy_scalar_overflow_raises_like_python_floats(call):
     # with np.float64 arguments a division by zero used to give inf or NaN
-    # (with a RuntimeWarning) or a raw ValueError
-    for t, x in [(50.0, 1.0), (np.float64(50.0), np.float64(1.0)),
-                 (np.float64(50.0), np.float64(1e3))]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+    # (with a RuntimeWarning) or a raw ValueError; at t = 1000 the closed
+    # forms' factor e^(-2 omega t) underflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, x in [(1000.0, 1.0), (np.float64(1000.0), np.float64(1.0)),
+                     (np.float64(1000.0), np.float64(1e3))]:
             with pytest.raises(EvalOverflowError):
                 call(t, x)
+        for x in (1.0, 1e3):  # lam = 0 and no killing: the mass, 1
+            assert call(np.float64(50.0), np.float64(x)) == call(50.0, x) \
+                == pytest.approx(1.0, abs=1e-14)
 
 
 def test_numpy_scalar_arguments_give_python_float_values():
@@ -582,16 +589,18 @@ def test_density_domain_checks():
 # transforms and atoms from the symmetry orbits
 # ---------------------------------------------------------------------------
 
-def _benchmark_pool():
-    """The benchmark's parameter pool (perfbench/workloads.py, POOL)."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+def _benchmark_module(name):
+    """perfbench/<name>.py, loaded read-only (perfbench is not a package)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_benchmark_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(name, p) for name in sorted(module.POOL) for p in module.POOL[name]]
+    return module
 
 
-POOL = _benchmark_pool()
+WORKLOADS = _benchmark_module("workloads")
+# the benchmark's parameter pool
+POOL = [(name, p) for name in sorted(WORKLOADS.POOL) for p in WORKLOADS.POOL[name]]
 
 
 # The hand-written transform right-hand sides and tanh_drift atom weight that
@@ -810,3 +819,265 @@ def test_quadrature_expectation_with_negative_lambda():
         warnings.simplefilter("ignore")
         with pytest.raises(ConvergenceError):  # diverges from lam = -1/(2t) on
             cat.expectation("besq", {"n": 3}, -0.5, 1.0, 1.0, method="quadrature")
+
+
+# ---------------------------------------------------------------------------
+# closed-form expectations from the kernels' Bessel-core terms
+# ---------------------------------------------------------------------------
+
+# The seven hand-written closed-form expectations the catalog carried before
+# it derived them from each kernel's Bessel-core terms, frozen as oracles
+# (scipy and math in place of the specfun wrappers they called).
+
+def _1f1(a, b, z):
+    return float(sc.hyp1f1(a, b, z))
+
+
+def _moment(p, nu, s, c):
+    q = p + 0.5 * nu + 1.0
+    return math.exp(nu * math.log(c) + math.lgamma(q) - math.lgamma(nu + 1.0)
+                    - q * math.log(s)) * _1f1(q, nu + 1.0, c * c / s)
+
+
+def _closed_besq(lam, t, x, n, mu=0.0, nu=0.0):
+    w = 0.5 * math.sqrt((n - 2.0) ** 2 + 8.0 * nu)
+    d = 0.25 * (2.0 - n) + 0.5 * w
+    b = math.sqrt(2.0 * mu)
+    if mu == 0.0:
+        alpha, beta = d + 0.5 * n, 2.0 * d + 0.5 * n
+        z = x / (2.0 * t + 4.0 * t * t * lam)
+        lg = (-x / (2.0 * t) + d * (math.log(x) - math.log(2.0 * t))
+              + math.lgamma(alpha) - math.lgamma(beta) - alpha * math.log1p(2.0 * lam * t))
+        return math.exp(lg) * _1f1(alpha, beta, z)
+    if nu == 0.0:
+        cth = 1.0 / math.tanh(b * t)
+        num = -(x * b / 2.0) * (1.0 + 2.0 * lam * cth / b) / (cth + 2.0 * lam / b)
+        den = math.cosh(b * t) + (2.0 * lam / b) * math.sinh(b * t)
+        return math.exp(num) / den ** (0.5 * n)
+    sh, rate = math.sinh(b * t), 0.5 * b / math.tanh(b * t)
+    q = 0.25 * (n - 2.0)
+    val = _moment(q, w, lam + rate, 0.5 * b * math.sqrt(x) / sh)
+    return math.exp(math.log(b / (2.0 * sh)) - q * math.log(x) - rate * x) * val
+
+
+def _closed_bessel(lam, t, x, a, mu=0.0):
+    d = 0.5 - a + math.sqrt(0.5 * mu + (a - 0.5) ** 2)
+    nu_ix = d + a + 0.5
+    alpha = 0.25 * (1.0 + 2.0 * a + 2.0 * nu_ix)
+    z = x * x / (2.0 * t + 4.0 * t * t * lam)
+    lg = (-x * x / (2.0 * t) + 0.5 * d * (2.0 * math.log(x) - math.log(2.0 * t))
+          + math.lgamma(alpha) - math.lgamma(nu_ix) - alpha * math.log1p(2.0 * t * lam))
+    return math.exp(lg) * _1f1(alpha, nu_ix, z)
+
+
+def _closed_cir(lam, t, x, a, b, sigma, mu=0.0):
+    nu_ix = math.sqrt((a - sigma) ** 2 + 4.0 * mu * sigma) / sigma
+    k = a / (2.0 * sigma)
+    alph = (b / (2.0 * sigma)) * (1.0 + 1.0 / math.tanh(0.5 * b * t)) + lam
+    beta = b * math.sqrt(x) / (2.0 * sigma * math.sinh(0.5 * b * t))
+    z = beta * beta / alph
+    m = 0.5 * nu_ix  # Whittaker M_{-k,m}(z) = e^{-z/2} z^{m+1/2} 1F1(m+k+1/2, 1+2m, z)
+    lg = (math.lgamma(k + 0.5 * nu_ix + 0.5) - math.lgamma(nu_ix + 1.0)
+          + (b / (2.0 * sigma)) * (a * t + x - x / math.tanh(0.5 * b * t))
+          - k * (math.log(alph) + math.log(x)) + (m + 0.5) * math.log(z))
+    return math.exp(lg) * _1f1(m + k + 0.5, 1.0 + 2.0 * m, z)
+
+
+def _closed_rational_drift(lam, t, x, a, mu=0.0):
+    rmu = math.sqrt(mu)
+    rate = rmu + 2.0 * rmu / math.expm1(2.0 * rmu * t) if mu else 1.0 / t
+    log_u1 = -rate * x - math.log(2.0 + a * x)
+    if mu == 0.0:
+        c2, s = x / (t * t), lam + 1.0 / t
+    else:
+        sh = math.sinh(rmu * t)
+        c2, s = mu * x / (sh * sh), lam + rmu / math.tanh(rmu * t)
+    return math.exp(log_u1 + c2 / s) * (2.0 + a * c2 / (s * s))
+
+
+def _closed_tanh_drift(lam, t, x, mu=0.0):
+    k = math.sqrt(1.0 + mu)
+    kt = k * t
+    csch = 1.0 / math.sinh(kt)
+    a1 = k * k * x * csch / (k * math.cosh(kt) + (lam - 1.0) * math.sinh(kt))
+    a2 = k * k * x * csch / (k * math.cosh(kt) + (lam + 1.0) * math.sinh(kt))
+    return 0.5 * _atom_tanh_drift(t, x, mu) * (math.exp(a1) + math.exp(a2))
+
+
+def _closed_radial_ou(lam, t, x, a, b, mu=0.0):
+    alpha, nu_ix = math.sqrt(b * b + 4.0 * mu), 0.5 * (a + 1.0)
+    at = alpha * t
+    cth = 1.0 / math.tanh(at)
+    g = b - 4.0 * lam
+    return math.exp(-0.25 * b * x * x
+                    + alpha * (alpha - g * cth) * x * x / (4.0 * (g - alpha * cth))
+                    - b * nu_ix * t
+                    - nu_ix * math.log(math.cosh(at) - g * math.sinh(at) / alpha))
+
+
+def _closed_sqrt_drift(lam, t, x, a, b, A, B):
+    w = math.sqrt(1.0 + 2.0 * B)
+    pref = (-math.log(t) + 0.5 * (1.0 - a) * math.log(x) + b * math.sqrt(x)
+            - 0.5 * A * t - x / t)
+    s, c = lam + 1.0 / t, math.sqrt(x) / t
+    total, coef = 0.0, 1.0
+    for j in range(500):
+        term = coef * _moment(0.5 * (a - 1.0 + j), w, s, c)
+        total += term
+        if j > 3 and abs(term) < 1e-13 * abs(total):
+            return math.exp(pref) * total
+        coef *= -b / (j + 1.0)
+    raise AssertionError("series did not converge")
+
+
+_CLOSED_ORACLES = {name[len("_closed_"):]: fn for name, fn in dict(globals()).items()
+                   if name.startswith("_closed_")}
+# the benchmark's point ranges: t 0.2-2, x 0.3-3, lam 0-3
+_CLOSED_GRID = [(lam, t, x) for lam in (0.0, 0.4, 1.5, 3.0)
+                for t in (0.2, 0.55, 1.3, 2.0) for x in (0.3, 0.9, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("member", [m for m in POOL if m[0] in _CLOSED_ORACLES], ids=_ids)
+def test_closed_form_matches_frozen_oracle(member):
+    name, params = member
+    entry = cat.make_entry(name, **params)
+    for lam, t, x in _CLOSED_GRID:
+        assert cat.expectation(entry, None, lam, t, x, method="closed") == pytest.approx(
+            _CLOSED_ORACLES[name](lam, t, x, **params), rel=1e-13)
+
+
+def _mpmath_references():
+    """perfbench/references.py: mpmath formulas that import nothing from
+    feynkac. Loading it sets mpmath's global precision to 30 digits; that is
+    undone here, and _reference_expectation sets it per call."""
+    dps = mpmath.mp.dps
+    module = _benchmark_module("references")
+    mpmath.mp.dps = dps
+    return module
+
+
+REFERENCES = _mpmath_references()
+
+
+def _reference_expectation(name, params, lam, t, x):
+    """The mpmath value of the entry's expectation where references.py has a
+    formula for it, else None. Its formulas hold for the process that is not
+    killed at 0 (besq n >= 2, cir a >= sigma), and the scale (1 - e^-bt)/2b of
+    cir and radial_ou loses log10(1/|bt|) of its 30 digits, which are added."""
+    p = dict(params)
+    if name == "besq" and not p.get("nu") and p["n"] >= 2.0:
+        formula, args = REFERENCES.besq_laplace, (p["n"], lam, t, x, p.get("mu", 0.0))
+    elif name == "bessel" and not p.get("mu"):
+        formula, args = REFERENCES.bessel_laplace, (p["a"], lam, t, x)
+    elif (name == "cir" and not p.get("mu") and not p.get("mu_lin")
+          and p["a"] >= p["sigma"]):
+        formula, args = REFERENCES.cir_laplace, (p["a"], p["b"], p["sigma"], lam, t, x)
+    elif name == "radial_ou" and not p.get("mu"):
+        formula, args = REFERENCES.radial_ou_laplace, (p["a"], p["b"], lam, t, x)
+    else:
+        return None
+    lost = max(0, round(-math.log10(abs(p["b"] * t)))) if "b" in p else 0
+    with mpmath.workdps(30 + lost):
+        return float(formula(*args))
+
+
+_WIDE_GRID = [(lam, t, x) for t in np.geomspace(1e-4, 50.0, 8)
+              for x in np.geomspace(1e-6, 1e3, 8) for lam in (0.0, 1.0, 100.0)]
+
+
+@pytest.mark.parametrize("member", [m for m in POOL if m[0] in WORKLOADS.CLOSED_FORM],
+                         ids=_ids)
+def test_closed_forms_on_the_wide_grid(member):
+    # small t with large x, where a closed form that forms its exponent and
+    # its Bessel factor separately overflows, and large t, where cosh and
+    # sinh sums cancel
+    name, params = member
+    entry = cat.make_entry(name, **params)
+    for lam, t, x in _WIDE_GRID:
+        try:
+            val = cat.expectation(entry, None, lam, t, x)
+        except ConvergenceError:
+            assert name == "sqrt_drift"  # its series gives up where terms cancel
+            continue
+        if name != "rational_showcase":
+            assert 0.0 <= val <= 1.0 + 1e-12
+        if lam == 0.0 and name in ("tanh_drift", "rational_drift") and not params.get("mu"):
+            assert val == pytest.approx(1.0, abs=1e-14)  # no killing: the mass
+        ref = _reference_expectation(name, params, lam, t, x)
+        if ref is not None:
+            assert val == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("fault", WORKLOADS.Points.FAULTS, ids=lambda f: f[0])
+def test_benchmark_f3_inputs_give_the_mass(fault):
+    # no killing and lam = 0: the expectation is the total mass 1
+    name, params, t, x = fault
+    assert cat.expectation(name, params, 0.0, t, x) == pytest.approx(1.0, abs=1e-12)
+
+
+def _strength(hi):
+    return st.one_of(st.just(0.0), st.floats(0.0, hi))
+
+
+# validity regions of the closed-form entries; sqrt_drift's keeps its induced
+# potential g >= 0 (A >= b^2/2, a - a^2/2 + B >= 0, b(a - 1/2) >= 0), where
+# its expectation is at most 1 as the others' are
+_REGIONS = {
+    "besq": st.builds(lambda n, mu, nu: {"n": n, "mu": mu if n >= 2.0 else 0.0, "nu": nu},
+                      st.floats(0.2, 6.0), _strength(2.0), _strength(2.0)),
+    "bessel": st.fixed_dictionaries({"a": st.floats(0.55, 3.0), "mu": _strength(2.0)}),
+    "cir": st.fixed_dictionaries({"a": st.floats(0.2, 2.0), "b": st.floats(0.2, 2.0),
+                                  "sigma": st.floats(0.2, 2.0), "mu": _strength(1.0),
+                                  "mu_lin": _strength(1.0)}),
+    "rational_drift": st.fixed_dictionaries({"a": st.floats(0.1, 3.0),
+                                             "mu": _strength(2.0)}),
+    "tanh_drift": st.fixed_dictionaries({"mu": _strength(2.0)}),
+    "radial_ou": st.fixed_dictionaries({"a": st.floats(0.55, 3.0),
+                                        "b": st.floats(-2.0, 2.0), "mu": _strength(2.0)}),
+    "rational_showcase": st.fixed_dictionaries({"a": st.floats(0.1, 3.0),
+                                                "b": st.floats(0.1, 3.0)}),
+    "sqrt_drift": st.fixed_dictionaries({"a": st.floats(0.5, 2.0), "b": st.floats(0.0, 1.0),
+                                         "A": st.floats(0.5, 2.0), "B": st.floats(0.2, 2.0)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REGIONS))
+def test_closed_form_values_keep_their_contract(name):
+    # a finite value in [0, 1] (rational_showcase: any finite value) or a
+    # FeynkacError, for Python floats and numpy scalars alike
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(params=_REGIONS[name], log_t=st.floats(-4.0, math.log10(50.0)),
+           log_x=st.floats(-6.0, 3.0), lam=_strength(100.0),
+           scalar=st.sampled_from([float, np.float64]))
+    def check(params, log_t, log_x, lam, scalar):
+        t, x, lam = scalar(10.0 ** log_t), scalar(10.0 ** log_x), scalar(lam)
+        try:
+            val = cat.expectation(name, params, lam, t, x)
+        except ValidityError:  # b^2 + 4 mu is 0 (b^2 may underflow)
+            assert name == "radial_ou" and params["mu"] == 0.0
+            return
+        except ConvergenceError:
+            assert name == "sqrt_drift"
+            return
+        assert type(val) is float and math.isfinite(val)
+        if name != "rational_showcase":
+            assert 0.0 <= val <= 1.0 + 1e-12
+        ref = _reference_expectation(name, params, lam, t, x)
+        if ref is not None:
+            assert val == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    check()
+
+
+def test_generic_linear_kernel_specfun_calls_per_point(monkeypatch):
+    # one branch: the Bessel core and y(x), y(y) of the gauge, one call each;
+    # two branches: two cores, two I(zy) weights and two calls per y(.)
+    counts = [0]
+    _count_specfun_calls(monkeypatch, counts)
+    for params, want in [({"sigma": 1.0, "A": 1.0, "B": -0.3}, 3),
+                         ({"sigma": 0.8, "A": 1.5, "B": -0.2, "mu": 0.05,
+                           "c1": 1.0, "c2": 0.7}, 8)]:
+        entry = cat._BUILDERS["generic_linear"][0](**params)  # built after the patch
+        counts[0] = 0
+        entry.kernel.continuous(0.7, 1.3, 0.9)
+        assert counts[0] == want

@@ -98,6 +98,25 @@ def test_density_unknown_parameter_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("t,x", [("0", "1"), ("1", "0")])
+def test_density_outside_the_domain_is_usage_error(t, x):
+    # a usage error, not a traceback with exit 1, the code of a failed
+    # verification
+    code, out = run("density", "--entry", "besq", "--n", "3", "--t", t,
+                    "--x", x, "--y", "1")
+    assert code == 2
+    assert out == ""
+
+
+def test_density_mass_check_refuses_a_finite_part_kernel():
+    # the mu_inv kernel is not integrable near y = 0: no mass to compare
+    code, out = run("density", "--entry", "rational_drift", "--a", "1",
+                    "--mu_inv", "0.6", "--t", "1", "--x", "1", "--y", "1",
+                    "--check-mass")
+    assert code == 2
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # expect
 # ---------------------------------------------------------------------------
@@ -153,6 +172,18 @@ def test_expect_numerical_failure_exit_code():
     assert code == 3
 
 
+def test_expect_cir_with_linear_killing_matches_quadrature():
+    # the closed form covers the linear killing mu_lin*x too
+    args = ("expect", "--entry", "cir", "--a", "1", "--b", "1", "--sigma", "1",
+            "--mu_lin", "0.3", "--t", "1", "--x", "1", "--lambda", "0.5")
+    code, out = run(*args)
+    assert code == 0
+    code_q, out_q = run(*args, "--method", "quadrature")
+    assert code_q == 0
+    value = float(out.splitlines()[1].split(",")[-1])
+    assert value == pytest.approx(float(out_q.splitlines()[1].split(",")[-1]), rel=1e-8)
+
+
 def test_expect_passes_mu_parameter():
     # --mu is an entry parameter, not an abbreviation of --mu-grid
     code, out = run("expect", "--entry", "cir", "--a", "1", "--b", "1",
@@ -165,9 +196,10 @@ def test_expect_passes_mu_parameter():
 
 
 def test_expect_closed_form_overflow_is_numerical_error():
-    # the tanh_drift closed form overflows in math.cosh: exit 3, no traceback
-    code, out = run("expect", "--entry", "tanh_drift", "--t", "1e-4",
-                    "--x", "1000", "--lambda", "1")
+    # the e^(-2t) factor of the tanh_drift moment underflows at t = 400 and a
+    # division by zero follows: exit 3, no traceback
+    code, out = run("expect", "--entry", "tanh_drift", "--t", "400",
+                    "--x", "1", "--lambda", "0")
     assert code == 3
     assert out == ""
 

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used, the
-catalog reads Bessel I only in scaled or log-scaled form, and it takes its
-transform right-hand sides from the symmetry module instead of writing them.
+catalog reads Bessel I only in scaled or log-scaled form, it takes its
+transform right-hand sides from the symmetry module and its closed-form
+expectations from the kernels' Bessel-core terms instead of writing them.
 
 No linter is part of the toolchain, so this walks the package sources with
 ast. A name counts as used when the module reads it anywhere (including in
@@ -86,10 +87,12 @@ def test_the_check_sees_an_unscaled_bessel_i():
     assert sorted(_unscaled_bessel_uses(tree)) == [1, 3, 5]
 
 
-def _local_transforms(tree: ast.Module):
-    """Lines of CatalogEntry(...) calls whose transform_rhs is a lambda or a
-    function defined inside the same builder: a hand-written transform where
-    symmetry.orbit_transform derives one from the entry's u0."""
+def _local_closures(tree: ast.Module, field: str):
+    """Lines of CatalogEntry(...) calls whose `field` is a lambda or a
+    function defined inside the same builder: a hand-written closure where
+    the catalog derives one (transform_rhs from the entry's u0 by
+    symmetry.orbit_transform, expectation_closed from the kernel's Bessel-core
+    terms by _core_sum)."""
     for builder in tree.body:
         if not isinstance(builder, ast.FunctionDef):
             continue
@@ -103,15 +106,19 @@ def _local_transforms(tree: ast.Module):
                     and call.func.id == "CatalogEntry"):
                 continue
             for k in call.keywords:
-                if k.arg == "transform_rhs" and (
+                if k.arg == field and (
                         isinstance(k.value, ast.Lambda)
                         or isinstance(k.value, ast.Name) and k.value.id in local):
                     yield call.lineno
 
 
-def test_catalog_writes_no_transform_by_hand():
+def _catalog_tree():
     path = pathlib.Path(feynkac.__file__).parent / "catalog.py"
-    bad = list(_local_transforms(ast.parse(path.read_text(), filename=str(path))))
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_catalog_writes_no_transform_by_hand():
+    bad = list(_local_closures(_catalog_tree(), "transform_rhs"))
     assert not bad, f"catalog.py: hand-written transform_rhs on lines {bad}"
 
 
@@ -126,4 +133,24 @@ def test_the_check_sees_a_hand_written_transform():
                      "    return (CatalogEntry(transform_rhs=f), CatalogEntry(transform_rhs=g),\n"
                      "            CatalogEntry(transform_rhs=lambda lam, t, x: 1.0),\n"
                      "            CatalogEntry(transform_rhs=None))\n")
-    assert sorted(_local_transforms(tree)) == [4, 8, 9]
+    assert sorted(_local_closures(tree, "transform_rhs")) == [4, 8, 9]
+
+
+def test_catalog_writes_no_expectation_by_hand():
+    bad = list(_local_closures(_catalog_tree(), "expectation_closed"))
+    assert not bad, f"catalog.py: hand-written expectation_closed on lines {bad}"
+
+
+def test_the_check_sees_a_hand_written_expectation():
+    tree = ast.parse("def _make_a():\n"
+                     "    def expect(lam, t, x):\n"
+                     "        return 1.0\n"
+                     "    return CatalogEntry(expectation_closed=expect)\n"
+                     "def _make_b():\n"
+                     "    kernel, expect = _core_sum(1.0, 1.0, 0.0, ((1.0, 0.0, 0.0),))\n"
+                     "    f = lambda lam, t, x: 1.0\n"
+                     "    return (CatalogEntry(expectation_closed=expect),\n"
+                     "            CatalogEntry(expectation_closed=f, transform_rhs=f),\n"
+                     "            CatalogEntry(expectation_closed=functools.partial(g, 1.0)),\n"
+                     "            CatalogEntry(expectation_closed=lambda lam, t, x: 1.0))\n")
+    assert sorted(_local_closures(tree, "expectation_closed")) == [4, 9, 11]

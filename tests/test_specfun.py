@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
+import scipy.special as sc
 from hypothesis import given, settings, strategies as st
 
 from feynkac import specfun as sf
@@ -311,3 +312,35 @@ def test_laplace_bessel_moment_domain_errors():
         sf.laplace_bessel_moment(-2.0, 0.5, 1.0, 1.0)
     with pytest.raises(PoleError):
         sf.laplace_bessel_moment(1.0, -2.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("a,b,z", [(0.5, 1.5, -3.0), (-2.3, 2.0, -30.0), (0.35, 3.1, -1e4),
+                                   (1.0, 2.0, -1e8), (0.0, 2.5, -1e6), (2.2, 1.7, 900.0),
+                                   (0.75, 2.5, 5e4)])
+def test_log_hypergeom_1f1_against_mpmath(a, b, z):
+    # 1F1 overflows double precision from z of about 700 on; its log does not
+    with mpmath.workdps(40):
+        ref = float(mpmath.log(mpmath.hyp1f1(a, b, z)))
+    assert sf.log_hypergeom_1f1(a, b, z) == pytest.approx(ref, rel=1e-13, abs=1e-14)
+
+
+@pytest.mark.parametrize("p,nu,s,c", [(-0.5, 1.0, 2e-3, 3.0), (0.25, 0.5, 0.6, 40.0),
+                                      (1.7, 2.3, 1e-4, 5.0), (-0.3, 0.4, 3.0, 1e-3)])
+def test_log_laplace_bessel_moment_scaled_against_mpmath(p, nu, s, c):
+    # c^2/s reaches 1.6e4, where the unscaled moment overflows
+    with mpmath.workdps(40):
+        q = p + nu / 2 + 1
+        ref = (nu * mpmath.log(c) + mpmath.loggamma(q) - mpmath.loggamma(nu + 1)
+               - q * mpmath.log(s) + mpmath.log(mpmath.hyp1f1(q, nu + 1, c * c / s))
+               - c * c / s)
+    assert sf.log_laplace_bessel_moment_scaled(p, nu, s, c) == pytest.approx(
+        float(ref), rel=1e-13, abs=1e-13)
+
+
+def test_scalar_entry_points_match_the_ufuncs():
+    # specfun evaluates iv and hyp1f1 through scipy.special.cython_special,
+    # the same C code as the ufuncs without their per-call overhead
+    for nu, z in [(0.0, 1e-3), (1.0, 3.0), (-0.4, 0.7), (2.5, 120.0), (7.3, 650.0)]:
+        assert sf.bessel_i(nu, z, scaled=True) == float(sc.iv(nu, z)) * math.exp(-z)
+    for a, b, z in [(1.0, 2.0, -3.0), (-20.7, 5.0, -1e3), (0.3, 1.7, 25.0)]:
+        assert sf.hypergeom_1f1(a, b, z) == float(sc.hyp1f1(a, b, z))
