@@ -137,13 +137,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AtomSpec:
-    """Boundary atom at y = location. order 0 is a Dirac mass (weight must lie
-    in [0,1] for density entries); order 1 is a Dirac derivative, carried with
+    """Boundary atom at y = 0. order 0 is a Dirac mass (weight must lie in
+    [0,1] for density entries); order 1 is a Dirac derivative, carried with
     signed weight and never counted as probability."""
 
     weight: Callable[[float, float], float]  # (t, x) -> weight
     order: int = 0
-    location: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -171,12 +170,16 @@ class CatalogEntry:
     u0: Optional[StationarySolution]
     transform_rhs: Optional[Callable[[float, float, float], float]]  # (lam,t,x)
     expectation_closed: Optional[Callable[[float, float, float], float]]  # (lam,t,x)
-    state_power: float = 1.0  # expectations/transforms weight exp(-lam*y^state_power)
     functional_param: str = ""  # which param is the Laplace variable of the functional
     riccati: Optional[RiccatiParams] = None  # declared constants of the transform orbit
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    @property
+    def state_power(self) -> float:
+        """m = 2 - gamma: expectations and transforms weight exp(-lam*y^m)."""
+        return 2.0 - self.diffusion.gamma
 
 
 def _log_bessel_core(nu: float, c: float, omega: float, t: float, sx: float,
@@ -351,8 +354,7 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
     u0 = ric = rhs = None
     if mu == 0.0:  # y^d does not solve the stationary ODE with mu*x killing
         u0 = gauge_solution(diff, lambda y: (d + 0.25 * n) * math.log(y),
-                            f"power branch y^{d:.6g}",
-                            "constant_one" if (n >= 2 or nu > 0) else "nonconstant")
+                            f"power branch y^{d:.6g}")
         ric = RiccatiParams("linear", A=0.0, B=0.5 * n * (n - 4.0) + 4.0 * nu)
         rhs = orbit_transform(diff, u0, ric)
 
@@ -360,7 +362,7 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
         name="besq", params={"n": n, "mu": mu, "nu": nu},
         diffusion=diff, potential=pot, kernel=kernel,
         u0=u0, riccati=ric, transform_rhs=rhs, expectation_closed=expect,
-        state_power=1.0, functional_param="nu" if nu else "mu")
+        functional_param="nu" if nu else "mu")
 
 
 def besq_cosh_variant(t: float, x: float, y: float) -> float:
@@ -407,14 +409,14 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
                                m=2.0)
 
     u0 = gauge_solution(diff, lambda y: (d + a) * math.log(y),
-                        f"power branch y^{d:.6g}", "constant_one")
+                        f"power branch y^{d:.6g}")
     ric = RiccatiParams("linear", A=0.0, B=0.5 * a * (a - 1.0) + 0.25 * mu)
 
     return CatalogEntry(
         name="bessel", params={"a": a, "mu": mu},
         diffusion=diff, potential=pot, kernel=kernel,
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=expect, state_power=2.0, functional_param="mu")
+        expectation_closed=expect, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +463,14 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
                 + _log_bessel_core(atil, 0.5, 0.0, t, x, y))
 
     u0 = gauge_solution(diff, lambda y: 0.5 * math.log(y) + log_ive(atil, b * y) + b * y,
-                        f"Bessel-ratio branch index {atil:.6g}/{a:.6g}",
-                        "constant_one")
+                        f"Bessel-ratio branch index {atil:.6g}/{a:.6g}")
     ric = RiccatiParams("linear", A=0.5 * b * b, B=0.5 * (a * a - 0.25) + mu)
 
     return CatalogEntry(
         name="bessel_drift", params={"a": a, "b": b, "mu": mu},
         diffusion=diff, potential=pot, kernel=_kernel(log_p),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=None, state_power=2.0, functional_param="mu")
+        expectation_closed=None, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +510,7 @@ def _make_cir(a: float, b: float, sigma: float, mu: float = 0.0,
                             "mu_lin": mu_lin},
         diffusion=diff, potential=pot, kernel=kernel,
         u0=None, transform_rhs=None, expectation_closed=expect,
-        state_power=1.0, functional_param="mu")
+        functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +555,7 @@ def _make_rational_drift(a: float, mu: float = 0.0,
                                atoms=(atom,))
 
     u0 = gauge_solution(diff, lambda y: -rmu * y,
-                        "decaying exponential branch /(2+ay)", "nonconstant")
+                        "decaying exponential branch /(2+ay)")
     ric = RiccatiParams("quadratic", A=4.0 * mu, B=0.0) if mu \
         else RiccatiParams("linear", A=0.0, B=0.0)
 
@@ -562,7 +563,7 @@ def _make_rational_drift(a: float, mu: float = 0.0,
         name="rational_drift", params={"a": a, "mu": mu, "mu_inv": 0.0},
         diffusion=diff, potential=pot, kernel=kernel,
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=expect, state_power=1.0, functional_param="mu")
+        expectation_closed=expect, functional_param="mu")
 
 
 def _rational_drift_inverse(a: float, mu_inv: float,
@@ -593,7 +594,6 @@ def _rational_drift_inverse(a: float, mu_inv: float,
 
     u0 = StationarySolution(eval=u0_val,
                             description="combined power branch (value 1 at mu_inv=0)",
-                            limit_at_mu_zero="constant_one",
                             log_gauge=lambda y: math.log(2.0 * y ** dm + a * y ** dp))
     ric = RiccatiParams("linear", A=0.0, B=2.0 * mu_inv)
 
@@ -602,7 +602,7 @@ def _rational_drift_inverse(a: float, mu_inv: float,
         diffusion=diff, potential=pot,
         kernel=Kernel(continuous=cont, log_continuous=None, finite_part=True),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=None, state_power=1.0, functional_param="mu_inv")
+        expectation_closed=None, functional_param="mu_inv")
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +626,8 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
                          label="tanh_drift")
     pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
 
-    u0 = gauge_solution(diff, lambda y: -k * y, "decaying branch exp(-ky)/cosh(y)",
-                        "nonconstant")
+    u0 = gauge_solution(diff, lambda y: -k * y,
+                        "decaying branch exp(-ky)/cosh(y)")
     ric = RiccatiParams("quadratic", A=4.0 * (1.0 + mu), B=0.0)
     u1 = atom_weight(diff, pot, u0, ric)  # (x, t); u0(0+) = 1
     atom = AtomSpec(weight=lambda t, x: u1(x, t), order=0)
@@ -639,7 +639,7 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
         name="tanh_drift", params={"mu": mu},
         diffusion=diff, potential=pot, kernel=kernel,
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=expect, state_power=1.0, functional_param="mu")
+        expectation_closed=expect, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +672,7 @@ def _make_radial_ou(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
         name="radial_ou", params={"a": a, "b": b, "mu": mu},
         diffusion=diff, potential=pot, kernel=kernel,
         u0=None, transform_rhs=None, expectation_closed=expect,
-        state_power=2.0, functional_param="mu")
+        functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +704,6 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
 
     u0 = StationarySolution(eval=lambda y: 1.0, log_eval=lambda y: 0.0,
                             description="constant 1",
-                            limit_at_mu_zero="constant_one",
                             log_gauge=lambda y: (math.log(b + a * y * y)
                                                  - 0.5 * math.log(y)))
     ric = RiccatiParams("linear", A=0.0, B=1.5)
@@ -714,7 +713,7 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
         name="rational_showcase", params={"a": a, "b": b},
         diffusion=diff, potential=pot, kernel=kernel,
         u0=u0, riccati=ric, transform_rhs=rhs,
-        expectation_closed=rhs, state_power=1.0, functional_param="")
+        expectation_closed=rhs, functional_param="")
 
 
 def rational_showcase_continuous_mass(a: float, b: float, t: float, x: float) -> float:
@@ -803,7 +802,7 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
         diffusion=diff, potential=pot, kernel=_kernel(log_p),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
         expectation_closed=functools.partial(_sqrt_drift_expectation, a, b, A, w),
-        state_power=1.0, functional_param="")
+        functional_param="")
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +868,6 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
 
     u0 = StationarySolution(eval=u0_val,
                             description=f"index-shift ratio {nu_ix:.6g}/{alpha:.6g}",
-                            limit_at_mu_zero="constant_one",
                             log_gauge=lambda y: log_y(y, nu_ix))
     ric = RiccatiParams("linear", A=0.5 * A / sigma, B=B + 2.0 * sigma * mu)
 
@@ -895,7 +893,7 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
         diffusion=diff, potential=pot,
         kernel=Kernel(continuous=cont, log_continuous=None),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=None, state_power=1.0, functional_param="mu")
+        expectation_closed=None, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +940,7 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
         kernel=_kernel(lambda t, x, y: math.log(c1) + log_p(t, x, y))
         if c2 == 0.0 and c1 > 0 else Kernel(continuous=cont, log_continuous=None),
         u0=None, transform_rhs=None, expectation_closed=None,
-        state_power=1.0, functional_param="mu")
+        functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +979,7 @@ def make_entry(name: str, **params: float) -> CatalogEntry:
     if name not in _BUILDERS:
         raise DomainError(f"make_entry: unknown entry {name!r} "
                           f"(known: {', '.join(ENTRY_NAMES)})")
-    builder, names, _ = _BUILDERS[name]
+    names = _BUILDERS[name][1]
     unknown = set(params) - set(names)
     if unknown:
         raise DomainError(f"make_entry: {name} does not take parameters "
@@ -991,7 +989,7 @@ def make_entry(name: str, **params: float) -> CatalogEntry:
     try:
         hash(key)
     except TypeError:  # e.g. a 0-d numpy array: built every time, not cached
-        return builder(**params)
+        return _build(name, params)
     return _build_entry(name, key)
 
 
@@ -1003,7 +1001,14 @@ _ENTRY_CACHE_SIZE = 1024
 @functools.lru_cache(maxsize=_ENTRY_CACHE_SIZE)
 def _build_entry(name: str, key: Tuple[Tuple[str, type, float], ...]) -> CatalogEntry:
     # a build that raises is not cached, so invalid parameters raise every time
-    return _BUILDERS[name][0](**{k: v for k, _, v in key})
+    return _build(name, {k: v for k, _, v in key})
+
+
+def _build(name: str, params: Dict[str, float]) -> CatalogEntry:
+    for k, v in params.items():  # None is besq's default for its alias b
+        if v is not None and not math.isfinite(v):
+            raise ValidityError(f"{name}: parameter {k} must be finite (got {v})")
+    return _BUILDERS[name][0](**params)
 
 
 def _resolve(entry, params: Optional[Dict[str, float]]) -> CatalogEntry:
@@ -1028,12 +1033,12 @@ def _evaluate(route: str, e: CatalogEntry, fn: Callable[..., float],
 
 def density(entry, params: Optional[Dict[str, float]], t: float, x: float,
             y: float, log: bool = False) -> float:
-    """Continuous part of the fundamental solution at y (atoms are reported
-    through the entry's kernel, not here)."""
+    """Continuous part of the fundamental solution at y > 0 (the atoms at
+    y = 0 are reported by atom_weights, not here)."""
     e = _resolve(entry, params)
     t, x, y = float(t), float(x), float(y)
-    if not (t > 0 and x > 0 and y >= 0):
-        raise DomainError("density: requires t > 0, x > 0, y >= 0")
+    if not (t > 0 and x > 0 and y > 0):
+        raise DomainError("density: requires t > 0, x > 0, y > 0")
     fn = e.kernel.log_continuous if log else e.kernel.continuous
     if fn is None:
         raise CapabilityError(
@@ -1043,12 +1048,13 @@ def density(entry, params: Optional[Dict[str, float]], t: float, x: float,
 
 def atom_weights(entry, params: Optional[Dict[str, float]], t: float,
                  x: float) -> list:
-    """(location, order, weight) of each boundary atom of the kernel at (t, x)."""
+    """(location, order, weight) of each boundary atom of the kernel at (t, x);
+    every atom sits at location 0."""
     e = _resolve(entry, params)
     t, x = float(t), float(x)
     if not (t > 0 and x > 0):
         raise DomainError("atom_weights: requires t > 0, x > 0")
-    return [(a.location, a.order, _evaluate("atom_weights", e, a.weight, t, x))
+    return [(0.0, a.order, _evaluate("atom_weights", e, a.weight, t, x))
             for a in e.kernel.atoms]
 
 

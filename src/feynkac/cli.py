@@ -67,6 +67,8 @@ def _parse_grid(text: str) -> List[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValidityError(f"grid {text!r}: entries must be numbers")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidityError(f"grid {text!r}: entries must be finite")
     if step <= 0 or stop < start:
         raise ValidityError(f"grid {text!r}: needs step > 0 and stop >= start")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -256,11 +258,11 @@ def _cmd_verify(args, extra: Sequence[str], out) -> int:
     if extra:
         raise ValidityError(f"verify: unexpected arguments {extra!r}")
     mc_spec = None
-    if args.paths or args.steps or args.seed is not None:
+    if any(v is not None for v in (args.paths, args.steps, args.seed)):
         base = verify.MC_SUITE_SPEC
         mc_spec = verify.McSpec(
-            n_paths=args.paths or base.n_paths,
-            n_steps=args.steps or base.n_steps,
+            n_paths=base.n_paths if args.paths is None else args.paths,
+            n_steps=base.n_steps if args.steps is None else args.steps,
             seed=base.seed if args.seed is None else args.seed)
     tol = args.tol
     env_tol = os.environ.get("FEYNKAC_TOL")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -56,8 +56,6 @@ __all__ = [
     "pde_residual",
 ]
 
-SYMMETRY_FAMILIES = ("laplace_scaling", "log_scaling", "exp_scaling", "exp_kummer")
-
 _CHECK_POINTS = (0.5, 1.0, 2.0, 5.0)
 
 
@@ -66,22 +64,14 @@ class StationarySolution:
     """A positive solution of sigma*x^gamma*u'' + f*u' - g*u = 0 on x > 0.
 
     log_eval, when present, allows overflow-free propagation to large
-    arguments. limit_at_mu_zero records whether the branch degenerates to the
-    constant 1 when the killing is switched off (the selection criterion for
-    the transform identities). log_gauge, when present, is
-    log u0 + F/(2*sigma), the part of u0 the symmetry groups move.
+    arguments. log_gauge, when present, is log u0 + F/(2*sigma), the part of
+    u0 the symmetry groups move.
     """
 
     eval: Callable[[float], float]
     description: str
-    limit_at_mu_zero: str = "unknown"
     log_eval: Optional[Callable[[float], float]] = None
     log_gauge: Optional[Callable[[float], float]] = None
-
-    def __post_init__(self) -> None:
-        if self.limit_at_mu_zero not in ("constant_one", "nonconstant", "unknown"):
-            raise DomainError(
-                f"StationarySolution: bad limit tag {self.limit_at_mu_zero!r}")
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
@@ -94,10 +84,10 @@ class StationarySolution:
             raise DomainError(f"StationarySolution: not positive at x={x}")
         return math.log(v)
 
-    def validate(self, diff: DiffusionSpec, pot: PotentialSpec,
-                 points: Sequence[float] = _CHECK_POINTS, tol: float = 1e-8) -> None:
-        """Finite-difference residual check of the stationary ODE."""
-        for x in points:
+    def validate(self, diff: DiffusionSpec, pot: PotentialSpec) -> None:
+        """Finite-difference residual check of the stationary ODE at
+        _CHECK_POINTS, to 1e-8 relative."""
+        for x in _CHECK_POINTS:
             h = 1e-3 * x
             um2, um1 = self.eval(x - 2 * h), self.eval(x - h)
             u0x, up1, up2 = self.eval(x), self.eval(x + h), self.eval(x + 2 * h)
@@ -107,7 +97,7 @@ class StationarySolution:
                      -pot(x) * u0x)
             resid = sum(terms)
             scale = max(max(abs(v) for v in terms), abs(u0x), 1e-300)
-            if abs(resid) > tol * scale:
+            if abs(resid) > 1e-8 * scale:
                 raise ConstructionError(
                     f"StationarySolution '{self.description}': ODE residual "
                     f"{resid:.3e} (scale {scale:.3e}) at x={x}")
@@ -118,27 +108,10 @@ class SymmetrySolution:
     """Group orbit of a stationary solution: eval(parameter, x, t)."""
 
     eval: Callable[[float, float, float], float]
-    family: str
-    params: Optional[RiccatiParams] = None
-    stationary: Optional[StationarySolution] = None
     invariant: bool = False
-
-    def __post_init__(self) -> None:
-        if self.family not in SYMMETRY_FAMILIES:
-            raise DomainError(f"SymmetrySolution: unknown family {self.family!r}")
 
     def __call__(self, p: float, x: float, t: float) -> float:
         return self.eval(p, x, t)
-
-
-def _mu_zero_variant(pot: PotentialSpec) -> Optional[PotentialSpec]:
-    if pot.form == "zero":
-        return pot
-    if pot.form == "power":
-        return PotentialSpec(form="zero")
-    if pot.form == "inverse_plus_linear":
-        return PotentialSpec(form="zero")
-    return None
 
 
 def _linear_family_solution(diff: DiffusionSpec, params: RiccatiParams,
@@ -191,13 +164,12 @@ def _linear_family_solution(diff: DiffusionSpec, params: RiccatiParams,
 
 
 def _quadratic_family_solution(diff: DiffusionSpec, params: RiccatiParams,
-                               branch: str,
-                               coefficients: Optional[Tuple[float, float]]
-                               ) -> Tuple[Callable[[float], float], str]:
+                               branch: str) -> Tuple[Callable[[float], float], str]:
     """Gauge part and description of a stationary branch for the quadratic
     family, gamma = 1, A > 0:
     u0 = x^(beta/2) * exp(-(F(x) + sqrt(A)*x)/(2*sigma)) * M(alpha, beta, ...)
-    with M either the regular Kummer function or the Tricomi function."""
+    with M the regular Kummer function (principal) or the Tricomi function
+    (secondary)."""
     s = diff.sigma
     if params.A <= 0:
         raise CapabilityError("stationary_solution: quadratic family needs A > 0")
@@ -208,34 +180,25 @@ def _quadratic_family_solution(diff: DiffusionSpec, params: RiccatiParams,
     beta = 1.0 + math.sqrt(disc)
     alpha = 0.5 * beta + params.B / (2.0 * s * rA)
 
-    if coefficients is not None:
-        c1, c2 = coefficients
-    elif branch == "principal":
-        c1, c2 = 1.0, 0.0
-    else:
-        c1, c2 = 0.0, 1.0
+    principal = branch == "principal"
 
     def log_w(x: float) -> float:
         z = rA * x / s
         base = 0.5 * beta * math.log(x) - 0.5 * z
-        if c2 == 0.0:
-            return base + math.log(c1) + specfun.log_hypergeom_1f1(alpha, beta, z)
-        val = 0.0
-        if c1 != 0.0:
-            val += c1 * specfun.hypergeom_1f1(alpha, beta, z)
-        val += c2 * specfun.tricomi_u(alpha, beta, z)
+        if principal:
+            return base + specfun.log_hypergeom_1f1(alpha, beta, z)
+        val = specfun.tricomi_u(alpha, beta, z)
         if val <= 0:
-            raise DomainError(f"stationary_solution: non-positive combination at x={x}")
+            raise DomainError(f"stationary_solution: Tricomi branch not positive at x={x}")
         return base + math.log(val)
 
-    kind = "regular Kummer" if c2 == 0.0 else ("Tricomi" if c1 == 0.0 else "mixed Kummer")
-    desc = f"{kind} branch (alpha={alpha:.6g}, beta={beta:.6g}, c=({c1:.6g},{c2:.6g}))"
+    kind = "regular Kummer" if principal else "Tricomi"
+    desc = f"{kind} branch (alpha={alpha:.6g}, beta={beta:.6g})"
     return log_w, desc
 
 
 def gauge_solution(diff: DiffusionSpec, log_gauge: Callable[[float], float],
-                   description: str, limit_at_mu_zero: str = "unknown"
-                   ) -> StationarySolution:
+                   description: str) -> StationarySolution:
     """u0 = exp(log_gauge - F/(2*sigma)), not validated. F is read directly
     where it has a closed form, so u0(0) is defined where F(0) is (atoms)."""
     s2, F = 2.0 * diff.sigma, diff.drift_antiderivative or diff.F
@@ -244,8 +207,7 @@ def gauge_solution(diff: DiffusionSpec, log_gauge: Callable[[float], float],
         return log_gauge(x) - F(x) / s2
 
     return StationarySolution(eval=lambda x: math.exp(log_u0(x)),
-                              description=description,
-                              limit_at_mu_zero=limit_at_mu_zero, log_eval=log_u0,
+                              description=description, log_eval=log_u0,
                               log_gauge=log_gauge)
 
 
@@ -260,16 +222,13 @@ def _gauge(diff: DiffusionSpec, u0: StationarySolution) -> Tuple[Callable, Calla
 
 def stationary_solution(diff: DiffusionSpec, pot: PotentialSpec,
                         branch: str = "principal",
-                        params: Optional[RiccatiParams] = None,
-                        coefficients: Optional[Tuple[float, float]] = None,
-                        check_points: Sequence[float] = _CHECK_POINTS
+                        params: Optional[RiccatiParams] = None
                         ) -> StationarySolution:
     """Construct and verify a stationary solution for a classified pair.
 
     branch selects between the two independent solutions ('principal' is the
     branch that tends to the constant 1 as the killing strength vanishes, when
-    that holds; 'secondary' is the other one). coefficients=(c1, c2) overrides
-    the selector with an explicit linear combination (quadratic family only).
+    that holds; 'secondary' is the other one).
     """
     if branch not in ("principal", "secondary"):
         raise DomainError(f"stationary_solution: unknown branch {branch!r}")
@@ -282,9 +241,8 @@ def stationary_solution(diff: DiffusionSpec, pot: PotentialSpec,
     if pot.form == "zero" and params.family == "linear" and params.A == 0 \
             and params.B == 0 and branch == "principal":
         sol = StationarySolution(eval=lambda x: 1.0, log_eval=lambda x: 0.0,
-                                 description="constant 1 (zero potential)",
-                                 limit_at_mu_zero="constant_one")
-        sol.validate(diff, pot, check_points)
+                                 description="constant 1 (zero potential)")
+        sol.validate(diff, pot)
         return sol
 
     if params.family == "linear":
@@ -295,42 +253,14 @@ def stationary_solution(diff: DiffusionSpec, pot: PotentialSpec,
         if diff.gamma != 1.0:
             raise CapabilityError(
                 "stationary_solution: quadratic family implemented for gamma=1")
-        log_w, desc = _quadratic_family_solution(diff, params, branch, coefficients)
+        log_w, desc = _quadratic_family_solution(diff, params, branch)
     else:
         raise CapabilityError(
             f"stationary_solution: no constructor for family {params.family!r}")
 
-    limit = _mu_zero_limit_tag(diff, pot, branch, coefficients)
-    sol = gauge_solution(diff, log_w, desc, limit)
-    sol.validate(diff, pot, check_points)
+    sol = gauge_solution(diff, log_w, desc)
+    sol.validate(diff, pot)
     return sol
-
-
-def _mu_zero_limit_tag(diff: DiffusionSpec, pot: PotentialSpec, branch: str,
-                       coefficients: Optional[Tuple[float, float]]) -> str:
-    """Numerically decide whether the same branch collapses to the constant 1
-    when the potential is switched off."""
-    pot0 = _mu_zero_variant(pot)
-    if pot0 is None:
-        return "unknown"
-    try:
-        params0 = fit_riccati(diff, pot0, np.geomspace(0.2, 20.0, 24))
-        if params0 is None:
-            return "unknown"
-        if params0.family == "linear":
-            log_w, _ = _linear_family_solution(diff, params0, branch)
-        elif params0.family == "quadratic" and diff.gamma == 1.0:
-            log_w, _ = _quadratic_family_solution(diff, params0, branch, coefficients)
-        else:
-            return "unknown"
-        ev = gauge_solution(diff, log_w, "").eval
-        ref = ev(1.0)
-        if ref <= 0:
-            return "nonconstant"
-        vals = [ev(x) / ref for x in (0.5, 1.0, 2.0, 5.0)]
-        return "constant_one" if max(abs(v - 1.0) for v in vals) < 1e-8 else "nonconstant"
-    except Exception:
-        return "unknown"
 
 
 def _laplace_orbit(diff: DiffusionSpec, u0: StationarySolution,
@@ -366,8 +296,7 @@ def laplace_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
     against.
     """
     orbit = _laplace_orbit(diff, u0, A)
-    return SymmetrySolution(eval=lambda lam, x, t: orbit(lam, t, x),
-                            family="laplace_scaling", stationary=u0)
+    return SymmetrySolution(eval=lambda lam, x, t: orbit(lam, t, x))
 
 
 def log_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
@@ -392,7 +321,7 @@ def log_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
               + phi(math.exp(lx / den)) - F(x) / (2.0 * s))
         return math.exp(lg)
 
-    return SymmetrySolution(eval=ev, family="log_scaling", stationary=u0)
+    return SymmetrySolution(eval=ev)
 
 
 _INVARIANCE_SAMPLES = ((0.5, 1.0, 0.7), (-0.3, 2.0, 0.4), (0.9, 0.6, 1.2))
@@ -441,8 +370,7 @@ def exp_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
             invariant = False
             break
 
-    return SymmetrySolution(eval=ev, family="exp_scaling", params=params,
-                            stationary=u0, invariant=invariant)
+    return SymmetrySolution(eval=ev, invariant=invariant)
 
 
 def exp_kummer_symmetry(diff: DiffusionSpec, params: RiccatiParams) -> SymmetrySolution:
@@ -456,10 +384,9 @@ def exp_kummer_symmetry(diff: DiffusionSpec, params: RiccatiParams) -> SymmetryS
     Its t=0, eps=0 value is the Tricomi stationary branch itself. Used by the
     Whittaker-transform verification.
     """
-    log_w, desc = _quadratic_family_solution(diff, params, "secondary", None)
+    log_w, desc = _quadratic_family_solution(diff, params, "secondary")
     u0 = gauge_solution(diff, log_w, desc)
-    return SymmetrySolution(eval=_exp_orbit(diff, u0, params), family="exp_kummer",
-                            params=params, stationary=u0)
+    return SymmetrySolution(eval=_exp_orbit(diff, u0, params))
 
 
 def atom_weight(diff: DiffusionSpec, pot: PotentialSpec,

@@ -81,6 +81,21 @@ def test_invalid_parameters_raise_on_every_call():
             cat.density("bessel", {"a": 0.4}, T, X, 1.0)
 
 
+@pytest.mark.parametrize("name,params,bad", [
+    ("besq", {"n": 3.0}, "mu"),
+    ("tanh_drift", {}, "mu"),
+    ("cir", {"a": 1.0, "b": 1.0}, "sigma"),
+    ("bessel", {"a": 1.2}, "mu"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_make_entry_rejects_non_finite_parameters(name, params, bad, value):
+    # the error names the parameter when the entry is built, on the cached
+    # route and on the unhashable (uncached) one alike
+    for v in (value, np.array(value)):
+        with pytest.raises(ValidityError, match=f"parameter {bad} must be finite"):
+            cat.make_entry(name, **params, **{bad: v})
+
+
 def test_entry_params_are_read_only():
     entry = cat.make_entry("besq", n=3.0)
     with pytest.raises(TypeError):
@@ -514,7 +529,7 @@ def test_transform_identity_spot_check():
     val, err = si.quad(
         lambda y: math.exp(-lam * y) * entry.u0(y) * entry.kernel.continuous(t, x, y),
         0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-    val += sum(math.exp(-lam * at.location) * entry.u0(at.location)
+    val += sum(math.exp(-lam * 0.0) * entry.u0(0.0)
                * at.weight(t, x) for at in entry.kernel.atoms if at.order == 0)
     assert val == pytest.approx(cat.transform_rhs("tanh_drift", {"mu": 0.4},
                                                   lam, t, x), rel=1e-9)
@@ -583,6 +598,31 @@ def test_density_domain_checks():
         cat.density("besq", {"n": 3.0}, -1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         cat.density("besq", {"n": 3.0}, 1.0, 0.0, 1.0)
+
+
+_ONE_PER_ENTRY = {
+    "besq": {"n": 3.0},
+    "bessel": {"a": 1.2, "mu": 0.5},
+    "bessel_drift": {"a": 0.5, "b": 1.3},
+    "cir": {"a": 1.1, "b": 0.8, "sigma": 0.6},
+    "generic_linear": {"sigma": 1.0, "A": 1.0, "B": -0.3},
+    "generic_quadratic": {"sigma": 0.6, "a": 1.1, "b": 0.8},
+    "radial_ou": {"a": 0.9, "b": -0.5},
+    "rational_drift": {"a": 1.0, "mu_inv": 0.6},
+    "rational_showcase": {"a": 1.0, "b": 1.0},
+    "sqrt_drift": {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6},
+    "tanh_drift": {"mu": 0.9},
+}
+
+
+@pytest.mark.parametrize("name", cat.ENTRY_NAMES)
+@pytest.mark.parametrize("log", [False, True])
+def test_density_requires_positive_y(name, log):
+    # the y = 0 boundary carries the atoms; the continuous part is for y > 0
+    entry = cat.make_entry(name, **_ONE_PER_ENTRY[name])
+    for y in (0.0, -1.0):
+        with pytest.raises(DomainError, match="y > 0"):
+            cat.density(entry, None, 0.7, 1.3, y, log=log)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,16 @@ def test_density_outside_the_domain_is_usage_error(t, x):
     assert out == ""
 
 
+@pytest.mark.parametrize("grid", ["0:1:nan", "nan:1:0.5", "0:inf:1", "inf:inf:1"])
+def test_non_finite_grid_is_usage_error(grid):
+    code, out = run("density", "--entry", "besq", "--n", "3", "--t", "1",
+                    "--x", "1", "--y-grid", grid)
+    assert (code, out) == (2, "")
+    code, out = run("expect", "--entry", "besq", "--n", "3", "--t", "1",
+                    "--x", "1", "--lambda-grid", grid)
+    assert (code, out) == (2, "")
+
+
 def test_density_mass_check_refuses_a_finite_part_kernel():
     # the mu_inv kernel is not integrable near y = 0: no mass to compare
     code, out = run("density", "--entry", "rational_drift", "--a", "1",
@@ -299,6 +309,15 @@ def test_verify_monte_carlo_defaults_are_the_suite_settings():
     assert run("verify", "--suite", "mc", "--seed", "20260826") == suite
     assert run("verify", "--suite", "mc", "--paths", "500") == \
         run("verify", "--suite", "mc", "--paths", "500", "--steps", "300")
+
+
+@pytest.mark.parametrize("flags", [("--paths", "-5"), ("--paths", "1"),
+                                   ("--steps", "-1"), ("--steps", "0"),
+                                   ("--paths", "0", "--steps", "0")])
+def test_verify_unusable_monte_carlo_sizes_are_usage_errors(flags):
+    # one path has no standard error; zero is refused, not read as the default
+    code, out = run("verify", "--suite", "mc", *flags)
+    assert (code, out) == (2, "")
 
 
 def test_verify_json_format():

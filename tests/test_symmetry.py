@@ -69,13 +69,6 @@ def test_stationary_rejects_wrong_profile():
         bogus.validate(diff, pot)
 
 
-def test_stationary_limit_tags():
-    diff, pot = _tanh_pair()
-    params = fit_riccati(diff, pot, GRID)
-    u0 = sym.stationary_solution(diff, pot, branch="principal", params=params)
-    assert u0.limit_at_mu_zero in ("constant_one", "nonconstant", "unknown")
-
-
 # ---------------------------------------------------------------------------
 # generalized-Laplace scaling orbit (gamma != 2)
 # ---------------------------------------------------------------------------

@@ -182,6 +182,13 @@ def test_mc_exact_sampler_limited_to_supported_entries():
                          exact=True)
 
 
+@pytest.mark.parametrize("kw", [{"n_paths": 1}, {"n_paths": 0}, {"n_paths": -5},
+                                {"n_steps": 0}, {"n_steps": -1}])
+def test_mc_spec_rejects_unusable_sizes(kw):
+    with pytest.raises(DomainError):
+        v.McSpec(**kw)
+
+
 # entries whose drift and killing take path arrays: the Euler step makes one
 # call per step for each, never one per path
 _ARRAY_NATIVE = [
