@@ -8,10 +8,11 @@ killing potential to:
   * the right-hand side of its generalized Laplace transform identity, when
     the symmetry provides one (see "Transforms and atoms");
   * a closed-form expectation E_x[exp(-lambda*X_t^m - functionals)] where
-    available, with a quadrature fallback.
+    available, with a quadrature fallback (see "Quadrature").
 
 Kernels evaluate in the log domain wherever they are positive, so small-t
-Bessel factors do not overflow.
+Bessel factors do not overflow. Every kernel takes y as a float or as a
+float64 array, and picks the math module or numpy once per call by its type.
 
 One Bessel core
 ---------------
@@ -92,6 +93,16 @@ rational_showcase   drift 3-4b/(b+ax^2), no killing; Dirac + Dirac' atoms
 sqrt_drift          drift a-b*sqrt(x) with the induced computable potential
 generic_linear      constructed drifts, linear Riccati family, killing mu/x
 generic_quadratic   affine drift a-bx, quadratic family, killing mu*x
+
+Quadrature
+----------
+_quadrature_expectation integrates exp(-lam y^m) against the kernel with a
+fixed-node double-exponential rule (Takahasi & Mori 1974), split at the
+kernel's bulk c (first x, with the diffusion's width s over t): tanh-sinh on
+[0, c], exp-sinh on [c, inf) (_de_integral). The nodes depend on (t, x) and
+the bulk, not on lam, and the kernel values at them are cached, so a lam grid
+evaluates the kernel once. scipy's adaptive quad stays in verify, as the
+independent reference.
 
 The rational_showcase entry is structural: its kernel is a fundamental
 solution whose probabilistic meaning is unclear (the drift can push the state
@@ -182,6 +193,11 @@ class CatalogEntry:
         return 2.0 - self.diffusion.gamma
 
 
+# the one type test of a kernel call picks math or numpy by the type of y:
+# `type(y) is _NDARRAY` costs about a fifth of isinstance(y, np.ndarray)
+_NDARRAY = np.ndarray
+
+
 def _log_bessel_core(nu: float, c: float, omega: float, t: float, sx: float,
                      sy: float) -> float:
     """log[(c w / sinh wt) exp(-c w coth(wt)(sx^2 + sy^2))
@@ -197,22 +213,25 @@ def _log_bessel_core(nu: float, c: float, omega: float, t: float, sx: float,
             + specfun.log_bessel_ive(nu, 2.0 * cw * sx * sy / sh))
 
 
-def _scaled_sum(c1: float, l1: float, c2: float,
-                l2: float) -> Tuple[float, float]:
-    """(s, m) with c1 e^l1 + c2 e^l2 = s e^m for signed c1, c2. Plain math:
-    scipy.special.logsumexp costs 100 us a call, a kernel point 2-5 us."""
-    if not c2:
-        return c1, l1
-    if not c1:
-        return c2, l2
-    m = max(l1, l2)
-    return c1 * math.exp(l1 - m) + c2 * math.exp(l2 - m), m
+def _scaled_sum(c1, l1, c2, l2, xp):
+    """(s, m) with c1 e^l1 + c2 e^l2 = s e^m for signed c1, c2, elementwise
+    when xp is numpy. Plain math for floats: scipy.special.logsumexp costs
+    100 us a call, a kernel point 2-5 us."""
+    if xp is np:
+        m = np.maximum(l1, l2)
+    else:
+        if not c2:
+            return c1, l1
+        if not c1:
+            return c2, l2
+        m = max(l1, l2)
+    return c1 * xp.exp(l1 - m) + c2 * xp.exp(l2 - m), m
 
 
-def _log_sum_exp(ls) -> float:
-    """log(sum(exp(l) for l in ls)); returns a single l unchanged."""
-    top = max(ls)
-    return top + math.log(sum([math.exp(l - top) for l in ls]))
+def _log_sum_exp(ls, xp=math):
+    """log(sum(exp(l) for l in ls)), elementwise when xp is numpy."""
+    top = max(ls) if xp is math else np.maximum.reduce(ls)
+    return top + xp.log(sum([xp.exp(l - top) for l in ls]))
 
 
 def _log_core_moments(nu: float, c: float, omega: float, lam: float, t: float,
@@ -220,25 +239,49 @@ def _log_core_moments(nu: float, c: float, omega: float, lam: float, t: float,
     """Yield, for each (p, beta) of terms, log B = log of e^(beta X) X^-p
     integral_0^inf Y^p e^(-(lam + beta) Y) core(Y) dY, X = sx^2: the moment
     with its e^(c^2/s) and the core's exponent regrouped into -X Q/D, whose
-    terms are all nonnegative when c omega >= |beta|, so nothing cancels."""
+    terms are all nonnegative when c omega >= |beta|, so nothing cancels.
+
+    Where E = e^(-2 omega t) falls below 1e-300 (and em = 1), E is carried as
+    its log, and so are s and the Bessel argument, which shrink with it:
+    where also lam + beta + c omega = 0, s is 2 c omega E, not 0."""
     X = sx * sx
     lX = math.log(X)
     if omega == 0.0:
-        log_k, arg = math.log(c / t), c * sx / t
+        log_k, arg, E = math.log(c / t), c * sx / t, 1.0
     else:  # 2 e^(-wt) cosh(wt) = 1 + E, 2 e^(-wt) sinh(wt) = em
         wt, cw = omega * t, c * omega
         E, em = math.exp(-2.0 * wt), -math.expm1(-2.0 * wt)
-        log_k = math.log(2.0 * cw / em) - wt
-        arg = 2.0 * cw * sx * math.exp(-wt) / em
+        if E > 1e-300:
+            log_k = math.log(2.0 * cw / em) - wt
+            arg = 2.0 * cw * sx * math.exp(-wt) / em
+        else:
+            log_k = math.log(2.0 * cw) - wt
+            l_arg = log_k + math.log(sx)
     for p, beta in terms:
         if omega == 0.0:
             den = (lam + beta) * t + c
             s, q_over_d = den / t, (c * lam - beta * (lam + beta) * t) / den
-        else:
+        elif E > 1e-300:
             d = (lam + beta + cw) * em + 2.0 * cw * E
             s = d / em
             q_over_d = (lam * ((cw - beta) + E * (cw + beta))
                         + (cw - beta) * (cw + beta) * em) / d
+        else:
+            # d = D + 2 c omega E and Q = (c omega - beta) D + 2 c omega lam E,
+            # D = lam + beta + c omega >= 0; la, lb, ls: logs of D, 2 c omega E, d
+            D = lam + beta + cw
+            la, lb = (math.log(D) if D > 0 else -math.inf), log_k - wt
+            ls = max(la, lb) + math.log1p(math.exp(-abs(la - lb)))
+            q_over_d = (cw - beta) * math.exp(la - ls) + lam * math.exp(lb - ls)
+            # the moment at s = e^ls, rescaled to s = 1 (y -> y/s), which
+            # leaves arg^2/s alone; below arg^2/s = e^-600 its 1F1 factor is
+            # 1, so that its log is nu log(arg/sqrt(s)) plus a constant
+            lc = l_arg - 0.5 * ls
+            yield (specfun.log_laplace_bessel_moment_scaled(
+                       p, nu, 1.0, math.exp(max(lc, -300.0)))
+                   + nu * min(lc + 300.0, 0.0) - (p + 1.0) * ls
+                   + log_k - X * q_over_d - p * lX)
+            continue
         yield (specfun.log_laplace_bessel_moment_scaled(p, nu, s, arg)
                + log_k - X * q_over_d - p * lX)
 
@@ -256,15 +299,21 @@ def _with_atoms(val: float, atoms, lam: float, t: float, x: float, m: float) -> 
 
 
 def _kernel(logf, atoms=()) -> Kernel:
-    def cont(t: float, x: float, y: float) -> float:
-        return math.exp(logf(t, x, y))
+    """Kernel of the log density logf(t, x, y, xp=None). Every kernel takes y
+    as a float or as a float64 array and picks xp, the math module or numpy,
+    once per call by the type of y (logf where xp is None), so one formula
+    serves both."""
+    def cont(t: float, x: float, y):
+        xp = np if type(y) is _NDARRAY else math
+        return xp.exp(logf(t, x, y, xp))
     return Kernel(continuous=cont, log_continuous=logf, atoms=tuple(atoms))
 
 
 def _core_sum(nu: float, c: float, omega: float, terms, g: float = 0.0, m: float = 1.0,
-              atoms=()) -> Tuple[Kernel, Callable]:
-    """(kernel, closed-form expectation) of the h-transformed core of the
-    module docstring, terms = ((c_i, p_i, beta_i), ...) with c_i > 0."""
+              atoms=()) -> Tuple[Callable, Callable]:
+    """(log kernel for _kernel, closed-form expectation with the atoms) of the
+    h-transformed core of the module docstring, terms = ((c_i, p_i, beta_i),
+    ...) with c_i > 0."""
     logc = tuple((math.log(ci), p, beta) for ci, p, beta in terms)
     pb = tuple((p, beta) for _, p, beta in terms)
     single, (_, p0, beta0), atoms = len(terms) == 1, terms[0], tuple(atoms)
@@ -277,16 +326,18 @@ def _core_sum(nu: float, c: float, omega: float, terms, g: float = 0.0, m: float
         top = _log_sum_exp(ls)
         return [l - top for l in ls]
 
-    def log_p(t: float, x: float, y: float) -> float:
+    def log_p(t: float, x: float, y, xp=None):
+        if xp is None:
+            xp = np if type(y) is _NDARRAY else math
         if m == 2.0:  # with the Jacobian 2y
-            sx, sy, dY, jac = x, y, (y - x) * (y + x), math.log(2.0 * y)
+            sx, sy, dY, jac = x, y, (y - x) * (y + x), xp.log(2.0 * y)
         else:
-            sx, sy, dY, jac = math.sqrt(x), math.sqrt(y), y - x, 0.0
-        lx, ly = math.log(x), math.log(y)
+            sx, sy, dY, jac = math.sqrt(x), xp.sqrt(y), y - x, 0.0
+        lx, ly = math.log(x), xp.log(y)
         if single:  # (Y/X)^p0 e^(-beta0 (Y - X)), Y - X formed without cancellation
             ratio = p0 * m * (ly - lx) - beta0 * dY
         else:
-            ratio = (_log_sum_exp(log_terms(y ** m, m * ly))
+            ratio = (_log_sum_exp(log_terms(y ** m, m * ly), xp)
                      - _log_sum_exp(log_terms(x ** m, m * lx)))
         return jac + g * t + ratio + _log_bessel_core(nu, c, omega, t, sx, sy)
 
@@ -301,7 +352,7 @@ def _core_sum(nu: float, c: float, omega: float, terms, g: float = 0.0, m: float
             val = sum([math.exp(lw + g * t + lb) for lw, lb in zip(log_w(x), moments)])
         return _with_atoms(val, atoms, lam, t, x, m)
 
-    return _kernel(log_p, atoms), expect
+    return log_p, expect
 
 
 def _check_positive(name: str, **vals: float) -> None:
@@ -349,7 +400,7 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
     pot = PotentialSpec(form="inverse_plus_linear", mu=mu, nu_coeff=nu) \
         if (mu or nu) else PotentialSpec(form="zero")
 
-    kernel, expect = _core_sum(w, 0.5, b, ((1.0, 0.25 * (n - 2.0), 0.0),))
+    log_p, expect = _core_sum(w, 0.5, b, ((1.0, 0.25 * (n - 2.0), 0.0),))
 
     u0 = ric = rhs = None
     if mu == 0.0:  # y^d does not solve the stationary ODE with mu*x killing
@@ -360,7 +411,7 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
 
     return CatalogEntry(
         name="besq", params={"n": n, "mu": mu, "nu": nu},
-        diffusion=diff, potential=pot, kernel=kernel,
+        diffusion=diff, potential=pot, kernel=_kernel(log_p),
         u0=u0, riccati=ric, transform_rhs=rhs, expectation_closed=expect,
         functional_param="nu" if nu else "mu")
 
@@ -405,8 +456,8 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
         else PotentialSpec(form="zero")
 
     # E_x[exp(-lam*X_t^2 - (mu/4) int ds/X_s^2)]
-    kernel, expect = _core_sum(nu_ix - 1.0, 0.5, 0.0, ((1.0, 0.5 * (a - 0.5), 0.0),),
-                               m=2.0)
+    log_p, expect = _core_sum(nu_ix - 1.0, 0.5, 0.0, ((1.0, 0.5 * (a - 0.5), 0.0),),
+                              m=2.0)
 
     u0 = gauge_solution(diff, lambda y: (d + a) * math.log(y),
                         f"power branch y^{d:.6g}")
@@ -414,7 +465,7 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
 
     return CatalogEntry(
         name="bessel", params={"a": a, "mu": mu},
-        diffusion=diff, potential=pot, kernel=kernel,
+        diffusion=diff, potential=pot, kernel=_kernel(log_p),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
         expectation_closed=expect, functional_param="mu")
 
@@ -456,9 +507,11 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
     pot = PotentialSpec(form="power", mu=mu, n=-2.0) if mu \
         else PotentialSpec(form="zero")
 
-    def log_p(t: float, x: float, y: float) -> float:
+    def log_p(t: float, x: float, y, xp=None):
+        if xp is None:
+            xp = np if type(y) is _NDARRAY else math
         # the log I(a, .) ratio is b*(y - x) plus a log(ive) ratio
-        return (math.log(2.0 * y) + b * (y - x)
+        return (xp.log(2.0 * y) + b * (y - x)
                 + log_ive(a, b * y) - log_ive(a, b * x) - 0.5 * b * b * t
                 + _log_bessel_core(atil, 0.5, 0.0, t, x, y))
 
@@ -503,12 +556,12 @@ def _make_cir(a: float, b: float, sigma: float, mu: float = 0.0,
         pot = PotentialSpec(form="zero")
 
     # E_x[exp(-lam*X_t - mu int ds/X_s - mu_lin int X_s ds)]
-    kernel, expect = _affine_core(a, b, sigma, b * b + 4.0 * mu_lin * sigma, nu_ix)
+    log_p, expect = _affine_core(a, b, sigma, b * b + 4.0 * mu_lin * sigma, nu_ix)
 
     return CatalogEntry(
         name="cir", params={"a": a, "b": b, "sigma": sigma, "mu": mu,
                             "mu_lin": mu_lin},
-        diffusion=diff, potential=pot, kernel=kernel,
+        diffusion=diff, potential=pot, kernel=_kernel(log_p),
         u0=None, transform_rhs=None, expectation_closed=expect,
         functional_param="mu")
 
@@ -551,8 +604,8 @@ def _make_rational_drift(a: float, mu: float = 0.0,
 
     atom = AtomSpec(weight=lambda t, x: 2.0 * math.exp(log_u1(t, x)), order=0)
     # u(y) = (2 + ay)/sqrt(y); E_x[exp(-lam*X_t - mu int X_s ds)]
-    kernel, expect = _core_sum(1.0, 1.0, rmu, ((2.0, -0.5, 0.0), (a, 0.5, 0.0)),
-                               atoms=(atom,))
+    log_p, expect = _core_sum(1.0, 1.0, rmu, ((2.0, -0.5, 0.0), (a, 0.5, 0.0)),
+                              atoms=(atom,))
 
     u0 = gauge_solution(diff, lambda y: -rmu * y,
                         "decaying exponential branch /(2+ay)")
@@ -561,7 +614,7 @@ def _make_rational_drift(a: float, mu: float = 0.0,
 
     return CatalogEntry(
         name="rational_drift", params={"a": a, "mu": mu, "mu_inv": 0.0},
-        diffusion=diff, potential=pot, kernel=kernel,
+        diffusion=diff, potential=pot, kernel=_kernel(log_p, (atom,)),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
         expectation_closed=expect, functional_param="mu")
 
@@ -579,17 +632,18 @@ def _rational_drift_inverse(a: float, mu_inv: float,
     def u0_val(y: float) -> float:
         return y ** dm * (2.0 + a * y ** root) / (2.0 + a * y)
 
-    def g_term(rho: float, c: float, y: float) -> float:
+    def g_term(rho: float, c: float, y, xp):
         # (y/c)^{(rho-1)/2} e^-z I_{rho-1}(z), z = 2 sqrt(cy); finite part for rho<0
         return (y / c) ** (0.5 * (rho - 1.0)) * specfun.bessel_i(
-            rho - 1.0, 2.0 * math.sqrt(c * y), scaled=True)
+            rho - 1.0, 2.0 * xp.sqrt(c * y), scaled=True)
 
-    def cont(t: float, x: float, y: float) -> float:
+    def cont(t: float, x: float, y):
+        xp = np if type(y) is _NDARRAY else math
         c = x / (t * t)
-        bracket = (a * x ** dp * t ** (-2.0 * dp) * g_term(2.0 * dp, c, y)
-                   + 2.0 * x ** dm * t ** (-2.0 * dm) * g_term(2.0 * dm, c, y))
+        bracket = (a * x ** dp * t ** (-2.0 * dp) * g_term(2.0 * dp, c, y, xp)
+                   + 2.0 * x ** dm * t ** (-2.0 * dm) * g_term(2.0 * dm, c, y, xp))
         # e^{-(x+y)/t} I(z) = e^{-(sqrt(x)-sqrt(y))^2/t} e^-z I(z)
-        return (math.exp(-(math.sqrt(x) - math.sqrt(y)) ** 2 / t) * bracket
+        return (xp.exp(-(math.sqrt(x) - xp.sqrt(y)) ** 2 / t) * bracket
                 / ((2.0 + a * x) * u0_val(y)))
 
     u0 = StationarySolution(eval=u0_val,
@@ -632,12 +686,12 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
     u1 = atom_weight(diff, pot, u0, ric)  # (x, t); u0(0+) = 1
     atom = AtomSpec(weight=lambda t, x: u1(x, t), order=0)
     # u(y) = cosh(y)/sqrt(y); E_x[exp(-lam*X_t - mu int X_s ds)]
-    kernel, expect = _core_sum(1.0, 1.0, k, ((0.5, -0.5, -1.0), (0.5, -0.5, 1.0)),
-                               atoms=(atom,))
+    log_p, expect = _core_sum(1.0, 1.0, k, ((0.5, -0.5, -1.0), (0.5, -0.5, 1.0)),
+                              atoms=(atom,))
 
     return CatalogEntry(
         name="tanh_drift", params={"mu": mu},
-        diffusion=diff, potential=pot, kernel=kernel,
+        diffusion=diff, potential=pot, kernel=_kernel(log_p, (atom,)),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
         expectation_closed=expect, functional_param="mu")
 
@@ -664,13 +718,13 @@ def _make_radial_ou(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
     pot = PotentialSpec(form="power", mu=mu, n=2.0) if mu else PotentialSpec(form="zero")
 
     # u(y) = y^(nu - 1) e^(b y^2/4); E_x[exp(-lam*X_t^2 - mu int X_s^2 ds)]
-    kernel, expect = _core_sum(nu_ix - 1.0, 0.25, alpha,
-                               ((1.0, 0.5 * (nu_ix - 1.0), -0.25 * b),),
-                               g=-b * nu_ix, m=2.0)
+    log_p, expect = _core_sum(nu_ix - 1.0, 0.25, alpha,
+                              ((1.0, 0.5 * (nu_ix - 1.0), -0.25 * b),),
+                              g=-b * nu_ix, m=2.0)
 
     return CatalogEntry(
         name="radial_ou", params={"a": a, "b": b, "mu": mu},
-        diffusion=diff, potential=pot, kernel=kernel,
+        diffusion=diff, potential=pot, kernel=_kernel(log_p),
         u0=None, transform_rhs=None, expectation_closed=expect,
         functional_param="mu")
 
@@ -699,8 +753,7 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
     atom1 = AtomSpec(order=1, weight=lambda t, x:
                      b * t * math.exp(-x / t) / (b + a * x * x))
     # u(y) = (b + a y^2)/y; the closed expectation is the transform (u0 = 1)
-    kernel, _ = _core_sum(2.0, 1.0, 0.0, ((b, -1.0, 0.0), (a, 1.0, 0.0)),
-                          atoms=(atom0, atom1))
+    log_p, _ = _core_sum(2.0, 1.0, 0.0, ((b, -1.0, 0.0), (a, 1.0, 0.0)))
 
     u0 = StationarySolution(eval=lambda y: 1.0, log_eval=lambda y: 0.0,
                             description="constant 1",
@@ -711,7 +764,7 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
 
     return CatalogEntry(
         name="rational_showcase", params={"a": a, "b": b},
-        diffusion=diff, potential=pot, kernel=kernel,
+        diffusion=diff, potential=pot, kernel=_kernel(log_p, (atom0, atom1)),
         u0=u0, riccati=ric, transform_rhs=rhs,
         expectation_closed=rhs, functional_param="")
 
@@ -785,9 +838,11 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
                          label="sqrt_drift")
     pot = PotentialSpec(form="tabulated", func=g)
 
-    def log_p(t: float, x: float, y: float) -> float:
-        sx, sy = math.sqrt(x), math.sqrt(y)
-        return (0.5 * (1.0 - a) * (math.log(x) - math.log(y)) + b * (sx - sy)
+    def log_p(t: float, x: float, y, xp=None):
+        if xp is None:
+            xp = np if type(y) is _NDARRAY else math
+        sx, sy = math.sqrt(x), xp.sqrt(y)
+        return (0.5 * (1.0 - a) * (math.log(x) - xp.log(y)) + b * (sx - sy)
                 - 0.5 * A * t + _log_bessel_core(w, 1.0, 0.0, t, sx, sy))
 
     def log_gauge(y: float) -> float:  # log(sqrt(y) I_w(sqrt(2Ay)))
@@ -871,20 +926,23 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
                             log_gauge=lambda y: log_y(y, nu_ix))
     ric = RiccatiParams("linear", A=0.5 * A / sigma, B=B + 2.0 * sigma * mu)
 
-    def cont(t: float, x: float, y: float) -> float:
+    def cont(t: float, x: float, y):
         # sum_i w_i e^(core_i) / (w1 + w2) times y(y)/sqrt(y) over y(x)/sqrt(x),
         # zy = c sqrt(y), w_i = c_i e^-zy I_(+-nu)(zy): the sum over u0(y)'s
         # numerator c1 I_nu(zy) + c2 I_-nu(zy), so one branch needs no I(zy)
-        sx, sy = math.sqrt(x), math.sqrt(y)
+        xp = np if type(y) is _NDARRAY else math
+        sx, sy = math.sqrt(x), xp.sqrt(y)
         zy = c * sy
-        w1, w2 = float(c1 != 0.0), float(c2 != 0.0)
+        l1 = _log_bessel_core(nu_ix, 1.0 / sigma, 0.0, t, sx, sy) if c1 else 0.0
+        l2 = _log_bessel_core(-nu_ix, 1.0 / sigma, 0.0, t, sx, sy) if c2 else 0.0
         if c1 and c2:
             w1 = c1 * specfun.bessel_i(nu_ix, zy, scaled=True)
             w2 = c2 * specfun.bessel_i(-nu_ix, zy, scaled=True)
-        l1 = _log_bessel_core(nu_ix, 1.0 / sigma, 0.0, t, sx, sy) if w1 else 0.0
-        l2 = _log_bessel_core(-nu_ix, 1.0 / sigma, 0.0, t, sx, sy) if w2 else 0.0
-        s, m = _scaled_sum(w1, l1, w2, l2)
-        return s / (w1 + w2) * _combo(alpha, zy) * math.exp(
+            s, m = _scaled_sum(w1, l1, w2, l2, xp)
+            s = s / (w1 + w2)
+        else:
+            s, m = 1.0, l1 + l2
+        return s * _combo(alpha, zy) * xp.exp(
             m + zy + 0.5 * math.log(x) - log_y(x) - A * t / (2.0 * sigma))
 
     return CatalogEntry(
@@ -919,25 +977,26 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
                          label="generic_quadratic")
     pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
 
-    log_p = _affine_core(a, b, sigma, A, nu_ix)[0].log_continuous  # cir, mu_lin = mu
+    log_p = _affine_core(a, b, sigma, A, nu_ix)[0]  # cir, mu_lin = mu
     nu_is_int = abs(nu_ix - round(nu_ix)) < 1e-12
 
-    def cont(t: float, x: float, y: float) -> float:
+    def cont(t: float, x: float, y):
         # c1 I_nu(z) + c2 S(z) = I_nu(z) (c1 + c2 S(z)/I_nu(z)), S = K_nu or
         # I_-nu, at the Bessel argument z of log_p
-        z = math.sqrt(A * x * y) / (sigma * math.sinh(0.5 * math.sqrt(A) * t))
+        xp = np if type(y) is _NDARRAY else math
+        z = xp.sqrt(A * x * y) / (sigma * math.sinh(0.5 * math.sqrt(A) * t))
         if nu_is_int:
             s2, l2 = specfun.bessel_k(round(nu_ix), z, scaled=True), -2.0 * z
         else:
             s2, l2 = specfun.bessel_i(-nu_ix, z, scaled=True), 0.0
-        s, m = _scaled_sum(c1, 0.0, c2 * s2, l2 - specfun.log_bessel_ive(nu_ix, z))
-        return s * math.exp(log_p(t, x, y) + m)
+        s, m = _scaled_sum(c1, 0.0, c2 * s2, l2 - specfun.log_bessel_ive(nu_ix, z), xp)
+        return s * xp.exp(log_p(t, x, y, xp) + m)
 
     return CatalogEntry(
         name="generic_quadratic",
         params={"sigma": sigma, "a": a, "b": b, "mu": mu, "c1": c1, "c2": c2},
         diffusion=diff, potential=pot,
-        kernel=_kernel(lambda t, x, y: math.log(c1) + log_p(t, x, y))
+        kernel=_kernel(lambda t, x, y, xp=None: math.log(c1) + log_p(t, x, y, xp))
         if c2 == 0.0 and c1 > 0 else Kernel(continuous=cont, log_continuous=None),
         u0=None, transform_rhs=None, expectation_closed=None,
         functional_param="mu")
@@ -1032,10 +1091,13 @@ def _evaluate(route: str, e: CatalogEntry, fn: Callable[..., float],
 
 
 def density(entry, params: Optional[Dict[str, float]], t: float, x: float,
-            y: float, log: bool = False) -> float:
+            y, log: bool = False):
     """Continuous part of the fundamental solution at y > 0 (the atoms at
-    y = 0 are reported by atom_weights, not here)."""
+    y = 0 are reported by atom_weights, not here). y may be a 1-D array: one
+    kernel call then evaluates all of it, and the result is an array."""
     e = _resolve(entry, params)
+    if type(y) is _NDARRAY and y.ndim:
+        return _density_grid(e, float(t), float(x), y.astype(float), log)
     t, x, y = float(t), float(x), float(y)
     if not (t > 0 and x > 0 and y > 0):
         raise DomainError("density: requires t > 0, x > 0, y > 0")
@@ -1044,6 +1106,28 @@ def density(entry, params: Optional[Dict[str, float]], t: float, x: float,
         raise CapabilityError(
             f"density: entry {e.name} has no log form (kernel may be signed)")
     return _evaluate("density", e, fn, t, x, y)
+
+
+def _density_grid(e: CatalogEntry, t: float, x: float, y: np.ndarray,
+                  log: bool) -> np.ndarray:
+    """density on an array of y, in one kernel call."""
+    if not (t > 0 and x > 0 and (y > 0).all()):
+        raise DomainError("density: requires t > 0, x > 0, y > 0")
+    fn = e.kernel.log_continuous if log else e.kernel.continuous
+    if fn is None:
+        raise CapabilityError(
+            f"density: entry {e.name} has no log form (kernel may be signed)")
+    try:
+        with np.errstate(all="ignore"):
+            val = fn(t, x, y)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise EvalOverflowError(f"density: entry {e.name} failed at t={t}, "
+                                f"x={x} ({exc})") from exc
+    bad = ~np.isfinite(val)
+    if bad.any():
+        raise EvalOverflowError(f"density: entry {e.name} gave "
+                                f"{float(val[bad][0])!r} at y={float(y[bad][0])!r}")
+    return val
 
 
 def atom_weights(entry, params: Optional[Dict[str, float]], t: float,
@@ -1063,12 +1147,193 @@ def transform_rhs(entry, params: Optional[Dict[str, float]], lam: float,
     """Closed-form right-hand side of the entry's transform identity."""
     e = _resolve(entry, params)
     lam, t, x = float(lam), float(t), float(x)
-    if lam < 0:
-        raise DomainError("transform_rhs: lam >= 0 required")
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise DomainError(f"transform_rhs: finite lam >= 0 required (got {lam})")
     if e.transform_rhs is None:
         raise CapabilityError(f"transform_rhs: entry {e.name} has no "
                               "Laplace-type transform identity")
     return _evaluate("transform_rhs", e, e.transform_rhs, lam, t, x)
+
+
+# ---------------------------------------------------------------------------
+# quadrature: a fixed-node double-exponential rule (Takahasi & Mori 1974)
+# ---------------------------------------------------------------------------
+
+_HALF_PI = 0.5 * math.pi
+_DE_H = 0.5             # node spacing in u of the first level; each level halves it
+_DE_MAX_LEVEL = 6       # the last level has spacing 1/128
+_DE_REL_TOL = 1e-11     # two levels agree within this times the integral of |f|
+_DE_NOISE = 1e-9        # ... or within this, once rounding in f stops them converging
+_DE_TAIL = 1e-15        # a far end's term, relative to the largest, of a finite sum
+_DE_LOCATE = 6          # first levels at most, each centred on the last one's peak
+_DE_LOG_ZERO = -800.0   # largest log|f| at the nodes below which the integral is 0
+# u-ranges: towards c both maps stop where their weights fall below 1e-17 s;
+# the far ends start at |u| = _DE_REACH (y of about c e^-86 and c + s e^16)
+# and grow by 1 while their terms are not negligible, up to y of about
+# c e^-640 and c + s e^40
+_DE_NEAR = (math.asinh(44.0 / math.pi), math.asinh(44.0 / _HALF_PI))
+_DE_FAR = (640.0, 40.0)
+_DE_REACH = (4.0, 3.0)
+# kernel values at the nodes of recent blocks: the nodes depend on the bulk,
+# not on lam, so a lam grid at one (t, x) evaluates the kernel once
+_DE_CACHE: Dict[tuple, tuple] = {}
+_DE_CACHE_SIZE = 64
+
+
+def _de_pieces(c: float, s: float):
+    """The two maps from u to (y, dy/du), each with its u-range and the end of
+    it that lies away from c: tanh-sinh on (0, c), v = (pi/2) sinh u + delta,
+    shifted so that u = 0 lies about s below c, and exp-sinh on (c, inf) with
+    scale s."""
+    delta = max(0.0, 0.5 * math.log(c / s))
+
+    def tanh_sinh(u):
+        v = _HALF_PI * np.sinh(u) + delta
+        e = np.exp(-2.0 * np.abs(v))
+        return (np.where(v > 0.0, c, c * e) / (1.0 + e),
+                math.pi * c * np.cosh(u) * e / (1.0 + e) ** 2)
+
+    def exp_sinh(u):
+        ev = np.exp(_HALF_PI * np.sinh(u))
+        return c + s * ev, _HALF_PI * s * np.cosh(u) * ev
+
+    return ((tanh_sinh, -math.asinh((_DE_FAR[0] + 2.0 * delta) / math.pi), _DE_NEAR[0], 0),
+            (exp_sinh, -_DE_NEAR[1], math.asinh(_DE_FAR[1] / _HALF_PI), -1))
+
+
+@functools.lru_cache(maxsize=256)
+def _de_nodes(lo: float, hi: float, h: float, odd: bool) -> np.ndarray:
+    """The multiples of h in [lo, hi]; only the odd ones when odd (cached: the
+    spans repeat from one expectation to the next)."""
+    k = math.ceil(lo / h)
+    k += odd and not k % 2
+    return np.arange(k, math.floor(hi / h) + 1, 1 + odd) * h
+
+
+def _de_terms(problem, c: float, s: float, blocks, what: str):
+    """(w f, log|f|, y) at the nodes u of the blocks (piece index, map, u),
+    one block after the other: the kernel values come from _DE_CACHE or, for
+    all the blocks missing there, from one kernel call."""
+    kernel, weight, key = problem
+    keys = [(key, c, s, i, float(u[0]), float(u[-1]), len(u)) for i, _, u in blocks]
+    parts = [_DE_CACHE.get(k) for k in keys]
+    missing = [j for j, part in enumerate(parts) if part is None]
+    if missing:
+        yw = [blocks[j][1](blocks[j][2]) for j in missing]
+        y = np.concatenate([y for y, _ in yw])
+        values = np.broadcast_to(kernel(y), y.shape)
+        start = 0
+        for j, (y, w) in zip(missing, yw):
+            parts[j] = _DE_CACHE[keys[j]] = (y, w, values[start:start + len(y)])
+            start += len(y)
+        while len(_DE_CACHE) > _DE_CACHE_SIZE:
+            del _DE_CACHE[next(iter(_DE_CACHE))]
+    y, w, values = (np.concatenate(a) for a in zip(*parts))
+    f, log_f = weight(y, values)
+    wf = w * f
+    if not np.isfinite(wf).all():
+        raise ConvergenceError(f"{what}: the integrand is not finite at "
+                               f"y = {float(y[~np.isfinite(wf)][0])!r}")
+    return wf, log_f, y
+
+
+def _de_first_level(problem, c: float, s: float, what: str):
+    """The pieces of (c, s), their u-spans and the first level's (w f,
+    log|f|, y), the span of each piece grown at its far end until the end
+    term is negligible."""
+    pieces = _de_pieces(c, s)
+    spans = [[max(lo, -_DE_REACH[0]), hi] if far == 0 else [lo, min(hi, _DE_REACH[1])]
+             for _, lo, hi, far in pieces]
+    while True:
+        blocks = [(i, m, _de_nodes(a, b, _DE_H, False))
+                  for i, ((m, *_), (a, b)) in enumerate(zip(pieces, spans))]
+        terms = _de_terms(problem, c, s, blocks, what)
+        size = np.abs(terms[0])
+        top, grown = size.max(), False
+        for (_, lo, hi, far), span in zip(pieces, spans):
+            if size[far] > _DE_TAIL * top:  # the far ends are the first and last node
+                limit = (lo, hi)[far]
+                if span[far] == limit:
+                    raise ConvergenceError(f"{what}: the integrand is not negligible "
+                                           "at the ends of the node range")
+                span[far] = max(limit, span[far] - 1.0) if far == 0 else \
+                    min(limit, span[far] + 1.0)
+                grown = True
+        if not grown:
+            return pieces, spans, terms
+
+
+def _de_peak(y: np.ndarray, log_f: np.ndarray):
+    """(centre, width) of the bulk seen at the ascending nodes y, or None
+    where log(y |f|) is largest at an end of the range: the vertex and
+    curvature -1/(2 w^2) of the parabola through log(y |f|) at its largest
+    node and the two neighbours (exact for a Gaussian bulk), else the largest
+    node and half the gap between its neighbours."""
+    score = log_f + np.log(y)
+    j = int(np.argmax(score))
+    if not 0 < j < len(y) - 1:
+        return None
+    y0, y1, y2 = (float(v) for v in y[j - 1:j + 2])
+    s0, s1, s2 = score[j - 1:j + 2]
+    if y0 < y1 < y2 and math.isfinite(s0 + s2):
+        d1, d2 = (s1 - s0) / (y1 - y0), (s2 - s1) / (y2 - y1)
+        a = (d2 - d1) / (y2 - y0)
+        if a < 0:
+            return y1 - (d1 + a * (y1 - y0)) / (2.0 * a), 1.0 / math.sqrt(-2.0 * a)
+    return y1, 0.5 * (y2 - y0)
+
+
+def _de_integral(problem, c: float, s: float, what: str) -> float:
+    """Integral over (0, inf) of f = weight(y, kernel(y)), problem = (kernel,
+    weight, key): kernel(y) is the costly part, cached under key, and weight
+    returns (f, log|f|). The bulk of f lies near c with width about s.
+
+    The first level (_de_first_level) locates the bulk: while the peak it
+    sees (_de_peak) lies more than 4 s from c, or at an end of the range, c
+    and s move to it (to the end, with s = c) and the level is made again.
+    Where every term underflows, the integral is 0 if the bulk was located
+    and the largest log|f| is below _DE_LOG_ZERO, and unknown otherwise.
+    Each further level halves the spacing and evaluates only the new nodes
+    (the first call makes three levels), until two levels agree, or stop
+    converging within _DE_NOISE."""
+    with np.errstate(all="ignore"):
+        for _ in range(_DE_LOCATE):
+            pieces, spans, (wf, log_f, y) = _de_first_level(problem, c, s, what)
+            bulk = _de_peak(y, log_f)
+            if bulk is None:
+                c = s = float(y[np.argmax(log_f + np.log(y))])
+            elif abs(bulk[0] - c) <= 4.0 * s or not bulk[1] > 0.0:
+                break
+            else:
+                c, s = bulk
+        else:
+            bulk = None  # not located
+        if not wf.any():
+            if bulk is not None and log_f.max() < _DE_LOG_ZERO:
+                return 0.0
+            raise ConvergenceError(f"{what}: the integrand vanishes at every node")
+        total, l1 = _DE_H * wf.sum(), _DE_H * np.abs(wf).sum()
+        h, step, level = _DE_H, math.inf, 0
+        while level < _DE_MAX_LEVEL:
+            new_levels = (1, 2, 3) if level == 0 else (level + 1,)
+            blocks = [(i, m, _de_nodes(a, b, _DE_H * 0.5 ** k, True))
+                      for k in new_levels
+                      for i, ((m, *_), (a, b)) in enumerate(zip(pieces, spans))]
+            wf = _de_terms(problem, c, s, blocks, what)[0]
+            start = 0
+            for k in new_levels:
+                stop = start + len(blocks[0][2]) + len(blocks[1][2])
+                new, blocks, start = wf[start:stop], blocks[2:], stop
+                h *= 0.5
+                new_total = total * 0.5 + h * new.sum()
+                l1 = l1 * 0.5 + h * np.abs(new).sum()
+                step, last = abs(new_total - total), step
+                if step <= _DE_REL_TOL * l1 or (
+                        k >= 3 and step <= _DE_NOISE * l1 and step > 0.125 * last):
+                    return float(new_total)
+                total, level = new_total, k
+    raise ConvergenceError(f"{what}: no two levels agreed down to node spacing "
+                           f"{h!r} (last estimate {float(total)!r})")
 
 
 def _quadrature_expectation(e: CatalogEntry, lam: float, t: float,
@@ -1076,22 +1341,31 @@ def _quadrature_expectation(e: CatalogEntry, lam: float, t: float,
     if e.kernel.finite_part:
         raise CapabilityError(f"expectation: entry {e.name} has a finite-part "
                               "kernel; quadrature is not offered")
-    from scipy import integrate  # loaded here: 0.3 s that closed forms never need
     m = e.state_power
     log_k, k = e.kernel.log_continuous, e.kernel.continuous
 
-    def f(y: float) -> float:
-        # one exp of the summed logs: exp(-lam*y^m) alone overflows for lam < 0
-        if log_k is not None:
-            return math.exp(log_k(t, x, y) - lam * y ** m)
-        return math.exp(-lam * y ** m) * k(t, x, y)
+    if log_k is not None:
+        def kernel(y: np.ndarray):
+            return log_k(t, x, y)
 
-    val, err = integrate.quad(f, 0.0, math.inf, limit=400,
-                              epsabs=1e-12, epsrel=1e-11)
-    if not (math.isfinite(val) and err <= 1e-7 * max(1.0, abs(val))):
-        raise ConvergenceError(
-            f"expectation: quadrature for entry {e.name} did not converge "
-            f"(estimate {val!r}, error {err!r})")
+        def weight(y: np.ndarray, log_q: np.ndarray):
+            # one exp of the summed logs: exp(-lam*y^m) alone overflows for lam < 0
+            log_f = log_q - lam * y ** m if lam else log_q
+            return np.exp(log_f), log_f
+    else:
+        def kernel(y: np.ndarray):
+            return k(t, x, y)
+
+        def weight(y: np.ndarray, q: np.ndarray):
+            damp = -lam * y ** m
+            return np.exp(damp) * q, np.log(np.abs(q)) + damp
+
+    # the bulk: around x, the width of the diffusion over t (from near 0 it
+    # spreads as sigma t: CIR and BESQ have variance 2 sigma t (x + sigma t / 2))
+    d = e.diffusion
+    s = math.sqrt(2.0 * d.sigma * t * (x + d.sigma * t) ** d.gamma)
+    val = _de_integral((kernel, weight, (log_k or k, t, x)), x, s,
+                       f"expectation: quadrature for entry {e.name}")
     return _with_atoms(val, e.kernel.atoms, lam, t, x, m)
 
 
@@ -1103,6 +1377,8 @@ def expectation(entry, params: Optional[Dict[str, float]], lam: float,
     lam, t, x = float(lam), float(t), float(x)
     if not (t > 0 and x > 0):
         raise DomainError("expectation: requires t > 0, x > 0")
+    if not math.isfinite(lam):
+        raise DomainError(f"expectation: lam must be finite (got {lam})")
     if method not in ("auto", "closed", "quadrature"):
         raise DomainError(f"expectation: unknown method {method!r}")
     if method == "quadrature" or e.expectation_closed is None:

@@ -23,6 +23,8 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from . import catalog, verify
 from .errors import (
     CapabilityError,
@@ -178,14 +180,23 @@ def _cmd_density(args, extra: Sequence[str], out) -> int:
     ys = [args.y] if args.y is not None else _parse_grid(args.y_grid)
     t, x = args.t, args.x
 
-    rows = []
-    for y in ys:
-        if y <= 0:
-            continue  # the y=0 boundary carries the atoms, listed below
-        dens = catalog.density(entry, None, t, x, y)
-        log_dens = (catalog.density(entry, None, t, x, y, log=True)
-                    if entry.kernel.log_continuous is not None else None)
-        rows.append((t, x, y, dens, log_dens))
+    # the y=0 boundary carries the atoms, listed below; the rest of the grid
+    # is one kernel call, of the log kernel where there is one
+    ys = np.array([y for y in ys if y > 0])
+    log_dens = [None] * len(ys)
+    if not len(ys):
+        dens = []
+    elif entry.kernel.log_continuous is None:
+        dens = catalog.density(entry, None, t, x, ys).tolist()
+    else:
+        log_dens = catalog.density(entry, None, t, x, ys, log=True)
+        with np.errstate(over="ignore"):
+            dens = np.exp(log_dens)  # what the kernel's continuous part returns
+        if np.isinf(dens).any():
+            raise EvalOverflowError(f"density: entry {entry.name} overflows at "
+                                    f"y = {float(ys[np.isinf(dens)][0])!r}")
+        dens, log_dens = dens.tolist(), log_dens.tolist()
+    rows = [(t, x, y, d, ld) for y, d, ld in zip(ys.tolist(), dens, log_dens)]
     atoms = catalog.atom_weights(entry, None, t, x)
     mass_row = None
     if args.check_mass:
@@ -271,6 +282,8 @@ def _cmd_verify(args, extra: Sequence[str], out) -> int:
             tol = float(env_tol)
         except ValueError:
             raise ValidityError(f"FEYNKAC_TOL expects a number, got {env_tol!r}")
+    if tol is not None and not (tol >= 0 and math.isfinite(tol)):
+        raise ValidityError(f"verify: the tolerance must be finite and >= 0 (got {tol})")
     report = verify.run_suite(args.suite, tol=tol, mc_spec=mc_spec,
                               entry_filter=args.entry)
     if args.format == "csv":

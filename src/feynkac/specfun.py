@@ -5,6 +5,10 @@ errors instead of silent NaN/inf, scaled and log-domain variants for the Bessel
 functions (densities routinely multiply a huge I_nu by a tiny exponential), and
 the Whittaker pair assembled from the Kummer functions.
 
+bessel_i, log_bessel_ive and bessel_k also take z as a float64 array (the
+kernels evaluate whole y-grids in one call). An array takes the same branches
+as a float, element by element, so the two agree to a few ulp.
+
 All functions are pure.
 """
 
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import scipy.special as sc
 from scipy.special import cython_special  # scalar entry points of the same C code
 
@@ -34,18 +39,53 @@ __all__ = [
 ]
 
 
+# arrays take their own path, chosen by `type(z) is _NDARRAY`: on the float
+# path it costs about a fifth of isinstance(z, np.ndarray)
+_NDARRAY = np.ndarray
+
+
 def _check_finite(name: str, *vals: float) -> None:
     for v in vals:
         if not math.isfinite(v):
             raise DomainError(f"{name}: non-finite argument {v!r}")
 
 
-def bessel_i(nu: float, z: float, *, scaled: bool = False) -> float:
-    """Modified Bessel function of the first kind I_nu(z), z >= 0.
+def _check_array(name: str, nu: float, z: np.ndarray, bound: str = ">=") -> float:
+    """_check_finite of nu and of every element of the array z, and z >= 0
+    (z > 0 for bound ">"); returns the smallest z."""
+    _check_finite(name, nu)
+    if not z.size:
+        return math.inf
+    lo, hi = z.min(), z.max()  # a NaN makes both NaN
+    if not (lo > 0 or lo == 0 and bound == ">=") or hi == math.inf:
+        bad = z[~np.isfinite(z)]
+        if bad.size:
+            raise DomainError(f"{name}: non-finite argument {float(bad[0])!r}")
+        raise DomainError(f"{name}: z must be {bound} 0")
+    return float(lo)
+
+
+def bessel_i(nu: float, z, *, scaled: bool = False):
+    """Modified Bessel function of the first kind I_nu(z), z >= 0; z may be a
+    float64 array.
 
     scaled=True returns e^{-z} I_nu(z) (finite for arbitrarily large z).
     Unscaled overflow raises EvalOverflowError rather than returning inf.
     """
+    if type(z) is _NDARRAY:
+        _check_array("bessel_i", nu, z)
+        out = _ive_array(nu, z) if scaled else sc.iv(nu, z)
+        if not out.size or out.max() < math.inf:  # no inf, no NaN
+            return out
+        if np.isinf(out).any():
+            raise EvalOverflowError(
+                f"bessel_i: I_{nu}(z) overflows double precision; use scaled=True")
+        nan = np.isnan(out)
+        if nan.any():
+            if not scaled:
+                raise ConvergenceError(f"bessel_i: evaluation failed at nu={nu}")
+            out[nan] = np.exp(_log_ive_fallback(nu, z[nan], nan[nan]))
+        return out
     _check_finite("bessel_i", nu, z)
     if z < 0:
         raise DomainError("bessel_i: z must be >= 0")
@@ -55,7 +95,7 @@ def bessel_i(nu: float, z: float, *, scaled: bool = False) -> float:
             f"bessel_i: I_{nu}({z}) overflows double precision; use scaled=True")
     if math.isnan(out):
         if scaled:
-            return _ive_large_z(nu, z)
+            return math.exp(_log_ive_fallback(nu, np.array([z]), np.array([True]))[0])
         raise ConvergenceError(f"bessel_i: evaluation failed at nu={nu}, z={z}")
     return out
 
@@ -71,39 +111,75 @@ def _ive(nu: float, z: float) -> float:
     return float(sc.ive(nu, z))
 
 
-def _ive_large_z(nu: float, z: float) -> float:
+def _ive_array(nu: float, z: np.ndarray) -> np.ndarray:
+    """_ive of each element of z."""
+    out = sc.iv(nu, z)
+    if not z.size or z.max() < 700.0 and out.max() < math.inf:  # no inf, no NaN
+        return out * np.exp(-z)
+    direct = (z < 700.0) & np.isfinite(out)
+    out[direct] *= np.exp(-z[direct])
+    rest = ~direct
+    out[rest] = sc.ive(nu, z[rest])
+    return out
+
+
+def _ive_large_z(nu: float, z: np.ndarray) -> np.ndarray:
     """e^{-z} I_nu(z) by the large-argument expansion (DLMF 10.40.1), for z
-    beyond scipy's ive (NaN from about 1e9 on). Raises ConvergenceError where
-    the series does not settle (small z, or nu^2 comparable to z)."""
+    beyond scipy's ive (NaN from about 1e9 on); each element stops at its own
+    first negligible term. Raises ConvergenceError where the series does not
+    settle (small z, or nu^2 comparable to z)."""
     mu = 4.0 * nu * nu
-    term = total = 1.0
+    term, total = np.ones(z.shape), np.ones(z.shape)
+    active = np.ones(z.shape, dtype=bool)
     for k in range(1, 30):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * z)
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            return total / math.sqrt(2.0 * math.pi * z)
-    raise ConvergenceError(f"bessel_i: evaluation failed at nu={nu}, z={z}")
+        term[active] *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * z[active])
+        total[active] += term[active]
+        active &= ~(np.abs(term) <= 1e-17 * np.abs(total))
+        if not active.any():
+            return total / np.sqrt(2.0 * math.pi * z)
+    raise ConvergenceError(
+        f"bessel_i: evaluation failed at nu={nu}, z={float(z[active][0])}")
 
 
-def _log_ive_series(nu: float, z: float) -> float:
+def _log_ive_series(nu: float, z: np.ndarray) -> np.ndarray:
     """log(e^{-z} I_nu(z)) from the ascending series (DLMF 10.25.2), nu > -1,
     for where e^{-z} I_nu(z) is below 1e-300 and scipy underflows or keeps
-    too few digits. All terms are positive; the sum is carried as
-    total * e^shift so that it cannot overflow."""
+    too few digits. All terms are positive; each element's sum is carried as
+    total * e^shift so that it cannot overflow, and stops at its own first
+    negligible term."""
     q = 0.25 * z * z
-    term = total = 1.0
-    shift = 0.0
+    term, total, shift = np.ones(z.shape), np.ones(z.shape), np.zeros(z.shape)
+    active = np.ones(z.shape, dtype=bool)
     for k in range(1, 10000):
-        term *= q / (k * (k + nu))
-        total += term
-        if term <= 1e-17 * total:
-            return (nu * math.log(0.5 * z) - float(sc.gammaln(nu + 1.0))
-                    + shift + math.log(total) - z)
-        if total > 1e300:
-            shift += math.log(total)
-            term /= total
-            total = 1.0
-    raise ConvergenceError(f"log_bessel_i: series failed at nu={nu}, z={z}")
+        term[active] *= q[active] / (k * (k + nu))
+        total[active] += term[active]
+        active &= ~(term <= 1e-17 * total)
+        if not active.any():
+            return (nu * np.log(0.5 * z) - float(sc.gammaln(nu + 1.0))
+                    + shift + np.log(total) - z)
+        big = active & (total > 1e300)
+        if big.any():
+            shift[big] += np.log(total[big])
+            term[big] /= total[big]
+            total[big] = 1.0
+    raise ConvergenceError(
+        f"log_bessel_i: series failed at nu={nu}, z={float(z[active][0])}")
+
+
+def _log_ive_fallback(nu: float, z: np.ndarray, nan: np.ndarray) -> np.ndarray:
+    """log(e^{-z} I_nu(z)) where scipy gives NaN (nan) or less than 1e-300:
+    the large-argument expansion for NaN at z > 1, the series otherwise
+    (scipy's iv and ive are NaN at subnormal z for some orders too)."""
+    out = np.empty(z.shape)
+    large = nan & (z > 1.0)
+    if large.any():
+        out[large] = np.log(_ive_large_z(nu, z[large]))
+    if not large.all():
+        if not nu > -1:
+            raise ConvergenceError(f"log_bessel_i: underflow at nu={nu}, "
+                                   f"z={float(z[~large][0])}")
+        out[~large] = _log_ive_series(nu, z[~large])
+    return out
 
 
 def log_bessel_i(nu: float, z: float) -> float:
@@ -115,13 +191,16 @@ def log_bessel_i(nu: float, z: float) -> float:
     return log_bessel_ive(nu, z) + z
 
 
-def log_bessel_ive(nu: float, z: float) -> float:
-    """log(e^{-z} I_nu(z)) = log I_nu(z) - z, without forming either term.
+def log_bessel_ive(nu: float, z):
+    """log(e^{-z} I_nu(z)) = log I_nu(z) - z, without forming either term;
+    z may be a float64 array.
 
     For kernels whose exponent carries -z: adding log I_nu(z) and the
     exponent as two numbers of size z loses about z*1e-16 absolutely.
     Same domain and errors as log_bessel_i.
     """
+    if type(z) is _NDARRAY:
+        return _log_ive_array(nu, z)
     _check_finite("log_bessel_i", nu, z)
     if z < 0:
         raise DomainError("log_bessel_i: z must be >= 0")
@@ -132,22 +211,49 @@ def log_bessel_ive(nu: float, z: float) -> float:
             return -math.inf
         raise DomainError("log_bessel_i: I_nu(0) undefined for nu < 0")
     scaled = _ive(nu, z)
-    if not scaled > 1e-300:
-        if math.isnan(scaled):
-            return math.log(_ive_large_z(nu, z))
-        if scaled >= 0.0:  # underflow, or too few digits left
-            if nu > -1:
-                return _log_ive_series(nu, z)
-            raise ConvergenceError(f"log_bessel_i: underflow at nu={nu}, z={z}")
+    if scaled < 0.0:
         raise DomainError(f"log_bessel_i: I_{nu}({z}) < 0, log undefined")
+    if not scaled > 1e-300:  # NaN, underflow, or too few digits left
+        return float(_log_ive_fallback(nu, np.array([z]),
+                                       np.array([math.isnan(scaled)]))[0])
     return math.log(scaled)
 
 
-def bessel_k(nu: float, z: float, *, scaled: bool = False) -> float:
-    """Modified Bessel function of the second kind K_nu(z), z > 0.
+def _log_ive_array(nu: float, z: np.ndarray) -> np.ndarray:
+    """log_bessel_ive of each element of z."""
+    if _check_array("log_bessel_i", nu, z) == 0.0 and nu < 0:
+        raise DomainError("log_bessel_i: I_nu(0) undefined for nu < 0")
+    scaled = _ive_array(nu, z)
+    if not scaled.size or scaled.min() > 1e-300:  # no NaN, no underflow
+        return np.log(scaled)
+    zero = z == 0.0
+    if (scaled < 0.0).any():
+        raise DomainError(f"log_bessel_i: I_{nu}(z) < 0, log undefined")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(scaled)
+    low = ~(scaled > 1e-300) & ~zero  # NaN, underflow, or too few digits left
+    if low.any():
+        out[low] = _log_ive_fallback(nu, z[low], np.isnan(scaled[low]))
+    out[zero] = 0.0 if nu == 0.0 else -math.inf
+    return out
+
+
+def bessel_k(nu: float, z, *, scaled: bool = False):
+    """Modified Bessel function of the second kind K_nu(z), z > 0; z may be a
+    float64 array.
 
     scaled=True returns e^{z} K_nu(z).
     """
+    if type(z) is _NDARRAY:
+        _check_array("bessel_k", nu, z, ">")
+        out = sc.kve(nu, z) if scaled else sc.kv(nu, z)
+        if not out.size or out.max() < math.inf:  # no inf, no NaN
+            return out
+        if np.isnan(out).any():
+            raise ConvergenceError(f"bessel_k: evaluation failed at nu={nu}")
+        if np.isinf(out).any():
+            raise EvalOverflowError(f"bessel_k: K_{nu}(z) overflows; use scaled=True")
+        return out
     _check_finite("bessel_k", nu, z)
     if z <= 0:
         raise DomainError("bessel_k: z must be > 0")

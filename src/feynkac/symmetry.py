@@ -341,12 +341,15 @@ def _exp_orbit(diff: DiffusionSpec, u0: StationarySolution,
     def orbit(eps: float, x: float, t: float) -> float:
         if x <= 0:
             raise DomainError("exp_scaling_symmetry: x must be > 0")
-        em = math.expm1(rA * t) + (1.0 - eps)  # E - eps
-        if em <= 0:
+        # E - eps = E q with q = (1 - 1/E) + (1 - eps)/E, nonnegative terms
+        # for eps <= 1, so that log(E - eps) = rA t + log q where E overflows
+        inv_E = math.exp(-rA * t)
+        q = -math.expm1(-rA * t) + (1.0 - eps) * inv_E
+        if q <= 0:
             raise DomainError(
-                f"exp_scaling_symmetry: out of the symmetry's domain (E-eps={em:.3g})")
-        shift = x * eps / em  # the group moves x to x*E/(E - eps) = x + shift
-        return math.exp(b * (math.log(em) / rA - t) - rA * shift / s2
+                f"exp_scaling_symmetry: out of the symmetry's domain (1-eps/E={q:.3g})")
+        shift = x * eps * inv_E / q  # the group moves x to x*E/(E - eps) = x + shift
+        return math.exp(b * math.log(q) / rA - rA * shift / s2
                         + phi(x + shift) - F(x) / s2)
 
     return orbit

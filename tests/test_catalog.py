@@ -109,10 +109,18 @@ def test_entry_params_are_read_only():
 
 
 def test_closed_form_arithmetic_error_is_feynkac_error():
-    # at t = 400 the factor e^(-2t) of the tanh_drift moment underflows to 0
-    # and a division by zero follows
+    # lambda^2 overflows in the rational_showcase closed form at lambda = 1e200
     with pytest.raises(EvalOverflowError):
-        cat.expectation("tanh_drift", {}, 0.0, 400.0, 1.0)
+        cat.expectation("rational_showcase", {"a": 1.0, "b": 1.0}, 1e200, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("name,params,t", [("tanh_drift", {}, 400.0),
+                                           ("radial_ou", {"a": 1.5, "b": 0.6}, 800.0)])
+def test_closed_form_where_e_minus_2_omega_t_underflows(name, params, t):
+    # e^(-2 omega t) underflows and lam + beta + c omega = 0 in one term: the
+    # moments carry it as a log, and with lam = 0 and no killing the value is
+    # the mass, 1
+    assert cat.expectation(name, params, 0.0, t, 1.0) == pytest.approx(1.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("name,params", [
@@ -483,23 +491,31 @@ def test_generic_kernels_finite_where_linear_domain_overflowed():
     assert math.isfinite(p) and p > 0
 
 
+def test_numpy_scalar_overflow_raises_like_python_floats():
+    # with np.float64 arguments a division by zero used to give inf or NaN
+    # (with a RuntimeWarning) or a raw ValueError; lambda^2 overflows in the
+    # rational_showcase closed form at lambda = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in [(1e200, 1.0, 1.0), tuple(map(np.float64, (1e200, 1.0, 1.0)))]:
+            with pytest.raises(EvalOverflowError):
+                cat.expectation("rational_showcase", {"a": 1.0, "b": 1.0}, *args)
+
+
 @pytest.mark.parametrize("call", [
     lambda t, x: cat.expectation("tanh_drift", {}, 0.0, t, x),
     lambda t, x: cat.expectation("radial_ou", {"a": 1.5, "b": 0.6}, 0.0, t, x),
 ])
-def test_numpy_scalar_overflow_raises_like_python_floats(call):
-    # with np.float64 arguments a division by zero used to give inf or NaN
-    # (with a RuntimeWarning) or a raw ValueError; at t = 1000 the closed
-    # forms' factor e^(-2 omega t) underflows
+def test_numpy_scalar_arguments_give_the_mass_where_e_minus_2_omega_t_underflows(call):
+    # lam = 0 and no killing: the mass, 1, at t = 50 and at t = 1000, where
+    # the closed forms' factor e^(-2 omega t) underflows (it raised there)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for t, x in [(1000.0, 1.0), (np.float64(1000.0), np.float64(1.0)),
-                     (np.float64(1000.0), np.float64(1e3))]:
-            with pytest.raises(EvalOverflowError):
-                call(t, x)
-        for x in (1.0, 1e3):  # lam = 0 and no killing: the mass, 1
+        for x in (1.0, 1e3):
             assert call(np.float64(50.0), np.float64(x)) == call(50.0, x) \
                 == pytest.approx(1.0, abs=1e-14)
+            assert call(np.float64(1000.0), np.float64(x)) == call(1000.0, x) \
+                == pytest.approx(1.0, rel=1e-13)
 
 
 def test_numpy_scalar_arguments_give_python_float_values():
@@ -859,6 +875,142 @@ def test_quadrature_expectation_with_negative_lambda():
         warnings.simplefilter("ignore")
         with pytest.raises(ConvergenceError):  # diverges from lam = -1/(2t) on
             cat.expectation("besq", {"n": 3}, -0.5, 1.0, 1.0, method="quadrature")
+
+
+@pytest.mark.parametrize("name,params,t,x", [
+    ("besq", {"n": 3.0}, 0.01, 1000.0),  # a peak of width 6 at y = 1000
+    ("generic_quadratic", {"sigma": 1.0, "a": 1.0, "b": 1.0}, 1e-3, 30.0),
+    ("generic_quadratic", {"sigma": 1.0, "a": 1.0, "b": 1.0}, 1e-3, 1e3),
+    ("generic_linear", {"sigma": 1.0, "A": 1.0, "B": -0.3}, 1e-3, 30.0),
+    ("generic_linear", {"sigma": 1.0, "A": 1.0, "B": -0.3}, 1e-3, 1e3),
+])
+def test_quadrature_finds_the_mass_of_narrow_kernels(name, params, t, x):
+    # adaptive quadrature on [0, inf) missed these peaks and returned 0 or
+    # 4e-63 without an error; the double-exponential rule is centred on them
+    assert cat.expectation(name, params, 0.0, t, x, method="quadrature") \
+        == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("name,params,t,x", [
+    ("radial_ou", {"a": 1.0, "b": -0.8}, 0.66, 1000.0),  # the bulk moves to 590
+    ("tanh_drift", {}, 2.0, 10.0),  # and to about 500
+])
+def test_quadrature_follows_a_bulk_that_the_drift_moves(name, params, t, x):
+    assert cat.expectation(name, params, 0.0, t, x, method="quadrature") \
+        == pytest.approx(cat.expectation(name, params, 0.0, t, x), rel=1e-10)
+
+
+def _counting_kernel(entry, calls):
+    """entry with kernel callables that record the type of each y."""
+    def wrap(fn):
+        if fn is None:
+            return None
+
+        def counted(t, x, y):
+            calls.append(type(y))
+            return fn(t, x, y)
+        return counted
+    k = entry.kernel
+    return dataclasses.replace(entry, kernel=cat.Kernel(
+        continuous=wrap(k.continuous), log_continuous=wrap(k.log_continuous),
+        atoms=k.atoms))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("besq", {"n": 3.0}), ("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6}),
+    ("tanh_drift", {"mu": 0.4}), ("bessel_drift", {"a": 0.5, "b": 1.3}),
+    ("generic_linear", {"sigma": 1.0, "A": 1.0, "B": -0.3}),
+])
+def test_quadrature_makes_a_few_array_kernel_calls(name, params):
+    calls = []
+    entry = _counting_kernel(cat.make_entry(name, **params), calls)
+    for lam, t, x in ((0.0, 1.0, 1.0), (0.8, 0.4, 2.0), (2.0, 1.5, 0.5)):
+        calls.clear()
+        cat.expectation(entry, None, lam, t, x, method="quadrature")
+        assert 0 < len(calls) <= 8 and set(calls) == {np.ndarray}
+
+
+def test_quadrature_reuses_kernel_values_along_a_lambda_grid():
+    # the nodes depend on the bulk, not on lambda: a lambda grid at one (t, x)
+    # evaluates the kernel about once, and the values do not depend on what
+    # the cache held
+    calls = []
+    entry = _counting_kernel(cat.make_entry("cir", a=1.1, b=0.8, sigma=0.6), calls)
+    lams = (0.0, 0.5, 1.0, 2.0, 3.0)
+    grid = [cat.expectation(entry, None, lam, 0.9, 1.2, method="quadrature")
+            for lam in lams]
+    assert len(calls) <= 8
+    for lam, val in zip(lams, grid):
+        cat._DE_CACHE.clear()
+        assert cat.expectation(entry, None, lam, 0.9, 1.2, method="quadrature") == val
+        assert val == pytest.approx(cat.expectation(entry, None, lam, 0.9, 1.2),
+                                    rel=1e-10)
+
+
+def test_non_finite_lambda_is_a_domain_error():
+    for lam in (math.nan, math.inf):
+        for method in ("closed", "quadrature", "auto"):
+            with pytest.raises(DomainError):
+                cat.expectation("besq", {"n": 3.0}, lam, 1.0, 1.0, method=method)
+        with pytest.raises(DomainError):
+            cat.transform_rhs("besq", {"n": 3.0}, lam, 1.0, 1.0)
+
+
+# every entry, with the branches of its Bessel function: e^-z I_nu(z) from
+# iv below z = 700 and from ive above it, the DLMF 10.40.1 expansion near
+# z = 1e9, and the log-domain series where ive underflows (y = 1e-240)
+_ARRAY_ENTRIES = [
+    ("besq", {"n": 8.0}), ("bessel", {"a": 0.8, "mu": 0.6}),
+    ("bessel_drift", {"a": -0.3, "b": 0.8}),
+    ("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6}),
+    ("generic_linear", {"sigma": 1.0, "A": 1.0, "B": -0.3, "c2": 0.5}),
+    ("generic_quadratic", {"sigma": 1.0, "a": 1.0, "b": 1.0}),
+    ("generic_quadratic", {"sigma": 1.0, "a": 1.1, "b": 1.0, "c2": 0.3}),
+    ("radial_ou", {"a": 1.0, "b": -0.8}),
+    ("rational_drift", {"a": 2.0, "mu": 1.0}),
+    ("rational_drift", {"a": 1.0, "mu_inv": 0.6}),
+    ("rational_showcase", {"a": 2.0, "b": 0.7}),
+    ("sqrt_drift", {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6}),
+    ("tanh_drift", {"mu": 0.9}),
+]
+_ARRAY_POINTS = [(1.0, 1.0, np.array([1e-240, 1e-8, 0.3, 1.0, 2.5, 40.0])),
+                 (0.01, 10.0, np.array([9.0, 10.0, 11.0])),  # z about 1e3
+                 (1e-6, 1e3, np.array([1e3 - 3e-3, 1e3, 1e3 + 2e-3]))]  # z about 1e9
+
+
+def test_density_takes_an_array_of_y():
+    ys = np.array([0.2, 1.0, 3.5])
+    for log in (False, True):
+        got = cat.density("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6}, 0.7, 1.3, ys, log=log)
+        assert isinstance(got, np.ndarray)
+        for y, g in zip(ys, got):
+            want = cat.density("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6}, 0.7, 1.3,
+                               float(y), log=log)
+            assert g == pytest.approx(want, rel=1e-15)
+    with pytest.raises(DomainError):
+        cat.density("besq", {"n": 3.0}, 1.0, 1.0, np.array([1.0, 0.0]))
+    pole = dataclasses.replace(cat.make_entry("besq", n=3.0), kernel=cat.Kernel(
+        continuous=lambda t, x, y: 1.0 / (y - 1.0), log_continuous=None))
+    with pytest.raises(EvalOverflowError):  # inf at y = 1, as for a float
+        cat.density(pole, None, 1.0, 1.0, np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("name,params", _ARRAY_ENTRIES)
+def test_array_kernel_matches_the_scalar_kernel(name, params):
+    # one formula for floats and arrays: the same branches element by
+    # element, and numpy's exp where the float path has math.exp
+    k = cat.make_entry(name, **params).kernel
+    for t, x, ys in _ARRAY_POINTS:
+        for fn in (k.continuous, k.log_continuous):
+            if fn is None:
+                continue
+            with np.errstate(all="ignore"):
+                got = fn(t, x, ys)
+            assert isinstance(got, np.ndarray) and got.shape == ys.shape
+            for y, g in zip(ys, got):
+                want = fn(t, x, float(y))
+                scale = max(1.0, abs(want)) if fn is k.log_continuous else abs(want)
+                assert g == want or abs(g - want) <= 1e-15 * scale, (t, x, y, g, want)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 determinism. Numeric expectations come from elementary closed forms, frozen
 independently of the library."""
 
+import dataclasses
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import feynkac
@@ -206,12 +208,20 @@ def test_expect_passes_mu_parameter():
 
 
 def test_expect_closed_form_overflow_is_numerical_error():
-    # the e^(-2t) factor of the tanh_drift moment underflows at t = 400 and a
-    # division by zero follows: exit 3, no traceback
-    code, out = run("expect", "--entry", "tanh_drift", "--t", "400",
-                    "--x", "1", "--lambda", "0")
+    # lambda^2 overflows in the rational_showcase closed form at
+    # lambda = 1e200: exit 3, no traceback
+    code, out = run("expect", "--entry", "rational_showcase", "--a", "1", "--b", "1",
+                    "--t", "1", "--x", "1", "--lambda", "1e200")
     assert code == 3
     assert out == ""
+
+
+def test_expect_closed_form_where_e_minus_2t_underflows():
+    # tanh_drift at t = 400, lambda = 0: the mass, 1
+    code, out = run("expect", "--entry", "tanh_drift", "--t", "400",
+                    "--x", "1", "--lambda", "0")
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[-1]) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_expect_quadrature_non_finite_is_numerical_error():
@@ -222,6 +232,44 @@ def test_expect_quadrature_non_finite_is_numerical_error():
                         "--x", "1", "--lambda", "-0.5", "--method", "quadrature")
     assert code == 3
     assert out == ""
+
+
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_expect_nan_lambda_is_usage_error(method):
+    code, out = run("expect", "--entry", "besq", "--n", "3", "--t", "1",
+                    "--x", "1", "--lambda", "nan", "--method", method)
+    assert (code, out) == (2, "")
+
+
+def test_expect_quadrature_of_a_narrow_kernel():
+    # no killing and lambda = 0: the mass, 1, of a peak of width 6 at y = 1000
+    code, out = run("expect", "--entry", "besq", "--n", "3", "--t", "0.01",
+                    "--x", "1000", "--lambda", "0", "--method", "quadrature")
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[-1]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_density_grid_is_one_array_call(monkeypatch):
+    calls = []
+    entry = catalog.make_entry("cir", a=1.1, b=0.8, sigma=0.6)
+    log_k = entry.kernel.log_continuous
+
+    def counted(t, x, y):
+        calls.append(type(y))
+        return log_k(t, x, y)
+    traced = dataclasses.replace(entry, kernel=dataclasses.replace(
+        entry.kernel, log_continuous=counted))
+    monkeypatch.setattr(catalog, "make_entry", lambda name, **params: traced)
+    code, out = run("density", "--entry", "cir", "--a", "1.1", "--b", "0.8",
+                    "--sigma", "0.6", "--t", "0.7", "--x", "1.3", "--y-grid", "0:4:0.25")
+    monkeypatch.undo()
+    assert code == 0 and calls == [np.ndarray]
+    rows = [line.split(",") for line in out.split("\n\n")[0].splitlines()[1:]]
+    assert len(rows) == 16  # y = 0 is the atoms' row block
+    for _, _, y, dens, log_dens in rows:
+        want = catalog.density(entry, None, 0.7, 1.3, float(y))
+        assert float(dens) == pytest.approx(want, rel=1e-14)
+        assert float(log_dens) == pytest.approx(math.log(want), rel=1e-14, abs=1e-14)
 
 
 def test_expect_capability_gap_is_usage_error():
@@ -318,6 +366,20 @@ def test_verify_unusable_monte_carlo_sizes_are_usage_errors(flags):
     # one path has no standard error; zero is refused, not read as the default
     code, out = run("verify", "--suite", "mc", *flags)
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("flags", [("--seed", "-1"), ("--tol", "nan"),
+                                   ("--tol", "inf"), ("--tol", "-1e-8")])
+def test_verify_unusable_seed_or_tolerance_is_usage_error(flags):
+    # numpy seeds are nonnegative; no error is within a NaN tolerance
+    code, out = run("verify", "--suite", "hartman", *flags)
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_verify_unusable_feynkac_tol_is_usage_error(monkeypatch, value):
+    monkeypatch.setenv("FEYNKAC_TOL", value)
+    assert run("verify", "--suite", "hartman") == (2, "")
 
 
 def test_verify_json_format():

@@ -154,3 +154,15 @@ def test_the_check_sees_a_hand_written_expectation():
                      "            CatalogEntry(expectation_closed=functools.partial(g, 1.0)),\n"
                      "            CatalogEntry(expectation_closed=lambda lam, t, x: 1.0))\n")
     assert sorted(_local_closures(tree, "expectation_closed")) == [4, 9, 11]
+
+
+def test_catalog_does_not_import_scipy_integrate():
+    # the quadrature route is the catalog's own double-exponential rule;
+    # scipy's adaptive quad stays in verify, as its independent reference
+    tree = _catalog_tree()
+    imported = [alias.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                for alias in n.names]
+    imported += [f"{n.module}.{alias.name}" for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) and n.module
+                 for alias in n.names]
+    assert not [name for name in imported if "integrate" in name]

@@ -344,3 +344,54 @@ def test_scalar_entry_points_match_the_ufuncs():
         assert sf.bessel_i(nu, z, scaled=True) == float(sc.iv(nu, z)) * math.exp(-z)
     for a, b, z in [(1.0, 2.0, -3.0), (-20.7, 5.0, -1e3), (0.3, 1.7, 25.0)]:
         assert sf.hypergeom_1f1(a, b, z) == float(sc.hyp1f1(a, b, z))
+
+
+# ---------------------------------------------------------------------------
+# float64 arrays: the same branches as floats, element by element
+# ---------------------------------------------------------------------------
+
+# z on every branch: 0, subnormal (scipy's iv is NaN there), the log-domain
+# series where e^-z I_nu(z) underflows, iv e^-z below 700, ive above, and the
+# DLMF 10.40.1 expansion where ive is NaN (from about 1e9)
+_BRANCH_Z = np.array([0.0, 1e-318, 1e-240, 1e-5, 0.3, 5.0, 699.0, 701.0, 1e5, 2e9, 1e12])
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, -0.05, 2.7, 300.0])
+def test_log_bessel_ive_array_matches_floats(nu):
+    z = _BRANCH_Z[1:] if nu < 0 else _BRANCH_Z  # I_nu(0) is undefined for nu < 0
+    got = sf.log_bessel_ive(nu, z)
+    for zi, g in zip(z, got):
+        want = sf.log_bessel_ive(nu, float(zi))
+        assert g == want or abs(g - want) <= 1e-15 * max(1.0, abs(want)), (zi, g, want)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, -0.3, 2.7])
+def test_scaled_bessel_arrays_match_floats(nu):
+    # scipy's kve is NaN from about z = 1e9 on, as a float or in an array
+    for fn, z in ((sf.bessel_i, _BRANCH_Z[3:]), (sf.bessel_k, _BRANCH_Z[3:9])):
+        got = fn(nu, z, scaled=True)
+        for zi, g in zip(z, got):
+            want = fn(nu, float(zi), scaled=True)
+            assert abs(g - want) <= 1e-15 * abs(want), (fn.__name__, zi, g, want)
+
+
+def test_log_bessel_ive_series_at_subnormal_z():
+    # scipy's iv and ive are NaN at subnormal z for some orders; that is the
+    # series' domain, not the large-argument expansion's
+    assert sf.log_bessel_ive(-0.05, 1e-318) == pytest.approx(
+        float(mpmath.log(mpmath.besseli(-0.05, mpmath.mpf(1e-318)))), rel=1e-14)
+
+
+def test_array_arguments_keep_the_float_errors():
+    with pytest.raises(DomainError):
+        sf.log_bessel_ive(1.0, np.array([1.0, -1.0]))
+    with pytest.raises(DomainError):
+        sf.log_bessel_ive(1.0, np.array([1.0, np.nan]))
+    with pytest.raises(DomainError):
+        sf.log_bessel_ive(-0.5, np.array([0.0, 1.0]))
+    with pytest.raises(DomainError):
+        sf.bessel_i(1.0, np.array([1.0, np.inf]), scaled=True)
+    with pytest.raises(DomainError):
+        sf.bessel_k(1.0, np.array([1.0, 0.0]), scaled=True)
+    with pytest.raises(EvalOverflowError):
+        sf.bessel_i(1.0, np.array([1.0, 800.0]))

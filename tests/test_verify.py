@@ -183,7 +183,7 @@ def test_mc_exact_sampler_limited_to_supported_entries():
 
 
 @pytest.mark.parametrize("kw", [{"n_paths": 1}, {"n_paths": 0}, {"n_paths": -5},
-                                {"n_steps": 0}, {"n_steps": -1}])
+                                {"n_steps": 0}, {"n_steps": -1}, {"seed": -1}])
 def test_mc_spec_rejects_unusable_sizes(kw):
     with pytest.raises(DomainError):
         v.McSpec(**kw)
