@@ -245,7 +245,7 @@ def _log_core_moments(nu: float, c: float, omega: float, lam: float, t: float,
     its log, and so are s and the Bessel argument, which shrink with it:
     where also lam + beta + c omega = 0, s is 2 c omega E, not 0."""
     X = sx * sx
-    lX = math.log(X)
+    lX = 2.0 * math.log(sx)  # not log(X): X underflows to 0 below sx ~ 2e-162
     if omega == 0.0:
         log_k, arg, E = math.log(c / t), c * sx / t, 1.0
     else:  # 2 e^(-wt) cosh(wt) = 1 + E, 2 e^(-wt) sinh(wt) = em
@@ -486,7 +486,7 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
     log_ive = specfun.log_bessel_ive
 
     def _ratio(z: float) -> float:
-        return math.exp(log_ive(a + 1.0, z) - log_ive(a, z))
+        return np.exp(log_ive(a + 1.0, z) - log_ive(a, z))
 
     def drift(x: float) -> float:
         return (a + 0.5) / x + b * _ratio(b * x)
@@ -599,7 +599,7 @@ def _make_rational_drift(a: float, mu: float = 0.0,
 
     def log_u1(t: float, x: float) -> float:
         # unit-parameter symmetry orbit of u0 = exp(-sqrt(mu)x)/(2+ax)
-        rate = rmu + 2.0 * rmu / math.expm1(2.0 * rmu * t) if mu else 1.0 / t
+        rate = rmu / math.tanh(rmu * t) if mu else 1.0 / t
         return -rate * x - math.log(2.0 + a * x)
 
     atom = AtomSpec(weight=lambda t, x: 2.0 * math.exp(log_u1(t, x)), order=0)
@@ -673,8 +673,8 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
 
     diff = DiffusionSpec(gamma=1.0, sigma=1.0,
                          drift=lambda x: 2.0 * x * np.tanh(x),
-                         drift_derivative=lambda x: 2.0 * math.tanh(x)
-                         + 2.0 * x / math.cosh(x) ** 2,
+                         drift_derivative=lambda x: 2.0 * np.tanh(x)
+                         + 2.0 * x / np.cosh(x) ** 2,
                          # antiderivative of 2 tanh(x), overflow-safe
                          drift_antiderivative=lambda x: 2.0 * log_cosh(x),
                          label="tanh_drift")
@@ -832,7 +832,7 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
 
     diff = DiffusionSpec(gamma=1.0, sigma=1.0,
                          drift=lambda x: a - b * np.sqrt(x),
-                         drift_derivative=lambda x: -0.5 * b / math.sqrt(x),
+                         drift_derivative=lambda x: -0.5 * b / np.sqrt(x),
                          drift_antiderivative=lambda x: a * math.log(x)
                          - 2.0 * b * math.sqrt(x),
                          label="sqrt_drift")
@@ -898,13 +898,13 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
             raise DomainError(f"generic_linear: y({x}) <= 0 at index {order}")
         return 0.5 * math.log(x) + math.log(val) + z
 
-    def w_fn(x: float) -> float:  # y'/y
-        z = c * math.sqrt(x)
+    def w_fn(x: float) -> float:  # y'/y, x a float or a float64 array
+        z = c * np.sqrt(x)
         num = 0.5 * (_combo(alpha - 1.0, z) + _combo(alpha + 1.0, z))
         den = _combo(alpha, z)
-        if den == 0.0:
-            raise DomainError(f"generic_linear: drift pole at x={x}")
-        return 0.5 / x + (0.5 * c / math.sqrt(x)) * (num / den)
+        if np.any(den == 0.0):
+            raise DomainError("generic_linear: drift pole inside the domain")
+        return 0.5 / x + (0.5 * c / np.sqrt(x)) * (num / den)
 
     def drift_derivative(x: float) -> float:
         wx = w_fn(x)

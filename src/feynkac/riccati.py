@@ -62,28 +62,42 @@ _VALIDATION_POINTS = (0.5, 1.0, 2.0)
 
 def _derivative_4th(func: Callable[[float], float], x: float, rel_step: float = 1e-4) -> float:
     """4th-order central difference with relative step (2nd order is not
-    accurate enough for 1e-10 residual targets)."""
-    h = rel_step * max(1.0, abs(x))
+    accurate enough for 1e-10 residual targets); x may be a float64 array."""
+    h = rel_step * np.maximum(1.0, np.abs(x))
     return (-func(x + 2 * h) + 8 * func(x + h) - 8 * func(x - h) + func(x - 2 * h)) / (12 * h)
 
 
 def _second_derivative(func: Callable[[float], float], x: float, rel_step: float = 1e-3) -> float:
-    h = rel_step * max(1.0, abs(x))
+    h = rel_step * np.maximum(1.0, np.abs(x))
     return (-func(x + 2 * h) + 16 * func(x + h) - 30 * func(x)
             + 16 * func(x - h) - func(x - 2 * h)) / (12 * h * h)
+
+
+def _on_array(func: Callable, xs: np.ndarray, what: str):
+    """func(xs), checked against the array contract of drifts and
+    potentials: it takes a float64 array and returns that shape or a scalar."""
+    try:
+        out = func(xs)
+    except (TypeError, ValueError) as exc:  # math on an array; `if` on an array
+        raise ConstructionError(f"{what} does not take a float64 array: {exc!r}") from exc
+    if np.shape(out) not in ((), xs.shape):
+        raise ConstructionError(f"{what} returns shape {np.shape(out)} for an array "
+                                f"of shape {xs.shape}")
+    return out
 
 
 @dataclass(frozen=True)
 class DiffusionSpec:
     """A diffusion on [0, inf): generator sigma*x^gamma*d2/dx2 + f(x)*d/dx.
 
-    drift f takes a float or a float64 array and returns a value of the same
-    shape, or a scalar (a constant drift). The Euler estimator
-    (verify.mc_expectation) calls it once per step on all paths; a drift
-    that only takes floats falls back to a slow element-wise path.
-    drift_antiderivative is F with F'(x) = f(x)/x^gamma (checked numerically
-    at construction). drift_derivative, when given, makes residuals exact
-    instead of finite-differenced.
+    drift f, and drift_derivative when given, take a float or a float64
+    array and return that shape or a scalar (a constant). Construction
+    evaluates both once on an array and raises ConstructionError for a
+    callable that does not; the Euler estimator (verify.mc_expectation) and
+    fit_riccati then call them once on all paths or grid points.
+    drift_antiderivative is F with F'(x) = f(x)/x^gamma, float-only (checked
+    numerically at construction). drift_derivative, when given, makes
+    residuals exact instead of finite-differenced.
     """
 
     gamma: float
@@ -96,11 +110,16 @@ class DiffusionSpec:
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise DomainError("DiffusionSpec: sigma must be > 0")
+        xs = np.array(_VALIDATION_POINTS)
+        f = _on_array(self.drift, xs, f"DiffusionSpec '{self.label}': drift")
+        if self.drift_derivative is not None:
+            _on_array(self.drift_derivative, xs,
+                      f"DiffusionSpec '{self.label}': drift_derivative")
         if self.drift_antiderivative is None:
             return
-        for x in _VALIDATION_POINTS:
-            want = self.drift(x) / x ** self.gamma
-            got = _derivative_4th(self.drift_antiderivative, x)
+        for x, fx in zip(_VALIDATION_POINTS, np.broadcast_to(f, xs.shape)):
+            want = float(fx) / x ** self.gamma
+            got = float(_derivative_4th(self.drift_antiderivative, x))
             scale = max(1.0, abs(want))
             if abs(got - want) > 1e-8 * scale:
                 raise ConstructionError(
@@ -136,7 +155,8 @@ class PotentialSpec:
     form 'power': g = mu * x^n (n < 0 is singular at the origin);
     form 'inverse_plus_linear': g = nu_coeff / x + mu * x;
     form 'zero': g = 0;
-    form 'tabulated': arbitrary callable, no analytic derivative.
+    form 'tabulated': a callable func under the array contract of the drift
+    (checked at construction), no analytic derivative.
     """
 
     form: str
@@ -148,8 +168,10 @@ class PotentialSpec:
     def __post_init__(self) -> None:
         if self.form not in ("power", "inverse_plus_linear", "tabulated", "zero"):
             raise DomainError(f"PotentialSpec: unknown form {self.form!r}")
-        if self.form == "tabulated" and self.func is None:
-            raise DomainError("PotentialSpec: tabulated form requires func")
+        if self.form == "tabulated":
+            if self.func is None:
+                raise DomainError("PotentialSpec: tabulated form requires func")
+            _on_array(self.func, np.array(_VALIDATION_POINTS), "PotentialSpec: func")
 
     @property
     def singular_at_origin(self) -> bool:
@@ -162,8 +184,7 @@ class PotentialSpec:
     def __call__(self, x: float) -> float:
         """g(x) for a float or a float64 array: the same shape, or a scalar
         (the zero form). The Euler estimator (verify.mc_expectation) calls it
-        once per step on all paths; a tabulated func that only takes floats
-        falls back to a slow element-wise path."""
+        once per step on all paths."""
         if self.form == "zero":
             return 0.0
         if self.form == "power":
@@ -203,7 +224,8 @@ class RiccatiParams:
 
 
 def _residual_lhs(diff: DiffusionSpec, pot: PotentialSpec, x: float) -> float:
-    """R(x) = sigma*x*h' - sigma*h + h^2/2 + 2*sigma*x^(2-gamma)*g, h = x^(1-gamma)*f."""
+    """R(x) = sigma*x*h' - sigma*h + h^2/2 + 2*sigma*x^(2-gamma)*g, h = x^(1-gamma)*f;
+    x may be a float64 array."""
     g, s = diff.gamma, diff.sigma
     f = diff.drift(x)
     fp = diff.f_prime(x)
@@ -212,52 +234,54 @@ def _residual_lhs(diff: DiffusionSpec, pot: PotentialSpec, x: float) -> float:
     return s * x * hp - s * h + 0.5 * h * h + 2.0 * s * x ** (2.0 - g) * pot(x)
 
 
-def _family_rhs(params: RiccatiParams, sigma: float, gamma: float, x: float) -> float:
-    fam = params.family
-    if fam == "linear":
-        return 2.0 * sigma * params.A * x ** (2.0 - gamma) + params.B
-    if fam == "quadratic":
-        return (0.5 * params.A * x ** (2.0 * (2.0 - gamma))
-                + params.B * x ** (2.0 - gamma) + params.C)
-    if fam == "quadratic_sqrt":
-        if gamma != 1.0:
-            raise CapabilityError("quadratic_sqrt family is implemented for gamma=1 only")
-        return (0.5 * params.A * x * x + (2.0 / 3.0) * params.B * x ** 1.5
-                + params.C * x - 0.375 * sigma * sigma)
-    raise CapabilityError(f"_family_rhs: {fam} handled by the gamma=2 path")
+def _family_basis(family: str, sigma: float, gamma: float, x: float):
+    """(columns, offset) of a family's right-hand side at x, a float or a
+    float64 array: R = A*columns[0] + B*columns[1] + C*columns[2] + offset,
+    over as many of the constants (A, B, C) as there are columns."""
+    if family in ("log_linear", "log_quadratic"):
+        if gamma != 2.0:
+            raise CapabilityError("log families apply to gamma=2 only")
+        return ((1.0,) if family == "log_linear" else (np.log(x), 1.0)), 0.0
+    if gamma == 2.0:
+        raise CapabilityError("gamma=2 diffusions use the log_linear/log_quadratic families")
+    p = 2.0 - gamma
+    if family == "linear":
+        return (2.0 * sigma * x ** p, 1.0), 0.0
+    if family == "quadratic":
+        return (0.5 * x ** (2.0 * p), x ** p, 1.0), 0.0
+    if gamma != 1.0:
+        raise CapabilityError("quadratic_sqrt family is implemented for gamma=1 only")
+    return (0.5 * x ** 2, (2.0 / 3.0) * x ** 1.5, x), -0.375 * sigma * sigma
 
 
 def _u_operator(diff: DiffusionSpec, pot: PotentialSpec, x: float) -> float:
-    """gamma=2 classification operator:
+    """gamma=2 classification operator, x a float or a float64 array:
     U[f] = (x^2/4) v'' + (f/(4 sigma)) v' - f/(4x) + (x g' ln x)/2 + g,  v = f ln(x)/x."""
     s = diff.sigma
 
     def v(z: float) -> float:
-        return diff.drift(z) * math.log(z) / z
+        return diff.drift(z) * np.log(z) / z
 
     vp = _derivative_4th(v, x)
     vpp = _second_derivative(v, x)
     f = diff.drift(x)
     gp = pot.derivative(x)  # raises CapabilityError for tabulated potentials
     return (x * x / 4.0) * vpp + (f / (4.0 * s)) * vp - f / (4.0 * x) \
-        + (x * gp * math.log(x)) / 2.0 + pot(x)
+        + (x * gp * np.log(x)) / 2.0 + pot(x)
 
 
 def riccati_residual(diff: DiffusionSpec, pot: PotentialSpec,
                      params: RiccatiParams, x: float) -> float:
-    """Residual of the drift equation at x > 0; zero (to tolerance) iff the
+    """Residual of the drift equation at x > 0, a float (giving a float) or a
+    float64 array (giving that shape); zero (to tolerance) iff the
     (drift, potential) pair belongs to the stated family with these constants."""
-    if x <= 0:
+    if np.any(x <= 0):
         raise DomainError("riccati_residual: x must be > 0")
-    if params.family in ("log_linear", "log_quadratic"):
-        if diff.gamma != 2.0:
-            raise CapabilityError("log families apply to gamma=2 only")
-        target = params.A if params.family == "log_linear" \
-            else params.A * math.log(x) + params.B
-        return _u_operator(diff, pot, x) - target
-    if diff.gamma == 2.0:
-        raise CapabilityError("gamma=2 diffusions use the log_linear/log_quadratic families")
-    return _residual_lhs(diff, pot, x) - _family_rhs(params, diff.sigma, diff.gamma, x)
+    columns, offset = _family_basis(params.family, diff.sigma, diff.gamma, x)
+    lhs = _u_operator(diff, pot, x) if diff.gamma == 2.0 else _residual_lhs(diff, pot, x)
+    r = lhs - sum((k * col for k, col in zip((params.A, params.B, params.C), columns)),
+                  offset)
+    return r if type(x) is np.ndarray else float(r)
 
 
 def _fit_family(family: str, lhs: np.ndarray, basis: np.ndarray,
@@ -288,34 +312,20 @@ def fit_riccati(diff: DiffusionSpec, pot: PotentialSpec,
 
     g, s = diff.gamma, diff.sigma
     if g == 2.0:
-        lhs = np.array([_u_operator(diff, pot, x) for x in xs])
-        candidates = [
-            ("log_linear", np.ones((xs.size, 1)), 0.0),
-            ("log_quadratic", np.column_stack([np.log(xs), np.ones_like(xs)]), 0.0),
-        ]
+        lhs, families = _u_operator(diff, pot, xs), ("log_linear", "log_quadratic")
     else:
-        lhs = np.array([_residual_lhs(diff, pot, x) for x in xs])
-        p = 2.0 - g
-        candidates = [
-            ("linear", np.column_stack([2.0 * s * xs ** p, np.ones_like(xs)]), 0.0),
-            ("quadratic",
-             np.column_stack([0.5 * xs ** (2 * p), xs ** p, np.ones_like(xs)]), 0.0),
-        ]
+        lhs, families = _residual_lhs(diff, pot, xs), ("linear", "quadratic")
         if g == 1.0:
-            candidates.append(
-                ("quadratic_sqrt",
-                 np.column_stack([0.5 * xs ** 2, (2.0 / 3.0) * xs ** 1.5, xs]),
-                 -0.375 * s * s))
+            families += ("quadratic_sqrt",)
 
     scale = max(1.0, float(np.max(np.abs(lhs))))
-    for family, basis, offset in candidates:
+    for family in families:
+        columns, offset = _family_basis(family, s, g, xs)
+        basis = np.column_stack(np.broadcast_arrays(xs, *columns)[1:])
         coef, max_resid = _fit_family(family, lhs, basis, offset)
         if max_resid < 1e-6 * scale:
             coef[np.abs(coef) < 1e-10 * scale] = 0.0
-            vals = list(coef) + [0.0] * (3 - len(coef))
-            if family == "linear":
-                return RiccatiParams(family, A=vals[0], B=vals[1], C=0.0)
-            return RiccatiParams(family, A=vals[0], B=vals[1], C=vals[2])
+            return RiccatiParams(family, *coef, *[0.0] * (3 - coef.size))
     return None
 
 
@@ -337,51 +347,59 @@ def build_drift(A: float, B: float, sigma: float, c1: float, c2: float) -> Diffu
         raise DomainError("build_drift: (c1, c2) must not both be zero")
     alpha = math.sqrt(2.0 * B + sigma * sigma) / sigma
 
+    # y_scaled(x) is y(x) times a positive factor; it, w and the drift take
+    # floats or float64 arrays, log_y floats only
     if A == 0.0:
         rp, rm = 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
 
+        def y_scaled(x: float) -> float:
+            return c1 * x ** rp + c2 * x ** rm
+
         def log_y(x: float) -> float:
-            val = c1 * x ** rp + c2 * x ** rm
+            val = y_scaled(x)
             if val <= 0:
                 raise SingularDriftError(f"build_drift: y({x}) <= 0")
             return math.log(val)
 
         def w(x: float) -> float:  # y'/y
             num = c1 * rp * x ** (rp - 1.0) + c2 * rm * x ** (rm - 1.0)
-            den = c1 * x ** rp + c2 * x ** rm
-            if den == 0:
-                raise SingularDriftError(f"build_drift: y({x}) = 0")
+            den = y_scaled(x)
+            if np.any(den == 0):
+                raise SingularDriftError("build_drift: y = 0 inside the domain")
             return num / den
     else:
         c = math.sqrt(2.0 * A) / sigma  # y = sqrt(x) * Z_alpha(c*sqrt(x))
 
         def _parts(x: float) -> tuple[float, float]:
             """(Z, Z') at z = c*sqrt(x), both carrying the scaling e^{-z}."""
-            z = c * math.sqrt(x)
+            z = c * np.sqrt(x)
             zs = c1 * specfun.bessel_i(alpha, z, scaled=True)
             zps = 0.5 * c1 * (specfun.bessel_i(alpha - 1.0, z, scaled=True)
                               + specfun.bessel_i(alpha + 1.0, z, scaled=True))
             if c2 != 0.0:
-                damp = math.exp(-2.0 * z)
+                damp = np.exp(-2.0 * z)
                 zs += c2 * specfun.bessel_k(alpha, z, scaled=True) * damp
                 zps -= 0.5 * c2 * damp * (specfun.bessel_k(alpha - 1.0, z, scaled=True)
                                           + specfun.bessel_k(alpha + 1.0, z, scaled=True))
             return zs, zps
 
+        def y_scaled(x: float) -> float:  # y e^{-z}/sqrt(x)
+            return _parts(x)[0]
+
         def log_y(x: float) -> float:
-            zs, _ = _parts(x)
+            zs = y_scaled(x)
             if zs <= 0:
                 raise SingularDriftError(f"build_drift: y({x}) <= 0")
             return 0.5 * math.log(x) + c * math.sqrt(x) + math.log(zs)
 
         def w(x: float) -> float:  # y'/y; the e^{-z} scaling cancels in Z'/Z
             zs, zps = _parts(x)
-            if zs == 0:
-                raise SingularDriftError(f"build_drift: y({x}) = 0")
-            return 0.5 / x + (0.5 * c / math.sqrt(x)) * (zps / zs)
+            if np.any(zs == 0):
+                raise SingularDriftError("build_drift: y = 0 inside the domain")
+            return 0.5 / x + (0.5 * c / np.sqrt(x)) * (zps / zs)
 
     def drift(x: float) -> float:
-        if x <= 0:
+        if np.any(x <= 0):
             raise DomainError("drift: x must be > 0")
         return 2.0 * sigma * x * w(x)
 
@@ -397,25 +415,23 @@ def build_drift(A: float, B: float, sigma: float, c1: float, c2: float) -> Diffu
 
     # sign-change scan for interior zeros of y (mixed-sign coefficients)
     if c1 * c2 < 0 or (c1 < 0 and c2 <= 0) or (c1 <= 0 and c2 < 0):
-        prev_x, prev_s = None, None
-        for x in np.geomspace(1e-3, 100.0, 200):
-            try:
-                log_y(float(x))
-                s_now = 1.0
-            except SingularDriftError:
-                s_now = -1.0
-            if prev_s is not None and s_now != prev_s:
-                raise SingularDriftError(
-                    f"build_drift: y changes sign between x={prev_x:.6g} and x={x:.6g}")
-            prev_x, prev_s = x, s_now
+        xs = np.geomspace(1e-3, 100.0, 200)
+        neg = y_scaled(xs) <= 0
+        flips = np.flatnonzero(neg[1:] != neg[:-1])
+        if flips.size:
+            i = flips[0]
+            raise SingularDriftError(
+                f"build_drift: y changes sign between x={xs[i]:.6g} and x={xs[i + 1]:.6g}")
 
     spec = DiffusionSpec(gamma=1.0, sigma=sigma, drift=drift,
                          drift_antiderivative=F, drift_derivative=drift_derivative,
                          label=f"built(A={A}, B={B}, sigma={sigma})")
     params = RiccatiParams("linear", A=A / (2.0 * sigma), B=B)
-    for x in np.geomspace(0.05, 100.0, 25):
-        r = riccati_residual(spec, ZERO_POTENTIAL, params, float(x))
-        if abs(r) > 1e-8 * max(1.0, abs(A * x + B)):
-            raise ConstructionError(
-                f"build_drift: self-check residual {r:.3e} at x={x:.4g}")
+    xs = np.geomspace(0.05, 100.0, 25)
+    r = riccati_residual(spec, ZERO_POTENTIAL, params, xs)
+    bad = np.flatnonzero(np.abs(r) > 1e-8 * np.maximum(1.0, np.abs(A * xs + B)))
+    if bad.size:
+        i = bad[0]
+        raise ConstructionError(
+            f"build_drift: self-check residual {r[i]:.3e} at x={xs[i]:.4g}")
     return spec

@@ -303,25 +303,6 @@ def check_whittaker_identity(sigma: float, a: float, b: float, t: float,
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _vectorized(func: Callable[[float], float],
-                probe: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a drift or potential for path arrays. A callable that passes the
-    probe at x = probe (it takes a float64 array and returns that shape, or
-    a scalar, equal to its value at the float) is called once per step on
-    the whole array, a scalar result filled out to the path shape. Anything
-    else is evaluated element by element."""
-    try:
-        out = np.asarray(func(np.full(3, float(probe))), dtype=float)
-        if out.shape in ((), (3,)) and np.all(np.isfinite(out)) \
-                and np.allclose(out, func(float(probe))):
-            if out.ndim == 0:  # a constant, e.g. the squared-Bessel drift
-                return lambda a: np.full(a.shape, func(a), dtype=float)
-            return lambda a: np.asarray(func(a), dtype=float)
-    except Exception:
-        pass
-    return np.vectorize(func, otypes=[float])
-
-
 # the Euler coefficients see the state clipped at _MC_CLIP; a run with more
 # than _MC_MAX_NAN_FRACTION of non-finite path weights raises SchemeError
 _MC_CLIP = 1e-8
@@ -376,16 +357,14 @@ def mc_expectation(entry: cat.CatalogEntry, lam: float, t: float, x: float,
     X = np.full(spec.n_paths, float(x))
     Xp = np.maximum(X, _MC_CLIP)  # the truncated state the coefficients see
     g_int = np.zeros(spec.n_paths)
-    f_vec = _vectorized(diff.drift, x)
     if not zero_pot:
-        g_vec = _vectorized(pot.__call__, x)
-        g_prev = g_vec(Xp)
+        g_prev = pot(Xp)
     for _ in range(spec.n_steps):
         dW = rng.normal(0.0, sqrt_dt, size=spec.n_paths)
-        X = X + f_vec(Xp) * dt + np.sqrt(2.0 * diff.sigma * Xp ** diff.gamma) * dW
+        X = X + diff.drift(Xp) * dt + np.sqrt(2.0 * diff.sigma * Xp ** diff.gamma) * dW
         Xp = np.maximum(X, _MC_CLIP)
         if not zero_pot:
-            g_now = g_vec(Xp)
+            g_now = pot(Xp)
             g_int += 0.5 * dt * (g_prev + g_now)
             g_prev = g_now
     Xp = np.maximum(X, 0.0)
@@ -716,8 +695,8 @@ def _suite_riccati(tol: float = 1e-10) -> VerificationReport:
         except Exception as exc:  # surfaced as a failing row, not a crash
             report.add(f"riccati[{name}]", "fit", 0.0, math.inf, tol)
             continue
-        worst = max(abs(riccati_residual(entry.diffusion, entry.potential,
-                                         params, float(xx))) for xx in grid)
+        worst = float(np.max(np.abs(riccati_residual(entry.diffusion, entry.potential,
+                                                     params, grid))))
         report.add(f"riccati[{name}:{params.family}]",
                    "max|residual| on 50 log-spaced points",
                    0.0, worst, tol)

@@ -123,6 +123,30 @@ def test_closed_form_where_e_minus_2_omega_t_underflows(name, params, t):
     assert cat.expectation(name, params, 0.0, t, 1.0) == pytest.approx(1.0, rel=1e-13)
 
 
+def test_closed_form_where_x_squared_underflows():
+    # X = x^2 underflows to 0 at x = 1e-300 (state power 2): the moments take
+    # log X as 2 log x
+    assert cat.expectation("radial_ou", {"a": 1.5, "b": 0.6}, 0.0, 1.0, 1e-300) \
+        == pytest.approx(1.0, rel=1e-13)
+    params = {"a": 1.2, "mu": 0.6}
+    val = cat.expectation("bessel", params, 0.0, 1.0, 1e-300)
+    assert val == pytest.approx(
+        cat.expectation("bessel", params, 0.0, 1.0, 1e-300, method="quadrature"), rel=1e-12)
+
+
+def test_rational_drift_atom_at_large_t():
+    # the orbit's rate sqrt(mu)/tanh(sqrt(mu) t) tends to sqrt(mu): at t = 1000
+    # the atom weight is its limit 2 e^(-sqrt(mu) x)/(2 + a x), and so is the
+    # expectation, whose continuous part has decayed
+    a, mu, x = 0.7, 0.3, 2.0
+    limit = 2.0 * math.exp(-math.sqrt(mu) * x) / (2.0 + a * x)
+    (atom,) = cat.atom_weights("rational_drift", {"a": a, "mu": mu}, 1000.0, x)
+    assert atom[:2] == (0.0, 0)
+    assert atom[2] == pytest.approx(limit, rel=1e-12)
+    assert cat.expectation("rational_drift", {"a": a, "mu": mu}, 0.3, 1000.0, x) \
+        == pytest.approx(limit, rel=1e-12)
+
+
 @pytest.mark.parametrize("name,params", [
     ("besq", {"n": 1.5, "mu": 0.5}),       # linear killing needs n >= 2
     ("bessel", {"a": 0.4}),                  # needs a > 1/2
@@ -783,6 +807,28 @@ def test_declared_riccati_constants_match_the_fit(member):
     assert declared.family == fit.family
     for k in ("A", "B", "C"):
         assert getattr(declared, k) == pytest.approx(getattr(fit, k), abs=1e-8)
+
+
+# drifts, their derivatives and potentials take float64 arrays
+_CONTRACT_XS = np.geomspace(1e-3, 100.0, 41)
+
+
+@pytest.mark.parametrize("member", POOL + [
+    ("generic_linear", {"sigma": 1.0, "A": 1.0, "B": -0.3, "mu": 0.05, "c2": 0.7})],
+    ids=_ids)
+def test_drift_and_potential_on_an_array_equal_their_values_point_by_point(member):
+    # bessel_drift's f' = b^2 (1 - (2a+1) r/z - r^2) - (a+1/2)/x^2 cancels at
+    # large x in both paths (a = -0.3, x = 100: to 3e-7 of its terms, which
+    # are of size b^2), so f' gets an absolute floor of 1e-15
+    entry = cat.make_entry(*member[:1], **member[1])
+    diff = entry.diffusion
+    for func, atol in ((diff.drift, 0.0), (diff.drift_derivative, 1e-15),
+                       (entry.potential, 0.0)):
+        got = func(_CONTRACT_XS)
+        assert np.shape(got) in ((), _CONTRACT_XS.shape)
+        want = [func(float(x)) for x in _CONTRACT_XS]
+        np.testing.assert_allclose(np.broadcast_to(got, _CONTRACT_XS.shape), want,
+                                   rtol=1e-15, atol=atol)
 
 
 def test_every_transform_has_declared_constants():

@@ -224,6 +224,14 @@ def test_expect_closed_form_where_e_minus_2t_underflows():
     assert float(out.splitlines()[1].split(",")[-1]) == pytest.approx(1.0, rel=1e-13)
 
 
+def test_expect_closed_form_where_x_squared_underflows():
+    # X = x^2 underflows to 0 at x = 1e-300: the mass, 1, not a traceback
+    code, out = run("expect", "--entry", "radial_ou", "--a", "1.5", "--b", "0.6",
+                    "--t", "1", "--x", "1e-300", "--lambda", "0")
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[-1]) == pytest.approx(1.0, rel=1e-13)
+
+
 def test_expect_quadrature_non_finite_is_numerical_error():
     # E_x[exp(X_t/2)] diverges for the squared Bessel process at t = 1
     with warnings.catch_warnings():

@@ -1,7 +1,8 @@
-"""Source hygiene: every module-level import in the package is used, the
-catalog reads Bessel I only in scaled or log-scaled form, it takes its
-transform right-hand sides from the symmetry module and its closed-form
-expectations from the kernels' Bessel-core terms instead of writing them.
+"""Source hygiene: every module-level import in the package is used, no
+module wraps a callable in numpy's vectorize, the catalog reads Bessel I only
+in scaled or log-scaled form, it takes its transform right-hand sides from
+the symmetry module and its closed-form expectations from the kernels'
+Bessel-core terms instead of writing them.
 
 No linter is part of the toolchain, so this walks the package sources with
 ast. A name counts as used when the module reads it anywhere (including in
@@ -51,6 +52,35 @@ def test_the_check_sees_an_unused_import():
                      "__all__ = ['tau']\nprint(sys.argv)\n")
     used = _used_names(tree)
     assert [n for n, _ in _imported_names(tree) if n not in used] == ["os", "pi"]
+
+
+def _numpy_vectorize_uses(tree: ast.Module):
+    """Lines that read vectorize from numpy (np.vectorize, numpy.vectorize,
+    from numpy import vectorize): drifts and potentials take float64 arrays,
+    so nothing needs numpy's element-by-element loop."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "vectorize" \
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy" \
+                and any(alias.name == "vectorize" for alias in node.names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_numpy_vectorize(path):
+    bad = list(_numpy_vectorize_uses(ast.parse(path.read_text(), filename=str(path))))
+    assert not bad, f"{path.name}: numpy vectorize on lines {bad}"
+
+
+def test_the_check_sees_numpy_vectorize():
+    tree = ast.parse("import numpy as np\n"
+                     "f = np.vectorize(g, otypes=[float])\n"
+                     "h = numpy.vectorize\n"
+                     "from numpy import pi, vectorize\n"
+                     "k = np.vectorized\n"
+                     "m = other.vectorize(g)\n")
+    assert sorted(_numpy_vectorize_uses(tree)) == [2, 3, 4]
 
 
 def _unscaled_bessel_uses(tree: ast.Module):

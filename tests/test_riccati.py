@@ -85,6 +85,36 @@ def test_residual_zero_drift_zero_potential():
         assert riccati_residual(diff, ZERO_POTENTIAL, params, x) == 0.0
 
 
+_RESIDUAL_CASES = {
+    "quadratic": (DiffusionSpec(gamma=1.0, sigma=0.45, drift=lambda x: 1.3 - 0.7 * x,
+                                drift_derivative=lambda x: -0.7),
+                  PotentialSpec(form="power", mu=0.6, n=1.0),
+                  RiccatiParams("quadratic", A=1.57, B=-0.91, C=0.26)),
+    "linear-bessel": (build_drift(1.0, 0.0, 2.0, 1.0, 1.0), ZERO_POTENTIAL,
+                      RiccatiParams("linear", A=0.25, B=0.0)),
+    "linear-power": (build_drift(0.0, 0.5, 1.0, 1.0, 0.3), ZERO_POTENTIAL,
+                     RiccatiParams("linear", A=0.0, B=0.5)),
+    # no drift_derivative: f' by finite differences on the array
+    "quadratic_sqrt": (DiffusionSpec(gamma=1.0, sigma=1.0, drift=lambda x: 1.0 + np.sqrt(x)),
+                       ZERO_POTENTIAL, RiccatiParams("quadratic_sqrt", A=0.1, B=0.2, C=0.3)),
+    "log_quadratic": (DiffusionSpec(gamma=2.0, sigma=0.5,
+                                    drift=lambda x: 0.7 * x + x * np.log(x)),
+                      PotentialSpec(form="power", mu=0.2, n=1.0),
+                      RiccatiParams("log_quadratic", A=0.3, B=-0.1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RESIDUAL_CASES))
+def test_residual_on_an_array_equals_its_values_point_by_point(case):
+    diff, pot, params = _RESIDUAL_CASES[case]
+    xs = np.geomspace(0.05, 50.0, 30)
+    got = riccati_residual(diff, pot, params, xs)
+    want = [riccati_residual(diff, pot, params, float(x)) for x in xs]
+    assert got.shape == xs.shape
+    assert all(type(w) is float for w in want)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_residual_domain_errors():
     diff = DiffusionSpec(gamma=1.0, sigma=1.0, drift=lambda x: 0.0)
     params = RiccatiParams("linear", A=0.0, B=0.0)
@@ -128,9 +158,9 @@ def test_fit_hyperbolic_tangent_drift():
     # = 2x^2 tanh + 2x^3 (1 - tanh^2) - 2x^2 tanh + 2x^4 tanh^2 + ... no;
     # evaluate it numerically instead against the fitted constants.
     mu = 0.5
-    diff = DiffusionSpec(gamma=0.0, sigma=1.0, drift=lambda x: 2.0 * x * math.tanh(x),
-                         drift_derivative=lambda x: 2.0 * math.tanh(x)
-                         + 2.0 * x / math.cosh(x) ** 2)
+    diff = DiffusionSpec(gamma=0.0, sigma=1.0, drift=lambda x: 2.0 * x * np.tanh(x),
+                         drift_derivative=lambda x: 2.0 * np.tanh(x)
+                         + 2.0 * x / np.cosh(x) ** 2)
     pot = PotentialSpec(form="power", mu=mu, n=2.0)
 
     params = fit_riccati(diff, pot, GRID)
@@ -228,11 +258,13 @@ def test_build_drift_validation():
         build_drift(1.0, 0.0, 1.0, 0.0, 0.0)
 
 
-def test_build_drift_sign_change_raises():
-    # c1*x^r+ + c2*x^r- changes sign when the coefficients have mixed signs;
-    # the constructor scans for interior zeros and refuses such drifts.
-    with pytest.raises(SingularDriftError):
-        build_drift(0.0, 0.5, 1.0, 1.0, -2.0)
+@pytest.mark.parametrize("A", [0.0, 1.0])
+def test_build_drift_sign_change_raises(A):
+    # c1*x^r+ + c2*x^r- (A = 0), or sqrt(x) (c1 I + c2 K) (A > 0), changes sign
+    # when the coefficients have mixed signs; the constructor scans for
+    # interior zeros and refuses such drifts.
+    with pytest.raises(SingularDriftError, match="changes sign between"):
+        build_drift(A, 0.5, 1.0, 1.0, -2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +277,21 @@ def test_diffusion_spec_validates_antiderivative():
                       drift_antiderivative=lambda x: x)  # F' = 1 != 2/x
     with pytest.raises(DomainError):
         DiffusionSpec(gamma=1.0, sigma=0.0, drift=lambda x: 0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiffusionSpec(gamma=0.0, sigma=1.0, drift=math.tanh),
+    lambda: DiffusionSpec(gamma=0.0, sigma=1.0, drift=np.tanh,
+                          drift_derivative=lambda x: 1.0 / math.cosh(x) ** 2),
+    lambda: DiffusionSpec(gamma=0.0, sigma=1.0, drift=lambda x: np.zeros(2)),
+    lambda: PotentialSpec(form="tabulated", func=math.sqrt),
+], ids=["drift", "drift_derivative", "drift-shape", "tabulated-func"])
+def test_specs_refuse_callables_that_do_not_take_arrays(make):
+    # drifts, their derivatives and potentials take float64 arrays; one that
+    # does not is refused when the spec is made, not deep inside a fit or a
+    # Monte Carlo run
+    with pytest.raises(ConstructionError, match="array"):
+        make()
 
 
 def test_potential_spec_forms():

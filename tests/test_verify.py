@@ -2,6 +2,7 @@
 Monte Carlo, report serialization, and suite plumbing."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from feynkac import catalog as cat
 from feynkac import verify as v
 from feynkac.errors import (CapabilityError, ConvergenceError, DomainError,
                             InstabilityError)
+from feynkac.riccati import PotentialSpec
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +194,15 @@ def test_mc_spec_rejects_unusable_sizes(kw):
 # entries whose drift and killing take path arrays: the Euler step makes one
 # call per step for each, never one per path
 _ARRAY_NATIVE = [
-    ("besq", {"n": 3.0}),  # constant drift: a scalar, filled out to the paths
+    ("besq", {"n": 3.0}),  # constant drift: a scalar, broadcast over the paths
     ("tanh_drift", {"mu": 0.5}),
     ("sqrt_drift", {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6}),
     ("cir", {"a": 1.0, "b": 1.0, "sigma": 1.0, "mu": 0.3}),
     ("bessel", {"a": 1.2, "mu": 0.6}),
     ("radial_ou", {"a": 2.0, "b": -0.4, "mu": 0.3}),
+    ("bessel_drift", {"a": 0.5, "b": 1.3}),
+    ("generic_linear", {"sigma": 1.0, "A": 1.0, "B": -0.3, "mu": 0.05}),
+    ("generic_linear", {"sigma": 1.0, "A": 1.0, "B": -0.3, "mu": 0.05, "c2": 0.7}),
 ]
 _SMALL_MC = v.McSpec(n_paths=200, n_steps=50)
 
@@ -214,34 +219,27 @@ def test_mc_euler_step_runs_on_path_arrays(name, params, monkeypatch):
     assert math.isfinite(mean) and 0.0 < mean < 1.0 and se > 0.0
 
 
+def _element_wise(entry):
+    """entry with its drift and killing evaluated one path at a time"""
+    diff, pot = entry.diffusion, entry.potential
+    diff = dataclasses.replace(diff, drift=np.vectorize(diff.drift, otypes=[float]))
+    if pot.form != "zero":
+        pot = PotentialSpec(form="tabulated",
+                            func=np.vectorize(pot.__call__, otypes=[float]))
+    return dataclasses.replace(entry, diffusion=diff, potential=pot)
+
+
 @pytest.mark.parametrize("name,params", _ARRAY_NATIVE)
-def test_mc_euler_step_matches_element_wise_evaluation(name, params, monkeypatch):
+def test_mc_euler_step_matches_element_wise_evaluation(name, params):
     entry = cat.make_entry(name, **params)
     fast = v.mc_expectation(entry, 0.3, 0.8, 1.2, _SMALL_MC, exact=False)
-    monkeypatch.setattr(v, "_vectorized",
-                        lambda func, probe: np.vectorize(func, otypes=[float]))
-    slow = v.mc_expectation(entry, 0.3, 0.8, 1.2, _SMALL_MC, exact=False)
+    slow = v.mc_expectation(_element_wise(entry), 0.3, 0.8, 1.2, _SMALL_MC,
+                            exact=False)
     if name in ("besq", "cir"):
         assert fast == slow
     else:
         assert fast[0] == pytest.approx(slow[0], rel=1e-12, abs=0.0)
         assert fast[1] == pytest.approx(slow[1], rel=1e-12, abs=0.0)
-
-
-def test_mc_euler_step_falls_back_for_scalar_only_drift(monkeypatch):
-    # the Bessel-ratio drift calls scalar specfun routines: element-wise
-    calls = []
-    vectorize = np.vectorize
-
-    def counting_vectorize(func, *args, **kwargs):
-        calls.append(func)
-        return vectorize(func, *args, **kwargs)
-
-    entry = cat.make_entry("bessel_drift", a=0.5, b=1.3)
-    monkeypatch.setattr(np, "vectorize", counting_vectorize)
-    mean, _ = v.mc_expectation(entry, 0.3, 0.8, 1.2, _SMALL_MC)
-    assert calls == [entry.diffusion.drift]
-    assert 0.0 < mean < 1.0
 
 
 # ---------------------------------------------------------------------------
