@@ -101,8 +101,8 @@ fixed-node double-exponential rule (Takahasi & Mori 1974), split at the
 kernel's bulk c (first x, with the diffusion's width s over t): tanh-sinh on
 [0, c], exp-sinh on [c, inf) (_de_integral). The nodes depend on (t, x) and
 the bulk, not on lam, and the kernel values at them are cached, so a lam grid
-evaluates the kernel once. scipy's adaptive quad stays in verify, as the
-independent reference.
+evaluates the kernel once. verify keeps its own adaptive Gauss-Kronrod rule
+as the independent reference.
 
 The rational_showcase entry is structural: its kernel is a fundamental
 solution whose probabilistic meaning is unclear (the drift can push the state
@@ -207,10 +207,36 @@ def _log_bessel_core(nu: float, c: float, omega: float, t: float, sx: float,
         return (math.log(c / t) - c * (sx - sy) ** 2 / t
                 + specfun.log_bessel_ive(nu, 2.0 * c * sx * sy / t))
     wt, cw = omega * t, c * omega
-    sh = math.sinh(wt)
-    return (math.log(cw / sh) - cw * (sx - sy) ** 2 / math.tanh(wt)
-            - 2.0 * cw * math.tanh(0.5 * wt) * sx * sy
-            + specfun.log_bessel_ive(nu, 2.0 * cw * sx * sy / sh))
+    if wt > 700.0:  # sinh(wt) overflows from about 710 on
+        log_pre, log_i = _far_core_terms(nu, cw, wt, sx, sy)
+    else:
+        sh = math.sinh(wt)
+        log_pre = math.log(cw / sh)
+        log_i = specfun.log_bessel_ive(nu, 2.0 * cw * sx * sy / sh)
+    return (log_pre - cw * (sx - sy) ** 2 / math.tanh(wt)
+            - 2.0 * cw * math.tanh(0.5 * wt) * sx * sy + log_i)
+
+
+_LOG_TINY = math.log(1e-300)
+
+
+def _far_core_terms(nu: float, cw: float, wt: float, sx: float, sy):
+    """(log(c w / sinh wt), log ive(nu, z)) of _log_bessel_core where wt > 700,
+    in the log domain: log(c w / sinh wt) = log(2 c w) - wt - log1p(-e^(-2wt)),
+    whose last term is 0 in double precision, and z = 2 c w sx sy / sinh wt
+    is carried as log z. Where z is below 1e-300, log ive(nu, z) is the
+    leading term of its series, nu log(z/2) - lgamma(nu + 1)."""
+    xp = np if type(sy) is _NDARRAY else math
+    log_z = math.log(4.0 * cw * sx) + xp.log(sy) - wt
+    if xp is math:
+        log_i = (specfun.log_bessel_ive(nu, math.exp(log_z)) if log_z > _LOG_TINY
+                 else nu * (log_z - math.log(2.0)) - math.lgamma(nu + 1.0))
+    else:
+        log_i = nu * (log_z - math.log(2.0)) - math.lgamma(nu + 1.0)
+        big = log_z > _LOG_TINY
+        if big.any():
+            log_i[big] = specfun.log_bessel_ive(nu, np.exp(log_z[big]))
+    return math.log(2.0 * cw) - wt, log_i
 
 
 def _scaled_sum(c1, l1, c2, l2, xp):
@@ -416,11 +442,15 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
         functional_param="nu" if nu else "mu")
 
 
-def besq_cosh_variant(t: float, x: float, y: float) -> float:
+def besq_cosh_variant(t: float, x: float, y):
     """The n=3 companion kernel with cosh in place of sinh: a fundamental
     solution that is NOT a transition density (its total mass differs from 1
-    and its Cauchy solutions are discontinuous at the origin)."""
-    return math.exp(-(x + y) / (2.0 * t)) * math.cosh(math.sqrt(x * y) / t) \
+    and its Cauchy solutions are discontinuous at the origin). y may be a
+    float64 array; e^(-(x+y)/2t) cosh(sqrt(xy)/t) is formed as the mean of
+    two Gaussian factors, which cannot overflow."""
+    xp = np if type(y) is _NDARRAY else math
+    sx, sy = math.sqrt(x), xp.sqrt(y)
+    return 0.5 * (xp.exp(-(sx - sy) ** 2 / (2.0 * t)) + xp.exp(-(sx + sy) ** 2 / (2.0 * t))) \
         / math.sqrt(2.0 * math.pi * t * x)
 
 
@@ -671,10 +701,13 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
     def log_cosh(z: float) -> float:
         return abs(z) + math.log1p(math.exp(-2.0 * abs(z))) - math.log(2.0)
 
+    def sech2(x):  # 4 e^(-2|x|) / (1 + e^(-2|x|))^2: cosh(x)^2 overflows
+        e = np.exp(-2.0 * np.abs(x))
+        return 4.0 * e / (1.0 + e) ** 2
+
     diff = DiffusionSpec(gamma=1.0, sigma=1.0,
                          drift=lambda x: 2.0 * x * np.tanh(x),
-                         drift_derivative=lambda x: 2.0 * np.tanh(x)
-                         + 2.0 * x / np.cosh(x) ** 2,
+                         drift_derivative=lambda x: 2.0 * np.tanh(x) + 2.0 * x * sech2(x),
                          # antiderivative of 2 tanh(x), overflow-safe
                          drift_antiderivative=lambda x: 2.0 * log_cosh(x),
                          label="tanh_drift")

@@ -40,6 +40,7 @@ from .errors import (
     CapabilityError,
     ConditioningError,
     ConstructionError,
+    ConvergenceError,
     DomainError,
     SingularDriftError,
 )
@@ -139,13 +140,15 @@ class DiffusionSpec:
             raise DomainError("F: x must be > 0")
         if self.drift_antiderivative is not None:
             return self.drift_antiderivative(x)
-        from scipy import integrate
-        val, err = integrate.quad(lambda z: self.drift(z) / z ** self.gamma, 1.0, x,
-                                  limit=200)
-        if err > 1e-9 * max(1.0, abs(val)):
+        from .verify import _adaptive_gk21  # not at the top: verify imports riccati
+        lo, hi = min(1.0, x), max(1.0, x)
+        try:
+            val = _adaptive_gk21(lambda z: self.drift(z) / z ** self.gamma,
+                                 np.array([lo]), np.array([hi]), np.array([False]))
+        except ConvergenceError as exc:
             raise ConstructionError(
-                f"F: quadrature for the drift antiderivative did not converge at x={x}")
-        return val
+                f"F: quadrature for the drift antiderivative failed at x={x}") from exc
+        return val if x >= 1.0 else -val
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ errors instead of silent NaN/inf, scaled and log-domain variants for the Bessel
 functions (densities routinely multiply a huge I_nu by a tiny exponential), and
 the Whittaker pair assembled from the Kummer functions.
 
-bessel_i, log_bessel_ive and bessel_k also take z as a float64 array (the
-kernels evaluate whole y-grids in one call). An array takes the same branches
-as a float, element by element, so the two agree to a few ulp.
+bessel_i, log_bessel_ive, bessel_k, tricomi_u and whittaker_w also take z as
+a float64 array (the kernels and the verify quadrature evaluate whole y-grids
+in one call). An array takes the same branches as a float, element by
+element, so the two agree to a few ulp.
 
 All functions are pure.
 """
@@ -289,8 +290,16 @@ def hypergeom_1f1(a: float, b: float, z: float) -> float:
 def tricomi_u(a: float, b: float, z: float) -> float:
     """Tricomi's confluent hypergeometric function U(a, b, z), principal branch z > 0.
 
-    Satisfies z^a U(a, b, z) -> 1 as z -> +inf.
+    Satisfies z^a U(a, b, z) -> 1 as z -> +inf. z may be a float64 array.
     """
+    if type(z) is _NDARRAY:
+        _check_finite("tricomi_u", a)
+        _check_array("tricomi_u", b, z, ">")
+        out = sc.hyperu(a, b, z)
+        if np.isnan(out).any():
+            raise ConvergenceError(f"tricomi_u: evaluation failed at ({a}, {b}, "
+                                   f"{float(z[np.isnan(out)][0])})")
+        return out
     _check_finite("tricomi_u", a, b, z)
     if z <= 0:
         raise DomainError("tricomi_u: z must be > 0 (principal branch only)")
@@ -323,8 +332,18 @@ def whittaker_w(k: float, m: float, z: float) -> float:
 
     Equal to the standard combination of M_{k,+-m}; evaluated through the
     Tricomi function to stay finite at half-integer m where the combination's
-    Gamma factors hit poles.
+    Gamma factors hit poles. z may be a float64 array.
     """
+    if type(z) is _NDARRAY:
+        _check_finite("whittaker_w", k)
+        _check_array("whittaker_w", m, z, ">")
+        u = tricomi_u(m - k + 0.5, 1.0 + 2.0 * m, z)
+        with np.errstate(divide="ignore"):  # u = 0 gives 0
+            lg = -0.5 * z + (m + 0.5) * np.log(z) + np.log(np.abs(u))
+        if (lg > 700.0).any():
+            raise EvalOverflowError(f"whittaker_w: overflow at k={k}, m={m}, "
+                                    f"z={float(z[lg > 700.0][0])}")
+        return np.sign(u) * np.exp(lg)
     _check_finite("whittaker_w", k, m, z)
     if z <= 0:
         raise DomainError("whittaker_w: z must be > 0")

@@ -3,7 +3,9 @@
 Everything here checks closed forms by routes that do not reuse the closed
 forms themselves:
 
-  * semi-infinite adaptive quadrature with tail control;
+  * adaptive Gauss-Kronrod quadrature on (0, inf) (QUADPACK's G10/K21 pair
+    and error estimate) that evaluates each refinement round's nodes in one
+    array call of the integrand;
   * Gaver-Stehfest numerical Laplace inversion (with an order-stability
     diagnostic);
   * a forward Whittaker-type index transform evaluated by quadrature;
@@ -152,25 +154,117 @@ class VerificationReport:
 
 _QUAD_REL_TOL = 1e-10
 _QUAD_ABS_TOL = 1e-14
-_QUAD_LIMIT = 400
-_QUAD_SPLIT = 1.0  # interior split point separating origin and tail
+_QUAD_MAX_PANELS = 800  # beyond this many panels the integral is taken to diverge
+_QUAD_SPLIT_LEVELS = 16  # a panel [0, b] splits into [0, b 2^-16] and 16 pieces
+
+# QUADPACK's qk21 (Piessens et al. 1983): the 21-point Kronrod nodes on
+# [-1, 1] (positive half, the centre last) and weights, and the weights of the
+# 10-point Gauss rule, whose nodes are every other Kronrod node
+_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+       0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+       0.0)
+_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+       0.123491976262065851077548745952558, 0.134709217311473325928054001771707,
+       0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+       0.149445554002916905664936468389821)
+_WG = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+       0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+       0.0, 0.295524224714752870173892994651338, 0.0)
+_GK_X = np.array([-x for x in _XK[:-1]] + list(reversed(_XK)))
+_GK_WK = np.array(_WK[:-1] + tuple(reversed(_WK)))
+_GK_WG = np.array(_WG[:-1] + tuple(reversed(_WG)))
+_EPS = np.finfo(float).eps
 
 
-def integrate_semi_infinite(f: Callable[[float], float]) -> float:
-    """Integral of f over (0, inf), split at y = 1 so that an integrable
-    origin singularity and the tail are resolved independently. Raises
-    ConvergenceError unless the value is finite and the error in tolerance."""
-    from scipy import integrate  # loaded here: 0.3 s that closed forms never need
-    head, e1 = integrate.quad(f, 0.0, _QUAD_SPLIT, limit=_QUAD_LIMIT,
-                              epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL)
-    tail, e2 = integrate.quad(f, _QUAD_SPLIT, math.inf, limit=_QUAD_LIMIT,
-                              epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL)
-    total, err = head + tail, e1 + e2
-    if not (math.isfinite(total) and err <= 100.0 * (_QUAD_ABS_TOL + _QUAD_REL_TOL * abs(total))):
-        raise ConvergenceError(
-            f"integrate_semi_infinite: error estimate {err!r} out of tolerance "
-            f"for value {total!r}")
-    return total
+def _geometric(b: np.ndarray, levels: int):
+    """(lo, hi) of the panels [b 2^-(k+1), b 2^-k], k < levels, and
+    [0, b 2^-levels] of each b."""
+    return (np.outer(b, np.append(2.0 ** -np.arange(1, levels + 1), 0.0)).ravel(),
+            np.outer(b, 2.0 ** -np.arange(levels + 1)).ravel())
+
+
+def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+          tail: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(Kronrod value, QUADPACK error estimate) of each panel [lo, hi], in y
+    or, where tail, in u = 1/y with the integrand f(1/u)/u^2: all panels'
+    nodes in one call of f."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    s = c[:, None] + h[:, None] * _GK_X
+    y = np.where(tail[:, None], 1.0 / s, s)
+    fs = np.asarray(f(y.ravel()), dtype=float).reshape(s.shape)
+    with np.errstate(over="ignore"):
+        fs = np.where(tail[:, None], fs / s / s, fs)
+    if not np.isfinite(fs).all():
+        raise ConvergenceError("quadrature: non-finite integrand value "
+                               f"{float(fs[~np.isfinite(fs)][0])!r}")
+    mean = 0.5 * (fs @ _GK_WK)
+    val, err = 2.0 * h * mean, h * np.abs(fs @ _GK_WK - fs @ _GK_WG)
+    resabs = h * (np.abs(fs) @ _GK_WK)
+    resasc = h * (np.abs(fs - mean[:, None]) @ _GK_WK)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return val, np.maximum(err, 50.0 * _EPS * resabs)
+
+
+def _split(lo: np.ndarray, hi: np.ndarray, tail: np.ndarray):
+    """Halve each panel, except that a panel [0, b] becomes [0, b 2^-16] and
+    16 geometric pieces up to b, which resolves a y^alpha endpoint singularity
+    in a few rounds."""
+    at0 = lo == 0.0
+    geo_lo, geo_hi = _geometric(hi[at0], _QUAD_SPLIT_LEVELS)
+    lo, hi, tail0, tail = lo[~at0], hi[~at0], tail[at0], tail[~at0]
+    mid = 0.5 * (lo + hi)
+    return (np.concatenate([lo, mid, geo_lo]), np.concatenate([mid, hi, geo_hi]),
+            np.concatenate([tail, tail, np.repeat(tail0, _QUAD_SPLIT_LEVELS + 1)]))
+
+
+# the starting mesh: [0, 1] in y and in u, each geometric 4 levels towards 0
+_START = (*(np.tile(a, 2) for a in _geometric(np.ones(1), 4)), np.arange(10) >= 5)
+
+
+def _adaptive_gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                   hi: np.ndarray, tail: np.ndarray) -> float:
+    """Sum over the panels (lo, hi, tail) of _gk21, refined in rounds: each
+    round splits every panel whose error estimate is above its share of the
+    tolerance, and evaluates all the new nodes in one call of f, until the
+    error is within max(1e-14, 1e-10 |value|). A non-finite value or error,
+    or more than _QUAD_MAX_PANELS panels (a divergent integral), raises
+    ConvergenceError."""
+    val, err = _gk21(f, lo, hi, tail)
+    while True:
+        total, total_err = float(val.sum()), float(err.sum())
+        if not (math.isfinite(total) and math.isfinite(total_err)):
+            raise ConvergenceError(f"quadrature: non-finite value {total!r} or "
+                                   f"error estimate {total_err!r}")
+        tol = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(total))
+        if total_err <= tol:
+            return total
+        if lo.size > _QUAD_MAX_PANELS:
+            raise ConvergenceError(
+                f"quadrature: error estimate {total_err!r} out of tolerance for "
+                f"value {total!r} after {lo.size} panels")
+        split = err > tol / lo.size
+        new = _split(lo[split], hi[split], tail[split])
+        new_val, new_err = _gk21(f, *new)
+        keep = ~split
+        lo, hi, tail = (np.concatenate([a[keep], b]) for a, b in zip((lo, hi, tail), new))
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+
+
+def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Integral over (0, inf) of f, which takes a float64 array of y and
+    returns that shape: QUADPACK's G10/K21 Gauss-Kronrod pair on [0, 1] in y
+    and on (0, 1] in u = 1/y, adaptive from a mesh geometric towards both
+    ends (_adaptive_gk21). Independent of the catalog's double-exponential
+    rule."""
+    return _adaptive_gk21(f, *_START)
 
 
 def _atom_contribution(entry: cat.CatalogEntry,
@@ -243,16 +337,17 @@ def laplace_invert(F: Callable[[float], float], t: float) -> float:
 # forward Whittaker-type transform
 # ---------------------------------------------------------------------------
 
-def whittaker_forward(phi: Callable[[float], float], k: float, nu: float,
+def whittaker_forward(phi: Callable[[np.ndarray], np.ndarray], k: float, nu: float,
                       lam: float) -> float:
     """Index transform int_0^inf (lam*y)^(-k-1/2) e^(-lam*y/2)
-    W_{k+1/2, nu}(lam*y) phi(y) dy computed by quadrature."""
+    W_{k+1/2, nu}(lam*y) phi(y) dy computed by quadrature; phi takes a
+    float64 array of y."""
     if lam <= 0:
         raise DomainError("whittaker_forward: lam must be > 0")
 
-    def f(y: float) -> float:
+    def f(y: np.ndarray) -> np.ndarray:
         z = lam * y
-        return z ** (-k - 0.5) * math.exp(-0.5 * z) \
+        return z ** (-k - 0.5) * np.exp(-0.5 * z) \
             * specfun.whittaker_w(k + 0.5, nu, z) * phi(y)
 
     return integrate_semi_infinite(f)
@@ -281,17 +376,15 @@ def check_whittaker_identity(sigma: float, a: float, b: float, t: float,
                                          RiccatiParams("quadratic", A=A, B=B, C=C))
     F = entry.diffusion.drift_antiderivative
 
-    def phi_factory(lam_val: float) -> Callable[[float], float]:
-        def phi(y: float) -> float:
-            lg = (eta * math.log(rA / sigma) + (k + 0.5) * math.log(y)
-                  + (rA * y - F(y)) / (2.0 * sigma)
-                  + entry.kernel.log_continuous(t, x, y))
-            return math.exp(lg)
-        return phi
+    def phi(y: np.ndarray) -> np.ndarray:  # F is float-only: one call per node
+        F_y = np.array([F(v) for v in y.tolist()])
+        return np.exp(eta * math.log(rA / sigma) + (k + 0.5) * np.log(y)
+                      + (rA * y - F_y) / (2.0 * sigma)
+                      + entry.kernel.log_continuous(t, x, y))
 
     for lam in lams:
         eps = 1.0 - rA / (sigma * lam)
-        lhs = whittaker_forward(phi_factory(lam), k, nu2, lam)
+        lhs = whittaker_forward(phi, k, nu2, lam)
         rhs = lam ** (B / (sigma * rA)) * orbit(eps, x, t)
         report.add("whittaker_index_transform",
                    f"sigma={sigma},a={a},b={b},t={t},x={x},lam={lam}",
@@ -404,18 +497,23 @@ def residual_convergence_order(u: Callable[[float, float], float],
 def check_transform_identity(entry: cat.CatalogEntry, lam: float, t: float,
                              x: float, tol: float = 1e-8) -> CheckRow:
     """Quadrature of exp(-lam*y^m)*u0(y) against the kernel (atoms included)
-    versus the entry's closed-form transform."""
+    versus the entry's closed-form transform. The weight and a log kernel are
+    added as logs: u0 grows where the kernel underflows."""
     if entry.u0 is None or entry.transform_rhs is None:
         raise CapabilityError(
             f"check_transform_identity: entry {entry.name} has no transform")
-    m = entry.state_power
+    m, u0, kernel = entry.state_power, entry.u0, entry.kernel
 
     def phi(y: float) -> float:
-        return math.exp(-lam * y ** m) * entry.u0(y)
+        return math.exp(-lam * y ** m) * u0(y)
 
-    lhs = integrate_semi_infinite(
-        lambda y: phi(y) * entry.kernel.continuous(t, x, y))
-    lhs += _atom_contribution(entry, phi, t, x)
+    def f(y: np.ndarray) -> np.ndarray:  # u0 is float-only: one call per node
+        log_w = np.array([u0.log(v) for v in y.tolist()]) - lam * y ** m
+        if kernel.log_continuous is None:
+            return np.exp(log_w) * kernel.continuous(t, x, y)
+        return np.exp(log_w + kernel.log_continuous(t, x, y))
+
+    lhs = integrate_semi_infinite(f) + _atom_contribution(entry, phi, t, x)
     rhs = entry.transform_rhs(lam, t, x)
     return CheckRow(f"transform[{entry.name}]", f"lam={lam},t={t},x={x}",
                     rhs, lhs, tol)
@@ -441,9 +539,11 @@ def check_chapman(entry: cat.CatalogEntry, s: float, t: float, x: float,
     """Two-step composition of the kernel equals the one-step kernel."""
     if entry.kernel.atoms:
         raise CapabilityError("check_chapman: implemented for atom-free kernels")
+    k = entry.kernel.continuous
+    # a kernel takes x as a float: the second step is one call per node
     lhs = integrate_semi_infinite(
-        lambda y: entry.kernel.continuous(s, x, y) * entry.kernel.continuous(t, y, z))
-    rhs = entry.kernel.continuous(s + t, x, z)
+        lambda y: k(s, x, y) * np.array([k(t, v, z) for v in y.tolist()]))
+    rhs = k(s + t, x, z)
     return CheckRow(f"chapman[{entry.name}]", f"s={s},t={t},x={x},z={z}",
                     rhs, lhs, tol)
 
@@ -453,19 +553,23 @@ def bessel_expectation_by_integral(a: float, mu: float, lam: float, t: float,
     """Alternative single-integral representation of the Bessel-entry
     expectation E_x[exp(-lam*X_t^2 - (mu/4) int ds/X_s^2)]: an average of
     killing-free Laplace transforms over an auxiliary rate with a Gamma-type
-    weight. Independent of the regular-Kummer closed form."""
+    weight. Independent of the regular-Kummer closed form. The rate is v =
+    w^(1/p), so that v^(p-1) dv = dw/p and the integrand is smooth at w = 0."""
     xi = a - 0.5
     gam = math.sqrt(xi * xi + 0.5 * mu)
     p = 0.5 * (gam - xi)
     if p <= 0:
         raise DomainError("bessel_expectation_by_integral: requires mu > 0")
 
-    def f(v: float) -> float:
-        den = 1.0 + 2.0 * (v + lam) * t
-        return v ** (p - 1.0) * math.exp(-x * x * (v + lam) / den) \
-            / den ** (1.0 + gam)
+    def f(w: np.ndarray) -> np.ndarray:
+        # the rate is inf far out, where f is 0, and 0 where it underflows,
+        # where the exponent's limit is 0
+        with np.errstate(over="ignore", divide="ignore"):
+            rate = w ** (1.0 / p) + lam
+            exponent = -x * x / (1.0 / rate + 2.0 * t)
+        return np.exp(exponent) / (1.0 + 2.0 * rate * t) ** (1.0 + gam)
 
-    pref = x ** (2.0 * p) / math.gamma(p)
+    pref = x ** (2.0 * p) / math.gamma(p + 1.0)
     return pref * integrate_semi_infinite(f)
 
 
@@ -633,14 +737,14 @@ def _closed_form_reference(entry: cat.CatalogEntry, lam: float, t: float,
     """E_x[exp(-lam*X_t^m)] by adaptive quadrature of the kernel (atoms
     included), independent of the catalog's own double-exponential rule.
     Every entry with a closed form has a log kernel: one exp of the summed
-    logs per point."""
+    logs per array of nodes."""
     m = entry.state_power
     log_k = entry.kernel.log_continuous
 
     def phi(y: float) -> float:
         return math.exp(-lam * y ** m)
 
-    return (integrate_semi_infinite(lambda y: math.exp(log_k(t, x, y) - lam * y ** m))
+    return (integrate_semi_infinite(lambda y: np.exp(log_k(t, x, y) - lam * y ** m))
             + _atom_contribution(entry, phi, t, x))
 
 

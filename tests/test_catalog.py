@@ -147,6 +147,47 @@ def test_rational_drift_atom_at_large_t():
         == pytest.approx(limit, rel=1e-12)
 
 
+def test_kernels_where_sinh_omega_t_overflows():
+    # sinh(omega t) overflows from omega t ~ 710 on (both raised
+    # EvalOverflowError): the Bessel core takes its argument as a log. cir at
+    # t = 3000 has reached its stationary Gamma density (mpmath); tanh_drift's
+    # density at t = 1e4 underflows to 0, and its log is mpmath's
+    assert cat.density("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6}, 3000.0, 1.0, 1.0) \
+        == pytest.approx(0.4748585660155789, rel=1e-10)
+    assert cat.density("tanh_drift", {}, 1e4, 1.0, 1.0) == 0.0
+    ref = float(mpmath.log(_mp_tanh_drift(0, mpmath.mpf(1e4), 1, 1)))
+    assert cat.density("tanh_drift", {}, 1e4, 1.0, 1.0, log=True) \
+        == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("name,params", [("tanh_drift", {}),
+                                         ("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6})])
+def test_array_kernel_matches_the_scalar_kernel_where_sinh_omega_t_overflows(name, params):
+    # omega t from 280 (cir) or 700 (tanh_drift) to 1e4, and Bessel arguments
+    # on both sides of 1e-300, where the log ive is the series' leading term
+    ys = np.geomspace(1e-3, 1e3, 13)
+    for t in np.geomspace(700.0, 1e4, 9):
+        for log in (False, True):
+            got = cat.density(name, params, t, 1.0, ys, log=log)
+            for y, g in zip(ys, got):
+                want = cat.density(name, params, t, 1.0, float(y), log=log)
+                assert g == pytest.approx(want, rel=1e-15, abs=1e-300)
+
+
+def test_tanh_drift_derivative_does_not_overflow():
+    # 2 tanh x + 2x sech(x)^2, with sech^2 from e^(-2|x|): 1/cosh(x)^2 warned
+    # of overflow from x ~ 355 on
+    d = cat.make_entry("tanh_drift").diffusion.drift_derivative
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d(400.0) == 2.0
+        assert (d(np.linspace(1.0, 1e3, 1000))[500:] == 2.0).all()
+    x = np.linspace(0.0, 300.0, 3001)
+    with np.errstate(all="ignore"):
+        old = 2.0 * np.tanh(x) + 2.0 * x / np.cosh(x) ** 2
+    assert np.allclose(d(x), old, rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("name,params", [
     ("besq", {"n": 1.5, "mu": 0.5}),       # linear killing needs n >= 2
     ("bessel", {"a": 0.4}),                  # needs a > 1/2

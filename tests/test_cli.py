@@ -466,10 +466,27 @@ def test_closed_form_routes_do_not_load_quadrature():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["loaded"] == []
-    # the quadrature route and the verify suites load scipy.integrate on
-    # first use and print what an already loaded one prints
+    # each route prints in a fresh interpreter what it prints here
     assert [tuple(r) for r in got["results"]] == [run(*c) for c in cases]
     assert [code for code, _ in got["results"]] == [0, 0, 0, 0]
+
+
+_MASS_CHECK_SCRIPT = """
+import io, json, sys
+import feynkac.cli as cli
+
+codes = [cli.main(args, out=io.StringIO()) for args in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_mass_checks_do_not_load_scipy_integrate():
+    # verify's reference quadrature is its own Gauss-Kronrod rule: importing
+    # scipy.integrate took 0.3 s and about 20 MB
+    proc = run_python("-c", _MASS_CHECK_SCRIPT,
+                      json.dumps([_VERIFY_MASS, _DENSITY + ["--check-mass"]]))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "integrate": False}
 
 
 @pytest.mark.parametrize("args", [_DENSITY, ["density", "--entry", "foo"]])

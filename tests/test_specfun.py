@@ -258,6 +258,25 @@ def test_whittaker_w_integral_oracle():
     assert sf.whittaker_w(k, m, z) == pytest.approx(ref, rel=1e-11)
 
 
+def test_whittaker_w_and_tricomi_u_take_arrays():
+    # the verify quadrature evaluates them on whole node arrays
+    z = np.geomspace(1e-6, 800.0, 31)
+    for k, m in [(-0.2, 0.9), (0.3, 0.4), (1.3, 0.25)]:
+        for got, fn, args in [(sf.whittaker_w(k, m, z), sf.whittaker_w, (k, m)),
+                              (sf.tricomi_u(m - k + 0.5, 1.0 + 2.0 * m, z), sf.tricomi_u,
+                               (m - k + 0.5, 1.0 + 2.0 * m))]:
+            assert got.shape == z.shape
+            for zi, g in zip(z, got):
+                assert g == pytest.approx(fn(*args, float(zi)), rel=1e-15, abs=1e-300)
+    for fn in (sf.whittaker_w, sf.tricomi_u):
+        with pytest.raises(DomainError):
+            fn(0.5, 1.3, np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            fn(0.5, 1.3, np.array([1.0, np.nan]))
+        with pytest.raises(DomainError):
+            fn(np.nan, 1.3, np.array([1.0]))
+
+
 # ---------------------------------------------------------------------------
 # gamma_ln, erf, and the Laplace-Bessel moment
 # ---------------------------------------------------------------------------

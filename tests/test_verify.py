@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feynkac import catalog as cat
 from feynkac import verify as v
@@ -76,18 +77,30 @@ def test_report_json_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_integrate_semi_infinite_known_values():
-    assert v.integrate_semi_infinite(lambda y: math.exp(-y)) \
+    assert v.integrate_semi_infinite(lambda y: np.exp(-y)) \
         == pytest.approx(1.0, rel=1e-12)
     # integrable origin singularity: Gamma(1/2)
-    assert v.integrate_semi_infinite(lambda y: math.exp(-y) / math.sqrt(y)) \
+    assert v.integrate_semi_infinite(lambda y: np.exp(-y) / np.sqrt(y)) \
         == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
 
-def test_integrate_semi_infinite_divergent_raises():
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alpha=st.floats(-0.9, 4.0), beta=st.floats(0.05, 20.0))
+def test_integrate_semi_infinite_gamma_integrals(alpha, beta):
+    # y^alpha e^(-beta y): an endpoint singularity at 0 and the tail's scale
+    # 1/beta; the geometric splits of the panel at 0 resolve y^alpha
+    got = v.integrate_semi_infinite(lambda y: y ** alpha * np.exp(-beta * y))
+    assert got == pytest.approx(math.gamma(alpha + 1.0) / beta ** (alpha + 1.0),
+                                rel=1e-10)
+
+
+@pytest.mark.parametrize("f", [lambda y: 1.0 / (1.0 + y), lambda y: 1.0 / y],
+                         ids=["log_tail", "log_origin"])
+def test_integrate_semi_infinite_divergent_raises(f):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ConvergenceError):
-            v.integrate_semi_infinite(lambda y: 1.0 / (1.0 + y))
+            v.integrate_semi_infinite(f)
 
 
 def test_integrate_semi_infinite_non_finite_raises():
@@ -95,7 +108,49 @@ def test_integrate_semi_infinite_non_finite_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ConvergenceError):
-            v.integrate_semi_infinite(lambda y: math.nan)
+            v.integrate_semi_infinite(lambda y: np.full_like(y, np.nan))
+
+
+def test_integrate_semi_infinite_evaluates_each_round_in_one_call():
+    calls = []
+
+    def f(y):
+        calls.append(y.size)
+        return np.exp(-y) / np.sqrt(y)
+
+    v.integrate_semi_infinite(f)
+    assert len(calls) > 1 and all(n % 21 == 0 for n in calls)
+
+
+def _quadpack(f):
+    """scipy's adaptive quad of an array integrand, split at 1, with the
+    tolerances the verify suites used before they had their own rule."""
+    from scipy import integrate
+
+    def scalar(y):
+        return float(f(np.array([y]))[0])
+
+    kw = dict(limit=400, epsabs=1e-14, epsrel=1e-10)
+    return (integrate.quad(scalar, 0.0, 1.0, **kw)[0]
+            + integrate.quad(scalar, 1.0, math.inf, **kw)[0])
+
+
+@pytest.mark.parametrize("suite,count", [("closed_form", 66), ("mass", 35)])
+def test_integrate_semi_infinite_agrees_with_quadpack(suite, count, monkeypatch):
+    # every integrand of the two suites, with QUADPACK as an oracle; the
+    # suites' integrands read loop variables, so each is checked at once
+    pairs = []
+
+    def record(f, rule=v.integrate_semi_infinite):
+        val = rule(f)
+        pairs.append((val, _quadpack(f)))
+        return val
+
+    monkeypatch.setattr(v, "integrate_semi_infinite", record)
+    v.run_suite(suite)
+    assert len(pairs) == count
+    for val, ref in pairs:
+        assert val == pytest.approx(ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
