@@ -31,54 +31,45 @@ _log_bessel_core returns its log, regrouped as
 
 so that no two terms of size (X + Y)/t cancel at small t.
 
-Here sx = x^(m/2), sy = y^(m/2) for the state power m. Except bessel_drift's
-and the two-branch ones of generic_linear and generic_quadratic (signed
-branches, added with _scaled_sum), every kernel is an h-transform of the core,
+Here sx = x^(m/2), sy = y^(m/2) for the state power m = 2 - gamma. No entry
+writes its index nu, scale c, rate w or growth r: symmetry.bessel_core
+derives them from the entry's declared Riccati constants (A, B, C) (Craddock
+2009), with c = 1/(m^2 sigma) and
 
-  m y^(m-1) e^(g t) (u(Y)/u(X)) core(Y),  u(Y) = sum_i c_i Y^p_i e^(-beta_i Y),
+  linear family:     w = 0,            r = -A,            nu = sqrt(sigma^2 + 2B)/(m sigma)
+  quadratic family:  w = m sqrt(A)/2,  r = -B/(2 sigma),  nu = sqrt(sigma^2 + 2C)/(m sigma)
 
-and _core_sum builds from that one statement both the log kernel and the
-closed-form expectation E_x[exp(-lam X_t^m)] = e^(g t) sum_i w_i(X) B_i +
-atoms, with w_i(X) = c_i X^p_i e^(-beta_i X)/u(X) and B_i the Laplace-Bessel
-moment of term i, one log-1F1 (_log_core_moments). With s = sigma:
+Every kernel but rational_drift's finite-part one (mu_inv) is then
 
-  entry              c     w             m  terms (c_i, p_i, beta_i)        g
-  besq               1/2   sqrt(2 mu)    1  (1, (n-2)/4, 0)                 0
-  cir                1/s   sqrt(A)/2     1  (1, a/2s - 1/2, b/2s)           ab/2s
-  tanh_drift         1     sqrt(1 + mu)  1  (1/2, -1/2, -1), (1/2, -1/2, 1) 0
-  rational_drift     1     sqrt(mu)      1  (2, -1/2, 0), (a, 1/2, 0)       0
-  rational_showcase  1     0             1  (b, -1, 0), (a, 1, 0)           0
-  sqrt_drift         1     0             1  ((-b)^j/j!, (a-1+j)/2, 0)       -A/2
-  bessel             1/2   0             2  (1, (a-1/2)/2, 0)               0
-  radial_ou          1/4   alpha         2  (1, (a-1)/4, -b/4)              -b(a+1)/2
-  generic_linear     1/s   0             1  (generic_quadratic: as cir)
-  bessel_drift       1/2   0             2
+  log p = H(x, y) + log(m y^(m-1)) + r t + log core,
 
-sqrt_drift's terms, j = 0, 1, ..., are the series of y^((a-1)/2) e^(-b sqrt(y)):
-its kernel is written out, and its expectation sums the series moment by
-moment. rational_showcase's closed form is its transform.
+and a builder supplies only the h-ratio H. An entry with a closed form
+states it as the terms of u(Y) = sum_i c_i Y^p_i e^(-beta_i Y), H = log
+u(Y)/u(X), and _core_sum builds from that one statement both the log kernel
+and E_x[exp(-lam X_t^m)] = e^(r t) sum_i w_i(X) B_i + atoms, with w_i(X) =
+c_i X^p_i e^(-beta_i X)/u(X) and B_i the Laplace-Bessel moment of term i, one
+log-1F1 (_log_core_moments); sqrt_drift's sums the series of its u(y) =
+y^((a-1)/2) e^(-b sqrt(y)) moment by moment. bessel_drift, sqrt_drift and
+generic_linear take H = (F(y) - F(x))/(2 sigma) - log(y/x)/2 from their drift
+antiderivative F.
+
+The second branch p- has index -nu: radial_ou takes it where a < 1, and
+besq_cosh_variant is that of besq n = 3. generic_linear weights p+ and p- by
+c_i e^-z I_(+-nu)(z) over their sum at z = sqrt(2Ay)/sigma; generic_quadratic
+is c1 p+ + c2 p-, with p- = p_K at integer nu and p+ + (2/pi) sin(nu pi) p_K
+otherwise (DLMF 10.27.3), p_K the kernel with K_nu in the core.
 
 Transforms and atoms
 --------------------
 A transform identity integrates exp(-lam y^m) u0(y) against the kernel; its
-right-hand side is symmetry.orbit_transform of the entry's u0 and of Riccati
-constants the builder declares (tests check them against fit_riccati):
-
-  entry                                              family     A
-  besq (mu = 0), bessel, rational_showcase,          linear     0
-    rational_drift (mu = 0 or mu_inv)
-  bessel_drift                                       linear     b^2/2
-  sqrt_drift                                         linear     A/2
-  generic_linear                                     linear     A/(2 sigma)
-  tanh_drift                                         quadratic  4(1 + mu)
-  rational_drift (mu > 0)                            quadratic  4 mu
-
-Linear entries take the laplace_scaling orbit at lam, quadratic ones the
-exp_scaling orbit at eps = sigma lam/(sqrt(A) + sigma lam). That orbit at
-eps = 1 is the tanh_drift atom weight (symmetry.atom_weight), and half the
-rational_drift one, whose u0 is 1/2 at 0+; rational_drift keeps its own
-formula because at mu = 0 its pair is in the linear family, where the group
-has no eps = 1 orbit. besq with mu > 0 has neither u0 nor transform.
+right-hand side is symmetry.orbit_transform of the entry's u0 and declared
+constants. Linear entries take the laplace_scaling orbit at lam, quadratic
+ones the exp_scaling orbit at eps = sigma lam/(sqrt(A) + sigma lam). That
+orbit at eps = 1 is the tanh_drift atom weight (symmetry.atom_weight), and
+half the rational_drift one, whose u0 is 1/2 at 0+; rational_drift keeps its
+own formula because at mu = 0 its pair is in the linear family, where the
+group has no eps = 1 orbit. cir, radial_ou, generic_quadratic and besq with
+mu > 0 have neither u0 nor transform.
 
 Entries
 -------
@@ -128,8 +119,9 @@ from .errors import (
     ValidityError,
 )
 from . import specfun
-from .riccati import DiffusionSpec, PotentialSpec, RiccatiParams
-from .symmetry import StationarySolution, atom_weight, gauge_solution, orbit_transform
+from .riccati import _VALIDATION_POINTS, DiffusionSpec, PotentialSpec, RiccatiParams, _on_array
+from .symmetry import (StationarySolution, atom_weight, bessel_core, gauge_solution,
+                       orbit_transform)
 
 __all__ = [
     "AtomSpec",
@@ -182,7 +174,8 @@ class CatalogEntry:
     transform_rhs: Optional[Callable[[float, float, float], float]]  # (lam,t,x)
     expectation_closed: Optional[Callable[[float, float, float], float]]  # (lam,t,x)
     functional_param: str = ""  # which param is the Laplace variable of the functional
-    riccati: Optional[RiccatiParams] = None  # declared constants of the transform orbit
+    # declared drift-equation constants, which give the kernel's Bessel core and the transform
+    riccati: Optional[RiccatiParams] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
@@ -198,45 +191,61 @@ class CatalogEntry:
 _NDARRAY = np.ndarray
 
 
+_LOG_2, _LOG_TINY = math.log(2.0), math.log(1e-300)
+
+
+def _log_bessel(nu: float, z, k_nu: bool):
+    """log(e^-z I_nu(z)), or log(e^-z K_nu(z)) where k_nu, at the Bessel
+    argument z of a core; EvalOverflowError where z overflows (x y beyond
+    1e308 at state power 2), as the log kernel does too."""
+    if (z.max(initial=0.0) if type(z) is _NDARRAY else z) == math.inf:
+        raise EvalOverflowError("kernel: the Bessel argument overflows")
+    if not k_nu:
+        return specfun.log_bessel_ive(nu, z)
+    return (np if type(z) is _NDARRAY else math).log(
+        specfun.bessel_k(nu, z, scaled=True)) - 2.0 * z
+
+
+def _log_small(nu: float, log_z, k_nu: bool):
+    """_log_bessel at z < 1e-300 from log z: the leading term (DLMF 10.25.2,
+    10.31.2, 10.30.2; nu > -1 for I_nu)."""
+    if not k_nu:
+        return nu * (log_z - _LOG_2) - math.lgamma(nu + 1.0)
+    if nu == 0.0:
+        return (np if type(log_z) is _NDARRAY else math).log(_LOG_2 - log_z - np.euler_gamma)
+    return (nu - 1.0) * _LOG_2 + math.lgamma(nu) - nu * log_z
+
+
 def _log_bessel_core(nu: float, c: float, omega: float, t: float, sx: float,
-                     sy: float) -> float:
+                     sy: float, k_nu: bool = False) -> float:
     """log[(c w / sinh wt) exp(-c w coth(wt)(sx^2 + sy^2))
     I_nu(2 c w sx sy / sinh wt)], the factor every positive kernel shares;
-    omega = 0 is the limit omega -> 0. See the module docstring."""
+    omega = 0 is the limit omega -> 0. See the module docstring. k_nu puts
+    K_nu in place of I_nu.
+
+    Where wt > 700 (sinh(wt) overflows from about 710 on), log(c w / sinh wt)
+    = log(2 c w) - wt - log1p(-e^(-2wt)), whose last term is 0 in double
+    precision, and the Bessel argument is carried as its log: below 1e-300
+    the Bessel term is its leading term in log z (_log_small)."""
     if omega == 0.0:
         return (math.log(c / t) - c * (sx - sy) ** 2 / t
-                + specfun.log_bessel_ive(nu, 2.0 * c * sx * sy / t))
+                + _log_bessel(nu, 2.0 * c * sx * sy / t, k_nu))
     wt, cw = omega * t, c * omega
-    if wt > 700.0:  # sinh(wt) overflows from about 710 on
-        log_pre, log_i = _far_core_terms(nu, cw, wt, sx, sy)
-    else:
+    if wt <= 700.0:
         sh = math.sinh(wt)
-        log_pre = math.log(cw / sh)
-        log_i = specfun.log_bessel_ive(nu, 2.0 * cw * sx * sy / sh)
+        log_pre, log_i = math.log(cw / sh), _log_bessel(nu, 2.0 * cw * sx * sy / sh, k_nu)
+    else:
+        xp = np if type(sy) is _NDARRAY else math
+        log_pre, log_z = math.log(2.0 * cw) - wt, math.log(4.0 * cw * sx) + xp.log(sy) - wt
+        if xp is math:
+            log_i = (_log_bessel(nu, math.exp(log_z), k_nu) if log_z > _LOG_TINY
+                     else _log_small(nu, log_z, k_nu))
+        else:
+            log_i, big = _log_small(nu, log_z, k_nu), log_z > _LOG_TINY
+            if big.any():
+                log_i[big] = _log_bessel(nu, np.exp(log_z[big]), k_nu)
     return (log_pre - cw * (sx - sy) ** 2 / math.tanh(wt)
             - 2.0 * cw * math.tanh(0.5 * wt) * sx * sy + log_i)
-
-
-_LOG_TINY = math.log(1e-300)
-
-
-def _far_core_terms(nu: float, cw: float, wt: float, sx: float, sy):
-    """(log(c w / sinh wt), log ive(nu, z)) of _log_bessel_core where wt > 700,
-    in the log domain: log(c w / sinh wt) = log(2 c w) - wt - log1p(-e^(-2wt)),
-    whose last term is 0 in double precision, and z = 2 c w sx sy / sinh wt
-    is carried as log z. Where z is below 1e-300, log ive(nu, z) is the
-    leading term of its series, nu log(z/2) - lgamma(nu + 1)."""
-    xp = np if type(sy) is _NDARRAY else math
-    log_z = math.log(4.0 * cw * sx) + xp.log(sy) - wt
-    if xp is math:
-        log_i = (specfun.log_bessel_ive(nu, math.exp(log_z)) if log_z > _LOG_TINY
-                 else nu * (log_z - math.log(2.0)) - math.lgamma(nu + 1.0))
-    else:
-        log_i = nu * (log_z - math.log(2.0)) - math.lgamma(nu + 1.0)
-        big = log_z > _LOG_TINY
-        if big.any():
-            log_i[big] = specfun.log_bessel_ive(nu, np.exp(log_z[big]))
-    return math.log(2.0 * cw) - wt, log_i
 
 
 def _scaled_sum(c1, l1, c2, l2, xp):
@@ -269,8 +278,11 @@ def _log_core_moments(nu: float, c: float, omega: float, lam: float, t: float,
 
     Where E = e^(-2 omega t) falls below 1e-300 (and em = 1), E is carried as
     its log, and so are s and the Bessel argument, which shrink with it:
-    where also lam + beta + c omega = 0, s is 2 c omega E, not 0."""
+    where also lam + beta + c omega = 0, s is 2 c omega E, not 0. Where X
+    overflows (x beyond 1e154 at state power 2), EvalOverflowError."""
     X = sx * sx
+    if X == math.inf:
+        raise EvalOverflowError(f"expectation: x^2 = {sx!r}^2 overflows")
     lX = 2.0 * math.log(sx)  # not log(X): X underflows to 0 below sx ~ 2e-162
     if omega == 0.0:
         log_k, arg, E = math.log(c / t), c * sx / t, 1.0
@@ -335,37 +347,86 @@ def _kernel(logf, atoms=()) -> Kernel:
     return Kernel(continuous=cont, log_continuous=logf, atoms=tuple(atoms))
 
 
-def _core_sum(nu: float, c: float, omega: float, terms, g: float = 0.0, m: float = 1.0,
-              atoms=()) -> Tuple[Callable, Callable]:
-    """(log kernel for _kernel, closed-form expectation with the atoms) of the
-    h-transformed core of the module docstring, terms = ((c_i, p_i, beta_i),
-    ...) with c_i > 0."""
-    logc = tuple((math.log(ci), p, beta) for ci, p, beta in terms)
-    pb = tuple((p, beta) for _, p, beta in terms)
-    single, (_, p0, beta0), atoms = len(terms) == 1, terms[0], tuple(atoms)
-
-    def log_terms(z: float, lz: float):  # log c_i Z^p_i e^(-beta_i Z), lz = log Z
-        return [lc + p * lz - beta * z for lc, p, beta in logc]
-
-    def log_w(x: float):  # log w_i(X), X = x^m, for two or more terms
-        ls = log_terms(x ** m, m * math.log(x))
-        top = _log_sum_exp(ls)
-        return [l - top for l in ls]
+def _log_kernel(core, ratio, k_nu: bool = False, shift: float = 0.0) -> Callable:
+    """log p(t, x, y, xp=None) = shift + H + log(m y^(m-1)) + r t + log core
+    for _kernel, H = ratio(x, y, xp) and core = (nu, c, omega, r, m) of
+    symmetry.bessel_core (m is 1 or 2 in the catalog); k_nu puts K_nu in
+    place of I_nu."""
+    nu, c, omega, r, m = core
 
     def log_p(t: float, x: float, y, xp=None):
         if xp is None:
             xp = np if type(y) is _NDARRAY else math
         if m == 2.0:  # with the Jacobian 2y
-            sx, sy, dY, jac = x, y, (y - x) * (y + x), xp.log(2.0 * y)
+            sx, sy, jac = x, y, xp.log(2.0 * y)
         else:
-            sx, sy, dY, jac = math.sqrt(x), xp.sqrt(y), y - x, 0.0
-        lx, ly = math.log(x), xp.log(y)
-        if single:  # (Y/X)^p0 e^(-beta0 (Y - X)), Y - X formed without cancellation
-            ratio = p0 * m * (ly - lx) - beta0 * dY
-        else:
-            ratio = (_log_sum_exp(log_terms(y ** m, m * ly), xp)
-                     - _log_sum_exp(log_terms(x ** m, m * lx)))
-        return jac + g * t + ratio + _log_bessel_core(nu, c, omega, t, sx, sy)
+            sx, sy, jac = math.sqrt(x), xp.sqrt(y), 0.0
+        return (shift + ratio(x, y, xp) + jac + r * t
+                + _log_bessel_core(nu, c, omega, t, sx, sy, k_nu))
+    return log_p
+
+
+def _branch_kernel(ratio, branches, weights) -> Kernel:
+    """Kernel e^H (w1 p1 + w2 p2), H = ratio(x, y, xp), (w1, w2) =
+    weights(y, xp) of either sign and p_i the kernels of branches = ((core,
+    k_nu), (core, k_nu)) without an h-ratio: continuous only."""
+    log_p1, log_p2 = (_log_kernel(core, lambda x, y, xp: 0.0, k_nu) for core, k_nu in branches)
+
+    def cont(t: float, x: float, y):
+        xp = np if type(y) is _NDARRAY else math
+        w1, w2 = weights(y, xp)
+        s, top = _scaled_sum(w1, log_p1(t, x, y, xp), w2, log_p2(t, x, y, xp), xp)
+        return s * xp.exp(ratio(x, y, xp) + top)
+    return Kernel(continuous=cont, log_continuous=None)
+
+
+def _terms_ratio(terms, m: float) -> Callable:
+    """H(x, y, xp) = log u(Y)/u(X), X = x^m, Y = y^m, of u(Y) = sum_i c_i
+    Y^p_i e^(-beta_i Y), terms = ((c_i, p_i, beta_i), ...) with c_i > 0."""
+    if len(terms) == 1:
+        _, p0, beta0 = terms[0]
+
+        def ratio(x: float, y, xp):  # (Y/X)^p0 e^(-beta0 (Y - X)), Y - X without cancellation
+            dY = (y - x) * (y + x) if m == 2.0 else y - x
+            return p0 * m * (xp.log(y) - math.log(x)) - beta0 * dY
+        return ratio
+    logc = tuple((math.log(ci), p, beta) for ci, p, beta in terms)
+
+    def ratio(x: float, y, xp):
+        return (_log_sum_exp(_log_terms(logc, y ** m, m * xp.log(y)), xp)
+                - _log_sum_exp(_log_terms(logc, x ** m, m * math.log(x))))
+    return ratio
+
+
+def _log_terms(logc, z: float, lz: float):
+    """log c_i Z^p_i e^(-beta_i Z), logc = ((log c_i, p_i, beta_i), ...), lz = log Z."""
+    return [lc + p * lz - beta * z for lc, p, beta in logc]
+
+
+def _gauge_ratio(diff: DiffusionSpec) -> Callable:
+    """H(x, y, xp) = (F(y) - F(x))/(2 sigma) - log(y/x)/2 from the drift
+    antiderivative F, which takes a float or a float64 array (checked here,
+    once per entry)."""
+    F, s2 = diff.drift_antiderivative, 2.0 * diff.sigma
+    _on_array(F, np.array(_VALIDATION_POINTS),
+              f"DiffusionSpec '{diff.label}': drift_antiderivative")
+
+    def ratio(x: float, y, xp):
+        return (F(y) - F(x)) / s2 - 0.5 * (xp.log(y) - math.log(x))
+    return ratio
+
+
+def _core_sum(diff: DiffusionSpec, ric: RiccatiParams, terms, atoms=(),
+              sign: float = 1.0) -> Tuple[Callable, Callable]:
+    """(log kernel for _kernel, closed-form expectation with the atoms) of the
+    kernel whose h-function is u(Y) = sum_i c_i Y^p_i e^(-beta_i Y), terms =
+    ((c_i, p_i, beta_i), ...) with c_i > 0, and whose Bessel core
+    symmetry.bessel_core reads from the declared constants ric."""
+    core = nu, c, omega, g, m = bessel_core(diff, ric, sign)
+    log_p = _log_kernel(core, _terms_ratio(terms, m))
+    logc = tuple((math.log(ci), p, beta) for ci, p, beta in terms)
+    pb = tuple((p, beta) for _, p, beta in terms)
+    single, atoms = len(terms) == 1, tuple(atoms)
 
     def expect(lam: float, t: float, x: float) -> float:
         if lam < 0:
@@ -374,8 +435,10 @@ def _core_sum(nu: float, c: float, omega: float, terms, g: float = 0.0, m: float
         moments = _log_core_moments(nu, c, omega, lam, t, sx, pb)
         if single:
             val = math.exp(g * t + next(moments))
-        else:
-            val = sum([math.exp(lw + g * t + lb) for lw, lb in zip(log_w(x), moments)])
+        else:  # log w_i(X), X = x^m
+            ls = _log_terms(logc, x ** m, m * math.log(x))
+            top = _log_sum_exp(ls)
+            val = sum([math.exp(l - top + g * t + lb) for l, lb in zip(ls, moments)])
         return _with_atoms(val, atoms, lam, t, x, m)
 
     return log_p, expect
@@ -415,9 +478,6 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
     _check_nonneg("besq", mu=mu, nu=nu)
     if mu > 0 and n < 2:
         raise ValidityError("besq: the mu*x killing kernel requires n >= 2")
-    w = 0.5 * math.sqrt((n - 2.0) ** 2 + 8.0 * nu)  # Bessel index
-    d = 0.25 * (2.0 - n) + 0.5 * w  # growth exponent of the stationary branch
-    b = math.sqrt(2.0 * mu)
 
     diff = DiffusionSpec(gamma=1.0, sigma=2.0, drift=lambda x: n,
                          drift_derivative=lambda x: 0.0,
@@ -425,14 +485,17 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
                          label="besq")
     pot = PotentialSpec(form="inverse_plus_linear", mu=mu, nu_coeff=nu) \
         if (mu or nu) else PotentialSpec(form="zero")
+    C = 0.5 * n * (n - 4.0) + 4.0 * nu
+    ric = RiccatiParams("quadratic", A=8.0 * mu, B=0.0, C=C) if mu \
+        else RiccatiParams("linear", A=0.0, B=C)
 
-    log_p, expect = _core_sum(w, 0.5, b, ((1.0, 0.25 * (n - 2.0), 0.0),))
+    log_p, expect = _core_sum(diff, ric, ((1.0, 0.25 * (n - 2.0), 0.0),))
 
-    u0 = ric = rhs = None
+    u0 = rhs = None
     if mu == 0.0:  # y^d does not solve the stationary ODE with mu*x killing
+        d = 0.25 * (2.0 - n) + 0.5 * bessel_core(diff, ric)[0]
         u0 = gauge_solution(diff, lambda y: (d + 0.25 * n) * math.log(y),
                             f"power branch y^{d:.6g}")
-        ric = RiccatiParams("linear", A=0.0, B=0.5 * n * (n - 4.0) + 4.0 * nu)
         rhs = orbit_transform(diff, u0, ric)
 
     return CatalogEntry(
@@ -442,16 +505,20 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
         functional_param="nu" if nu else "mu")
 
 
+@functools.lru_cache(maxsize=1)
+def _besq3_second_branch() -> Callable:
+    """log kernel of the second branch, index -1/2, of besq n = 3."""
+    e = make_entry("besq", n=3.0)
+    return _core_sum(e.diffusion, e.riccati, ((1.0, 0.25, 0.0),), sign=-1.0)[0]
+
+
 def besq_cosh_variant(t: float, x: float, y):
-    """The n=3 companion kernel with cosh in place of sinh: a fundamental
-    solution that is NOT a transition density (its total mass differs from 1
-    and its Cauchy solutions are discontinuous at the origin). y may be a
-    float64 array; e^(-(x+y)/2t) cosh(sqrt(xy)/t) is formed as the mean of
-    two Gaussian factors, which cannot overflow."""
+    """The n=3 companion kernel with cosh in place of sinh: the second branch
+    of besq n = 3, I_-1/2 in place of I_1/2, a fundamental solution that is
+    NOT a transition density (its total mass differs from 1 and its Cauchy
+    solutions are discontinuous at the origin). y may be a float64 array."""
     xp = np if type(y) is _NDARRAY else math
-    sx, sy = math.sqrt(x), xp.sqrt(y)
-    return 0.5 * (xp.exp(-(sx - sy) ** 2 / (2.0 * t)) + xp.exp(-(sx + sy) ** 2 / (2.0 * t))) \
-        / math.sqrt(2.0 * math.pi * t * x)
+    return xp.exp(_besq3_second_branch()(t, x, y, xp))
 
 
 def besq_cosh_mass(t: float, x: float) -> float:
@@ -475,8 +542,6 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
     if not a > 0.5:
         raise ValidityError("bessel: requires a > 1/2")
     _check_nonneg("bessel", mu=mu)
-    d = 0.5 - a + math.sqrt(0.5 * mu + (a - 0.5) ** 2)
-    nu_ix = d + a + 0.5
 
     diff = DiffusionSpec(gamma=0.0, sigma=0.5, drift=lambda x: a / x,
                          drift_derivative=lambda x: -a / (x * x),
@@ -484,14 +549,14 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
                          label="bessel")
     pot = PotentialSpec(form="power", mu=mu / 4.0, n=-2.0) if mu \
         else PotentialSpec(form="zero")
+    ric = RiccatiParams("linear", A=0.0, B=0.5 * a * (a - 1.0) + 0.25 * mu)
 
     # E_x[exp(-lam*X_t^2 - (mu/4) int ds/X_s^2)]
-    log_p, expect = _core_sum(nu_ix - 1.0, 0.5, 0.0, ((1.0, 0.5 * (a - 0.5), 0.0),),
-                              m=2.0)
+    log_p, expect = _core_sum(diff, ric, ((1.0, 0.5 * (a - 0.5), 0.0),))
 
+    d = 0.5 - a + bessel_core(diff, ric)[0]
     u0 = gauge_solution(diff, lambda y: (d + a) * math.log(y),
                         f"power branch y^{d:.6g}")
-    ric = RiccatiParams("linear", A=0.0, B=0.5 * a * (a - 1.0) + 0.25 * mu)
 
     return CatalogEntry(
         name="bessel", params={"a": a, "mu": mu},
@@ -511,7 +576,6 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
         raise ValidityError("bessel_drift: requires a > -1")
     _check_positive("bessel_drift", b=b)
     _check_nonneg("bessel_drift", mu=mu)
-    atil = math.sqrt(a * a + 2.0 * mu)
 
     log_ive = specfun.log_bessel_ive
 
@@ -528,26 +592,21 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
         return -(a + 0.5) / (x * x) \
             + b * b * (1.0 - (2.0 * a + 1.0) * r / z - r * r)
 
-    def F(x: float) -> float:
-        return 0.5 * math.log(x) + log_ive(a, b * x) + b * x
+    def F(x: float) -> float:  # x a float or a float64 array
+        xp = np if type(x) is _NDARRAY else math
+        return 0.5 * xp.log(x) + log_ive(a, b * x) + b * x
 
     diff = DiffusionSpec(gamma=0.0, sigma=0.5, drift=drift,
                          drift_derivative=drift_derivative,
                          drift_antiderivative=F, label="bessel_drift")
     pot = PotentialSpec(form="power", mu=mu, n=-2.0) if mu \
         else PotentialSpec(form="zero")
-
-    def log_p(t: float, x: float, y, xp=None):
-        if xp is None:
-            xp = np if type(y) is _NDARRAY else math
-        # the log I(a, .) ratio is b*(y - x) plus a log(ive) ratio
-        return (xp.log(2.0 * y) + b * (y - x)
-                + log_ive(a, b * y) - log_ive(a, b * x) - 0.5 * b * b * t
-                + _log_bessel_core(atil, 0.5, 0.0, t, x, y))
-
-    u0 = gauge_solution(diff, lambda y: 0.5 * math.log(y) + log_ive(atil, b * y) + b * y,
-                        f"Bessel-ratio branch index {atil:.6g}/{a:.6g}")
     ric = RiccatiParams("linear", A=0.5 * b * b, B=0.5 * (a * a - 0.25) + mu)
+    core = bessel_core(diff, ric)
+    log_p = _log_kernel(core, _gauge_ratio(diff))
+
+    u0 = gauge_solution(diff, lambda y: 0.5 * math.log(y) + log_ive(core[0], b * y) + b * y,
+                        f"Bessel-ratio branch index {core[0]:.6g}/{a:.6g}")
 
     return CatalogEntry(
         name="bessel_drift", params={"a": a, "b": b, "mu": mu},
@@ -560,13 +619,16 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
 # entry 4: mean-reverting square-root process
 # ---------------------------------------------------------------------------
 
-def _affine_core(a: float, b: float, sigma: float, A: float, nu: float):
-    """_core_sum of dX = (a - bX) dt + sqrt(2 sigma X) dW killed at mu/x +
-    mu_lin*x (A = b^2 + 4 sigma mu_lin, index nu); beta = c b/2 is formed as
-    c*omega is, so that the two are equal at A = b^2."""
-    c = 1.0 / sigma
-    return _core_sum(nu, c, 0.5 * math.sqrt(A), ((1.0, 0.5 * a * c - 0.5, 0.5 * b * c),),
-                     g=0.5 * a * b * c)
+def _affine(a: float, b: float, sigma: float, label: str):
+    """(dX = (a - bX) dt + sqrt(2 sigma X) dW, the terms of its u(Y) =
+    Y^(a/2s - 1/2) e^(-b Y/2s)), s = sigma; b/2s is formed as bessel_core's
+    c omega is, (1/s)(sqrt(A)/2), so that the two are equal at A = b^2."""
+    s = 1.0 / sigma
+    return (DiffusionSpec(gamma=1.0, sigma=sigma, drift=lambda x: a - b * x,
+                          drift_derivative=lambda x: -b,
+                          drift_antiderivative=lambda x: a * math.log(x) - b * x,
+                          label=label),
+            ((1.0, 0.5 * a * s - 0.5, 0.5 * b * s),))
 
 
 def _make_cir(a: float, b: float, sigma: float, mu: float = 0.0,
@@ -574,25 +636,23 @@ def _make_cir(a: float, b: float, sigma: float, mu: float = 0.0,
     """dX = (a - bX) dt + sqrt(2 sigma X) dW; killing mu/x + mu_lin*x."""
     _check_positive("cir", a=a, b=b, sigma=sigma)
     _check_nonneg("cir", mu=mu, mu_lin=mu_lin)
-    nu_ix = math.sqrt((a - sigma) ** 2 + 4.0 * mu * sigma) / sigma
 
-    diff = DiffusionSpec(gamma=1.0, sigma=sigma, drift=lambda x: a - b * x,
-                         drift_derivative=lambda x: -b,
-                         drift_antiderivative=lambda x: a * math.log(x) - b * x,
-                         label="cir")
+    diff, terms = _affine(a, b, sigma, "cir")
     if mu or mu_lin:
         pot = PotentialSpec(form="inverse_plus_linear", nu_coeff=mu, mu=mu_lin)
     else:
         pot = PotentialSpec(form="zero")
+    ric = RiccatiParams("quadratic", A=b * b + 4.0 * sigma * mu_lin, B=-a * b,
+                        C=0.5 * a * a - a * sigma + 2.0 * sigma * mu)
 
     # E_x[exp(-lam*X_t - mu int ds/X_s - mu_lin int X_s ds)]
-    log_p, expect = _affine_core(a, b, sigma, b * b + 4.0 * mu_lin * sigma, nu_ix)
+    log_p, expect = _core_sum(diff, ric, terms)
 
     return CatalogEntry(
         name="cir", params={"a": a, "b": b, "sigma": sigma, "mu": mu,
                             "mu_lin": mu_lin},
         diffusion=diff, potential=pot, kernel=_kernel(log_p),
-        u0=None, transform_rhs=None, expectation_closed=expect,
+        u0=None, riccati=ric, transform_rhs=None, expectation_closed=expect,
         functional_param="mu")
 
 
@@ -626,6 +686,8 @@ def _make_rational_drift(a: float, mu: float = 0.0,
 
     rmu = math.sqrt(mu)
     pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
+    ric = RiccatiParams("quadratic", A=4.0 * mu, B=0.0) if mu \
+        else RiccatiParams("linear", A=0.0, B=0.0)
 
     def log_u1(t: float, x: float) -> float:
         # unit-parameter symmetry orbit of u0 = exp(-sqrt(mu)x)/(2+ax)
@@ -634,13 +696,11 @@ def _make_rational_drift(a: float, mu: float = 0.0,
 
     atom = AtomSpec(weight=lambda t, x: 2.0 * math.exp(log_u1(t, x)), order=0)
     # u(y) = (2 + ay)/sqrt(y); E_x[exp(-lam*X_t - mu int X_s ds)]
-    log_p, expect = _core_sum(1.0, 1.0, rmu, ((2.0, -0.5, 0.0), (a, 0.5, 0.0)),
+    log_p, expect = _core_sum(diff, ric, ((2.0, -0.5, 0.0), (a, 0.5, 0.0)),
                               atoms=(atom,))
 
     u0 = gauge_solution(diff, lambda y: -rmu * y,
                         "decaying exponential branch /(2+ay)")
-    ric = RiccatiParams("quadratic", A=4.0 * mu, B=0.0) if mu \
-        else RiccatiParams("linear", A=0.0, B=0.0)
 
     return CatalogEntry(
         name="rational_drift", params={"a": a, "mu": mu, "mu_inv": 0.0},
@@ -719,7 +779,7 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
     u1 = atom_weight(diff, pot, u0, ric)  # (x, t); u0(0+) = 1
     atom = AtomSpec(weight=lambda t, x: u1(x, t), order=0)
     # u(y) = cosh(y)/sqrt(y); E_x[exp(-lam*X_t - mu int X_s ds)]
-    log_p, expect = _core_sum(1.0, 1.0, k, ((0.5, -0.5, -1.0), (0.5, -0.5, 1.0)),
+    log_p, expect = _core_sum(diff, ric, ((0.5, -0.5, -1.0), (0.5, -0.5, 1.0)),
                               atoms=(atom,))
 
     return CatalogEntry(
@@ -738,10 +798,9 @@ def _make_radial_ou(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
     if not a > 0.5:
         raise ValidityError("radial_ou: requires a > 1/2")
     _check_nonneg("radial_ou", mu=mu)
-    alpha = math.sqrt(b * b + 4.0 * mu)
-    if alpha == 0.0:
+    A = b * b + 4.0 * mu
+    if A == 0.0:
         raise ValidityError("radial_ou: requires b != 0 or mu > 0")
-    nu_ix = 0.5 * (a + 1.0)
 
     diff = DiffusionSpec(gamma=0.0, sigma=1.0, drift=lambda x: a / x + b * x,
                          drift_derivative=lambda x: -a / (x * x) + b,
@@ -749,16 +808,17 @@ def _make_radial_ou(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
                          + 0.5 * b * x * x,
                          label="radial_ou")
     pot = PotentialSpec(form="power", mu=mu, n=2.0) if mu else PotentialSpec(form="zero")
+    ric = RiccatiParams("quadratic", A=A, B=b * (1.0 + a), C=0.5 * a * a - a)
 
-    # u(y) = y^(nu - 1) e^(b y^2/4); E_x[exp(-lam*X_t^2 - mu int X_s^2 ds)]
-    log_p, expect = _core_sum(nu_ix - 1.0, 0.25, alpha,
-                              ((1.0, 0.5 * (nu_ix - 1.0), -0.25 * b),),
-                              g=-b * nu_ix, m=2.0)
+    # u(y) = y^((a - 1)/2) e^(b y^2/4), the index (a - 1)/2 of the branch
+    # sign(a - 1); E_x[exp(-lam*X_t^2 - mu int X_s^2 ds)]
+    log_p, expect = _core_sum(diff, ric, ((1.0, 0.25 * (a - 1.0), -0.25 * b),),
+                              sign=math.copysign(1.0, a - 1.0))
 
     return CatalogEntry(
         name="radial_ou", params={"a": a, "b": b, "mu": mu},
         diffusion=diff, potential=pot, kernel=_kernel(log_p),
-        u0=None, transform_rhs=None, expectation_closed=expect,
+        u0=None, riccati=ric, transform_rhs=None, expectation_closed=expect,
         functional_param="mu")
 
 
@@ -780,19 +840,19 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
         drift_antiderivative=lambda x: -math.log(x) + 2.0 * math.log(b + a * x * x),
         label="rational_showcase")
     pot = PotentialSpec(form="zero")
+    ric = RiccatiParams("linear", A=0.0, B=1.5)
 
     atom0 = AtomSpec(order=0, weight=lambda t, x:
                      b * (x + t) * math.exp(-x / t) / (t * (b + a * x * x)))
     atom1 = AtomSpec(order=1, weight=lambda t, x:
                      b * t * math.exp(-x / t) / (b + a * x * x))
     # u(y) = (b + a y^2)/y; the closed expectation is the transform (u0 = 1)
-    log_p, _ = _core_sum(2.0, 1.0, 0.0, ((b, -1.0, 0.0), (a, 1.0, 0.0)))
+    log_p, _ = _core_sum(diff, ric, ((b, -1.0, 0.0), (a, 1.0, 0.0)))
 
     u0 = StationarySolution(eval=lambda y: 1.0, log_eval=lambda y: 0.0,
                             description="constant 1",
                             log_gauge=lambda y: (math.log(b + a * y * y)
                                                  - 0.5 * math.log(y)))
-    ric = RiccatiParams("linear", A=0.0, B=1.5)
     rhs = orbit_transform(diff, u0, ric)
 
     return CatalogEntry(
@@ -816,18 +876,20 @@ def rational_showcase_continuous_mass(a: float, b: float, t: float, x: float) ->
 _SERIES_REL_TOL, _SERIES_MAX_TERMS, _SERIES_MAX_CANCELLATION = 1e-13, 500, 1e5
 
 
-def _sqrt_drift_expectation(a: float, b: float, A: float, w: float, lam: float,
-                            t: float, x: float) -> float:
+def _sqrt_drift_expectation(a: float, b: float, core, lam: float, t: float,
+                            x: float) -> float:
     """E_x[exp(-lam*X_t - int g ds)] of sqrt_drift, whose u(y) = y^((a-1)/2)
     e^(-b sqrt(y)) is the series sum_j (-b)^j/j! y^((a-1+j)/2): each series
-    term is one moment of _log_core_moments, weighted by (-b sqrt(x))^j/j!."""
+    term is one moment of _log_core_moments, weighted by (-b sqrt(x))^j/j!;
+    core = (nu, c, omega, r, m) of symmetry.bessel_core."""
     if lam < 0:
         raise DomainError("expectation: lam >= 0 required")
+    nu, c, omega, r, _ = core
     sx = math.sqrt(x)
     log_bx = math.log(abs(b) * sx) if b else -math.inf
     total = size = log_coef = 0.0
     sign = 1.0
-    moments = _log_core_moments(w, 1.0, 0.0, lam, t, sx, (
+    moments = _log_core_moments(nu, c, omega, lam, t, sx, (
         (0.5 * (a - 1.0 + j), 0.0) for j in range(_SERIES_MAX_TERMS)))
     for j, log_moment in enumerate(moments):
         term = sign * math.exp(log_coef + log_moment)
@@ -839,7 +901,7 @@ def _sqrt_drift_expectation(a: float, b: float, A: float, w: float, lam: float,
                     "sqrt_drift expectation: alternating series loses "
                     f"precision (sum of |terms| {size:.3e} vs sum {total:.3e}); "
                     "b*sqrt(x_typ) is too large for double precision")
-            return math.exp(b * sx - 0.5 * A * t) * total
+            return math.exp(b * sx + r * t) * total
         log_coef += log_bx - math.log(j + 1.0)
         sign = -sign if b > 0 else sign
     raise ConvergenceError(
@@ -857,39 +919,36 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
     circulates for them.
     """
     _check_positive("sqrt_drift", A=A, B=B)
-    w = math.sqrt(1.0 + 2.0 * B)
 
     def g(x: float) -> float:
         return (0.5 * (A - 0.5 * b * b) + 0.5 * (a - 0.5 * a * a + B) / x
                 + 0.5 * (a * b - 0.5 * b) / np.sqrt(x))
 
+    def F(x: float) -> float:  # x a float or a float64 array
+        xp = np if type(x) is _NDARRAY else math
+        return a * xp.log(x) - 2.0 * b * xp.sqrt(x)
+
     diff = DiffusionSpec(gamma=1.0, sigma=1.0,
                          drift=lambda x: a - b * np.sqrt(x),
                          drift_derivative=lambda x: -0.5 * b / np.sqrt(x),
-                         drift_antiderivative=lambda x: a * math.log(x)
-                         - 2.0 * b * math.sqrt(x),
-                         label="sqrt_drift")
+                         drift_antiderivative=F, label="sqrt_drift")
     pot = PotentialSpec(form="tabulated", func=g)
-
-    def log_p(t: float, x: float, y, xp=None):
-        if xp is None:
-            xp = np if type(y) is _NDARRAY else math
-        sx, sy = math.sqrt(x), xp.sqrt(y)
-        return (0.5 * (1.0 - a) * (math.log(x) - xp.log(y)) + b * (sx - sy)
-                - 0.5 * A * t + _log_bessel_core(w, 1.0, 0.0, t, sx, sy))
+    ric = RiccatiParams("linear", A=0.5 * A, B=B)
+    core = bessel_core(diff, ric)
+    w = core[0]
 
     def log_gauge(y: float) -> float:  # log(sqrt(y) I_w(sqrt(2Ay)))
         z = math.sqrt(2.0 * A * y)
         return 0.5 * math.log(y) + specfun.log_bessel_ive(w, z) + z
 
     u0 = gauge_solution(diff, log_gauge, f"Bessel branch index {w:.6g}")
-    ric = RiccatiParams("linear", A=0.5 * A, B=B)
 
     return CatalogEntry(
         name="sqrt_drift", params={"a": a, "b": b, "A": A, "B": B},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p),
+        diffusion=diff, potential=pot,
+        kernel=_kernel(_log_kernel(core, _gauge_ratio(diff))),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=functools.partial(_sqrt_drift_expectation, a, b, A, w),
+        expectation_closed=functools.partial(_sqrt_drift_expectation, a, b, core),
         functional_param="")
 
 
@@ -901,22 +960,14 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
                          c1: float = 1.0, c2: float = 0.0) -> CatalogEntry:
     """Drift f = 2*sigma*x*y'/y with y = sqrt(x)*(c1 I_alpha + c2 I_{-alpha})
     at argument sqrt(2Ax)/sigma; killing mu/x. Requires A > 0,
-    2B + sigma^2 > 0, 2B + sigma^2 + 4*mu*sigma > 0 and index nu < 1."""
+    2B + sigma^2 > 0 (so 2B + sigma^2 + 4*mu*sigma > 0) and index nu < 1."""
     _check_positive("generic_linear", sigma=sigma, A=A)
     _check_nonneg("generic_linear", mu=mu)
     if 2.0 * B + sigma * sigma <= 0:
         raise ValidityError("generic_linear: requires 2B + sigma^2 > 0")
-    nu2 = 2.0 * B + sigma * sigma + 4.0 * mu * sigma
-    if nu2 <= 0:
-        raise ValidityError("generic_linear: requires 2B + sigma^2 + 4*mu*sigma > 0")
-    alpha = math.sqrt(2.0 * B + sigma * sigma) / sigma
-    nu_ix = math.sqrt(nu2) / sigma
-    if not nu_ix < 1.0:
-        raise ValidityError(
-            f"generic_linear: requires index < 1 (got {nu_ix:.6g}); the inverse "
-            "transform is otherwise distribution-valued")
     if c1 == 0.0 and c2 == 0.0:
         raise ValidityError("generic_linear: (c1, c2) must not both be zero")
+    alpha = math.sqrt(2.0 * B + sigma * sigma) / sigma
     c = math.sqrt(2.0 * A) / sigma
 
     def _combo(order: float, z: float) -> float:  # e^-z (c1 I_order + c2 I_-order)(z)
@@ -924,12 +975,14 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
                 + (c2 * specfun.bessel_i(-order, z, scaled=True) if c2 else 0.0))
 
     def log_y(x: float, order: float = alpha) -> float:
-        # log y(x); y(x) = sqrt(x) (c1 I_order + c2 I_-order)(c sqrt(x))
-        z = c * math.sqrt(x)
+        # log y(x); y(x) = sqrt(x) (c1 I_order + c2 I_-order)(c sqrt(x)), x a
+        # float or a float64 array
+        xp = np if type(x) is _NDARRAY else math
+        z = c * xp.sqrt(x)
         val = _combo(order, z)
-        if val <= 0:
-            raise DomainError(f"generic_linear: y({x}) <= 0 at index {order}")
-        return 0.5 * math.log(x) + math.log(val) + z
+        if not (val > 0 if xp is math else (val > 0).all()):
+            raise DomainError(f"generic_linear: y(x) <= 0 at index {order}")
+        return 0.5 * xp.log(x) + xp.log(val) + z
 
     def w_fn(x: float) -> float:  # y'/y, x a float or a float64 array
         z = c * np.sqrt(x)
@@ -950,39 +1003,35 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
                          drift_antiderivative=lambda x: 2.0 * sigma * log_y(x),
                          label="generic_linear")
     pot = PotentialSpec(form="power", mu=mu, n=-1.0) if mu else PotentialSpec(form="zero")
-
-    def u0_val(y: float) -> float:
-        return _combo(nu_ix, c * math.sqrt(y)) / _combo(alpha, c * math.sqrt(y))
-
-    u0 = StationarySolution(eval=u0_val,
-                            description=f"index-shift ratio {nu_ix:.6g}/{alpha:.6g}",
-                            log_gauge=lambda y: log_y(y, nu_ix))
     ric = RiccatiParams("linear", A=0.5 * A / sigma, B=B + 2.0 * sigma * mu)
+    plus, minus = bessel_core(diff, ric), bessel_core(diff, ric, -1.0)
+    nu = plus[0]
+    if not nu < 1.0:
+        raise ValidityError(
+            f"generic_linear: requires index < 1 (got {nu:.6g}); the inverse "
+            "transform is otherwise distribution-valued")
 
-    def cont(t: float, x: float, y):
-        # sum_i w_i e^(core_i) / (w1 + w2) times y(y)/sqrt(y) over y(x)/sqrt(x),
-        # zy = c sqrt(y), w_i = c_i e^-zy I_(+-nu)(zy): the sum over u0(y)'s
-        # numerator c1 I_nu(zy) + c2 I_-nu(zy), so one branch needs no I(zy)
-        xp = np if type(y) is _NDARRAY else math
-        sx, sy = math.sqrt(x), xp.sqrt(y)
-        zy = c * sy
-        l1 = _log_bessel_core(nu_ix, 1.0 / sigma, 0.0, t, sx, sy) if c1 else 0.0
-        l2 = _log_bessel_core(-nu_ix, 1.0 / sigma, 0.0, t, sx, sy) if c2 else 0.0
-        if c1 and c2:
-            w1 = c1 * specfun.bessel_i(nu_ix, zy, scaled=True)
-            w2 = c2 * specfun.bessel_i(-nu_ix, zy, scaled=True)
-            s, m = _scaled_sum(w1, l1, w2, l2, xp)
-            s = s / (w1 + w2)
-        else:
-            s, m = 1.0, l1 + l2
-        return s * _combo(alpha, zy) * xp.exp(
-            m + zy + 0.5 * math.log(x) - log_y(x) - A * t / (2.0 * sigma))
+    def weights(y, xp):  # c_i e^-z I_(+-nu)(z) over their sum, z = c sqrt(y)
+        zy = c * xp.sqrt(y)
+        w1 = c1 * specfun.bessel_i(nu, zy, scaled=True)
+        w2 = c2 * specfun.bessel_i(-nu, zy, scaled=True)
+        total = w1 + w2
+        return w1 / total, w2 / total
+
+    ratio = _gauge_ratio(diff)
+    if c1 and c2:
+        kernel = _branch_kernel(ratio, ((plus, False), (minus, False)), weights)
+    else:  # one branch, of weight 1
+        kernel = Kernel(continuous=_kernel(_log_kernel(plus if c1 else minus, ratio)).continuous,
+                        log_continuous=None)
+
+    u0 = gauge_solution(diff, lambda y: log_y(y, nu),  # y(y) at index nu over y(y)
+                        f"index-shift ratio {nu:.6g}/{alpha:.6g}")
 
     return CatalogEntry(
         name="generic_linear",
         params={"sigma": sigma, "A": A, "B": B, "mu": mu, "c1": c1, "c2": c2},
-        diffusion=diff, potential=pot,
-        kernel=Kernel(continuous=cont, log_continuous=None),
+        diffusion=diff, potential=pot, kernel=kernel,
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
         expectation_closed=None, functional_param="mu")
 
@@ -994,44 +1043,34 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
 def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
                             c1: float = 1.0, c2: float = 0.0) -> CatalogEntry:
     """dX = (a - bX) dt + sqrt(2 sigma X) dW; killing mu*x. The group-invariant
-    kernel of the quadratic family, default branch weights (1, 0); I_{-nu} is
-    read as K_nu at integer nu. No Laplace-type transform (the group parameter
-    enters exponentially); the Whittaker-transform check uses it."""
+    kernel of the quadratic family, c1 p+ + c2 p- with default branch weights
+    (1, 0); p- takes K_nu in place of I_-nu at integer nu. No Laplace-type
+    transform (the group parameter enters exponentially); the
+    Whittaker-transform check uses it."""
     _check_positive("generic_quadratic", sigma=sigma, a=a)
     _check_nonneg("generic_quadratic", mu=mu)
     A = b * b + 4.0 * mu * sigma
     if A <= 0:
         raise ValidityError("generic_quadratic: requires b != 0 or mu > 0")
-    nu_ix = abs(a - sigma) / sigma
 
-    diff = DiffusionSpec(gamma=1.0, sigma=sigma, drift=lambda x: a - b * x,
-                         drift_derivative=lambda x: -b,
-                         drift_antiderivative=lambda x: a * math.log(x) - b * x,
-                         label="generic_quadratic")
+    diff, terms = _affine(a, b, sigma, "generic_quadratic")
     pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
+    ric = RiccatiParams("quadratic", A=A, B=-a * b, C=0.5 * a * a - a * sigma)
+    core, ratio = bessel_core(diff, ric), _terms_ratio(terms, 1.0)
 
-    log_p = _affine_core(a, b, sigma, A, nu_ix)[0]  # cir, mu_lin = mu
-    nu_is_int = abs(nu_ix - round(nu_ix)) < 1e-12
-
-    def cont(t: float, x: float, y):
-        # c1 I_nu(z) + c2 S(z) = I_nu(z) (c1 + c2 S(z)/I_nu(z)), S = K_nu or
-        # I_-nu, at the Bessel argument z of log_p
-        xp = np if type(y) is _NDARRAY else math
-        z = xp.sqrt(A * x * y) / (sigma * math.sinh(0.5 * math.sqrt(A) * t))
-        if nu_is_int:
-            s2, l2 = specfun.bessel_k(round(nu_ix), z, scaled=True), -2.0 * z
-        else:
-            s2, l2 = specfun.bessel_i(-nu_ix, z, scaled=True), 0.0
-        s, m = _scaled_sum(c1, 0.0, c2 * s2, l2 - specfun.log_bessel_ive(nu_ix, z), xp)
-        return s * xp.exp(log_p(t, x, y, xp) + m)
+    if c2 == 0.0 and c1 > 0:
+        kernel = _kernel(_log_kernel(core, ratio, shift=math.log(c1)))
+    else:  # c1 p+ + c2 p-, p- = p_K at integer nu, p+ + (2/pi) sin(nu pi) p_K otherwise
+        nu = core[0]
+        w = (c1, c2) if abs(nu - round(nu)) < 1e-12 else \
+            (c1 + c2, c2 * (2.0 / math.pi) * math.sin(math.pi * nu))
+        kernel = _branch_kernel(ratio, ((core, False), (core, True)), lambda y, xp: w)
 
     return CatalogEntry(
         name="generic_quadratic",
         params={"sigma": sigma, "a": a, "b": b, "mu": mu, "c1": c1, "c2": c2},
-        diffusion=diff, potential=pot,
-        kernel=_kernel(lambda t, x, y, xp=None: math.log(c1) + log_p(t, x, y, xp))
-        if c2 == 0.0 and c1 > 0 else Kernel(continuous=cont, log_continuous=None),
-        u0=None, transform_rhs=None, expectation_closed=None,
+        diffusion=diff, potential=pot, kernel=kernel,
+        u0=None, riccati=ric, transform_rhs=None, expectation_closed=None,
         functional_param="mu")
 
 

@@ -124,22 +124,24 @@ def _ive_array(nu: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ive_large_z(nu: float, z: np.ndarray) -> np.ndarray:
-    """e^{-z} I_nu(z) by the large-argument expansion (DLMF 10.40.1), for z
-    beyond scipy's ive (NaN from about 1e9 on); each element stops at its own
-    first negligible term. Raises ConvergenceError where the series does not
-    settle (small z, or nu^2 comparable to z)."""
-    mu = 4.0 * nu * nu
+def _large_z(nu: float, z: np.ndarray, k: bool = False) -> np.ndarray:
+    """e^{-z} I_nu(z), or e^z K_nu(z) where k, by the large-argument
+    expansion (DLMF 10.40.1, 10.40.2), for z beyond scipy's ive and kve (NaN
+    from about 1e9 on); each element stops at its own first negligible term.
+    Raises ConvergenceError where the series does not settle (small z, or
+    nu^2 comparable to z)."""
+    mu, sign = 4.0 * nu * nu, 1.0 if k else -1.0
     term, total = np.ones(z.shape), np.ones(z.shape)
     active = np.ones(z.shape, dtype=bool)
-    for k in range(1, 30):
-        term[active] *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * z[active])
+    for j in range(1, 30):
+        term[active] *= sign * (mu - (2 * j - 1) ** 2) / (8.0 * j * z[active])
         total[active] += term[active]
         active &= ~(np.abs(term) <= 1e-17 * np.abs(total))
         if not active.any():
-            return total / np.sqrt(2.0 * math.pi * z)
-    raise ConvergenceError(
-        f"bessel_i: evaluation failed at nu={nu}, z={float(z[active][0])}")
+            return total * np.sqrt(0.5 * math.pi / z) if k \
+                else total / np.sqrt(2.0 * math.pi * z)
+    raise ConvergenceError(f"{'bessel_k' if k else 'bessel_i'}: evaluation failed "
+                           f"at nu={nu}, z={float(z[active][0])}")
 
 
 def _log_ive_series(nu: float, z: np.ndarray) -> np.ndarray:
@@ -174,7 +176,7 @@ def _log_ive_fallback(nu: float, z: np.ndarray, nan: np.ndarray) -> np.ndarray:
     out = np.empty(z.shape)
     large = nan & (z > 1.0)
     if large.any():
-        out[large] = np.log(_ive_large_z(nu, z[large]))
+        out[large] = np.log(_large_z(nu, z[large]))
     if not large.all():
         if not nu > -1:
             raise ConvergenceError(f"log_bessel_i: underflow at nu={nu}, "
@@ -250,8 +252,11 @@ def bessel_k(nu: float, z, *, scaled: bool = False):
         out = sc.kve(nu, z) if scaled else sc.kv(nu, z)
         if not out.size or out.max() < math.inf:  # no inf, no NaN
             return out
-        if np.isnan(out).any():
-            raise ConvergenceError(f"bessel_k: evaluation failed at nu={nu}")
+        nan = np.isnan(out)
+        if nan.any():
+            if not (scaled and z[nan].min() > 1.0):
+                raise ConvergenceError(f"bessel_k: evaluation failed at nu={nu}")
+            out[nan] = _large_z(nu, z[nan], k=True)
         if np.isinf(out).any():
             raise EvalOverflowError(f"bessel_k: K_{nu}(z) overflows; use scaled=True")
         return out
@@ -260,6 +265,8 @@ def bessel_k(nu: float, z, *, scaled: bool = False):
         raise DomainError("bessel_k: z must be > 0")
     out = float(sc.kve(nu, z)) if scaled else float(sc.kv(nu, z))
     if math.isnan(out):
+        if scaled and z > 1.0:
+            return float(_large_z(nu, np.array([z]), k=True)[0])
         raise ConvergenceError(f"bessel_k: evaluation failed at nu={nu}, z={z}")
     if math.isinf(out):
         raise EvalOverflowError(f"bessel_k: K_{nu}({z}) overflows; use scaled=True")
@@ -296,16 +303,22 @@ def tricomi_u(a: float, b: float, z: float) -> float:
         _check_finite("tricomi_u", a)
         _check_array("tricomi_u", b, z, ">")
         out = sc.hyperu(a, b, z)
-        if np.isnan(out).any():
-            raise ConvergenceError(f"tricomi_u: evaluation failed at ({a}, {b}, "
-                                   f"{float(z[np.isnan(out)][0])})")
+        nan = np.isnan(out)
+        if nan.any():  # as for a float
+            out[nan] = z[nan] ** (1.0 - b) * sc.hyperu(a - b + 1.0, 2.0 - b, z[nan])
+            if np.isnan(out).any():
+                raise ConvergenceError(f"tricomi_u: evaluation failed at ({a}, {b}, "
+                                       f"{float(z[np.isnan(out)][0])})")
         return out
     _check_finite("tricomi_u", a, b, z)
     if z <= 0:
         raise DomainError("tricomi_u: z must be > 0 (principal branch only)")
     out = float(sc.hyperu(a, b, z))
-    if math.isnan(out):
-        raise ConvergenceError(f"tricomi_u: evaluation failed at ({a}, {b}, {z})")
+    if math.isnan(out):  # e.g. hyperu(5.55e-17, 1.8334, 103): Kummer's
+        # transformation U(a, b, z) = z^(1-b) U(a-b+1, 2-b, z) (DLMF 13.2.40)
+        out = z ** (1.0 - b) * float(sc.hyperu(a - b + 1.0, 2.0 - b, z))
+        if math.isnan(out):
+            raise ConvergenceError(f"tricomi_u: evaluation failed at ({a}, {b}, {z})")
     return out
 
 

@@ -24,6 +24,9 @@ mass-deficient kernels need; orbit_transform makes transform identities of
 the laplace_scaling and exp_scaling orbits. Every orbit is
 log_gauge(moved x) - F(x)/(2*sigma) + elementary terms, with
 log_gauge = log u0 + F/(2*sigma), so a special function in F is evaluated once.
+
+bessel_core reads the same constants (A, B, C) as the Bessel index, scale,
+rate and growth of the fundamental solution that the group integrates to.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "atom_weight",
     "orbit_transform",
     "gauge_solution",
+    "bessel_core",
     "pde_residual",
 ]
 
@@ -122,18 +126,11 @@ def _linear_family_solution(diff: DiffusionSpec, params: RiccatiParams,
     Substituting u0 = exp(-F/(2*sigma)) * w(z), z = x^(2-gamma), turns the
     stationary ODE into z^2 w'' + p*z*w' - (a*z + b)*w = 0 with
     p = (1-gamma)/(2-gamma), a = A/(sigma*(2-gamma)^2),
-    b = B/(2*sigma^2*(2-gamma)^2); solutions are power-times-Bessel.
+    b = B/(2*sigma^2*(2-gamma)^2); solutions are power-times-Bessel, of the
+    index nu = sqrt((1-p)^2 + 4b) of bessel_core.
     """
-    g, s = diff.gamma, diff.sigma
-    q = 2.0 - g
-    p = (1.0 - g) / q
-    a = params.A / (s * q * q)
-    b = params.B / (2.0 * s * s * q * q)
-    disc = (1.0 - p) ** 2 + 4.0 * b
-    if disc < 0:
-        raise CapabilityError(
-            f"stationary_solution: complex Bessel index (discriminant {disc:.3g})")
-    nu = math.sqrt(disc)
+    nu, c, _, _, q = bessel_core(diff, params)
+    p, a = (1.0 - diff.gamma) / q, params.A * c
     if a < 0:
         raise CapabilityError("stationary_solution: A < 0 in the linear family")
 
@@ -174,10 +171,7 @@ def _quadratic_family_solution(diff: DiffusionSpec, params: RiccatiParams,
     if params.A <= 0:
         raise CapabilityError("stationary_solution: quadratic family needs A > 0")
     rA = math.sqrt(params.A)
-    disc = 1.0 + 2.0 * params.C / (s * s)
-    if disc < 0:
-        raise CapabilityError("stationary_solution: complex Kummer index")
-    beta = 1.0 + math.sqrt(disc)
+    beta = 1.0 + bessel_core(diff, params)[0]  # 1 + sqrt(1 + 2C/s^2)
     alpha = 0.5 * beta + params.B / (2.0 * s * rA)
 
     principal = branch == "principal"
@@ -429,6 +423,31 @@ def orbit_transform(diff: DiffusionSpec, u0: StationarySolution,
                 "orbit_transform: the exp_scaling orbit of this stationary "
                 "solution does not start from exp(-lam*x) u0(x)")
     return lambda lam, t, x: orbit(s * lam / (rA + s * lam), x, t)
+
+
+def bessel_core(diff: DiffusionSpec, params: RiccatiParams,
+                sign: float = 1.0) -> Tuple[float, float, float, float, float]:
+    """(nu, c, omega, r, m) of the kernel that the symmetry group of a pair in
+    the linear or quadratic family integrates to (Craddock 2009,
+    arXiv:0902.4806): an h-transform of m y^(m-1) e^(rt) times the Bessel
+    core of catalog._log_bessel_core, with m = 2 - gamma, c = 1/(m^2 sigma),
+
+        linear:     omega = 0,            r = -A,            nu = sign sqrt(sigma^2 + 2B)/(m sigma)
+        quadratic:  omega = m sqrt(A)/2,  r = -B/(2 sigma),  nu = sign sqrt(sigma^2 + 2C)/(m sigma).
+
+    sign = -1 is the second branch, I_-nu. CapabilityError for any other
+    family, gamma = 2, A < 0 in the quadratic family or a complex index."""
+    m, s = 2.0 - diff.gamma, diff.sigma
+    if params.family == "linear" and m != 0.0:
+        omega, r, k = 0.0, -params.A, params.B
+    elif params.family == "quadratic" and m != 0.0 and params.A >= 0:
+        omega, r, k = 0.5 * m * math.sqrt(params.A), -params.B / (2.0 * s), params.C
+    else:
+        raise CapabilityError(f"bessel_core: no Bessel core for {params} at gamma={diff.gamma}")
+    disc = s * s + 2.0 * k
+    if disc < 0:
+        raise CapabilityError(f"bessel_core: complex Bessel index (discriminant {disc:.3g})")
+    return sign * math.sqrt(disc) / (m * s), 1.0 / (m * m * s), omega, r, m
 
 
 def pde_residual(u: Callable[[float, float], float], diff: DiffusionSpec,

@@ -41,8 +41,7 @@ from .errors import (
 )
 from . import specfun
 from . import catalog as cat
-from .riccati import DiffusionSpec, PotentialSpec, RiccatiParams, fit_riccati, \
-    riccati_residual
+from .riccati import DiffusionSpec, PotentialSpec, fit_riccati, riccati_residual
 from . import symmetry
 
 __all__ = [
@@ -361,19 +360,17 @@ def check_whittaker_identity(sigma: float, a: float, b: float, t: float,
     Tricomi symmetry orbit at group parameter 1 - sqrt(A)/(sigma*lam)."""
     report = VerificationReport("whittaker")
     entry = cat.make_entry("generic_quadratic", sigma=sigma, a=a, b=b, mu=0.0)
-    A, B, C = b * b, -a * b, 0.5 * a * a - a * sigma
-    rA = math.sqrt(A)
+    ric, nu = entry.riccati, symmetry.bessel_core(entry.diffusion, entry.riccati)[0]
+    rA, B = math.sqrt(ric.A), ric.B
     k = -B / (2.0 * sigma * rA) - 0.5
-    beta = 1.0 + math.sqrt(1.0 + 2.0 * C / (sigma * sigma))
-    nu2 = 0.5 * math.sqrt(1.0 + 2.0 * C / (sigma * sigma))
+    beta = 1.0 + nu  # 1 + sqrt(1 + 2C/sigma^2)
     eta = B / (2.0 * sigma * rA) - 0.5 * beta
     if abs(0.5 * beta + B / (2.0 * sigma * rA)) > 1e-12:
         raise CapabilityError(
             "check_whittaker_identity: the identity is implemented on the "
             "slice where the Tricomi first parameter vanishes "
             "(quadratic-family coefficients with beta/2 + B/(2*sigma*sqrt(A)) = 0)")
-    orbit = symmetry.exp_kummer_symmetry(entry.diffusion,
-                                         RiccatiParams("quadratic", A=A, B=B, C=C))
+    orbit = symmetry.exp_kummer_symmetry(entry.diffusion, ric)
     F = entry.diffusion.drift_antiderivative
 
     def phi(y: np.ndarray) -> np.ndarray:  # F is float-only: one call per node
@@ -384,7 +381,7 @@ def check_whittaker_identity(sigma: float, a: float, b: float, t: float,
 
     for lam in lams:
         eps = 1.0 - rA / (sigma * lam)
-        lhs = whittaker_forward(phi, k, nu2, lam)
+        lhs = whittaker_forward(phi, k, 0.5 * nu, lam)
         rhs = lam ** (B / (sigma * rA)) * orbit(eps, x, t)
         report.add("whittaker_index_transform",
                    f"sigma={sigma},a={a},b={b},t={t},x={x},lam={lam}",

@@ -22,6 +22,7 @@ from feynkac import specfun as sf
 from feynkac.errors import (CapabilityError, ConvergenceError, DomainError,
                             EvalOverflowError, ValidityError)
 from feynkac.riccati import fit_riccati
+from test_acceptance import DOCUMENTED_CONSTANTS, RADIAL_OU_CASE
 
 T, X = 1.0, 1.0
 
@@ -132,6 +133,18 @@ def test_closed_form_where_x_squared_underflows():
     val = cat.expectation("bessel", params, 0.0, 1.0, 1e-300)
     assert val == pytest.approx(
         cat.expectation("bessel", params, 0.0, 1.0, 1e-300, method="quadrature"), rel=1e-12)
+
+
+def test_state_whose_square_overflows_is_an_overflow_error():
+    # x = 1e160 at state power 2: x^2, and x y in the kernel's Bessel
+    # argument, overflow; both raised DomainError ("non-finite argument")
+    params = {"a": 1.5, "b": 0.6}
+    with pytest.raises(EvalOverflowError):
+        cat.expectation("radial_ou", params, 0.0, 1.0, 1e160)
+    for y in (1e160, np.array([1.0, 1e160])):
+        for log in (False, True):
+            with pytest.raises(EvalOverflowError):
+                cat.density("radial_ou", params, 1.0, 1e160, y, log=log)
 
 
 def test_rational_drift_atom_at_large_t():
@@ -872,10 +885,13 @@ def test_drift_and_potential_on_an_array_equal_their_values_point_by_point(membe
                                    rtol=1e-15, atol=atol)
 
 
-def test_every_transform_has_declared_constants():
+def test_every_entry_declares_constants_and_a_transform_with_its_u0():
+    # the kernel's Bessel core comes from the declared constants, the
+    # transform from them and u0
     for name, params in POOL:
         entry = cat.make_entry(name, **params)
-        assert (entry.transform_rhs is None) == (entry.riccati is None)
+        assert entry.riccati is not None
+        assert (entry.transform_rhs is None) == (entry.u0 is None)
 
 
 def test_tanh_drift_atom_weight_matches_frozen_formula():
@@ -1098,6 +1114,203 @@ def test_array_kernel_matches_the_scalar_kernel(name, params):
                 want = fn(t, x, float(y))
                 scale = max(1.0, abs(want)) if fn is k.log_continuous else abs(want)
                 assert g == want or abs(g - want) <= 1e-15 * scale, (t, x, y, g, want)
+
+
+# ---------------------------------------------------------------------------
+# kernels derived from the declared drift-equation constants
+# ---------------------------------------------------------------------------
+
+# The kernels the catalog wrote by hand before it derived every Bessel core
+# from the entry's declared constants (symmetry.bessel_core), frozen as
+# oracles: bessel_drift's and sqrt_drift's log kernels, the two-branch
+# kernels of generic_linear and generic_quadratic and the Gaussian form of
+# besq_cosh_variant. They hold where sinh(omega t) does not overflow.
+
+def _frozen_log_core(nu, c, omega, t, sx, sy):
+    if omega == 0.0:
+        return (math.log(c / t) - c * (sx - sy) ** 2 / t
+                + sf.log_bessel_ive(nu, 2.0 * c * sx * sy / t))
+    wt, cw = omega * t, c * omega
+    sh = math.sinh(wt)
+    return (math.log(cw / sh) - cw * (sx - sy) ** 2 / math.tanh(wt)
+            - 2.0 * cw * math.tanh(0.5 * wt) * sx * sy
+            + sf.log_bessel_ive(nu, 2.0 * cw * sx * sy / sh))
+
+
+def _frozen_bessel_drift(t, x, y, a, b, mu=0.0):
+    xp = np if isinstance(y, np.ndarray) else math
+    atil = math.sqrt(a * a + 2.0 * mu)
+    return (xp.log(2.0 * y) + b * (y - x) + sf.log_bessel_ive(a, b * y)
+            - sf.log_bessel_ive(a, b * x) - 0.5 * b * b * t
+            + _frozen_log_core(atil, 0.5, 0.0, t, x, y))
+
+
+def _frozen_sqrt_drift(t, x, y, a, b, A, B):
+    xp = np if isinstance(y, np.ndarray) else math
+    sx, sy = math.sqrt(x), xp.sqrt(y)
+    return (0.5 * (1.0 - a) * (math.log(x) - xp.log(y)) + b * (sx - sy) - 0.5 * A * t
+            + _frozen_log_core(math.sqrt(1.0 + 2.0 * B), 1.0, 0.0, t, sx, sy))
+
+
+def _frozen_scaled_sum(c1, l1, c2, l2, xp):
+    if xp is np:
+        m = np.maximum(l1, l2)
+    else:
+        if not c2:
+            return c1, l1
+        if not c1:
+            return c2, l2
+        m = max(l1, l2)
+    return c1 * xp.exp(l1 - m) + c2 * xp.exp(l2 - m), m
+
+
+def _frozen_generic_linear(t, x, y, sigma, A, B, mu=0.0, c1=1.0, c2=0.0):
+    xp = np if isinstance(y, np.ndarray) else math
+    alpha = math.sqrt(2.0 * B + sigma * sigma) / sigma
+    nu = math.sqrt(2.0 * B + sigma * sigma + 4.0 * mu * sigma) / sigma
+    c = math.sqrt(2.0 * A) / sigma
+
+    def combo(order, z):
+        return ((c1 * sf.bessel_i(order, z, scaled=True) if c1 else 0.0)
+                + (c2 * sf.bessel_i(-order, z, scaled=True) if c2 else 0.0))
+
+    zx = c * math.sqrt(x)
+    log_yx = 0.5 * math.log(x) + math.log(combo(alpha, zx)) + zx
+    sx, sy = math.sqrt(x), xp.sqrt(y)
+    zy = c * sy
+    l1 = _frozen_log_core(nu, 1.0 / sigma, 0.0, t, sx, sy) if c1 else 0.0
+    l2 = _frozen_log_core(-nu, 1.0 / sigma, 0.0, t, sx, sy) if c2 else 0.0
+    if c1 and c2:
+        w1 = c1 * sf.bessel_i(nu, zy, scaled=True)
+        w2 = c2 * sf.bessel_i(-nu, zy, scaled=True)
+        s, m = _frozen_scaled_sum(w1, l1, w2, l2, xp)
+        s = s / (w1 + w2)
+    else:
+        s, m = 1.0, l1 + l2
+    return s * combo(alpha, zy) * xp.exp(
+        m + zy + 0.5 * math.log(x) - log_yx - A * t / (2.0 * sigma))
+
+
+def _frozen_generic_quadratic(t, x, y, sigma, a, b, mu=0.0, c1=1.0, c2=0.0):
+    xp = np if isinstance(y, np.ndarray) else math
+    A = b * b + 4.0 * mu * sigma
+    nu = abs(a - sigma) / sigma
+    s = 1.0 / sigma
+    sx, sy = math.sqrt(x), xp.sqrt(y)
+    log_p = (0.5 * a * b * s * t + (0.5 * a * s - 0.5) * (xp.log(y) - math.log(x))
+             - 0.5 * b * s * (y - x) + _frozen_log_core(nu, s, 0.5 * math.sqrt(A), t, sx, sy))
+    if c2 == 0.0 and c1 > 0:
+        return xp.exp(math.log(c1) + log_p)
+    z = xp.sqrt(A * x * y) / (sigma * math.sinh(0.5 * math.sqrt(A) * t))
+    if abs(nu - round(nu)) < 1e-12:
+        s2, l2 = sf.bessel_k(round(nu), z, scaled=True), -2.0 * z
+    else:
+        s2, l2 = sf.bessel_i(-nu, z, scaled=True), 0.0
+    sm, m = _frozen_scaled_sum(c1, 0.0, c2 * s2, l2 - sf.log_bessel_ive(nu, z), xp)
+    return sm * xp.exp(log_p + m)
+
+
+def _frozen_besq_cosh_variant(t, x, y):
+    xp = np if isinstance(y, np.ndarray) else math
+    sx, sy = math.sqrt(x), xp.sqrt(y)
+    return 0.5 * (xp.exp(-(sx - sy) ** 2 / (2.0 * t)) + xp.exp(-(sx + sy) ** 2 / (2.0 * t))) \
+        / math.sqrt(2.0 * math.pi * t * x)
+
+
+_FROZEN_KERNELS = {"bessel_drift": _frozen_bessel_drift, "sqrt_drift": _frozen_sqrt_drift,
+                   "generic_linear": _frozen_generic_linear,
+                   "generic_quadratic": _frozen_generic_quadratic}
+
+
+def _frozen_members():
+    members = [m for m in _ARRAY_ENTRIES + POOL if m[0] in _FROZEN_KERNELS]
+    members += [(name, {**params, "c2": 0.7}) for name, params in members
+                if name.startswith("generic") and "c2" not in params]
+    return members
+
+
+def _assert_same_log(got, want, y):
+    """got and want, logs of kernels at y (floats or arrays), agree within
+    1e-14 of the largest log-term the kernels sum: max(1, |log p|, |log y|,
+    y). The h-ratio cancels terms of size |log y| at small y (the Bessel
+    factor's y^(nu/2) against (y/x)^p), and an h-ratio from F(y) - F(x) of
+    size b y at large y."""
+    scale = np.maximum.reduce([np.ones_like(want), np.abs(want), np.abs(np.log(y)), y])
+    assert (np.abs(got - want) <= 1e-14 * scale).all(), (y, got, want)
+
+
+@pytest.mark.parametrize("member", _frozen_members(), ids=_ids)
+def test_derived_kernel_matches_frozen_oracle(member):
+    # on floats and on arrays of y; the two-branch kernels, continuous only,
+    # are compared by their logs too
+    name, params = member
+    k = cat.make_entry(name, **params).kernel
+    if k.log_continuous is not None and name != "generic_quadratic":
+        fn, log = k.log_continuous, lambda v: v
+    else:
+        fn, log = k.continuous, lambda v: np.log(v)
+    for t, x, ys in _ARRAY_POINTS:
+        with np.errstate(all="ignore"):
+            want = log(_FROZEN_KERNELS[name](t, x, ys, **params))
+            _assert_same_log(log(fn(t, x, ys)), want, ys)
+        for y, w in zip(ys, want):
+            _assert_same_log(log(fn(t, x, float(y))), w, y)
+
+
+def test_besq_cosh_variant_is_the_second_branch_of_besq_3():
+    for t, x, ys in _ARRAY_POINTS:
+        want = np.log(_frozen_besq_cosh_variant(t, x, ys))
+        _assert_same_log(np.log(cat.besq_cosh_variant(t, x, ys)), want, ys)
+        for y, w in zip(ys, want):
+            _assert_same_log(math.log(cat.besq_cosh_variant(t, x, float(y))), w, y)
+
+
+@pytest.mark.parametrize("case", DOCUMENTED_CONSTANTS + [RADIAL_OU_CASE],
+                         ids=lambda c: _ids(c[:2]))
+def test_declared_constants_are_the_documented_ones(case):
+    # the kernel's Bessel core is read from these, so they are pinned to the
+    # hand-derived values of the acceptance suite
+    name, params, (family, A, B, C) = case
+    ric = cat.make_entry(name, **params).riccati
+    assert ric.family == family
+    assert (ric.A, ric.B, ric.C) == pytest.approx((A, B, C), rel=1e-15, abs=1e-15)
+
+
+def _mp_affine_branches(sigma, a, b, mu, t, x, y):
+    """(p+, p-) of generic_quadratic: the kernel with I_nu and with K_nu
+    (integer nu) or I_-nu."""
+    rA = mpmath.sqrt(b * b + 4 * mu * sigma)
+    nu = abs(a - sigma) / sigma
+    sh, th = mpmath.sinh(rA * t / 2), mpmath.tanh(rA * t / 2)
+    pref = (rA / (2 * sigma * sh) * mpmath.sqrt(x / y)
+            * mpmath.exp((a * mpmath.log(y / x) - b * (y - x) + a * b * t) / (2 * sigma)
+                         - rA * (x + y) / (2 * sigma * th)))
+    z = rA * mpmath.sqrt(x * y) / (sigma * sh)
+    second = mpmath.besselk(nu, z) if nu == int(nu) else mpmath.besseli(-nu, z)
+    return pref * mpmath.besseli(nu, z), pref * second
+
+
+@pytest.mark.parametrize("params", [
+    {"sigma": 1.0, "a": 1.0, "b": 1.0, "mu": 0.0},  # nu = 0
+    {"sigma": 1.0, "a": 2.0, "b": 0.1, "mu": 0.25},  # nu = 1
+    {"sigma": 1.0, "a": 1.5, "b": 0.1, "mu": 0.25},  # nu = 1/2
+], ids=lambda p: f"nu={abs(p['a'] - p['sigma']) / p['sigma']:g}")
+@pytest.mark.parametrize("t", [700.0, 3000.0])
+def test_two_branch_generic_quadratic_at_large_t(t, params):
+    # c1 p+ + c2 p-: sinh(sqrt(A) t/2) overflows at t = 3000, which raised
+    # EvalOverflowError from the hand-written kernel, and the Bessel argument
+    # of p- underflows there
+    params = {**params, "c1": 1.0, "c2": 1.0}
+    ys = np.array([0.5, 1.0, 2.0])
+    got = cat.density("generic_quadratic", params, t, 1.0, ys)
+    for y, g in zip(ys, got):
+        with mpmath.workdps(40):
+            p_plus, p_minus = _mp_affine_branches(*(mpmath.mpf(params[k]) for k in (
+                "sigma", "a", "b", "mu")), mpmath.mpf(t), 1, mpmath.mpf(y))
+            want = float(p_plus + p_minus)
+        assert math.isfinite(g) and g == pytest.approx(want, rel=1e-12)
+        assert cat.density("generic_quadratic", params, t, 1.0, float(y)) == pytest.approx(
+            want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

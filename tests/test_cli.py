@@ -232,6 +232,16 @@ def test_expect_closed_form_where_x_squared_underflows():
     assert float(out.splitlines()[1].split(",")[-1]) == pytest.approx(1.0, rel=1e-13)
 
 
+def test_state_whose_square_overflows_is_numerical_error():
+    # x = 1e160 at state power 2: x^2 and the kernel's Bessel argument
+    # overflow; exit 3 (it was exit 2, "non-finite argument")
+    common = ("--entry", "radial_ou", "--a", "1.5", "--b", "0.6", "--t", "1", "--x", "1e160")
+    for args in (("expect", *common, "--lambda", "0"), ("density", *common, "--y", "1e160")):
+        code, out = run(*args)
+        assert code == 3
+        assert out == ""
+
+
 def test_expect_quadrature_non_finite_is_numerical_error():
     # E_x[exp(X_t/2)] diverges for the squared Bessel process at t = 1
     with warnings.catch_warnings():

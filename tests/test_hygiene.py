@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package is used, no
 module wraps a callable in numpy's vectorize, the catalog reads Bessel I only
 in scaled or log-scaled form, it takes its transform right-hand sides from
-the symmetry module and its closed-form expectations from the kernels'
-Bessel-core terms instead of writing them.
+the symmetry module, its closed-form expectations from the kernels'
+Bessel-core terms and its kernels from the declared Riccati constants
+instead of writing them.
 
 No linter is part of the toolchain, so this walks the package sources with
 ast. A name counts as used when the module reads it anywhere (including in
@@ -184,6 +185,74 @@ def test_the_check_sees_a_hand_written_expectation():
                      "            CatalogEntry(expectation_closed=functools.partial(g, 1.0)),\n"
                      "            CatalogEntry(expectation_closed=lambda lam, t, x: 1.0))\n")
     assert sorted(_local_closures(tree, "expectation_closed")) == [4, 9, 11]
+
+
+# the finite-part kernel of rational_drift's mu_inv/x killing is not a
+# Bessel-core kernel: it has pointwise values only
+_HAND_WRITTEN_KERNELS = {"_rational_drift_inverse"}
+
+
+def _local_kernels(tree: ast.Module):
+    """(builder, line) of each builder (a function that makes a CatalogEntry)
+    that passes a lambda or a function it defines as its kernel: to
+    CatalogEntry(kernel=...), as the log density of _kernel(...) or as
+    continuous or log_continuous of Kernel(...). The catalog derives each
+    kernel from the entry's declared constants (symmetry.bessel_core) and
+    h-ratio instead; a builder may still define the weights of its branches."""
+    for builder in tree.body:
+        if not isinstance(builder, ast.FunctionDef) or builder.name in _HAND_WRITTEN_KERNELS \
+                or not any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                           and n.func.id == "CatalogEntry" for n in ast.walk(builder)):
+            continue
+        local = {n.name for n in ast.walk(builder)
+                 if isinstance(n, ast.FunctionDef) and n is not builder}
+        local |= {t.id for n in ast.walk(builder)
+                  if isinstance(n, ast.Assign) and isinstance(n.value, ast.Lambda)
+                  for t in n.targets if isinstance(t, ast.Name)}
+        for call in ast.walk(builder):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+                continue
+            fields = {"CatalogEntry": ("kernel",), "_kernel": (0, "logf"),
+                      "Kernel": (0, 1, "continuous", "log_continuous")}.get(call.func.id, ())
+            args = [a for i, a in enumerate(call.args) if i in fields]
+            args += [k.value for k in call.keywords if k.arg in fields]
+            if any(isinstance(a, ast.Lambda) or isinstance(a, ast.Name) and a.id in local
+                   for a in args):
+                yield builder.name, call.lineno
+
+
+def test_catalog_writes_no_kernel_by_hand():
+    bad = list(_local_kernels(_catalog_tree()))
+    assert not bad, f"catalog.py: hand-written kernels in {bad}"
+
+
+def test_the_check_sees_a_hand_written_kernel():
+    tree = ast.parse("def _make_a():\n"
+                     "    def cont(t, x, y):\n"
+                     "        return 1.0\n"
+                     "    return CatalogEntry(kernel=Kernel(continuous=cont, log_continuous=0))\n"
+                     "def _shared_kernel(logf):\n"
+                     "    def cont(t, x, y):\n"
+                     "        return 1.0\n"
+                     "    return Kernel(continuous=cont, log_continuous=logf)\n"
+                     "def _make_b():\n"
+                     "    log_p = lambda t, x, y, xp=None: 0.0\n"
+                     "    k = _kernel(log_p)\n"
+                     "    return CatalogEntry(kernel=k)\n"
+                     "def _make_c():\n"
+                     "    def weights(y, xp):\n"
+                     "        return 1.0, 0.0\n"
+                     "    log_p, expect = _core_sum(diff, ric, terms)\n"
+                     "    return (CatalogEntry(kernel=_kernel(log_p)),\n"
+                     "            CatalogEntry(kernel=_branch_kernel(h, b, weights)),\n"
+                     "            CatalogEntry(kernel=Kernel(None, lambda t, x, y: 0.0)),\n"
+                     "            CatalogEntry(kernel=lambda t, x, y: 0.0))\n"
+                     "def _rational_drift_inverse():\n"
+                     "    def cont(t, x, y):\n"
+                     "        return 1.0\n"
+                     "    return CatalogEntry(kernel=Kernel(continuous=cont, log_continuous=0))\n")
+    assert sorted(_local_kernels(tree)) == [("_make_a", 4), ("_make_b", 11),
+                                           ("_make_c", 19), ("_make_c", 20)]
 
 
 def _scipy_integrate_imports(tree: ast.Module):

@@ -113,6 +113,18 @@ def test_bessel_i_beyond_scipy_range_against_mpmath(nu, z):
     assert sf.log_bessel_i(nu, z) == pytest.approx(log_ref, rel=1e-15)
 
 
+@pytest.mark.parametrize("z", [2e9, 1e10, 1e14])
+@pytest.mark.parametrize("nu", [0.0, 0.1, 2.5, 30.0])
+def test_bessel_k_beyond_scipy_range_against_mpmath(nu, z):
+    # scipy's kve returns NaN from about z = 1e9 on, as its ive does
+    with mpmath.workdps(30):
+        ref = float(mpmath.besselk(nu, z) * mpmath.exp(z))
+    assert sf.bessel_k(nu, z, scaled=True) == pytest.approx(ref, rel=1e-14)
+    got = sf.bessel_k(nu, np.array([1.0, z]), scaled=True)
+    assert got[0] == sf.bessel_k(nu, 1.0, scaled=True)
+    assert got[1] == pytest.approx(ref, rel=1e-14)
+
+
 def test_bessel_i_failure_beyond_scipy_range_raises():
     # the large-argument series does not settle when nu^2 is comparable to z
     with pytest.raises(ConvergenceError):
@@ -275,6 +287,23 @@ def test_whittaker_w_and_tricomi_u_take_arrays():
             fn(0.5, 1.3, np.array([1.0, np.nan]))
         with pytest.raises(DomainError):
             fn(np.nan, 1.3, np.array([1.0]))
+
+
+def test_tricomi_u_where_scipy_is_nan_at_a_first_parameter_of_rounding_size():
+    # hyperu(5.55e-17, 1.8334, 103) is NaN in scipy, so whittaker_w(0.9167,
+    # 0.4167, 103), whose first Tricomi parameter m - k + 1/2 is that
+    # rounding, raised ConvergenceError; Kummer's transformation is finite
+    a, b, z = 0.4167 - 0.9167 + 0.5, 1.8334, 103.0
+    assert 0.0 < a < 1e-16 and math.isnan(sc.hyperu(a, b, z))
+    with mpmath.workdps(30):
+        ref = float(mpmath.hyperu(a, b, z))
+        ref_w = float(mpmath.whitw(0.9167, 0.4167, z))
+    assert sf.tricomi_u(a, b, z) == pytest.approx(ref, rel=1e-14)
+    assert sf.whittaker_w(0.9167, 0.4167, z) == pytest.approx(ref_w, rel=1e-13)
+    zs = np.array([5.0, z])
+    assert sf.tricomi_u(a, b, zs)[1] == sf.tricomi_u(a, b, z)
+    assert sf.tricomi_u(a, b, zs)[0] == sf.tricomi_u(a, b, 5.0)
+    assert sf.whittaker_w(0.9167, 0.4167, zs)[1] == pytest.approx(ref_w, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

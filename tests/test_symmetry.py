@@ -294,6 +294,41 @@ def test_orbit_transform_rejects_what_it_cannot_derive():
 
 
 # ---------------------------------------------------------------------------
+# the Bessel core of the kernel from the drift-equation constants
+# ---------------------------------------------------------------------------
+
+def test_bessel_core_reads_the_kernel_from_the_constants():
+    # cir (quadratic family) and the Bessel process (linear family, gamma =
+    # 0) against their textbook index, scale, rate and growth; the declared
+    # constants are those fit_riccati recovers
+    a, b, s, mu, mu_lin = 1.1, 0.8, 0.6, 0.5, 0.3
+    cir = cat.make_entry("cir", a=a, b=b, sigma=s, mu=mu, mu_lin=mu_lin)
+    got = sym.bessel_core(cir.diffusion, fit_riccati(cir.diffusion, cir.potential, GRID))
+    want = (math.sqrt((a - s) ** 2 + 4.0 * mu * s) / s, 1.0 / s,
+            0.5 * math.sqrt(b * b + 4.0 * s * mu_lin), a * b / (2.0 * s), 1.0)
+    assert got == pytest.approx(want, rel=1e-9)
+    bessel = cat.make_entry("bessel", a=1.2, mu=0.6)
+    nu = math.sqrt(0.5 * 0.6 + 0.7 ** 2)
+    assert sym.bessel_core(bessel.diffusion, bessel.riccati) == pytest.approx(
+        (nu, 0.5, 0.0, 0.0, 2.0), rel=1e-15)
+    assert sym.bessel_core(bessel.diffusion, bessel.riccati, -1.0)[0] == -sym.bessel_core(
+        bessel.diffusion, bessel.riccati)[0]
+
+
+def test_bessel_core_requirements():
+    from feynkac.riccati import RiccatiParams
+    diff, params, _ = _log_family_setup()
+    with pytest.raises(CapabilityError):  # gamma = 2: the log families
+        sym.bessel_core(diff, params)
+    cir = cat.make_entry("cir", a=1.1, b=0.8, sigma=0.6)
+    for bad in (RiccatiParams("linear", A=0.0, B=-1.0),  # complex index
+                RiccatiParams("quadratic", A=-1.0, B=0.0),
+                RiccatiParams("quadratic_sqrt", A=1.0, B=0.0)):
+        with pytest.raises(CapabilityError):
+            sym.bessel_core(cir.diffusion, bad)
+
+
+# ---------------------------------------------------------------------------
 # Kummer-function orbit of the exponential scaling group
 # ---------------------------------------------------------------------------
 
