@@ -25,11 +25,14 @@ factor in X = sx^2, Y = sy^2, the core:
   (c w / sinh wt) exp(-c w coth(wt) (X + Y)) I_nu(2 c w sx sy / sinh wt),
 
 with the limit (c/t) exp(-(c/t)(X + Y)) I_nu(2 c sx sy / t) at w = 0.
-_log_bessel_core returns its log, regrouped as
+_log_bessel_core returns its log by one formula for every w and t,
 
-  log(e^-z I_nu(z)) - c w coth(wt) (sx - sy)^2 - 2 c w tanh(wt/2) sx sy,
+  L - a (sx - sy)^2 - b sx sy + log(e^-z I_nu(z)),  log z = L + log(2 sx sy),
+  L = log(2 c w) - wt - log(1 - e^(-2wt)),  a = c w coth(wt),  b = 2 c w tanh(wt/2)
 
-so that no two terms of size (X + Y)/t cancel at small t.
+(L = log(c/t), a = c/t, b = 0 at w = 0): no two terms of size (X + Y)/t
+cancel at small t, nothing overflows at large wt, and below z = 1e-300 the
+Bessel term is its leading term in log z.
 
 Here sx = x^(m/2), sy = y^(m/2) for the state power m = 2 - gamma. No entry
 writes its index nu, scale c, rate w or growth r: symmetry.bessel_core
@@ -51,7 +54,8 @@ c_i X^p_i e^(-beta_i X)/u(X) and B_i the Laplace-Bessel moment of term i, one
 log-1F1 (_log_core_moments); sqrt_drift's sums the series of its u(y) =
 y^((a-1)/2) e^(-b sqrt(y)) moment by moment. bessel_drift, sqrt_drift and
 generic_linear take H = (F(y) - F(x))/(2 sigma) - log(y/x)/2 from their drift
-antiderivative F.
+antiderivative F. Where coth(wt) rounds to 1, H and -a (sx - sy)^2 cancel: a
+kernel raises EvalOverflowError where that loses 2e-10 of p (_check_cancellation).
 
 The second branch p- has index -nu: radial_ou takes it where a < 1, and
 besq_cosh_variant is that of besq n = 3. generic_linear weights p+ and p- by
@@ -191,61 +195,57 @@ class CatalogEntry:
 _NDARRAY = np.ndarray
 
 
-_LOG_2, _LOG_TINY = math.log(2.0), math.log(1e-300)
+_LOG_2, _LOG_TINY, _LOG_HUGE = math.log(2.0), math.log(1e-300), math.log(1.79e308)
 
 
-def _log_bessel(nu: float, z, k_nu: bool):
+def _log_bessel(nu: float, log_z, k_nu: bool):
     """log(e^-z I_nu(z)), or log(e^-z K_nu(z)) where k_nu, at the Bessel
-    argument z of a core; EvalOverflowError where z overflows (x y beyond
-    1e308 at state power 2), as the log kernel does too."""
-    if (z.max(initial=0.0) if type(z) is _NDARRAY else z) == math.inf:
+    argument z = e^log_z of a core: below z = 1e-300 the leading term in log z
+    (DLMF 10.25.2, 10.31.2, 10.30.2; nu > -1 for I_nu), each side by mask in
+    an array. EvalOverflowError where z overflows, as the log kernel does too."""
+    if type(log_z) is _NDARRAY:
+        lo, top = log_z.min(initial=math.inf), log_z.max(initial=-math.inf)
+        if lo < _LOG_TINY <= top:
+            small, out = log_z < _LOG_TINY, np.empty(log_z.shape)
+            out[small] = _log_bessel(nu, log_z[small], k_nu)
+            out[~small] = _log_bessel(nu, log_z[~small], k_nu)
+            return out
+        xp, small = np, lo < _LOG_TINY
+    else:
+        xp, small, top = math, log_z < _LOG_TINY, log_z
+    if small:
+        if not k_nu:
+            return nu * (log_z - _LOG_2) - math.lgamma(nu + 1.0)
+        if nu == 0.0:
+            return xp.log(_LOG_2 - log_z - np.euler_gamma)
+        return (nu - 1.0) * _LOG_2 + math.lgamma(nu) - nu * log_z
+    if top > _LOG_HUGE:
         raise EvalOverflowError("kernel: the Bessel argument overflows")
+    z = xp.exp(log_z)
     if not k_nu:
         return specfun.log_bessel_ive(nu, z)
-    return (np if type(z) is _NDARRAY else math).log(
-        specfun.bessel_k(nu, z, scaled=True)) - 2.0 * z
+    return xp.log(specfun.bessel_k(nu, z, scaled=True)) - 2.0 * z
 
 
-def _log_small(nu: float, log_z, k_nu: bool):
-    """_log_bessel at z < 1e-300 from log z: the leading term (DLMF 10.25.2,
-    10.31.2, 10.30.2; nu > -1 for I_nu)."""
-    if not k_nu:
-        return nu * (log_z - _LOG_2) - math.lgamma(nu + 1.0)
-    if nu == 0.0:
-        return (np if type(log_z) is _NDARRAY else math).log(_LOG_2 - log_z - np.euler_gamma)
-    return (nu - 1.0) * _LOG_2 + math.lgamma(nu) - nu * log_z
+def _log_bessel_core(nu: float, c: float, omega: float, k_nu: bool = False) -> Callable:
+    """log_core(t, sx, sy, log sx, log sy) of one kernel: the log of (c w / sinh
+    wt) exp(-c w coth(wt)(sx^2 + sy^2)) I_nu(2 c w sx sy / sinh wt), the factor
+    every positive kernel shares, by the module docstring's one formula (its
+    limit at omega = 0); k_nu puts K_nu in place of I_nu."""
+    cw = c * omega
+    log_2cw = math.log(2.0 * cw) if omega else 0.0
 
-
-def _log_bessel_core(nu: float, c: float, omega: float, t: float, sx: float,
-                     sy: float, k_nu: bool = False) -> float:
-    """log[(c w / sinh wt) exp(-c w coth(wt)(sx^2 + sy^2))
-    I_nu(2 c w sx sy / sinh wt)], the factor every positive kernel shares;
-    omega = 0 is the limit omega -> 0. See the module docstring. k_nu puts
-    K_nu in place of I_nu.
-
-    Where wt > 700 (sinh(wt) overflows from about 710 on), log(c w / sinh wt)
-    = log(2 c w) - wt - log1p(-e^(-2wt)), whose last term is 0 in double
-    precision, and the Bessel argument is carried as its log: below 1e-300
-    the Bessel term is its leading term in log z (_log_small)."""
-    if omega == 0.0:
-        return (math.log(c / t) - c * (sx - sy) ** 2 / t
-                + _log_bessel(nu, 2.0 * c * sx * sy / t, k_nu))
-    wt, cw = omega * t, c * omega
-    if wt <= 700.0:
-        sh = math.sinh(wt)
-        log_pre, log_i = math.log(cw / sh), _log_bessel(nu, 2.0 * cw * sx * sy / sh, k_nu)
-    else:
-        xp = np if type(sy) is _NDARRAY else math
-        log_pre, log_z = math.log(2.0 * cw) - wt, math.log(4.0 * cw * sx) + xp.log(sy) - wt
-        if xp is math:
-            log_i = (_log_bessel(nu, math.exp(log_z), k_nu) if log_z > _LOG_TINY
-                     else _log_small(nu, log_z, k_nu))
-        else:
-            log_i, big = _log_small(nu, log_z, k_nu), log_z > _LOG_TINY
-            if big.any():
-                log_i[big] = _log_bessel(nu, np.exp(log_z[big]), k_nu)
-    return (log_pre - cw * (sx - sy) ** 2 / math.tanh(wt)
-            - 2.0 * cw * math.tanh(0.5 * wt) * sx * sy + log_i)
+    def log_core(t: float, sx: float, sy, log_sx: float, log_sy):
+        if omega == 0.0:
+            log_pre, a, b = math.log(c / t), c / t, 0.0
+        else:  # em = 1 - e^(-2wt), coth(wt) = (2 - em)/em
+            wt = omega * t
+            em = -math.expm1(-2.0 * wt)
+            log_pre = log_2cw - wt - math.log(em)
+            a, b = cw * (2.0 - em) / em, 2.0 * cw * math.tanh(0.5 * wt)
+        return (log_pre - a * (sx - sy) ** 2 - b * sx * sy
+                + _log_bessel(nu, log_pre + _LOG_2 + log_sx + log_sy, k_nu))
+    return log_core
 
 
 def _scaled_sum(c1, l1, c2, l2, xp):
@@ -347,54 +347,74 @@ def _kernel(logf, atoms=()) -> Kernel:
     return Kernel(continuous=cont, log_continuous=logf, atoms=tuple(atoms))
 
 
+_H_MAX = 2.0 ** 20
+
+
+def _check_cancellation(h, log_p) -> None:
+    """EvalOverflowError where |H| > 2^20 max(1, |log p|): past it the
+    rounding of the h-ratio H, about |H| 1e-16, is more than 2e-10 of p."""
+    h = np.abs(h)
+    if h.max(initial=0.0) > _H_MAX and (h / _H_MAX > np.maximum(1.0, np.abs(log_p))).any():
+        raise EvalOverflowError("kernel: the h-ratio and the Bessel core cancel: p loses 1e-10")
+
+
 def _log_kernel(core, ratio, k_nu: bool = False, shift: float = 0.0) -> Callable:
     """log p(t, x, y, xp=None) = shift + H + log(m y^(m-1)) + r t + log core
-    for _kernel, H = ratio(x, y, xp) and core = (nu, c, omega, r, m) of
-    symmetry.bessel_core (m is 1 or 2 in the catalog); k_nu puts K_nu in
-    place of I_nu."""
+    for _kernel, H = ratio(x, y, log x, log y, xp) and core = (nu, c, omega, r,
+    m) of symmetry.bessel_core (m is 1 or 2 in the catalog), all from one log
+    x and log y; k_nu puts K_nu in place of I_nu."""
     nu, c, omega, r, m = core
+    log_core = _log_bessel_core(nu, c, omega, k_nu)
+    shift += _LOG_2 if m == 2.0 else 0.0  # log 2 of the Jacobian 2y; log y is jac
 
     def log_p(t: float, x: float, y, xp=None):
         if xp is None:
             xp = np if type(y) is _NDARRAY else math
-        if m == 2.0:  # with the Jacobian 2y
-            sx, sy, jac = x, y, xp.log(2.0 * y)
+        lx, ly = math.log(x), xp.log(y)
+        if m == 2.0:
+            sx, sy, lsx, lsy, jac = x, y, lx, ly, ly
         else:
-            sx, sy, jac = math.sqrt(x), xp.sqrt(y), 0.0
-        return (shift + ratio(x, y, xp) + jac + r * t
-                + _log_bessel_core(nu, c, omega, t, sx, sy, k_nu))
+            sx, sy, lsx, lsy, jac = math.sqrt(x), xp.sqrt(y), 0.5 * lx, 0.5 * ly, 0.0
+        h = ratio(x, y, lx, ly, xp)
+        log_p = shift + r * t + jac + h + log_core(t, sx, sy, lsx, lsy)
+        if xp is np or abs(h) > _H_MAX:
+            _check_cancellation(h, log_p)
+        return log_p
     return log_p
 
 
 def _branch_kernel(ratio, branches, weights) -> Kernel:
-    """Kernel e^H (w1 p1 + w2 p2), H = ratio(x, y, xp), (w1, w2) =
-    weights(y, xp) of either sign and p_i the kernels of branches = ((core,
-    k_nu), (core, k_nu)) without an h-ratio: continuous only."""
-    log_p1, log_p2 = (_log_kernel(core, lambda x, y, xp: 0.0, k_nu) for core, k_nu in branches)
+    """Kernel e^H (w1 p1 + w2 p2), H = ratio(x, y, log x, log y, xp), (w1,
+    w2) = weights(y, xp) of either sign and p_i the kernels of branches =
+    ((core, k_nu), (core, k_nu)) without an h-ratio: continuous only."""
+    log_p1, log_p2 = (_log_kernel(core, lambda *_: 0.0, k_nu) for core, k_nu in branches)
 
     def cont(t: float, x: float, y):
         xp = np if type(y) is _NDARRAY else math
         w1, w2 = weights(y, xp)
         s, top = _scaled_sum(w1, log_p1(t, x, y, xp), w2, log_p2(t, x, y, xp), xp)
-        return s * xp.exp(ratio(x, y, xp) + top)
+        h = ratio(x, y, math.log(x), xp.log(y), xp)
+        if xp is np or abs(h) > _H_MAX:
+            _check_cancellation(h, h + top)
+        return s * xp.exp(h + top)
     return Kernel(continuous=cont, log_continuous=None)
 
 
 def _terms_ratio(terms, m: float) -> Callable:
-    """H(x, y, xp) = log u(Y)/u(X), X = x^m, Y = y^m, of u(Y) = sum_i c_i
-    Y^p_i e^(-beta_i Y), terms = ((c_i, p_i, beta_i), ...) with c_i > 0."""
+    """H(x, y, log x, log y, xp) = log u(Y)/u(X), X = x^m, Y = y^m, of u(Y) =
+    sum_i c_i Y^p_i e^(-beta_i Y), terms = ((c_i, p_i, beta_i), ...), c_i > 0."""
     if len(terms) == 1:
         _, p0, beta0 = terms[0]
 
-        def ratio(x: float, y, xp):  # (Y/X)^p0 e^(-beta0 (Y - X)), Y - X without cancellation
-            dY = (y - x) * (y + x) if m == 2.0 else y - x
-            return p0 * m * (xp.log(y) - math.log(x)) - beta0 * dY
+        def ratio(x: float, y, lx: float, ly, xp):  # (Y/X)^p0 e^(-beta0 (Y - X))
+            dY = (y - x) * (y + x) if m == 2.0 else y - x  # Y - X without cancellation
+            return p0 * m * (ly - lx) - beta0 * dY
         return ratio
     logc = tuple((math.log(ci), p, beta) for ci, p, beta in terms)
 
-    def ratio(x: float, y, xp):
-        return (_log_sum_exp(_log_terms(logc, y ** m, m * xp.log(y)), xp)
-                - _log_sum_exp(_log_terms(logc, x ** m, m * math.log(x))))
+    def ratio(x: float, y, lx: float, ly, xp):
+        return (_log_sum_exp(_log_terms(logc, y ** m, m * ly), xp)
+                - _log_sum_exp(_log_terms(logc, x ** m, m * lx)))
     return ratio
 
 
@@ -404,15 +424,15 @@ def _log_terms(logc, z: float, lz: float):
 
 
 def _gauge_ratio(diff: DiffusionSpec) -> Callable:
-    """H(x, y, xp) = (F(y) - F(x))/(2 sigma) - log(y/x)/2 from the drift
-    antiderivative F, which takes a float or a float64 array (checked here,
-    once per entry)."""
+    """H(x, y, log x, log y, xp) = (F(y) - F(x))/(2 sigma) - log(y/x)/2 from
+    the drift antiderivative F, which takes a float or a float64 array
+    (checked here, once per entry)."""
     F, s2 = diff.drift_antiderivative, 2.0 * diff.sigma
     _on_array(F, np.array(_VALIDATION_POINTS),
               f"DiffusionSpec '{diff.label}': drift_antiderivative")
 
-    def ratio(x: float, y, xp):
-        return (F(y) - F(x)) / s2 - 0.5 * (xp.log(y) - math.log(x))
+    def ratio(x: float, y, lx: float, ly, xp):
+        return (F(y) - F(x)) / s2 - 0.5 * (ly - lx)
     return ratio
 
 
@@ -528,9 +548,10 @@ def besq_cosh_mass(t: float, x: float) -> float:
 
 
 def besq3_sinh_density(t: float, x: float, y: float) -> float:
-    """The n=3 transition density in its elementary sinh form."""
-    return math.exp(-(x + y) / (2.0 * t)) * math.sinh(math.sqrt(x * y) / t) \
-        / math.sqrt(2.0 * math.pi * t * x)
+    """The n=3 transition density in its elementary sinh form, e^(-(x+y)/2t)
+    sinh(sqrt(xy)/t) / sqrt(2 pi t x), with sinh written through expm1."""
+    return -0.5 * math.exp(-(math.sqrt(x) - math.sqrt(y)) ** 2 / (2.0 * t)) \
+        * math.expm1(-2.0 * math.sqrt(x * y) / t) / math.sqrt(2.0 * math.pi * t * x)
 
 
 # ---------------------------------------------------------------------------
@@ -1148,16 +1169,21 @@ def _resolve(entry, params: Optional[Dict[str, float]]) -> CatalogEntry:
     return make_entry(entry, **(params or {}))
 
 
-def _evaluate(route: str, e: CatalogEntry, fn: Callable[..., float],
-              *args: float) -> float:
-    """fn(*args) as a finite number: an arithmetic failure or a non-finite
-    result raises EvalOverflowError."""
+def _evaluate(route: str, e: CatalogEntry, fn: Callable[..., float], *args):
+    """fn(*args) as a finite number, or as an array of them where the last
+    argument is a y-grid: an arithmetic failure or a non-finite result raises
+    EvalOverflowError."""
     try:
         val = fn(*args)
     except (OverflowError, ZeroDivisionError) as exc:
         raise EvalOverflowError(f"{route}: entry {e.name} failed at {args!r} "
                                 f"({exc})") from exc
-    if not math.isfinite(val):
+    if type(val) is _NDARRAY:
+        bad = ~np.isfinite(val)
+        if bad.any():
+            raise EvalOverflowError(f"{route}: entry {e.name} gave {float(val[bad][0])!r} "
+                                    f"at y={float(args[-1][bad][0])!r}")
+    elif not math.isfinite(val):
         raise EvalOverflowError(f"{route}: entry {e.name} gave {val!r} at {args!r}")
     return val
 
@@ -1168,38 +1194,18 @@ def density(entry, params: Optional[Dict[str, float]], t: float, x: float,
     y = 0 are reported by atom_weights, not here). y may be a 1-D array: one
     kernel call then evaluates all of it, and the result is an array."""
     e = _resolve(entry, params)
-    if type(y) is _NDARRAY and y.ndim:
-        return _density_grid(e, float(t), float(x), y.astype(float), log)
-    t, x, y = float(t), float(x), float(y)
-    if not (t > 0 and x > 0 and y > 0):
+    t, x, grid = float(t), float(x), type(y) is _NDARRAY and y.ndim
+    y = y.astype(float) if grid else float(y)
+    if not (t > 0 and x > 0 and ((y > 0).all() if grid else y > 0)):
         raise DomainError("density: requires t > 0, x > 0, y > 0")
     fn = e.kernel.log_continuous if log else e.kernel.continuous
     if fn is None:
         raise CapabilityError(
             f"density: entry {e.name} has no log form (kernel may be signed)")
-    return _evaluate("density", e, fn, t, x, y)
-
-
-def _density_grid(e: CatalogEntry, t: float, x: float, y: np.ndarray,
-                  log: bool) -> np.ndarray:
-    """density on an array of y, in one kernel call."""
-    if not (t > 0 and x > 0 and (y > 0).all()):
-        raise DomainError("density: requires t > 0, x > 0, y > 0")
-    fn = e.kernel.log_continuous if log else e.kernel.continuous
-    if fn is None:
-        raise CapabilityError(
-            f"density: entry {e.name} has no log form (kernel may be signed)")
-    try:
-        with np.errstate(all="ignore"):
-            val = fn(t, x, y)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise EvalOverflowError(f"density: entry {e.name} failed at t={t}, "
-                                f"x={x} ({exc})") from exc
-    bad = ~np.isfinite(val)
-    if bad.any():
-        raise EvalOverflowError(f"density: entry {e.name} gave "
-                                f"{float(val[bad][0])!r} at y={float(y[bad][0])!r}")
-    return val
+    if not grid:
+        return _evaluate("density", e, fn, t, x, y)
+    with np.errstate(all="ignore"):
+        return _evaluate("density", e, fn, t, x, y)
 
 
 def atom_weights(entry, params: Optional[Dict[str, float]], t: float,

@@ -7,8 +7,11 @@ the Whittaker pair assembled from the Kummer functions.
 
 bessel_i, log_bessel_ive, bessel_k, tricomi_u and whittaker_w also take z as
 a float64 array (the kernels and the verify quadrature evaluate whole y-grids
-in one call). An array takes the same branches as a float, element by
-element, so the two agree to a few ulp.
+in one call). Each has one implementation, on arrays (_*_array), which holds
+all its checks and fallbacks. A float takes one scipy scalar call where input
+and result are in range (the Bessel functions only) and otherwise runs the
+array implementation as a one-element array, so the two agree exactly there;
+on that fast path numpy's exp and log may round one ulp away from math's.
 
 All functions are pure.
 """
@@ -74,42 +77,35 @@ def bessel_i(nu: float, z, *, scaled: bool = False):
     Unscaled overflow raises EvalOverflowError rather than returning inf.
     """
     if type(z) is _NDARRAY:
-        _check_array("bessel_i", nu, z)
-        out = _ive_array(nu, z) if scaled else sc.iv(nu, z)
-        if not out.size or out.max() < math.inf:  # no inf, no NaN
+        return _bessel_i_array(nu, z, scaled)
+    if 0.0 <= z < math.inf and -math.inf < nu < math.inf:
+        out = _ive(nu, z) if scaled else cython_special.iv(nu, z)
+        if -math.inf < out < math.inf:
             return out
-        if np.isinf(out).any():
-            raise EvalOverflowError(
-                f"bessel_i: I_{nu}(z) overflows double precision; use scaled=True")
-        nan = np.isnan(out)
-        if nan.any():
-            if not scaled:
-                raise ConvergenceError(f"bessel_i: evaluation failed at nu={nu}")
-            out[nan] = np.exp(_log_ive_fallback(nu, z[nan], nan[nan]))
+    return float(_bessel_i_array(nu, np.array([z], float), scaled)[0])
+
+
+def _bessel_i_array(nu: float, z: np.ndarray, scaled: bool) -> np.ndarray:
+    """bessel_i of each element of z: every check and fallback."""
+    _check_array("bessel_i", nu, z)
+    out = _ive_array(nu, z) if scaled else sc.iv(nu, z)
+    if not out.size or -math.inf < out.min() and out.max() < math.inf:  # all finite
         return out
-    _check_finite("bessel_i", nu, z)
-    if z < 0:
-        raise DomainError("bessel_i: z must be >= 0")
-    out = _ive(nu, z) if scaled else float(sc.iv(nu, z))
-    if math.isinf(out):
-        raise EvalOverflowError(
-            f"bessel_i: I_{nu}({z}) overflows double precision; use scaled=True")
-    if math.isnan(out):
-        if scaled:
-            return math.exp(_log_ive_fallback(nu, np.array([z]), np.array([True]))[0])
-        raise ConvergenceError(f"bessel_i: evaluation failed at nu={nu}, z={z}")
+    if np.isinf(out).any():  # unscaled overflow, or the pole at z = 0 of nu < 0
+        raise EvalOverflowError(f"bessel_i: I_{nu}(z) overflows (unscaled: use scaled=True)")
+    if not scaled:
+        raise ConvergenceError(f"bessel_i: evaluation failed at nu={nu}")
+    nan = np.isnan(out)
+    out[nan] = np.exp(_log_ive_array(nu, z[nan]))
     return out
 
 
 def _ive(nu: float, z: float) -> float:
-    """e^{-z} I_nu(z). scipy's ive is off by up to 6e-14 relative at
-    non-integer nu; below z = 700, wherever scipy's iv is finite, iv times
-    exp(-z) is within about 2e-15 of mpmath."""
-    if z < 700.0:
-        out = cython_special.iv(float(nu), float(z))
-        if math.isfinite(out):
-            return out * math.exp(-z)
-    return float(sc.ive(nu, z))
+    """e^{-z} I_nu(z) at a float z >= 0, or scipy's NaN or inf. scipy's ive
+    is off by up to 6e-14 relative at non-integer nu; below z = 700, wherever
+    scipy's iv is finite, iv times exp(-z) is within about 2e-15 of mpmath."""
+    out = cython_special.iv(nu, z) if z < 700.0 else math.inf
+    return out * math.exp(-z) if out < math.inf else cython_special.ive(nu, z)
 
 
 def _ive_array(nu: float, z: np.ndarray) -> np.ndarray:
@@ -117,10 +113,9 @@ def _ive_array(nu: float, z: np.ndarray) -> np.ndarray:
     out = sc.iv(nu, z)
     if not z.size or z.max() < 700.0 and out.max() < math.inf:  # no inf, no NaN
         return out * np.exp(-z)
-    direct = (z < 700.0) & np.isfinite(out)
+    direct = (z < 700.0) & np.isfinite(out) | (z == 0.0)  # e^-0 = 1, at a pole too
     out[direct] *= np.exp(-z[direct])
-    rest = ~direct
-    out[rest] = sc.ive(nu, z[rest])
+    out[~direct] = sc.ive(nu, z[~direct])
     return out
 
 
@@ -129,17 +124,17 @@ def _large_z(nu: float, z: np.ndarray, k: bool = False) -> np.ndarray:
     expansion (DLMF 10.40.1, 10.40.2), for z beyond scipy's ive and kve (NaN
     from about 1e9 on); each element stops at its own first negligible term.
     Raises ConvergenceError where the series does not settle (small z, or
-    nu^2 comparable to z)."""
+    nu^2 comparable to z). z comes last in each product: 8 j z overflows."""
     mu, sign = 4.0 * nu * nu, 1.0 if k else -1.0
     term, total = np.ones(z.shape), np.ones(z.shape)
     active = np.ones(z.shape, dtype=bool)
     for j in range(1, 30):
-        term[active] *= sign * (mu - (2 * j - 1) ** 2) / (8.0 * j * z[active])
+        term[active] *= sign * (mu - (2 * j - 1) ** 2) / (8.0 * j) / z[active]
         total[active] += term[active]
         active &= ~(np.abs(term) <= 1e-17 * np.abs(total))
         if not active.any():
             return total * np.sqrt(0.5 * math.pi / z) if k \
-                else total / np.sqrt(2.0 * math.pi * z)
+                else total / math.sqrt(2.0 * math.pi) / np.sqrt(z)
     raise ConvergenceError(f"{'bessel_k' if k else 'bessel_i'}: evaluation failed "
                            f"at nu={nu}, z={float(z[active][0])}")
 
@@ -169,22 +164,6 @@ def _log_ive_series(nu: float, z: np.ndarray) -> np.ndarray:
         f"log_bessel_i: series failed at nu={nu}, z={float(z[active][0])}")
 
 
-def _log_ive_fallback(nu: float, z: np.ndarray, nan: np.ndarray) -> np.ndarray:
-    """log(e^{-z} I_nu(z)) where scipy gives NaN (nan) or less than 1e-300:
-    the large-argument expansion for NaN at z > 1, the series otherwise
-    (scipy's iv and ive are NaN at subnormal z for some orders too)."""
-    out = np.empty(z.shape)
-    large = nan & (z > 1.0)
-    if large.any():
-        out[large] = np.log(_large_z(nu, z[large]))
-    if not large.all():
-        if not nu > -1:
-            raise ConvergenceError(f"log_bessel_i: underflow at nu={nu}, "
-                                   f"z={float(z[~large][0])}")
-        out[~large] = _log_ive_series(nu, z[~large])
-    return out
-
-
 def log_bessel_i(nu: float, z: float) -> float:
     """log I_nu(z) for z > 0 (computed as log(ive) + z, overflow-safe).
 
@@ -204,26 +183,15 @@ def log_bessel_ive(nu: float, z):
     """
     if type(z) is _NDARRAY:
         return _log_ive_array(nu, z)
-    _check_finite("log_bessel_i", nu, z)
-    if z < 0:
-        raise DomainError("log_bessel_i: z must be >= 0")
-    if z == 0.0:
-        if nu == 0.0:
-            return 0.0
-        if nu > 0:
-            return -math.inf
-        raise DomainError("log_bessel_i: I_nu(0) undefined for nu < 0")
-    scaled = _ive(nu, z)
-    if scaled < 0.0:
-        raise DomainError(f"log_bessel_i: I_{nu}({z}) < 0, log undefined")
-    if not scaled > 1e-300:  # NaN, underflow, or too few digits left
-        return float(_log_ive_fallback(nu, np.array([z]),
-                                       np.array([math.isnan(scaled)]))[0])
-    return math.log(scaled)
+    if 0.0 < z < math.inf and -math.inf < nu < math.inf:
+        scaled = _ive(nu, z)
+        if scaled > 1e-300:
+            return math.log(scaled)
+    return float(_log_ive_array(nu, np.array([z], float))[0])
 
 
 def _log_ive_array(nu: float, z: np.ndarray) -> np.ndarray:
-    """log_bessel_ive of each element of z."""
+    """log_bessel_ive of each element of z: every check and fallback."""
     if _check_array("log_bessel_i", nu, z) == 0.0 and nu < 0:
         raise DomainError("log_bessel_i: I_nu(0) undefined for nu < 0")
     scaled = _ive_array(nu, z)
@@ -235,8 +203,16 @@ def _log_ive_array(nu: float, z: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(scaled)
     low = ~(scaled > 1e-300) & ~zero  # NaN, underflow, or too few digits left
-    if low.any():
-        out[low] = _log_ive_fallback(nu, z[low], np.isnan(scaled[low]))
+    # where scipy gives NaN at z > 1, the large-argument expansion; the series
+    # otherwise (scipy's iv and ive are NaN at subnormal z for some orders too)
+    large = low & np.isnan(scaled) & (z > 1.0)
+    out[large] = np.log(_large_z(nu, z[large]))
+    series = low & ~large
+    if series.any():
+        if not nu > -1:
+            raise ConvergenceError(f"log_bessel_i: underflow at nu={nu}, "
+                                   f"z={float(z[series][0])}")
+        out[series] = _log_ive_series(nu, z[series])
     out[zero] = 0.0 if nu == 0.0 else -math.inf
     return out
 
@@ -248,28 +224,26 @@ def bessel_k(nu: float, z, *, scaled: bool = False):
     scaled=True returns e^{z} K_nu(z).
     """
     if type(z) is _NDARRAY:
-        _check_array("bessel_k", nu, z, ">")
-        out = sc.kve(nu, z) if scaled else sc.kv(nu, z)
-        if not out.size or out.max() < math.inf:  # no inf, no NaN
+        return _bessel_k_array(nu, z, scaled)
+    if 0.0 < z < math.inf and -math.inf < nu < math.inf:
+        out = cython_special.kve(nu, z) if scaled else cython_special.kv(nu, z)
+        if out < math.inf:
             return out
-        nan = np.isnan(out)
-        if nan.any():
-            if not (scaled and z[nan].min() > 1.0):
-                raise ConvergenceError(f"bessel_k: evaluation failed at nu={nu}")
-            out[nan] = _large_z(nu, z[nan], k=True)
-        if np.isinf(out).any():
-            raise EvalOverflowError(f"bessel_k: K_{nu}(z) overflows; use scaled=True")
+    return float(_bessel_k_array(nu, np.array([z], float), scaled)[0])
+
+
+def _bessel_k_array(nu: float, z: np.ndarray, scaled: bool) -> np.ndarray:
+    """bessel_k of each element of z: every check and fallback."""
+    _check_array("bessel_k", nu, z, ">")
+    out = sc.kve(nu, z) if scaled else sc.kv(nu, z)
+    if not out.size or out.max() < math.inf:  # no inf, no NaN
         return out
-    _check_finite("bessel_k", nu, z)
-    if z <= 0:
-        raise DomainError("bessel_k: z must be > 0")
-    out = float(sc.kve(nu, z)) if scaled else float(sc.kv(nu, z))
-    if math.isnan(out):
-        if scaled and z > 1.0:
-            return float(_large_z(nu, np.array([z]), k=True)[0])
-        raise ConvergenceError(f"bessel_k: evaluation failed at nu={nu}, z={z}")
-    if math.isinf(out):
-        raise EvalOverflowError(f"bessel_k: K_{nu}({z}) overflows; use scaled=True")
+    nan = np.isnan(out)
+    if nan.any() and not (scaled and z[nan].min() > 1.0):
+        raise ConvergenceError(f"bessel_k: evaluation failed at nu={nu}")
+    out[nan] = _large_z(nu, z[nan], k=True)
+    if np.isinf(out).any():
+        raise EvalOverflowError(f"bessel_k: K_{nu}(z) overflows; use scaled=True")
     return out
 
 
@@ -294,31 +268,28 @@ def hypergeom_1f1(a: float, b: float, z: float) -> float:
     return out
 
 
-def tricomi_u(a: float, b: float, z: float) -> float:
+def tricomi_u(a: float, b: float, z):
     """Tricomi's confluent hypergeometric function U(a, b, z), principal branch z > 0.
 
     Satisfies z^a U(a, b, z) -> 1 as z -> +inf. z may be a float64 array.
     """
     if type(z) is _NDARRAY:
-        _check_finite("tricomi_u", a)
-        _check_array("tricomi_u", b, z, ">")
-        out = sc.hyperu(a, b, z)
-        nan = np.isnan(out)
-        if nan.any():  # as for a float
-            out[nan] = z[nan] ** (1.0 - b) * sc.hyperu(a - b + 1.0, 2.0 - b, z[nan])
-            if np.isnan(out).any():
-                raise ConvergenceError(f"tricomi_u: evaluation failed at ({a}, {b}, "
-                                       f"{float(z[np.isnan(out)][0])})")
-        return out
-    _check_finite("tricomi_u", a, b, z)
-    if z <= 0:
-        raise DomainError("tricomi_u: z must be > 0 (principal branch only)")
-    out = float(sc.hyperu(a, b, z))
-    if math.isnan(out):  # e.g. hyperu(5.55e-17, 1.8334, 103): Kummer's
+        return _tricomi_u_array(a, b, z)
+    return float(_tricomi_u_array(a, b, np.array([z], float))[0])
+
+
+def _tricomi_u_array(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """tricomi_u of each element of z: every check and fallback."""
+    _check_finite("tricomi_u", a)
+    _check_array("tricomi_u", b, z, ">")
+    out = sc.hyperu(a, b, z)
+    nan = np.isnan(out)
+    if nan.any():  # e.g. hyperu(5.55e-17, 1.8334, 103): Kummer's
         # transformation U(a, b, z) = z^(1-b) U(a-b+1, 2-b, z) (DLMF 13.2.40)
-        out = z ** (1.0 - b) * float(sc.hyperu(a - b + 1.0, 2.0 - b, z))
-        if math.isnan(out):
-            raise ConvergenceError(f"tricomi_u: evaluation failed at ({a}, {b}, {z})")
+        out[nan] = z[nan] ** (1.0 - b) * sc.hyperu(a - b + 1.0, 2.0 - b, z[nan])
+        if np.isnan(out).any():
+            raise ConvergenceError(f"tricomi_u: evaluation failed at ({a}, {b}, "
+                                   f"{float(z[np.isnan(out)][0])})")
     return out
 
 
@@ -330,17 +301,10 @@ def whittaker_m(k: float, m: float, z: float) -> float:
     if _is_nonpositive_integer(1.0 + 2.0 * m):
         raise PoleError(f"whittaker_m: 1+2m={1+2*m} is a non-positive integer")
     f = hypergeom_1f1(m - k + 0.5, 1.0 + 2.0 * m, z)
-    # assemble in log domain when the pieces would overflow individually
-    sign = math.copysign(1.0, f)
-    if f == 0.0:
-        return 0.0
-    lg = -0.5 * z + (m + 0.5) * math.log(z) + math.log(abs(f))
-    if lg > 700.0:
-        raise EvalOverflowError(f"whittaker_m: overflow at k={k}, m={m}, z={z}")
-    return sign * math.exp(lg)
+    return float(_whittaker("whittaker_m", k, m, np.array([z], float), f)[0])
 
 
-def whittaker_w(k: float, m: float, z: float) -> float:
+def whittaker_w(k: float, m: float, z):
     """Whittaker function W_{k,m}(z) = e^{-z/2} z^{m+1/2} U(m-k+1/2, 1+2m, z), z > 0.
 
     Equal to the standard combination of M_{k,+-m}; evaluated through the
@@ -348,26 +312,26 @@ def whittaker_w(k: float, m: float, z: float) -> float:
     Gamma factors hit poles. z may be a float64 array.
     """
     if type(z) is _NDARRAY:
-        _check_finite("whittaker_w", k)
-        _check_array("whittaker_w", m, z, ">")
-        u = tricomi_u(m - k + 0.5, 1.0 + 2.0 * m, z)
-        with np.errstate(divide="ignore"):  # u = 0 gives 0
-            lg = -0.5 * z + (m + 0.5) * np.log(z) + np.log(np.abs(u))
-        if (lg > 700.0).any():
-            raise EvalOverflowError(f"whittaker_w: overflow at k={k}, m={m}, "
-                                    f"z={float(z[lg > 700.0][0])}")
-        return np.sign(u) * np.exp(lg)
-    _check_finite("whittaker_w", k, m, z)
-    if z <= 0:
-        raise DomainError("whittaker_w: z must be > 0")
-    u = tricomi_u(m - k + 0.5, 1.0 + 2.0 * m, z)
-    if u == 0.0:
-        return 0.0
-    sign = math.copysign(1.0, u)
-    lg = -0.5 * z + (m + 0.5) * math.log(z) + math.log(abs(u))
-    if lg > 700.0:
-        raise EvalOverflowError(f"whittaker_w: overflow at k={k}, m={m}, z={z}")
-    return sign * math.exp(lg)
+        return _whittaker_w_array(k, m, z)
+    return float(_whittaker_w_array(k, m, np.array([z], float))[0])
+
+
+def _whittaker_w_array(k: float, m: float, z: np.ndarray) -> np.ndarray:
+    """whittaker_w of each element of z: every check."""
+    _check_finite("whittaker_w", k)
+    _check_array("whittaker_w", m, z, ">")
+    return _whittaker("whittaker_w", k, m, z, _tricomi_u_array(m - k + 0.5, 1.0 + 2.0 * m, z))
+
+
+def _whittaker(name: str, k: float, m: float, z: np.ndarray, f) -> np.ndarray:
+    """e^{-z/2} z^{m+1/2} f for the Kummer factor f of a Whittaker function,
+    assembled in the log domain, where the pieces would overflow one by one."""
+    with np.errstate(divide="ignore"):  # f = 0 gives 0
+        lg = -0.5 * z + (m + 0.5) * np.log(z) + np.log(np.abs(f))
+    if (lg > 700.0).any():
+        raise EvalOverflowError(f"{name}: overflow at k={k}, m={m}, "
+                                f"z={float(z[lg > 700.0][0])}")
+    return np.sign(f) * np.exp(lg)
 
 
 def gamma_ln(x: float) -> float:

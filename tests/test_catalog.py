@@ -187,6 +187,71 @@ def test_array_kernel_matches_the_scalar_kernel_where_sinh_omega_t_overflows(nam
                 assert g == pytest.approx(want, rel=1e-15, abs=1e-300)
 
 
+@pytest.mark.parametrize("name,params,t,x,y,ref", [
+    ("radial_ou", {"a": 0.9, "b": -0.5}, 1e-6, 1e-200, 1e-200, -401.99538249160414),
+    ("bessel", {"a": 0.8}, 1e-6, 1e-200, 1e-200, -718.96683537740123),
+    ("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6}, 1000.0, 1000.0, 1e-300, -575.0576781902205)])
+def test_kernels_where_the_bessel_argument_underflows(name, params, t, x, y, ref):
+    # the core carries the Bessel argument as its log at every omega t, and
+    # below 1e-300 takes the Bessel term's leading term in log z. The first
+    # two raised (DomainError from I_nu(0) at nu < 0; EvalOverflowError from
+    # a log of 0), and cir was off by 3e-5 from a subnormal argument.
+    # References: mpmath at 60 digits
+    for ys, pick in ((y, float), (np.array([y, 1.0]), lambda v: float(v[0]))):
+        assert pick(cat.density(name, params, t, x, ys, log=True)) == pytest.approx(ref, rel=1e-14)
+        # exp(ref) is subnormal for bessel: 3e-12 apart
+        assert pick(cat.density(name, params, t, x, ys)) == pytest.approx(math.exp(ref), rel=1e-10)
+
+
+@pytest.mark.parametrize("name,params,t,x,y", [
+    ("radial_ou", {"a": 1.5, "b": 0.6}, 30.0, 1.0, 1e8),    # mpmath -18.917181771116697
+    ("radial_ou", {"a": 1.5, "b": 0.6}, 100.0, 1.0, 1e10),  # -116.47477059351497
+    ("radial_ou", {"a": 1.5, "b": 0.6}, 1000.0, 1e-150, 1e30),
+    ("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6}, 100.0, 1e12, 1.0)])
+def test_kernels_where_the_h_ratio_and_the_core_cancel_raise(name, params, t, x, y):
+    # where coth(wt) rounds to 1, the h-ratio's -beta (Y - X) and the core's
+    # -a (sx - sy)^2 cancel: the log density was -19.0, 0.0 (both of them,
+    # without warning) and off by 1.3e-5 relative
+    for ys in (y, np.array([1.0, y])):
+        for log in (False, True):
+            with pytest.raises(EvalOverflowError, match="cancel"):
+                cat.density(name, params, t, x, ys, log=log)
+
+
+# log-uniform over [1e-300, 1e300], with the decades at its ends and middle often
+_FULL_RANGE = st.one_of(st.sampled_from([-300.0, -200.0, -100.0, -6.0, 0.0, 3.0, 30.0, 300.0]),
+                        st.floats(-300.0, 300.0)).map(lambda e: 10.0 ** e)
+
+
+@pytest.mark.parametrize("name", cat.ENTRY_NAMES)
+def test_density_keeps_its_contract_over_the_whole_range(name):
+    # t, x and y log-uniform over [1e-300, 1e300], linear and log, float and
+    # array: a finite value (>= 0 linear, but for the signed rational_showcase
+    # kernel) or EvalOverflowError / ConvergenceError; CapabilityError only
+    # for the log of a kernel without a log form. No numpy warning either.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(k=st.integers(0, len(WORKLOADS.POOL[name]) - 1), t=_FULL_RANGE, x=_FULL_RANGE,
+           ys=st.lists(_FULL_RANGE, min_size=3, max_size=3))
+    def check(k, t, x, ys):
+        entry = cat.make_entry(name, **WORKLOADS.POOL[name][k])
+        for log in (False, True):
+            for y in ys + [np.array(ys)]:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        val = cat.density(entry, None, t, x, y, log=log)
+                except (EvalOverflowError, ConvergenceError):
+                    continue
+                except CapabilityError:
+                    assert log and entry.kernel.log_continuous is None
+                    continue
+                assert np.isfinite(val).all()
+                if not log and name != "rational_showcase":
+                    assert (np.asarray(val) >= 0.0).all()
+
+    check()
+
+
 def test_tanh_drift_derivative_does_not_overflow():
     # 2 tanh x + 2x sech(x)^2, with sech^2 from e^(-2|x|): 1/cosh(x)^2 warned
     # of overflow from x ~ 355 on

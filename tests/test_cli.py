@@ -242,6 +242,26 @@ def test_state_whose_square_overflows_is_numerical_error():
         assert out == ""
 
 
+def test_density_where_the_bessel_argument_underflows():
+    # a negative-index kernel exited 2 ("I_nu(0) undefined for nu < 0") where
+    # its Bessel argument underflowed; mpmath's log density is -401.99538249160414
+    code, out = run("density", "--entry", "radial_ou", "--a", "0.9", "--b", "-0.5",
+                    "--t", "1e-6", "--x", "1e-200", "--y", "1e-200")
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[-1]) == pytest.approx(-401.99538249160414,
+                                                                      rel=1e-14)
+
+
+@pytest.mark.parametrize("args", [("radial_ou", "--a", "1.5", "--b", "0.6", "--t", "100",
+                                   "--x", "1", "--y", "1e10"),
+                                  ("cir", "--a", "1.1", "--b", "0.8", "--sigma", "0.6",
+                                   "--t", "100", "--x", "1e12", "--y", "1")])
+def test_density_where_the_h_ratio_and_the_core_cancel_is_numerical_error(args):
+    # the first printed a log density of 0.0 (mpmath: -116.47477059351497)
+    code, out = run("density", "--entry", *args)
+    assert (code, out) == (3, "")
+
+
 def test_expect_quadrature_non_finite_is_numerical_error():
     # E_x[exp(X_t/2)] diverges for the squared Bessel process at t = 1
     with warnings.catch_warnings():

@@ -3,7 +3,8 @@ module wraps a callable in numpy's vectorize, the catalog reads Bessel I only
 in scaled or log-scaled form, it takes its transform right-hand sides from
 the symmetry module, its closed-form expectations from the kernels'
 Bessel-core terms and its kernels from the declared Riccati constants
-instead of writing them.
+instead of writing them, and a float in specfun reaches no fallback but
+through the one array implementation of its function.
 
 No linter is part of the toolchain, so this walks the package sources with
 ast. A name counts as used when the module reads it anywhere (including in
@@ -285,3 +286,53 @@ def test_the_check_sees_a_scipy_integrate_import():
                      "from scipy import interpolate\n"
                      "import scipy.integrate as si\n")
     assert sorted(_scipy_integrate_imports(tree)) == [1, 3, 5, 7]
+
+
+_ONE_IMPLEMENTATION = ("bessel_i", "log_bessel_ive", "bessel_k", "tricomi_u", "whittaker_w")
+_FALLBACKS = {"_large_z", "_log_ive_series", "hyperu"}
+
+
+def _fast_path_fallbacks(tree: ast.Module):
+    """(function, name) for each fallback helper, or scipy's hyperu, that the
+    float path of a special function with an array implementation reads: the
+    public function and every module-level function it reaches, except the
+    array implementations (_*_array), which hold each check and fallback once."""
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    todo, seen = list(_ONE_IMPLEMENTATION), set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name.endswith("_array"):
+            continue
+        seen.add(name)
+        read = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
+        read |= {n.attr for n in ast.walk(funcs[name]) if isinstance(n, ast.Attribute)}
+        yield from ((name, bad) for bad in sorted(read & _FALLBACKS))
+        todo.extend(sorted(read & set(funcs)))
+
+
+def test_specfun_float_paths_hand_off_to_the_array_code():
+    path = pathlib.Path(feynkac.__file__).parent / "specfun.py"
+    bad = list(_fast_path_fallbacks(ast.parse(path.read_text(), filename=str(path))))
+    assert not bad, f"specfun.py: a float path reads a fallback: {bad}"
+
+
+def test_the_check_sees_a_fallback_on_a_float_path():
+    tree = ast.parse("def bessel_i(nu, z):\n"
+                     "    return _helper(nu, z) if z > 0 else _bessel_i_array(nu, z)\n"
+                     "def _helper(nu, z):\n"
+                     "    return _large_z(nu, z)\n"
+                     "def _bessel_i_array(nu, z):\n"
+                     "    return _large_z(nu, z) + _log_ive_series(nu, z)\n"
+                     "def log_bessel_ive(nu, z):\n"
+                     "    return sc.hyperu(1.0, 2.0, z)\n"
+                     "def bessel_k(nu, z):\n"
+                     "    return _helper(nu, z)\n"
+                     "def tricomi_u(a, b, z):\n"
+                     "    return _tricomi_u_array(a, b, z)\n"
+                     "def _tricomi_u_array(a, b, z):\n"
+                     "    return sc.hyperu(a, b, z)\n"
+                     "def whittaker_w(k, m, z):\n"
+                     "    return _log_ive_series(k, m, z)\n")
+    assert sorted(_fast_path_fallbacks(tree)) == [("_helper", "_large_z"),
+                                                  ("log_bessel_ive", "hyperu"),
+                                                  ("whittaker_w", "_log_ive_series")]

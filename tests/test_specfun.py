@@ -3,6 +3,7 @@ properties. Every reference value below is computed by a routine that shares
 no code path with the implementation under test."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -271,15 +272,12 @@ def test_whittaker_w_integral_oracle():
 
 
 def test_whittaker_w_and_tricomi_u_take_arrays():
-    # the verify quadrature evaluates them on whole node arrays
-    z = np.geomspace(1e-6, 800.0, 31)
-    for k, m in [(-0.2, 0.9), (0.3, 0.4), (1.3, 0.25)]:
-        for got, fn, args in [(sf.whittaker_w(k, m, z), sf.whittaker_w, (k, m)),
-                              (sf.tricomi_u(m - k + 0.5, 1.0 + 2.0 * m, z), sf.tricomi_u,
-                               (m - k + 0.5, 1.0 + 2.0 * m))]:
-            assert got.shape == z.shape
-            for zi, g in zip(z, got):
-                assert g == pytest.approx(fn(*args, float(zi)), rel=1e-15, abs=1e-300)
+    # the verify quadrature evaluates them on whole node arrays; z = 103 at
+    # (0.9167, 0.4167) takes the Kummer fallback. A float runs the array code
+    z = np.concatenate([np.geomspace(1e-6, 800.0, 31), [103.0]])
+    for k, m in [(-0.2, 0.9), (0.3, 0.4), (1.3, 0.25), (0.9167, 0.4167)]:
+        _same_each(sf.whittaker_w, (k, m), z)
+        _same_each(sf.tricomi_u, (m - k + 0.5, 1.0 + 2.0 * m), z)
     for fn in (sf.whittaker_w, sf.tricomi_u):
         with pytest.raises(DomainError):
             fn(0.5, 1.3, np.array([1.0, 0.0]))
@@ -395,7 +393,8 @@ def test_scalar_entry_points_match_the_ufuncs():
 
 
 # ---------------------------------------------------------------------------
-# float64 arrays: the same branches as floats, element by element
+# float64 arrays: one implementation, which a float runs as a one-element
+# array wherever it leaves its one-call fast path
 # ---------------------------------------------------------------------------
 
 # z on every branch: 0, subnormal (scipy's iv is NaN there), the log-domain
@@ -404,23 +403,89 @@ def test_scalar_entry_points_match_the_ufuncs():
 _BRANCH_Z = np.array([0.0, 1e-318, 1e-240, 1e-5, 0.3, 5.0, 699.0, 701.0, 1e5, 2e9, 1e12])
 
 
+def _same_each(fn, args, z, **kw):
+    """fn(*args, z) on the array z equals fn(*args, float(zi)) element by element."""
+    got = fn(*args, z, **kw)
+    assert got.shape == z.shape
+    for zi, g in zip(z, got):
+        want = fn(*args, float(zi), **kw)
+        assert type(want) is float and g == want, (fn.__name__, args, kw, zi, g, want)
+
+
 @pytest.mark.parametrize("nu", [0.0, 0.5, -0.05, 2.7, 300.0])
 def test_log_bessel_ive_array_matches_floats(nu):
-    z = _BRANCH_Z[1:] if nu < 0 else _BRANCH_Z  # I_nu(0) is undefined for nu < 0
-    got = sf.log_bessel_ive(nu, z)
-    for zi, g in zip(z, got):
-        want = sf.log_bessel_ive(nu, float(zi))
-        assert g == want or abs(g - want) <= 1e-15 * max(1.0, abs(want)), (zi, g, want)
+    _same_each(sf.log_bessel_ive, (nu,), _BRANCH_Z[1:] if nu < 0 else _BRANCH_Z)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, -0.3, 2.7])
-def test_scaled_bessel_arrays_match_floats(nu):
-    # scipy's kve is NaN from about z = 1e9 on, as a float or in an array
-    for fn, z in ((sf.bessel_i, _BRANCH_Z[3:]), (sf.bessel_k, _BRANCH_Z[3:9])):
-        got = fn(nu, z, scaled=True)
-        for zi, g in zip(z, got):
-            want = fn(nu, float(zi), scaled=True)
-            assert abs(g - want) <= 1e-15 * abs(want), (fn.__name__, zi, g, want)
+def test_bessel_arrays_match_floats(nu):
+    # scipy's kve is NaN from about z = 1e9 on, as a float or in an array;
+    # unscaled, I_nu overflows from about z = 713 on
+    _same_each(sf.bessel_i, (nu,), _BRANCH_Z[3:], scaled=True)
+    _same_each(sf.bessel_i, (nu,), _BRANCH_Z[2:7])
+    _same_each(sf.bessel_k, (nu,), _BRANCH_Z[3:9], scaled=True)
+    _same_each(sf.bessel_k, (nu,), _BRANCH_Z[3:8])
+
+
+def test_the_fast_path_is_within_two_ulp_of_the_array():
+    # a float in range makes one scipy scalar call and takes math's exp and
+    # log, which may round one ulp away from numpy's
+    z = np.geomspace(1e-8, 650.0, 400)
+    for nu in (0.0, 0.7, 2.3):
+        for fn, kw in ((sf.bessel_i, {"scaled": True}), (sf.bessel_i, {}),
+                       (sf.bessel_k, {"scaled": True}), (sf.log_bessel_ive, {})):
+            got = fn(nu, z, **kw)
+            want = np.array([fn(nu, float(zi), **kw) for zi in z])
+            scale = np.maximum(np.abs(want), 1.0) if fn is sf.log_bessel_ive else np.abs(want)
+            assert (np.abs(got - want) <= 2.0 * np.spacing(scale)).all(), (fn.__name__, nu, kw)
+
+
+_BAD_ARGS = [(0.5, math.nan), (0.5, math.inf), (0.5, -1.0), (math.nan, 1.0), (math.inf, 1.0),
+             (-math.inf, 1.0)]
+
+
+@pytest.mark.parametrize("nu,z", _BAD_ARGS)
+@pytest.mark.parametrize("fn,kw", [(sf.log_bessel_ive, {}), (sf.bessel_i, {}),
+                                   (sf.bessel_i, {"scaled": True}), (sf.bessel_k, {}),
+                                   (sf.bessel_k, {"scaled": True}),
+                                   (lambda nu, z: sf.tricomi_u(0.3, nu, z), {}),
+                                   (lambda nu, z: sf.tricomi_u(nu, 1.3, z), {}),
+                                   (lambda nu, z: sf.whittaker_w(0.3, nu, z), {}),
+                                   (lambda nu, z: sf.whittaker_w(nu, 0.4, z), {})])
+def test_floats_and_arrays_raise_the_same_errors(fn, kw, nu, z):
+    with pytest.raises(DomainError):
+        fn(nu, z, **kw)
+    with pytest.raises(DomainError):
+        fn(nu, np.array([1.0, z]), **kw)
+
+
+def test_zero_z_gives_the_same_value_or_error_as_a_float_and_in_an_array():
+    # e^-0 I_nu(0) at a pole (nu < 0, not an integer) gave inf, with a numpy
+    # RuntimeWarning from the series, where I_nu(0) itself raises
+    for nu in (0.0, 0.5, -0.5, -0.3, -2.0):
+        for fn, kw in ((sf.log_bessel_ive, {}), (sf.bessel_i, {}), (sf.bessel_k, {}),
+                       (sf.bessel_i, {"scaled": True}), (sf.bessel_k, {"scaled": True})):
+            try:
+                want = fn(nu, 0.0, **kw)
+            except (DomainError, EvalOverflowError) as exc:
+                with pytest.raises(type(exc)):
+                    fn(nu, np.array([1.0, 0.0]), **kw)
+            else:
+                assert fn(nu, np.array([1.0, 0.0]), **kw)[1] == want
+
+
+def test_large_argument_expansion_stays_quiet_up_to_the_largest_double():
+    # 8 j z overflowed in _large_z from z of about 1e306 on, with a numpy
+    # RuntimeWarning, although its term goes to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (1e307, 1.7e308):
+            assert sf.bessel_i(0.5, z, scaled=True) == pytest.approx(
+                1.0 / math.sqrt(2.0 * math.pi * z), rel=1e-15)
+            assert sf.bessel_k(0.5, z, scaled=True) == pytest.approx(
+                math.sqrt(0.5 * math.pi / z), rel=1e-15)
+            assert sf.log_bessel_ive(1.3, np.array([z]))[0] == pytest.approx(
+                -0.5 * (math.log(2.0 * math.pi) + math.log(z)), rel=1e-15)
 
 
 def test_log_bessel_ive_series_at_subnormal_z():
