@@ -42,7 +42,7 @@ derives them from the entry's declared Riccati constants (A, B, C) (Craddock
   linear family:     w = 0,            r = -A,            nu = sqrt(sigma^2 + 2B)/(m sigma)
   quadratic family:  w = m sqrt(A)/2,  r = -B/(2 sigma),  nu = sqrt(sigma^2 + 2C)/(m sigma)
 
-Every kernel but rational_drift's finite-part one (mu_inv) is then
+Every one-branch kernel is then
 
   log p = H(x, y) + log(m y^(m-1)) + r t + log core,
 
@@ -61,18 +61,24 @@ The second branch p- has index -nu: radial_ou takes it where a < 1, and
 besq_cosh_variant is that of besq n = 3. generic_linear weights p+ and p- by
 c_i e^-z I_(+-nu)(z) over their sum at z = sqrt(2Ay)/sigma; generic_quadratic
 is c1 p+ + c2 p-, with p- = p_K at integer nu and p+ + (2/pi) sin(nu pi) p_K
-otherwise (DLMF 10.27.3), p_K the kernel with K_nu in the core.
+otherwise (DLMF 10.27.3), p_K the kernel with K_nu in the core. The same
+reflection gives rational_drift's finite-part kernel (mu_inv), signed and not
+integrable at y = 0: e^H (p+ + (4/pi) sin(nu pi) p_K/(2 + a y^nu)), with
+rational_drift's u(y) = (2 + ay)/sqrt(y).
 
 Transforms and atoms
 --------------------
 A transform identity integrates exp(-lam y^m) u0(y) against the kernel; its
 right-hand side is symmetry.orbit_transform of the entry's u0 and declared
-constants. Linear entries take the laplace_scaling orbit at lam, quadratic
-ones the exp_scaling orbit at eps = sigma lam/(sqrt(A) + sigma lam). That
-orbit at eps = 1 is the tanh_drift atom weight (symmetry.atom_weight), and
-half the rational_drift one, whose u0 is 1/2 at 0+; rational_drift keeps its
-own formula because at mu = 0 its pair is in the linear family, where the
-group has no eps = 1 orbit. cir, radial_ou, generic_quadratic and besq with
+constants. besq (mu = 0), bessel, bessel_drift and sqrt_drift take u0 from
+those constants too, as symmetry.stationary_branch's principal branch; the
+other entries state u0 by its gauge part. Linear entries take the
+laplace_scaling orbit at lam, quadratic ones the exp_scaling orbit at
+eps = sigma lam/(sqrt(A) + sigma lam). That orbit at eps = 1 is the
+tanh_drift atom weight (symmetry.atom_weight), and half the rational_drift
+one, whose u0 is 1/2 at 0+; rational_drift keeps its own formula because at
+mu = 0 its pair is in the linear family, where the group has no eps = 1
+orbit. cir, radial_ou, generic_quadratic and besq with
 mu > 0 have neither u0 nor transform.
 
 Entries
@@ -125,7 +131,7 @@ from .errors import (
 from . import specfun
 from .riccati import _VALIDATION_POINTS, DiffusionSpec, PotentialSpec, RiccatiParams, _on_array
 from .symmetry import (StationarySolution, atom_weight, bessel_core, gauge_solution,
-                       orbit_transform)
+                       orbit_transform, stationary_branch)
 
 __all__ = [
     "AtomSpec",
@@ -198,21 +204,22 @@ _NDARRAY = np.ndarray
 _LOG_2, _LOG_TINY, _LOG_HUGE = math.log(2.0), math.log(1e-300), math.log(1.79e308)
 
 
-def _log_bessel(nu: float, log_z, k_nu: bool):
+def _log_bessel(nu: float, log_z, k_nu: bool, tiny: float):
     """log(e^-z I_nu(z)), or log(e^-z K_nu(z)) where k_nu, at the Bessel
-    argument z = e^log_z of a core: below z = 1e-300 the leading term in log z
-    (DLMF 10.25.2, 10.31.2, 10.30.2; nu > -1 for I_nu), each side by mask in
-    an array. EvalOverflowError where z overflows, as the log kernel does too."""
+    argument z = e^log_z of a core: below log z = tiny the leading term in
+    log z (DLMF 10.25.2, 10.31.2, 10.30.2; nu > -1 for I_nu), each side by
+    mask in an array. EvalOverflowError where z overflows, as the log kernel
+    does too."""
     if type(log_z) is _NDARRAY:
         lo, top = log_z.min(initial=math.inf), log_z.max(initial=-math.inf)
-        if lo < _LOG_TINY <= top:
-            small, out = log_z < _LOG_TINY, np.empty(log_z.shape)
-            out[small] = _log_bessel(nu, log_z[small], k_nu)
-            out[~small] = _log_bessel(nu, log_z[~small], k_nu)
+        if lo < tiny <= top:
+            small, out = log_z < tiny, np.empty(log_z.shape)
+            out[small] = _log_bessel(nu, log_z[small], k_nu, tiny)
+            out[~small] = _log_bessel(nu, log_z[~small], k_nu, tiny)
             return out
-        xp, small = np, lo < _LOG_TINY
+        xp, small = np, lo < tiny
     else:
-        xp, small, top = math, log_z < _LOG_TINY, log_z
+        xp, small, top = math, log_z < tiny, log_z
     if small:
         if not k_nu:
             return nu * (log_z - _LOG_2) - math.lgamma(nu + 1.0)
@@ -234,6 +241,12 @@ def _log_bessel_core(nu: float, c: float, omega: float, k_nu: bool = False) -> C
     limit at omega = 0); k_nu puts K_nu in place of I_nu."""
     cw = c * omega
     log_2cw = math.log(2.0 * cw) if omega else 0.0
+    # the leading term below z = 1e-300, and for K_nu also where it passes
+    # e^700 (e^z K_nu overflows), while z < e^-20 keeps the next term,
+    # (z/2)^2/(nu - 1), below 1e-17
+    tiny = _LOG_TINY
+    if k_nu and nu > 0.0:
+        tiny = max(tiny, min(-20.0, ((nu - 1.0) * _LOG_2 + math.lgamma(nu) - 700.0) / nu))
 
     def log_core(t: float, sx: float, sy, log_sx: float, log_sy):
         if omega == 0.0:
@@ -244,7 +257,7 @@ def _log_bessel_core(nu: float, c: float, omega: float, k_nu: bool = False) -> C
             log_pre = log_2cw - wt - math.log(em)
             a, b = cw * (2.0 - em) / em, 2.0 * cw * math.tanh(0.5 * wt)
         return (log_pre - a * (sx - sy) ** 2 - b * sx * sy
-                + _log_bessel(nu, log_pre + _LOG_2 + log_sx + log_sy, k_nu))
+                + _log_bessel(nu, log_pre + _LOG_2 + log_sx + log_sy, k_nu, tiny))
     return log_core
 
 
@@ -512,10 +525,8 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
     log_p, expect = _core_sum(diff, ric, ((1.0, 0.25 * (n - 2.0), 0.0),))
 
     u0 = rhs = None
-    if mu == 0.0:  # y^d does not solve the stationary ODE with mu*x killing
-        d = 0.25 * (2.0 - n) + 0.5 * bessel_core(diff, ric)[0]
-        u0 = gauge_solution(diff, lambda y: (d + 0.25 * n) * math.log(y),
-                            f"power branch y^{d:.6g}")
+    if mu == 0.0:  # the linear family's power branch; mu*x killing needs a Kummer one
+        u0 = stationary_branch(diff, ric, "principal")
         rhs = orbit_transform(diff, u0, ric)
 
     return CatalogEntry(
@@ -574,10 +585,7 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
 
     # E_x[exp(-lam*X_t^2 - (mu/4) int ds/X_s^2)]
     log_p, expect = _core_sum(diff, ric, ((1.0, 0.5 * (a - 0.5), 0.0),))
-
-    d = 0.5 - a + bessel_core(diff, ric)[0]
-    u0 = gauge_solution(diff, lambda y: (d + a) * math.log(y),
-                        f"power branch y^{d:.6g}")
+    u0 = stationary_branch(diff, ric, "principal")
 
     return CatalogEntry(
         name="bessel", params={"a": a, "mu": mu},
@@ -623,11 +631,8 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
     pot = PotentialSpec(form="power", mu=mu, n=-2.0) if mu \
         else PotentialSpec(form="zero")
     ric = RiccatiParams("linear", A=0.5 * b * b, B=0.5 * (a * a - 0.25) + mu)
-    core = bessel_core(diff, ric)
-    log_p = _log_kernel(core, _gauge_ratio(diff))
-
-    u0 = gauge_solution(diff, lambda y: 0.5 * math.log(y) + log_ive(core[0], b * y) + b * y,
-                        f"Bessel-ratio branch index {core[0]:.6g}/{a:.6g}")
+    log_p = _log_kernel(bessel_core(diff, ric), _gauge_ratio(diff))
+    u0 = stationary_branch(diff, ric, "principal")
 
     return CatalogEntry(
         name="bessel_drift", params={"a": a, "b": b, "mu": mu},
@@ -732,35 +737,35 @@ def _make_rational_drift(a: float, mu: float = 0.0,
 
 def _rational_drift_inverse(a: float, mu_inv: float,
                             diff: DiffusionSpec) -> CatalogEntry:
-    root = math.sqrt(1.0 + 4.0 * mu_inv)
+    """The mu_inv/x killing: with H from u(y) = (2 + ay)/sqrt(y), the kernel
+    is e^H (a y^root p+ + 2 p-)/(2 + a y^root), root = sqrt(1 + 4 mu_inv) the
+    index of the core, and by the reflection I_-root = I_root + (2/pi)
+    sin(root pi) K_root (DLMF 10.27.3) e^H (p+ + k p_K/(2 + a y^root)), k =
+    (4/pi) sin(pi root), p_K the kernel with K_root in the core."""
+    ric = RiccatiParams("linear", A=0.0, B=2.0 * mu_inv)
+    core = bessel_core(diff, ric)
+    root = core[0]
     if abs(root - round(root)) < 1e-12:
         raise CapabilityError(
             "rational_drift: mu_inv with integer sqrt(1+4*mu_inv) needs a "
             "distribution-order inverse transform that is not implemented")
     dp, dm = 0.5 * (1.0 + root), 0.5 * (1.0 - root)
     pot = PotentialSpec(form="power", mu=mu_inv, n=-1.0)
+    k, tiny = 4.0 / math.pi * math.sin(math.pi * root), np.finfo(float).tiny
 
-    def u0_val(y: float) -> float:
-        return y ** dm * (2.0 + a * y ** root) / (2.0 + a * y)
+    def weights(y, xp):
+        # a subnormal weight (y^root overflows: a float raises) would lose p_K,
+        # which carries the sum where the Bessel argument is small
+        w = k / (2.0 + a * y ** root)
+        if np.any(abs(w) < tiny):
+            raise EvalOverflowError("rational_drift: the weight of the K branch underflows")
+        return 1.0, w
 
-    def g_term(rho: float, c: float, y, xp):
-        # (y/c)^{(rho-1)/2} e^-z I_{rho-1}(z), z = 2 sqrt(cy); finite part for rho<0
-        return (y / c) ** (0.5 * (rho - 1.0)) * specfun.bessel_i(
-            rho - 1.0, 2.0 * xp.sqrt(c * y), scaled=True)
-
-    def cont(t: float, x: float, y):
-        xp = np if type(y) is _NDARRAY else math
-        c = x / (t * t)
-        bracket = (a * x ** dp * t ** (-2.0 * dp) * g_term(2.0 * dp, c, y, xp)
-                   + 2.0 * x ** dm * t ** (-2.0 * dm) * g_term(2.0 * dm, c, y, xp))
-        # e^{-(x+y)/t} I(z) = e^{-(sqrt(x)-sqrt(y))^2/t} e^-z I(z)
-        return (xp.exp(-(math.sqrt(x) - xp.sqrt(y)) ** 2 / t) * bracket
-                / ((2.0 + a * x) * u0_val(y)))
-
-    u0 = StationarySolution(eval=u0_val,
+    u0 = StationarySolution(eval=lambda y: y ** dm * (2.0 + a * y ** root) / (2.0 + a * y),
                             description="combined power branch (value 1 at mu_inv=0)",
                             log_gauge=lambda y: math.log(2.0 * y ** dm + a * y ** dp))
-    ric = RiccatiParams("linear", A=0.0, B=2.0 * mu_inv)
+    cont = _branch_kernel(_terms_ratio(((2.0, -0.5, 0.0), (a, 0.5, 0.0)), 1.0),
+                          ((core, False), (core, True)), weights).continuous
 
     return CatalogEntry(
         name="rational_drift", params={"a": a, "mu": 0.0, "mu_inv": mu_inv},
@@ -956,13 +961,7 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
     pot = PotentialSpec(form="tabulated", func=g)
     ric = RiccatiParams("linear", A=0.5 * A, B=B)
     core = bessel_core(diff, ric)
-    w = core[0]
-
-    def log_gauge(y: float) -> float:  # log(sqrt(y) I_w(sqrt(2Ay)))
-        z = math.sqrt(2.0 * A * y)
-        return 0.5 * math.log(y) + specfun.log_bessel_ive(w, z) + z
-
-    u0 = gauge_solution(diff, log_gauge, f"Bessel branch index {w:.6g}")
+    u0 = stationary_branch(diff, ric, "principal")
 
     return CatalogEntry(
         name="sqrt_drift", params={"a": a, "b": b, "A": A, "B": B},

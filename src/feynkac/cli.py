@@ -26,20 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import catalog, verify
-from .errors import (
-    CapabilityError,
-    ConditioningError,
-    ConstructionError,
-    ConvergenceError,
-    DomainError,
-    EvalOverflowError,
-    FeynkacError,
-    InstabilityError,
-    PoleError,
-    SchemeError,
-    SingularDriftError,
-    ValidityError,
-)
+from .errors import CapabilityError, DomainError, EvalOverflowError, FeynkacError, ValidityError
 
 __all__ = ["main", "build_parser"]
 
@@ -48,10 +35,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_USAGE_ERRORS = (ValidityError, DomainError, CapabilityError)
-_NUMERICAL_ERRORS = (ConvergenceError, InstabilityError, SchemeError,
-                     EvalOverflowError, ConditioningError, SingularDriftError,
-                     ConstructionError, PoleError)
+_USAGE_ERRORS = (ValidityError, DomainError, CapabilityError)  # every other FeynkacError is numerical
 
 
 def _fmt(v: Optional[float]) -> str:
@@ -317,9 +301,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return _cmd_verify(args, extra, out)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except _NUMERICAL_ERRORS as exc:
-        print(f"feynkac: numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except _USAGE_ERRORS as exc:
         print(f"feynkac: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -80,7 +80,7 @@ def bessel_i(nu: float, z, *, scaled: bool = False):
         return _bessel_i_array(nu, z, scaled)
     if 0.0 <= z < math.inf and -math.inf < nu < math.inf:
         out = _ive(nu, z) if scaled else cython_special.iv(nu, z)
-        if -math.inf < out < math.inf:
+        if 0.0 < out < math.inf:
             return out
     return float(_bessel_i_array(nu, np.array([z], float), scaled)[0])
 
@@ -89,14 +89,15 @@ def _bessel_i_array(nu: float, z: np.ndarray, scaled: bool) -> np.ndarray:
     """bessel_i of each element of z: every check and fallback."""
     _check_array("bessel_i", nu, z)
     out = _ive_array(nu, z) if scaled else sc.iv(nu, z)
-    if not out.size or -math.inf < out.min() and out.max() < math.inf:  # all finite
+    if not out.size or out.min() > 0.0 and out.max() < math.inf:
         return out
+    # scipy's NaN (at large z, and at subnormal z) and, where I_nu > 0 (nu > -1,
+    # z > 0), its 0 (iv(0.5, z) is 0 up to z = 1e-206, where I_nu is 1e-103)
+    bad = np.isnan(out) | (nu > -1.0) & (out == 0.0) & (z > 0.0)
+    with np.errstate(over="ignore"):
+        out[bad] = np.exp(_log_ive_array(nu, z[bad]) + (0.0 if scaled else z[bad]))
     if np.isinf(out).any():  # unscaled overflow, or the pole at z = 0 of nu < 0
         raise EvalOverflowError(f"bessel_i: I_{nu}(z) overflows (unscaled: use scaled=True)")
-    if not scaled:
-        raise ConvergenceError(f"bessel_i: evaluation failed at nu={nu}")
-    nan = np.isnan(out)
-    out[nan] = np.exp(_log_ive_array(nu, z[nan]))
     return out
 
 
@@ -153,7 +154,7 @@ def _log_ive_series(nu: float, z: np.ndarray) -> np.ndarray:
         total[active] += term[active]
         active &= ~(term <= 1e-17 * total)
         if not active.any():
-            return (nu * np.log(0.5 * z) - float(sc.gammaln(nu + 1.0))
+            return (nu * (np.log(z) - math.log(2.0)) - float(sc.gammaln(nu + 1.0))
                     + shift + np.log(total) - z)
         big = active & (total > 1e300)
         if big.any():

@@ -25,8 +25,11 @@ the laplace_scaling and exp_scaling orbits. Every orbit is
 log_gauge(moved x) - F(x)/(2*sigma) + elementary terms, with
 log_gauge = log u0 + F/(2*sigma), so a special function in F is evaluated once.
 
-bessel_core reads the same constants (A, B, C) as the Bessel index, scale,
-rate and growth of the fundamental solution that the group integrates to.
+stationary_branch builds u0 from the constants (A, B, C) alone, unvalidated,
+so that the catalog can take it for every valid entry; stationary_solution
+adds the fit and the ODE residual check. bessel_core reads the same
+constants as the Bessel index, scale, rate and growth of the fundamental
+solution that the group integrates to.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
     "StationarySolution",
     "SymmetrySolution",
     "stationary_solution",
+    "stationary_branch",
     "laplace_scaling_symmetry",
     "log_scaling_symmetry",
     "exp_scaling_symmetry",
@@ -127,37 +131,32 @@ def _linear_family_solution(diff: DiffusionSpec, params: RiccatiParams,
     stationary ODE into z^2 w'' + p*z*w' - (a*z + b)*w = 0 with
     p = (1-gamma)/(2-gamma), a = A/(sigma*(2-gamma)^2),
     b = B/(2*sigma^2*(2-gamma)^2); solutions are power-times-Bessel, of the
-    index nu = sqrt((1-p)^2 + 4b) of bessel_core.
+    index nu = sqrt((1-p)^2 + 4b) of bessel_core: w = x^(1/2) times
+    I_nu or K_nu at 2 sqrt(a z), or x^((1 +- nu (2-gamma))/2) at a = 0.
     """
     nu, c, _, _, q = bessel_core(diff, params)
-    p, a = (1.0 - diff.gamma) / q, params.A * c
+    a, principal = params.A * c, branch == "principal"
     if a < 0:
         raise CapabilityError("stationary_solution: A < 0 in the linear family")
 
     if a == 0.0:
-        expo = ((1.0 - p) + (nu if branch == "principal" else -nu)) / 2.0
+        expo = 0.5 * (1.0 + (nu if principal else -nu) * q)
 
         def log_w(x: float) -> float:
-            return expo * q * math.log(x)
+            return expo * math.log(x)
 
-        desc = f"power branch x^{{{expo * q:.6g}}} times exp(-F/(2 sigma))"
-    elif branch == "principal":
-        def log_w(x: float) -> float:
-            z = x ** q
-            return (0.5 * (1.0 - p) * math.log(z)
-                    + specfun.log_bessel_i(nu, 2.0 * math.sqrt(a * z)))
+        return log_w, f"power branch x^{{{expo:.6g}}} times exp(-F/(2 sigma))"
 
-        desc = f"growing Bessel branch I_{{{nu:.6g}}}"
-    else:
-        def log_w(x: float) -> float:
-            z = x ** q
-            arg = 2.0 * math.sqrt(a * z)
-            kv = specfun.bessel_k(nu, arg, scaled=True)
-            return 0.5 * (1.0 - p) * math.log(z) + math.log(kv) - arg
+    j = math.floor(0.5 * q)  # 2 sqrt(a z) = 2 sqrt(a x^(q - 2j)) x^j: no x^q to overflow
 
-        desc = f"decaying Bessel branch K_{{{nu:.6g}}}"
+    def log_w(x: float) -> float:
+        arg = 2.0 * math.sqrt(a * x ** (q - 2 * j)) * x ** j
+        if principal:
+            return 0.5 * math.log(x) + specfun.log_bessel_ive(nu, arg) + arg
+        return 0.5 * math.log(x) + math.log(specfun.bessel_k(nu, arg, scaled=True)) - arg
 
-    return log_w, desc
+    kind = "growing Bessel branch I" if principal else "decaying Bessel branch K"
+    return log_w, f"{kind}_{{{nu:.6g}}}"
 
 
 def _quadratic_family_solution(diff: DiffusionSpec, params: RiccatiParams,
@@ -214,31 +213,13 @@ def _gauge(diff: DiffusionSpec, u0: StationarySolution) -> Tuple[Callable, Calla
     return (lambda x: u0.log(x) + F(x) / s2), F
 
 
-def stationary_solution(diff: DiffusionSpec, pot: PotentialSpec,
-                        branch: str = "principal",
-                        params: Optional[RiccatiParams] = None
-                        ) -> StationarySolution:
-    """Construct and verify a stationary solution for a classified pair.
-
-    branch selects between the two independent solutions ('principal' is the
-    branch that tends to the constant 1 as the killing strength vanishes, when
-    that holds; 'secondary' is the other one).
-    """
+def stationary_branch(diff: DiffusionSpec, params: RiccatiParams,
+                      branch: str) -> StationarySolution:
+    """The stationary branch ('principal' or 'secondary') of a pair with
+    constants params in the linear (gamma != 2) or quadratic (gamma = 1, A >
+    0) family, by the family's formula, not validated."""
     if branch not in ("principal", "secondary"):
         raise DomainError(f"stationary_solution: unknown branch {branch!r}")
-    if params is None:
-        params = fit_riccati(diff, pot, np.geomspace(0.2, 20.0, 24))
-        if params is None:
-            raise CapabilityError(
-                "stationary_solution: (drift, potential) not in an implemented family")
-
-    if pot.form == "zero" and params.family == "linear" and params.A == 0 \
-            and params.B == 0 and branch == "principal":
-        sol = StationarySolution(eval=lambda x: 1.0, log_eval=lambda x: 0.0,
-                                 description="constant 1 (zero potential)")
-        sol.validate(diff, pot)
-        return sol
-
     if params.family == "linear":
         if diff.gamma == 2.0:
             raise CapabilityError("stationary_solution: gamma=2 uses the log families")
@@ -251,8 +232,31 @@ def stationary_solution(diff: DiffusionSpec, pot: PotentialSpec,
     else:
         raise CapabilityError(
             f"stationary_solution: no constructor for family {params.family!r}")
+    return gauge_solution(diff, log_w, desc)
 
-    sol = gauge_solution(diff, log_w, desc)
+
+def stationary_solution(diff: DiffusionSpec, pot: PotentialSpec,
+                        branch: str = "principal",
+                        params: Optional[RiccatiParams] = None
+                        ) -> StationarySolution:
+    """Construct and verify a stationary solution for a classified pair.
+
+    branch selects between the two independent solutions ('principal' is the
+    branch that tends to the constant 1 as the killing strength vanishes, when
+    that holds; 'secondary' is the other one).
+    """
+    if params is None:
+        params = fit_riccati(diff, pot, np.geomspace(0.2, 20.0, 24))
+        if params is None:
+            raise CapabilityError(
+                "stationary_solution: (drift, potential) not in an implemented family")
+
+    if pot.form == "zero" and params.family == "linear" and params.A == 0 \
+            and params.B == 0 and branch == "principal":
+        sol = StationarySolution(eval=lambda x: 1.0, log_eval=lambda x: 0.0,
+                                 description="constant 1 (zero potential)")
+    else:
+        sol = stationary_branch(diff, params, branch)
     sol.validate(diff, pot)
     return sol
 
@@ -381,8 +385,7 @@ def exp_kummer_symmetry(diff: DiffusionSpec, params: RiccatiParams) -> SymmetryS
     Its t=0, eps=0 value is the Tricomi stationary branch itself. Used by the
     Whittaker-transform verification.
     """
-    log_w, desc = _quadratic_family_solution(diff, params, "secondary")
-    u0 = gauge_solution(diff, log_w, desc)
+    u0 = stationary_branch(diff, params, "secondary")
     return SymmetrySolution(eval=_exp_orbit(diff, u0, params))
 
 

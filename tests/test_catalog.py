@@ -223,17 +223,24 @@ _FULL_RANGE = st.one_of(st.sampled_from([-300.0, -200.0, -100.0, -6.0, 0.0, 3.0,
                         st.floats(-300.0, 300.0)).map(lambda e: 10.0 ** e)
 
 
+# beside the benchmark's pool: rational_drift's signed finite-part kernels
+_CONTRACT_EXTRA = {"rational_drift": [{"a": 1.0, "mu_inv": 0.6}, {"a": 2.0, "mu_inv": 1.7}]}
+
+
 @pytest.mark.parametrize("name", cat.ENTRY_NAMES)
 def test_density_keeps_its_contract_over_the_whole_range(name):
     # t, x and y log-uniform over [1e-300, 1e300], linear and log, float and
     # array: a finite value (>= 0 linear, but for the signed rational_showcase
-    # kernel) or EvalOverflowError / ConvergenceError; CapabilityError only
-    # for the log of a kernel without a log form. No numpy warning either.
+    # and finite-part kernels) or EvalOverflowError / ConvergenceError;
+    # CapabilityError only for the log of a kernel without a log form. No
+    # numpy warning either.
+    members = WORKLOADS.POOL[name] + _CONTRACT_EXTRA.get(name, [])
+
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(k=st.integers(0, len(WORKLOADS.POOL[name]) - 1), t=_FULL_RANGE, x=_FULL_RANGE,
+    @given(k=st.integers(0, len(members) - 1), t=_FULL_RANGE, x=_FULL_RANGE,
            ys=st.lists(_FULL_RANGE, min_size=3, max_size=3))
     def check(k, t, x, ys):
-        entry = cat.make_entry(name, **WORKLOADS.POOL[name][k])
+        entry = cat.make_entry(name, **members[k])
         for log in (False, True):
             for y in ys + [np.array(ys)]:
                 try:
@@ -246,7 +253,7 @@ def test_density_keeps_its_contract_over_the_whole_range(name):
                     assert log and entry.kernel.log_continuous is None
                     continue
                 assert np.isfinite(val).all()
-                if not log and name != "rational_showcase":
+                if not (log or name == "rational_showcase" or entry.kernel.finite_part):
                     assert (np.asarray(val) >= 0.0).all()
 
     check()
@@ -1176,7 +1183,11 @@ def test_array_kernel_matches_the_scalar_kernel(name, params):
                 got = fn(t, x, ys)
             assert isinstance(got, np.ndarray) and got.shape == ys.shape
             for y, g in zip(ys, got):
-                want = fn(t, x, float(y))
+                try:
+                    want = fn(t, x, float(y))
+                except OverflowError:  # where the array's value overflows to inf
+                    assert np.isinf(g), (t, x, y, g)
+                    continue
                 scale = max(1.0, abs(want)) if fn is k.log_continuous else abs(want)
                 assert g == want or abs(g - want) <= 1e-15 * scale, (t, x, y, g, want)
 
@@ -1320,6 +1331,82 @@ def test_derived_kernel_matches_frozen_oracle(member):
             _assert_same_log(log(fn(t, x, ys)), want, ys)
         for y, w in zip(ys, want):
             _assert_same_log(log(fn(t, x, float(y))), w, y)
+
+
+# rational_drift's finite-part (mu_inv) kernel as the catalog wrote it by
+# hand before it built it from the declared constants, frozen as an oracle:
+# it holds where its Bessel argument and y^sqrt(1 + 4 mu_inv) are finite.
+
+def _frozen_rational_drift_inverse(t, x, y, a, mu_inv):
+    xp = np if isinstance(y, np.ndarray) else math
+    root = math.sqrt(1.0 + 4.0 * mu_inv)
+    dp, dm = 0.5 * (1.0 + root), 0.5 * (1.0 - root)
+    c = x / (t * t)
+
+    def g_term(rho):
+        return (y / c) ** (0.5 * (rho - 1.0)) * sf.bessel_i(
+            rho - 1.0, 2.0 * xp.sqrt(c * y), scaled=True)
+
+    bracket = (a * x ** dp * t ** (-2.0 * dp) * g_term(2.0 * dp)
+               + 2.0 * x ** dm * t ** (-2.0 * dm) * g_term(2.0 * dm))
+    u0 = y ** dm * (2.0 + a * y ** root) / (2.0 + a * y)
+    return xp.exp(-(math.sqrt(x) - xp.sqrt(y)) ** 2 / t) * bracket / ((2.0 + a * x) * u0)
+
+
+def _mp_rational_drift_inverse(a, mu_inv, t, x, y):
+    """sqrt(x/y)/t e^(-(x+y)/t) (2 + ay)(a y^root I_root + 2 I_-root)(z)
+    / ((2 + ax)(2 + a y^root)), z = 2 sqrt(xy)/t."""
+    a, mu_inv, t, x, y = (mpmath.mpf(v) for v in (a, mu_inv, t, x, y))
+    root = mpmath.sqrt(1 + 4 * mu_inv)
+    z = 2 * mpmath.sqrt(x * y) / t
+    return float(mpmath.sqrt(x / y) / t * mpmath.exp(-(x + y) / t) * (2 + a * y)
+                 * (a * y ** root * mpmath.besseli(root, z) + 2 * mpmath.besseli(-root, z))
+                 / ((2 + a * x) * (2 + a * y ** root)))
+
+
+_FINITE_PART = [{"a": 1.0, "mu_inv": 0.6}, {"a": 2.0, "mu_inv": 1.7},
+                {"a": 0.3, "mu_inv": 0.05}, {"a": 5.0, "mu_inv": 4.2}]
+
+
+@pytest.mark.parametrize("params", _FINITE_PART, ids=lambda p: _ids(("", p)))
+def test_finite_part_kernel_matches_frozen_oracle(params):
+    # signed, so compared where |p| > 1e-8 of its largest value at each (t, x)
+    k = cat.make_entry("rational_drift", **params).kernel.continuous
+    ys = np.geomspace(1e-4, 60.0, 73)
+    for t in (0.02, 0.3, 1.0, 4.0):
+        for x in (0.05, 0.8, 3.0, 12.0):
+            want = _frozen_rational_drift_inverse(t, x, ys, **params)
+            keep = np.abs(want) > 1e-8 * np.abs(want).max()
+            np.testing.assert_allclose(k(t, x, ys)[keep], want[keep], rtol=1e-12)
+            for y, w in zip(ys[keep][::9], want[keep][::9]):
+                assert k(t, x, float(y)) == pytest.approx(w, rel=1e-12)
+
+
+@pytest.mark.parametrize("params,t,x,y", [
+    ({"a": 1.0, "mu_inv": 0.6}, 1.0, 1.0, 0.5),
+    ({"a": 1.0, "mu_inv": 0.6}, 0.1, 2.0, 1e-3),
+    ({"a": 2.0, "mu_inv": 1.7}, 3.0, 0.4, 7.0),
+    ({"a": 2.0, "mu_inv": 1.7}, 1e-3, 1.0, 1.02),
+    # the Bessel argument overflowed the hand-written kernel (DomainError)
+    ({"a": 1.0, "mu_inv": 0.6}, 1e-70, 1e128, 1e67),
+    ({"a": 1.0, "mu_inv": 0.6}, 1e-40, 1e-30, 1e-30),
+    # the core's K_root passes e^700 below z = 1e-165
+    ({"a": 1.0, "mu_inv": 0.6}, 1e200, 1e-60, 1e-60),
+])
+def test_finite_part_kernel_against_mpmath(params, t, x, y):
+    with mpmath.workdps(80):
+        ref = _mp_rational_drift_inverse(*params.values(), t, x, y)
+    for ys, pick in ((y, float), (np.array([y, 1.0]), lambda v: float(v[0]))):
+        assert pick(cat.density("rational_drift", params, t, x, ys)) == pytest.approx(
+            ref, rel=1e-12, abs=1e-300)
+
+
+def test_finite_part_kernel_where_the_k_weight_underflows_raises():
+    # the weight 4 sin(pi root)/(pi (2 + a y^root)) of p_K is subnormal: p_K
+    # may carry the value, so the kernel raises where it could not keep it
+    for ys in (1e200, np.array([1.0, 1e200])):
+        with pytest.raises(EvalOverflowError):
+            cat.density("rational_drift", {"a": 1.0, "mu_inv": 0.6}, 1e300, 1e-300, ys)
 
 
 def test_besq_cosh_variant_is_the_second_branch_of_besq_3():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import feynkac
-from feynkac import catalog
+from feynkac import catalog, errors
 from feynkac.cli import main
 
 
@@ -308,6 +308,25 @@ def test_density_grid_is_one_array_call(monkeypatch):
         want = catalog.density(entry, None, 0.7, 1.3, float(y))
         assert float(dens) == pytest.approx(want, rel=1e-14)
         assert float(log_dens) == pytest.approx(math.log(want), rel=1e-14, abs=1e-14)
+
+
+_ERRORS = [c for c in vars(errors).values()
+           if isinstance(c, type) and issubclass(c, errors.FeynkacError)
+           and c is not errors.FeynkacError]
+
+
+@pytest.mark.parametrize("error", _ERRORS, ids=lambda c: c.__name__)
+def test_each_error_class_maps_to_its_exit_code(error, monkeypatch, capsys):
+    # usage and validity errors exit 2, every other FeynkacError exits 3
+    def fail(name, **params):
+        raise error("boom")
+    monkeypatch.setattr(catalog, "make_entry", fail)
+    code, out = run("density", "--entry", "besq", "--n", "3",
+                    "--t", "1", "--x", "1", "--y", "1")
+    usage = error in (errors.ValidityError, errors.DomainError, errors.CapabilityError)
+    assert (code, out) == ((2, "") if usage else (3, ""))
+    assert capsys.readouterr().err == ("feynkac: boom\n" if usage
+                                       else "feynkac: numerical error: boom\n")
 
 
 def test_expect_capability_gap_is_usage_error():

@@ -2,8 +2,8 @@
 module wraps a callable in numpy's vectorize, the catalog reads Bessel I only
 in scaled or log-scaled form, it takes its transform right-hand sides from
 the symmetry module, its closed-form expectations from the kernels'
-Bessel-core terms and its kernels from the declared Riccati constants
-instead of writing them, and a float in specfun reaches no fallback but
+Bessel-core terms and every kernel, rational_drift's finite-part one too,
+from the declared Riccati constants instead of writing them, and a float in specfun reaches no fallback but
 through the one array implementation of its function.
 
 No linter is part of the toolchain, so this walks the package sources with
@@ -188,11 +188,6 @@ def test_the_check_sees_a_hand_written_expectation():
     assert sorted(_local_closures(tree, "expectation_closed")) == [4, 9, 11]
 
 
-# the finite-part kernel of rational_drift's mu_inv/x killing is not a
-# Bessel-core kernel: it has pointwise values only
-_HAND_WRITTEN_KERNELS = {"_rational_drift_inverse"}
-
-
 def _local_kernels(tree: ast.Module):
     """(builder, line) of each builder (a function that makes a CatalogEntry)
     that passes a lambda or a function it defines as its kernel: to
@@ -201,9 +196,9 @@ def _local_kernels(tree: ast.Module):
     kernel from the entry's declared constants (symmetry.bessel_core) and
     h-ratio instead; a builder may still define the weights of its branches."""
     for builder in tree.body:
-        if not isinstance(builder, ast.FunctionDef) or builder.name in _HAND_WRITTEN_KERNELS \
-                or not any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-                           and n.func.id == "CatalogEntry" for n in ast.walk(builder)):
+        if not isinstance(builder, ast.FunctionDef) or not any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "CatalogEntry" for n in ast.walk(builder)):
             continue
         local = {n.name for n in ast.walk(builder)
                  if isinstance(n, ast.FunctionDef) and n is not builder}
@@ -247,11 +242,7 @@ def test_the_check_sees_a_hand_written_kernel():
                      "    return (CatalogEntry(kernel=_kernel(log_p)),\n"
                      "            CatalogEntry(kernel=_branch_kernel(h, b, weights)),\n"
                      "            CatalogEntry(kernel=Kernel(None, lambda t, x, y: 0.0)),\n"
-                     "            CatalogEntry(kernel=lambda t, x, y: 0.0))\n"
-                     "def _rational_drift_inverse():\n"
-                     "    def cont(t, x, y):\n"
-                     "        return 1.0\n"
-                     "    return CatalogEntry(kernel=Kernel(continuous=cont, log_continuous=0))\n")
+                     "            CatalogEntry(kernel=lambda t, x, y: 0.0))\n")
     assert sorted(_local_kernels(tree)) == [("_make_a", 4), ("_make_b", 11),
                                            ("_make_c", 19), ("_make_c", 20)]
 

@@ -279,6 +279,17 @@ def test_diffusion_spec_validates_antiderivative():
         DiffusionSpec(gamma=1.0, sigma=0.0, drift=lambda x: 0.0)
 
 
+def test_antiderivative_without_a_closed_form_is_a_quadrature():
+    # F of the affine drift a - b x, gamma = 1, from quadrature: its
+    # differences are those of a log x - b x, on either side of x = 1
+    a, b = 1.3, 0.7
+    diff = DiffusionSpec(gamma=1.0, sigma=0.5, drift=lambda x: a - b * x)
+    for x1, x2 in [(0.02, 0.6), (0.3, 4.0), (2.0, 30.0)]:
+        want = a * math.log(x2 / x1) - b * (x2 - x1)
+        assert diff.F(x2) - diff.F(x1) == pytest.approx(want, rel=1e-13)
+    assert diff.F(1.0) == 0.0
+
+
 @pytest.mark.parametrize("make", [
     lambda: DiffusionSpec(gamma=0.0, sigma=1.0, drift=math.tanh),
     lambda: DiffusionSpec(gamma=0.0, sigma=1.0, drift=np.tanh,

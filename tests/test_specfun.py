@@ -495,6 +495,23 @@ def test_log_bessel_ive_series_at_subnormal_z():
         float(mpmath.log(mpmath.besseli(-0.05, mpmath.mpf(1e-318)))), rel=1e-14)
 
 
+@pytest.mark.parametrize("z", [1e-318, 5e-324, 1e-250])
+@pytest.mark.parametrize("nu", [0.0, 0.5, -0.5, 2.0])
+def test_bessel_i_at_tiny_z_against_mpmath(nu, z):
+    # scipy's iv is NaN at subnormal z, and its iv and ive give 0 for nu = 0.5
+    # up to z = 1e-206, where I_nu(z) is 1e-103: both take the log-domain
+    # series, which forms log z, not log(z/2) (0 at z = 5e-324). I_2 underflows
+    with mpmath.workdps(40):
+        ref = mpmath.besseli(nu, mpmath.mpf(z))
+        log_ref = float(mpmath.log(ref) - z)
+        ref = float(ref)
+    for scaled in (False, True):
+        got = sf.bessel_i(nu, z, scaled=scaled)
+        assert got == pytest.approx(ref, rel=2e-13, abs=0.0)
+        assert sf.bessel_i(nu, np.array([z, 1.0]), scaled=scaled)[0] == got
+    assert sf.log_bessel_ive(nu, z) == pytest.approx(log_ref, rel=1e-15, abs=1e-15)
+
+
 def test_array_arguments_keep_the_float_errors():
     with pytest.raises(DomainError):
         sf.log_bessel_ive(1.0, np.array([1.0, -1.0]))

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sc
 
 from feynkac import catalog as cat
 from feynkac import symmetry as sym
@@ -59,6 +60,35 @@ def test_stationary_branch_validation():
     diff, pot = _sq_bessel()
     with pytest.raises(DomainError):
         sym.stationary_solution(diff, pot, branch="third")
+
+
+def test_secondary_linear_branch_is_the_k_bessel_solution():
+    # sqrt_drift's pair: u0 = e^(-F/2) sqrt(x) K_w(sqrt(2 A x)), A = 1.2 the
+    # entry's parameter, w = sqrt(1 + 2B)
+    e = cat.make_entry("sqrt_drift", a=1.5, b=0.8, A=1.2, B=0.6)
+    u0 = sym.stationary_solution(e.diffusion, e.potential, branch="secondary",
+                                 params=e.riccati)
+    w = math.sqrt(2.2)
+    for x in (0.3, 1.0, 4.0, 25.0):
+        want = math.exp(-0.5 * e.diffusion.F(x)) * math.sqrt(x) * sc.kv(w, math.sqrt(2.4 * x))
+        assert u0(x) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("besq", {"n": 3.0, "nu": 0.6}), ("bessel", {"a": 1.2, "mu": 0.8}),
+    ("bessel_drift", {"a": 0.5, "b": 1e3}),
+    ("sqrt_drift", {"a": 1.5, "b": 0.8, "A": 1e4, "B": 0.6})])
+def test_catalog_stationary_solutions_are_the_unvalidated_branch(name, params):
+    # the catalog takes u0 from stationary_branch, which does not run the
+    # finite-difference check: at A = 1e4 it fails on a valid entry
+    e = cat.make_entry(name, **params)
+    u0 = sym.stationary_branch(e.diffusion, e.riccati, "principal")
+    assert e.u0.description == u0.description
+    for x in (0.3, 1.0, 2.0):
+        assert e.u0.log(x) == u0.log(x)
+    if name == "sqrt_drift":
+        with pytest.raises(ConstructionError):
+            sym.stationary_solution(e.diffusion, e.potential, params=e.riccati)
 
 
 def test_stationary_rejects_wrong_profile():
