@@ -225,7 +225,8 @@ def _log_bessel(nu: float, log_z, k_nu: bool, tiny: float):
             return nu * (log_z - _LOG_2) - math.lgamma(nu + 1.0)
         if nu == 0.0:
             return xp.log(_LOG_2 - log_z - np.euler_gamma)
-        return (nu - 1.0) * _LOG_2 + math.lgamma(nu) - nu * log_z
+        # times e^-z: the core's cut-off for K_nu reaches z = e^-20
+        return (nu - 1.0) * _LOG_2 + math.lgamma(nu) - nu * log_z - xp.exp(log_z)
     if top > _LOG_HUGE:
         raise EvalOverflowError("kernel: the Bessel argument overflows")
     z = xp.exp(log_z)
@@ -242,8 +243,9 @@ def _log_bessel_core(nu: float, c: float, omega: float, k_nu: bool = False) -> C
     cw = c * omega
     log_2cw = math.log(2.0 * cw) if omega else 0.0
     # the leading term below z = 1e-300, and for K_nu also where it passes
-    # e^700 (e^z K_nu overflows), while z < e^-20 keeps the next term,
-    # (z/2)^2/(nu - 1), below 1e-17
+    # e^700 (e^z K_nu overflows), while z < e^-20: at nu > 1, where the
+    # cut-off passes 1e-300, the next term of e^-z K_nu, (z/2)^2/(nu - 1),
+    # stays below 1e-19 of it
     tiny = _LOG_TINY
     if k_nu and nu > 0.0:
         tiny = max(tiny, min(-20.0, ((nu - 1.0) * _LOG_2 + math.lgamma(nu) - 700.0) / nu))
@@ -409,7 +411,12 @@ def _branch_kernel(ratio, branches, weights) -> Kernel:
         h = ratio(x, y, math.log(x), xp.log(y), xp)
         if xp is np or abs(h) > _H_MAX:
             _check_cancellation(h, h + top)
-        return s * xp.exp(h + top)
+        if xp is np:
+            return s * np.exp(h + top)
+        try:
+            return s * math.exp(h + top)
+        except OverflowError:  # numpy's exp gives inf there
+            return s * math.inf
     return Kernel(continuous=cont, log_continuous=None)
 
 

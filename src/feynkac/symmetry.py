@@ -147,10 +147,12 @@ def _linear_family_solution(diff: DiffusionSpec, params: RiccatiParams,
 
         return log_w, f"power branch x^{{{expo:.6g}}} times exp(-F/(2 sigma))"
 
-    j = math.floor(0.5 * q)  # 2 sqrt(a z) = 2 sqrt(a x^(q - 2j)) x^j: no x^q to overflow
+    two_rt_a = 2.0 * math.sqrt(a)
 
     def log_w(x: float) -> float:
-        arg = 2.0 * math.sqrt(a * x ** (q - 2 * j)) * x ** j
+        # 2 sqrt(a x^q), from q = 2 on as 2 sqrt(a) x^(q/2), where x^q would
+        # overflow first; below q = 2, x^q overflows past x = 1e154 at most
+        arg = 2.0 * math.sqrt(a * x ** q) if q < 2.0 else two_rt_a * x ** (0.5 * q)
         if principal:
             return 0.5 * math.log(x) + specfun.log_bessel_ive(nu, arg) + arg
         return 0.5 * math.log(x) + math.log(specfun.bessel_k(nu, arg, scaled=True)) - arg
