@@ -52,7 +52,10 @@ u(Y)/u(X), and _core_sum builds from that one statement both the log kernel
 and E_x[exp(-lam X_t^m)] = e^(r t) sum_i w_i(X) B_i + atoms, with w_i(X) =
 c_i X^p_i e^(-beta_i X)/u(X) and B_i the Laplace-Bessel moment of term i, one
 log-1F1 (_log_core_moments); sqrt_drift's sums the series of its u(y) =
-y^((a-1)/2) e^(-b sqrt(y)) moment by moment. bessel_drift, sqrt_drift and
+y^((a-1)/2) e^(-b sqrt(y)) moment by moment, in blocks of terms. These two
+are the closed forms; each takes lam as a float or as a float64 array, on one
+code path (numpy where lam is an array, as a kernel picks it by y), so a
+lambda grid is one call. bessel_drift, sqrt_drift and
 generic_linear take H = (F(y) - F(x))/(2 sigma) - log(y/x)/2 from their drift
 antiderivative F. Where coth(wt) rounds to 1, H and -a (sx - sy)^2 cancel: a
 kernel raises EvalOverflowError where that loses 2e-10 of p (_check_cancellation).
@@ -126,6 +129,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     EvalOverflowError,
+    FeynkacError,
     ValidityError,
 )
 from . import specfun
@@ -202,6 +206,7 @@ _NDARRAY = np.ndarray
 
 
 _LOG_2, _LOG_TINY, _LOG_HUGE = math.log(2.0), math.log(1e-300), math.log(1.79e308)
+_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above it
 
 
 def _log_bessel(nu: float, log_z, k_nu: bool, tiny: float):
@@ -223,10 +228,8 @@ def _log_bessel(nu: float, log_z, k_nu: bool, tiny: float):
     if small:
         if not k_nu:
             return nu * (log_z - _LOG_2) - math.lgamma(nu + 1.0)
-        if nu == 0.0:
-            return xp.log(_LOG_2 - log_z - np.euler_gamma)
         # times e^-z: the core's cut-off for K_nu reaches z = e^-20
-        return (nu - 1.0) * _LOG_2 + math.lgamma(nu) - nu * log_z - xp.exp(log_z)
+        return specfun._log_k_small(nu, log_z) - (0.0 if nu == 0.0 else xp.exp(log_z))
     if top > _LOG_HUGE:
         raise EvalOverflowError("kernel: the Bessel argument overflows")
     z = xp.exp(log_z)
@@ -265,17 +268,21 @@ def _log_bessel_core(nu: float, c: float, omega: float, k_nu: bool = False) -> C
 
 def _scaled_sum(c1, l1, c2, l2, xp):
     """(s, m) with c1 e^l1 + c2 e^l2 = s e^m for signed c1, c2, elementwise
-    when xp is numpy. Plain math for floats: scipy.special.logsumexp costs
-    100 us a call, a kernel point 2-5 us."""
+    when xp is numpy; s = 0 where both logs are -inf. Plain math for floats:
+    scipy.special.logsumexp costs 100 us a call, a kernel point 2-5 us."""
     if xp is np:
         m = np.maximum(l1, l2)
+        shift = np.where(m > -math.inf, m, 0.0)  # -inf - -inf is NaN
     else:
         if not c2:
             return c1, l1
         if not c1:
             return c2, l2
         m = max(l1, l2)
-    return c1 * xp.exp(l1 - m) + c2 * xp.exp(l2 - m), m
+        if m == -math.inf:
+            return 0.0, m
+        shift = m
+    return c1 * xp.exp(l1 - shift) + c2 * xp.exp(l2 - shift), m
 
 
 def _log_sum_exp(ls, xp=math):
@@ -284,12 +291,15 @@ def _log_sum_exp(ls, xp=math):
     return top + xp.log(sum([xp.exp(l - top) for l in ls]))
 
 
-def _log_core_moments(nu: float, c: float, omega: float, lam: float, t: float,
+def _log_core_moments(nu: float, c: float, omega: float, lam, t: float,
                       sx: float, terms):
     """Yield, for each (p, beta) of terms, log B = log of e^(beta X) X^-p
     integral_0^inf Y^p e^(-(lam + beta) Y) core(Y) dY, X = sx^2: the moment
     with its e^(c^2/s) and the core's exponent regrouped into -X Q/D, whose
     terms are all nonnegative when c omega >= |beta|, so nothing cancels.
+    lam is a float or a float64 array, p and beta floats or arrays that
+    broadcast against it (a column of p gives one row of moments per p); the
+    math module or numpy is picked by their type, as the kernels pick it.
 
     Where E = e^(-2 omega t) falls below 1e-300 (and em = 1), E is carried as
     its log, and so are s and the Bessel argument, which shrink with it:
@@ -310,38 +320,51 @@ def _log_core_moments(nu: float, c: float, omega: float, lam: float, t: float,
         else:
             log_k = math.log(2.0 * cw) - wt
             l_arg = log_k + math.log(sx)
+    last = None  # s and Q/D depend on beta, not on p: terms of one beta share them
     for p, beta in terms:
-        if omega == 0.0:
-            den = (lam + beta) * t + c
-            s, q_over_d = den / t, (c * lam - beta * (lam + beta) * t) / den
-        elif E > 1e-300:
-            d = (lam + beta + cw) * em + 2.0 * cw * E
-            s = d / em
-            q_over_d = (lam * ((cw - beta) + E * (cw + beta))
-                        + (cw - beta) * (cw + beta) * em) / d
+        if not (type(beta) is float and beta == last):
+            last = beta
+            if omega == 0.0:
+                den = (lam + beta) * t + c
+                s, q_over_d = den / t, (c * lam - beta * (lam + beta) * t) / den
+            elif E > 1e-300:
+                d = (lam + beta + cw) * em + 2.0 * cw * E
+                s = d / em
+                q_over_d = (lam * ((cw - beta) + E * (cw + beta))
+                            + (cw - beta) * (cw + beta) * em) / d
+            else:
+                # d = D + 2 c omega E and Q = (c omega - beta) D + 2 c omega lam E,
+                # D = lam + beta + c omega >= 0; la, lb, ls: logs of D, 2 c omega E, d
+                D = lam + beta + cw
+                if type(D) is _NDARRAY:
+                    xp, top, low = np, np.maximum, np.minimum
+                    with np.errstate(divide="ignore"):
+                        la = np.log(np.where(D > 0, D, 0.0))
+                else:
+                    xp, top, low = math, max, min
+                    la = math.log(D) if D > 0 else -math.inf
+                lb = log_k - wt
+                ls = top(la, lb) + xp.log1p(xp.exp(-abs(la - lb)))
+                q_over_d = (cw - beta) * xp.exp(la - ls) + lam * xp.exp(lb - ls)
+                lc = l_arg - 0.5 * ls
+        if E > 1e-300:
+            yield (specfun.log_laplace_bessel_moment_scaled(p, nu, s, arg)
+                   + log_k - X * q_over_d - p * lX)
         else:
-            # d = D + 2 c omega E and Q = (c omega - beta) D + 2 c omega lam E,
-            # D = lam + beta + c omega >= 0; la, lb, ls: logs of D, 2 c omega E, d
-            D = lam + beta + cw
-            la, lb = (math.log(D) if D > 0 else -math.inf), log_k - wt
-            ls = max(la, lb) + math.log1p(math.exp(-abs(la - lb)))
-            q_over_d = (cw - beta) * math.exp(la - ls) + lam * math.exp(lb - ls)
             # the moment at s = e^ls, rescaled to s = 1 (y -> y/s), which
             # leaves arg^2/s alone; below arg^2/s = e^-600 its 1F1 factor is
             # 1, so that its log is nu log(arg/sqrt(s)) plus a constant
-            lc = l_arg - 0.5 * ls
             yield (specfun.log_laplace_bessel_moment_scaled(
-                       p, nu, 1.0, math.exp(max(lc, -300.0)))
-                   + nu * min(lc + 300.0, 0.0) - (p + 1.0) * ls
+                       p, nu, 1.0, xp.exp(top(lc, -300.0)))
+                   + nu * low(lc + 300.0, 0.0) - (p + 1.0) * ls
                    + log_k - X * q_over_d - p * lX)
-            continue
-        yield (specfun.log_laplace_bessel_moment_scaled(p, nu, s, arg)
-               + log_k - X * q_over_d - p * lX)
 
 
-def _with_atoms(val: float, atoms, lam: float, t: float, x: float, m: float) -> float:
+def _with_atoms(val, atoms, lam, t: float, x: float, m: float):
     """val plus the atoms' part of E_x[exp(-lam X_t^m)]: a Dirac mass adds its
-    weight, a Dirac derivative its weight times -(d/dy) exp(-lam y^m) at 0."""
+    weight, a Dirac derivative its weight times -(d/dy) exp(-lam y^m) at 0.
+    lam and val are floats, or float64 arrays of one shape (val is added to
+    in place); each weight is evaluated once."""
     for atom in atoms:
         w = atom.weight(t, x)
         if atom.order == 0:
@@ -461,24 +484,27 @@ def _core_sum(diff: DiffusionSpec, ric: RiccatiParams, terms, atoms=(),
     """(log kernel for _kernel, closed-form expectation with the atoms) of the
     kernel whose h-function is u(Y) = sum_i c_i Y^p_i e^(-beta_i Y), terms =
     ((c_i, p_i, beta_i), ...) with c_i > 0, and whose Bessel core
-    symmetry.bessel_core reads from the declared constants ric."""
+    symmetry.bessel_core reads from the declared constants ric. The
+    expectation takes lam as a float or a float64 array; the weights w_i(X)
+    and the atoms' weights are formed once per call."""
     core = nu, c, omega, g, m = bessel_core(diff, ric, sign)
     log_p = _log_kernel(core, _terms_ratio(terms, m))
     logc = tuple((math.log(ci), p, beta) for ci, p, beta in terms)
     pb = tuple((p, beta) for _, p, beta in terms)
     single, atoms = len(terms) == 1, tuple(atoms)
 
-    def expect(lam: float, t: float, x: float) -> float:
-        if lam < 0:
+    def expect(lam, t: float, x: float):
+        xp = np if type(lam) is _NDARRAY else math
+        if (lam.min(initial=0.0) if xp is np else lam) < 0:
             raise DomainError("expectation: lam >= 0 required")
         sx = x if m == 2.0 else math.sqrt(x)
         moments = _log_core_moments(nu, c, omega, lam, t, sx, pb)
         if single:
-            val = math.exp(g * t + next(moments))
+            val = xp.exp(g * t + next(moments))
         else:  # log w_i(X), X = x^m
             ls = _log_terms(logc, x ** m, m * math.log(x))
             top = _log_sum_exp(ls)
-            val = sum([math.exp(l - top + g * t + lb) for l, lb in zip(ls, moments)])
+            val = sum([xp.exp(l - top + g * t + lb) for l, lb in zip(ls, moments)])
         return _with_atoms(val, atoms, lam, t, x, m)
 
     return log_p, expect
@@ -879,20 +905,20 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
                      b * (x + t) * math.exp(-x / t) / (t * (b + a * x * x)))
     atom1 = AtomSpec(order=1, weight=lambda t, x:
                      b * t * math.exp(-x / t) / (b + a * x * x))
-    # u(y) = (b + a y^2)/y; the closed expectation is the transform (u0 = 1)
-    log_p, _ = _core_sum(diff, ric, ((b, -1.0, 0.0), (a, 1.0, 0.0)))
+    # u(y) = (b + a y^2)/y; E_x[exp(-lam*X_t)] with both atoms
+    log_p, expect = _core_sum(diff, ric, ((b, -1.0, 0.0), (a, 1.0, 0.0)),
+                              atoms=(atom0, atom1))
 
     u0 = StationarySolution(eval=lambda y: 1.0, log_eval=lambda y: 0.0,
                             description="constant 1",
                             log_gauge=lambda y: (math.log(b + a * y * y)
                                                  - 0.5 * math.log(y)))
-    rhs = orbit_transform(diff, u0, ric)
 
     return CatalogEntry(
         name="rational_showcase", params={"a": a, "b": b},
         diffusion=diff, potential=pot, kernel=_kernel(log_p, (atom0, atom1)),
-        u0=u0, riccati=ric, transform_rhs=rhs,
-        expectation_closed=rhs, functional_param="")
+        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        expectation_closed=expect, functional_param="")
 
 
 def rational_showcase_continuous_mass(a: float, b: float, t: float, x: float) -> float:
@@ -907,39 +933,85 @@ def rational_showcase_continuous_mass(a: float, b: float, t: float, x: float) ->
 # sqrt_drift series: it stops at a term below _SERIES_REL_TOL of the sum and raises
 # where sum |term| > _SERIES_MAX_CANCELLATION |sum| (fewer than ~10 digits left)
 _SERIES_REL_TOL, _SERIES_MAX_TERMS, _SERIES_MAX_CANCELLATION = 1e-13, 500, 1e5
+# terms per block: over the perfbench pool ranges the series stops after 12
+# to 26 terms, so that one block is mostly all
+_SERIES_BLOCK = 24
+_SERIES_J = np.arange(float(_SERIES_MAX_TERMS))[:, None]
+_SERIES_SIGN = np.where(_SERIES_J % 2, -1.0, 1.0)  # (-1)^j
+_SERIES_LGAMMA = np.array([math.lgamma(j + 1.0) for j in range(_SERIES_MAX_TERMS)])[:, None]
+_SERIES_LOG_0J = np.where(_SERIES_J > 0, -math.inf, 0.0)  # log 0^j
 
 
-def _sqrt_drift_expectation(a: float, b: float, core, lam: float, t: float,
-                            x: float) -> float:
+def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
     """E_x[exp(-lam*X_t - int g ds)] of sqrt_drift, whose u(y) = y^((a-1)/2)
     e^(-b sqrt(y)) is the series sum_j (-b)^j/j! y^((a-1+j)/2): each series
     term is one moment of _log_core_moments, weighted by (-b sqrt(x))^j/j!;
-    core = (nu, c, omega, r, m) of symmetry.bessel_core."""
-    if lam < 0:
+    core = (nu, c, omega, r, m) of symmetry.bessel_core.
+
+    lam is a float or a float64 array. The terms come in blocks of
+    _SERIES_BLOCK, one array of moments (terms x lam) for every lam still
+    summing. Each lam's column stops at its own first negligible term, and
+    its sum is added up in the order of a term-by-term loop."""
+    grid = type(lam) is _NDARRAY
+    if (lam.min(initial=0.0) if grid else lam) < 0:
         raise DomainError("expectation: lam >= 0 required")
     nu, c, omega, r, _ = core
     sx = math.sqrt(x)
-    log_bx = math.log(abs(b) * sx) if b else -math.inf
-    total = size = log_coef = 0.0
-    sign = 1.0
-    moments = _log_core_moments(nu, c, omega, lam, t, sx, (
-        (0.5 * (a - 1.0 + j), 0.0) for j in range(_SERIES_MAX_TERMS)))
-    for j, log_moment in enumerate(moments):
-        term = sign * math.exp(log_coef + log_moment)
-        total += term
-        size += abs(term)
-        if j > 3 and abs(term) < _SERIES_REL_TOL * max(abs(total), 1e-300):
-            if size > _SERIES_MAX_CANCELLATION * max(abs(total), 1e-300):
-                raise ConvergenceError(
-                    "sqrt_drift expectation: alternating series loses "
-                    f"precision (sum of |terms| {size:.3e} vs sum {total:.3e}); "
-                    "b*sqrt(x_typ) is too large for double precision")
-            return math.exp(b * sx + r * t) * total
-        log_coef += log_bx - math.log(j + 1.0)
-        sign = -sign if b > 0 else sign
-    raise ConvergenceError(
-        "sqrt_drift expectation: series did not converge "
-        f"in {_SERIES_MAX_TERMS} terms")
+    bx = abs(b) * sx
+    out = np.empty(len(lam) if grid else 1)
+    active = np.arange(len(out))
+    total = size = 0.0
+    j0, step = 0, _SERIES_BLOCK
+    while active.size:
+        if j0 >= _SERIES_MAX_TERMS:
+            raise ConvergenceError("sqrt_drift expectation: series did not converge "
+                                   f"in {_SERIES_MAX_TERMS} terms")
+        j = slice(j0, j0 + step)
+        try:  # log of (|b| sqrt(x))^j/j! times the moment
+            log_bx_j = math.log(bx) * _SERIES_J[j] if bx else _SERIES_LOG_0J[j]
+            log_term = (log_bx_j - _SERIES_LGAMMA[j]) + next(_log_core_moments(
+                nu, c, omega, lam[active] if grid else lam, t, sx,
+                ((0.5 * (a - 1.0 + _SERIES_J[j]), 0.0),)))
+            if log_term.max() > _LOG_MAX:
+                raise EvalOverflowError("sqrt_drift expectation: a series term overflows")
+        except FeynkacError:
+            # a block reaches past the terms a loop would evaluate: from here
+            # on, term by term, so that only a term the loop reaches can raise
+            if step == 1:
+                raise
+            step = 1
+            continue
+        term = np.exp(log_term)
+        if b > 0:
+            term *= _SERIES_SIGN[j]
+        mag = np.abs(term)
+        sizes = mag.cumsum(axis=0)
+        if j0:
+            term[0] += total  # so that the running sums add up as in a loop
+            sizes += size
+        sums = term.cumsum(axis=0)
+        floor = np.maximum(np.abs(sums), 1e-300)
+        stop = mag < _SERIES_REL_TOL * floor
+        if j0 < 4:
+            stop[:4 - j0] = False  # terms 0 to 3 never stop the series
+        # each column's first stopping term (row 0 where it has none yet)
+        at = stop.argmax(axis=0), np.arange(len(active))
+        done = stop[at]
+        lost = done & (sizes[at] > _SERIES_MAX_CANCELLATION * floor[at])
+        if lost.any():
+            raise ConvergenceError(
+                "sqrt_drift expectation: alternating series loses precision "
+                f"(sum of |terms| {sizes[at][lost][0]:.3e} vs sum "
+                f"{sums[at][lost][0]:.3e}); "
+                "b*sqrt(x_typ) is too large for double precision")
+        out[active] = sums[at]  # columns not done yet are written again later
+        if done.all():
+            break
+        keep = ~done
+        active, total, size = active[keep], sums[-1, keep], sizes[-1, keep]
+        j0 += step
+    val = math.exp(b * sx + r * t) * out
+    return val if grid else float(val[0])
 
 
 def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
@@ -1176,9 +1248,9 @@ def _resolve(entry, params: Optional[Dict[str, float]]) -> CatalogEntry:
 
 
 def _evaluate(route: str, e: CatalogEntry, fn: Callable[..., float], *args):
-    """fn(*args) as a finite number, or as an array of them where the last
-    argument is a y-grid: an arithmetic failure or a non-finite result raises
-    EvalOverflowError."""
+    """fn(*args) as a finite number, or as an array of them where an argument
+    is a grid (lam, the first, for expectations; y, the last, for densities):
+    an arithmetic failure or a non-finite result raises EvalOverflowError."""
     try:
         val = fn(*args)
     except (OverflowError, ZeroDivisionError) as exc:
@@ -1187,8 +1259,9 @@ def _evaluate(route: str, e: CatalogEntry, fn: Callable[..., float], *args):
     if type(val) is _NDARRAY:
         bad = ~np.isfinite(val)
         if bad.any():
+            at, grid = ("lam", args[0]) if route == "expectation" else ("y", args[-1])
             raise EvalOverflowError(f"{route}: entry {e.name} gave {float(val[bad][0])!r} "
-                                    f"at y={float(args[-1][bad][0])!r}")
+                                    f"at {at}={float(grid[bad][0])!r}")
     elif not math.isfinite(val):
         raise EvalOverflowError(f"{route}: entry {e.name} gave {val!r} at {args!r}")
     return val
@@ -1453,24 +1526,34 @@ def _quadrature_expectation(e: CatalogEntry, lam: float, t: float,
     return _with_atoms(val, e.kernel.atoms, lam, t, x, m)
 
 
-def expectation(entry, params: Optional[Dict[str, float]], lam: float,
-                t: float, x: float, method: str = "auto") -> float:
+def expectation(entry, params: Optional[Dict[str, float]], lam, t: float, x: float,
+                method: str = "auto"):
     """E_x[exp(-lam*X_t^m - killing functionals)], m = entry.state_power.
-    method: 'auto' (closed form if available), 'closed', 'quadrature'."""
+    method: 'auto' (closed form if available), 'closed', 'quadrature'.
+    lam may be a 1-D array, on every route: a closed form then evaluates all
+    of it in one call, quadrature one integral per element (the kernel
+    values at the nodes are shared), and the result is an array."""
     e = _resolve(entry, params)
-    lam, t, x = float(lam), float(t), float(x)
+    t, x, grid = float(t), float(x), type(lam) is _NDARRAY and lam.ndim
+    lam = lam.astype(float) if grid else float(lam)
     if not (t > 0 and x > 0):
         raise DomainError("expectation: requires t > 0, x > 0")
-    if not math.isfinite(lam):
-        raise DomainError(f"expectation: lam must be finite (got {lam})")
+    if not (np.isfinite(lam).all() if grid else math.isfinite(lam)):
+        bad = float(lam[~np.isfinite(lam)][0]) if grid else lam
+        raise DomainError(f"expectation: lam must be finite (got {bad})")
     if method not in ("auto", "closed", "quadrature"):
         raise DomainError(f"expectation: unknown method {method!r}")
-    if method == "quadrature" or e.expectation_closed is None:
+    fn = e.expectation_closed
+    if method == "quadrature" or fn is None:
         if method == "closed":
             raise CapabilityError(f"expectation: entry {e.name} has no closed form")
-        return _evaluate("expectation", e,
-                         functools.partial(_quadrature_expectation, e), lam, t, x)
-    return _evaluate("expectation", e, e.expectation_closed, lam, t, x)
+        quad = functools.partial(_quadrature_expectation, e)
+        fn = (lambda lam, t, x: np.array([quad(v, t, x) for v in lam.tolist()])) \
+            if grid else quad
+    if not grid:
+        return _evaluate("expectation", e, fn, lam, t, x)
+    with np.errstate(all="ignore"):
+        return _evaluate("expectation", e, fn, lam, t, x)
 
 
 def joint_laplace_in_mu(entry, params: Optional[Dict[str, float]], lam: float,

@@ -5,6 +5,7 @@ Subcommands:
   density   evaluate a catalog kernel on a point or y-grid, with the boundary
             atoms reported in a trailer block and an optional mass check
   expect    evaluate expectations over lambda- or functional-strength grids
+            (a lambda grid, or one --lambda, is one library call)
   verify    run named verification suites and stream the report
 
 Grids use start:stop:step syntax. Output is CSV (15 significant digits) or
@@ -235,9 +236,9 @@ def _cmd_expect(args, extra: Sequence[str], out) -> int:
         lams = [args.lam] if args.lam is not None else _parse_grid(args.lam_grid)
         entry = catalog.make_entry(args.entry, **params)
         header = ("lambda", "t", "x", "expectation")
-        table = [(lam, t, x,
-                  catalog.expectation(entry, None, lam, t, x, method=args.method))
-                 for lam in lams]
+        values = catalog.expectation(entry, None, np.array(lams), t, x,
+                                     method=args.method).tolist()
+        table = [(lam, t, x, v) for lam, v in zip(lams, values)]
 
     if args.format == "csv":
         _emit_csv(out, header, [tuple(_fmt(v) for v in r) for r in table])

@@ -7,11 +7,16 @@ the Whittaker pair assembled from the Kummer functions.
 
 bessel_i, log_bessel_ive, bessel_k, tricomi_u and whittaker_w also take z as
 a float64 array (the kernels and the verify quadrature evaluate whole y-grids
-in one call). Each has one implementation, on arrays (_*_array), which holds
-all its checks and fallbacks. A float takes one scipy scalar call where input
-and result are in range (the Bessel functions only) and otherwise runs the
-array implementation as a one-element array, so the two agree exactly there;
-on that fast path numpy's exp and log may round one ulp away from math's.
+in one call); log_hypergeom_1f1 takes arrays a and z, and
+log_laplace_bessel_moment_scaled arrays p, s and c, which broadcast (the
+closed-form expectations evaluate a lambda grid, and sqrt_drift a block of
+its series terms, in one call). Each has one implementation, on arrays
+(_*_array), which holds all its checks and fallbacks, each check once per
+array by its smallest and largest element. A float takes a fast path where
+input and result are in range (one scipy scalar call for the Bessel
+functions) and otherwise runs the array implementation as a one-element
+array, so the two agree exactly there; on that fast path numpy's exp and log
+may round one ulp away from math's.
 
 All functions are pure.
 """
@@ -46,6 +51,7 @@ __all__ = [
 # arrays take their own path, chosen by `type(z) is _NDARRAY`: on the float
 # path it costs about a fifth of isinstance(z, np.ndarray)
 _NDARRAY = np.ndarray
+_LOG_2 = math.log(2.0)
 
 
 def _check_finite(name: str, *vals: float) -> None:
@@ -243,8 +249,32 @@ def _bessel_k_array(nu: float, z: np.ndarray, scaled: bool) -> np.ndarray:
     if nan.any() and not (scaled and z[nan].min() > 1.0):
         raise ConvergenceError(f"bessel_k: evaluation failed at nu={nu}")
     out[nan] = _large_z(nu, z[nan], k=True)
+    # scipy's inf at subnormal z (K_0(1e-318) = 732.3), and where K_nu nears
+    # the overflow threshold: the leading term, where its next term, (z/2)^2
+    # relative to it over |nu - 1|, is below 1e-17 (and below z = 1e-300)
+    small = np.isinf(out) & (z < max(1e-300, 2.0 * math.sqrt(1e-17 * abs(nu - 1.0))))
+    if small.any():
+        zs = z[small]
+        with np.errstate(over="ignore"):
+            out[small] = np.exp(_log_k_small(nu, np.log(zs)) + (zs if scaled else 0.0))
     if np.isinf(out).any():
         raise EvalOverflowError(f"bessel_k: K_{nu}(z) overflows; use scaled=True")
+    return out
+
+
+def _log_k_small(nu: float, log_z):
+    """log K_nu(z) at small z = e^log_z (a float or a float64 array) from
+    its leading terms (DLMF 10.31.2, 10.27.4, 10.30.2): -log(z/2) - gamma at
+    nu = 0, else Gamma(nu)/2 (z/2)^-nu plus, for 0 < nu < 1, where it is not
+    negligible, Gamma(-nu)/2 (z/2)^nu, which is (z/2)^(2 nu) of the first."""
+    xp = np if type(log_z) is _NDARRAY else math
+    nu = abs(nu)
+    if nu == 0.0:
+        return xp.log(_LOG_2 - log_z - np.euler_gamma)
+    out = (nu - 1.0) * _LOG_2 + math.lgamma(nu) - nu * log_z
+    if nu < 1.0:  # Gamma(-nu)/Gamma(nu) = -Gamma(1 - nu)/Gamma(1 + nu)
+        out = out + xp.log1p(-xp.exp(math.lgamma(1.0 - nu) - math.lgamma(1.0 + nu)
+                                     + 2.0 * nu * (log_z - _LOG_2)))
     return out
 
 
@@ -349,9 +379,12 @@ def erf(x: float) -> float:
     return float(sc.erf(x))
 
 
-def log_hypergeom_1f1(a: float, b: float, z: float) -> float:
+def log_hypergeom_1f1(a, b: float, z):
     """log 1F1(a, b, z) where 1F1(a, b, z) > 0; where the direct value
-    overflows or fails, by Kummer's transform 1F1(a, b, z) = e^z 1F1(b-a, b, -z)."""
+    overflows or fails, by Kummer's transform 1F1(a, b, z) = e^z 1F1(b-a, b, -z).
+    a and z may be float64 arrays, which broadcast against each other."""
+    if type(a) is _NDARRAY or type(z) is _NDARRAY:
+        return _log_hypergeom_1f1_array(a, b, z)
     _check_finite("log_hypergeom_1f1", a, b, z)
     if a == 0.0:  # 1F1(0, b, z) = 1: the moments of most catalog kernels
         return 0.0
@@ -361,33 +394,126 @@ def log_hypergeom_1f1(a: float, b: float, z: float) -> float:
             return math.log(f)
     except (EvalOverflowError, ConvergenceError):
         pass
-    f = hypergeom_1f1(b - a, b, -z)
-    if not f > 0.0:
-        raise DomainError(f"log_hypergeom_1f1: 1F1({a}, {b}, {z}) <= 0, log undefined")
-    return z + math.log(f)
+    return float(_log_hypergeom_1f1_array(a, b, np.array([z], float))[0])
 
 
-def log_laplace_bessel_moment_scaled(p: float, nu: float, s: float, c: float) -> float:
+def _bounds(name: str, *vals):
+    """(smallest, largest) of each value, a float or a float64 array, or
+    None where an array is empty; DomainError where an element is not finite."""
+    out = []
+    for v in vals:
+        if type(v) is _NDARRAY:
+            if not v.size:
+                return None
+            lo, hi = v.min(), v.max()
+        else:
+            lo = hi = v
+        if not (-math.inf < lo and hi < math.inf):  # a NaN makes both NaN
+            raise DomainError(f"{name}: non-finite argument "
+                              f"{float(hi if math.isfinite(lo) else lo)!r}")
+        out.append((lo, hi))
+    return out
+
+
+def _log(v):
+    return np.log(v) if type(v) is _NDARRAY else math.log(v)
+
+
+def _hyp1f1(a, b: float, z, tiny: bool) -> np.ndarray:
+    """scipy's 1F1 of arrays, and hypergeom_1f1's truncated series at |z| <
+    1e-16 where tiny (some z may lie there)."""
+    out = sc.hyp1f1(a, b, z)
+    if tiny:
+        out = np.where(np.abs(z) < 1e-16, 1.0 + a / b * z, out)
+    return out
+
+
+def _log_hypergeom_1f1_array(a, b: float, z) -> np.ndarray:
+    """log_hypergeom_1f1 of each element of the broadcast a and z: every
+    check."""
+    _check_finite("log_hypergeom_1f1", b)
+    bounds = _bounds("log_hypergeom_1f1", a, z)
+    if bounds is None:
+        return np.empty(np.broadcast(a, z).shape)
+    z_lo, z_hi = bounds[1]
+    if _is_nonpositive_integer(b):
+        raise PoleError(f"hypergeom_1f1: b={b} is a non-positive integer (parameter pole)")
+    return _log_1f1(a, b, z, z_lo < 1e-16 and z_hi > -1e-16)
+
+
+def _log_1f1(a, b: float, z, tiny: bool) -> np.ndarray:
+    """log 1F1 of checked arguments (tiny as for _hyp1f1), with Kummer's
+    transform by mask where the direct value is not finite and positive."""
+    if type(a) is not _NDARRAY and a == 0.0:
+        return np.zeros(np.shape(z))
+    f = _hyp1f1(a, b, z, tiny)
+    if f.min() > 0.0 and f.max() < math.inf:  # no NaN, no inf, no f <= 0
+        return np.log(f)
+    a, z = np.broadcast_arrays(a, z)
+    bad = ~((f > 0.0) & (f < math.inf))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(f)
+    ab, zb = a[bad], z[bad]
+    g = _hyp1f1(b - ab, b, -zb, tiny)
+    for fail, error, what in ((np.isnan(g), ConvergenceError, "evaluation failed"),
+                              (np.isinf(g), EvalOverflowError, "overflow"),
+                              (~(g > 0.0), DomainError, "1F1 <= 0, log undefined")):
+        if fail.any():
+            raise error(f"log_hypergeom_1f1: {what} at ({float(ab[fail][0])}, {b}, "
+                        f"{float(zb[fail][0])})")
+    out[bad] = zb + np.log(g)
+    return out
+
+
+def log_laplace_bessel_moment_scaled(p, nu: float, s, c):
     """log of e^{-c^2/s} times the moment integral behind every Bessel-kernel
     expectation, integral_0^inf y^p e^{-s y} I_nu(2 c sqrt(y)) dy =
     c^nu Gamma(q) / (Gamma(nu+1) s^q) 1F1(q, nu + 1, c^2 / s), q = p + nu/2 + 1.
     As log_bessel_ive leaves out e^z, this leaves out the e^{c^2/s} that 1F1
     grows by (Kummer's transform leaves 1F1(nu + 1 - q, nu + 1, -c^2/s)), for
-    callers to cancel against their own exponent."""
-    _check_finite("laplace_bessel_moment", p, nu, s, c)
+    callers to cancel against their own exponent.
+
+    p, s and c may be float64 arrays, which broadcast: a column of p against
+    a row of s and c gives one moment per (p, s) pair."""
+    if type(p) is _NDARRAY or type(s) is _NDARRAY or type(c) is _NDARRAY:
+        return _log_moment_array(p, nu, s, c)
     q = p + 0.5 * nu + 1.0
-    if not (s > 0 and c >= 0 and q > 0):  # q <= 0: the integral diverges
-        raise DomainError("laplace_bessel_moment: requires s > 0, c >= 0 and "
-                          f"p + nu/2 + 1 > 0 (got p={p}, nu={nu}, s={s}, c={c})")
+    if (0.0 < s < math.inf and 0.0 < c < math.inf and 0.0 < q < math.inf
+            and (nu > -1.0 or not _is_nonpositive_integer(nu + 1.0))):
+        w = c * c / s
+        return (nu * math.log(c) + math.lgamma(q) - math.lgamma(nu + 1.0) - q * math.log(s)
+                + log_hypergeom_1f1(nu + 1.0 - q, nu + 1.0, -w))
+    return float(_log_moment_array(np.array([p], float), nu, np.array([s], float),
+                                   np.array([c], float))[0])
+
+
+def _log_moment_array(p, nu: float, s, c) -> np.ndarray:
+    """log_laplace_bessel_moment_scaled of the broadcast p, s and c: every
+    check, once per array by its smallest and largest element, and c = 0 by
+    mask. q and its log-Gamma are formed once per p."""
+    name = "laplace_bessel_moment"
+    _check_finite(name, nu)
+    bounds = _bounds(name, p, s, c)
+    if bounds is None:
+        return np.empty(np.broadcast(p, s, c).shape)
+    (p_lo, _), (s_lo, s_hi), (c_lo, c_hi) = bounds
+    if not (s_lo > 0 and c_lo >= 0 and p_lo + 0.5 * nu + 1.0 > 0):  # q <= 0: diverges
+        raise DomainError(f"{name}: requires s > 0, c >= 0 and p + nu/2 + 1 > 0 "
+                          f"(got p={float(p_lo)}, nu={nu}, s={float(s_lo)}, c={float(c_lo)})")
     if nu <= -1.0 and _is_nonpositive_integer(nu + 1.0):
-        raise PoleError(f"laplace_bessel_moment: nu+1={nu+1} non-positive integer")
-    if c == 0.0:
-        if nu != 0.0:
-            return -math.inf if nu > 0 else math.inf
-        return math.lgamma(q) - q * math.log(s)
-    w = c * c / s
-    return (nu * math.log(c) + math.lgamma(q) - math.lgamma(nu + 1.0) - q * math.log(s)
-            + log_hypergeom_1f1(nu + 1.0 - q, nu + 1.0, -w))
+        raise PoleError(f"{name}: nu+1={nu+1} non-positive integer")
+    q = p + 0.5 * nu + 1.0
+    lg_q = sc.gammaln(q) if type(q) is _NDARRAY else math.lgamma(q)
+    if c_lo == 0.0:  # the moment at c = 0: 0 or inf relative to e^0
+        zero = c == 0.0
+        out = _log_moment_array(p, nu, s, np.where(zero, 1.0, c))
+        if nu == 0.0:
+            return np.where(zero, lg_q - q * _log(s), out)
+        return np.where(zero, -math.inf if nu > 0 else math.inf, out)
+    if c_hi * c_hi / s_lo == math.inf:  # c^2/s overflows
+        raise DomainError("log_hypergeom_1f1: non-finite argument -inf")
+    return (nu * _log(c) + lg_q - math.lgamma(nu + 1.0) - q * _log(s)
+            + _log_1f1(nu + 1.0 - q, nu + 1.0, -(c * c / s), c_lo * c_lo / s_hi < 2e-16))
 
 
 def laplace_bessel_moment(p: float, nu: float, s: float, c: float) -> float:

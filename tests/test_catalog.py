@@ -110,9 +110,9 @@ def test_entry_params_are_read_only():
 
 
 def test_closed_form_arithmetic_error_is_feynkac_error():
-    # lambda^2 overflows in the rational_showcase closed form at lambda = 1e200
+    # x^2 overflows in the radial_ou closed form (state power 2) at x = 1e160
     with pytest.raises(EvalOverflowError):
-        cat.expectation("rational_showcase", {"a": 1.0, "b": 1.0}, 1e200, 1.0, 1.0)
+        cat.expectation("radial_ou", {"a": 1.5, "b": 0.6}, 0.5, 1.0, 1e160)
 
 
 @pytest.mark.parametrize("name,params,t", [("tanh_drift", {}, 400.0),
@@ -643,13 +643,13 @@ def test_generic_kernels_finite_where_linear_domain_overflowed():
 
 def test_numpy_scalar_overflow_raises_like_python_floats():
     # with np.float64 arguments a division by zero used to give inf or NaN
-    # (with a RuntimeWarning) or a raw ValueError; lambda^2 overflows in the
-    # rational_showcase closed form at lambda = 1e200
+    # (with a RuntimeWarning) or a raw ValueError; x^2 overflows in the
+    # radial_ou closed form (state power 2) at x = 1e160
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for args in [(1e200, 1.0, 1.0), tuple(map(np.float64, (1e200, 1.0, 1.0)))]:
+        for args in [(0.5, 1.0, 1e160), tuple(map(np.float64, (0.5, 1.0, 1e160)))]:
             with pytest.raises(EvalOverflowError):
-                cat.expectation("rational_showcase", {"a": 1.0, "b": 1.0}, *args)
+                cat.expectation("radial_ou", {"a": 1.5, "b": 0.6}, *args)
 
 
 @pytest.mark.parametrize("call", [
@@ -1400,6 +1400,27 @@ def test_finite_part_kernel_against_mpmath(params, t, x, y):
             ref, rel=1e-12, abs=1e-300)
 
 
+def test_two_branch_kernel_where_both_branches_underflow_is_zero():
+    # both branch logs are -inf: the sum is 0, as a one-branch kernel's is
+    # (their max was subtracted from each, -inf - -inf, which is NaN)
+    args = ("rational_drift", {"a": 1, "mu_inv": 0.6}, 4.65e-73, 1.77e287)
+    assert cat.density(*args, 9.89e53) == 0.0
+    assert cat.density(*args, np.array([9.89e53, 9.89e53])).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("log_z", [-700.0, -800.0])
+def test_k_core_leading_term_against_mpmath(nu, log_z):
+    # below z = 1e-300 the K_nu core takes its leading terms: for 0 < nu < 1
+    # Gamma(-nu)/2 (z/2)^nu is (z/2)^(2 nu) of the first (4e-7 at nu = 0.01)
+    with mpmath.workdps(40):
+        z = mpmath.exp(log_z)
+        ref = float(mpmath.log(mpmath.besselk(nu, z)) - z)
+    assert cat._log_bessel(nu, log_z, True, cat._LOG_TINY) == pytest.approx(ref, rel=1e-13)
+    assert cat._log_bessel(nu, np.array([log_z, -1.0]), True, cat._LOG_TINY)[0] == \
+        pytest.approx(ref, rel=1e-13)
+
+
 def test_finite_part_kernel_where_the_k_weight_underflows_raises():
     # the weight 4 sin(pi root)/(pi (2 + a y^root)) of p_K is subnormal: p_K
     # may carry the value, so the kernel raises where it could not keep it
@@ -1587,6 +1608,79 @@ def test_closed_form_matches_frozen_oracle(member):
     for lam, t, x in _CLOSED_GRID:
         assert cat.expectation(entry, None, lam, t, x, method="closed") == pytest.approx(
             _CLOSED_ORACLES[name](lam, t, x, **params), rel=1e-13)
+
+
+# lambda arrays: one pass over the grid, on the code path of a float lambda
+_LAMBDAS = np.array([0.0, 0.05, 0.4, 1.0, 1.5, 2.2, 3.0])
+
+
+@pytest.mark.parametrize("member", [m for m in POOL if m[0] in WORKLOADS.CLOSED_FORM],
+                         ids=_ids)
+def test_closed_form_over_a_lambda_array_matches_floats(member):
+    name, params = member
+    entry = cat.make_entry(name, **params)
+    for _, t, x in _CLOSED_GRID[:16]:
+        got = cat.expectation(entry, None, _LAMBDAS, t, x)
+        assert type(got) is np.ndarray and got.shape == _LAMBDAS.shape
+        want = [cat.expectation(entry, None, float(lam), t, x) for lam in _LAMBDAS]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_sqrt_drift_lambdas_leave_the_series_at_their_own_terms(monkeypatch):
+    # short blocks, so that the lambdas of one grid stop in different blocks:
+    # each block evaluates only the lambdas still summing
+    monkeypatch.setattr(cat, "_SERIES_BLOCK", 3)
+    widths, moments = [], cat._log_core_moments
+
+    def recording(nu, c, omega, lam, *rest):
+        widths.append(np.size(lam))
+        return moments(nu, c, omega, lam, *rest)
+    monkeypatch.setattr(cat, "_log_core_moments", recording)
+    params = {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6}
+    entry = cat.make_entry("sqrt_drift", **params)
+    lams = np.array([0.0, 0.3, 3.0, 30.0, 300.0])
+    got = cat.expectation(entry, None, lams, 1.0, 2.5)
+    assert widths[0] == 5 and len(set(widths)) >= 3 and widths == sorted(widths)[::-1]
+    for lam, g in zip(lams, got):
+        assert g == pytest.approx(_closed_sqrt_drift(lam, 1.0, 2.5, **params), rel=1e-13)
+        assert g == pytest.approx(cat.expectation(entry, None, float(lam), 1.0, 2.5),
+                                  rel=1e-14)
+
+
+def test_quadrature_over_a_lambda_array_is_one_integral_per_element():
+    entry = cat.make_entry("bessel_drift", a=0.5, b=1.3)
+    lams = np.array([0.0, 0.5, 2.0])
+    got = cat.expectation(entry, None, lams, 0.9, 1.2)
+    assert got.tolist() == [cat.expectation(entry, None, float(lam), 0.9, 1.2)
+                            for lam in lams]
+
+
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_a_bad_lambda_anywhere_in_an_array_is_a_domain_error(method):
+    for lams in (np.array([0.5, math.nan, 1.0]), np.array([0.5, 1.0, math.inf])):
+        with pytest.raises(DomainError):
+            cat.expectation("besq", {"n": 3.0}, lams, 1.0, 1.0, method=method)
+    for name, params in [("besq", {"n": 3.0}),
+                         ("sqrt_drift", {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6})]:
+        with pytest.raises(DomainError):
+            cat.expectation(name, params, np.array([0.5, -1e-3]), 1.0, 1.0, method="closed")
+
+
+def test_a_non_finite_value_in_a_lambda_array_names_its_lambda():
+    entry = dataclasses.replace(cat.make_entry("besq", n=3.0), expectation_closed=lambda lam, t, x:
+                                np.where(lam > 1.0, np.inf, 0.5))
+    with pytest.raises(EvalOverflowError, match="at lam=2.0"):
+        cat.expectation(entry, None, np.array([0.5, 2.0]), 1.0, 1.0)
+
+
+def test_rational_showcase_expectation_is_its_transform():
+    # u0 = 1, so the transform identity's right-hand side is the expectation,
+    # the Dirac-derivative atom contributing lam times its weight
+    for params in WORKLOADS.POOL["rational_showcase"]:
+        entry = cat.make_entry("rational_showcase", **params)
+        for lam, t, x in _CLOSED_GRID:
+            assert cat.expectation(entry, None, lam, t, x) == pytest.approx(
+                cat.transform_rhs(entry, None, lam, t, x), rel=1e-13)
 
 
 def _mpmath_references():

@@ -208,10 +208,10 @@ def test_expect_passes_mu_parameter():
 
 
 def test_expect_closed_form_overflow_is_numerical_error():
-    # lambda^2 overflows in the rational_showcase closed form at
-    # lambda = 1e200: exit 3, no traceback
-    code, out = run("expect", "--entry", "rational_showcase", "--a", "1", "--b", "1",
-                    "--t", "1", "--x", "1", "--lambda", "1e200")
+    # x^2 overflows in the radial_ou closed form (state power 2) at
+    # x = 1e160: exit 3, no traceback
+    code, out = run("expect", "--entry", "radial_ou", "--a", "1.5", "--b", "0.6",
+                    "--t", "1", "--x", "1e160", "--lambda", "0.5")
     assert code == 3
     assert out == ""
 
@@ -308,6 +308,42 @@ def test_density_grid_is_one_array_call(monkeypatch):
         want = catalog.density(entry, None, 0.7, 1.3, float(y))
         assert float(dens) == pytest.approx(want, rel=1e-14)
         assert float(log_dens) == pytest.approx(math.log(want), rel=1e-14, abs=1e-14)
+
+
+def test_lambda_grid_is_one_closed_form_call(monkeypatch):
+    calls = []
+    entry = catalog.make_entry("sqrt_drift", a=1.5, b=0.8, A=1.2, B=0.6)
+    closed = entry.expectation_closed
+
+    def counted(lam, t, x):
+        calls.append(type(lam))
+        return closed(lam, t, x)
+    traced = dataclasses.replace(entry, expectation_closed=counted)
+    monkeypatch.setattr(catalog, "make_entry", lambda name, **params: traced)
+    code, out = run("expect", "--entry", "sqrt_drift", "--a", "1.5", "--b", "0.8",
+                    "--A", "1.2", "--B", "0.6", "--t", "0.7", "--x", "1.3",
+                    "--lambda-grid", "0:3:0.25")
+    monkeypatch.undo()
+    assert code == 0 and calls == [np.ndarray]
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 13
+    for lam, _, _, value in rows:
+        want = catalog.expectation(entry, None, float(lam), 0.7, 1.3)
+        assert float(value) == pytest.approx(want, rel=1e-14)
+
+
+def test_negative_lambda_in_a_grid_is_a_usage_error():
+    code, out = run("expect", "--entry", "besq", "--n", "3", "--t", "1", "--x", "1",
+                    "--lambda-grid", "-1:1:0.5", "--method", "closed")
+    assert (code, out) == (2, "")
+
+
+def test_expect_numerical_failure_exit_code_on_a_grid():
+    # the b = 25 input of test_expect_numerical_failure_exit_code, in a grid
+    code, out = run("expect", "--entry", "sqrt_drift", "--a", "0.8", "--b", "25",
+                    "--A", "1.2", "--B", "0.9", "--t", "1", "--x", "1",
+                    "--lambda-grid", "0:1:0.25", "--method", "closed")
+    assert (code, out) == (3, "")
 
 
 _ERRORS = [c for c in vars(errors).values()

@@ -525,3 +525,90 @@ def test_array_arguments_keep_the_float_errors():
         sf.bessel_k(1.0, np.array([1.0, 0.0]), scaled=True)
     with pytest.raises(EvalOverflowError):
         sf.bessel_i(1.0, np.array([1.0, 800.0]))
+
+
+@pytest.mark.parametrize("z", [1e-318, 5e-324, 1e-310])
+@pytest.mark.parametrize("nu", [0.0, 0.01, 0.5, -0.5, 0.9])
+def test_bessel_k_at_subnormal_z_against_mpmath(nu, z):
+    # scipy's kv and kve are inf at subnormal z, where K_nu is finite
+    # (K_0(1e-318) = 732.34): the small-z leading terms
+    with mpmath.workdps(40):
+        ref = float(mpmath.besselk(nu, mpmath.mpf(z)))
+    for scaled in (False, True):
+        got = sf.bessel_k(nu, z, scaled=scaled)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert sf.bessel_k(nu, np.array([z, 1.0]), scaled=scaled)[0] == got
+
+
+def test_bessel_k_raises_only_where_it_overflows():
+    # K_3(1e-102) = 8e306 is finite, though scipy's kv is inf there;
+    # K_3(1e-103) = 8e309 and K_2(1e-318) overflow
+    with mpmath.workdps(40):
+        ref = float(mpmath.besselk(3, mpmath.mpf(1e-102)))
+    assert sf.bessel_k(3.0, 1e-102) == pytest.approx(ref, rel=1e-13)
+    for nu, z in [(3.0, 1e-103), (2.0, 1e-318)]:
+        with pytest.raises(EvalOverflowError):
+            sf.bessel_k(nu, z)
+        with pytest.raises(EvalOverflowError):
+            sf.bessel_k(nu, np.array([1.0, z]), scaled=True)
+
+
+# (a, z) where the direct 1F1 is finite and positive, and where it overflows
+# or is not positive (Kummer's transform takes over)
+@pytest.mark.parametrize("a,z", [
+    (np.array([0.0, 0.5, 0.35, 1.0, 2.2, 0.75])[:, None],
+     np.array([-3.0, -30.0, -1e4, -1e8, 0.0, 1e-17, 900.0, 5e4])),
+    (np.array([-2.3, -11.5, 0.5])[:, None], np.array([-30.0, -1e4, -0.2]))])
+def test_log_hypergeom_1f1_arrays_match_floats(a, z):
+    got = sf.log_hypergeom_1f1(a, 2.5, z)
+    assert got.shape == (len(a), len(z))
+    for i, ai in enumerate(a[:, 0]):
+        for k, zk in enumerate(z):
+            want = sf.log_hypergeom_1f1(float(ai), 2.5, float(zk))
+            assert got[i, k] == pytest.approx(want, rel=1e-15, abs=1e-15), (ai, zk)
+
+
+def test_log_laplace_bessel_moment_scaled_arrays_match_floats():
+    # a column of p against a row of (s, c): one moment per pair; c = 0 too
+    p = np.array([-0.5, 0.25, 1.7, 6.0])[:, None]
+    s = np.array([2e-3, 0.6, 1e-4, 3.0, 1.0])
+    c = np.array([3.0, 40.0, 5.0, 1e-3, 0.0])
+    for nu in (1.0, 0.5, 0.0):
+        got = sf.log_laplace_bessel_moment_scaled(p, nu, s, c)
+        assert got.shape == (4, 5)
+        for i, pi in enumerate(p[:, 0]):
+            for k in range(5):
+                want = sf.log_laplace_bessel_moment_scaled(float(pi), nu, float(s[k]),
+                                                           float(c[k]))
+                assert got[i, k] == pytest.approx(want, rel=1e-15, abs=1e-15), (pi, nu, k)
+    # and with s, c floats against the p column
+    got = sf.log_laplace_bessel_moment_scaled(p, 0.5, 0.6, 40.0)
+    assert got[:, 0] == pytest.approx(
+        [sf.log_laplace_bessel_moment_scaled(float(pi), 0.5, 0.6, 40.0) for pi in p[:, 0]],
+        rel=1e-15)
+
+
+@pytest.mark.parametrize("args,error", [
+    ((np.array([0.5, np.nan]), 1.0, 1.0, 1.0), DomainError),
+    ((0.5, 1.0, np.array([1.0, -1.0]), 1.0), DomainError),
+    ((0.5, 1.0, np.array([1.0, np.inf]), 1.0), DomainError),
+    ((np.array([0.5, -3.0]), 1.0, 1.0, 1.0), DomainError),  # q <= 0
+    ((0.5, 1.0, 1.0, np.array([1.0, -1e-3])), DomainError),
+    ((0.5, 1.0, np.array([1e-300]), 1e200), DomainError),   # c^2/s overflows
+    ((0.5, -2.0, np.array([1.0]), 1.0), PoleError)])
+def test_moment_arrays_raise_the_float_errors(args, error):
+    with pytest.raises(error):
+        sf.log_laplace_bessel_moment_scaled(*args)
+    with pytest.raises(error):  # the failing element as a float
+        sf.log_laplace_bessel_moment_scaled(*(float(a[-1]) if np.ndim(a) else a
+                                              for a in args))
+
+
+def test_log_hypergeom_1f1_arrays_raise_the_float_errors():
+    with pytest.raises(DomainError):
+        sf.log_hypergeom_1f1(np.array([0.5, np.nan]), 2.0, -1.0)
+    with pytest.raises(DomainError):
+        sf.log_hypergeom_1f1(0.5, 2.0, np.array([-1.0, -np.inf]))
+    with pytest.raises(PoleError):
+        sf.log_hypergeom_1f1(np.array([0.5]), -1.0, -1.0)
+    assert sf.log_hypergeom_1f1(0.0, 2.0, np.array([-1.0, 3.0])).tolist() == [0.0, 0.0]
