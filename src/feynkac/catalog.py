@@ -940,6 +940,7 @@ _SERIES_J = np.arange(float(_SERIES_MAX_TERMS))[:, None]
 _SERIES_SIGN = np.where(_SERIES_J % 2, -1.0, 1.0)  # (-1)^j
 _SERIES_LGAMMA = np.array([math.lgamma(j + 1.0) for j in range(_SERIES_MAX_TERMS)])[:, None]
 _SERIES_LOG_0J = np.where(_SERIES_J > 0, -math.inf, 0.0)  # log 0^j
+_SERIES_TOL = np.where(_SERIES_J > 3, _SERIES_REL_TOL, 0.0)  # terms 0 to 3 never stop it
 
 
 def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
@@ -972,7 +973,7 @@ def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
             log_term = (log_bx_j - _SERIES_LGAMMA[j]) + next(_log_core_moments(
                 nu, c, omega, lam[active] if grid else lam, t, sx,
                 ((0.5 * (a - 1.0 + _SERIES_J[j]), 0.0),)))
-            if log_term.max() > _LOG_MAX:
+            if np.maximum.reduce(log_term, None) > _LOG_MAX:
                 raise EvalOverflowError("sqrt_drift expectation: a series term overflows")
         except FeynkacError:
             # a block reaches past the terms a loop would evaluate: from here
@@ -985,26 +986,25 @@ def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
         if b > 0:
             term *= _SERIES_SIGN[j]
         mag = np.abs(term)
-        sizes = mag.cumsum(axis=0)
+        sizes = np.add.accumulate(mag, 0)
         if j0:
             term[0] += total  # so that the running sums add up as in a loop
             sizes += size
-        sums = term.cumsum(axis=0)
+        sums = np.add.accumulate(term, 0)
         floor = np.maximum(np.abs(sums), 1e-300)
-        stop = mag < _SERIES_REL_TOL * floor
-        if j0 < 4:
-            stop[:4 - j0] = False  # terms 0 to 3 never stop the series
-        # each column's first stopping term (row 0 where it has none yet)
-        at = stop.argmax(axis=0), np.arange(len(active))
-        done = stop[at]
-        lost = done & (sizes[at] > _SERIES_MAX_CANCELLATION * floor[at])
+        stop = mag < _SERIES_TOL[j] * floor
+        # the flat index of each column's first stopping term (row 0 where
+        # it has none yet)
+        n = len(active)
+        at = stop.argmax(axis=0) * n + np.arange(n)
+        done, sums_at, sizes_at = stop.take(at), sums.take(at), sizes.take(at)
+        lost = done & (sizes_at > _SERIES_MAX_CANCELLATION * floor.take(at))
         if lost.any():
             raise ConvergenceError(
                 "sqrt_drift expectation: alternating series loses precision "
-                f"(sum of |terms| {sizes[at][lost][0]:.3e} vs sum "
-                f"{sums[at][lost][0]:.3e}); "
+                f"(sum of |terms| {sizes_at[lost][0]:.3e} vs sum {sums_at[lost][0]:.3e}); "
                 "b*sqrt(x_typ) is too large for double precision")
-        out[active] = sums[at]  # columns not done yet are written again later
+        out[active] = sums_at  # columns not done yet are written again later
         if done.all():
             break
         keep = ~done

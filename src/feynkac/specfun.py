@@ -52,6 +52,8 @@ __all__ = [
 # path it costs about a fifth of isinstance(z, np.ndarray)
 _NDARRAY = np.ndarray
 _LOG_2 = math.log(2.0)
+# the reductions themselves: ndarray.min and .max add a Python-level wrapper
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 
 
 def _check_finite(name: str, *vals: float) -> None:
@@ -385,15 +387,13 @@ def log_hypergeom_1f1(a, b: float, z):
     a and z may be float64 arrays, which broadcast against each other."""
     if type(a) is _NDARRAY or type(z) is _NDARRAY:
         return _log_hypergeom_1f1_array(a, b, z)
-    _check_finite("log_hypergeom_1f1", a, b, z)
-    if a == 0.0:  # 1F1(0, b, z) = 1: the moments of most catalog kernels
-        return 0.0
-    try:
-        f = hypergeom_1f1(a, b, z)
-        if f > 0.0:
+    if -math.inf < a < math.inf and 1e-12 < b < math.inf and -math.inf < z < math.inf:
+        if a == 0.0:  # 1F1(0, b, z) = 1: the moments of most catalog kernels
+            return 0.0
+        # hypergeom_1f1's value, without its checks
+        f = cython_special.hyp1f1(a, b, z) if abs(z) >= 1e-16 else 1.0 + a / b * z
+        if 0.0 < f < math.inf:
             return math.log(f)
-    except (EvalOverflowError, ConvergenceError):
-        pass
     return float(_log_hypergeom_1f1_array(a, b, np.array([z], float))[0])
 
 
@@ -405,7 +405,7 @@ def _bounds(name: str, *vals):
         if type(v) is _NDARRAY:
             if not v.size:
                 return None
-            lo, hi = v.min(), v.max()
+            lo, hi = _MIN(v, None), _MAX(v, None)
         else:
             lo = hi = v
         if not (-math.inf < lo and hi < math.inf):  # a NaN makes both NaN
@@ -447,7 +447,7 @@ def _log_1f1(a, b: float, z, tiny: bool) -> np.ndarray:
     if type(a) is not _NDARRAY and a == 0.0:
         return np.zeros(np.shape(z))
     f = _hyp1f1(a, b, z, tiny)
-    if f.min() > 0.0 and f.max() < math.inf:  # no NaN, no inf, no f <= 0
+    if _MIN(f, None) > 0.0 and _MAX(f, None) < math.inf:  # no NaN, no inf, no f <= 0
         return np.log(f)
     a, z = np.broadcast_arrays(a, z)
     bad = ~((f > 0.0) & (f < math.inf))
