@@ -53,9 +53,9 @@ and E_x[exp(-lam X_t^m)] = e^(r t) sum_i w_i(X) B_i + atoms, with w_i(X) =
 c_i X^p_i e^(-beta_i X)/u(X) and B_i the Laplace-Bessel moment of term i, one
 log-1F1 (_log_core_moments); sqrt_drift's sums the series of its u(y) =
 y^((a-1)/2) e^(-b sqrt(y)) moment by moment, in blocks of terms. These two
-are the closed forms; each takes lam as a float or as a float64 array, on one
-code path (numpy where lam is an array, as a kernel picks it by y), so a
-lambda grid is one call. bessel_drift, sqrt_drift and
+are the closed forms; each takes lam as a float or as a float64 array (numpy
+where lam is an array, as a kernel picks it by y), so that a lambda grid is
+one call. bessel_drift, sqrt_drift and
 generic_linear take H = (F(y) - F(x))/(2 sigma) - log(y/x)/2 from their drift
 antiderivative F. Where coth(wt) rounds to 1, H and -a (sx - sy)^2 cancel: a
 kernel raises EvalOverflowError where that loses 2e-10 of p (_check_cancellation).
@@ -320,44 +320,40 @@ def _log_core_moments(nu: float, c: float, omega: float, lam, t: float,
         else:
             log_k = math.log(2.0 * cw) - wt
             l_arg = log_k + math.log(sx)
-    last = None  # s and Q/D depend on beta, not on p: terms of one beta share them
     for p, beta in terms:
-        if not (type(beta) is float and beta == last):
-            last = beta
-            if omega == 0.0:
-                den = (lam + beta) * t + c
-                s, q_over_d = den / t, (c * lam - beta * (lam + beta) * t) / den
-            elif E > 1e-300:
-                d = (lam + beta + cw) * em + 2.0 * cw * E
-                s = d / em
-                q_over_d = (lam * ((cw - beta) + E * (cw + beta))
-                            + (cw - beta) * (cw + beta) * em) / d
-            else:
-                # d = D + 2 c omega E and Q = (c omega - beta) D + 2 c omega lam E,
-                # D = lam + beta + c omega >= 0; la, lb, ls: logs of D, 2 c omega E, d
-                D = lam + beta + cw
-                if type(D) is _NDARRAY:
-                    xp, top, low = np, np.maximum, np.minimum
-                    with np.errstate(divide="ignore"):
-                        la = np.log(np.where(D > 0, D, 0.0))
-                else:
-                    xp, top, low = math, max, min
-                    la = math.log(D) if D > 0 else -math.inf
-                lb = log_k - wt
-                ls = top(la, lb) + xp.log1p(xp.exp(-abs(la - lb)))
-                q_over_d = (cw - beta) * xp.exp(la - ls) + lam * xp.exp(lb - ls)
-                lc = l_arg - 0.5 * ls
-        if E > 1e-300:
-            yield (specfun.log_laplace_bessel_moment_scaled(p, nu, s, arg)
-                   + log_k - X * q_over_d - p * lX)
+        if omega == 0.0:
+            den = (lam + beta) * t + c
+            s, q_over_d = den / t, (c * lam - beta * (lam + beta) * t) / den
+        elif E > 1e-300:
+            d = (lam + beta + cw) * em + 2.0 * cw * E
+            s = d / em
+            q_over_d = (lam * ((cw - beta) + E * (cw + beta))
+                        + (cw - beta) * (cw + beta) * em) / d
         else:
+            # d = D + 2 c omega E and Q = (c omega - beta) D + 2 c omega lam E,
+            # D = lam + beta + c omega >= 0; la, lb, ls: logs of D, 2 c omega E, d
+            D = lam + beta + cw
+            if type(D) is _NDARRAY:
+                xp, top, low = np, np.maximum, np.minimum
+                with np.errstate(divide="ignore"):
+                    la = np.log(np.where(D > 0, D, 0.0))
+            else:
+                xp, top, low = math, max, min
+                la = math.log(D) if D > 0 else -math.inf
+            lb = log_k - wt
+            ls = top(la, lb) + xp.log1p(xp.exp(-abs(la - lb)))
+            q_over_d = (cw - beta) * xp.exp(la - ls) + lam * xp.exp(lb - ls)
             # the moment at s = e^ls, rescaled to s = 1 (y -> y/s), which
             # leaves arg^2/s alone; below arg^2/s = e^-600 its 1F1 factor is
             # 1, so that its log is nu log(arg/sqrt(s)) plus a constant
+            lc = l_arg - 0.5 * ls
             yield (specfun.log_laplace_bessel_moment_scaled(
                        p, nu, 1.0, xp.exp(top(lc, -300.0)))
                    + nu * low(lc + 300.0, 0.0) - (p + 1.0) * ls
                    + log_k - X * q_over_d - p * lX)
+            continue
+        yield (specfun.log_laplace_bessel_moment_scaled(p, nu, s, arg)
+               + log_k - X * q_over_d - p * lX)
 
 
 def _with_atoms(val, atoms, lam, t: float, x: float, m: float):
@@ -492,19 +488,29 @@ def _core_sum(diff: DiffusionSpec, ric: RiccatiParams, terms, atoms=(),
     logc = tuple((math.log(ci), p, beta) for ci, p, beta in terms)
     pb = tuple((p, beta) for _, p, beta in terms)
     single, atoms = len(terms) == 1, tuple(atoms)
+    # for an array lam, the terms of a sum as one column of p and of beta
+    # (one beta where they share it): one array of moments, terms x lam
+    betas = {beta for _, beta in pb}
+    columns = ((np.array([[p] for p, _ in pb]),
+                betas.pop() if len(betas) == 1 else np.array([[beta] for _, beta in pb])),)
 
     def expect(lam, t: float, x: float):
-        xp = np if type(lam) is _NDARRAY else math
-        if (lam.min(initial=0.0) if xp is np else lam) < 0:
+        grid = type(lam) is _NDARRAY
+        if (lam.min(initial=0.0) if grid else lam) < 0:
             raise DomainError("expectation: lam >= 0 required")
         sx = x if m == 2.0 else math.sqrt(x)
-        moments = _log_core_moments(nu, c, omega, lam, t, sx, pb)
         if single:
-            val = xp.exp(g * t + next(moments))
+            moment = next(_log_core_moments(nu, c, omega, lam, t, sx, pb))
+            val = (np.exp if grid else math.exp)(g * t + moment)
         else:  # log w_i(X), X = x^m
             ls = _log_terms(logc, x ** m, m * math.log(x))
             top = _log_sum_exp(ls)
-            val = sum([xp.exp(l - top + g * t + lb) for l, lb in zip(ls, moments)])
+            if grid:
+                moments = next(_log_core_moments(nu, c, omega, lam, t, sx, columns))
+                val = np.exp(np.array([[l - top + g * t] for l in ls]) + moments).sum(axis=0)
+            else:
+                moments = _log_core_moments(nu, c, omega, lam, t, sx, pb)
+                val = sum([math.exp(l - top + g * t + lb) for l, lb in zip(ls, moments)])
         return _with_atoms(val, atoms, lam, t, x, m)
 
     return log_p, expect
@@ -1257,8 +1263,8 @@ def _evaluate(route: str, e: CatalogEntry, fn: Callable[..., float], *args):
         raise EvalOverflowError(f"{route}: entry {e.name} failed at {args!r} "
                                 f"({exc})") from exc
     if type(val) is _NDARRAY:
-        bad = ~np.isfinite(val)
-        if bad.any():
+        if not np.isfinite(val).all():
+            bad = ~np.isfinite(val)
             at, grid = ("lam", args[0]) if route == "expectation" else ("y", args[-1])
             raise EvalOverflowError(f"{route}: entry {e.name} gave {float(val[bad][0])!r} "
                                     f"at {at}={float(grid[bad][0])!r}")
@@ -1535,7 +1541,7 @@ def expectation(entry, params: Optional[Dict[str, float]], lam, t: float, x: flo
     values at the nodes are shared), and the result is an array."""
     e = _resolve(entry, params)
     t, x, grid = float(t), float(x), type(lam) is _NDARRAY and lam.ndim
-    lam = lam.astype(float) if grid else float(lam)
+    lam = np.asarray(lam, float) if grid else float(lam)
     if not (t > 0 and x > 0):
         raise DomainError("expectation: requires t > 0, x > 0")
     if not (np.isfinite(lam).all() if grid else math.isfinite(lam)):

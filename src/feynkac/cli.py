@@ -241,7 +241,9 @@ def _cmd_expect(args, extra: Sequence[str], out) -> int:
         table = [(lam, t, x, v) for lam, v in zip(lams, values)]
 
     if args.format == "csv":
-        _emit_csv(out, header, [tuple(_fmt(v) for v in r) for r in table])
+        tx = (_fmt(t), _fmt(x))  # the same on every row, before the last column
+        _emit_csv(out, header, [tuple(map(_fmt, r[:-3])) + tx + (_fmt(r[-1]),)
+                                for r in table])
     else:
         json.dump({"entry": args.entry, "params": params,
                    "rows": [dict(zip(header, r)) for r in table]},
