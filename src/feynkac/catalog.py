@@ -206,7 +206,6 @@ _NDARRAY = np.ndarray
 
 
 _LOG_2, _LOG_TINY, _LOG_HUGE = math.log(2.0), math.log(1e-300), math.log(1.79e308)
-_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above it
 
 
 def _log_bessel(nu: float, log_z, k_nu: bool, tiny: float):
@@ -979,7 +978,7 @@ def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
             log_term = (log_bx_j - _SERIES_LGAMMA[j]) + next(_log_core_moments(
                 nu, c, omega, lam[active] if grid else lam, t, sx,
                 ((0.5 * (a - 1.0 + _SERIES_J[j]), 0.0),)))
-            if np.maximum.reduce(log_term, None) > _LOG_MAX:
+            if np.maximum.reduce(log_term, None) > _LOG_HUGE:
                 raise EvalOverflowError("sqrt_drift expectation: a series term overflows")
         except FeynkacError:
             # a block reaches past the terms a loop would evaluate: from here
