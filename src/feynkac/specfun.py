@@ -62,17 +62,33 @@ def _check_finite(name: str, *vals: float) -> None:
             raise DomainError(f"{name}: non-finite argument {v!r}")
 
 
+def _bounds(name: str, *vals):
+    """(smallest, largest) of each value, a float or a float64 array, or
+    None where an array is empty; DomainError where an element is not finite."""
+    out = []
+    for v in vals:
+        if type(v) is _NDARRAY:
+            if not v.size:
+                return None
+            lo, hi = _MIN(v, None), _MAX(v, None)
+        else:
+            lo = hi = v
+        if not (-math.inf < lo and hi < math.inf):  # a NaN makes both NaN
+            raise DomainError(f"{name}: non-finite argument "
+                              f"{float(hi if math.isfinite(lo) else lo)!r}")
+        out.append((lo, hi))
+    return out
+
+
 def _check_array(name: str, nu: float, z: np.ndarray, bound: str = ">=") -> float:
     """_check_finite of nu and of every element of the array z, and z >= 0
     (z > 0 for bound ">"); returns the smallest z."""
     _check_finite(name, nu)
-    if not z.size:
+    bounds = _bounds(name, z)
+    if bounds is None:
         return math.inf
-    lo, hi = z.min(), z.max()  # a NaN makes both NaN
-    if not (lo > 0 or lo == 0 and bound == ">=") or hi == math.inf:
-        bad = z[~np.isfinite(z)]
-        if bad.size:
-            raise DomainError(f"{name}: non-finite argument {float(bad[0])!r}")
+    lo = bounds[0][0]
+    if not (lo > 0 or lo == 0 and bound == ">="):
         raise DomainError(f"{name}: z must be {bound} 0")
     return float(lo)
 
@@ -395,24 +411,6 @@ def log_hypergeom_1f1(a, b: float, z):
         if 0.0 < f < math.inf:
             return math.log(f)
     return float(_log_hypergeom_1f1_array(a, b, np.array([z], float))[0])
-
-
-def _bounds(name: str, *vals):
-    """(smallest, largest) of each value, a float or a float64 array, or
-    None where an array is empty; DomainError where an element is not finite."""
-    out = []
-    for v in vals:
-        if type(v) is _NDARRAY:
-            if not v.size:
-                return None
-            lo, hi = _MIN(v, None), _MAX(v, None)
-        else:
-            lo = hi = v
-        if not (-math.inf < lo and hi < math.inf):  # a NaN makes both NaN
-            raise DomainError(f"{name}: non-finite argument "
-                              f"{float(hi if math.isfinite(lo) else lo)!r}")
-        out.append((lo, hi))
-    return out
 
 
 def _log(v):
