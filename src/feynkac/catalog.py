@@ -59,6 +59,10 @@ one call. bessel_drift, sqrt_drift and
 generic_linear take H = (F(y) - F(x))/(2 sigma) - log(y/x)/2 from their drift
 antiderivative F. Where coth(wt) rounds to 1, H and -a (sx - sy)^2 cancel: a
 kernel raises EvalOverflowError where that loses 2e-10 of p (_check_cancellation).
+generic_linear's drift f = 2 sigma x y'/y, its F = 2 sigma log y and its u0,
+and bessel_drift's F, are riccati._bessel_y's y, the linear family's Bessel
+solution sqrt(x) Z_nu(c x^(m/2)), which build_drift and
+symmetry.stationary_branch read too.
 
 The second branch p- has index -nu: radial_ou takes it where a < 1, and
 besq_cosh_variant is that of besq n = 3. generic_linear weights p+ and p- by
@@ -67,7 +71,8 @@ is c1 p+ + c2 p-, with p- = p_K at integer nu and p+ + (2/pi) sin(nu pi) p_K
 otherwise (DLMF 10.27.3), p_K the kernel with K_nu in the core. The same
 reflection gives rational_drift's finite-part kernel (mu_inv), signed and not
 integrable at y = 0: e^H (p+ + (4/pi) sin(nu pi) p_K/(2 + a y^nu)), with
-rational_drift's u(y) = (2 + ay)/sqrt(y).
+rational_drift's u(y) = (2 + ay)/sqrt(y). Each weight is a signed factor
+and a log (_branch_kernel), so 1/(2 + a y^nu) is kept where y^nu overflows.
 
 Transforms and atoms
 --------------------
@@ -133,7 +138,8 @@ from .errors import (
     ValidityError,
 )
 from . import specfun
-from .riccati import _VALIDATION_POINTS, DiffusionSpec, PotentialSpec, RiccatiParams, _on_array
+from .riccati import (_VALIDATION_POINTS, DiffusionSpec, PotentialSpec, RiccatiParams,
+                      _bessel_y, _finite, _on_array, _ratio_drift)
 from .symmetry import (StationarySolution, atom_weight, bessel_core, gauge_solution,
                        orbit_transform, stationary_branch)
 
@@ -286,7 +292,7 @@ def _scaled_sum(c1, l1, c2, l2, xp):
 
 def _log_sum_exp(ls, xp=math):
     """log(sum(exp(l) for l in ls)), elementwise when xp is numpy."""
-    top = max(ls) if xp is math else np.maximum.reduce(ls)
+    top = max(ls) if xp is math else functools.reduce(np.maximum, ls)
     return top + xp.log(sum([xp.exp(l - top) for l in ls]))
 
 
@@ -417,15 +423,17 @@ def _log_kernel(core, ratio, k_nu: bool = False, shift: float = 0.0) -> Callable
 
 
 def _branch_kernel(ratio, branches, weights) -> Kernel:
-    """Kernel e^H (w1 p1 + w2 p2), H = ratio(x, y, log x, log y, xp), (w1,
-    w2) = weights(y, xp) of either sign and p_i the kernels of branches =
-    ((core, k_nu), (core, k_nu)) without an h-ratio: continuous only."""
+    """Kernel e^H (w1 p1 + w2 p2), H = ratio(x, y, log x, log y, xp), p_i the
+    kernels of branches = ((core, k_nu), (core, k_nu)) without an h-ratio and
+    each weight given by weights(y, xp) as a signed factor and a log, w_i =
+    s_i e^(l_i), so that a weight far outside the float range is kept:
+    continuous only."""
     log_p1, log_p2 = (_log_kernel(core, lambda *_: 0.0, k_nu) for core, k_nu in branches)
 
     def cont(t: float, x: float, y):
         xp = np if type(y) is _NDARRAY else math
-        w1, w2 = weights(y, xp)
-        s, top = _scaled_sum(w1, log_p1(t, x, y, xp), w2, log_p2(t, x, y, xp), xp)
+        (s1, l1), (s2, l2) = weights(y, xp)
+        s, top = _scaled_sum(s1, l1 + log_p1(t, x, y, xp), s2, l2 + log_p2(t, x, y, xp), xp)
         h = ratio(x, y, math.log(x), xp.log(y), xp)
         if xp is np or abs(h) > _H_MAX:
             _check_cancellation(h, h + top)
@@ -659,13 +667,11 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
         return -(a + 0.5) / (x * x) \
             + b * b * (1.0 - (2.0 * a + 1.0) * r / z - r * r)
 
-    def F(x: float) -> float:  # x a float or a float64 array
-        xp = np if type(x) is _NDARRAY else math
-        return 0.5 * xp.log(x) + log_ive(a, b * x) + b * x
-
+    # F = log(sqrt(x) I_a(bx)), the y of the linear family at gamma = 0
     diff = DiffusionSpec(gamma=0.0, sigma=0.5, drift=drift,
                          drift_derivative=drift_derivative,
-                         drift_antiderivative=F, label="bessel_drift")
+                         drift_antiderivative=_bessel_y(a, b, 1.0, 0.0, 2.0)[0],
+                         label="bessel_drift")
     pot = PotentialSpec(form="power", mu=mu, n=-2.0) if mu \
         else PotentialSpec(form="zero")
     ric = RiccatiParams("linear", A=0.5 * b * b, B=0.5 * (a * a - 0.25) + mu)
@@ -789,15 +795,10 @@ def _rational_drift_inverse(a: float, mu_inv: float,
             "distribution-order inverse transform that is not implemented")
     dp, dm = 0.5 * (1.0 + root), 0.5 * (1.0 - root)
     pot = PotentialSpec(form="power", mu=mu_inv, n=-1.0)
-    k, tiny = 4.0 / math.pi * math.sin(math.pi * root), np.finfo(float).tiny
+    k, log_a = 4.0 / math.pi * math.sin(math.pi * root), math.log(a)
 
-    def weights(y, xp):
-        # a subnormal weight (y^root overflows: a float raises) would lose p_K,
-        # which carries the sum where the Bessel argument is small
-        w = k / (2.0 + a * y ** root)
-        if np.any(abs(w) < tiny):
-            raise EvalOverflowError("rational_drift: the weight of the K branch underflows")
-        return 1.0, w
+    def weights(y, xp):  # 1 and k/(2 + a y^root), log(2 + a y^root) as a log-sum
+        return (1.0, 0.0), (k, -_log_sum_exp((_LOG_2, log_a + root * xp.log(y)), xp))
 
     u0 = StationarySolution(eval=lambda y: y ** dm * (2.0 + a * y ** root) / (2.0 + a * y),
                             description="combined power branch (value 1 at mu_inv=0)",
@@ -946,6 +947,8 @@ _SERIES_SIGN = np.where(_SERIES_J % 2, -1.0, 1.0)  # (-1)^j
 _SERIES_LGAMMA = np.array([math.lgamma(j + 1.0) for j in range(_SERIES_MAX_TERMS)])[:, None]
 _SERIES_LOG_0J = np.where(_SERIES_J > 0, -math.inf, 0.0)  # log 0^j
 _SERIES_TOL = np.where(_SERIES_J > 3, _SERIES_REL_TOL, 0.0)  # terms 0 to 3 never stop it
+# below it, _SERIES_MAX_TERMS terms of at most 1 sum to under half the least subnormal
+_SERIES_LOG_GONE = math.log(5e-324) - math.log(2.0 * _SERIES_MAX_TERMS)
 
 
 def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
@@ -957,7 +960,11 @@ def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
     lam is a float or a float64 array. The terms come in blocks of
     _SERIES_BLOCK, one array of moments (terms x lam) for every lam still
     summing. Each lam's column stops at its own first negligible term, and
-    its sum is added up in the order of a term-by-term loop."""
+    its sum is added up in the order of a term-by-term loop, in units of its
+    largest term in the first block, e^shift, so that terms near e^-700 keep
+    their digits (shift goes into the final exp, where an overflow is
+    EvalOverflowError); a column whose terms times e^(b sqrt(x) + r t) sum
+    to under half the least subnormal is 0, as when they underflowed."""
     grid = type(lam) is _NDARRAY
     if (lam.min(initial=0.0) if grid else lam) < 0:
         raise DomainError("expectation: lam >= 0 required")
@@ -965,8 +972,10 @@ def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
     sx = math.sqrt(x)
     bx = abs(b) * sx
     out = np.empty(len(lam) if grid else 1)
-    active = np.arange(len(out))
+    lift, active = np.empty(len(out)), np.arange(len(out))
     total = size = 0.0
+    # below it, a column's terms times e^(b sqrt(x) + r t) sum to 0
+    gone = _SERIES_LOG_GONE - (b * sx + r * t)
     j0, step = 0, _SERIES_BLOCK
     while active.size:
         if j0 >= _SERIES_MAX_TERMS:
@@ -978,8 +987,6 @@ def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
             log_term = (log_bx_j - _SERIES_LGAMMA[j]) + next(_log_core_moments(
                 nu, c, omega, lam[active] if grid else lam, t, sx,
                 ((0.5 * (a - 1.0 + _SERIES_J[j]), 0.0),)))
-            if np.maximum.reduce(log_term, None) > _LOG_HUGE:
-                raise EvalOverflowError("sqrt_drift expectation: a series term overflows")
         except FeynkacError:
             # a block reaches past the terms a loop would evaluate: from here
             # on, term by term, so that only a term the loop reaches can raise
@@ -987,7 +994,12 @@ def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
                 raise
             step = 1
             continue
-        term = np.exp(log_term)
+        if not j0:  # units: each column's largest term in the first block
+            shift = np.maximum.reduce(log_term, 0, initial=gone)
+        log_term -= shift
+        if (shift.min() if grid else shift[0]) == gone:  # these columns sum to 0
+            log_term[:, shift == gone] = -math.inf
+        term = np.exp(log_term, out=log_term)
         if b > 0:
             term *= _SERIES_SIGN[j]
         mag = np.abs(term)
@@ -1007,16 +1019,19 @@ def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
         if lost.any():
             raise ConvergenceError(
                 "sqrt_drift expectation: alternating series loses precision "
-                f"(sum of |terms| {sizes_at[lost][0]:.3e} vs sum {sums_at[lost][0]:.3e}); "
+                f"(sum of |terms| {sizes_at[lost][0] / abs(sums_at[lost][0]):.3e} x |sum|); "
                 "b*sqrt(x_typ) is too large for double precision")
-        out[active] = sums_at  # columns not done yet are written again later
+        out[active], lift[active] = sums_at, shift  # columns not done are written again
         if done.all():
             break
         keep = ~done
         active, total, size = active[keep], sums[-1, keep], sizes[-1, keep]
+        shift = shift[keep]
         j0 += step
-    val = math.exp(b * sx + r * t) * out
-    return val if grid else float(val[0])
+    if not grid:
+        return math.exp(b * sx + r * t + lift[0]) * float(out[0])
+    with np.errstate(over="ignore"):  # inf: EvalOverflowError in _evaluate
+        return np.exp(b * sx + r * t + lift) * out
 
 
 def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
@@ -1064,7 +1079,10 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
                          c1: float = 1.0, c2: float = 0.0) -> CatalogEntry:
     """Drift f = 2*sigma*x*y'/y with y = sqrt(x)*(c1 I_alpha + c2 I_{-alpha})
     at argument sqrt(2Ax)/sigma; killing mu/x. Requires A > 0,
-    2B + sigma^2 > 0 (so 2B + sigma^2 + 4*mu*sigma > 0) and index nu < 1."""
+    2B + sigma^2 > 0 (so 2B + sigma^2 + 4*mu*sigma > 0) and index nu < 1.
+    y, its drift and u0 (y at index nu over y) are riccati._bessel_y's, in
+    the K basis I_-alpha = I_alpha + (2/pi) sin(alpha pi) K_alpha (DLMF
+    10.27.3); DomainError where y <= 0."""
     _check_positive("generic_linear", sigma=sigma, A=A)
     _check_nonneg("generic_linear", mu=mu)
     if 2.0 * B + sigma * sigma <= 0:
@@ -1074,38 +1092,10 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
     alpha = math.sqrt(2.0 * B + sigma * sigma) / sigma
     c = math.sqrt(2.0 * A) / sigma
 
-    def _combo(order: float, z: float) -> float:  # e^-z (c1 I_order + c2 I_-order)(z)
-        return ((c1 * specfun.bessel_i(order, z, scaled=True) if c1 else 0.0)
-                + (c2 * specfun.bessel_i(-order, z, scaled=True) if c2 else 0.0))
+    def y_at(order: float):  # y = sqrt(x) (c1 I_order + c2 I_-order)(c sqrt(x))
+        return _bessel_y(order, c, c1 + c2, c2 * (2.0 / math.pi) * math.sin(math.pi * order))
 
-    def log_y(x: float, order: float = alpha) -> float:
-        # log y(x); y(x) = sqrt(x) (c1 I_order + c2 I_-order)(c sqrt(x)), x a
-        # float or a float64 array
-        xp = np if type(x) is _NDARRAY else math
-        z = c * xp.sqrt(x)
-        val = _combo(order, z)
-        if not (val > 0 if xp is math else (val > 0).all()):
-            raise DomainError(f"generic_linear: y(x) <= 0 at index {order}")
-        return 0.5 * xp.log(x) + xp.log(val) + z
-
-    def w_fn(x: float) -> float:  # y'/y, x a float or a float64 array
-        z = c * np.sqrt(x)
-        num = 0.5 * (_combo(alpha - 1.0, z) + _combo(alpha + 1.0, z))
-        den = _combo(alpha, z)
-        if np.any(den == 0.0):
-            raise DomainError("generic_linear: drift pole inside the domain")
-        return 0.5 / x + (0.5 * c / np.sqrt(x)) * (num / den)
-
-    def drift_derivative(x: float) -> float:
-        wx = w_fn(x)
-        wpx = (A * x + B) / (2.0 * sigma * sigma * x * x) - wx * wx
-        return 2.0 * sigma * (wx + x * wpx)
-
-    diff = DiffusionSpec(gamma=1.0, sigma=sigma,
-                         drift=lambda x: 2.0 * sigma * x * w_fn(x),
-                         drift_derivative=drift_derivative,
-                         drift_antiderivative=lambda x: 2.0 * sigma * log_y(x),
-                         label="generic_linear")
+    diff = _ratio_drift(sigma, A, B, y_at(alpha), "generic_linear", DomainError)
     pot = PotentialSpec(form="power", mu=mu, n=-1.0) if mu else PotentialSpec(form="zero")
     ric = RiccatiParams("linear", A=0.5 * A / sigma, B=B + 2.0 * sigma * mu)
     plus, minus = bessel_core(diff, ric), bessel_core(diff, ric, -1.0)
@@ -1115,12 +1105,11 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
             f"generic_linear: requires index < 1 (got {nu:.6g}); the inverse "
             "transform is otherwise distribution-valued")
 
-    def weights(y, xp):  # c_i e^-z I_(+-nu)(z) over their sum, z = c sqrt(y)
+    def weights(y, xp):  # c_i e^-z I_(+-nu)(z) over their sum s e^m, z = c sqrt(y)
         zy = c * xp.sqrt(y)
-        w1 = c1 * specfun.bessel_i(nu, zy, scaled=True)
-        w2 = c2 * specfun.bessel_i(-nu, zy, scaled=True)
-        total = w1 + w2
-        return w1 / total, w2 / total
+        l1, l2 = specfun.log_bessel_ive(nu, zy), specfun.log_bessel_ive(-nu, zy)
+        s, m = _scaled_sum(c1, l1, c2, l2, xp)
+        return (c1 / s, l1 - m), (c2 / s, l2 - m)
 
     ratio = _gauge_ratio(diff)
     if c1 and c2:
@@ -1129,7 +1118,7 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
         kernel = Kernel(continuous=_kernel(_log_kernel(plus if c1 else minus, ratio)).continuous,
                         log_continuous=None)
 
-    u0 = gauge_solution(diff, lambda y: log_y(y, nu),  # y(y) at index nu over y(y)
+    u0 = gauge_solution(diff, _finite(y_at(nu)[0], DomainError, "generic_linear"),
                         f"index-shift ratio {nu:.6g}/{alpha:.6g}")
 
     return CatalogEntry(
@@ -1168,7 +1157,8 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
         nu = core[0]
         w = (c1, c2) if abs(nu - round(nu)) < 1e-12 else \
             (c1 + c2, c2 * (2.0 / math.pi) * math.sin(math.pi * nu))
-        kernel = _branch_kernel(ratio, ((core, False), (core, True)), lambda y, xp: w)
+        kernel = _branch_kernel(ratio, ((core, False), (core, True)),
+                                lambda y, xp: ((w[0], 0.0), (w[1], 0.0)))
 
     return CatalogEntry(
         name="generic_quadratic",

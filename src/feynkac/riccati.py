@@ -332,15 +332,96 @@ def fit_riccati(diff: DiffusionSpec, pot: PotentialSpec,
     return None
 
 
+def _bessel_y(nu: float, c: float, c1: float, c2: float, q: float = 1.0):
+    """(log y, y'/y) of y(x) = sqrt(x) (c1 I_nu + c2 K_nu)(c x^(q/2)), the
+    solutions of the linearized linear family (Craddock 2009, arXiv:0902.4806),
+    and at c = 0 of its limit c1 x^((1 + nu q)/2) + c2 x^((1 - nu q)/2). Both
+    take x as a float or a float64 array. log y is NaN or -inf where y <= 0,
+    and y'/y is not finite where y = 0: each caller raises its own error.
+    I alone is log(e^-z I_nu) + z, K alone log(e^z K_nu) - z, and with both
+    the K term carries e^(-2z) inside the I term's scaling, z = c x^(q/2).
+    y'/y holds at q = 1 only, where Z' = (Z_(nu-1) +- Z_(nu+1))/2 (DLMF
+    10.29.1), + for I and - for K."""
+    rp, rm = 0.5 * (1.0 + nu * q), 0.5 * (1.0 - nu * q)
+    log_c1, log_c2 = (math.log(k) if k > 0 else math.nan for k in (c1, c2))
+
+    def scaled(order: float, z, k: float):  # e^-z (c1 I + k K e^-2z), e^z k K for c1 = 0
+        out = c1 * specfun.bessel_i(order, z, scaled=True) if c1 else 0.0
+        if k:
+            damp = np.exp(-2.0 * z) if c1 else 1.0
+            out = out + k * specfun.bessel_k(order, z, scaled=True) * damp
+        return out
+
+    def log_y(x):
+        xp = np if type(x) is np.ndarray else math
+        lx = xp.log(x)
+        if c == 0.0:
+            if not (c1 and c2):
+                return rp * lx + log_c1 if c1 else rm * lx + log_c2
+            lead, s = 0.0, c1 * x ** rp + c2 * x ** rm
+        else:
+            z = c * xp.sqrt(x) if q == 1.0 else c * x ** (0.5 * q)
+            if not c2:
+                return 0.5 * lx + specfun.log_bessel_ive(nu, z) + z + log_c1
+            lead, s = 0.5 * lx + (z if c1 else -z), scaled(nu, z, c2)
+        if xp is math:
+            return lead + math.log(s) if s > 0 else math.nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return lead + np.log(s)
+
+    def dlog_y(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if c == 0.0:  # np.power, so that a float rounds as an array element does
+                num = c1 * rp * np.power(x, rp - 1.0) + c2 * rm * np.power(x, rm - 1.0)
+                return np.true_divide(num, c1 * np.power(x, rp) + c2 * np.power(x, rm))
+            z = c * np.sqrt(x)
+            num = 0.5 * (scaled(nu - 1.0, z, -c2) + scaled(nu + 1.0, z, -c2))
+            return 0.5 / x + (0.5 * c / np.sqrt(x)) * np.true_divide(num, scaled(nu, z, c2))
+
+    return log_y, dlog_y
+
+
+def _finite(f: Callable, error: type, what: str) -> Callable:
+    """f of _bessel_y (log y or y'/y) at x > 0, DomainError elsewhere, raising
+    error where f(x) is not finite: y <= 0 there (or y = 0, a pole of the
+    drift); x a float or a float64 array."""
+    def checked(x):
+        grid = type(x) is np.ndarray
+        if (x <= 0).any() if grid else x <= 0:
+            raise DomainError(f"{what}: x must be > 0")
+        v = f(x)
+        if not (np.isfinite(v).all() if grid else math.isfinite(v)):
+            raise error(f"{what}: y(x) <= 0 inside the domain")
+        return v
+    return checked
+
+
+def _ratio_drift(sigma: float, A: float, B: float, y, label: str,
+                 error: type) -> DiffusionSpec:
+    """The gamma = 1 DiffusionSpec of f = 2 sigma x y'/y, y = (log y, y'/y) of
+    _bessel_y, which solves sigma x f' - sigma f + f^2/2 = A x + B: F = 2 sigma
+    log y, and f' from the Riccati identity (y'/y)' = (A x + B)/(2 sigma^2
+    x^2) - (y'/y)^2. error is raised where y <= 0 (_finite)."""
+    log_y, w = (_finite(f, error, label) for f in y)
+
+    def drift_derivative(x):
+        wx = w(x)
+        wpx = (A * x + B) / (2.0 * sigma * sigma * x * x) - wx * wx
+        return 2.0 * sigma * (wx + x * wpx)
+
+    return DiffusionSpec(gamma=1.0, sigma=sigma, drift=lambda x: 2.0 * sigma * x * w(x),
+                         drift_derivative=drift_derivative,
+                         drift_antiderivative=lambda x: 2.0 * sigma * log_y(x), label=label)
+
+
 def build_drift(A: float, B: float, sigma: float, c1: float, c2: float) -> DiffusionSpec:
     """Construct a gamma=1 drift solving sigma*x*f' - sigma*f + f^2/2 = A*x + B
     (the linear family with constant potential absorbed by the caller).
 
     Mechanism: f = 2*sigma*x*y'/y linearizes the equation to
-    2*sigma^2*x^2*y'' = (A*x + B)*y, whose solutions are
-    y = sqrt(x)*(c1*I_alpha(sqrt(2*A*x)/sigma) + c2*K_alpha(sqrt(2*A*x)/sigma)),
-    alpha = sqrt(2*B + sigma^2)/sigma; for A = 0, y = c1*x^r+ + c2*x^r-,
-    r+- = (1 +- alpha)/2. F = 2*sigma*ln(y) so F' = f/x exactly.
+    2*sigma^2*x^2*y'' = (A*x + B)*y, whose solutions are the y of _bessel_y
+    at index sqrt(2*B + sigma^2)/sigma and c = sqrt(2*A)/sigma; F = 2*sigma*ln(y)
+    so F' = f/x exactly. SingularDriftError where y <= 0.
     """
     if 2.0 * B + sigma * sigma <= 0:
         raise DomainError("build_drift: requires 2B + sigma^2 > 0")
@@ -349,86 +430,20 @@ def build_drift(A: float, B: float, sigma: float, c1: float, c2: float) -> Diffu
     if c1 == 0.0 and c2 == 0.0:
         raise DomainError("build_drift: (c1, c2) must not both be zero")
     alpha = math.sqrt(2.0 * B + sigma * sigma) / sigma
+    y = _bessel_y(alpha, math.sqrt(2.0 * A) / sigma, c1, c2)
 
-    # y_scaled(x) is y(x) times a positive factor; it, w and the drift take
-    # floats or float64 arrays, log_y floats only
-    if A == 0.0:
-        rp, rm = 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
-
-        def y_scaled(x: float) -> float:
-            return c1 * x ** rp + c2 * x ** rm
-
-        def log_y(x: float) -> float:
-            val = y_scaled(x)
-            if val <= 0:
-                raise SingularDriftError(f"build_drift: y({x}) <= 0")
-            return math.log(val)
-
-        def w(x: float) -> float:  # y'/y
-            num = c1 * rp * x ** (rp - 1.0) + c2 * rm * x ** (rm - 1.0)
-            den = y_scaled(x)
-            if np.any(den == 0):
-                raise SingularDriftError("build_drift: y = 0 inside the domain")
-            return num / den
-    else:
-        c = math.sqrt(2.0 * A) / sigma  # y = sqrt(x) * Z_alpha(c*sqrt(x))
-
-        def _parts(x: float) -> tuple[float, float]:
-            """(Z, Z') at z = c*sqrt(x), both carrying the scaling e^{-z}."""
-            z = c * np.sqrt(x)
-            zs = c1 * specfun.bessel_i(alpha, z, scaled=True)
-            zps = 0.5 * c1 * (specfun.bessel_i(alpha - 1.0, z, scaled=True)
-                              + specfun.bessel_i(alpha + 1.0, z, scaled=True))
-            if c2 != 0.0:
-                damp = np.exp(-2.0 * z)
-                zs += c2 * specfun.bessel_k(alpha, z, scaled=True) * damp
-                zps -= 0.5 * c2 * damp * (specfun.bessel_k(alpha - 1.0, z, scaled=True)
-                                          + specfun.bessel_k(alpha + 1.0, z, scaled=True))
-            return zs, zps
-
-        def y_scaled(x: float) -> float:  # y e^{-z}/sqrt(x)
-            return _parts(x)[0]
-
-        def log_y(x: float) -> float:
-            zs = y_scaled(x)
-            if zs <= 0:
-                raise SingularDriftError(f"build_drift: y({x}) <= 0")
-            return 0.5 * math.log(x) + c * math.sqrt(x) + math.log(zs)
-
-        def w(x: float) -> float:  # y'/y; the e^{-z} scaling cancels in Z'/Z
-            zs, zps = _parts(x)
-            if np.any(zs == 0):
-                raise SingularDriftError("build_drift: y = 0 inside the domain")
-            return 0.5 / x + (0.5 * c / np.sqrt(x)) * (zps / zs)
-
-    def drift(x: float) -> float:
-        if np.any(x <= 0):
-            raise DomainError("drift: x must be > 0")
-        return 2.0 * sigma * x * w(x)
-
-    def drift_derivative(x: float) -> float:
-        wx = w(x)
-        wpx = (A * x + B) / (2.0 * sigma * sigma * x * x) - wx * wx
-        return 2.0 * sigma * (wx + x * wpx)
-
-    def F(x: float) -> float:
-        if x <= 0:
-            raise DomainError("F: x must be > 0")
-        return 2.0 * sigma * log_y(x)
-
-    # sign-change scan for interior zeros of y (mixed-sign coefficients)
-    if c1 * c2 < 0 or (c1 < 0 and c2 <= 0) or (c1 <= 0 and c2 < 0):
+    # sign-change scan for interior zeros of y (a negative coefficient)
+    if min(c1, c2) < 0:
         xs = np.geomspace(1e-3, 100.0, 200)
-        neg = y_scaled(xs) <= 0
+        neg = ~(y[0](xs) > -math.inf)
         flips = np.flatnonzero(neg[1:] != neg[:-1])
         if flips.size:
             i = flips[0]
             raise SingularDriftError(
                 f"build_drift: y changes sign between x={xs[i]:.6g} and x={xs[i + 1]:.6g}")
 
-    spec = DiffusionSpec(gamma=1.0, sigma=sigma, drift=drift,
-                         drift_antiderivative=F, drift_derivative=drift_derivative,
-                         label=f"built(A={A}, B={B}, sigma={sigma})")
+    spec = _ratio_drift(sigma, A, B, y, f"built(A={A}, B={B}, sigma={sigma})",
+                        SingularDriftError)
     params = RiccatiParams("linear", A=A / (2.0 * sigma), B=B)
     xs = np.geomspace(0.05, 100.0, 25)
     r = riccati_residual(spec, ZERO_POTENTIAL, params, xs)

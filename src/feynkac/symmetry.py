@@ -46,7 +46,7 @@ from .errors import (
     DomainError,
 )
 from . import specfun
-from .riccati import DiffusionSpec, PotentialSpec, RiccatiParams, fit_riccati
+from .riccati import DiffusionSpec, PotentialSpec, RiccatiParams, _bessel_y, fit_riccati
 
 __all__ = [
     "StationarySolution",
@@ -132,31 +132,17 @@ def _linear_family_solution(diff: DiffusionSpec, params: RiccatiParams,
     p = (1-gamma)/(2-gamma), a = A/(sigma*(2-gamma)^2),
     b = B/(2*sigma^2*(2-gamma)^2); solutions are power-times-Bessel, of the
     index nu = sqrt((1-p)^2 + 4b) of bessel_core: w = x^(1/2) times
-    I_nu or K_nu at 2 sqrt(a z), or x^((1 +- nu (2-gamma))/2) at a = 0.
+    I_nu or K_nu at 2 sqrt(a z), or x^((1 +- nu (2-gamma))/2) at a = 0: the
+    y of riccati._bessel_y at c = 2 sqrt(a), (c1, c2) = (1, 0) or (0, 1).
     """
     nu, c, _, _, q = bessel_core(diff, params)
     a, principal = params.A * c, branch == "principal"
     if a < 0:
         raise CapabilityError("stationary_solution: A < 0 in the linear family")
-
+    log_w = _bessel_y(nu, 2.0 * math.sqrt(a), float(principal), float(not principal), q)[0]
     if a == 0.0:
         expo = 0.5 * (1.0 + (nu if principal else -nu) * q)
-
-        def log_w(x: float) -> float:
-            return expo * math.log(x)
-
         return log_w, f"power branch x^{{{expo:.6g}}} times exp(-F/(2 sigma))"
-
-    two_rt_a = 2.0 * math.sqrt(a)
-
-    def log_w(x: float) -> float:
-        # 2 sqrt(a x^q), from q = 2 on as 2 sqrt(a) x^(q/2), where x^q would
-        # overflow first; below q = 2, x^q overflows past x = 1e154 at most
-        arg = 2.0 * math.sqrt(a * x ** q) if q < 2.0 else two_rt_a * x ** (0.5 * q)
-        if principal:
-            return 0.5 * math.log(x) + specfun.log_bessel_ive(nu, arg) + arg
-        return 0.5 * math.log(x) + math.log(specfun.bessel_k(nu, arg, scaled=True)) - arg
-
     kind = "growing Bessel branch I" if principal else "decaying Bessel branch K"
     return log_w, f"{kind}_{{{nu:.6g}}}"
 

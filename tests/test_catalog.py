@@ -641,6 +641,95 @@ def test_generic_kernels_finite_where_linear_domain_overflowed():
     assert math.isfinite(p) and p > 0
 
 
+# generic_linear's y, drift and u0 as they were written before they moved
+# onto riccati._bessel_y in the K basis: with I_-alpha itself, frozen as an
+# oracle where c1 I_alpha and c2 I_-alpha do not cancel
+
+def _frozen_generic_linear_y(sigma, A, B, mu, c1, c2):
+    """(alpha, nu, log y(x, order), y'/y at index alpha)."""
+    alpha = math.sqrt(2.0 * B + sigma * sigma) / sigma
+    nu = math.sqrt(2.0 * B + sigma * sigma + 4.0 * mu * sigma) / sigma
+    c = math.sqrt(2.0 * A) / sigma
+
+    def combo(order, z):
+        return ((c1 * sf.bessel_i(order, z, scaled=True) if c1 else 0.0)
+                + (c2 * sf.bessel_i(-order, z, scaled=True) if c2 else 0.0))
+
+    def log_y(x, order):
+        z = c * math.sqrt(x)
+        return 0.5 * math.log(x) + math.log(combo(order, z)) + z
+
+    def w(x):
+        z = c * math.sqrt(x)
+        num = 0.5 * (combo(alpha - 1.0, z) + combo(alpha + 1.0, z))
+        return 0.5 / x + (0.5 * c / math.sqrt(x)) * (num / combo(alpha, z))
+
+    return alpha, nu, log_y, w
+
+
+_GENERIC_LINEAR_Y = {"sigma": 0.8, "A": 1.5, "B": -0.2, "mu": 0.05}
+
+
+@pytest.mark.parametrize("c1,c2", [(1.0, 0.7), (2.0, -0.5), (0.0, 1.0)])
+def test_generic_linear_y_matches_the_frozen_i_minus_alpha_form(c1, c2):
+    sigma, A, B, mu = _GENERIC_LINEAR_Y.values()
+    entry = cat.make_entry("generic_linear", **_GENERIC_LINEAR_Y, c1=c1, c2=c2)
+    diff = entry.diffusion
+    alpha, nu, log_y, w = _frozen_generic_linear_y(sigma, A, B, mu, c1, c2)
+    for x in (0.3, 0.9, 2.0, 7.5, 40.0):
+        wx = w(x)
+        fp = 2.0 * sigma * (wx + x * ((A * x + B) / (2.0 * sigma * sigma * x * x) - wx * wx))
+        assert diff.drift_antiderivative(x) == pytest.approx(
+            2.0 * sigma * log_y(x, alpha), rel=1e-13)
+        assert diff.drift(x) == pytest.approx(2.0 * sigma * x * wx, rel=1e-13)
+        assert diff.drift_derivative(x) == pytest.approx(fp, rel=1e-13, abs=1e-13)
+        assert entry.u0.log_gauge(x) == pytest.approx(log_y(x, nu), rel=1e-13)
+
+
+def _mp_generic_linear_y(sigma, A, B, c1, c2, order, x):
+    """(log y, y'/y) in mpmath of y = sqrt(x) (c1 I_order + c2 I_-order)(c sqrt(x))."""
+    sigma, A, B, c1, c2, order, x = (mpmath.mpf(v) for v in (sigma, A, B, c1, c2, order, x))
+    c = mpmath.sqrt(2 * A) / sigma
+
+    def y(v):
+        z = c * mpmath.sqrt(v)
+        return mpmath.sqrt(v) * (c1 * mpmath.besseli(order, z) + c2 * mpmath.besseli(-order, z))
+    return mpmath.log(y(x)), mpmath.diff(y, x) / y(x)
+
+
+def test_generic_linear_with_c1_minus_c2_is_the_k_branch():
+    # c1 = -c2: c1 I_alpha + c2 I_-alpha cancels to c2 (2/pi) sin(alpha pi) K_alpha,
+    # which the K basis carries without cancellation at any x (mpmath keeps
+    # 2 z log10(e) digits more than the 40 it needs: I_alpha ~ e^z, K ~ e^-z)
+    sigma, A, B, mu = _GENERIC_LINEAR_Y.values()
+    entry = cat.make_entry("generic_linear", **_GENERIC_LINEAR_Y, c1=-1.0, c2=1.0)
+    diff = entry.diffusion
+    alpha, nu = _frozen_generic_linear_y(sigma, A, B, mu, -1.0, 1.0)[:2]
+    for x in (1e-4, 0.3, 2.0, 40.0, 1e3, 1e4):
+        with mpmath.workdps(40 + int(math.sqrt(2.0 * A * x) / sigma)):
+            log_y, w = _mp_generic_linear_y(sigma, A, B, -1.0, 1.0, alpha, x)
+            log_y_nu = _mp_generic_linear_y(sigma, A, B, -1.0, 1.0, nu, x)[0]
+        assert diff.drift_antiderivative(x) == pytest.approx(
+            float(2 * sigma * log_y), rel=1e-13, abs=1e-13)
+        assert diff.drift(x) == pytest.approx(float(2 * sigma * x * w), rel=1e-12)
+        assert entry.u0.log_gauge(x) == pytest.approx(float(log_y_nu), rel=1e-13, abs=1e-13)
+
+
+def test_generic_linear_where_y_is_not_positive_is_a_domain_error():
+    # (c1, c2) = (2, -0.5): y < 0 near 0, where K_alpha outgrows I_alpha; the
+    # entry builds, and evaluates to a DomainError (exit 2) there
+    params = {**_GENERIC_LINEAR_Y, "c1": 2.0, "c2": -0.5}
+    entry = cat.make_entry("generic_linear", **params)
+    for bad in (1e-9, np.array([1.0, 1e-9])):
+        with pytest.raises(DomainError):
+            entry.diffusion.drift_antiderivative(bad)
+        with pytest.raises(DomainError):
+            cat.density("generic_linear", params, 0.5, 1.0, bad)
+    with pytest.raises(DomainError):
+        entry.u0(1e-9)
+    assert math.isfinite(cat.density("generic_linear", params, 0.5, 1.0, 1.2))
+
+
 def test_numpy_scalar_overflow_raises_like_python_floats():
     # with np.float64 arguments a division by zero used to give inf or NaN
     # (with a RuntimeWarning) or a raw ValueError; x^2 overflows in the
@@ -1421,12 +1510,17 @@ def test_k_core_leading_term_against_mpmath(nu, log_z):
         pytest.approx(ref, rel=1e-13)
 
 
-def test_finite_part_kernel_where_the_k_weight_underflows_raises():
-    # the weight 4 sin(pi root)/(pi (2 + a y^root)) of p_K is subnormal: p_K
-    # may carry the value, so the kernel raises where it could not keep it
-    for ys in (1e200, np.array([1.0, 1e200])):
-        with pytest.raises(EvalOverflowError):
-            cat.density("rational_drift", {"a": 1.0, "mu_inv": 0.6}, 1e300, 1e-300, ys)
+@pytest.mark.parametrize("t,x,y", [(1e300, 1e-300, 1e200), (1.0, 1.0, 1e200),
+                                   (1e-3, 1e150, 1e150), (2.0, 1e-200, 1e290)])
+def test_finite_part_kernel_where_the_k_weight_underflows_against_mpmath(t, x, y):
+    # the weight 4 sin(pi root)/(pi (2 + a y^root)) of p_K is subnormal, or
+    # y^root overflows: as a log the weight keeps p_K, which may carry the value
+    params = {"a": 1.0, "mu_inv": 0.6}
+    with mpmath.workdps(80):
+        ref = _mp_rational_drift_inverse(*params.values(), t, x, y)
+    for ys, pick in ((y, float), (np.array([y, 2.0 * y]), lambda v: float(v[0]))):
+        assert pick(cat.density("rational_drift", params, t, x, ys)) == pytest.approx(
+            ref, rel=1e-12, abs=1e-300)
 
 
 def test_besq_cosh_variant_is_the_second_branch_of_besq_3():
@@ -1645,6 +1739,30 @@ def test_sqrt_drift_lambdas_leave_the_series_at_their_own_terms(monkeypatch):
         assert g == pytest.approx(_closed_sqrt_drift(lam, 1.0, 2.5, **params), rel=1e-13)
         assert g == pytest.approx(cat.expectation(entry, None, float(lam), 1.0, 2.5),
                                   rel=1e-14)
+
+
+def test_sqrt_drift_terms_near_e_minus_700_give_no_negative_value():
+    # the series' terms, near e^-700, lost their digits to subnormal rounding
+    # and summed to -5e-300 (quadrature: 1.9e-305); summed in units of the
+    # largest term, they keep them, and the cancellation check sees the loss
+    params, t, x = {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6}, 0.0007317301453327785, 778.2980706795902
+    for lam in (0.9021514888745356, np.array([0.9021514888745356, 0.0])):
+        try:
+            val = cat.expectation("sqrt_drift", params, lam, t, x)
+        except ConvergenceError:
+            continue
+        assert np.all(val >= 0.0)
+
+
+def test_sqrt_drift_terms_far_below_the_float_range_give_zero():
+    # in units of their largest term these terms are O(1); times e^(b sqrt(x)
+    # + r t) they sum to under half the least subnormal, so the value is 0
+    # (quadrature: 0.0), not an error from cancellation or a later moment
+    params = {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6}
+    for t, x, lam in [(1e-4, 1e4, 1.0), (0.00042975297258771337, 1232.8467394420634, 1.0)]:
+        assert cat.expectation("sqrt_drift", params, lam, t, x) == 0.0
+        assert cat.expectation("sqrt_drift", params, np.array([lam, lam]), t, x).tolist() == [
+            0.0, 0.0]
 
 
 def test_quadrature_over_a_lambda_array_is_one_integral_per_element():

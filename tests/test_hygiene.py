@@ -3,8 +3,10 @@ module wraps a callable in numpy's vectorize, the catalog reads Bessel I only
 in scaled or log-scaled form, it takes its transform right-hand sides from
 the symmetry module, its closed-form expectations from the kernels'
 Bessel-core terms and every kernel, rational_drift's finite-part one too,
-from the declared Riccati constants instead of writing them, and a float in specfun reaches no fallback but
-through the one array implementation of its function.
+from the declared Riccati constants instead of writing them, riccati and
+symmetry write the linear family's Bessel solution y once (riccati._bessel_y),
+and a float in specfun reaches no fallback but through the one array
+implementation of its function.
 
 No linter is part of the toolchain, so this walks the package sources with
 ast. A name counts as used when the module reads it anywhere (including in
@@ -117,6 +119,48 @@ def test_the_check_sees_an_unscaled_bessel_i():
                      "d = specfun.log_bessel_ive(1.0, z)\n"
                      "f = specfun.bessel_i\n")
     assert sorted(_unscaled_bessel_uses(tree)) == [1, 3, 5]
+
+
+def _bessel_reads_outside(tree: ast.Module, inside: str = "_bessel_y"):
+    """Lines that read a Bessel function of specfun (a name with "bessel" in
+    it, as specfun.<name> or imported from specfun) outside the function
+    `inside`: the linear family's y(x) = sqrt(x) Z_nu(c x^(q/2)) is written
+    once, in riccati._bessel_y, and build_drift, generic_linear and the
+    linear stationary branches take it from there."""
+    def walk(node, allowed):
+        for child in ast.iter_child_nodes(node):
+            ok = allowed or isinstance(child, ast.FunctionDef) and child.name == inside
+            read = isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name) \
+                and child.value.id == "specfun" and "bessel" in child.attr
+            imported = isinstance(child, ast.ImportFrom) and (child.module or "").endswith(
+                "specfun") and any("bessel" in alias.name for alias in child.names)
+            if (read or imported) and not ok:
+                yield child.lineno
+            yield from walk(child, ok)
+    yield from walk(tree, False)
+
+
+@pytest.mark.parametrize("name", ["riccati.py", "symmetry.py"])
+def test_the_linear_family_y_is_written_once(name):
+    path = pathlib.Path(feynkac.__file__).parent / name
+    bad = list(_bessel_reads_outside(ast.parse(path.read_text(), filename=str(path))))
+    assert not bad, f"{name}: a Bessel function read outside _bessel_y on lines {bad}"
+
+
+def test_the_check_sees_a_bessel_function_outside_bessel_y():
+    tree = ast.parse("def _bessel_y(nu, c):\n"
+                     "    def log_y(x):\n"
+                     "        return specfun.log_bessel_ive(nu, c * x)\n"
+                     "    return log_y, specfun.bessel_k\n"
+                     "def build_drift(A):\n"
+                     "    return specfun.bessel_i(1.0, A, scaled=True)\n"
+                     "from .specfun import bessel_k, tricomi_u\n"
+                     "from . import specfun\n"
+                     "g = specfun.log_hypergeom_1f1\n"
+                     "h = other.bessel_i\n"
+                     "def _stationary(x):\n"
+                     "    return math.log(specfun.bessel_k(0.5, x, scaled=True))\n")
+    assert sorted(_bessel_reads_outside(tree)) == [6, 7, 12]
 
 
 def _local_closures(tree: ast.Module, field: str):

@@ -4,6 +4,7 @@ principles in the oracle functions below, not copied from the implementation."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from feynkac.errors import (ConditioningError, ConstructionError, DomainError,
                             SingularDriftError)
 from feynkac.riccati import (ZERO_POTENTIAL, DiffusionSpec, PotentialSpec,
-                             RiccatiParams, build_drift, fit_riccati,
+                             RiccatiParams, _bessel_y, build_drift, fit_riccati,
                              riccati_residual)
 
 GRID = np.geomspace(0.2, 20.0, 24)
@@ -265,6 +266,52 @@ def test_build_drift_sign_change_raises(A):
     # interior zeros and refuses such drifts.
     with pytest.raises(SingularDriftError, match="changes sign between"):
         build_drift(A, 0.5, 1.0, 1.0, -2.0)
+
+
+def _mp_bessel_y(nu, c, c1, c2, q, x):
+    """(log y, y'/y) in mpmath of y = sqrt(x) (c1 I_nu + c2 K_nu)(c x^(q/2)),
+    or at c = 0 of c1 x^((1 + nu q)/2) + c2 x^((1 - nu q)/2)."""
+    nu, c, c1, c2, q, x = (mpmath.mpf(v) for v in (nu, c, c1, c2, q, x))
+    if c == 0:
+        def y(v):
+            return c1 * v ** ((1 + nu * q) / 2) + c2 * v ** ((1 - nu * q) / 2)
+    else:
+        def y(v):
+            z = c * v ** (q / 2)
+            return mpmath.sqrt(v) * (c1 * mpmath.besseli(nu, z) + c2 * mpmath.besselk(nu, z))
+    return mpmath.log(y(x)), mpmath.diff(y, x) / y(x)
+
+
+# I alone, K alone (up to z = 3.3e5, where e^z K_nu is past the float range),
+# both, and the power limit at c = 0
+_BESSEL_Y_CASES = [(0.7, 1.3, 1.0, 0.0), (2.5, 0.8, 2.0, 0.0), (0.4, 2.0, 0.0, 1.0),
+                   (1.5, 1.1, 0.0, 0.5), (0.6, 1.5, 1.0, 0.7), (1.2, 0.9, 0.5, 2.0),
+                   (0.8, 0.0, 1.0, 0.0), (0.8, 0.0, 0.0, 1.0), (0.8, 0.0, 1.0, 0.3)]
+_BESSEL_Y_XS = (1e-3, 0.37, 2.0, 40.0, 3e5)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("nu,c,c1,c2", _BESSEL_Y_CASES)
+def test_bessel_y_against_mpmath(nu, c, c1, c2, q):
+    log_y, dlog_y = _bessel_y(nu, c, c1, c2, q)
+    xs = np.array(_BESSEL_Y_XS)
+    assert log_y(xs).tolist() == [log_y(float(x)) for x in xs]
+    if q == 1.0:  # y'/y is read at q = 1 only
+        assert dlog_y(xs).tolist() == [dlog_y(float(x)) for x in xs]
+    with mpmath.workdps(40):
+        refs = [_mp_bessel_y(nu, c, c1, c2, q, x) for x in _BESSEL_Y_XS]
+    for x, (ref, dref) in zip(_BESSEL_Y_XS, refs):
+        assert log_y(x) == pytest.approx(float(ref), rel=1e-13, abs=1e-13)
+        if q == 1.0:
+            assert dlog_y(x) == pytest.approx(float(dref), rel=1e-12)
+
+
+def test_bessel_y_where_y_is_not_positive():
+    # callers raise their own error: log y is NaN (or -inf) there
+    log_y, _ = _bessel_y(0.6, 1.5, 1.0, -2.0)  # K dominates at small x
+    assert math.isnan(log_y(1e-6)) and math.isfinite(log_y(10.0))
+    assert np.isnan(log_y(np.array([1e-6, 10.0]))).tolist() == [True, False]
+    assert math.isnan(_bessel_y(0.6, 0.0, -1.0, 0.0)[0](2.0))
 
 
 # ---------------------------------------------------------------------------
