@@ -65,14 +65,13 @@ solution sqrt(x) Z_nu(c x^(m/2)), which build_drift and
 symmetry.stationary_branch read too.
 
 The second branch p- has index -nu: radial_ou takes it where a < 1, and
-besq_cosh_variant is that of besq n = 3. generic_linear weights p+ and p- by
-c_i e^-z I_(+-nu)(z) over their sum at z = sqrt(2Ay)/sigma; generic_quadratic
-is c1 p+ + c2 p-, with p- = p_K at integer nu and p+ + (2/pi) sin(nu pi) p_K
-otherwise (DLMF 10.27.3), p_K the kernel with K_nu in the core. The same
-reflection gives rational_drift's finite-part kernel (mu_inv), signed and not
-integrable at y = 0: e^H (p+ + (4/pi) sin(nu pi) p_K/(2 + a y^nu)), with
-rational_drift's u(y) = (2 + ay)/sqrt(y). Each weight is a signed factor
-and a log (_branch_kernel), so 1/(2 + a y^nu) is kept where y^nu overflows.
+besq_cosh_variant is that of besq n = 3. By DLMF 10.27.3 p- is p+ + (2/pi)
+sin(nu pi) p_K (p_K at integer nu), p_K the kernel with K_nu in the core, and
+every two-branch kernel is one core's I and K kernels (_branch_kernel):
+generic_quadratic's c1 p+ + c2 p-, and where the linear family's y mixes
+both branches, generic_linear's and rational_drift's finite-part (mu_inv)
+kernel, e^H (c1 Z+ p+ + c2 Z- p-)/N (_linear_pair_kernel), with N and Z-
+y of riccati._bessel_y, and the K weight a signed factor and a log.
 
 Transforms and atoms
 --------------------
@@ -272,21 +271,20 @@ def _log_bessel_core(nu: float, c: float, omega: float, k_nu: bool = False) -> C
 
 
 def _scaled_sum(c1, l1, c2, l2, xp):
-    """(s, m) with c1 e^l1 + c2 e^l2 = s e^m for signed c1, c2, elementwise
-    when xp is numpy; s = 0 where both logs are -inf. Plain math for floats:
-    scipy.special.logsumexp costs 100 us a call, a kernel point 2-5 us."""
+    """(s, m) with c1 e^l1 + c2 e^l2 = s e^m for a signed float c1 and signed
+    c2, elementwise when xp is numpy; a float 0 leaves its term out, and s = 0
+    where both logs are -inf. Plain math for floats: scipy.special.logsumexp
+    costs 100 us a call, a kernel point 2-5 us."""
+    if type(c2) is not _NDARRAY and not c2:
+        return c1, l1
+    if not c1:
+        return c2, l2
     if xp is np:
         m = np.maximum(l1, l2)
         shift = np.where(m > -math.inf, m, 0.0)  # -inf - -inf is NaN
     else:
-        if not c2:
-            return c1, l1
-        if not c1:
-            return c2, l2
         m = max(l1, l2)
-        if m == -math.inf:
-            return 0.0, m
-        shift = m
+        shift = m if m > -math.inf else 0.0
     return c1 * xp.exp(l1 - shift) + c2 * xp.exp(l2 - shift), m
 
 
@@ -422,19 +420,19 @@ def _log_kernel(core, ratio, k_nu: bool = False, shift: float = 0.0) -> Callable
     return log_p
 
 
-def _branch_kernel(ratio, branches, weights) -> Kernel:
-    """Kernel e^H (w1 p1 + w2 p2), H = ratio(x, y, log x, log y, xp), p_i the
-    kernels of branches = ((core, k_nu), (core, k_nu)) without an h-ratio and
-    each weight given by weights(y, xp) as a signed factor and a log, w_i =
-    s_i e^(l_i), so that a weight far outside the float range is kept:
-    continuous only."""
-    log_p1, log_p2 = (_log_kernel(core, lambda *_: 0.0, k_nu) for core, k_nu in branches)
+def _branch_kernel(ratio, core, w_i: float, k_weight) -> Kernel:
+    """Kernel e^H (w_i p_I + w_K p_K), H = ratio(x, y, log x, log y, xp), p_I
+    and p_K the kernels of core without an h-ratio, with I_nu and with K_nu in
+    the Bessel core: w_i a constant, w_K given by k_weight(y, xp) as a signed
+    factor and a log, w_K = s e^l, so that a weight far outside the float
+    range is kept: continuous only."""
+    log_pi, log_pk = (_log_kernel(core, lambda *_: 0.0, k_nu) for k_nu in (False, True))
 
     def cont(t: float, x: float, y):
         xp = np if type(y) is _NDARRAY else math
-        (s1, l1), (s2, l2) = weights(y, xp)
-        s, top = _scaled_sum(s1, l1 + log_p1(t, x, y, xp), s2, l2 + log_p2(t, x, y, xp), xp)
         h = ratio(x, y, math.log(x), xp.log(y), xp)
+        s_k, l_k = k_weight(y, xp)
+        s, top = _scaled_sum(w_i, log_pi(t, x, y, xp), s_k, l_k + log_pk(t, x, y, xp), xp)
         if xp is np or abs(h) > _H_MAX:
             _check_cancellation(h, h + top)
         if xp is np:
@@ -444,6 +442,24 @@ def _branch_kernel(ratio, branches, weights) -> Kernel:
         except OverflowError:  # numpy's exp gives inf there
             return s * math.inf
     return Kernel(continuous=cont, log_continuous=None)
+
+
+def _linear_pair_kernel(ratio, core, c: float, c1: float, c2: float) -> Callable:
+    """Continuous kernel e^H (c1 Z+ p+ + c2 Z- p-)/N, N = c1 Z+ + c2 Z-, of a
+    linear-family y mixing two branches, Z+- = e^-z I_(+-nu)(z) at z = c
+    sqrt(y) (y^((1 +- nu)/2) at c = 0): e^H (p+ + s c2 (Z-/N) p_K), s = (2/pi)
+    sin(nu pi) (DLMF 10.27.3), with N and Z- the y of riccati._bessel_y of
+    coefficients (c1 + c2, c2 s) and (1, s), at c = 0 (c1, c2) and (0, 1)."""
+    nu = core[0]
+    s = 2.0 / math.pi * math.sin(math.pi * nu)
+    log_i, log_k = _bessel_y(nu, c, 1.0, 0.0)[0], _bessel_y(nu, c, 0.0, 1.0)[0]
+    n, z = ((c1 + c2, c2 * s), (1.0, s)) if c else ((c1, c2), (0.0, 1.0))
+
+    def k_weight(y, xp):  # s c2 Z-/N from the I-alone and K-alone logs, read once
+        li, lk = log_i(y), log_k(y)
+        (s_z, l_z), (s_n, l_n) = (_scaled_sum(k1, li, k2, lk, xp) for k1, k2 in (z, n))
+        return s * c2 * s_z / s_n, l_z - l_n
+    return _branch_kernel(ratio, core, 1.0, k_weight).continuous
 
 
 def _terms_ratio(terms, m: float) -> Callable:
@@ -781,11 +797,10 @@ def _make_rational_drift(a: float, mu: float = 0.0,
 
 def _rational_drift_inverse(a: float, mu_inv: float,
                             diff: DiffusionSpec) -> CatalogEntry:
-    """The mu_inv/x killing: with H from u(y) = (2 + ay)/sqrt(y), the kernel
-    is e^H (a y^root p+ + 2 p-)/(2 + a y^root), root = sqrt(1 + 4 mu_inv) the
-    index of the core, and by the reflection I_-root = I_root + (2/pi)
-    sin(root pi) K_root (DLMF 10.27.3) e^H (p+ + k p_K/(2 + a y^root)), k =
-    (4/pi) sin(pi root), p_K the kernel with K_root in the core."""
+    """The mu_inv/x killing: u0 and, with H from u(y) = (2 + ay)/sqrt(y), the
+    kernel are those of y = a x^((1 + root)/2) + 2 x^((1 - root)/2), the power
+    limit of riccati._bessel_y at the core's index root = sqrt(1 + 4 mu_inv):
+    e^H (p+ + (4/pi) sin(root pi) p_K/(2 + a y^root)) (_linear_pair_kernel)."""
     ric = RiccatiParams("linear", A=0.0, B=2.0 * mu_inv)
     core = bessel_core(diff, ric)
     root = core[0]
@@ -793,18 +808,11 @@ def _rational_drift_inverse(a: float, mu_inv: float,
         raise CapabilityError(
             "rational_drift: mu_inv with integer sqrt(1+4*mu_inv) needs a "
             "distribution-order inverse transform that is not implemented")
-    dp, dm = 0.5 * (1.0 + root), 0.5 * (1.0 - root)
     pot = PotentialSpec(form="power", mu=mu_inv, n=-1.0)
-    k, log_a = 4.0 / math.pi * math.sin(math.pi * root), math.log(a)
-
-    def weights(y, xp):  # 1 and k/(2 + a y^root), log(2 + a y^root) as a log-sum
-        return (1.0, 0.0), (k, -_log_sum_exp((_LOG_2, log_a + root * xp.log(y)), xp))
-
-    u0 = StationarySolution(eval=lambda y: y ** dm * (2.0 + a * y ** root) / (2.0 + a * y),
-                            description="combined power branch (value 1 at mu_inv=0)",
-                            log_gauge=lambda y: math.log(2.0 * y ** dm + a * y ** dp))
-    cont = _branch_kernel(_terms_ratio(((2.0, -0.5, 0.0), (a, 0.5, 0.0)), 1.0),
-                          ((core, False), (core, True)), weights).continuous
+    u0 = gauge_solution(diff, _bessel_y(root, 0.0, a, 2.0)[0],
+                        "combined power branch (value 1 at mu_inv=0)")
+    cont = _linear_pair_kernel(_terms_ratio(((2.0, -0.5, 0.0), (a, 0.5, 0.0)), 1.0),
+                               core, 0.0, a, 2.0)
 
     return CatalogEntry(
         name="rational_drift", params={"a": a, "mu": 0.0, "mu_inv": mu_inv},
@@ -1082,7 +1090,8 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
     2B + sigma^2 > 0 (so 2B + sigma^2 + 4*mu*sigma > 0) and index nu < 1.
     y, its drift and u0 (y at index nu over y) are riccati._bessel_y's, in
     the K basis I_-alpha = I_alpha + (2/pi) sin(alpha pi) K_alpha (DLMF
-    10.27.3); DomainError where y <= 0."""
+    10.27.3); DomainError where y <= 0. The kernel is p+, or where c2 != 0
+    _linear_pair_kernel's (p- where c1 = 0)."""
     _check_positive("generic_linear", sigma=sigma, A=A)
     _check_nonneg("generic_linear", mu=mu)
     if 2.0 * B + sigma * sigma <= 0:
@@ -1098,25 +1107,16 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
     diff = _ratio_drift(sigma, A, B, y_at(alpha), "generic_linear", DomainError)
     pot = PotentialSpec(form="power", mu=mu, n=-1.0) if mu else PotentialSpec(form="zero")
     ric = RiccatiParams("linear", A=0.5 * A / sigma, B=B + 2.0 * sigma * mu)
-    plus, minus = bessel_core(diff, ric), bessel_core(diff, ric, -1.0)
-    nu = plus[0]
+    core = bessel_core(diff, ric)
+    nu = core[0]
     if not nu < 1.0:
         raise ValidityError(
             f"generic_linear: requires index < 1 (got {nu:.6g}); the inverse "
             "transform is otherwise distribution-valued")
 
-    def weights(y, xp):  # c_i e^-z I_(+-nu)(z) over their sum s e^m, z = c sqrt(y)
-        zy = c * xp.sqrt(y)
-        l1, l2 = specfun.log_bessel_ive(nu, zy), specfun.log_bessel_ive(-nu, zy)
-        s, m = _scaled_sum(c1, l1, c2, l2, xp)
-        return (c1 / s, l1 - m), (c2 / s, l2 - m)
-
     ratio = _gauge_ratio(diff)
-    if c1 and c2:
-        kernel = _branch_kernel(ratio, ((plus, False), (minus, False)), weights)
-    else:  # one branch, of weight 1
-        kernel = Kernel(continuous=_kernel(_log_kernel(plus if c1 else minus, ratio)).continuous,
-                        log_continuous=None)
+    cont = (_linear_pair_kernel(ratio, core, c, c1, c2) if c2
+            else _kernel(_log_kernel(core, ratio)).continuous)  # p+ where c2 = 0
 
     u0 = gauge_solution(diff, _finite(y_at(nu)[0], DomainError, "generic_linear"),
                         f"index-shift ratio {nu:.6g}/{alpha:.6g}")
@@ -1124,7 +1124,7 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
     return CatalogEntry(
         name="generic_linear",
         params={"sigma": sigma, "A": A, "B": B, "mu": mu, "c1": c1, "c2": c2},
-        diffusion=diff, potential=pot, kernel=kernel,
+        diffusion=diff, potential=pot, kernel=Kernel(continuous=cont, log_continuous=None),
         u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
         expectation_closed=None, functional_param="mu")
 
@@ -1157,8 +1157,7 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
         nu = core[0]
         w = (c1, c2) if abs(nu - round(nu)) < 1e-12 else \
             (c1 + c2, c2 * (2.0 / math.pi) * math.sin(math.pi * nu))
-        kernel = _branch_kernel(ratio, ((core, False), (core, True)),
-                                lambda y, xp: ((w[0], 0.0), (w[1], 0.0)))
+        kernel = _branch_kernel(ratio, core, w[0], lambda y, xp: (w[1], 0.0))
 
     return CatalogEntry(
         name="generic_quadratic",

@@ -339,7 +339,8 @@ def _bessel_y(nu: float, c: float, c1: float, c2: float, q: float = 1.0):
     take x as a float or a float64 array. log y is NaN or -inf where y <= 0,
     and y'/y is not finite where y = 0: each caller raises its own error.
     I alone is log(e^-z I_nu) + z, K alone log(e^z K_nu) - z, and with both
-    the K term carries e^(-2z) inside the I term's scaling, z = c x^(q/2).
+    the K term carries e^(-2z) inside the I term's scaling, z = c x^(q/2), as
+    the power limit's smaller power is in units of its larger one.
     y'/y holds at q = 1 only, where Z' = (Z_(nu-1) +- Z_(nu+1))/2 (DLMF
     10.29.1), + for I and - for K."""
     rp, rm = 0.5 * (1.0 + nu * q), 0.5 * (1.0 - nu * q)
@@ -358,7 +359,8 @@ def _bessel_y(nu: float, c: float, c1: float, c2: float, q: float = 1.0):
         if c == 0.0:
             if not (c1 and c2):
                 return rp * lx + log_c1 if c1 else rm * lx + log_c2
-            lead, s = 0.0, c1 * x ** rp + c2 * x ** rm
+            lead = np.maximum(rp * lx, rm * lx)  # the larger power's log
+            s = c1 * np.exp(rp * lx - lead) + c2 * np.exp(rm * lx - lead)
         else:
             z = c * xp.sqrt(x) if q == 1.0 else c * x ** (0.5 * q)
             if not c2:
@@ -371,9 +373,13 @@ def _bessel_y(nu: float, c: float, c1: float, c2: float, q: float = 1.0):
 
     def dlog_y(x):
         with np.errstate(divide="ignore", invalid="ignore"):
-            if c == 0.0:  # np.power, so that a float rounds as an array element does
-                num = c1 * rp * np.power(x, rp - 1.0) + c2 * rm * np.power(x, rm - 1.0)
-                return np.true_divide(num, c1 * np.power(x, rp) + c2 * np.power(x, rm))
+            if c == 0.0:
+                if not (c1 and c2):
+                    return np.true_divide(rp if c1 else rm, x)
+                lx = np.log(x)  # as in log y, in units of the larger power
+                lead = np.maximum(rp * lx, rm * lx)
+                a, b = c1 * np.exp(rp * lx - lead), c2 * np.exp(rm * lx - lead)
+                return np.true_divide(rp * a + rm * b, a + b) / x
             z = c * np.sqrt(x)
             num = 0.5 * (scaled(nu - 1.0, z, -c2) + scaled(nu + 1.0, z, -c2))
             return 0.5 / x + (0.5 * c / np.sqrt(x)) * np.true_divide(num, scaled(nu, z, c2))

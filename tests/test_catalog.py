@@ -618,6 +618,8 @@ def _linear_generic_quadratic(sigma, a, b, mu, c1, c2, t, x, y):
                         "c1": 1.0, "c2": 0.7}, _linear_generic_linear),
     ("generic_linear", {"sigma": 1.0, "A": 1.2, "B": -0.3, "mu": 0.05,
                         "c1": 2.0, "c2": -0.5}, _linear_generic_linear),
+    ("generic_linear", {"sigma": 0.8, "A": 1.5, "B": -0.2, "mu": 0.05,
+                        "c1": 0.0, "c2": 1.0}, _linear_generic_linear),
     ("generic_quadratic", {"sigma": 0.6, "a": 1.1, "b": 0.8, "mu": 0.5,
                            "c1": 1.0, "c2": 0.4}, _linear_generic_quadratic),
     ("generic_quadratic", {"sigma": 0.8, "a": 2.7, "b": 0.5, "mu": 0.0,
@@ -713,6 +715,42 @@ def test_generic_linear_with_c1_minus_c2_is_the_k_branch():
             float(2 * sigma * log_y), rel=1e-13, abs=1e-13)
         assert diff.drift(x) == pytest.approx(float(2 * sigma * x * w), rel=1e-12)
         assert entry.u0.log_gauge(x) == pytest.approx(float(log_y_nu), rel=1e-13, abs=1e-13)
+
+
+def _mp_generic_linear_kernel(sigma, A, B, mu, c1, c2, t, x, y):
+    """generic_linear's kernel in mpmath, in the I_(+-nu) form of
+    _linear_generic_linear: e^(-(x + y)/(sigma t) - A t/(2 sigma))/(sigma t)
+    Y_alpha(y)/Y_alpha(x) (c1 I_nu(zi) I_nu(zy) + c2 I_-nu(zi) I_-nu(zy))/Y_nu(y),
+    Y_order = c1 I_order + c2 I_-order at c sqrt(.), zi = 2 sqrt(xy)/(sigma t)."""
+    sigma, A, B, mu, c1, c2, t, x, y = (mpmath.mpf(v) for v in (sigma, A, B, mu, c1, c2, t, x, y))
+    alpha = mpmath.sqrt(2 * B + sigma ** 2) / sigma
+    nu = mpmath.sqrt(2 * B + sigma ** 2 + 4 * mu * sigma) / sigma
+    c = mpmath.sqrt(2 * A) / sigma
+
+    def combo(order, v):
+        z = c * mpmath.sqrt(v)
+        return c1 * mpmath.besseli(order, z) + c2 * mpmath.besseli(-order, z)
+
+    zi, zy = 2 * mpmath.sqrt(x * y) / (sigma * t), c * mpmath.sqrt(y)
+    bracket = (c1 * mpmath.besseli(nu, zi) * mpmath.besseli(nu, zy)
+               + c2 * mpmath.besseli(-nu, zi) * mpmath.besseli(-nu, zy))
+    return float(mpmath.exp(-(x + y) / (sigma * t) - A * t / (2 * sigma)) / (sigma * t)
+                 * combo(alpha, y) / combo(alpha, x) * bracket / combo(nu, y))
+
+
+@pytest.mark.parametrize("t,x,y", [(0.5, 1.0, 10.0), (2.0, 20.0, 100.0)])
+def test_generic_linear_kernel_with_c1_minus_c2_against_mpmath(t, x, y):
+    # c1 = -c2: the I_(+-nu) weights and cores cancelled (4.7e-10 off at the
+    # first point; at the second the weights' sum rounded to 0, a division by
+    # zero); in the K basis nothing cancels. The oracle's c1 I + c2 I_- loses
+    # about 2 zy log10(e) digits, 19 at y = 100: 60 leave it more than 40.
+    params = {**_GENERIC_LINEAR_Y, "c1": -1.0, "c2": 1.0}
+    with mpmath.workdps(60):
+        ref = _mp_generic_linear_kernel(*params.values(), t, x, y)
+    assert cat.density("generic_linear", params, t, x, y) == pytest.approx(ref, rel=1e-13,
+                                                                          abs=0.0)
+    got = cat.density("generic_linear", params, t, x, np.array([y, 2.0 * y]))
+    assert float(got[0]) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_generic_linear_where_y_is_not_positive_is_a_domain_error():
@@ -1487,6 +1525,18 @@ def test_finite_part_kernel_against_mpmath(params, t, x, y):
     for ys, pick in ((y, float), (np.array([y, 2.0 * y]), lambda v: float(v[0]))):
         assert pick(cat.density("rational_drift", params, t, x, ys)) == pytest.approx(
             ref, rel=1e-12, abs=1e-300)
+
+
+def test_finite_part_u0_at_large_y_against_mpmath():
+    # u0 = y^((1 - root)/2) (2 + a y^root)/(2 + a y): the power limit's
+    # y^((1 + root)/2) overflowed at y = 1e300 (a raw OverflowError)
+    u0 = cat.make_entry("rational_drift", a=1.0, mu_inv=0.6).u0
+    for y in (1e-300, 0.3, 7.0, 1e300):
+        with mpmath.workdps(40):
+            v, root = mpmath.mpf(y), mpmath.sqrt(mpmath.mpf(3.4))
+            ref = v ** ((1 - root) / 2) * (2 + v ** root) / (2 + v)
+        assert u0(y) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+        assert u0.log(y) == pytest.approx(float(mpmath.log(ref)), rel=1e-13, abs=1e-13)
 
 
 def test_two_branch_kernel_where_both_branches_underflow_is_zero():

@@ -5,8 +5,9 @@ the symmetry module, its closed-form expectations from the kernels'
 Bessel-core terms and every kernel, rational_drift's finite-part one too,
 from the declared Riccati constants instead of writing them, riccati and
 symmetry write the linear family's Bessel solution y once (riccati._bessel_y),
-and a float in specfun reaches no fallback but through the one array
-implementation of its function.
+generic_linear and rational_drift's finite part take their two-branch kernel
+and u0 from that y, and a float in specfun reaches no fallback but through the
+one array implementation of its function.
 
 No linter is part of the toolchain, so this walks the package sources with
 ast. A name counts as used when the module reads it anywhere (including in
@@ -289,6 +290,51 @@ def test_the_check_sees_a_hand_written_kernel():
                      "            CatalogEntry(kernel=lambda t, x, y: 0.0))\n")
     assert sorted(_local_kernels(tree)) == [("_make_a", 4), ("_make_b", 11),
                                            ("_make_c", 19), ("_make_c", 20)]
+
+
+_LINEAR_PAIR_BUILDERS = ("_make_generic_linear", "_rational_drift_inverse")
+
+
+def _hand_built_pair_parts(tree: ast.Module, builders=_LINEAR_PAIR_BUILDERS):
+    """(builder, line) of each call in the builders of the two-branch linear
+    kernels (generic_linear's and rational_drift's finite part) to a specfun
+    function, to StationarySolution, or to bessel_core with a sign: their
+    branch weights and u0 come from riccati._bessel_y's y and their kernel
+    from _linear_pair_kernel, on the one core of the declared constants."""
+    for builder in tree.body:
+        if not (isinstance(builder, ast.FunctionDef) and builder.name in builders):
+            continue
+        for call in ast.walk(builder):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            reads_specfun = isinstance(func, ast.Attribute) and isinstance(
+                func.value, ast.Name) and func.value.id == "specfun"
+            name = func.id if isinstance(func, ast.Name) else ""
+            signed = name == "bessel_core" and (
+                len(call.args) > 2 or any(k.arg == "sign" for k in call.keywords))
+            if reads_specfun or name == "StationarySolution" or signed:
+                yield builder.name, call.lineno
+
+
+def test_two_branch_linear_kernels_are_built_from_y():
+    bad = list(_hand_built_pair_parts(_catalog_tree()))
+    assert not bad, f"catalog.py: hand-built two-branch linear parts in {bad}"
+
+
+def test_the_check_sees_a_hand_built_pair_part():
+    tree = ast.parse("def _make_generic_linear(c1, c2):\n"
+                     "    plus, minus = bessel_core(d, r), bessel_core(d, r, -1.0)\n"
+                     "    w = specfun.log_bessel_ive(-nu, z)\n"
+                     "    return bessel_core(d, r, sign=-1.0), specfun\n"
+                     "def _rational_drift_inverse(a):\n"
+                     "    u0 = StationarySolution(eval=f, description='')\n"
+                     "    return gauge_solution(diff, _bessel_y(r, 0.0, a, 2.0)[0], '')\n"
+                     "def _make_cir(a):\n"
+                     "    return specfun.bessel_i(1.0, a, scaled=True), StationarySolution()\n")
+    assert sorted(_hand_built_pair_parts(tree)) == [
+        ("_make_generic_linear", 2), ("_make_generic_linear", 3),
+        ("_make_generic_linear", 4), ("_rational_drift_inverse", 6)]
 
 
 def _scipy_integrate_imports(tree: ast.Module):

@@ -270,24 +270,31 @@ def test_build_drift_sign_change_raises(A):
 
 def _mp_bessel_y(nu, c, c1, c2, q, x):
     """(log y, y'/y) in mpmath of y = sqrt(x) (c1 I_nu + c2 K_nu)(c x^(q/2)),
-    or at c = 0 of c1 x^((1 + nu q)/2) + c2 x^((1 - nu q)/2)."""
+    or at c = 0 of c1 x^((1 + nu q)/2) + c2 x^((1 - nu q)/2); y' in closed
+    form (DLMF 10.29.1 for I' and K'), as a finite difference of y is lost
+    at x = 1e300."""
     nu, c, c1, c2, q, x = (mpmath.mpf(v) for v in (nu, c, c1, c2, q, x))
     if c == 0:
-        def y(v):
-            return c1 * v ** ((1 + nu * q) / 2) + c2 * v ** ((1 - nu * q) / 2)
+        rp, rm = (1 + nu * q) / 2, (1 - nu * q) / 2
+        y = c1 * x ** rp + c2 * x ** rm
+        dy = c1 * rp * x ** (rp - 1) + c2 * rm * x ** (rm - 1)
     else:
-        def y(v):
-            z = c * v ** (q / 2)
-            return mpmath.sqrt(v) * (c1 * mpmath.besseli(nu, z) + c2 * mpmath.besselk(nu, z))
-    return mpmath.log(y(x)), mpmath.diff(y, x) / y(x)
+        z = c * x ** (q / 2)
+        y = mpmath.sqrt(x) * (c1 * mpmath.besseli(nu, z) + c2 * mpmath.besselk(nu, z))
+        dz = (c1 * (mpmath.besseli(nu - 1, z) + mpmath.besseli(nu + 1, z))
+              - c2 * (mpmath.besselk(nu - 1, z) + mpmath.besselk(nu + 1, z))) / 2
+        dy = y / (2 * x) + mpmath.sqrt(x) * dz * c * q / 2 * x ** (q / 2 - 1)
+    return mpmath.log(y), dy / y
 
 
 # I alone, K alone (up to z = 3.3e5, where e^z K_nu is past the float range),
-# both, and the power limit at c = 0
+# both, and the power limit at c = 0 (at x = 1e300 x^((1 + nu q)/2) overflows
+# for nu q > 1, so both powers are taken in units of the larger)
 _BESSEL_Y_CASES = [(0.7, 1.3, 1.0, 0.0), (2.5, 0.8, 2.0, 0.0), (0.4, 2.0, 0.0, 1.0),
                    (1.5, 1.1, 0.0, 0.5), (0.6, 1.5, 1.0, 0.7), (1.2, 0.9, 0.5, 2.0),
-                   (0.8, 0.0, 1.0, 0.0), (0.8, 0.0, 0.0, 1.0), (0.8, 0.0, 1.0, 0.3)]
-_BESSEL_Y_XS = (1e-3, 0.37, 2.0, 40.0, 3e5)
+                   (0.8, 0.0, 1.0, 0.0), (0.8, 0.0, 0.0, 1.0), (0.8, 0.0, 1.0, 0.3),
+                   (1.5, 0.0, 2.0, 0.5)]
+_BESSEL_Y_XS = (1e-3, 0.37, 2.0, 40.0, 3e5, 1e300)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])
@@ -303,7 +310,7 @@ def test_bessel_y_against_mpmath(nu, c, c1, c2, q):
     for x, (ref, dref) in zip(_BESSEL_Y_XS, refs):
         assert log_y(x) == pytest.approx(float(ref), rel=1e-13, abs=1e-13)
         if q == 1.0:
-            assert dlog_y(x) == pytest.approx(float(dref), rel=1e-12)
+            assert dlog_y(x) == pytest.approx(float(dref), rel=1e-12, abs=0.0)
 
 
 def test_bessel_y_where_y_is_not_positive():
