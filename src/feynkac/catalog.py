@@ -147,6 +147,7 @@ __all__ = [
     "Kernel",
     "CatalogEntry",
     "ENTRY_NAMES",
+    "ENTRY_PARAMETERS",
     "make_entry",
     "density",
     "atom_weights",
@@ -809,7 +810,8 @@ def _rational_drift_inverse(a: float, mu_inv: float,
             "rational_drift: mu_inv with integer sqrt(1+4*mu_inv) needs a "
             "distribution-order inverse transform that is not implemented")
     pot = PotentialSpec(form="power", mu=mu_inv, n=-1.0)
-    u0 = gauge_solution(diff, _bessel_y(root, 0.0, a, 2.0)[0],
+    u0 = gauge_solution(diff, _finite(_bessel_y(root, 0.0, a, 2.0)[0], DomainError,
+                                      "rational_drift"),
                         "combined power branch (value 1 at mu_inv=0)")
     cont = _linear_pair_kernel(_terms_ratio(((2.0, -0.5, 0.0), (a, 0.5, 0.0)), 1.0),
                                core, 0.0, a, 2.0)
@@ -1197,9 +1199,43 @@ _BUILDERS: Dict[str, Tuple[Callable[..., CatalogEntry], Tuple[str, ...], str]] =
 }
 
 ENTRY_NAMES = tuple(sorted(_BUILDERS))
+ENTRY_PARAMETERS: Mapping[str, Tuple[str, ...]] = MappingProxyType(
+    {name: b[1] for name, b in _BUILDERS.items()})
 
 
 def make_entry(name: str, **params: float) -> CatalogEntry:
+    """The entry of that name and parameters, built once per parameter set."""
+    # type(v) is in the key so that n=3 and n=3.0 build separate entries; a
+    # key is stored only after its build succeeded, so a hit needs no checks
+    key = (name, *params.items(), *map(type, params.values()))
+    try:
+        return _ENTRIES[key]
+    except KeyError:
+        pass
+    except TypeError:  # e.g. a 0-d numpy array: built every time, not cached
+        _check_names(name, params)
+        return _build(name, params)
+    _check_names(name, params)
+    items = sorted(params.items())  # one entry whatever the keyword order
+    canonical = (name, *items, *(type(v) for _, v in items))
+    entry = _ENTRIES.get(canonical)
+    if entry is None:
+        entry = _ENTRIES[canonical] = _build(name, params)
+    _ENTRIES[key] = entry
+    while len(_ENTRIES) > _ENTRY_CACHE_SIZE:
+        del _ENTRIES[next(iter(_ENTRIES))]
+    return entry
+
+
+# Built entries, each under at most two keys: the call's keyword order and the
+# sorted one; the oldest key goes first past the bound. One cycle of each
+# benchmark workload stores points 33 entries (44 keys), tabulate 695 (977)
+# and verify 42 (55). An entry is about 4 KB, so a full dict holds 4-8 MB.
+_ENTRIES: Dict[tuple, CatalogEntry] = {}
+_ENTRY_CACHE_SIZE = 2048
+
+
+def _check_names(name: str, params: Dict[str, float]) -> None:
     if name not in _BUILDERS:
         raise DomainError(f"make_entry: unknown entry {name!r} "
                           f"(known: {', '.join(ENTRY_NAMES)})")
@@ -1208,24 +1244,6 @@ def make_entry(name: str, **params: float) -> CatalogEntry:
     if unknown:
         raise DomainError(f"make_entry: {name} does not take parameters "
                           f"{sorted(unknown)} (takes {list(names)})")
-    # type(v) is in the key so that n=3 and n=3.0 build separate entries
-    key = tuple(sorted((k, type(v), v) for k, v in params.items()))
-    try:
-        hash(key)
-    except TypeError:  # e.g. a 0-d numpy array: built every time, not cached
-        return _build(name, params)
-    return _build_entry(name, key)
-
-
-# Distinct parameter sets seen per benchmark cycle: points 33, tabulate 695,
-# verify 42. An entry is about 4 KB, so a full cache holds about 4 MB.
-_ENTRY_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=_ENTRY_CACHE_SIZE)
-def _build_entry(name: str, key: Tuple[Tuple[str, type, float], ...]) -> CatalogEntry:
-    # a build that raises is not cached, so invalid parameters raise every time
-    return _build(name, {k: v for k, _, v in key})
 
 
 def _build(name: str, params: Dict[str, float]) -> CatalogEntry:

@@ -68,8 +68,7 @@ def _collect_params(pairs: Sequence[str], entry: str) -> Dict[str, float]:
     if entry not in catalog.ENTRY_NAMES:
         raise ValidityError(f"unknown entry {entry!r} "
                             f"(known: {', '.join(catalog.ENTRY_NAMES)})")
-    allowed = next(e["parameters"] for e in catalog.manifest()["entries"]
-                   if e["name"] == entry)
+    allowed = catalog.ENTRY_PARAMETERS[entry]
     params: Dict[str, float] = {}
     i = 0
     while i < len(pairs):

@@ -46,7 +46,8 @@ from .errors import (
     DomainError,
 )
 from . import specfun
-from .riccati import DiffusionSpec, PotentialSpec, RiccatiParams, _bessel_y, fit_riccati
+from .riccati import (DiffusionSpec, PotentialSpec, RiccatiParams, _bessel_y, _finite,
+                      fit_riccati)
 
 __all__ = [
     "StationarySolution",
@@ -139,7 +140,8 @@ def _linear_family_solution(diff: DiffusionSpec, params: RiccatiParams,
     a, principal = params.A * c, branch == "principal"
     if a < 0:
         raise CapabilityError("stationary_solution: A < 0 in the linear family")
-    log_w = _bessel_y(nu, 2.0 * math.sqrt(a), float(principal), float(not principal), q)[0]
+    log_w = _finite(_bessel_y(nu, 2.0 * math.sqrt(a), float(principal), float(not principal),
+                              q)[0], DomainError, "stationary_solution")
     if a == 0.0:
         expo = 0.5 * (1.0 + (nu if principal else -nu) * q)
         return log_w, f"power branch x^{{{expo:.6g}}} times exp(-F/(2 sigma))"

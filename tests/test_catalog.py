@@ -60,6 +60,36 @@ def test_make_entry_shares_one_entry_per_parameter_set():
     assert cat.make_entry("cir", a=1.1, b=0.8, sigma=0.7) is not e1
 
 
+def test_unknown_parameter_raises_after_the_entry_is_cached():
+    cached = cat.make_entry("cir", a=1.1, b=0.8, sigma=0.6)
+    for params in ({"a": 1.1, "b": 0.8, "sigma": 0.6, "zz": 1.0},
+                   {"zz": 1.0, "sigma": 0.6, "b": 0.8, "a": 1.1}):
+        with pytest.raises(DomainError, match="does not take parameters"):
+            cat.make_entry("cir", **params)
+        with pytest.raises(DomainError, match="does not take parameters"):
+            cat.density("cir", params, T, X, 1.3)
+    with pytest.raises(DomainError, match="unknown entry"):
+        cat.make_entry("cirr", a=1.1, b=0.8, sigma=0.6)
+    assert cat.make_entry("cir", a=1.1, b=0.8, sigma=0.6) is cached
+
+
+def test_entry_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(cat, "_ENTRIES", {})
+    monkeypatch.setattr(cat, "_ENTRY_CACHE_SIZE", 8)
+    first = cat.make_entry("tanh_drift", mu=0.5)
+    ref = (cat.density(first, None, T, X, 1.3), cat.expectation(first, None, 0.3, T, X),
+           cat.transform_rhs(first, None, 0.3, T, X))
+    for k in range(20):  # in both keyword orders: two keys per set
+        cat.make_entry("cir", a=1.0 + 0.01 * k, b=0.8, sigma=0.6)
+        cat.make_entry("cir", sigma=0.6, b=0.8, a=1.0 + 0.01 * k)
+        assert len(cat._ENTRIES) <= 8
+    again = cat.make_entry("tanh_drift", mu=0.5)
+    assert again is not first  # evicted, so built anew
+    assert (cat.density("tanh_drift", {"mu": 0.5}, T, X, 1.3),
+            cat.expectation("tanh_drift", {"mu": 0.5}, 0.3, T, X),
+            cat.transform_rhs("tanh_drift", {"mu": 0.5}, 0.3, T, X)) == ref
+
+
 def test_int_and_float_parameters_give_equal_values():
     # 3 and 3.0 are separate cache keys; they must still agree
     assert cat.make_entry("besq", n=3) is not cat.make_entry("besq", n=3.0)
@@ -105,7 +135,7 @@ def test_entry_params_are_read_only():
     assert entry.params["n"] == 3.0
     assert cat.make_entry("besq", n=3.0).params["n"] == 3.0
     rows = cat.joint_laplace_in_mu(entry, None, 0.3, T, X, [0.0, 0.5])
-    assert rows[0][1] == pytest.approx(0.4096281656329643, rel=1e-12)
+    assert rows[0][1] == pytest.approx(0.4096281656329643, rel=1e-12, abs=0.0)
     assert rows[1][1] < rows[0][1]
 
 
@@ -121,18 +151,19 @@ def test_closed_form_where_e_minus_2_omega_t_underflows(name, params, t):
     # e^(-2 omega t) underflows and lam + beta + c omega = 0 in one term: the
     # moments carry it as a log, and with lam = 0 and no killing the value is
     # the mass, 1
-    assert cat.expectation(name, params, 0.0, t, 1.0) == pytest.approx(1.0, rel=1e-13)
+    assert cat.expectation(name, params, 0.0, t, 1.0) == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
 
 def test_closed_form_where_x_squared_underflows():
     # X = x^2 underflows to 0 at x = 1e-300 (state power 2): the moments take
     # log X as 2 log x
     assert cat.expectation("radial_ou", {"a": 1.5, "b": 0.6}, 0.0, 1.0, 1e-300) \
-        == pytest.approx(1.0, rel=1e-13)
+        == pytest.approx(1.0, rel=1e-13, abs=0.0)
     params = {"a": 1.2, "mu": 0.6}
     val = cat.expectation("bessel", params, 0.0, 1.0, 1e-300)
     assert val == pytest.approx(
-        cat.expectation("bessel", params, 0.0, 1.0, 1e-300, method="quadrature"), rel=1e-12)
+        cat.expectation("bessel", params, 0.0, 1.0, 1e-300, method="quadrature"),
+        rel=1e-12, abs=0.0)
 
 
 def test_state_whose_square_overflows_is_an_overflow_error():
@@ -155,9 +186,9 @@ def test_rational_drift_atom_at_large_t():
     limit = 2.0 * math.exp(-math.sqrt(mu) * x) / (2.0 + a * x)
     (atom,) = cat.atom_weights("rational_drift", {"a": a, "mu": mu}, 1000.0, x)
     assert atom[:2] == (0.0, 0)
-    assert atom[2] == pytest.approx(limit, rel=1e-12)
+    assert atom[2] == pytest.approx(limit, rel=1e-12, abs=0.0)
     assert cat.expectation("rational_drift", {"a": a, "mu": mu}, 0.3, 1000.0, x) \
-        == pytest.approx(limit, rel=1e-12)
+        == pytest.approx(limit, rel=1e-12, abs=0.0)
 
 
 def test_kernels_where_sinh_omega_t_overflows():
@@ -170,7 +201,7 @@ def test_kernels_where_sinh_omega_t_overflows():
     assert cat.density("tanh_drift", {}, 1e4, 1.0, 1.0) == 0.0
     ref = float(mpmath.log(_mp_tanh_drift(0, mpmath.mpf(1e4), 1, 1)))
     assert cat.density("tanh_drift", {}, 1e4, 1.0, 1.0, log=True) \
-        == pytest.approx(ref, rel=1e-14)
+        == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("name,params", [("tanh_drift", {}),
@@ -198,7 +229,8 @@ def test_kernels_where_the_bessel_argument_underflows(name, params, t, x, y, ref
     # a log of 0), and cir was off by 3e-5 from a subnormal argument.
     # References: mpmath at 60 digits
     for ys, pick in ((y, float), (np.array([y, 1.0]), lambda v: float(v[0]))):
-        assert pick(cat.density(name, params, t, x, ys, log=True)) == pytest.approx(ref, rel=1e-14)
+        assert pick(cat.density(name, params, t, x, ys, log=True)) == \
+            pytest.approx(ref, rel=1e-14, abs=0.0)
         # exp(ref) is subnormal for bessel: 3e-12 apart
         assert pick(cat.density(name, params, t, x, ys)) == pytest.approx(math.exp(ref), rel=1e-10)
 
@@ -299,7 +331,7 @@ def test_besq_velocity_alias():
     # b is an alias for the killing strength via mu = b^2/2
     d1 = cat.density("besq", {"n": 3.0, "b": 1.0}, T, X, 1.3)
     d2 = cat.density("besq", {"n": 3.0, "mu": 0.5}, T, X, 1.3)
-    assert d1 == pytest.approx(d2, rel=1e-14)
+    assert d1 == pytest.approx(d2, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +342,9 @@ def test_squared_bessel_density_elementary_value():
     # n = 3: the Bessel factor of order 1/2 is elementary,
     #   p(1, 1, 1) = (1/2) e^{-1} sqrt(2/pi) sinh(1)
     ref = 0.5 * math.exp(-1.0) * math.sqrt(2.0 / math.pi) * math.sinh(1.0)
-    assert ref == pytest.approx(0.17247565694412234, rel=1e-12)  # frozen
+    assert ref == pytest.approx(0.17247565694412234, rel=1e-12, abs=0.0)  # frozen
     assert cat.density("besq", {"n": 3.0}, 1.0, 1.0, 1.0) == pytest.approx(
-        ref, rel=1e-13)
+        ref, rel=1e-13, abs=0.0)
 
 
 def test_squared_bessel_density_matches_noncentral_chi_square():
@@ -321,13 +353,13 @@ def test_squared_bessel_density_matches_noncentral_chi_square():
         for t, x, y in [(1.0, 1.0, 1.4), (0.5, 2.0, 0.3), (2.0, 0.7, 5.0)]:
             ref = ss.ncx2.pdf(y / t, df=n, nc=x / t) / t
             assert cat.density("besq", {"n": n}, t, x, y) == pytest.approx(
-                ref, rel=1e-12)
+                ref, rel=1e-12, abs=0.0)
 
 
 def test_squared_bessel_log_density_consistent():
     lg = cat.density("besq", {"n": 3.0}, 0.5, 1.0, 2.0, log=True)
     assert math.exp(lg) == pytest.approx(
-        cat.density("besq", {"n": 3.0}, 0.5, 1.0, 2.0), rel=1e-13)
+        cat.density("besq", {"n": 3.0}, 0.5, 1.0, 2.0), rel=1e-13, abs=0.0)
 
 
 def test_bessel_process_kernel_reduces_to_reflected_gaussian():
@@ -346,9 +378,9 @@ def test_bessel_process_kernel_reduces_to_reflected_gaussian():
 def test_killed_squared_bessel_expectation_elementary_value():
     # n = 2, killing strength b = 1, lam = 0: exp(-tanh(1)/2)/cosh(1)
     ref = math.exp(-0.5 * math.tanh(1.0)) / math.cosh(1.0)
-    assert ref == pytest.approx(0.44282620111243914, rel=1e-12)  # frozen
+    assert ref == pytest.approx(0.44282620111243914, rel=1e-12, abs=0.0)  # frozen
     assert cat.expectation("besq", {"n": 2.0, "b": 1.0}, 0.0, 1.0, 1.0) \
-        == pytest.approx(ref, rel=1e-12)
+        == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_cosh_weighted_companion_against_elementary_formula():
@@ -359,7 +391,7 @@ def test_cosh_weighted_companion_against_elementary_formula():
                            np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
         ref = math.sqrt(2.0 * t / (math.pi * x)) * math.exp(-x / (2.0 * t)) \
             + math.erf(math.sqrt(x / (2.0 * t)))
-        assert cat.besq_cosh_mass(t, x) == pytest.approx(ref, rel=1e-13)
+        assert cat.besq_cosh_mass(t, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
         assert val == pytest.approx(ref, rel=1e-9)
 
 
@@ -373,13 +405,13 @@ def test_rational_showcase_continuous_mass_defect():
                            np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
         defect = math.exp(-x / t) * b * (t + x) / (t * (b + a * x * x))
         assert cat.rational_showcase_continuous_mass(a, b, t, x) \
-            == pytest.approx(1.0 - defect, rel=1e-12)
+            == pytest.approx(1.0 - defect, rel=1e-12, abs=0.0)
         assert val == pytest.approx(1.0 - defect, rel=1e-8)
         # the derivative-order atom carries no mass, so the order-0 atom
         # alone makes up the defect
         atoms = sum(at.weight(t, x) for at in entry.kernel.atoms
                     if at.order == 0)
-        assert atoms == pytest.approx(defect, rel=1e-12)
+        assert atoms == pytest.approx(defect, rel=1e-12, abs=0.0)
 
 
 def test_atom_weights_vanish_at_time_zero():
@@ -480,7 +512,7 @@ def test_bessel_type_density_against_mpmath(name, params, reference, t, x, y):
         ref = reference(*map(mpmath.mpf, list(params.values()) + [t, x, y]))
         log_ref = float(mpmath.log(ref))
         ref = float(ref)
-    assert cat.density(name, params, t, x, y) == pytest.approx(ref, rel=1e-12)
+    assert cat.density(name, params, t, x, y) == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert cat.density(name, params, t, x, y, log=True) == pytest.approx(
         log_ref, abs=1e-12)
 
@@ -563,7 +595,7 @@ def test_besq_core_density_against_mpmath(name, params, reference, t, x, y):
         ref = reference(*map(mpmath.mpf, list(params.values()) + [t, x, y]))
         log_ref = float(mpmath.log(ref))
         ref = float(ref)
-    assert cat.density(name, params, t, x, y) == pytest.approx(ref, rel=1e-12)
+    assert cat.density(name, params, t, x, y) == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert cat.density(name, params, t, x, y, log=True) == pytest.approx(
         log_ref, abs=1e-12)
 
@@ -631,14 +663,14 @@ def _linear_generic_quadratic(sigma, a, b, mu, c1, c2, t, x, y):
                                    (1.9, 2.5, 3.7), (0.05, 2.0, 2.2)])
 def test_two_branch_kernels_match_linear_domain_oracle(name, params, oracle, t, x, y):
     ref = oracle(*params.values(), t, x, y)
-    assert cat.density(name, params, t, x, y) == pytest.approx(ref, rel=1e-13)
+    assert cat.density(name, params, t, x, y) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_generic_kernels_finite_where_linear_domain_overflowed():
     # I(2 sqrt(xy)/t) = I(2e7) overflows; the log-domain kernels stay finite
     assert cat.density("generic_quadratic", {"sigma": 1, "a": 1, "b": 1},
                        1e-4, 1e3, 1e3) == pytest.approx(
-        cat.density("cir", {"a": 1, "b": 1, "sigma": 1}, 1e-4, 1e3, 1e3), rel=1e-14)
+        cat.density("cir", {"a": 1, "b": 1, "sigma": 1}, 1e-4, 1e3, 1e3), rel=1e-14, abs=0.0)
     p = cat.density("generic_linear", {"sigma": 1, "A": 1, "B": -0.3}, 1e-4, 1e3, 1e3)
     assert math.isfinite(p) and p > 0
 
@@ -682,10 +714,10 @@ def test_generic_linear_y_matches_the_frozen_i_minus_alpha_form(c1, c2):
         wx = w(x)
         fp = 2.0 * sigma * (wx + x * ((A * x + B) / (2.0 * sigma * sigma * x * x) - wx * wx))
         assert diff.drift_antiderivative(x) == pytest.approx(
-            2.0 * sigma * log_y(x, alpha), rel=1e-13)
-        assert diff.drift(x) == pytest.approx(2.0 * sigma * x * wx, rel=1e-13)
+            2.0 * sigma * log_y(x, alpha), rel=1e-13, abs=0.0)
+        assert diff.drift(x) == pytest.approx(2.0 * sigma * x * wx, rel=1e-13, abs=0.0)
         assert diff.drift_derivative(x) == pytest.approx(fp, rel=1e-13, abs=1e-13)
-        assert entry.u0.log_gauge(x) == pytest.approx(log_y(x, nu), rel=1e-13)
+        assert entry.u0.log_gauge(x) == pytest.approx(log_y(x, nu), rel=1e-13, abs=0.0)
 
 
 def _mp_generic_linear_y(sigma, A, B, c1, c2, order, x):
@@ -713,7 +745,7 @@ def test_generic_linear_with_c1_minus_c2_is_the_k_branch():
             log_y_nu = _mp_generic_linear_y(sigma, A, B, -1.0, 1.0, nu, x)[0]
         assert diff.drift_antiderivative(x) == pytest.approx(
             float(2 * sigma * log_y), rel=1e-13, abs=1e-13)
-        assert diff.drift(x) == pytest.approx(float(2 * sigma * x * w), rel=1e-12)
+        assert diff.drift(x) == pytest.approx(float(2 * sigma * x * w), rel=1e-12, abs=0.0)
         assert entry.u0.log_gauge(x) == pytest.approx(float(log_y_nu), rel=1e-13, abs=1e-13)
 
 
@@ -792,7 +824,7 @@ def test_numpy_scalar_arguments_give_the_mass_where_e_minus_2_omega_t_underflows
             assert call(np.float64(50.0), np.float64(x)) == call(50.0, x) \
                 == pytest.approx(1.0, abs=1e-14)
             assert call(np.float64(1000.0), np.float64(x)) == call(1000.0, x) \
-                == pytest.approx(1.0, rel=1e-13)
+                == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
 
 def test_numpy_scalar_arguments_give_python_float_values():
@@ -1043,13 +1075,51 @@ def _ids(member):
     return f"{member[0]}-{'-'.join(f'{k}={v:g}' for k, v in member[1].items())}"
 
 
+@pytest.mark.parametrize("member", POOL, ids=_ids)
+def test_by_name_and_prebuilt_calls_give_identical_floats(member):
+    name, params = member
+    entry = cat._build(name, dict(params))  # built apart from the cache
+
+    def calls(target, p, t, x, y, lam):
+        out = [cat.density(target, p, t, x, y)]
+        if name not in WORKLOADS.NO_LOG_FORM:
+            out.append(cat.density(target, p, t, x, y, log=True))
+        if name in WORKLOADS.CLOSED_FORM:
+            out.append(cat.expectation(target, p, lam, t, x))
+        if entry.transform_rhs is not None:
+            out.append(cat.transform_rhs(target, p, lam, t, x))
+        return out
+
+    for point in ((0.2, 0.3, 0.1, 0.0), (0.7, 1.3, 0.9, 0.8), (2.0, 3.0, 4.0, 3.0)):
+        by_name = calls(name, dict(params), *point)
+        assert by_name == calls(name, dict(reversed(params.items())), *point)
+        assert by_name == calls(entry, None, *point)
+
+
+@pytest.mark.parametrize("member", [
+    ("bessel", {"a": 1.2}),
+    ("besq", {"n": 3.0}),
+    ("bessel_drift", {"a": 0.5, "b": 1.3}),
+    ("sqrt_drift", {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6}),
+    ("rational_drift", {"a": 0.7, "mu_inv": 0.3}),
+    ("generic_linear", {"sigma": 1.0, "A": 1.0, "B": -0.3}),
+], ids=_ids)
+@pytest.mark.parametrize("x", [0.0, -1.0])
+def test_linear_stationary_branch_u0_is_a_domain_error_at_x_not_positive(member, x):
+    u0 = cat.make_entry(member[0], **member[1]).u0
+    assert math.isfinite(u0(1.3))
+    for f in (u0, u0.log):
+        with pytest.raises(DomainError, match="x must be > 0"):
+            f(x)
+
+
 @pytest.mark.parametrize("member", _TRANSFORM_MEMBERS, ids=_ids)
 def test_derived_transform_matches_frozen_oracle(member):
     name, params = member
     entry = cat.make_entry(name, **params)
     for lam, t, x in _TRANSFORM_GRID:
         assert cat.transform_rhs(entry, None, lam, t, x) == pytest.approx(
-            _RHS_ORACLES[name](lam, t, x, **params), rel=1e-13)
+            _RHS_ORACLES[name](lam, t, x, **params), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("member", _TRANSFORM_MEMBERS, ids=_ids)
@@ -1100,7 +1170,7 @@ def test_tanh_drift_atom_weight_matches_frozen_formula():
         (atom,) = cat.make_entry(name, **params).kernel.atoms
         for t, x in [(1e-2, 0.3), (0.2, 1.0), (0.9, 3.0), (2.0, 0.5), (5.0, 10.0)]:
             assert atom.weight(t, x) == pytest.approx(
-                _atom_tanh_drift(t, x, **params), rel=1e-13)
+                _atom_tanh_drift(t, x, **params), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("member", [m for m in POOL if m[0] in
@@ -1170,7 +1240,7 @@ def test_quadrature_expectation_with_negative_lambda():
     # E_1[exp(0.4 X_1)] for n = 3: the ncx2 moment generating function
     # (1 - 2*0.4)^(-3/2) exp(0.4/(1 - 2*0.4))
     ref = 0.2 ** -1.5 * math.exp(2.0)
-    assert ref == pytest.approx(82.6121586338418, rel=1e-13)
+    assert ref == pytest.approx(82.6121586338418, rel=1e-13, abs=0.0)
     assert cat.expectation("besq", {"n": 3}, -0.4, 1.0, 1.0, method="quadrature") \
         == pytest.approx(ref, rel=1e-9)
     with warnings.catch_warnings():
@@ -1288,7 +1358,7 @@ def test_density_takes_an_array_of_y():
         for y, g in zip(ys, got):
             want = cat.density("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6}, 0.7, 1.3,
                                float(y), log=log)
-            assert g == pytest.approx(want, rel=1e-15)
+            assert g == pytest.approx(want, rel=1e-15, abs=0.0)
     with pytest.raises(DomainError):
         cat.density("besq", {"n": 3.0}, 1.0, 1.0, np.array([1.0, 0.0]))
     pole = dataclasses.replace(cat.make_entry("besq", n=3.0), kernel=cat.Kernel(
@@ -1502,7 +1572,7 @@ def test_finite_part_kernel_matches_frozen_oracle(params):
             keep = np.abs(want) > 1e-8 * np.abs(want).max()
             np.testing.assert_allclose(k(t, x, ys)[keep], want[keep], rtol=1e-12)
             for y, w in zip(ys[keep][::9], want[keep][::9]):
-                assert k(t, x, float(y)) == pytest.approx(w, rel=1e-12)
+                assert k(t, x, float(y)) == pytest.approx(w, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("params,t,x,y", [
@@ -1555,9 +1625,10 @@ def test_k_core_leading_term_against_mpmath(nu, log_z):
     with mpmath.workdps(40):
         z = mpmath.exp(log_z)
         ref = float(mpmath.log(mpmath.besselk(nu, z)) - z)
-    assert cat._log_bessel(nu, log_z, True, cat._LOG_TINY) == pytest.approx(ref, rel=1e-13)
+    assert cat._log_bessel(nu, log_z, True, cat._LOG_TINY) == \
+        pytest.approx(ref, rel=1e-13, abs=0.0)
     assert cat._log_bessel(nu, np.array([log_z, -1.0]), True, cat._LOG_TINY)[0] == \
-        pytest.approx(ref, rel=1e-13)
+        pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("t,x,y", [(1e300, 1e-300, 1e200), (1.0, 1.0, 1e200),
@@ -1624,9 +1695,9 @@ def test_two_branch_generic_quadratic_at_large_t(t, params):
             p_plus, p_minus = _mp_affine_branches(*(mpmath.mpf(params[k]) for k in (
                 "sigma", "a", "b", "mu")), mpmath.mpf(t), 1, mpmath.mpf(y))
             want = float(p_plus + p_minus)
-        assert math.isfinite(g) and g == pytest.approx(want, rel=1e-12)
+        assert math.isfinite(g) and g == pytest.approx(want, rel=1e-12, abs=0.0)
         assert cat.density("generic_quadratic", params, t, 1.0, float(y)) == pytest.approx(
-            want, rel=1e-12)
+            want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1751,7 +1822,7 @@ def test_closed_form_matches_frozen_oracle(member):
     entry = cat.make_entry(name, **params)
     for lam, t, x in _CLOSED_GRID:
         assert cat.expectation(entry, None, lam, t, x, method="closed") == pytest.approx(
-            _CLOSED_ORACLES[name](lam, t, x, **params), rel=1e-13)
+            _CLOSED_ORACLES[name](lam, t, x, **params), rel=1e-13, abs=0.0)
 
 
 # lambda arrays: one pass over the grid, on the code path of a float lambda
@@ -1786,9 +1857,9 @@ def test_sqrt_drift_lambdas_leave_the_series_at_their_own_terms(monkeypatch):
     got = cat.expectation(entry, None, lams, 1.0, 2.5)
     assert widths[0] == 5 and len(set(widths)) >= 3 and widths == sorted(widths)[::-1]
     for lam, g in zip(lams, got):
-        assert g == pytest.approx(_closed_sqrt_drift(lam, 1.0, 2.5, **params), rel=1e-13)
+        assert g == pytest.approx(_closed_sqrt_drift(lam, 1.0, 2.5, **params), rel=1e-13, abs=0.0)
         assert g == pytest.approx(cat.expectation(entry, None, float(lam), 1.0, 2.5),
-                                  rel=1e-14)
+                                  rel=1e-14, abs=0.0)
 
 
 def test_sqrt_drift_terms_near_e_minus_700_give_no_negative_value():
@@ -1848,7 +1919,7 @@ def test_rational_showcase_expectation_is_its_transform():
         entry = cat.make_entry("rational_showcase", **params)
         for lam, t, x in _CLOSED_GRID:
             assert cat.expectation(entry, None, lam, t, x) == pytest.approx(
-                cat.transform_rhs(entry, None, lam, t, x), rel=1e-13)
+                cat.transform_rhs(entry, None, lam, t, x), rel=1e-13, abs=0.0)
 
 
 def _mpmath_references():
