@@ -8,16 +8,18 @@ Subcommands:
             (a lambda grid, or one --lambda, is one library call)
   verify    run named verification suites and stream the report
 
-Grids use start:stop:step syntax. Output is CSV (15 significant digits) or
-JSON (native binary64). Exit codes: 0 success, 1 verification failure,
-2 usage/validity error, 3 numerical error. Identical invocations (including
-seed) produce byte-identical output. FEYNKAC_TOL overrides suite tolerances.
+Options are --name value or --name=value (the last of a repeated option
+wins); density and expect read every other --name value as an entry
+parameter, and `feynkac [SUBCOMMAND] --help` prints the option tables. Grids
+use start:stop:step syntax. Output is CSV (15 significant digits) or JSON
+(native binary64). Exit codes: 0 success, 1 verification failure, 2
+usage/validity error (one `feynkac: ...` line on stderr), 3 numerical error.
+Identical invocations (including seed) produce byte-identical output.
+FEYNKAC_TOL overrides suite tolerances.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
@@ -29,7 +31,7 @@ import numpy as np
 from . import catalog, verify
 from .errors import CapabilityError, DomainError, EvalOverflowError, FeynkacError, ValidityError
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -38,15 +40,16 @@ EXIT_NUMERICAL = 3
 
 _USAGE_ERRORS = (ValidityError, DomainError, CapabilityError)  # every other FeynkacError is numerical
 
+MAX_GRID_POINTS = 10 ** 6  # a start:stop:step grid with more points is a usage error
+
 
 def _fmt(v: Optional[float]) -> str:
-    if v is None:
-        return ""
-    return format(v, ".15g")
+    return "" if v is None else format(v, ".15g")
 
 
 def _parse_grid(text: str) -> List[float]:
-    """start:stop:step, inclusive of endpoints up to rounding."""
+    """start:stop:step, inclusive of endpoints up to rounding, at most
+    MAX_GRID_POINTS points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidityError(f"grid {text!r}: expected start:stop:step")
@@ -58,35 +61,29 @@ def _parse_grid(text: str) -> List[float]:
         raise ValidityError(f"grid {text!r}: entries must be finite")
     if step <= 0 or stop < start:
         raise ValidityError(f"grid {text!r}: needs step > 0 and stop >= start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    steps = (stop - start) / step + 1e-9  # inf where the quotient overflows
+    if not steps < MAX_GRID_POINTS:
+        raise ValidityError(f"grid {text!r}: more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
-def _collect_params(pairs: Sequence[str], entry: str) -> Dict[str, float]:
-    """Parse trailing --name value pairs into entry parameters, rejecting
-    anything the entry does not take."""
+def _collect_params(raw: Dict[str, str], entry: str) -> Dict[str, float]:
+    """The --name value pairs that are no option of the subcommand, as entry
+    parameters, rejecting anything the entry does not take."""
     if entry not in catalog.ENTRY_NAMES:
         raise ValidityError(f"unknown entry {entry!r} "
                             f"(known: {', '.join(catalog.ENTRY_NAMES)})")
     allowed = catalog.ENTRY_PARAMETERS[entry]
     params: Dict[str, float] = {}
-    i = 0
-    while i < len(pairs):
-        token = pairs[i]
-        if not token.startswith("--"):
-            raise ValidityError(f"unexpected argument {token!r}")
-        name = token[2:]
+    for name, value in raw.items():
         if name not in allowed:
             raise ValidityError(
                 f"entry {entry!r} does not take parameter --{name} "
                 f"(takes: {', '.join('--' + p for p in allowed)})")
-        if i + 1 >= len(pairs):
-            raise ValidityError(f"--{name} expects a value")
         try:
-            params[name] = float(pairs[i + 1])
+            params[name] = float(value)
         except ValueError:
-            raise ValidityError(f"--{name} expects a number, got {pairs[i + 1]!r}")
-        i += 2
+            raise ValidityError(f"--{name} expects a number, got {value!r}")
     return params
 
 
@@ -96,73 +93,13 @@ def _emit_csv(stream, header: Sequence[str], rows: Sequence[Sequence[str]]) -> N
         stream.write(",".join(row) + "\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev=False everywhere: argparse would otherwise read --mu (an
-    # entry parameter) as an abbreviation of --mu-grid
-    parser = argparse.ArgumentParser(
-        prog="feynkac", allow_abbrev=False,
-        description="Transition densities, fundamental solutions, and "
-                    "exponential-functional expectations for a catalog of "
-                    "one-dimensional diffusions.")
-    parser.add_argument("--manifest", action="store_true",
-                        help="dump the catalog manifest as JSON and exit")
-    sub = parser.add_subparsers(dest="subcommand")
-
-    def common(p):
-        p.add_argument("--entry", required=True, help="catalog entry name")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    pd = sub.add_parser("density", help="evaluate a kernel", allow_abbrev=False)
-    common(pd)
-    pd.add_argument("--t", type=float, required=True)
-    pd.add_argument("--x", type=float, required=True)
-    pd.add_argument("--y", type=float)
-    pd.add_argument("--y-grid", dest="y_grid")
-    pd.add_argument("--check-mass", dest="check_mass", action="store_true",
-                    help="verify that continuous part + Dirac masses integrate to 1")
-
-    pe = sub.add_parser("expect", help="evaluate expectations",
-                        allow_abbrev=False)
-    common(pe)
-    pe.add_argument("--t", type=float, required=True)
-    pe.add_argument("--x", type=float, required=True)
-    pe.add_argument("--lambda", dest="lam", type=float)
-    pe.add_argument("--lambda-grid", dest="lam_grid")
-    pe.add_argument("--mu-grid", dest="mu_grid",
-                    help="tabulate over the entry's functional strength")
-    pe.add_argument("--method", choices=("auto", "closed", "quadrature"),
-                    default="auto")
-
-    pv = sub.add_parser("verify", help="run verification suites",
-                        allow_abbrev=False)
-    pv.add_argument("--suite", required=True,
-                    choices=tuple(sorted(verify.SUITES)) + ("all",))
-    pv.add_argument("--entry", help="restrict report rows to one entry")
-    pv.add_argument("--format", choices=("csv", "json"), default="csv")
-    pv.add_argument("--tol", type=float,
-                    help="override the suite tolerance "
-                         "(default from FEYNKAC_TOL when set)")
-    pv.add_argument("--paths", type=int, help="Monte Carlo paths")
-    pv.add_argument("--steps", type=int, help="Monte Carlo time steps")
-    pv.add_argument("--seed", type=int, help="Monte Carlo seed")
-
-    return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser main() uses, built once per process (parsing does not
-    change it)."""
-    return build_parser()
-
-
-def _cmd_density(args, extra: Sequence[str], out) -> int:
-    params = _collect_params(extra, args.entry)
-    entry = catalog.make_entry(args.entry, **params)
-    if (args.y is None) == (args.y_grid is None):
+def _cmd_density(opts, raw, out) -> int:
+    params = _collect_params(raw, opts["entry"])
+    entry = catalog.make_entry(opts["entry"], **params)
+    if (opts["y"] is None) == (opts["y-grid"] is None):
         raise ValidityError("density: give exactly one of --y and --y-grid")
-    ys = [args.y] if args.y is not None else _parse_grid(args.y_grid)
-    t, x = args.t, args.x
+    ys = [opts["y"]] if opts["y"] is not None else _parse_grid(opts["y-grid"])
+    t, x = opts["t"], opts["x"]
 
     # the y=0 boundary carries the atoms, listed below; the rest of the grid
     # is one kernel call, of the log kernel where there is one
@@ -183,10 +120,10 @@ def _cmd_density(args, extra: Sequence[str], out) -> int:
     rows = [(t, x, y, d, ld) for y, d, ld in zip(ys.tolist(), dens, log_dens)]
     atoms = catalog.atom_weights(entry, None, t, x)
     mass_row = None
-    if args.check_mass:
+    if opts["check-mass"]:
         mass_row = verify.check_mass(entry, t, x)
 
-    if args.format == "csv":
+    if opts["format"] == "csv":
         _emit_csv(out, ("t", "x", "y", "density", "log_density"),
                   [tuple(_fmt(v) for v in r) for r in rows])
         out.write("\n")
@@ -200,7 +137,7 @@ def _cmd_density(args, extra: Sequence[str], out) -> int:
                         "pass" if mass_row.passed else "fail")])
     else:
         doc = {
-            "entry": args.entry, "params": params,
+            "entry": opts["entry"], "params": params,
             "rows": [{"t": r[0], "x": r[1], "y": r[2], "density": r[3],
                       "log_density": r[4]} for r in rows],
             "atoms": [{"location": l, "order": o, "weight": w}
@@ -211,57 +148,55 @@ def _cmd_density(args, extra: Sequence[str], out) -> int:
                                  "expected": mass_row.reference,
                                  "abs_err": mass_row.abs_err,
                                  "passed": mass_row.passed}
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(doc, indent=2) + "\n")
     if mass_row is not None and not mass_row.passed:
         return EXIT_VERIFY_FAIL
     return EXIT_OK
 
 
-def _cmd_expect(args, extra: Sequence[str], out) -> int:
-    params = _collect_params(extra, args.entry)
-    t, x = args.t, args.x
-    modes = sum(v is not None for v in (args.lam, args.lam_grid))
-    if args.mu_grid is not None:
-        lam = args.lam if args.lam is not None else 0.0
-        rows = catalog.joint_laplace_in_mu(args.entry, params, lam, t, x,
-                                           _parse_grid(args.mu_grid))
+def _cmd_expect(opts, raw, out) -> int:
+    params = _collect_params(raw, opts["entry"])
+    t, x, lam = opts["t"], opts["x"], opts["lambda"]
+    if opts["mu-grid"] is not None:
+        lam = lam if lam is not None else 0.0
+        rows = catalog.joint_laplace_in_mu(opts["entry"], params, lam, t, x,
+                                           _parse_grid(opts["mu-grid"]))
         header = ("mu", "lambda", "t", "x", "expectation")
         table = [(m, lam, t, x, v) for m, v in rows]
     else:
-        if modes != 1:
+        if (lam is None) == (opts["lambda-grid"] is None):
             raise ValidityError("expect: give --lambda or --lambda-grid "
                                 "(or --mu-grid)")
-        lams = [args.lam] if args.lam is not None else _parse_grid(args.lam_grid)
-        entry = catalog.make_entry(args.entry, **params)
+        lams = [lam] if lam is not None else _parse_grid(opts["lambda-grid"])
+        entry = catalog.make_entry(opts["entry"], **params)
         header = ("lambda", "t", "x", "expectation")
         values = catalog.expectation(entry, None, np.array(lams), t, x,
-                                     method=args.method).tolist()
+                                     method=opts["method"]).tolist()
         table = [(lam, t, x, v) for lam, v in zip(lams, values)]
 
-    if args.format == "csv":
+    if opts["format"] == "csv":
         tx = (_fmt(t), _fmt(x))  # the same on every row, before the last column
         _emit_csv(out, header, [tuple(map(_fmt, r[:-3])) + tx + (_fmt(r[-1]),)
                                 for r in table])
     else:
-        json.dump({"entry": args.entry, "params": params,
-                   "rows": [dict(zip(header, r)) for r in table]},
-                  out, indent=2)
-        out.write("\n")
+        out.write(json.dumps({"entry": opts["entry"], "params": params,
+                              "rows": [dict(zip(header, r)) for r in table]},
+                             indent=2) + "\n")
     return EXIT_OK
 
 
-def _cmd_verify(args, extra: Sequence[str], out) -> int:
-    if extra:
-        raise ValidityError(f"verify: unexpected arguments {extra!r}")
+def _cmd_verify(opts, raw, out) -> int:
+    if raw:
+        raise ValidityError(f"verify: unexpected option --{next(iter(raw))} "
+                            "(verify takes no entry parameters)")
     mc_spec = None
-    if any(v is not None for v in (args.paths, args.steps, args.seed)):
+    if any(opts[k] is not None for k in ("paths", "steps", "seed")):
         base = verify.MC_SUITE_SPEC
         mc_spec = verify.McSpec(
-            n_paths=base.n_paths if args.paths is None else args.paths,
-            n_steps=base.n_steps if args.steps is None else args.steps,
-            seed=base.seed if args.seed is None else args.seed)
-    tol = args.tol
+            n_paths=base.n_paths if opts["paths"] is None else opts["paths"],
+            n_steps=base.n_steps if opts["steps"] is None else opts["steps"],
+            seed=base.seed if opts["seed"] is None else opts["seed"])
+    tol = opts["tol"]
     env_tol = os.environ.get("FEYNKAC_TOL")
     if tol is None and env_tol:
         try:
@@ -270,11 +205,11 @@ def _cmd_verify(args, extra: Sequence[str], out) -> int:
             raise ValidityError(f"FEYNKAC_TOL expects a number, got {env_tol!r}")
     if tol is not None and not (tol >= 0 and math.isfinite(tol)):
         raise ValidityError(f"verify: the tolerance must be finite and >= 0 (got {tol})")
-    report = verify.run_suite(args.suite, tol=tol, mc_spec=mc_spec,
-                              entry_filter=args.entry)
-    if args.format == "csv":
+    report = verify.run_suite(opts["suite"], tol=tol, mc_spec=mc_spec,
+                              entry_filter=opts["entry"])
+    if opts["format"] == "csv":
         report.to_csv(out)
-        out.write(f"# suite={args.suite} checks={len(report.rows)} "
+        out.write(f"# suite={opts['suite']} checks={len(report.rows)} "
                   f"failed={report.n_failed} "
                   f"status={'pass' if report.passed else 'fail'}\n")
     else:
@@ -283,26 +218,123 @@ def _cmd_verify(args, extra: Sequence[str], out) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
+def _cmd_manifest(opts, raw, out) -> int:
+    if raw:
+        raise ValidityError(f"--manifest: unexpected option --{next(iter(raw))}")
+    out.write(json.dumps(catalog.manifest(), indent=2) + "\n")
+    return EXIT_OK
+
+
+# subcommand -> (handler, summary, options); an option is name -> (converter,
+# required, choices, help), and a converter of None marks a flag. An optional
+# option with choices defaults to its first choice, any other to None (a flag
+# to False). No option shares its name with an entry parameter.
+_ENTRY = (str, True, None, "catalog entry name")
+_FORMAT = (str, False, ("csv", "json"), "output format")
+_T, _X = (float, True, None, "time"), (float, True, None, "starting point")
+_COMMANDS = {
+    "density": (_cmd_density, "evaluate a kernel", {
+        "entry": _ENTRY, "format": _FORMAT, "t": _T, "x": _X,
+        "y": (float, False, None, "one end point"),
+        "y-grid": (str, False, None, "end points, start:stop:step"),
+        "check-mass": (None, False, None, "check that the kernel and its atoms integrate to 1")}),
+    "expect": (_cmd_expect, "evaluate expectations", {
+        "entry": _ENTRY, "format": _FORMAT, "t": _T, "x": _X,
+        "lambda": (float, False, None, "one lambda"),
+        "lambda-grid": (str, False, None, "lambdas, start:stop:step"),
+        "mu-grid": (str, False, None, "strengths of the entry's killing term, start:stop:step"),
+        "method": (str, False, ("auto", "closed", "quadrature"), "evaluation route")}),
+    "verify": (_cmd_verify, "run verification suites", {
+        "suite": (str, True, tuple(sorted(verify.SUITES)) + ("all",), "suite to run"),
+        "entry": (str, False, None, "restrict report rows to one entry"),
+        "format": _FORMAT,
+        "tol": (float, False, None, "override the suite tolerance (and FEYNKAC_TOL)"),
+        "paths": (int, False, None, "Monte Carlo paths"),
+        "steps": (int, False, None, "Monte Carlo time steps"),
+        "seed": (int, False, None, "Monte Carlo seed")}),
+    "--manifest": (_cmd_manifest, "dump the catalog manifest as JSON", {}),
+}
+_HELP = ("-h", "--help")
+_EXPECTS = {float: "a number", int: "an integer"}
+
+
+def _scan(command: str, args: Sequence[str]):
+    """Walk args once: the subcommand's options into a dict of converted
+    values, every other --name value pair into a dict of raw strings (the
+    entry parameters). None where -h/--help stands in an option's place."""
+    table = _COMMANDS[command][2]
+    opts = {name: False if convert is None else choices[0] if choices and not required
+            else None for name, (convert, required, choices, _) in table.items()}
+    raw: Dict[str, str] = {}
+    tokens = iter(args)
+    for token in tokens:
+        if token in _HELP:
+            return None
+        if token in _COMMANDS:
+            raise ValidityError(f"{token!r} must be the first argument")
+        if not token.startswith("--"):
+            raise ValidityError(f"unexpected argument {token!r}")
+        name, eq, value = token[2:].partition("=")
+        convert, _, choices, _ = table.get(name, (None, None, None, None))
+        if name in table and convert is None:
+            if eq:
+                raise ValidityError(f"--{name} takes no value")
+            opts[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ValidityError(f"--{name} expects a value")
+        if convert is None:
+            raw[name] = value
+        elif choices and value not in choices:
+            raise ValidityError(f"--{name}: invalid choice {value!r} "
+                                f"(choose from {', '.join(choices)})")
+        else:
+            try:
+                opts[name] = convert(value)
+            except ValueError:
+                raise ValidityError(f"--{name} expects {_EXPECTS[convert]}, got {value!r}")
+    missing = [f"--{name}" for name, spec in table.items() if spec[1] and opts[name] is None]
+    if missing:
+        raise ValidityError(f"{command}: the following options are required: "
+                            f"{', '.join(missing)}")
+    return opts, raw
+
+
+def _help(commands: Sequence[str]) -> str:
+    """The usage lines and the option table of each of the commands."""
+    lines = [f"usage: feynkac {{{','.join(_COMMANDS)}}} [--OPTION VALUE ...] [--help]",
+             "Options are --NAME VALUE or --NAME=VALUE; density and expect read every other",
+             "--NAME VALUE as an entry parameter (feynkac --manifest lists each entry's)."]
+    for command in commands:
+        _, summary, table = _COMMANDS[command]
+        lines += ["", f"{command}: {summary}"]
+        for name, (convert, required, choices, text) in table.items():
+            value = "" if convert is None else " " + name.upper().replace("-", "_")
+            note = [", ".join(choices)] if choices else []
+            note += ["required"] if required else [f"default {choices[0]}"] if choices else []
+            lines.append(f"  --{name + value:<25} {text}" + (f" ({'; '.join(note)})" if note else ""))
+    return "\n".join(lines) + "\n"
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = _parser()
+    args = sys.argv[1:] if argv is None else argv
+    command = args[0] if args else None
     try:
-        args, extra = parser.parse_known_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        if args.manifest:
-            json.dump(catalog.manifest(), out, indent=2)
-            out.write("\n")
+        if command in _HELP:
+            out.write(_help(_COMMANDS))
             return EXIT_OK
-        if args.subcommand == "density":
-            return _cmd_density(args, extra, out)
-        if args.subcommand == "expect":
-            return _cmd_expect(args, extra, out)
-        if args.subcommand == "verify":
-            return _cmd_verify(args, extra, out)
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+        if command not in _COMMANDS:
+            what = "no subcommand" if command is None else f"unknown subcommand {command!r}"
+            raise ValidityError(f"{what}: expected one of {', '.join(_COMMANDS)} "
+                                "(see feynkac --help)")
+        scanned = _scan(command, args[1:])
+        if scanned is None:
+            out.write(_help([command]))
+            return EXIT_OK
+        return _COMMANDS[command][0](*scanned, out)
     except _USAGE_ERRORS as exc:
         print(f"feynkac: {exc}", file=sys.stderr)
         return EXIT_USAGE

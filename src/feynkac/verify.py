@@ -143,8 +143,7 @@ class VerificationReport:
         }
 
     def to_json(self, stream) -> None:
-        json.dump(self.to_json_obj(), stream, indent=2)
-        stream.write("\n")
+        stream.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

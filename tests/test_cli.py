@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import feynkac
-from feynkac import catalog, errors
+from feynkac import catalog, cli, errors
 from feynkac.cli import main
 
 
@@ -416,7 +416,7 @@ def test_verify_tolerance_from_environment(monkeypatch):
 
 
 def test_verify_tolerance_from_environment_read_at_call_time(monkeypatch):
-    # the parser is built once per process; FEYNKAC_TOL set after the first
+    # the option tables are built once per process; FEYNKAC_TOL set after the first
     # main() call must still be honoured
     assert run("verify", "--suite", "hartman")[0] == 0
     monkeypatch.setenv("FEYNKAC_TOL", "1e-30")
@@ -483,6 +483,138 @@ def test_verify_json_format():
     assert all(r["passed"] for r in obj["rows"])
 
 
+_DENSITY = ["density", "--entry", "besq", "--n", "3", "--t", "1", "--x", "1",
+            "--y", "1"]
+_EXPECT_CLOSED = ["expect", "--entry", "cir", "--a", "1.1", "--b", "0.8",
+                  "--sigma", "0.6", "--t", "1", "--x", "1",
+                  "--lambda-grid", "0.5:2:0.5"]
+_EXPECT_QUADRATURE = _EXPECT_CLOSED + ["--method", "quadrature"]
+_VERIFY_MASS = ["verify", "--suite", "mass"]
+
+
+# ---------------------------------------------------------------------------
+# argument scanner
+# ---------------------------------------------------------------------------
+
+_CIR = ["--entry", "cir", "--a", "1.1", "--b", "0.8", "--sigma", "0.6"]
+_CIR_LAMBDA = ["expect", *_CIR, "--t", "1", "--x", "1", "--lambda"]
+
+# usage errors: each exits 2 with one line on stderr and nothing on stdout
+_USAGE_ERRORS = {
+    "no arguments": [],
+    "unknown subcommand": ["nosuch", "--suite", "mass"],
+    "missing --entry": ["density", "--n", "3", "--t", "1", "--x", "1", "--y", "1"],
+    "missing --t": ["density", "--entry", "besq", "--n", "3", "--x", "1", "--y", "1"],
+    "missing --x": ["expect", "--entry", "besq", "--n", "3", "--t", "1", "--lambda", "1"],
+    "missing --suite": ["verify", "--format", "json"],
+    "bad --format": ["verify", "--suite", "hartman", "--format", "xml"],
+    "bad --method": _CIR_LAMBDA + ["1", "--method", "fast"],
+    "bad --suite": ["verify", "--suite", "nosuch"],
+    "--t not a number": ["expect", *_CIR, "--t", "one", "--x", "1", "--lambda", "1"],
+    "--paths not an integer": ["verify", "--suite", "mc", "--paths", "2.5"],
+    "--seed not an integer": ["verify", "--suite", "mc", "--seed", "x"],
+    "no value at the end": _CIR_LAMBDA,
+    "no entry parameter value at the end": _CIR_LAMBDA + ["1", "--a"],
+    "stray positional": _CIR_LAMBDA + ["1", "stray"],
+    "entry parameter to verify": ["verify", "--suite", "hartman", "--a", "1"],
+    "--manifest after a subcommand": ["density", "--manifest"],
+    "--manifest after a whole density call": _DENSITY + ["--manifest"],
+    "an argument to --manifest": ["--manifest", "--x", "1"],
+    "a value to a flag": _DENSITY + ["--check-mass=yes"],
+    "an entry parameter that is not a number": _CIR_LAMBDA + ["1", "--a=one"],
+}
+
+
+@pytest.mark.parametrize("args", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS.keys())
+def test_usage_error_exits_2_with_one_line(args, capsys):
+    assert run(*args) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("feynkac: ") and err.count("\n") == 1, err
+
+
+# stdout recorded from the earlier argparse front end, which the scanner must match
+_CIR_CSV = "lambda,t,x,expectation\n0.5,1,1,0.588384910221967\n"
+_BESQ_CSV = ("t,x,y,density,log_density\n1,1,1,0.172475656944122,-1.75749917163348\n"
+             "\natom_location,atom_order,atom_weight\n")
+
+
+@pytest.mark.parametrize("args,want", [
+    (_CIR_LAMBDA[:-5] + ["--t=1", "--x=1", "--lambda=0.5"], _CIR_CSV),
+    # the last of a repeated option or entry parameter wins
+    (["expect", "--entry", "cir", "--a", "2", "--b", "0.8", "--sigma", "0.6", "--t", "5",
+      "--x", "1", "--lambda", "0.5", "--a", "1.1", "--t", "1"], _CIR_CSV),
+    (_DENSITY + ["--format=json", "--format=csv"], _BESQ_CSV),
+    # entry parameters as --name=value give the bytes of --name value
+    (["expect", "--entry=cir", "--a=1.1", "--b=0.8", "--sigma=0.6", "--t=1", "--x=1",
+      "--lambda=0.5", "--method=auto"], _CIR_CSV),
+])
+def test_name_equals_value_and_repeated_options(args, want):
+    assert run(*args) == (0, want)
+
+
+def test_the_token_after_an_option_is_its_value(capsys):
+    # --x -1 is the value -1, which the domain check refuses
+    assert run(*_CIR_LAMBDA[:-3], "--x", "-1", "--lambda", "0.5") == (2, "")
+    assert capsys.readouterr().err == "feynkac: expectation: requires t > 0, x > 0\n"
+    assert run("density", "--entry", "--help", "--t", "1", "--x", "1", "--y", "1") == (2, "")
+    assert capsys.readouterr().err.startswith("feynkac: unknown entry '--help'")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["-h"], ["density", "--help"],
+                                  ["expect", "--entry", "cir", "-h"], ["verify", "--help"],
+                                  ["--manifest", "--help"]], ids=" ".join)
+def test_help_names_every_option(args, capsys):
+    code, out = run(*args)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert out.startswith("usage: feynkac ")
+    commands = cli._COMMANDS if args[0] in ("-h", "--help") else [args[0]]
+    for command in commands:
+        assert f"\n{command}: " in out
+        for name in cli._COMMANDS[command][2]:
+            assert f"\n  --{name} " in out
+
+
+def test_no_option_shares_its_name_with_an_entry_parameter():
+    # the scanner reads a name in the table as the option, never as a parameter
+    options = {name for _, _, table in cli._COMMANDS.values() for name in table}
+    assert not options & {p for ps in catalog.ENTRY_PARAMETERS.values() for p in ps}
+
+
+@pytest.mark.parametrize("grid", ["0:1e300:1e-300", "0:1e9:1e-3", "0:1e6:1",
+                                  "-1e308:1e308:1"])
+def test_grid_with_too_many_points_is_usage_error(grid, capsys):
+    # the first raised OverflowError, the second would build 10^12 floats
+    for args in (_CIR_LAMBDA[:-1] + ["--lambda-grid", grid],
+                 _DENSITY[:-2] + ["--y-grid", grid]):
+        assert run(*args) == (2, "")
+        assert capsys.readouterr().err == (f"feynkac: grid {grid!r}: more than "
+                                           f"{cli.MAX_GRID_POINTS} points\n")
+
+
+def test_grid_of_max_points():
+    grid = cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")
+    assert len(grid) == cli.MAX_GRID_POINTS and grid[-1] == cli.MAX_GRID_POINTS - 1
+
+
+class _CountedWrites(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("args", [_CIR_LAMBDA + ["0.5", "--format", "json"],
+                                  _DENSITY + ["--format", "json", "--check-mass"],
+                                  ["--manifest"],
+                                  ["verify", "--suite", "hartman", "--format", "json"]])
+def test_a_json_document_is_one_write(args):
+    buf = _CountedWrites()
+    assert main(args, out=buf) == 0
+    assert buf.writes == 1
+    json.loads(buf.getvalue())
+
+
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
@@ -518,14 +650,6 @@ def test_reused_parser_gives_the_same_output():
 def test_no_arguments_is_usage_error():
     assert run()[0] == 2
 
-
-_DENSITY = ["density", "--entry", "besq", "--n", "3", "--t", "1", "--x", "1",
-            "--y", "1"]
-_EXPECT_CLOSED = ["expect", "--entry", "cir", "--a", "1.1", "--b", "0.8",
-                  "--sigma", "0.6", "--t", "1", "--x", "1",
-                  "--lambda-grid", "0.5:2:0.5"]
-_EXPECT_QUADRATURE = _EXPECT_CLOSED + ["--method", "quadrature"]
-_VERIFY_MASS = ["verify", "--suite", "mass"]
 
 _IMPORT_BUDGET_SCRIPT = """
 import io, json, sys

@@ -337,10 +337,8 @@ def test_the_check_sees_a_hand_built_pair_part():
         ("_make_generic_linear", 4), ("_rational_drift_inverse", 6)]
 
 
-def _scipy_integrate_imports(tree: ast.Module):
-    """Lines that import scipy.integrate or a name from it, at any depth:
-    the catalog has its double-exponential rule and verify its Gauss-Kronrod
-    rule, and the import costs 0.3 s and about 20 MB."""
+def _module_imports(tree: ast.Module, module: str):
+    """Lines that import `module` or a name from it, at any depth."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -348,13 +346,16 @@ def _scipy_integrate_imports(tree: ast.Module):
             names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
+        if any(n == module or n.startswith(module + ".") for n in names):
             yield node.lineno
 
 
 @pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
 def test_no_module_imports_scipy_integrate(path):
-    bad = list(_scipy_integrate_imports(ast.parse(path.read_text(), filename=str(path))))
+    # the catalog has its double-exponential rule and verify its Gauss-Kronrod
+    # rule, and the import costs 0.3 s and about 20 MB
+    bad = list(_module_imports(ast.parse(path.read_text(), filename=str(path)),
+                               "scipy.integrate"))
     assert not bad, f"{path.name}: scipy.integrate imported on lines {bad}"
 
 
@@ -366,7 +367,25 @@ def test_the_check_sees_a_scipy_integrate_import():
                      "    from scipy.integrate import quad\n"
                      "from scipy import interpolate\n"
                      "import scipy.integrate as si\n")
-    assert sorted(_scipy_integrate_imports(tree)) == [1, 3, 5, 7]
+    assert sorted(_module_imports(tree, "scipy.integrate")) == [1, 3, 5, 7]
+
+
+def test_cli_imports_no_argparse():
+    # the CLI walks argv once against its own option tables; a second parser
+    # would be a second definition of every option
+    path = pathlib.Path(feynkac.__file__).parent / "cli.py"
+    bad = list(_module_imports(ast.parse(path.read_text(), filename=str(path)), "argparse"))
+    assert not bad, f"cli.py: argparse imported on lines {bad}"
+
+
+def test_the_check_sees_an_argparse_import():
+    tree = ast.parse("import argparse\n"
+                     "from argparse import ArgumentParser\n"
+                     "def f():\n"
+                     "    import argparse as ap\n"
+                     "import argparsex\n"
+                     "import os, argparse\n")
+    assert sorted(_module_imports(tree, "argparse")) == [1, 2, 4, 6]
 
 
 _ONE_IMPLEMENTATION = ("bessel_i", "log_bessel_ive", "bessel_k", "tricomi_u", "whittaker_w")
