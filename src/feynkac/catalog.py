@@ -47,22 +47,23 @@ Every one-branch kernel is then
   log p = H(x, y) + log(m y^(m-1)) + r t + log core,
 
 and a builder supplies only the h-ratio H. An entry with a closed form
-states it as the terms of u(Y) = sum_i c_i Y^p_i e^(-beta_i Y), H = log
-u(Y)/u(X), and _core_sum builds from that one statement both the log kernel
-and E_x[exp(-lam X_t^m)] = e^(r t) sum_i w_i(X) B_i + atoms, with w_i(X) =
+states its h-function once, as the terms of u(Y) = sum_i c_i Y^p_i
+e^(-beta_i Y), H = log u(Y)/u(X): from them _terms_diffusion forms its drift
+antiderivative F = 2 sigma log sum_i c_i x^(m p_i + 1/2) e^(-beta_i x^m),
+checked against the hand-written drift, and _core_sum the kernel with its
+atoms and E_x[exp(-lam X_t^m)] = e^(r t) sum_i w_i(X) B_i + atoms, w_i(X) =
 c_i X^p_i e^(-beta_i X)/u(X) and B_i the Laplace-Bessel moment of term i, one
-log-1F1 (_log_core_moments); sqrt_drift's sums the series of its u(y) =
-y^((a-1)/2) e^(-b sqrt(y)) moment by moment, in blocks of terms. These two
-are the closed forms; each takes lam as a float or as a float64 array (numpy
-where lam is an array, as a kernel picks it by y), so that a lambda grid is
-one call. bessel_drift, sqrt_drift and
-generic_linear take H = (F(y) - F(x))/(2 sigma) - log(y/x)/2 from their drift
-antiderivative F. Where coth(wt) rounds to 1, H and -a (sx - sy)^2 cancel: a
-kernel raises EvalOverflowError where that loses 2e-10 of p (_check_cancellation).
-generic_linear's drift f = 2 sigma x y'/y, its F = 2 sigma log y and its u0,
-and bessel_drift's F, are riccati._bessel_y's y, the linear family's Bessel
-solution sqrt(x) Z_nu(c x^(m/2)), which build_drift and
-symmetry.stationary_branch read too.
+log-1F1 (_log_core_moments). sqrt_drift's sums the series of its u(y) =
+y^((a-1)/2) e^(-b sqrt(y)) moment by moment, in blocks of terms. Both closed
+forms take lam as a float or a float64 array (numpy where lam is an array, as
+a kernel picks it by y), so that a lambda grid is one call. bessel_drift,
+sqrt_drift and generic_linear take H = (F(y) - F(x))/(2 sigma) - log(y/x)/2
+from their drift antiderivative F. Where coth(wt) rounds to 1, H and -a
+(sx - sy)^2 cancel: a kernel raises EvalOverflowError where that loses 2e-10
+of p (_check_cancellation). generic_linear's drift f = 2 sigma x y'/y, its F
+= 2 sigma log y and its u0, and bessel_drift's F, are riccati._bessel_y's y,
+the linear family's Bessel solution sqrt(x) Z_nu(c x^(m/2)), which
+build_drift and symmetry.stationary_branch read too.
 
 The second branch p- has index -nu: radial_ou takes it where a < 1, and
 besq_cosh_variant is that of besq n = 3. By DLMF 10.27.3 p- is p+ + (2/pi)
@@ -77,16 +78,17 @@ Transforms and atoms
 --------------------
 A transform identity integrates exp(-lam y^m) u0(y) against the kernel; its
 right-hand side is symmetry.orbit_transform of the entry's u0 and declared
-constants. besq (mu = 0), bessel, bessel_drift and sqrt_drift take u0 from
-those constants too, as symmetry.stationary_branch's principal branch; the
-other entries state u0 by its gauge part. Linear entries take the
+constants, which CatalogEntry forms wherever u0 is given. besq (mu = 0),
+bessel, bessel_drift and sqrt_drift take u0 from those constants too, as
+symmetry.stationary_branch's principal branch; the other entries state u0
+by its gauge part, rational_showcase's as F/2. Linear entries take the
 laplace_scaling orbit at lam, quadratic ones the exp_scaling orbit at
 eps = sigma lam/(sqrt(A) + sigma lam). That orbit at eps = 1 is the
 tanh_drift atom weight (symmetry.atom_weight), and half the rational_drift
 one, whose u0 is 1/2 at 0+; rational_drift keeps its own formula because at
 mu = 0 its pair is in the linear family, where the group has no eps = 1
-orbit. cir, radial_ou, generic_quadratic and besq with
-mu > 0 have neither u0 nor transform.
+orbit. cir, radial_ou, generic_quadratic and besq with mu > 0 have neither
+u0 nor transform.
 
 Entries
 -------
@@ -183,22 +185,26 @@ class Kernel:
 @dataclass(frozen=True)
 class CatalogEntry:
     """A built entry. make_entry shares one instance among all callers with
-    equal parameters, so params is a read-only mapping."""
+    equal parameters, so params is a read-only mapping. Where u0 is given and
+    transform_rhs is not, it is symmetry.orbit_transform(diffusion, u0, riccati)."""
 
     name: str
     params: Mapping[str, float]
     diffusion: DiffusionSpec
     potential: PotentialSpec
     kernel: Kernel
-    u0: Optional[StationarySolution]
-    transform_rhs: Optional[Callable[[float, float, float], float]]  # (lam,t,x)
-    expectation_closed: Optional[Callable[[float, float, float], float]]  # (lam,t,x)
+    u0: Optional[StationarySolution] = None
+    transform_rhs: Optional[Callable[[float, float, float], float]] = None  # (lam,t,x)
+    expectation_closed: Optional[Callable[[float, float, float], float]] = None  # (lam,t,x)
     functional_param: str = ""  # which param is the Laplace variable of the functional
     # declared drift-equation constants, which give the kernel's Bessel core and the transform
     riccati: Optional[RiccatiParams] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        if self.u0 is not None and self.transform_rhs is None:
+            object.__setattr__(self, "transform_rhs",
+                               orbit_transform(self.diffusion, self.u0, self.riccati))
 
     @property
     def state_power(self) -> float:
@@ -307,8 +313,10 @@ def _log_core_moments(nu: float, c: float, omega: float, lam, t: float,
 
     Where E = e^(-2 omega t) falls below 1e-300 (and em = 1), E is carried as
     its log, and so are s and the Bessel argument, which shrink with it:
-    where also lam + beta + c omega = 0, s is 2 c omega E, not 0. Where X
-    overflows (x beyond 1e154 at state power 2), EvalOverflowError."""
+    where also lam + beta + c omega = 0, s is 2 c omega E, not 0. Their
+    omega t parts are summed apart, so that none cancels another: where 2 c
+    omega E carries s, to (2p + 1) omega t, 0 for tanh_drift's e^Y term.
+    Where X overflows (x beyond 1e154 at state power 2), EvalOverflowError."""
     X = sx * sx
     if X == math.inf:
         raise EvalOverflowError(f"expectation: x^2 = {sx!r}^2 overflows")
@@ -322,8 +330,8 @@ def _log_core_moments(nu: float, c: float, omega: float, lam, t: float,
             log_k = math.log(2.0 * cw / em) - wt
             arg = 2.0 * cw * sx * math.exp(-wt) / em
         else:
-            log_k = math.log(2.0 * cw) - wt
-            l_arg = log_k + math.log(sx)
+            L, l_sx = math.log(2.0 * cw), math.log(sx)
+            lb = L - 2.0 * wt
     for p, beta in terms:
         if omega == 0.0:
             den = (lam + beta) * t + c
@@ -344,17 +352,20 @@ def _log_core_moments(nu: float, c: float, omega: float, lam, t: float,
             else:
                 xp, top, low = math, max, min
                 la = math.log(D) if D > 0 else -math.inf
-            lb = log_k - wt
-            ls = top(la, lb) + xp.log1p(xp.exp(-abs(la - lb)))
+            on_e = la < lb  # 2 c omega E carries d: ls = base + gap - 2 on_e wt
+            base = np.where(on_e, L, la) if xp is np else (L if on_e else la)
+            gap = xp.log1p(xp.exp(-abs(la - lb)))
+            ls = top(la, lb) + gap
             q_over_d = (cw - beta) * xp.exp(la - ls) + lam * xp.exp(lb - ls)
             # the moment at s = e^ls, rescaled to s = 1 (y -> y/s), which
             # leaves arg^2/s alone; below arg^2/s = e^-600 its 1F1 factor is
-            # 1, so that its log is nu log(arg/sqrt(s)) plus a constant
-            lc = l_arg - 0.5 * ls
+            # 1, so that its log is nu log(arg/sqrt(s)) plus a constant; lc and
+            # -(p + 1) ls + log k are summed with their wt parts apart
+            lc = L + l_sx - 0.5 * (base + gap) + (on_e - 1.0) * wt
             yield (specfun.log_laplace_bessel_moment_scaled(
                        p, nu, 1.0, xp.exp(top(lc, -300.0)))
-                   + nu * low(lc + 300.0, 0.0) - (p + 1.0) * ls
-                   + log_k - X * q_over_d - p * lX)
+                   + nu * low(lc + 300.0, 0.0) - (p + 1.0) * (base + gap) + L
+                   + (2.0 * on_e * (p + 1.0) - 1.0) * wt - X * q_over_d - p * lX)
             continue
         yield (specfun.log_laplace_bessel_moment_scaled(p, nu, s, arg)
                + log_k - X * q_over_d - p * lX)
@@ -481,6 +492,36 @@ def _terms_ratio(terms, m: float) -> Callable:
     return ratio
 
 
+def _terms_diffusion(terms, gamma: float, sigma: float, drift, drift_derivative,
+                     label: str) -> DiffusionSpec:
+    """DiffusionSpec with F = 2 sigma log sum_i c_i x^(m p_i + 1/2) e^(-beta_i
+    x^m), m = 2 - gamma, of one or two terms of u(Y) (_terms_ratio), whose F'
+    = f/x^gamma check then checks the terms against the drift. F is float-only,
+    as cheap as a hand-written one: math.log and math.pow keep a numpy scalar x
+    out of the arithmetic, and a sum of two is unrolled. F(0) is finite where
+    no exponent is negative."""
+    m, s2 = 2.0 - gamma, 2.0 * sigma
+    (l1, e1, b1), *rest = [(math.log(ci), m * p + 0.5, beta) for ci, p, beta in terms]
+    if not rest:
+        log_c, e, b = s2 * l1, s2 * e1, s2 * b1
+
+        def F(x: float) -> float:
+            return e * math.log(x) - b * math.pow(x, m) + log_c
+    else:
+        (l2, e2, b2), = rest
+        l2 -= l1  # c_1 factored out
+
+        def F(x: float) -> float:
+            lx, z = (math.log(x) if x else -math.inf), math.pow(x, m)
+            g = (e1 * lx if e1 else 0.0) - b1 * z
+            h = l2 + (e2 * lx if e2 else 0.0) - b2 * z
+            if g < h:
+                g, h = h, g
+            return s2 * (l1 + (g + math.log1p(math.exp(h - g))))
+    return DiffusionSpec(gamma=gamma, sigma=sigma, drift=drift, drift_antiderivative=F,
+                         label=label, drift_derivative=drift_derivative)
+
+
 def _log_terms(logc, z: float, lz: float):
     """log c_i Z^p_i e^(-beta_i Z), logc = ((log c_i, p_i, beta_i), ...), lz = log Z."""
     return [lc + p * lz - beta * z for lc, p, beta in logc]
@@ -500,18 +541,18 @@ def _gauge_ratio(diff: DiffusionSpec) -> Callable:
 
 
 def _core_sum(diff: DiffusionSpec, ric: RiccatiParams, terms, atoms=(),
-              sign: float = 1.0) -> Tuple[Callable, Callable]:
-    """(log kernel for _kernel, closed-form expectation with the atoms) of the
+              sign: float = 1.0) -> Tuple[Kernel, Callable]:
+    """(Kernel with the atoms, closed-form expectation with the atoms) of the
     kernel whose h-function is u(Y) = sum_i c_i Y^p_i e^(-beta_i Y), terms =
     ((c_i, p_i, beta_i), ...) with c_i > 0, and whose Bessel core
     symmetry.bessel_core reads from the declared constants ric. The
     expectation takes lam as a float or a float64 array; the weights w_i(X)
     and the atoms' weights are formed once per call."""
     core = nu, c, omega, g, m = bessel_core(diff, ric, sign)
-    log_p = _log_kernel(core, _terms_ratio(terms, m))
+    kernel = _kernel(_log_kernel(core, _terms_ratio(terms, m)), atoms)
     logc = tuple((math.log(ci), p, beta) for ci, p, beta in terms)
     pb = tuple((p, beta) for _, p, beta in terms)
-    single, atoms = len(terms) == 1, tuple(atoms)
+    single = len(terms) == 1
     # for an array lam, the terms of a sum as one column of p and of beta
     # (one beta where they share it): one array of moments, terms x lam
     betas = {beta for _, beta in pb}
@@ -537,7 +578,7 @@ def _core_sum(diff: DiffusionSpec, ric: RiccatiParams, terms, atoms=(),
                 val = sum([math.exp(l - top + g * t + lb) for l, lb in zip(ls, moments)])
         return _with_atoms(val, atoms, lam, t, x, m)
 
-    return log_p, expect
+    return kernel, expect
 
 
 def _check_positive(name: str, **vals: float) -> None:
@@ -555,6 +596,10 @@ def _check_nonneg(name: str, **vals: float) -> None:
 # ---------------------------------------------------------------------------
 # entry 1: squared Bessel process
 # ---------------------------------------------------------------------------
+
+def _besq_terms(n: float):
+    return ((1.0, 0.25 * (n - 2.0), 0.0),)  # u(Y) = Y^((n - 2)/4)
+
 
 def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
                b: Optional[float] = None) -> CatalogEntry:
@@ -575,35 +620,30 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
     if mu > 0 and n < 2:
         raise ValidityError("besq: the mu*x killing kernel requires n >= 2")
 
-    diff = DiffusionSpec(gamma=1.0, sigma=2.0, drift=lambda x: n,
-                         drift_derivative=lambda x: 0.0,
-                         drift_antiderivative=lambda x: n * math.log(x),
-                         label="besq")
+    terms = _besq_terms(n)
+    diff = _terms_diffusion(terms, gamma=1.0, sigma=2.0, drift=lambda x: n,
+                            drift_derivative=lambda x: 0.0, label="besq")
     pot = PotentialSpec(form="inverse_plus_linear", mu=mu, nu_coeff=nu) \
         if (mu or nu) else PotentialSpec(form="zero")
     C = 0.5 * n * (n - 4.0) + 4.0 * nu
     ric = RiccatiParams("quadratic", A=8.0 * mu, B=0.0, C=C) if mu \
         else RiccatiParams("linear", A=0.0, B=C)
 
-    log_p, expect = _core_sum(diff, ric, ((1.0, 0.25 * (n - 2.0), 0.0),))
-
-    u0 = rhs = None
-    if mu == 0.0:  # the linear family's power branch; mu*x killing needs a Kummer one
-        u0 = stationary_branch(diff, ric, "principal")
-        rhs = orbit_transform(diff, u0, ric)
+    kernel, expect = _core_sum(diff, ric, terms)
+    # the linear family's power branch; mu*x killing needs a Kummer one
+    u0 = stationary_branch(diff, ric, "principal") if mu == 0.0 else None
 
     return CatalogEntry(
         name="besq", params={"n": n, "mu": mu, "nu": nu},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p),
-        u0=u0, riccati=ric, transform_rhs=rhs, expectation_closed=expect,
-        functional_param="nu" if nu else "mu")
+        diffusion=diff, potential=pot, kernel=kernel, u0=u0, riccati=ric,
+        expectation_closed=expect, functional_param="nu" if nu else "mu")
 
 
 @functools.lru_cache(maxsize=1)
-def _besq3_second_branch() -> Callable:
-    """log kernel of the second branch, index -1/2, of besq n = 3."""
+def _besq3_second_branch() -> Kernel:
+    """The kernel of the second branch, index -1/2, of besq n = 3."""
     e = make_entry("besq", n=3.0)
-    return _core_sum(e.diffusion, e.riccati, ((1.0, 0.25, 0.0),), sign=-1.0)[0]
+    return _core_sum(e.diffusion, e.riccati, _besq_terms(3.0), sign=-1.0)[0]
 
 
 def besq_cosh_variant(t: float, x: float, y):
@@ -611,21 +651,7 @@ def besq_cosh_variant(t: float, x: float, y):
     of besq n = 3, I_-1/2 in place of I_1/2, a fundamental solution that is
     NOT a transition density (its total mass differs from 1 and its Cauchy
     solutions are discontinuous at the origin). y may be a float64 array."""
-    xp = np if type(y) is _NDARRAY else math
-    return xp.exp(_besq3_second_branch()(t, x, y, xp))
-
-
-def besq_cosh_mass(t: float, x: float) -> float:
-    """Closed-form total mass of the cosh companion kernel."""
-    return math.sqrt(2.0 * t / (math.pi * x)) * math.exp(-x / (2.0 * t)) \
-        + specfun.erf(math.sqrt(x / (2.0 * t)))
-
-
-def besq3_sinh_density(t: float, x: float, y: float) -> float:
-    """The n=3 transition density in its elementary sinh form, e^(-(x+y)/2t)
-    sinh(sqrt(xy)/t) / sqrt(2 pi t x), with sinh written through expm1."""
-    return -0.5 * math.exp(-(math.sqrt(x) - math.sqrt(y)) ** 2 / (2.0 * t)) \
-        * math.expm1(-2.0 * math.sqrt(x * y) / t) / math.sqrt(2.0 * math.pi * t * x)
+    return _besq3_second_branch().continuous(t, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -638,22 +664,20 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
         raise ValidityError("bessel: requires a > 1/2")
     _check_nonneg("bessel", mu=mu)
 
-    diff = DiffusionSpec(gamma=0.0, sigma=0.5, drift=lambda x: a / x,
-                         drift_derivative=lambda x: -a / (x * x),
-                         drift_antiderivative=lambda x: a * math.log(x),
-                         label="bessel")
+    terms = ((1.0, 0.5 * (a - 0.5), 0.0),)
+    diff = _terms_diffusion(terms, gamma=0.0, sigma=0.5, drift=lambda x: a / x,
+                            drift_derivative=lambda x: -a / (x * x), label="bessel")
     pot = PotentialSpec(form="power", mu=mu / 4.0, n=-2.0) if mu \
         else PotentialSpec(form="zero")
     ric = RiccatiParams("linear", A=0.0, B=0.5 * a * (a - 1.0) + 0.25 * mu)
 
     # E_x[exp(-lam*X_t^2 - (mu/4) int ds/X_s^2)]
-    log_p, expect = _core_sum(diff, ric, ((1.0, 0.5 * (a - 0.5), 0.0),))
-    u0 = stationary_branch(diff, ric, "principal")
+    kernel, expect = _core_sum(diff, ric, terms)
 
     return CatalogEntry(
         name="bessel", params={"a": a, "mu": mu},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p),
-        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        diffusion=diff, potential=pot, kernel=kernel,
+        u0=stationary_branch(diff, ric, "principal"), riccati=ric,
         expectation_closed=expect, functional_param="mu")
 
 
@@ -692,14 +716,11 @@ def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
     pot = PotentialSpec(form="power", mu=mu, n=-2.0) if mu \
         else PotentialSpec(form="zero")
     ric = RiccatiParams("linear", A=0.5 * b * b, B=0.5 * (a * a - 0.25) + mu)
-    log_p = _log_kernel(bessel_core(diff, ric), _gauge_ratio(diff))
-    u0 = stationary_branch(diff, ric, "principal")
 
     return CatalogEntry(
-        name="bessel_drift", params={"a": a, "b": b, "mu": mu},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p),
-        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=None, functional_param="mu")
+        name="bessel_drift", params={"a": a, "b": b, "mu": mu}, diffusion=diff, potential=pot,
+        kernel=_kernel(_log_kernel(bessel_core(diff, ric), _gauge_ratio(diff))),
+        u0=stationary_branch(diff, ric, "principal"), riccati=ric, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +732,9 @@ def _affine(a: float, b: float, sigma: float, label: str):
     Y^(a/2s - 1/2) e^(-b Y/2s)), s = sigma; b/2s is formed as bessel_core's
     c omega is, (1/s)(sqrt(A)/2), so that the two are equal at A = b^2."""
     s = 1.0 / sigma
-    return (DiffusionSpec(gamma=1.0, sigma=sigma, drift=lambda x: a - b * x,
-                          drift_derivative=lambda x: -b,
-                          drift_antiderivative=lambda x: a * math.log(x) - b * x,
-                          label=label),
-            ((1.0, 0.5 * a * s - 0.5, 0.5 * b * s),))
+    terms = ((1.0, 0.5 * a * s - 0.5, 0.5 * b * s),)
+    return _terms_diffusion(terms, gamma=1.0, sigma=sigma, drift=lambda x: a - b * x,
+                            drift_derivative=lambda x: -b, label=label), terms
 
 
 def _make_cir(a: float, b: float, sigma: float, mu: float = 0.0,
@@ -733,14 +752,13 @@ def _make_cir(a: float, b: float, sigma: float, mu: float = 0.0,
                         C=0.5 * a * a - a * sigma + 2.0 * sigma * mu)
 
     # E_x[exp(-lam*X_t - mu int ds/X_s - mu_lin int X_s ds)]
-    log_p, expect = _core_sum(diff, ric, terms)
+    kernel, expect = _core_sum(diff, ric, terms)
 
     return CatalogEntry(
         name="cir", params={"a": a, "b": b, "sigma": sigma, "mu": mu,
                             "mu_lin": mu_lin},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p),
-        u0=None, riccati=ric, transform_rhs=None, expectation_closed=expect,
-        functional_param="mu")
+        diffusion=diff, potential=pot, kernel=kernel, riccati=ric,
+        expectation_closed=expect, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -762,14 +780,14 @@ def _make_rational_drift(a: float, mu: float = 0.0,
     if mu > 0 and mu_inv > 0:
         raise ValidityError("rational_drift: choose mu*x or mu_inv/x killing, not both")
 
-    diff = DiffusionSpec(gamma=1.0, sigma=1.0,
-                         drift=lambda x: 2.0 * a * x / (2.0 + a * x),
-                         drift_derivative=lambda x: 4.0 * a / (2.0 + a * x) ** 2,
-                         drift_antiderivative=lambda x: 2.0 * math.log(2.0 + a * x),
-                         label="rational_drift")
+    terms = ((2.0, -0.5, 0.0), (a, 0.5, 0.0))  # u(y) = (2 + ay)/sqrt(y)
+    diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0,
+                            drift=lambda x: 2.0 * a * x / (2.0 + a * x),
+                            drift_derivative=lambda x: 4.0 * a / (2.0 + a * x) ** 2,
+                            label="rational_drift")
 
     if mu_inv > 0.0:
-        return _rational_drift_inverse(a, mu_inv, diff)
+        return _rational_drift_inverse(a, mu_inv, diff, terms)
 
     rmu = math.sqrt(mu)
     pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
@@ -782,25 +800,22 @@ def _make_rational_drift(a: float, mu: float = 0.0,
         return -rate * x - math.log(2.0 + a * x)
 
     atom = AtomSpec(weight=lambda t, x: 2.0 * math.exp(log_u1(t, x)), order=0)
-    # u(y) = (2 + ay)/sqrt(y); E_x[exp(-lam*X_t - mu int X_s ds)]
-    log_p, expect = _core_sum(diff, ric, ((2.0, -0.5, 0.0), (a, 0.5, 0.0)),
-                              atoms=(atom,))
+    # E_x[exp(-lam*X_t - mu int X_s ds)]
+    kernel, expect = _core_sum(diff, ric, terms, atoms=(atom,))
 
-    u0 = gauge_solution(diff, lambda y: -rmu * y,
-                        "decaying exponential branch /(2+ay)")
+    u0 = gauge_solution(diff, lambda y: -rmu * y, "decaying exponential branch /(2+ay)")
 
     return CatalogEntry(
         name="rational_drift", params={"a": a, "mu": mu, "mu_inv": 0.0},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p, (atom,)),
-        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        diffusion=diff, potential=pot, kernel=kernel, u0=u0, riccati=ric,
         expectation_closed=expect, functional_param="mu")
 
 
-def _rational_drift_inverse(a: float, mu_inv: float,
-                            diff: DiffusionSpec) -> CatalogEntry:
-    """The mu_inv/x killing: u0 and, with H from u(y) = (2 + ay)/sqrt(y), the
-    kernel are those of y = a x^((1 + root)/2) + 2 x^((1 - root)/2), the power
-    limit of riccati._bessel_y at the core's index root = sqrt(1 + 4 mu_inv):
+def _rational_drift_inverse(a: float, mu_inv: float, diff: DiffusionSpec,
+                            terms) -> CatalogEntry:
+    """The mu_inv/x killing: u0 and, with H from the terms, the kernel are
+    those of y = a x^((1 + root)/2) + 2 x^((1 - root)/2), the power limit
+    of riccati._bessel_y at the core's index root = sqrt(1 + 4 mu_inv):
     e^H (p+ + (4/pi) sin(root pi) p_K/(2 + a y^root)) (_linear_pair_kernel)."""
     ric = RiccatiParams("linear", A=0.0, B=2.0 * mu_inv)
     core = bessel_core(diff, ric)
@@ -813,15 +828,13 @@ def _rational_drift_inverse(a: float, mu_inv: float,
     u0 = gauge_solution(diff, _finite(_bessel_y(root, 0.0, a, 2.0)[0], DomainError,
                                       "rational_drift"),
                         "combined power branch (value 1 at mu_inv=0)")
-    cont = _linear_pair_kernel(_terms_ratio(((2.0, -0.5, 0.0), (a, 0.5, 0.0)), 1.0),
-                               core, 0.0, a, 2.0)
+    cont = _linear_pair_kernel(_terms_ratio(terms, 1.0), core, 0.0, a, 2.0)
 
     return CatalogEntry(
         name="rational_drift", params={"a": a, "mu": 0.0, "mu_inv": mu_inv},
         diffusion=diff, potential=pot,
         kernel=Kernel(continuous=cont, log_continuous=None, finite_part=True),
-        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=None, functional_param="mu_inv")
+        u0=u0, riccati=ric, functional_param="mu_inv")
 
 
 # ---------------------------------------------------------------------------
@@ -833,34 +846,27 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
     _check_nonneg("tanh_drift", mu=mu)
     k = math.sqrt(1.0 + mu)
 
-    def log_cosh(z: float) -> float:
-        return abs(z) + math.log1p(math.exp(-2.0 * abs(z))) - math.log(2.0)
-
     def sech2(x):  # 4 e^(-2|x|) / (1 + e^(-2|x|))^2: cosh(x)^2 overflows
         e = np.exp(-2.0 * np.abs(x))
         return 4.0 * e / (1.0 + e) ** 2
 
-    diff = DiffusionSpec(gamma=1.0, sigma=1.0,
-                         drift=lambda x: 2.0 * x * np.tanh(x),
-                         drift_derivative=lambda x: 2.0 * np.tanh(x) + 2.0 * x * sech2(x),
-                         # antiderivative of 2 tanh(x), overflow-safe
-                         drift_antiderivative=lambda x: 2.0 * log_cosh(x),
-                         label="tanh_drift")
+    terms = ((0.5, -0.5, -1.0), (0.5, -0.5, 1.0))  # u(y) = cosh(y)/sqrt(y)
+    diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0,
+                            drift=lambda x: 2.0 * x * np.tanh(x),
+                            drift_derivative=lambda x: 2.0 * np.tanh(x) + 2.0 * x * sech2(x),
+                            label="tanh_drift")
     pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
 
-    u0 = gauge_solution(diff, lambda y: -k * y,
-                        "decaying branch exp(-ky)/cosh(y)")
+    u0 = gauge_solution(diff, lambda y: -k * y, "decaying branch exp(-ky)/cosh(y)")
     ric = RiccatiParams("quadratic", A=4.0 * (1.0 + mu), B=0.0)
     u1 = atom_weight(diff, pot, u0, ric)  # (x, t); u0(0+) = 1
     atom = AtomSpec(weight=lambda t, x: u1(x, t), order=0)
-    # u(y) = cosh(y)/sqrt(y); E_x[exp(-lam*X_t - mu int X_s ds)]
-    log_p, expect = _core_sum(diff, ric, ((0.5, -0.5, -1.0), (0.5, -0.5, 1.0)),
-                              atoms=(atom,))
+    # E_x[exp(-lam*X_t - mu int X_s ds)]
+    kernel, expect = _core_sum(diff, ric, terms, atoms=(atom,))
 
     return CatalogEntry(
         name="tanh_drift", params={"mu": mu},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p, (atom,)),
-        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        diffusion=diff, potential=pot, kernel=kernel, u0=u0, riccati=ric,
         expectation_closed=expect, functional_param="mu")
 
 
@@ -877,24 +883,21 @@ def _make_radial_ou(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
     if A == 0.0:
         raise ValidityError("radial_ou: requires b != 0 or mu > 0")
 
-    diff = DiffusionSpec(gamma=0.0, sigma=1.0, drift=lambda x: a / x + b * x,
-                         drift_derivative=lambda x: -a / (x * x) + b,
-                         drift_antiderivative=lambda x: a * math.log(x)
-                         + 0.5 * b * x * x,
-                         label="radial_ou")
+    # u(y) = y^((a - 1)/2) e^(b y^2/4), the index (a - 1)/2 of the branch sign(a - 1)
+    terms = ((1.0, 0.25 * (a - 1.0), -0.25 * b),)
+    diff = _terms_diffusion(terms, gamma=0.0, sigma=1.0, drift=lambda x: a / x + b * x,
+                            drift_derivative=lambda x: -a / (x * x) + b,
+                            label="radial_ou")
     pot = PotentialSpec(form="power", mu=mu, n=2.0) if mu else PotentialSpec(form="zero")
     ric = RiccatiParams("quadratic", A=A, B=b * (1.0 + a), C=0.5 * a * a - a)
 
-    # u(y) = y^((a - 1)/2) e^(b y^2/4), the index (a - 1)/2 of the branch
-    # sign(a - 1); E_x[exp(-lam*X_t^2 - mu int X_s^2 ds)]
-    log_p, expect = _core_sum(diff, ric, ((1.0, 0.25 * (a - 1.0), -0.25 * b),),
-                              sign=math.copysign(1.0, a - 1.0))
+    # E_x[exp(-lam*X_t^2 - mu int X_s^2 ds)]
+    kernel, expect = _core_sum(diff, ric, terms, sign=math.copysign(1.0, a - 1.0))
 
     return CatalogEntry(
         name="radial_ou", params={"a": a, "b": b, "mu": mu},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p),
-        u0=None, riccati=ric, transform_rhs=None, expectation_closed=expect,
-        functional_param="mu")
+        diffusion=diff, potential=pot, kernel=kernel, riccati=ric,
+        expectation_closed=expect, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -908,12 +911,11 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
     structural only."""
     _check_positive("rational_showcase", a=a, b=b)
 
-    diff = DiffusionSpec(
-        gamma=1.0, sigma=1.0,
-        drift=lambda x: 3.0 - 4.0 * b / (b + a * x * x),
-        drift_derivative=lambda x: 8.0 * a * b * x / (b + a * x * x) ** 2,
-        drift_antiderivative=lambda x: -math.log(x) + 2.0 * math.log(b + a * x * x),
-        label="rational_showcase")
+    terms = ((b, -1.0, 0.0), (a, 1.0, 0.0))  # u(y) = (b + a y^2)/y
+    diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0,
+                            drift=lambda x: 3.0 - 4.0 * b / (b + a * x * x),
+                            drift_derivative=lambda x: 8.0 * a * b * x / (b + a * x * x) ** 2,
+                            label="rational_showcase")
     pot = PotentialSpec(form="zero")
     ric = RiccatiParams("linear", A=0.0, B=1.5)
 
@@ -921,25 +923,15 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
                      b * (x + t) * math.exp(-x / t) / (t * (b + a * x * x)))
     atom1 = AtomSpec(order=1, weight=lambda t, x:
                      b * t * math.exp(-x / t) / (b + a * x * x))
-    # u(y) = (b + a y^2)/y; E_x[exp(-lam*X_t)] with both atoms
-    log_p, expect = _core_sum(diff, ric, ((b, -1.0, 0.0), (a, 1.0, 0.0)),
-                              atoms=(atom0, atom1))
-
-    u0 = StationarySolution(eval=lambda y: 1.0, log_eval=lambda y: 0.0,
-                            description="constant 1",
-                            log_gauge=lambda y: (math.log(b + a * y * y)
-                                                 - 0.5 * math.log(y)))
+    # E_x[exp(-lam*X_t)] with both atoms
+    kernel, expect = _core_sum(diff, ric, terms, atoms=(atom0, atom1))
+    u0 = StationarySolution(eval=lambda y: 1.0, log_eval=lambda y: 0.0, description="constant 1",
+                            log_gauge=lambda y: 0.5 * diff.drift_antiderivative(y))
 
     return CatalogEntry(
         name="rational_showcase", params={"a": a, "b": b},
-        diffusion=diff, potential=pot, kernel=_kernel(log_p, (atom0, atom1)),
-        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        diffusion=diff, potential=pot, kernel=kernel, u0=u0, riccati=ric,
         expectation_closed=expect, functional_param="")
-
-
-def rational_showcase_continuous_mass(a: float, b: float, t: float, x: float) -> float:
-    """Closed-form mass of the continuous part alone (both atoms dropped)."""
-    return 1.0 - math.exp(-x / t) * b * (t + x) / (t * (b + a * x * x))
 
 
 # ---------------------------------------------------------------------------
@@ -1070,13 +1062,12 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
     pot = PotentialSpec(form="tabulated", func=g)
     ric = RiccatiParams("linear", A=0.5 * A, B=B)
     core = bessel_core(diff, ric)
-    u0 = stationary_branch(diff, ric, "principal")
 
     return CatalogEntry(
         name="sqrt_drift", params={"a": a, "b": b, "A": A, "B": B},
         diffusion=diff, potential=pot,
         kernel=_kernel(_log_kernel(core, _gauge_ratio(diff))),
-        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
+        u0=stationary_branch(diff, ric, "principal"), riccati=ric,
         expectation_closed=functools.partial(_sqrt_drift_expectation, a, b, core),
         functional_param="")
 
@@ -1127,8 +1118,7 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
         name="generic_linear",
         params={"sigma": sigma, "A": A, "B": B, "mu": mu, "c1": c1, "c2": c2},
         diffusion=diff, potential=pot, kernel=Kernel(continuous=cont, log_continuous=None),
-        u0=u0, riccati=ric, transform_rhs=orbit_transform(diff, u0, ric),
-        expectation_closed=None, functional_param="mu")
+        u0=u0, riccati=ric, functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -1164,8 +1154,7 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
     return CatalogEntry(
         name="generic_quadratic",
         params={"sigma": sigma, "a": a, "b": b, "mu": mu, "c1": c1, "c2": c2},
-        diffusion=diff, potential=pot, kernel=kernel,
-        u0=None, riccati=ric, transform_rhs=None, expectation_closed=None,
+        diffusion=diff, potential=pot, kernel=kernel, riccati=ric,
         functional_param="mu")
 
 
@@ -1353,8 +1342,10 @@ def _de_pieces(c: float, s: float):
     """The two maps from u to (y, dy/du), each with its u-range and the end of
     it that lies away from c: tanh-sinh on (0, c), v = (pi/2) sinh u + delta,
     shifted so that u = 0 lies about s below c, and exp-sinh on (c, inf) with
-    scale s."""
-    delta = max(0.0, 0.5 * math.log(c / s))
+    scale s. EvalOverflowError where s is 0 or not finite."""
+    if not 0.0 < s < math.inf:
+        raise EvalOverflowError(f"expectation: the quadrature scale {s!r} is out of range")
+    delta = max(0.0, 0.5 * (math.log(c) - math.log(s)))
 
     def tanh_sinh(u):
         v = _HALF_PI * np.sinh(u) + delta
@@ -1590,12 +1581,6 @@ def joint_laplace_in_mu(entry, params: Optional[Dict[str, float]], lam: float,
 
 def manifest() -> dict:
     """Machine-readable catalog listing."""
-    entries = []
-    for name in ENTRY_NAMES:
-        _, param_names, validity = _BUILDERS[name]
-        entries.append({
-            "name": name,
-            "parameters": list(param_names),
-            "validity": validity,
-        })
-    return {"schema_version": 1, "entries": entries}
+    return {"schema_version": 1, "entries": [
+        {"name": name, "parameters": list(_BUILDERS[name][1]), "validity": _BUILDERS[name][2]}
+        for name in ENTRY_NAMES]}

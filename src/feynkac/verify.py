@@ -620,6 +620,23 @@ def _suite_transform(tol: float = 1e-8) -> VerificationReport:
     return report
 
 
+def besq_cosh_mass(t: float, x: float) -> float:
+    """Closed-form total mass of the cosh companion kernel."""
+    return math.sqrt(2.0 * t / (math.pi * x)) * math.exp(-x / (2.0 * t)) \
+        + specfun.erf(math.sqrt(x / (2.0 * t)))
+
+
+def besq3_sinh_density(t: float, x: float, y: float) -> float:
+    """besq n = 3's density e^(-(x+y)/2t) sinh(sqrt(xy)/t)/sqrt(2 pi t x), by expm1."""
+    return -0.5 * math.exp(-(math.sqrt(x) - math.sqrt(y)) ** 2 / (2.0 * t)) \
+        * math.expm1(-2.0 * math.sqrt(x * y) / t) / math.sqrt(2.0 * math.pi * t * x)
+
+
+def rational_showcase_continuous_mass(a: float, b: float, t: float, x: float) -> float:
+    """Closed-form mass of the continuous part alone (both atoms dropped)."""
+    return 1.0 - math.exp(-x / t) * b * (t + x) / (t * (b + a * x * x))
+
+
 def _suite_mass(tol: float = 1e-8) -> VerificationReport:
     report = VerificationReport("mass")
     free = [cat.make_entry("besq", n=3.0),
@@ -639,13 +656,13 @@ def _suite_mass(tol: float = 1e-8) -> VerificationReport:
     for t, x in ((0.5, 1.0), (1.0, 0.7), (2.0, 1.5)):
         num = integrate_semi_infinite(lambda y: cat.besq_cosh_variant(t, x, y))
         report.add("mass[besq_cosh_variant]", f"t={t},x={x}",
-                   cat.besq_cosh_mass(t, x), num, tol)
+                   besq_cosh_mass(t, x), num, tol)
     # continuous-only mass defect of the showcase kernel
     for t, x in ((0.5, 1.0), (1.0, 0.7)):
         e = cat.make_entry("rational_showcase", a=1.0, b=1.0)
         num = integrate_semi_infinite(lambda y: e.kernel.continuous(t, x, y))
         report.add("mass_defect[rational_showcase]", f"t={t},x={x}",
-                   cat.rational_showcase_continuous_mass(1.0, 1.0, t, x), num, tol)
+                   rational_showcase_continuous_mass(1.0, 1.0, t, x), num, tol)
     return report
 
 
@@ -658,37 +675,33 @@ def _suite_laplace(tol: float = 1e-4) -> VerificationReport:
         F = lambda lam: entry.transform_rhs(lam, t, x)
         for y in (0.5, 1.0, 2.0, 3.5):
             inv = laplace_invert(F, y)
-            ref = cat.besq3_sinh_density(t, x, y)
+            ref = besq3_sinh_density(t, x, y)
             report.add("laplace_inversion[besq,n=3]", f"t={t},x={x},y={y}",
                        ref, inv, tol)
     return report
 
 
-def _pde_cases() -> List[Tuple[str, cat.CatalogEntry]]:
-    return [
-        ("besq", cat.make_entry("besq", n=3.0, nu=0.4)),
-        ("bessel", cat.make_entry("bessel", a=1.2, mu=0.6)),
-        ("bessel_drift", cat.make_entry("bessel_drift", a=0.5, b=1.3, mu=0.3)),
-        ("cir", cat.make_entry("cir", a=0.9, b=1.4, sigma=0.6, mu=0.5)),
-        ("rational_drift", cat.make_entry("rational_drift", a=2.0, mu=1.0)),
-        ("tanh_drift", cat.make_entry("tanh_drift", mu=0.9)),
-        ("radial_ou", cat.make_entry("radial_ou", a=0.9, b=-0.5, mu=0.7)),
-        ("rational_showcase", cat.make_entry("rational_showcase", a=1.0, b=1.0)),
-        ("sqrt_drift", cat.make_entry("sqrt_drift", a=1.5, b=0.8, A=1.2, B=0.6)),
-        ("generic_linear", cat.make_entry("generic_linear", sigma=1.0, A=1.0,
-                                          B=-0.3, mu=0.05)),
-        ("generic_quadratic", cat.make_entry("generic_quadratic", sigma=0.6,
-                                             a=1.1, b=0.8, mu=0.5)),
-    ]
+def _pde_cases() -> List[cat.CatalogEntry]:
+    return [cat.make_entry("besq", n=3.0, nu=0.4),
+            cat.make_entry("bessel", a=1.2, mu=0.6),
+            cat.make_entry("bessel_drift", a=0.5, b=1.3, mu=0.3),
+            cat.make_entry("cir", a=0.9, b=1.4, sigma=0.6, mu=0.5),
+            cat.make_entry("rational_drift", a=2.0, mu=1.0),
+            cat.make_entry("tanh_drift", mu=0.9),
+            cat.make_entry("radial_ou", a=0.9, b=-0.5, mu=0.7),
+            cat.make_entry("rational_showcase", a=1.0, b=1.0),
+            cat.make_entry("sqrt_drift", a=1.5, b=0.8, A=1.2, B=0.6),
+            cat.make_entry("generic_linear", sigma=1.0, A=1.0, B=-0.3, mu=0.05),
+            cat.make_entry("generic_quadratic", sigma=0.6, a=1.1, b=0.8, mu=0.5)]
 
 
 def _suite_pde(order_tol: float = 0.2) -> VerificationReport:
     report = VerificationReport("pde")
-    for name, entry in _pde_cases():
+    for entry in _pde_cases():
         u = lambda xx, tt: entry.kernel.continuous(tt, xx, 0.9)
         order = residual_convergence_order(u, entry.diffusion, entry.potential,
                                            1.2, 0.8)
-        report.add(f"pde_order[{name}]", "x=1.2,t=0.8,y=0.9", 2.0, order,
+        report.add(f"pde_order[{entry.name}]", "x=1.2,t=0.8,y=0.9", 2.0, order,
                    order_tol / 2.0)
     return report
 
@@ -788,16 +801,16 @@ def _suite_chapman(tol: float = 1e-6) -> VerificationReport:
 def _suite_riccati(tol: float = 1e-10) -> VerificationReport:
     report = VerificationReport("riccati")
     grid = np.geomspace(0.05, 50.0, 50)
-    for name, entry in _pde_cases():
+    for entry in _pde_cases():
         try:
             params = fit_riccati(entry.diffusion, entry.potential,
                                  np.geomspace(0.2, 20.0, 24))
         except Exception as exc:  # surfaced as a failing row, not a crash
-            report.add(f"riccati[{name}]", "fit", 0.0, math.inf, tol)
+            report.add(f"riccati[{entry.name}]", "fit", 0.0, math.inf, tol)
             continue
         worst = float(np.max(np.abs(riccati_residual(entry.diffusion, entry.potential,
                                                      params, grid))))
-        report.add(f"riccati[{name}:{params.family}]",
+        report.add(f"riccati[{entry.name}:{params.family}]",
                    "max|residual| on 50 log-spaced points",
                    0.0, worst, tol)
     return report
@@ -873,7 +886,10 @@ def run_suite(name: str, tol: Optional[float] = None,
               entry_filter: Optional[str] = None) -> VerificationReport:
     """Run one named verification suite, or all of them ('all'). tol overrides
     the suite's default tolerance; entry_filter keeps only rows whose identity
-    mentions the given catalog entry."""
+    mentions the given catalog entry, and must name one (DomainError)."""
+    if entry_filter and entry_filter not in cat.ENTRY_NAMES:
+        raise DomainError(f"run_suite: unknown entry {entry_filter!r} "
+                          f"(known: {', '.join(cat.ENTRY_NAMES)})")
     if name == "all":
         report = VerificationReport("all")
         for key in sorted(SUITES):
@@ -889,8 +905,6 @@ def run_suite(name: str, tol: Optional[float] = None,
         else:
             report = SUITES[name]()
     if entry_filter:
-        report.rows = [r for r in report.rows
-                       if f"[{entry_filter}" in r.identity
-                       or f"[{entry_filter}:" in r.identity]
+        report.rows = [r for r in report.rows if f"[{entry_filter}" in r.identity]
     report.rows.sort(key=lambda r: (r.identity, r.grid_point))
     return report

@@ -19,6 +19,7 @@ import scipy.stats as ss
 
 from feynkac import catalog as cat
 from feynkac import specfun as sf
+from feynkac import verify
 from feynkac.errors import (CapabilityError, ConvergenceError, DomainError,
                             EvalOverflowError, ValidityError)
 from feynkac.riccati import fit_riccati
@@ -191,6 +192,26 @@ def test_rational_drift_atom_at_large_t():
         == pytest.approx(limit, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("name,params,t,x", [
+    ("tanh_drift", {}, 1e5, 1.0), ("tanh_drift", {}, 1e12, 1.0),
+    ("tanh_drift", {}, 1e16, 1.0), ("tanh_drift", {}, 1e18, 1e3),
+    ("radial_ou", {"a": 1.5, "b": 0.7}, 1e16, 1.0)])
+def test_mass_where_the_e_y_term_carries_the_moment_at_large_t(name, params, t, x):
+    # no killing and lam = 0: the mass, 1. The e^(c omega Y) term (D = 0 in
+    # _log_core_moments) summed omega t parts that cancel: 1 + 1.3e-12 at
+    # t = 1e5, 1.0000211 at 1e12, 1.119 at 1e16, 31.6 at (1e18, 1e3); radial_ou
+    # 0.368 at 1e16
+    for lam in (0.0, np.array([0.0, 0.0])):
+        try:
+            val = cat.expectation(name, params, lam, t, x)
+        except EvalOverflowError:
+            continue
+        assert np.abs(val - 1.0).max() <= 2e-10
+    # where D > 0 the terms underflow and the mass goes on decaying to the atom
+    got = cat.expectation("tanh_drift", {"mu": 0.9}, np.array([0.0, 0.3]), 1e16, x)
+    assert np.isfinite(got).all() and (got >= 0.0).all()
+
+
 def test_kernels_where_sinh_omega_t_overflows():
     # sinh(omega t) overflows from omega t ~ 710 on (both raised
     # EvalOverflowError): the Bessel core takes its argument as a log. cir at
@@ -289,6 +310,36 @@ def test_density_keeps_its_contract_over_the_whole_range(name):
                     assert (np.asarray(val) >= 0.0).all()
 
     check()
+
+
+# each terms entry's drift antiderivative as it was written by hand, frozen
+_HAND_WRITTEN_F = [
+    ("besq", {"n": 3.0}, lambda x: 3.0 * math.log(x)),
+    ("bessel", {"a": 1.2}, lambda x: 1.2 * math.log(x)),
+    ("cir", {"a": 0.9, "b": 1.4, "sigma": 0.6}, lambda x: 0.9 * math.log(x) - 1.4 * x),
+    ("generic_quadratic", {"sigma": 0.6, "a": 1.1, "b": 0.8},
+     lambda x: 1.1 * math.log(x) - 0.8 * x),
+    ("rational_drift", {"a": 2.0, "mu": 1.0}, lambda x: 2.0 * math.log(2.0 + 2.0 * x)),
+    ("rational_drift", {"a": 1.5, "mu_inv": 0.3}, lambda x: 2.0 * math.log(2.0 + 1.5 * x)),
+    ("tanh_drift", {}, lambda x: 2.0 * (abs(x) + math.log1p(math.exp(-2.0 * abs(x)))
+                                        - math.log(2.0))),
+    ("radial_ou", {"a": 0.9, "b": -0.5}, lambda x: 0.9 * math.log(x) - 0.25 * x * x),
+    ("rational_showcase", {"a": 0.8, "b": 1.3},
+     lambda x: -math.log(x) + 2.0 * math.log(1.3 + 0.8 * x * x)),
+]
+
+
+@pytest.mark.parametrize("name,params,F", _HAND_WRITTEN_F)
+def test_drift_antiderivative_from_the_terms_matches_the_hand_written_one(name, params, F):
+    # F = 2 sigma log sum_i c_i x^(m p_i + 1/2) e^(-beta_i x^m) of the terms;
+    # finite at x = 0 where no exponent is negative, and tanh_drift's does not
+    # overflow at x = 800
+    got = cat.make_entry(name, **params).diffusion.drift_antiderivative
+    xs = [1e-3, 0.5, 1.0, 2.0, 7.5, 40.0]
+    xs += {"rational_drift": [0.0], "tanh_drift": [0.0, 800.0]}.get(name, [])
+    for x in xs:
+        for arg in (x, np.float64(x)):
+            assert abs(got(arg) - F(x)) <= 1e-14 * max(1.0, abs(F(x)))
 
 
 def test_tanh_drift_derivative_does_not_overflow():
@@ -391,7 +442,7 @@ def test_cosh_weighted_companion_against_elementary_formula():
                            np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
         ref = math.sqrt(2.0 * t / (math.pi * x)) * math.exp(-x / (2.0 * t)) \
             + math.erf(math.sqrt(x / (2.0 * t)))
-        assert cat.besq_cosh_mass(t, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert verify.besq_cosh_mass(t, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
         assert val == pytest.approx(ref, rel=1e-9)
 
 
@@ -404,7 +455,7 @@ def test_rational_showcase_continuous_mass_defect():
         val, err = si.quad(lambda y: entry.kernel.continuous(t, x, y), 0.0,
                            np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
         defect = math.exp(-x / t) * b * (t + x) / (t * (b + a * x * x))
-        assert cat.rational_showcase_continuous_mass(a, b, t, x) \
+        assert verify.rational_showcase_continuous_mass(a, b, t, x) \
             == pytest.approx(1.0 - defect, rel=1e-12, abs=0.0)
         assert val == pytest.approx(1.0 - defect, rel=1e-8)
         # the derivative-order atom carries no mass, so the order-0 atom
@@ -1234,6 +1285,22 @@ def test_quadrature_is_not_offered_on_a_finite_part_kernel():
     with pytest.raises(CapabilityError):
         cat.expectation("rational_drift", {"a": 1.0, "mu_inv": 0.6}, 0.0, 1.0, 1.0,
                         method="quadrature")
+
+
+def test_quadrature_scale_out_of_range_is_an_overflow_error():
+    # the bulk c over the width s underflowed to 0 in log(c/s): a raw
+    # ValueError at t = 1e300, x = 1e-300. The logs are now taken apart, and a
+    # width of 0 or inf (its square over- or underflows) is EvalOverflowError
+    pieces = cat._de_pieces(1e-300, 1.4e150)
+    assert [lo for _, lo, _, _ in pieces] == [-math.asinh(640.0 / math.pi), -cat._DE_NEAR[1]]
+    for s in (0.0, math.inf):
+        with pytest.raises(EvalOverflowError):
+            cat._de_pieces(1.0, s)
+    with pytest.raises(EvalOverflowError):
+        cat.expectation("radial_ou", {"a": 0.9, "b": -0.5}, 0.5, 1e300, 1e-300,
+                        method="quadrature")
+    with pytest.raises(EvalOverflowError):  # s^2 = 2 t (x + t) overflows
+        cat.expectation("besq", {"n": 3.0}, 0.5, 1e300, 1.0, method="quadrature")
 
 
 def test_quadrature_expectation_with_negative_lambda():

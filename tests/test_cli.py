@@ -279,6 +279,15 @@ def test_expect_nan_lambda_is_usage_error(method):
     assert (code, out) == (2, "")
 
 
+def test_expect_quadrature_where_the_bulk_over_its_width_underflows():
+    # log(x/s) of the quadrature's bulk x over its width s raised a raw
+    # ValueError (a traceback, exit 1)
+    code, out = run("expect", "--entry", "radial_ou", "--a", "0.9", "--b", "-0.5",
+                    "--t", "1e300", "--x", "1e-300", "--lambda", "0.5",
+                    "--method", "quadrature")
+    assert (code, out) == (3, "")
+
+
 def test_expect_quadrature_of_a_narrow_kernel():
     # no killing and lambda = 0: the mass, 1, of a peak of width 6 at y = 1000
     code, out = run("expect", "--entry", "besq", "--n", "3", "--t", "0.01",
@@ -431,6 +440,12 @@ def test_verify_tolerance_from_environment_must_be_a_number(monkeypatch):
 def test_verify_unknown_suite_is_usage_error():
     code, _ = run("verify", "--suite", "nosuch")
     assert code == 2
+
+
+def test_verify_entry_filter_that_names_no_entry_is_usage_error():
+    # it printed checks=0 ... status=pass and exited 0
+    code, out = run("verify", "--suite", "hartman", "--entry", "nosuch")
+    assert (code, out) == (2, "")
 
 
 def test_verify_entry_filter():

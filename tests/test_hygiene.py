@@ -1,9 +1,11 @@
 """Source hygiene: every module-level import in the package is used, no
 module wraps a callable in numpy's vectorize, the catalog reads Bessel I only
-in scaled or log-scaled form, it takes its transform right-hand sides from
-the symmetry module, its closed-form expectations from the kernels'
-Bessel-core terms and every kernel, rational_drift's finite-part one too,
-from the declared Riccati constants instead of writing them, riccati and
+in scaled or log-scaled form, no entry passes its transform right-hand side
+(CatalogEntry takes it from the symmetry module), no entry with terms writes
+its drift antiderivative (the terms give it), the catalog takes its
+closed-form expectations from the kernels' Bessel-core terms and every
+kernel, rational_drift's finite-part one too, from the declared Riccati
+constants instead of writing them, riccati and
 symmetry write the linear family's Bessel solution y once (riccati._bessel_y),
 generic_linear and rational_drift's finite part take their two-branch kernel
 and u0 from that y, and a float in specfun reaches no fallback but through the
@@ -167,8 +169,7 @@ def test_the_check_sees_a_bessel_function_outside_bessel_y():
 def _local_closures(tree: ast.Module, field: str):
     """Lines of CatalogEntry(...) calls whose `field` is a lambda or a
     function defined inside the same builder: a hand-written closure where
-    the catalog derives one (transform_rhs from the entry's u0 by
-    symmetry.orbit_transform, expectation_closed from the kernel's Bessel-core
+    the catalog derives one (expectation_closed from the kernel's Bessel-core
     terms by _core_sum)."""
     for builder in tree.body:
         if not isinstance(builder, ast.FunctionDef):
@@ -194,9 +195,26 @@ def _catalog_tree():
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _keyword_passes(tree: ast.Module, callee: str, field: str, caller_calls: str = ""):
+    """Lines of the calls to callee that pass the keyword field, in the
+    module-level functions that call caller_calls too (in every function
+    where it is empty)."""
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        calls = [n for n in ast.walk(func)
+                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+        if caller_calls and not any(c.func.id == caller_calls for c in calls):
+            continue
+        for call in calls:
+            if call.func.id == callee and any(k.arg == field for k in call.keywords):
+                yield call.lineno
+
+
 def test_catalog_writes_no_transform_by_hand():
-    bad = list(_local_closures(_catalog_tree(), "transform_rhs"))
-    assert not bad, f"catalog.py: hand-written transform_rhs on lines {bad}"
+    # CatalogEntry sets transform_rhs from u0 (symmetry.orbit_transform)
+    bad = list(_keyword_passes(_catalog_tree(), "CatalogEntry", "transform_rhs"))
+    assert not bad, f"catalog.py: transform_rhs passed to CatalogEntry on lines {bad}"
 
 
 def test_the_check_sees_a_hand_written_transform():
@@ -205,12 +223,30 @@ def test_the_check_sees_a_hand_written_transform():
                      "        return 1.0\n"
                      "    return CatalogEntry(transform_rhs=t_rhs)\n"
                      "def _make_b():\n"
-                     "    f = lambda lam, t, x: 1.0\n"
                      "    g = orbit_transform(diff, u0, ric)\n"
-                     "    return (CatalogEntry(transform_rhs=f), CatalogEntry(transform_rhs=g),\n"
-                     "            CatalogEntry(transform_rhs=lambda lam, t, x: 1.0),\n"
-                     "            CatalogEntry(transform_rhs=None))\n")
-    assert sorted(_local_closures(tree, "transform_rhs")) == [4, 8, 9]
+                     "    return (CatalogEntry(transform_rhs=g), CatalogEntry(u0=u0),\n"
+                     "            CatalogEntry(transform_rhs=None), Other(transform_rhs=g))\n")
+    assert sorted(_keyword_passes(tree, "CatalogEntry", "transform_rhs")) == [4, 7, 8]
+
+
+def test_terms_entries_write_no_drift_antiderivative():
+    # a builder with a closed form (_core_sum's terms) takes F from its terms
+    bad = list(_keyword_passes(_catalog_tree(), "DiffusionSpec", "drift_antiderivative",
+                               "_core_sum"))
+    assert not bad, f"catalog.py: drift_antiderivative next to _core_sum on lines {bad}"
+
+
+def test_the_check_sees_a_hand_written_drift_antiderivative():
+    tree = ast.parse("def _make_a(n):\n"
+                     "    diff = DiffusionSpec(drift=f, drift_antiderivative=F)\n"
+                     "    kernel, expect = _core_sum(diff, ric, terms)\n"
+                     "def _make_b(n):\n"
+                     "    diff = _terms_diffusion(terms, drift=f)\n"
+                     "    kernel, expect = _core_sum(diff, ric, terms)\n"
+                     "def _make_c(n):\n"
+                     "    return DiffusionSpec(drift=f, drift_antiderivative=F)\n")
+    assert list(_keyword_passes(tree, "DiffusionSpec", "drift_antiderivative",
+                                "_core_sum")) == [2]
 
 
 def test_catalog_writes_no_expectation_by_hand():

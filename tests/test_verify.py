@@ -364,6 +364,11 @@ def test_run_suite_rows_are_sorted_and_filterable():
     assert all("besq" in r.identity for r in filtered.rows)
 
 
+def test_run_suite_entry_filter_must_name_an_entry():
+    with pytest.raises(DomainError):
+        v.run_suite("hartman", entry_filter="nosuch")
+
+
 def test_run_suite_tolerance_override():
     rep = v.run_suite("hartman", tol=1e-30)
     assert not rep.passed  # nothing is exact to 1e-30
