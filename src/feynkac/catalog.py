@@ -53,7 +53,11 @@ antiderivative F = 2 sigma log sum_i c_i x^(m p_i + 1/2) e^(-beta_i x^m),
 checked against the hand-written drift, and _core_sum the kernel with its
 atoms and E_x[exp(-lam X_t^m)] = e^(r t) sum_i w_i(X) B_i + atoms, w_i(X) =
 c_i X^p_i e^(-beta_i X)/u(X) and B_i the Laplace-Bessel moment of term i, one
-log-1F1 (_log_core_moments). sqrt_drift's sums the series of its u(y) =
+log-1F1 (_log_core_moments), by one formula for every w and t (at s = 1,
+its wt parts apart, where the core's scale B = 2 c w e^(-2wt)/(1 - e^(-2wt))
+or its Bessel argument is below 1e-300); past |r t| = 2^20 max(1, |log E|),
+where r t and the moments cancel, EvalOverflowError (_check_cancellation).
+sqrt_drift's sums the series of its u(y) =
 y^((a-1)/2) e^(-b sqrt(y)) moment by moment, in blocks of terms. Both closed
 forms take lam as a float or a float64 array (numpy where lam is an array, as
 a kernel picks it by y), so that a lambda grid is one call. bessel_drift,
@@ -129,6 +133,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
+from scipy.special.cython_special import exprel as _exprel
 
 from .errors import (
     CapabilityError,
@@ -304,71 +309,54 @@ def _log_sum_exp(ls, xp=math):
 def _log_core_moments(nu: float, c: float, omega: float, lam, t: float,
                       sx: float, terms):
     """Yield, for each (p, beta) of terms, log B = log of e^(beta X) X^-p
-    integral_0^inf Y^p e^(-(lam + beta) Y) core(Y) dY, X = sx^2: the moment
-    with its e^(c^2/s) and the core's exponent regrouped into -X Q/D, whose
-    terms are all nonnegative when c omega >= |beta|, so nothing cancels.
-    lam is a float or a float64 array, p and beta floats or arrays that
-    broadcast against it (a column of p gives one row of moments per p); the
-    math module or numpy is picked by their type, as the kernels pick it.
+    integral_0^inf Y^p e^(-(lam + beta) Y) core(Y) dY, X = sx^2, by one
+    formula for every omega t: with the core's scales at t, K0 = 2 c omega/(1
+    - e^(-2 omega t)), K = K0 e^(-omega t) and B = K0 e^(-2 omega t) (all c/t
+    at omega = 0), and D = lam + beta + c omega >= 0, the moment at s = D + B
+    and Bessel argument K sx plus log K, its e^(K^2 X/s) and the core's
+    exponent regrouped into -X q, q = ((c omega - beta) D + lam B)/s, whose
+    terms are all nonnegative when c omega >= |beta|, so nothing cancels. lam
+    is a float or a float64 array, p and beta floats or arrays that broadcast
+    against it (a column of p gives one row of moments per p).
 
-    Where E = e^(-2 omega t) falls below 1e-300 (and em = 1), E is carried as
-    its log, and so are s and the Bessel argument, which shrink with it:
-    where also lam + beta + c omega = 0, s is 2 c omega E, not 0. Their
-    omega t parts are summed apart, so that none cancels another: where 2 c
-    omega E carries s, to (2p + 1) omega t, 0 for tanh_drift's e^Y term.
-    Where X overflows (x beyond 1e154 at state power 2), EvalOverflowError."""
+    Where B or K sx falls below 1e-300 (one test, of floats), the moment is
+    taken at s = 1 (y -> y/s), with s and K as logs, in numpy; below (K
+    sx)^2/s = e^-600 its 1F1 factor is 1, and its log nu log(K sx/sqrt(s))
+    plus a constant. The omega t parts of log K, of log s (-2 omega t where B
+    carries s, as where D = 0) and of that leading term are summed apart, to
+    (2p + 1) omega t where B carries s: 0 for tanh_drift's e^Y term. Where X
+    overflows (x beyond 1e154 at state power 2), EvalOverflowError."""
     X = sx * sx
     if X == math.inf:
         raise EvalOverflowError(f"expectation: x^2 = {sx!r}^2 overflows")
-    lX = 2.0 * math.log(sx)  # not log(X): X underflows to 0 below sx ~ 2e-162
-    if omega == 0.0:
-        log_k, arg, E = math.log(c / t), c * sx / t, 1.0
-    else:  # 2 e^(-wt) cosh(wt) = 1 + E, 2 e^(-wt) sinh(wt) = em
-        wt, cw = omega * t, c * omega
-        E, em = math.exp(-2.0 * wt), -math.expm1(-2.0 * wt)
-        if E > 1e-300:
-            log_k = math.log(2.0 * cw / em) - wt
-            arg = 2.0 * cw * sx * math.exp(-wt) / em
-        else:
-            L, l_sx = math.log(2.0 * cw), math.log(sx)
-            lb = L - 2.0 * wt
+    l_sx = math.log(sx)
+    lX = 2.0 * l_sx  # not log(X): X underflows to 0 below sx ~ 2e-162
+    wt, cw = omega * t, c * omega
+    # exprel(u) = (e^u - 1)/u, 1 at u = 0: 1 - e^(-2wt) = 2wt exprel(-2wt)
+    K0 = c / (t * _exprel(-2.0 * wt))
+    k0, decay = math.log(K0), math.exp(-wt)
+    B, arg = K0 * decay * decay, K0 * decay * sx
+    direct = B > 1e-300 and arg > 1e-300
     for p, beta in terms:
-        if omega == 0.0:
-            den = (lam + beta) * t + c
-            s, q_over_d = den / t, (c * lam - beta * (lam + beta) * t) / den
-        elif E > 1e-300:
-            d = (lam + beta + cw) * em + 2.0 * cw * E
-            s = d / em
-            q_over_d = (lam * ((cw - beta) + E * (cw + beta))
-                        + (cw - beta) * (cw + beta) * em) / d
-        else:
-            # d = D + 2 c omega E and Q = (c omega - beta) D + 2 c omega lam E,
-            # D = lam + beta + c omega >= 0; la, lb, ls: logs of D, 2 c omega E, d
-            D = lam + beta + cw
-            if type(D) is _NDARRAY:
-                xp, top, low = np, np.maximum, np.minimum
-                with np.errstate(divide="ignore"):
-                    la = np.log(np.where(D > 0, D, 0.0))
-            else:
-                xp, top, low = math, max, min
-                la = math.log(D) if D > 0 else -math.inf
-            on_e = la < lb  # 2 c omega E carries d: ls = base + gap - 2 on_e wt
-            base = np.where(on_e, L, la) if xp is np else (L if on_e else la)
-            gap = xp.log1p(xp.exp(-abs(la - lb)))
-            ls = top(la, lb) + gap
-            q_over_d = (cw - beta) * xp.exp(la - ls) + lam * xp.exp(lb - ls)
-            # the moment at s = e^ls, rescaled to s = 1 (y -> y/s), which
-            # leaves arg^2/s alone; below arg^2/s = e^-600 its 1F1 factor is
-            # 1, so that its log is nu log(arg/sqrt(s)) plus a constant; lc and
-            # -(p + 1) ls + log k are summed with their wt parts apart
-            lc = L + l_sx - 0.5 * (base + gap) + (on_e - 1.0) * wt
-            yield (specfun.log_laplace_bessel_moment_scaled(
-                       p, nu, 1.0, xp.exp(top(lc, -300.0)))
-                   + nu * low(lc + 300.0, 0.0) - (p + 1.0) * (base + gap) + L
-                   + (2.0 * on_e * (p + 1.0) - 1.0) * wt - X * q_over_d - p * lX)
+        D = lam + beta + cw
+        if direct:
+            s = D + B
+            q = ((cw - beta) * D + lam * B) / s
+            yield (specfun.log_laplace_bessel_moment_scaled(p, nu, s, arg)
+                   + (k0 - wt) - X * q - p * lX)
             continue
-        yield (specfun.log_laplace_bessel_moment_scaled(p, nu, s, arg)
-               + log_k - X * q_over_d - p * lX)
+        with np.errstate(divide="ignore"):  # la, lb, ls: logs of D, B and s
+            la, lb = np.log(np.maximum(D, 0.0)), k0 - 2.0 * wt
+        on_e = la < lb  # B carries s: ls = base + gap - 2 on_e wt
+        base, gap = np.where(on_e, k0, la), np.log1p(np.exp(-np.abs(la - lb)))
+        ls = np.maximum(la, lb) + gap
+        q = (cw - beta) * np.exp(la - ls) + lam * np.exp(lb - ls)
+        # lc = log(K sx/sqrt(s)); lc and -(p + 1) ls + log K with their wt parts apart
+        lc = k0 + l_sx - 0.5 * (base + gap) + (on_e - 1.0) * wt
+        lead = np.minimum(lc + 300.0, 0.0)  # below e^-300: the leading term
+        yield (specfun.log_laplace_bessel_moment_scaled(p, nu, 1.0, np.exp(lc - lead))
+               + nu * lead - (p + 1.0) * (base + gap) + k0
+               + (2.0 * on_e * (p + 1.0) - 1.0) * wt - X * q - p * lX)
 
 
 def _with_atoms(val, atoms, lam, t: float, x: float, m: float):
@@ -399,12 +387,13 @@ def _kernel(logf, atoms=()) -> Kernel:
 _H_MAX = 2.0 ** 20
 
 
-def _check_cancellation(h, log_p) -> None:
+def _check_cancellation(h, log_p, what: str = "kernel: the h-ratio and the Bessel core") -> None:
     """EvalOverflowError where |H| > 2^20 max(1, |log p|): past it the
-    rounding of the h-ratio H, about |H| 1e-16, is more than 2e-10 of p."""
+    rounding of H, about |H| 1e-16, is more than 2e-10 of p. H is a kernel's
+    h-ratio, or a closed form's growth r t."""
     h = np.abs(h)
     if h.max(initial=0.0) > _H_MAX and (h / _H_MAX > np.maximum(1.0, np.abs(log_p))).any():
-        raise EvalOverflowError("kernel: the h-ratio and the Bessel core cancel: p loses 1e-10")
+        raise EvalOverflowError(f"{what} cancel: the value loses 1e-10")
 
 
 def _log_kernel(core, ratio, k_nu: bool = False, shift: float = 0.0) -> Callable:
@@ -564,18 +553,25 @@ def _core_sum(diff: DiffusionSpec, ric: RiccatiParams, terms, atoms=(),
         if (lam.min(initial=0.0) if grid else lam) < 0:
             raise DomainError("expectation: lam >= 0 required")
         sx = x if m == 2.0 else math.sqrt(x)
+        gt = g * t
         if single:
-            moment = next(_log_core_moments(nu, c, omega, lam, t, sx, pb))
-            val = (np.exp if grid else math.exp)(g * t + moment)
-        else:  # log w_i(X), X = x^m
+            log_e = gt + next(_log_core_moments(nu, c, omega, lam, t, sx, pb))
+        else:  # log w_i(X) + r t + log B_i, X = x^m
             ls = _log_terms(logc, x ** m, m * math.log(x))
             top = _log_sum_exp(ls)
             if grid:
-                moments = next(_log_core_moments(nu, c, omega, lam, t, sx, columns))
-                val = np.exp(np.array([[l - top + g * t] for l in ls]) + moments).sum(axis=0)
+                log_e = np.array([[l - top + gt] for l in ls]) + next(
+                    _log_core_moments(nu, c, omega, lam, t, sx, columns))
             else:
-                moments = _log_core_moments(nu, c, omega, lam, t, sx, pb)
-                val = sum([math.exp(l - top + g * t + lb) for l, lb in zip(ls, moments)])
+                log_e = [l - top + gt + lb
+                         for l, lb in zip(ls, _log_core_moments(nu, c, omega, lam, t, sx, pb))]
+        if abs(gt) > _H_MAX:  # r t and the moments' omega t parts cancel
+            _check_cancellation(gt, log_e if single else np.logaddexp.reduce(log_e),
+                                "expectation: the growth and the moments")
+        if single:
+            val = (np.exp if grid else math.exp)(log_e)
+        else:
+            val = np.exp(log_e).sum(axis=0) if grid else sum([math.exp(v) for v in log_e])
         return _with_atoms(val, atoms, lam, t, x, m)
 
     return kernel, expect

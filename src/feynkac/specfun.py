@@ -301,10 +301,16 @@ def _is_nonpositive_integer(b: float, tol: float = 1e-12) -> bool:
 
 
 def hypergeom_1f1(a: float, b: float, z: float) -> float:
-    """Kummer's confluent hypergeometric function 1F1(a, b, z)."""
+    """Kummer's confluent hypergeometric function 1F1(a, b, z); from |z| =
+    _Z_LARGE on, its large-|z| expansion (_log_1f1_large)."""
     _check_finite("hypergeom_1f1", a, b, z)
     if _is_nonpositive_integer(b):
         raise PoleError(f"hypergeom_1f1: b={b} is a non-positive integer (parameter pole)")
+    if abs(z) >= _Z_LARGE:
+        sign, log = _log_1f1_large(np.array([a], float), b, np.array([z], float))
+        if log[0] > 709.0:
+            raise EvalOverflowError(f"hypergeom_1f1: overflow at ({a}, {b}, {z})")
+        return float(sign[0] * np.exp(log[0]))
     if abs(z) < 1e-16:
         # scipy.special.hyp1f1 misbehaves for tiny |z|; the truncated series
         # is exact to double precision here
@@ -399,11 +405,12 @@ def erf(x: float) -> float:
 
 def log_hypergeom_1f1(a, b: float, z):
     """log 1F1(a, b, z) where 1F1(a, b, z) > 0; where the direct value
-    overflows or fails, by Kummer's transform 1F1(a, b, z) = e^z 1F1(b-a, b, -z).
+    overflows or fails, by Kummer's transform 1F1(a, b, z) = e^z 1F1(b-a, b, -z),
+    and from |z| = _Z_LARGE on by its large-|z| expansion (_log_1f1_large).
     a and z may be float64 arrays, which broadcast against each other."""
     if type(a) is _NDARRAY or type(z) is _NDARRAY:
         return _log_hypergeom_1f1_array(a, b, z)
-    if -math.inf < a < math.inf and 1e-12 < b < math.inf and -math.inf < z < math.inf:
+    if -math.inf < a < math.inf and 1e-12 < b < math.inf and -_Z_LARGE < z < _Z_LARGE:
         if a == 0.0:  # 1F1(0, b, z) = 1: the moments of most catalog kernels
             return 0.0
         # hypergeom_1f1's value, without its checks
@@ -436,14 +443,27 @@ def _log_hypergeom_1f1_array(a, b: float, z) -> np.ndarray:
     z_lo, z_hi = bounds[1]
     if _is_nonpositive_integer(b):
         raise PoleError(f"hypergeom_1f1: b={b} is a non-positive integer (parameter pole)")
-    return _log_1f1(a, b, z, z_lo < 1e-16 and z_hi > -1e-16)
+    return _log_1f1(a, b, z, z_lo < 1e-16 and z_hi > -1e-16,
+                    z_lo <= -_Z_LARGE or z_hi >= _Z_LARGE)
 
 
-def _log_1f1(a, b: float, z, tiny: bool) -> np.ndarray:
+def _log_1f1(a, b: float, z, tiny: bool, large: bool = False) -> np.ndarray:
     """log 1F1 of checked arguments (tiny as for _hyp1f1), with Kummer's
-    transform by mask where the direct value is not finite and positive."""
+    transform by mask where the direct value is not finite and positive, and
+    where large, the large-|z| expansion by mask from |z| = _Z_LARGE on."""
     if type(a) is not _NDARRAY and a == 0.0:
         return np.zeros(np.shape(z))
+    if large:
+        a, z = np.broadcast_arrays(a, z)
+        big, out = np.abs(z) >= _Z_LARGE, np.empty(z.shape)
+        sign, out[big] = _log_1f1_large(a[big], b, z[big])
+        if not (sign > 0.0).all():
+            raise DomainError(f"log_hypergeom_1f1: 1F1 <= 0, log undefined at "
+                              f"({float(a[big][sign <= 0.0][0])}, {b}, "
+                              f"{float(z[big][sign <= 0.0][0])})")
+        if not big.all():
+            out[~big] = _log_1f1(a[~big], b, z[~big], tiny)
+        return out
     f = _hyp1f1(a, b, z, tiny)
     if _MIN(f, None) > 0.0 and _MAX(f, None) < math.inf:  # no NaN, no inf, no f <= 0
         return np.log(f)
@@ -461,6 +481,51 @@ def _log_1f1(a, b: float, z, tiny: bool) -> np.ndarray:
                         f"{float(zb[fail][0])})")
     out[bad] = zb + np.log(g)
     return out
+
+
+# from |z| = 2^20 on, 1F1 is its large-|z| expansion: scipy's hyp1f1 fails
+# (NaN or 0) below z of about -1e11 and takes a time that grows with z above
+# it (0.25 ms at z = 1e8, 2.6 s at 1e12); at 2^20 the expansion's terms fall
+# to 2^-53 of its sum within a few terms for |a|, |b| up to a few hundred
+_Z_LARGE = 2.0 ** 20
+_LARGE_TERMS = 60
+
+
+def _log_1f1_large(a: np.ndarray, b: float, z: np.ndarray):
+    """(sign, log|1F1(a, b, z)|) for float64 arrays a and z of one shape, |z|
+    >= _Z_LARGE, w = |z|. In general by the large-|z| expansion (DLMF 13.7.1,
+    13.2.23): at z > 0, Gamma(b)/Gamma(a) e^w w^(a-b) sum_k (1-a)_k (b-a)_k/k!
+    w^-k; at z < 0, by Kummer's transform, Gamma(b)/Gamma(b-a) w^-a sum_k
+    (a)_k (1+a-b)_k/k! w^-k. Where the Gamma factor's argument is a
+    nonpositive integer -n, 1F1 (or at z < 0, e^-z 1F1) is the polynomial
+    Gamma(b)/Gamma(b+n) (-w)^n sum_k (-n)_k (1-n-b)_k/k! (-w)^-k, which ends
+    at k = n (DLMF 13.2.7). Each sum stops at its first term below 2^-53 of
+    it; ConvergenceError where none of the first _LARGE_TERMS is."""
+    neg, w = z < 0.0, np.abs(z)
+    ap = np.where(neg, b - a, a)  # 1F1(a, b, z) = e^(z - w) 1F1(ap, b, w)
+    poly = (ap <= 0.0) & (ap == np.floor(ap))
+    flip = neg ^ poly  # the w^-a series
+    c1, c2 = np.where(flip, a, 1.0 - a), np.where(flip, 1.0 + a - b, b - a)
+    rho = np.where(poly, -w, w)
+    total, term, done = np.ones(w.shape), np.ones(w.shape), np.zeros(w.shape, bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_LARGE_TERMS):
+            term = term * ((c1 + k) * (c2 + k) / ((k + 1.0) * rho))
+            done |= np.abs(term) <= 2.0 ** -53 * np.abs(total)
+            if done.all():
+                break
+            total += np.where(done, 0.0, term)
+        else:
+            bad = ~done
+            raise ConvergenceError(
+                f"hypergeom_1f1: large-|z| expansion does not converge at "
+                f"({float(a[bad][0])}, {b}, {float(z[bad][0])})")
+    g = np.where(flip, b - a, a)
+    log = (sc.gammaln(b) - sc.gammaln(g) + (np.where(poly, 0.0, w) + np.where(neg, z, 0.0))
+           + np.where(flip, -a, a - b) * np.log(w) + np.log(np.abs(total)))
+    sign = (sc.gammasgn(b) * sc.gammasgn(g) * np.sign(total)
+            * np.where(poly & (ap % 2.0 == 1.0), -1.0, 1.0))
+    return sign, log
 
 
 def log_laplace_bessel_moment_scaled(p, nu: float, s, c):
@@ -511,7 +576,8 @@ def _log_moment_array(p, nu: float, s, c) -> np.ndarray:
     if c_hi * c_hi / s_lo == math.inf:  # c^2/s overflows
         raise DomainError("log_hypergeom_1f1: non-finite argument -inf")
     return (nu * _log(c) + lg_q - math.lgamma(nu + 1.0) - q * _log(s)
-            + _log_1f1(nu + 1.0 - q, nu + 1.0, -(c * c / s), c_lo * c_lo / s_hi < 2e-16))
+            + _log_1f1(nu + 1.0 - q, nu + 1.0, -(c * c / s), c_lo * c_lo / s_hi < 2e-16,
+                       c_hi * c_hi / s_lo >= _Z_LARGE))
 
 
 def laplace_bessel_moment(p: float, nu: float, s: float, c: float) -> float:

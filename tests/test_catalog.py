@@ -5,8 +5,13 @@ quadrature of the defining integrals."""
 
 import dataclasses
 import importlib.util
+import json
 import math
+import os
 import pathlib
+import select
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -17,6 +22,7 @@ import scipy.integrate as si
 import scipy.special as sc
 import scipy.stats as ss
 
+import feynkac
 from feynkac import catalog as cat
 from feynkac import specfun as sf
 from feynkac import verify
@@ -1017,6 +1023,144 @@ def _benchmark_module(name):
 WORKLOADS = _benchmark_module("workloads")
 # the benchmark's parameter pool
 POOL = [(name, p) for name in sorted(WORKLOADS.POOL) for p in WORKLOADS.POOL[name]]
+
+
+# evaluates closed forms on request in its own interpreter, so that a call
+# that never returns (a scipy C loop cannot be interrupted) fails its example
+# after _CALL_SECONDS instead of hanging the suite: one line of JSON in, [name,
+# params, lam, t, x], one out, the values or the error at a float lam and at
+# the array [lam, 0]
+_CLOSED_FORM_WORKER = """
+import json, sys
+import numpy as np
+from feynkac import catalog
+from feynkac.errors import FeynkacError
+for line in sys.stdin:
+    name, params, lam, t, x = json.loads(line)
+    out = []
+    for lams in (lam, np.array([lam, 0.0])):
+        try:
+            val = catalog.expectation(name, params, lams, t, x, method="closed")
+            out.append(np.atleast_1d(val).tolist())
+        except FeynkacError as e:
+            out.append(type(e).__name__)
+        except Exception as e:
+            out.append("raw " + repr(e))
+    print(json.dumps(out), flush=True)
+"""
+_CALL_SECONDS = 20.0  # the first call includes the worker's start-up
+
+
+class _ClosedFormWorker:
+    def __init__(self):
+        self.proc = None
+
+    def call(self, request):
+        """The worker's answer to request, or None after _CALL_SECONDS (the
+        worker is then stopped, and the next call starts another)."""
+        if self.proc is None:
+            env = dict(os.environ)
+            src = os.path.dirname(os.path.dirname(feynkac.__file__))
+            env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
+                                                         if env.get("PYTHONPATH") else []))
+            self.proc = subprocess.Popen([sys.executable, "-c", _CLOSED_FORM_WORKER], env=env,
+                                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.proc.stdin.write(json.dumps(request) + "\n")
+        self.proc.stdin.flush()
+        if not select.select([self.proc.stdout], [], [], _CALL_SECONDS)[0]:
+            self.close()
+            return None
+        return json.loads(self.proc.stdout.readline())
+
+    def close(self):
+        if self.proc is not None:
+            self.proc.kill()
+            self.proc.wait()
+            self.proc = None
+
+
+@pytest.fixture(scope="module")
+def closed_form_worker():
+    worker = _ClosedFormWorker()
+    yield worker
+    worker.close()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.CLOSED_FORM))
+def test_closed_form_keeps_its_contract_over_the_whole_range(name, closed_form_worker):
+    # t, x and lam log-uniform over [1e-300, 1e300] (lam = 0 often), float
+    # and array lam: within _CALL_SECONDS, a value in [0, 1 + 1e-12] (finite
+    # for the structural rational_showcase) or a FeynkacError. The closed
+    # forms hung (1F1 at large |z|) or returned 0 for the mass (an omega = 0
+    # Bessel argument that underflowed)
+    members = WORKLOADS.POOL[name]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(0, len(members) - 1), lam=st.one_of(st.just(0.0), _FULL_RANGE),
+           t=_FULL_RANGE, x=_FULL_RANGE)
+    def check(k, lam, t, x):
+        got = closed_form_worker.call([name, members[k], lam, t, x])
+        assert got is not None, f"no answer within {_CALL_SECONDS} s"
+        for val in got:
+            if isinstance(val, str):
+                assert not val.startswith("raw "), val
+                continue
+            assert all(math.isfinite(v) for v in val)
+            if name not in WORKLOADS.STRUCTURAL:
+                assert all(0.0 <= v <= 1.0 + 1e-12 for v in val), val
+
+    check()
+
+
+def _mp_besq_laplace(n, lam, t, x):
+    """E_x[exp(-lam X_t)] of BESQ(n), (1 + 2 lam t)^(-n/2) exp(-lam x/(1 + 2 lam t))."""
+    with mpmath.workdps(30):
+        den = 1 + 2 * mpmath.mpf(lam) * mpmath.mpf(t)
+        return float(den ** (-mpmath.mpf(n) / 2) * mpmath.exp(-mpmath.mpf(lam) * x / den))
+
+
+@pytest.mark.parametrize("name,params,t,x,lam", [
+    ("besq", {"n": 3.0}, 1.4272561494024157e247, 2.9114076013532997e-171, 0.0),
+    ("bessel", {"a": 1.2}, 1.0551089053174413e76, 1.8042880893253362e-253,
+     0.0073785965742169815)])
+def test_closed_form_where_the_bessel_argument_underflows_at_omega_zero(name, params, t, x,
+                                                                        lam):
+    # omega = 0, and the moments' Bessel argument c sx/t underflows: they took
+    # it as 0 and returned 0. References (mpmath): 1, and 7.4660039401066559e-127,
+    # as the Bessel process's X^2 is BESQ(2a + 1)
+    if name == "besq":
+        ref = _mp_besq_laplace(params["n"], lam, t, x)
+    else:
+        ref = _mp_besq_laplace(2.0 * params["a"] + 1.0, lam, t, mpmath.mpf(x) ** 2)
+    for lams in (lam, np.array([lam, lam])):
+        assert np.all(np.abs(cat.expectation(name, params, lams, t, x) / ref - 1.0) <= 1e-10)
+
+
+@pytest.mark.parametrize("params,stationary", [
+    ({"a": 1.0, "b": 1.0, "sigma": 1.0}, 1.0 / 1.3),
+    ({"a": 0.9, "b": 1.4, "sigma": 0.6}, (1.0 + 0.3 * 0.6 / 1.4) ** (-0.9 / 0.6))])
+def test_growth_and_moments_that_cancel_at_large_t_raise(params, stationary):
+    # r t and the moments' omega t parts cancel in exp(r t + log B): at lam =
+    # 0.3, x = 1 the value was 0.7692108677564806 at t = 1e12 and 0.7788 at
+    # 1e15 (1/1.3 = 0.76923), 1.0 at 1e15 for the second; past |r t| = 2^20
+    # max(1, |log E|) it loses 2e-10, and raises. At lam = 0 as well, where
+    # 1.0 was exact only because log E = 0 lies on the rounding grid of r t
+    for lam in (0.3, np.array([0.3, 0.3])):
+        got = cat.expectation("cir", params, lam, 1e5, 1.0)
+        assert np.all(np.abs(got - stationary) <= 2e-10)
+        for t in (1e8, 1e12, 1e15):
+            with pytest.raises(EvalOverflowError, match="cancel"):
+                cat.expectation("cir", params, lam, t, 1.0)
+    with pytest.raises(EvalOverflowError, match="cancel"):
+        cat.expectation("cir", params, 0.0, 1e8, 1.0)
+
+
+def test_growth_check_sees_the_log_of_an_underflowed_value():
+    # at t = 1e58, r t and the moments cancel down to a sum of about 1e42
+    # that rounded to either sign: the value read 0 where it is 1
+    with pytest.raises(EvalOverflowError, match="cancel"):
+        cat.expectation("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6}, 0.0,
+                        8.416452421720903e+58, 1.2362844982259265e-111)
 
 
 # The hand-written transform right-hand sides and tanh_drift atom weight that

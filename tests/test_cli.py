@@ -25,14 +25,14 @@ def run(*args, env=None, monkeypatch=None):
     return code, buf.getvalue()
 
 
-def run_python(*args):
+def run_python(*args, timeout=120):
     """Run a fresh interpreter that imports this checkout of feynkac."""
     src = os.path.dirname(os.path.dirname(feynkac.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,24 @@ def test_expect_closed_form_where_e_minus_2t_underflows():
                     "--x", "1", "--lambda", "0")
     assert code == 0
     assert float(out.splitlines()[1].split(",")[-1]) == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("entry", [
+    ("besq", "--n", "2.5", "--nu", "0.4", "--x", "1e200"),
+    ("cir", "--a", "0.9", "--b", "1.4", "--sigma", "0.6", "--mu", "0.5", "--x", "1e200"),
+    ("sqrt_drift", "--a", "1.5", "--b", "0.8", "--A", "1.2", "--B", "0.6", "--x", "1e200"),
+    ("rational_showcase", "--a", "1", "--b", "1", "--x", "1e200"),
+    ("bessel", "--a", "0.8", "--mu", "0.6", "--t", "2.56e294", "--x", "8.86e-296"),
+    ("sqrt_drift", "--a", "1.5", "--b", "0.8", "--A", "1.2", "--B", "0.6",
+     "--t", "2.56e294", "--x", "8.86e-296")], ids=lambda e: e[0])
+def test_expect_returns_where_1f1_took_a_huge_argument(entry):
+    # the moments' 1F1 at z of -1e200 (scipy: NaN or 0; Kummer's transform
+    # then ran without end, killed after 15 s): a value (exit 0) or exit 3
+    name, *params = entry
+    t = () if "--t" in params else ("--t", "1")
+    proc = run_python("-m", "feynkac", "expect", "--entry", name, *params, *t,
+                      "--lambda", "0", timeout=15)
+    assert proc.returncode in (0, 3), proc.stderr
 
 
 def test_expect_closed_form_where_x_squared_underflows():

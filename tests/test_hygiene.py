@@ -8,8 +8,10 @@ kernel, rational_drift's finite-part one too, from the declared Riccati
 constants instead of writing them, riccati and
 symmetry write the linear family's Bessel solution y once (riccati._bessel_y),
 generic_linear and rational_drift's finite part take their two-branch kernel
-and u0 from that y, and a float in specfun reaches no fallback but through the
-one array implementation of its function.
+and u0 from that y, a float in specfun reaches no fallback but through the
+one array implementation of its function, and the closed forms' moments
+(catalog._log_core_moments) are one formula for every omega t, with no fork
+on omega = 0 or on a threshold of e^(-2 omega t).
 
 No linter is part of the toolchain, so this walks the package sources with
 ast. A name counts as used when the module reads it anywhere (including in
@@ -472,3 +474,70 @@ def test_the_check_sees_a_fallback_on_a_float_path():
     assert sorted(_fast_path_fallbacks(tree)) == [("_helper", "_large_z"),
                                                   ("log_bessel_ive", "hyperu"),
                                                   ("whittaker_w", "_log_ive_series")]
+
+
+def _reads_omega_t(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id in ("omega", "wt") for n in ast.walk(node))
+
+
+def _callee(call: ast.Call) -> str:
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+
+
+def _exp_of_omega_t(node) -> bool:
+    """node is exp(...) or expm1(...) of an argument that reads omega or wt,
+    negated or not: e^(-2 omega t) or 1 - e^(-2 omega t) themselves."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return (isinstance(node, ast.Call) and _callee(node) in ("exp", "expm1")
+            and any(_reads_omega_t(a) for a in node.args))
+
+
+def _moment_forks(tree: ast.Module, name: str = "_log_core_moments"):
+    """Lines of the function name that compare omega with 0 or test omega
+    alone, or that compare e^(-2 omega t) (an exp or expm1 of omega t, or a
+    name bound to one) with anything: the forks of a moment formula written
+    once per regime."""
+    func = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    exps = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                exps |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _exp_of_omega_t(v)}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            names = {n.id for n in sides if isinstance(n, ast.Name)}
+            zero = any(isinstance(n, ast.Constant) and n.value == 0 for n in sides)
+            if ("omega" in names and zero) or names & exps or any(map(_exp_of_omega_t, sides)):
+                yield node.lineno
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            test = node.test.operand if isinstance(node.test, ast.UnaryOp) else node.test
+            if isinstance(test, ast.Name) and test.id == "omega":
+                yield node.lineno
+
+
+def test_core_moments_are_one_formula_for_every_omega_t():
+    bad = list(_moment_forks(_catalog_tree()))
+    assert not bad, f"catalog.py: _log_core_moments forks on omega or e^(-2wt) on lines {bad}"
+
+
+def test_the_check_sees_a_fork_on_omega_or_on_e_minus_2_omega_t():
+    tree = ast.parse("def _log_core_moments(nu, c, omega, lam, t, sx, terms):\n"
+                     "    if omega == 0.0:\n"
+                     "        wt = 0.0\n"
+                     "    E, em = math.exp(-2.0 * wt), -math.expm1(-2.0 * wt)\n"
+                     "    log_k = math.log(c / t) if not omega else 0.0\n"
+                     "    if E > 1e-300 or 0 != omega:\n"
+                     "        pass\n"
+                     "    while np.exp(-omega * t) >= 1e-300:\n"
+                     "        pass\n"
+                     "    arg = k0 * math.exp(-wt) * sx\n"
+                     "    direct = B > 1e-300 and arg > 1e-300 and em < 1.0\n"
+                     "def other(omega):\n"
+                     "    return omega == 0.0\n")
+    assert sorted(_moment_forks(tree)) == [2, 5, 6, 6, 8, 11]

@@ -370,6 +370,44 @@ def test_log_hypergeom_1f1_against_mpmath(a, b, z):
     assert sf.log_hypergeom_1f1(a, b, z) == pytest.approx(ref, rel=1e-13, abs=1e-14)
 
 
+@pytest.mark.parametrize("a,b,z", [
+    (0.339, 1.929, -5e199),      # scipy: NaN, and Kummer's transform ran without end
+    (0.339, 1.929, -1e180),      # scipy: 0
+    (-20.3, 1.5, -3e6), (2.2, 1.7, 4e7), (0.75, 2.5, -2.0 ** 20),
+    (-3.0, 1.5, 1e12),           # a polynomial (DLMF 13.2.7), negative: DomainError
+    (4.0, 1.5, -1e12),           # Gamma(b - a) < 0, so 1F1 < 0: DomainError
+    (3.5, 1.5, -1e9),            # b - a = -2: e^z times a polynomial
+    (1.5, 1.5, -1e7)])           # e^z: scipy took 78 ms, 7.8 s at -1e12
+def test_log_hypergeom_1f1_at_large_z_against_mpmath(a, b, z):
+    # from |z| = 2^20 on, the large-|z| expansion (DLMF 13.7.1, 13.2.23)
+    with mpmath.workdps(40):
+        value = mpmath.hyp1f1(a, b, z)
+        ref = float(mpmath.log(abs(value)))
+    if value > 0:
+        assert sf.log_hypergeom_1f1(a, b, z) == pytest.approx(ref, rel=1e-14, abs=1e-14)
+        assert sf.log_hypergeom_1f1(np.array([a, a]), b, np.array([z, 2.0 * z]))[0] == \
+            sf.log_hypergeom_1f1(a, b, z)
+    else:
+        with pytest.raises(DomainError):
+            sf.log_hypergeom_1f1(a, b, z)
+    if ref < 700.0:
+        want = float(value)
+        assert sf.hypergeom_1f1(a, b, z) == pytest.approx(want, rel=1e-12, abs=1e-300)
+    else:
+        with pytest.raises(EvalOverflowError):
+            sf.hypergeom_1f1(a, b, z)
+
+
+def test_1f1_expansion_whose_terms_are_not_negligible_raises():
+    # (a)_k (1+a-b)_k/k! w^-k with a = -1e5 at w = 2^21: the terms grow for
+    # thousands of terms
+    for f in (sf.hypergeom_1f1, sf.log_hypergeom_1f1):
+        with pytest.raises(ConvergenceError):
+            f(-1e5, 1.0, -2.0 ** 21)
+    with pytest.raises(ConvergenceError):
+        sf.log_hypergeom_1f1(np.array([0.5, -1e5]), 1.0, -2.0 ** 21)
+
+
 @pytest.mark.parametrize("p,nu,s,c", [(-0.5, 1.0, 2e-3, 3.0), (0.25, 0.5, 0.6, 40.0),
                                       (1.7, 2.3, 1e-4, 5.0), (-0.3, 0.4, 3.0, 1e-3)])
 def test_log_laplace_bessel_moment_scaled_against_mpmath(p, nu, s, c):
