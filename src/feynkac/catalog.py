@@ -55,10 +55,13 @@ atoms and E_x[exp(-lam X_t^m)] = e^(r t) sum_i w_i(X) B_i + atoms, w_i(X) =
 c_i X^p_i e^(-beta_i X)/u(X) and B_i the Laplace-Bessel moment of term i, one
 log-1F1 (_log_core_moments), by one formula for every w and t (at s = 1,
 its wt parts apart, where the core's scale B = 2 c w e^(-2wt)/(1 - e^(-2wt))
-or its Bessel argument is below 1e-300); past |r t| = 2^20 max(1, |log E|),
+or its Bessel argument is below 1e-300 or overflows); past |r t| = 2^20 max(1, |log E|),
 where r t and the moments cancel, EvalOverflowError (_check_cancellation).
 sqrt_drift's sums the series of its u(y) =
-y^((a-1)/2) e^(-b sqrt(y)) moment by moment, in blocks of terms. Both closed
+y^((a-1)/2) e^(-b sqrt(y)) moment by moment, in blocks of terms, from tables
+of the terms formed once per entry (_sqrt_drift_series); every closed form
+takes its moments through _log_moment, the catalog's one call of specfun's
+moment, with the core's scales from _core_at and _direct_scales. Both closed
 forms take lam as a float or a float64 array (numpy where lam is an array, as
 a kernel picks it by y), so that a lambda grid is one call. bessel_drift,
 sqrt_drift and generic_linear take H = (F(y) - F(x))/(2 sigma) - log(y/x)/2
@@ -223,6 +226,8 @@ _NDARRAY = np.ndarray
 
 
 _LOG_2, _LOG_TINY, _LOG_HUGE = math.log(2.0), math.log(1e-300), math.log(1.79e308)
+# the reductions themselves: ndarray.min and .max add a Python-level wrapper
+_MAX = np.maximum.reduce
 
 
 def _log_bessel(nu: float, log_z, k_nu: bool, tiny: float):
@@ -306,45 +311,80 @@ def _log_sum_exp(ls, xp=math):
     return top + xp.log(sum([xp.exp(l - top) for l in ls]))
 
 
+def _core_at(c: float, omega: float, t: float, sx: float):
+    """The Bessel core's scales at t, by one formula for every omega t: (X,
+    log sx, omega t, log K0, B, K sx, direct), X = sx^2, K0 = 2 c omega/(1 -
+    e^(-2 omega t)) (c/t at omega = 0), K = K0 e^(-omega t), B = K0 e^(-2
+    omega t); direct where B and K sx lie in (1e-300, inf), so that a moment
+    can be taken at s = D + B and Bessel argument K sx as they are (one test,
+    of floats). EvalOverflowError where X overflows (x beyond 1e154 at state
+    power 2) or K0 does (t below about 1e-308)."""
+    X = sx * sx
+    if X == math.inf:
+        raise EvalOverflowError(f"expectation: x^2 = {sx!r}^2 overflows")
+    wt = omega * t
+    # exprel(u) = (e^u - 1)/u, 1 at u = 0: 1 - e^(-2wt) = 2wt exprel(-2wt)
+    K0 = c / (t * _exprel(-2.0 * wt))
+    if K0 == math.inf:  # t of about 1e-308 and below
+        raise EvalOverflowError(f"expectation: the core's scale c/t overflows at t = {t!r}")
+    k0, decay = math.log(K0), math.exp(-wt)
+    B, arg = K0 * decay * decay, K0 * decay * sx
+    return X, math.log(sx), wt, k0, B, arg, B > 1e-300 and 1e-300 < arg < math.inf
+
+
+def _direct_scales(lam, beta, cw: float, B: float, X: float):
+    """(s, X q) of a direct moment (_log_core_moments): s = D + B and q = ((c
+    omega - beta) D + lam B)/s, D = lam + beta + c omega, for a float or a
+    float64 array lam, with cw = c omega and B, X of _core_at."""
+    D = lam + beta + cw
+    s = D + B
+    return s, X * (((cw - beta) * D + lam * B) / s)
+
+
+_TERMS = specfun.LaplaceBesselTerms
+
+
+def _log_moment(p, nu: float, s, c):
+    """specfun's scaled Laplace-Bessel moment at s and Bessel argument c, for
+    p a float or a float64 column, or a series' specfun.LaplaceBesselTerms,
+    formed ahead with a log weight per p: the catalog's one call of the
+    moment."""
+    if type(p) is _TERMS:
+        return specfun.log_laplace_bessel_moments(p, s, c)
+    return specfun.log_laplace_bessel_moment_scaled(p, nu, s, c)
+
+
 def _log_core_moments(nu: float, c: float, omega: float, lam, t: float,
                       sx: float, terms):
     """Yield, for each (p, beta) of terms, log B = log of e^(beta X) X^-p
     integral_0^inf Y^p e^(-(lam + beta) Y) core(Y) dY, X = sx^2, by one
-    formula for every omega t: with the core's scales at t, K0 = 2 c omega/(1
-    - e^(-2 omega t)), K = K0 e^(-omega t) and B = K0 e^(-2 omega t) (all c/t
-    at omega = 0), and D = lam + beta + c omega >= 0, the moment at s = D + B
-    and Bessel argument K sx plus log K, its e^(K^2 X/s) and the core's
-    exponent regrouped into -X q, q = ((c omega - beta) D + lam B)/s, whose
-    terms are all nonnegative when c omega >= |beta|, so nothing cancels. lam
-    is a float or a float64 array, p and beta floats or arrays that broadcast
-    against it (a column of p gives one row of moments per p).
+    formula for every omega t: with the core's scales at t (_core_at), K0 =
+    2 c omega/(1 - e^(-2 omega t)), K = K0 e^(-omega t) and B = K0 e^(-2
+    omega t) (all c/t at omega = 0), and D = lam + beta + c omega >= 0, the
+    moment at s = D + B and Bessel argument K sx plus log K, its e^(K^2 X/s)
+    and the core's exponent regrouped into -X q, q = ((c omega - beta) D +
+    lam B)/s (_direct_scales), whose terms are all nonnegative when c omega
+    >= |beta|, so nothing cancels. lam is a float or a float64 array, p and
+    beta floats or arrays that broadcast against it (a column of p gives one
+    row of moments per p).
 
-    Where B or K sx falls below 1e-300 (one test, of floats), the moment is
-    taken at s = 1 (y -> y/s), with s and K as logs, in numpy; below (K
-    sx)^2/s = e^-600 its 1F1 factor is 1, and its log nu log(K sx/sqrt(s))
-    plus a constant. The omega t parts of log K, of log s (-2 omega t where B
-    carries s, as where D = 0) and of that leading term are summed apart, to
-    (2p + 1) omega t where B carries s: 0 for tanh_drift's e^Y term. Where X
-    overflows (x beyond 1e154 at state power 2), EvalOverflowError."""
-    X = sx * sx
-    if X == math.inf:
-        raise EvalOverflowError(f"expectation: x^2 = {sx!r}^2 overflows")
-    l_sx = math.log(sx)
+    Where B or K sx falls below 1e-300, or K sx overflows (one test, of
+    floats), the moment is taken at s = 1 (y -> y/s), with s and K as logs,
+    in numpy; below (K sx)^2/s = e^-600 its 1F1 factor is 1, and its log nu
+    log(K sx/sqrt(s)) plus a constant. The omega t parts of log K, of log s
+    (-2 omega t where B carries s, as where D = 0) and of that leading term
+    are summed apart, to (2p + 1) omega t where B carries s: 0 for
+    tanh_drift's e^Y term. K sx/sqrt(s) is at most sqrt(K0) sx < e^709.4, and
+    where (K sx)^2/s overflows, specfun takes 1F1 from its log."""
+    X, l_sx, wt, k0, B, arg, direct = _core_at(c, omega, t, sx)
     lX = 2.0 * l_sx  # not log(X): X underflows to 0 below sx ~ 2e-162
-    wt, cw = omega * t, c * omega
-    # exprel(u) = (e^u - 1)/u, 1 at u = 0: 1 - e^(-2wt) = 2wt exprel(-2wt)
-    K0 = c / (t * _exprel(-2.0 * wt))
-    k0, decay = math.log(K0), math.exp(-wt)
-    B, arg = K0 * decay * decay, K0 * decay * sx
-    direct = B > 1e-300 and arg > 1e-300
+    cw = c * omega
     for p, beta in terms:
-        D = lam + beta + cw
         if direct:
-            s = D + B
-            q = ((cw - beta) * D + lam * B) / s
-            yield (specfun.log_laplace_bessel_moment_scaled(p, nu, s, arg)
-                   + (k0 - wt) - X * q - p * lX)
+            s, Xq = _direct_scales(lam, beta, cw, B, X)
+            yield _log_moment(p, nu, s, arg) + (k0 - wt) - Xq - p * lX
             continue
+        D = lam + beta + cw
         with np.errstate(divide="ignore"):  # la, lb, ls: logs of D, B and s
             la, lb = np.log(np.maximum(D, 0.0)), k0 - 2.0 * wt
         on_e = la < lb  # B carries s: ls = base + gap - 2 on_e wt
@@ -354,9 +394,11 @@ def _log_core_moments(nu: float, c: float, omega: float, lam, t: float,
         # lc = log(K sx/sqrt(s)); lc and -(p + 1) ls + log K with their wt parts apart
         lc = k0 + l_sx - 0.5 * (base + gap) + (on_e - 1.0) * wt
         lead = np.minimum(lc + 300.0, 0.0)  # below e^-300: the leading term
-        yield (specfun.log_laplace_bessel_moment_scaled(p, nu, 1.0, np.exp(lc - lead))
+        with np.errstate(over="ignore"):  # X q past the float range: log B = -inf
+            Xq = X * q
+        yield (_log_moment(p, nu, 1.0, np.exp(lc - lead))
                + nu * lead - (p + 1.0) * (base + gap) + k0
-               + (2.0 * on_e * (p + 1.0) - 1.0) * wt - X * q - p * lX)
+               + (2.0 * on_e * (p + 1.0) - 1.0) * wt - Xq - p * lX)
 
 
 def _with_atoms(val, atoms, lam, t: float, x: float, m: float):
@@ -572,7 +614,7 @@ def _core_sum(diff: DiffusionSpec, ric: RiccatiParams, terms, atoms=(),
             val = (np.exp if grid else math.exp)(log_e)
         else:
             val = np.exp(log_e).sum(axis=0) if grid else sum([math.exp(v) for v in log_e])
-        return _with_atoms(val, atoms, lam, t, x, m)
+        return _with_atoms(val, atoms, lam, t, x, m) if atoms else val
 
     return kernel, expect
 
@@ -941,50 +983,88 @@ _SERIES_REL_TOL, _SERIES_MAX_TERMS, _SERIES_MAX_CANCELLATION = 1e-13, 500, 1e5
 # to 26 terms, so that one block is mostly all
 _SERIES_BLOCK = 24
 _SERIES_J = np.arange(float(_SERIES_MAX_TERMS))[:, None]
-_SERIES_SIGN = np.where(_SERIES_J % 2, -1.0, 1.0)  # (-1)^j
 _SERIES_LGAMMA = np.array([math.lgamma(j + 1.0) for j in range(_SERIES_MAX_TERMS)])[:, None]
-_SERIES_LOG_0J = np.where(_SERIES_J > 0, -math.inf, 0.0)  # log 0^j
 _SERIES_TOL = np.where(_SERIES_J > 3, _SERIES_REL_TOL, 0.0)  # terms 0 to 3 never stop it
 # below it, _SERIES_MAX_TERMS terms of at most 1 sum to under half the least subnormal
 _SERIES_LOG_GONE = math.log(5e-324) - math.log(2.0 * _SERIES_MAX_TERMS)
 
 
-def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
-    """E_x[exp(-lam*X_t - int g ds)] of sqrt_drift, whose u(y) = y^((a-1)/2)
-    e^(-b sqrt(y)) is the series sum_j (-b)^j/j! y^((a-1+j)/2): each series
-    term is one moment of _log_core_moments, weighted by (-b sqrt(x))^j/j!;
-    core = (nu, c, omega, r, m) of symmetry.bessel_core.
+def _sqrt_drift_series(a: float, b: float, nu: float) -> Callable:
+    """block(j0, step): the tables of sqrt_drift's series terms j0 to j0 +
+    step - 1 (_sqrt_drift_expectation), (moment terms, sign, tolerance, log
+    weight, j), each a column, formed once per entry and block: the moment's
+    terms of specfun.laplace_bessel_terms at p_j = (a - 1 + j)/2, which carry
+    the log weight j log|b| - log j! (log 0^j at b = 0), the sign (-1)^j where
+    b > 0 (the series alternates) and the stopping rule's tolerance."""
+    p = 0.5 * (a - 1.0 + _SERIES_J)
+    log_bj = _SERIES_J * math.log(abs(b)) if b else np.where(_SERIES_J > 0, -math.inf, 0.0)
+    log_w = log_bj - _SERIES_LGAMMA
+    sign = np.where(_SERIES_J % 2, -1.0, 1.0) if b > 0 else np.ones(_SERIES_J.shape)
+    tables: Dict[tuple, tuple] = {}
 
-    lam is a float or a float64 array. The terms come in blocks of
-    _SERIES_BLOCK, one array of moments (terms x lam) for every lam still
-    summing. Each lam's column stops at its own first negligible term, and
-    its sum is added up in the order of a term-by-term loop, in units of its
-    largest term in the first block, e^shift, so that terms near e^-700 keep
-    their digits (shift goes into the final exp, where an overflow is
-    EvalOverflowError); a column whose terms times e^(b sqrt(x) + r t) sum
-    to under half the least subnormal is 0, as when they underflowed."""
+    def block(j0: int, step: int) -> tuple:
+        got = tables.get((j0, step))
+        if got is None:
+            j = slice(j0, j0 + step)
+            got = tables[j0, step] = (specfun.laplace_bessel_terms(p[j], nu, log_w[j]),
+                                      sign[j], _SERIES_TOL[j], log_w[j], _SERIES_J[j])
+        return got
+    return block
+
+
+def _sqrt_drift_expectation(a: float, b: float, core, block: Callable, lam, t: float,
+                            x: float):
+    """E_x[exp(-lam*X_t - int g ds)] of sqrt_drift, whose u(y) = y^((a-1)/2)
+    e^(-b sqrt(y)) is the series sum_j (-b)^j/j! y^((a-1+j)/2): term j is one
+    moment of the core at p_j = (a - 1 + j)/2 (as _log_core_moments takes
+    it), weighted by (-b sqrt(x))^j/j!; core = (nu, c, omega, r, m) of
+    symmetry.bessel_core and block the entry's tables (_sqrt_drift_series).
+
+    lam is a float or a float64 array, on one code path. The core's scales
+    at t (_core_at), and per lam s and the exponent every term shares
+    (_direct_scales; the weight's sqrt(x)^j and the moment's X^-p_j leave
+    x^-((a-1)/2)), are formed once per call. The terms come in blocks of
+    _SERIES_BLOCK, each one array of moments (terms x lam), one 1F1 call, for
+    every lam still summing; where the core's scales leave the float range, a
+    block is _log_core_moments' log-domain moments. Each lam's column stops at
+    its own first negligible term, and its sum is added up in the order of a
+    term-by-term loop, in units of its largest term in the first block,
+    e^shift, so that terms near e^-700 keep their digits (shift goes into the
+    final exp, where an overflow is EvalOverflowError, as is a later term
+    past e^709 units); a column whose terms times e^(b sqrt(x) + r t) sum to
+    under half the least subnormal is 0, as when they underflowed."""
     grid = type(lam) is _NDARRAY
     if (lam.min(initial=0.0) if grid else lam) < 0:
         raise DomainError("expectation: lam >= 0 required")
     nu, c, omega, r, _ = core
     sx = math.sqrt(x)
-    bx = abs(b) * sx
-    out = np.empty(len(lam) if grid else 1)
-    lift, active = np.empty(len(out)), np.arange(len(out))
-    total = size = 0.0
+    X, l_sx, wt, k0, B, arg, direct = _core_at(c, omega, t, sx)
+    cols = list(range(len(lam))) if grid else [0]
+    e = [0.0] * len(cols)  # per column, the exponent all its terms share
+    if direct:
+        s, Xq = _direct_scales(lam, 0.0, c * omega, B, X)
+        shared = (k0 - wt) - Xq - (a - 1.0) * l_sx
+        e = shared.tolist() if grid else [shared]
     # below it, a column's terms times e^(b sqrt(x) + r t) sum to 0
     gone = _SERIES_LOG_GONE - (b * sx + r * t)
+    out, lift = [0.0] * len(cols), [gone] * len(cols)
     j0, step = 0, _SERIES_BLOCK
-    while active.size:
+    while True:
         if j0 >= _SERIES_MAX_TERMS:
             raise ConvergenceError("sqrt_drift expectation: series did not converge "
                                    f"in {_SERIES_MAX_TERMS} terms")
-        j = slice(j0, j0 + step)
-        try:  # log of (|b| sqrt(x))^j/j! times the moment
-            log_bx_j = math.log(bx) * _SERIES_J[j] if bx else _SERIES_LOG_0J[j]
-            log_term = (log_bx_j - _SERIES_LGAMMA[j]) + next(_log_core_moments(
-                nu, c, omega, lam[active] if grid else lam, t, sx,
-                ((0.5 * (a - 1.0 + _SERIES_J[j]), 0.0),)))
+        terms, sign, tol, log_w, j = block(j0, step)
+        try:
+            if direct:
+                log_term = _log_moment(terms, nu, s, arg)
+            else:
+                log_term = next(_log_core_moments(nu, c, omega, lam, t, sx, ((terms.p, 0.0),)))
+                log_term += log_w + j * l_sx
+            if j0:
+                log_term -= shift
+                if _MAX(log_term, None) > _LOG_HUGE:
+                    raise EvalOverflowError("sqrt_drift expectation: a term overflows the "
+                                            "sum; b*sqrt(x) is too large for double precision")
         except FeynkacError:
             # a block reaches past the terms a loop would evaluate: from here
             # on, term by term, so that only a term the loop reaches can raise
@@ -992,44 +1072,52 @@ def _sqrt_drift_expectation(a: float, b: float, core, lam, t: float, x: float):
                 raise
             step = 1
             continue
-        if not j0:  # units: each column's largest term in the first block
-            shift = np.maximum.reduce(log_term, 0, initial=gone)
-        log_term -= shift
-        if (shift.min() if grid else shift[0]) == gone:  # these columns sum to 0
-            log_term[:, shift == gone] = -math.inf
-        term = np.exp(log_term, out=log_term)
-        if b > 0:
-            term *= _SERIES_SIGN[j]
-        mag = np.abs(term)
+        if not j0:  # units: each column's largest term in the first block (a
+            # column of zeros, as where X q overflows, is gone: no -inf - -inf)
+            shift = _MAX(log_term, 0, initial=-1e300)
+            log_term -= shift
+            units = [u + v for u, v in zip(shift.tolist(), e)]
+        mag = np.exp(log_term, out=log_term)
+        term = mag * sign
         sizes = np.add.accumulate(mag, 0)
         if j0:
             term[0] += total  # so that the running sums add up as in a loop
             sizes += size
         sums = np.add.accumulate(term, 0)
-        floor = np.maximum(np.abs(sums), 1e-300)
-        stop = mag < _SERIES_TOL[j] * floor
-        # the flat index of each column's first stopping term (row 0 where
-        # it has none yet)
-        n = len(active)
-        at = stop.argmax(axis=0) * n + np.arange(n)
-        done, sums_at, sizes_at = stop.take(at), sums.take(at), sizes.take(at)
-        lost = done & (sizes_at > _SERIES_MAX_CANCELLATION * floor.take(at))
-        if lost.any():
-            raise ConvergenceError(
-                "sqrt_drift expectation: alternating series loses precision "
-                f"(sum of |terms| {sizes_at[lost][0] / abs(sums_at[lost][0]):.3e} x |sum|); "
-                "b*sqrt(x_typ) is too large for double precision")
-        out[active], lift[active] = sums_at, shift  # columns not done are written again
-        if done.all():
+        bound = np.abs(sums)
+        bound *= tol
+        stop = mag < bound
+        live = []
+        for k, (at, unit) in enumerate(zip(stop.argmax(0).tolist(), units)):
+            if unit <= gone:  # these terms sum to 0
+                continue
+            if not stop[at, k]:
+                live.append(k)
+                continue
+            value = float(sums[at, k])
+            floor = max(abs(value), 1e-300)
+            if sizes[at, k] > _SERIES_MAX_CANCELLATION * floor:
+                raise ConvergenceError(
+                    "sqrt_drift expectation: alternating series loses precision "
+                    f"(sum of |terms| {sizes[at, k] / floor:.3e} x |sum|); "
+                    "b*sqrt(x_typ) is too large for double precision")
+            out[cols[k]], lift[cols[k]] = value, unit
+        if not live:
             break
-        keep = ~done
-        active, total, size = active[keep], sums[-1, keep], sizes[-1, keep]
-        shift = shift[keep]
+        if len(live) < len(units):
+            cols, units = [cols[k] for k in live], [units[k] for k in live]
+            live = np.array(live)
+            shift, sums, sizes = shift[live], sums[:, live], sizes[:, live]
+            if direct:
+                s = s[live]
+            else:
+                lam = lam[live]
+        total, size = sums[-1], sizes[-1]
         j0 += step
     if not grid:
-        return math.exp(b * sx + r * t + lift[0]) * float(out[0])
+        return math.exp(b * sx + r * t + lift[0]) * out[0]
     with np.errstate(over="ignore"):  # inf: EvalOverflowError in _evaluate
-        return np.exp(b * sx + r * t + lift) * out
+        return np.exp(b * sx + r * t + np.array(lift)) * np.array(out)
 
 
 def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
@@ -1064,7 +1152,8 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
         diffusion=diff, potential=pot,
         kernel=_kernel(_log_kernel(core, _gauge_ratio(diff))),
         u0=stationary_branch(diff, ric, "principal"), riccati=ric,
-        expectation_closed=functools.partial(_sqrt_drift_expectation, a, b, core),
+        expectation_closed=functools.partial(_sqrt_drift_expectation, a, b, core,
+                                             _sqrt_drift_series(a, b, core[0])),
         functional_param="")
 
 

@@ -9,10 +9,14 @@ bessel_i, log_bessel_ive, bessel_k, tricomi_u and whittaker_w also take z as
 a float64 array (the kernels and the verify quadrature evaluate whole y-grids
 in one call); log_hypergeom_1f1 takes arrays a and z, and
 log_laplace_bessel_moment_scaled arrays p, s and c, which broadcast (the
-closed-form expectations evaluate a lambda grid, and sqrt_drift a block of
-its series terms, in one call). Each has one implementation, on arrays
-(_*_array), which holds all its checks and fallbacks, each check once per
-array by its smallest and largest element. A float takes a fast path where
+closed-form expectations evaluate a lambda grid in one call). Its array
+implementation is log_laplace_bessel_moments, of a LaplaceBesselTerms: what
+the moment takes from p and nu alone, which a series forms once
+(laplace_bessel_terms; sqrt_drift's blocks of terms, each with a log
+weight); where c^2/s overflows, 1F1 is its large-|z| expansion from log
+c^2/s. Each has one implementation, on arrays (_*_array), which holds all
+its checks and fallbacks, each check once per array by its smallest and
+largest element. A float takes a fast path where
 input and result are in range (one scipy scalar call for the Bessel
 functions) and otherwise runs the array implementation as a one-element
 array, so the two agree exactly there; on that fast path numpy's exp and log
@@ -24,6 +28,7 @@ All functions are pure.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.special as sc
@@ -45,6 +50,9 @@ __all__ = [
     "erf",
     "laplace_bessel_moment",
     "log_laplace_bessel_moment_scaled",
+    "LaplaceBesselTerms",
+    "laplace_bessel_terms",
+    "log_laplace_bessel_moments",
 ]
 
 
@@ -63,21 +71,27 @@ def _check_finite(name: str, *vals: float) -> None:
 
 
 def _bounds(name: str, *vals):
-    """(smallest, largest) of each value, a float or a float64 array, or
+    """(smallest, largest) of each value, a float or a float64 array, as
+    floats (whose arithmetic overflows to inf without a numpy warning), or
     None where an array is empty; DomainError where an element is not finite."""
     out = []
     for v in vals:
         if type(v) is _NDARRAY:
             if not v.size:
                 return None
-            lo, hi = _MIN(v, None), _MAX(v, None)
+            lo, hi = float(_MIN(v, None)), float(_MAX(v, None))
         else:
-            lo = hi = v
+            lo = hi = float(v)
         if not (-math.inf < lo and hi < math.inf):  # a NaN makes both NaN
-            raise DomainError(f"{name}: non-finite argument "
-                              f"{float(hi if math.isfinite(lo) else lo)!r}")
+            _raise_non_finite(name, lo, hi)
         out.append((lo, hi))
     return out
+
+
+def _raise_non_finite(name: str, lo, hi) -> None:
+    """DomainError for a smallest or largest element that is not finite (a
+    NaN makes both NaN); its callers test that first."""
+    raise DomainError(f"{name}: non-finite argument {float(hi if math.isfinite(lo) else lo)!r}")
 
 
 def _check_array(name: str, nu: float, z: np.ndarray, bound: str = ">=") -> float:
@@ -90,7 +104,7 @@ def _check_array(name: str, nu: float, z: np.ndarray, bound: str = ">=") -> floa
     lo = bounds[0][0]
     if not (lo > 0 or lo == 0 and bound == ">="):
         raise DomainError(f"{name}: z must be {bound} 0")
-    return float(lo)
+    return lo
 
 
 def bessel_i(nu: float, z, *, scaled: bool = False):
@@ -447,16 +461,18 @@ def _log_hypergeom_1f1_array(a, b: float, z) -> np.ndarray:
                     z_lo <= -_Z_LARGE or z_hi >= _Z_LARGE)
 
 
-def _log_1f1(a, b: float, z, tiny: bool, large: bool = False) -> np.ndarray:
+def _log_1f1(a, b: float, z, tiny: bool, large: bool = False, log_w=None) -> np.ndarray:
     """log 1F1 of checked arguments (tiny as for _hyp1f1), with Kummer's
     transform by mask where the direct value is not finite and positive, and
-    where large, the large-|z| expansion by mask from |z| = _Z_LARGE on."""
+    where large, the large-|z| expansion by mask from |z| = _Z_LARGE on, at
+    log |z| = log_w where given (z may then be -inf: |z| overflowed)."""
     if type(a) is not _NDARRAY and a == 0.0:
         return np.zeros(np.shape(z))
     if large:
         a, z = np.broadcast_arrays(a, z)
         big, out = np.abs(z) >= _Z_LARGE, np.empty(z.shape)
-        sign, out[big] = _log_1f1_large(a[big], b, z[big])
+        log_w = np.log(np.abs(z[big])) if log_w is None else np.broadcast_to(log_w, z.shape)[big]
+        sign, out[big] = _log_1f1_large(a[big], b, z[big], log_w)
         if not (sign > 0.0).all():
             raise DomainError(f"log_hypergeom_1f1: 1F1 <= 0, log undefined at "
                               f"({float(a[big][sign <= 0.0][0])}, {b}, "
@@ -465,7 +481,9 @@ def _log_1f1(a, b: float, z, tiny: bool, large: bool = False) -> np.ndarray:
             out[~big] = _log_1f1(a[~big], b, z[~big], tiny)
         return out
     f = _hyp1f1(a, b, z, tiny)
-    if _MIN(f, None) > 0.0 and _MAX(f, None) < math.inf:  # no NaN, no inf, no f <= 0
+    # no NaN, no inf, no f <= 0: argmin and argmax find a NaN first, at under
+    # half the cost of a reduction
+    if f.item(f.argmin()) > 0.0 and f.item(f.argmax()) < math.inf:
         return np.log(f)
     a, z = np.broadcast_arrays(a, z)
     bad = ~((f > 0.0) & (f < math.inf))
@@ -491,16 +509,17 @@ _Z_LARGE = 2.0 ** 20
 _LARGE_TERMS = 60
 
 
-def _log_1f1_large(a: np.ndarray, b: float, z: np.ndarray):
+def _log_1f1_large(a: np.ndarray, b: float, z: np.ndarray, log_w=None):
     """(sign, log|1F1(a, b, z)|) for float64 arrays a and z of one shape, |z|
-    >= _Z_LARGE, w = |z|. In general by the large-|z| expansion (DLMF 13.7.1,
-    13.2.23): at z > 0, Gamma(b)/Gamma(a) e^w w^(a-b) sum_k (1-a)_k (b-a)_k/k!
-    w^-k; at z < 0, by Kummer's transform, Gamma(b)/Gamma(b-a) w^-a sum_k
-    (a)_k (1+a-b)_k/k! w^-k. Where the Gamma factor's argument is a
-    nonpositive integer -n, 1F1 (or at z < 0, e^-z 1F1) is the polynomial
-    Gamma(b)/Gamma(b+n) (-w)^n sum_k (-n)_k (1-n-b)_k/k! (-w)^-k, which ends
-    at k = n (DLMF 13.2.7). Each sum stops at its first term below 2^-53 of
-    it; ConvergenceError where none of the first _LARGE_TERMS is."""
+    >= _Z_LARGE, w = |z| (log_w = log w, formed here where not given). In
+    general by the large-|z| expansion (DLMF 13.7.1, 13.2.23): at z > 0,
+    Gamma(b)/Gamma(a) e^w w^(a-b) sum_k (1-a)_k (b-a)_k/k! w^-k; at z < 0,
+    by Kummer's transform, Gamma(b)/Gamma(b-a) w^-a sum_k (a)_k (1+a-b)_k/k!
+    w^-k. Where the Gamma factor's argument is a nonpositive integer -n, 1F1
+    (or at z < 0, e^-z 1F1) is the polynomial Gamma(b)/Gamma(b+n) (-w)^n
+    sum_k (-n)_k (1-n-b)_k/k! (-w)^-k, which ends at k = n (DLMF 13.2.7).
+    Each sum stops at its first term below 2^-53 of it; ConvergenceError
+    where none of the first _LARGE_TERMS is."""
     neg, w = z < 0.0, np.abs(z)
     ap = np.where(neg, b - a, a)  # 1F1(a, b, z) = e^(z - w) 1F1(ap, b, w)
     poly = (ap <= 0.0) & (ap == np.floor(ap))
@@ -521,8 +540,11 @@ def _log_1f1_large(a: np.ndarray, b: float, z: np.ndarray):
                 f"hypergeom_1f1: large-|z| expansion does not converge at "
                 f"({float(a[bad][0])}, {b}, {float(z[bad][0])})")
     g = np.where(flip, b - a, a)
-    log = (sc.gammaln(b) - sc.gammaln(g) + (np.where(poly, 0.0, w) + np.where(neg, z, 0.0))
-           + np.where(flip, -a, a - b) * np.log(w) + np.log(np.abs(total)))
+    if log_w is None:
+        log_w = np.log(w)
+    # the exponent: z where 1F1 grows as e^w (z > 0) or is e^z times a polynomial
+    log = (sc.gammaln(b) - sc.gammaln(g) + np.where(poly == neg, z, 0.0)
+           + np.where(flip, -a, a - b) * log_w + np.log(np.abs(total)))
     sign = (sc.gammasgn(b) * sc.gammasgn(g) * np.sign(total)
             * np.where(poly & (ap % 2.0 == 1.0), -1.0, 1.0))
     return sign, log
@@ -539,45 +561,110 @@ def log_laplace_bessel_moment_scaled(p, nu: float, s, c):
     p, s and c may be float64 arrays, which broadcast: a column of p against
     a row of s and c gives one moment per (p, s) pair."""
     if type(p) is _NDARRAY or type(s) is _NDARRAY or type(c) is _NDARRAY:
-        return _log_moment_array(p, nu, s, c)
+        return log_laplace_bessel_moments(laplace_bessel_terms(p, nu), s, c)
     q = p + 0.5 * nu + 1.0
-    if (0.0 < s < math.inf and 0.0 < c < math.inf and 0.0 < q < math.inf
+    # the float path where c^2/s < 1e300, so that it cannot overflow
+    if (1e-100 < s < math.inf and 0.0 < c < 1e100 and 0.0 < q < math.inf
             and (nu > -1.0 or not _is_nonpositive_integer(nu + 1.0))):
-        w = c * c / s
+        a = nu + 1.0 - q  # 0 for the moments of most catalog kernels: 1F1 = 1
         return (nu * math.log(c) + math.lgamma(q) - math.lgamma(nu + 1.0) - q * math.log(s)
-                + log_hypergeom_1f1(nu + 1.0 - q, nu + 1.0, -w))
-    return float(_log_moment_array(np.array([p], float), nu, np.array([s], float),
-                                   np.array([c], float))[0])
+                + (log_hypergeom_1f1(a, nu + 1.0, -(c * c / s)) if a else 0.0))
+    return float(log_laplace_bessel_moments(laplace_bessel_terms(np.array([p], float), nu),
+                                            np.array([s], float), np.array([c], float))[0])
 
 
-def _log_moment_array(p, nu: float, s, c) -> np.ndarray:
-    """log_laplace_bessel_moment_scaled of the broadcast p, s and c: every
-    check, once per array by its smallest and largest element, and c = 0 by
-    mask. q and its log-Gamma are formed once per p."""
+class LaplaceBesselTerms(NamedTuple):
+    """What the moment (log_laplace_bessel_moment_scaled) takes from p and nu
+    alone, for a float or float64 array p, with a log weight per p: q = p +
+    nu/2 + 1, 1F1's first parameter nu + 1 - q, lg = lgamma(q) and lg_nu =
+    lgamma(nu + 1) (with a weight, lg = log weight + lgamma(q) - lgamma(nu +
+    1) and lg_nu = 0), and the smallest and largest p (None for an empty p).
+    A series of moments at many (s, c) forms them once
+    (laplace_bessel_terms); log_laplace_bessel_moments checks them at each
+    call."""
+    nu: float
+    p: object
+    q: object
+    a: object
+    lg: object
+    lg_nu: float
+    p_lo: Optional[float]
+    p_hi: Optional[float]
+
+
+def _lgamma(v):
+    """log|Gamma(v)|, nan at a pole, of a float or a float64 array."""
+    if type(v) is _NDARRAY:
+        return sc.gammaln(v)
+    try:
+        return math.lgamma(v)
+    except ValueError:  # a pole, which the moment refuses when called
+        return math.nan
+    except OverflowError:  # v beyond about 1e305
+        return math.inf
+
+
+def laplace_bessel_terms(p, nu: float, log_weight=None) -> LaplaceBesselTerms:
+    """LaplaceBesselTerms of p and nu, and of log_weight (a float or an
+    array like p; None for weight 1); raises nothing (the checks are made
+    where the moment is taken), so that a series can form its terms ahead."""
+    q = p + 0.5 * nu + 1.0
+    if type(p) is not _NDARRAY:
+        lo = hi = p
+    elif p.size:
+        lo, hi = float(_MIN(p, None)), float(_MAX(p, None))
+    else:
+        lo = hi = None
+    lg, lg_nu = _lgamma(q), _lgamma(nu + 1.0)
+    if log_weight is not None:  # -inf where a term is 0; lgamma(nu + 1) goes in too
+        with np.errstate(invalid="ignore"):
+            lg = log_weight + lg - lg_nu
+        lg_nu = 0.0
+    return LaplaceBesselTerms(nu, p, q, nu + 1.0 - q, lg, lg_nu, lo, hi)
+
+
+def log_laplace_bessel_moments(terms: LaplaceBesselTerms, s, c) -> np.ndarray:
+    """log_laplace_bessel_moment_scaled at every p of terms
+    (laplace_bessel_terms) plus its log weight, for s and c floats or float64
+    arrays that broadcast against p: every check, once per array by its
+    smallest and largest element, and c = 0 by mask. Where c^2/s overflows,
+    1F1 is its large-|z| expansion at log(c^2/s) = 2 log c - log s."""
     name = "laplace_bessel_moment"
+    nu, p, lo, hi = terms.nu, terms.p, terms.p_lo, terms.p_hi
     _check_finite(name, nu)
-    bounds = _bounds(name, p, s, c)
+    if lo is None:
+        return np.empty(np.broadcast(p, s, c).shape)
+    if not (-math.inf < lo and hi < math.inf):
+        _raise_non_finite(name, lo, hi)
+    bounds = _bounds(name, s, c)
     if bounds is None:
         return np.empty(np.broadcast(p, s, c).shape)
-    (p_lo, _), (s_lo, s_hi), (c_lo, c_hi) = bounds
-    if not (s_lo > 0 and c_lo >= 0 and p_lo + 0.5 * nu + 1.0 > 0):  # q <= 0: diverges
+    (s_lo, s_hi), (c_lo, c_hi) = bounds
+    if not (s_lo > 0 and c_lo >= 0 and lo + 0.5 * nu + 1.0 > 0):  # q <= 0: diverges
         raise DomainError(f"{name}: requires s > 0, c >= 0 and p + nu/2 + 1 > 0 "
-                          f"(got p={float(p_lo)}, nu={nu}, s={float(s_lo)}, c={float(c_lo)})")
+                          f"(got p={lo}, nu={nu}, s={s_lo}, c={c_lo})")
     if nu <= -1.0 and _is_nonpositive_integer(nu + 1.0):
         raise PoleError(f"{name}: nu+1={nu+1} non-positive integer")
-    q = p + 0.5 * nu + 1.0
-    lg_q = sc.gammaln(q) if type(q) is _NDARRAY else math.lgamma(q)
     if c_lo == 0.0:  # the moment at c = 0: 0 or inf relative to e^0
         zero = c == 0.0
-        out = _log_moment_array(p, nu, s, np.where(zero, 1.0, c))
+        out = log_laplace_bessel_moments(terms, s, np.where(zero, 1.0, c))
         if nu == 0.0:
-            return np.where(zero, lg_q - q * _log(s), out)
+            return np.where(zero, terms.lg - terms.q * _log(s), out)  # lgamma(1) = 0
         return np.where(zero, -math.inf if nu > 0 else math.inf, out)
-    if c_hi * c_hi / s_lo == math.inf:  # c^2/s overflows
-        raise DomainError("log_hypergeom_1f1: non-finite argument -inf")
-    return (nu * _log(c) + lg_q - math.lgamma(nu + 1.0) - q * _log(s)
-            + _log_1f1(nu + 1.0 - q, nu + 1.0, -(c * c / s), c_lo * c_lo / s_hi < 2e-16,
-                       c_hi * c_hi / s_lo >= _Z_LARGE))
+    log_c, log_s = _log(c), _log(s)
+    w_hi, log_w = c_hi * c_hi / s_lo, None
+    if w_hi < math.inf:
+        z = -(c * c / s)
+    else:  # the large-|z| expansion from log w, where w = c^2/s overflows to inf
+        with np.errstate(over="ignore"):
+            z = -(c * c / s)
+        log_w = 2.0 * log_c - log_s
+    head = nu * log_c + terms.lg
+    if terms.lg_nu:  # a weighted series carries it in lg
+        head = head - terms.lg_nu
+    return (head - terms.q * log_s
+            + _log_1f1(terms.a, nu + 1.0, z, c_lo * c_lo / s_hi < 2e-16, w_hi >= _Z_LARGE,
+                       log_w))
 
 
 def laplace_bessel_moment(p: float, nu: float, s: float, c: float) -> float:

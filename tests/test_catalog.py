@@ -1136,6 +1136,26 @@ def test_closed_form_where_the_bessel_argument_underflows_at_omega_zero(name, pa
         assert np.all(np.abs(cat.expectation(name, params, lams, t, x) / ref - 1.0) <= 1e-10)
 
 
+@pytest.mark.parametrize("x", [1e10, 1e20])
+def test_closed_form_whose_1f1_argument_overflows(x):
+    # besq n = 3 at t = 1e-300: the moments' 1F1 argument (K sx)^2/s is
+    # e^714 at x = 1e10 (DomainError "non-finite argument -inf", exit 2) and
+    # K sx itself overflows at x = 1e20; the large-|z| expansion, from log w
+    # and the log-domain moments, gives e^(-lam x) to leading order: 0 at lam
+    # = 0.5, and the mass 1 at lam = 0
+    for lam in (0.5, np.array([0.5, 0.0])):
+        got = cat.expectation("besq", {"n": 3.0}, lam, 1e-300, x)
+        assert np.all(np.abs(got - np.where(np.asarray(lam) > 0.0, 0.0, 1.0)) <= 1e-12)
+
+
+def test_core_scale_that_overflows_raises():
+    # at t below about 1e-308 the core's scale c/t overflows: EvalOverflowError
+    # (it was a DomainError on a NaN moment argument)
+    for name, params in [("besq", {"n": 3.0}), ("sqrt_drift", {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6})]:
+        with pytest.raises(EvalOverflowError, match="c/t overflows"):
+            cat.expectation(name, params, 0.5, 1e-310, 1.0)
+
+
 @pytest.mark.parametrize("params,stationary", [
     ({"a": 1.0, "b": 1.0, "sigma": 1.0}, 1.0 / 1.3),
     ({"a": 0.9, "b": 1.4, "sigma": 0.6}, (1.0 + 0.3 * 0.6 / 1.4) ** (-0.9 / 0.6))])
@@ -2052,16 +2072,23 @@ def test_closed_form_over_a_lambda_array_matches_floats(member):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
+def _block_widths(monkeypatch):
+    """The number of lambdas of each sqrt_drift series block, as the block's
+    one call of specfun's moments (its s, one per lambda) records them."""
+    widths, moments = [], cat.specfun.log_laplace_bessel_moments
+
+    def recording(terms, s, c):
+        widths.append(np.size(s))
+        return moments(terms, s, c)
+    monkeypatch.setattr(cat.specfun, "log_laplace_bessel_moments", recording)
+    return widths
+
+
 def test_sqrt_drift_lambdas_leave_the_series_at_their_own_terms(monkeypatch):
     # short blocks, so that the lambdas of one grid stop in different blocks:
     # each block evaluates only the lambdas still summing
     monkeypatch.setattr(cat, "_SERIES_BLOCK", 3)
-    widths, moments = [], cat._log_core_moments
-
-    def recording(nu, c, omega, lam, *rest):
-        widths.append(np.size(lam))
-        return moments(nu, c, omega, lam, *rest)
-    monkeypatch.setattr(cat, "_log_core_moments", recording)
+    widths = _block_widths(monkeypatch)
     params = {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6}
     entry = cat.make_entry("sqrt_drift", **params)
     lams = np.array([0.0, 0.3, 3.0, 30.0, 300.0])
@@ -2071,6 +2098,36 @@ def test_sqrt_drift_lambdas_leave_the_series_at_their_own_terms(monkeypatch):
         assert g == pytest.approx(_closed_sqrt_drift(lam, 1.0, 2.5, **params), rel=1e-13, abs=0.0)
         assert g == pytest.approx(cat.expectation(entry, None, float(lam), 1.0, 2.5),
                                   rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("t,x", [(1.0, 8.0), (2.0, 3.0), (2.0, 5.0)])
+def test_sqrt_drift_series_past_one_block(monkeypatch, t, x):
+    # at lam = 0 these series run 29 to 31 terms, past the first block of 24:
+    # the second block carries the first one's sums and units, as a
+    # term-by-term loop would
+    widths = _block_widths(monkeypatch)
+    params = {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6}
+    entry = cat.make_entry("sqrt_drift", **params)
+    lams = np.array([0.0, 0.5, 2.0, 10.0])
+    got = cat.expectation(entry, None, lams, t, x)
+    assert len(widths) >= 2 and widths[0] == 4
+    for lam, g in zip(lams, got):
+        assert g == pytest.approx(_closed_sqrt_drift(lam, t, x, **params), rel=1e-13, abs=0.0)
+        assert g == pytest.approx(cat.expectation(entry, None, float(lam), t, x),
+                                  rel=1e-14, abs=0.0)
+
+
+def test_sqrt_drift_terms_past_the_float_range_raise_overflow():
+    # at x = 1e200 the terms grow by about e^230 each, past e^709 units of
+    # the first block's largest term: the series raises EvalOverflowError
+    # itself, for a float and an array lam alike, with no NaN (it printed
+    # "gave nan") and no RuntimeWarning on the way
+    params = {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (0.0, np.array([0.0, 1.0])):
+            with pytest.raises(EvalOverflowError, match="sqrt_drift expectation: a term overflows"):
+                cat.expectation("sqrt_drift", params, lam, 1.0, 1e200)
 
 
 def test_sqrt_drift_terms_near_e_minus_700_give_no_negative_value():

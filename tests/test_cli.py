@@ -242,6 +242,26 @@ def test_expect_returns_where_1f1_took_a_huge_argument(entry):
     assert proc.returncode in (0, 3), proc.stderr
 
 
+def test_expect_where_the_1f1_argument_overflows_prints_the_value():
+    # the moments' 1F1 argument (K sx)^2/s = e^714 overflows at t = 1e-300,
+    # x = 1e10: it exited 2 ("non-finite argument -inf"); the value is
+    # e^(-5e9) = 0
+    code, out = run("expect", "--entry", "besq", "--n", "3", "--t", "1e-300",
+                    "--x", "1e10", "--lambda", "0.5")
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[-1]) == 0.0
+
+
+def test_expect_sqrt_drift_terms_that_overflow_exit_3_with_their_own_message():
+    # at x = 1e200 the series' terms pass e^709 units: it printed "gave nan
+    # at lam=0.0"; a RuntimeWarning on the way would end the run (-W error)
+    proc = run_python("-W", "error", "-m", "feynkac", "expect", "--entry", "sqrt_drift",
+                      "--a", "1.5", "--b", "0.8", "--A", "1.2", "--B", "0.6", "--t", "1",
+                      "--x", "1e200", "--lambda", "0", timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "sqrt_drift expectation: a term overflows" in proc.stderr
+
+
 def test_expect_closed_form_where_x_squared_underflows():
     # X = x^2 underflows to 0 at x = 1e-300: the mass, 1, not a traceback
     code, out = run("expect", "--entry", "radial_ou", "--a", "1.5", "--b", "0.6",

@@ -9,9 +9,10 @@ constants instead of writing them, riccati and
 symmetry write the linear family's Bessel solution y once (riccati._bessel_y),
 generic_linear and rational_drift's finite part take their two-branch kernel
 and u0 from that y, a float in specfun reaches no fallback but through the
-one array implementation of its function, and the closed forms' moments
-(catalog._log_core_moments) are one formula for every omega t, with no fork
-on omega = 0 or on a threshold of e^(-2 omega t).
+one array implementation of its function, the closed forms' moments
+(catalog._core_at and _log_core_moments) are one formula for every omega t,
+with no fork on omega = 0 or on a threshold of e^(-2 omega t), and the
+catalog calls specfun's Laplace-Bessel moment from one function only.
 
 No linter is part of the toolchain, so this walks the package sources with
 ast. A name counts as used when the module reads it anywhere (including in
@@ -522,8 +523,10 @@ def _moment_forks(tree: ast.Module, name: str = "_log_core_moments"):
 
 
 def test_core_moments_are_one_formula_for_every_omega_t():
-    bad = list(_moment_forks(_catalog_tree()))
-    assert not bad, f"catalog.py: _log_core_moments forks on omega or e^(-2wt) on lines {bad}"
+    # the core's scales at t (_core_at) and the moments themselves
+    tree = _catalog_tree()
+    bad = [line for name in ("_core_at", "_log_core_moments") for line in _moment_forks(tree, name)]
+    assert not bad, f"catalog.py: the moments fork on omega or e^(-2wt) on lines {bad}"
 
 
 def test_the_check_sees_a_fork_on_omega_or_on_e_minus_2_omega_t():
@@ -541,3 +544,44 @@ def test_the_check_sees_a_fork_on_omega_or_on_e_minus_2_omega_t():
                      "def other(omega):\n"
                      "    return omega == 0.0\n")
     assert sorted(_moment_forks(tree)) == [2, 5, 6, 6, 8, 11]
+
+
+_MOMENTS = ("laplace_bessel_moment", "log_laplace_bessel_moment_scaled",
+            "log_laplace_bessel_moments")
+
+
+def _moment_callers(tree: ast.Module):
+    """(function, line) of each read of one of specfun's Laplace-Bessel
+    moments (specfun.<moment>, or a name imported from specfun) in a
+    module-level function, a nested function counted in its own: every
+    closed form takes its moments through one function, so that a second
+    copy of the moment formula shows."""
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("specfun")
+                for alias in node.names if alias.name in _MOMENTS}
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Attribute) and node.attr in _MOMENTS
+                    and isinstance(node.value, ast.Name) and node.value.id == "specfun") \
+                    or (isinstance(node, ast.Name) and node.id in imported):
+                yield func.name, node.lineno
+
+
+def test_catalog_takes_the_moment_in_one_function():
+    callers = sorted({name for name, _ in _moment_callers(_catalog_tree())})
+    assert len(callers) == 1, f"catalog.py: the Laplace-Bessel moment is called from {callers}"
+
+
+def test_the_check_sees_a_second_caller_of_the_moment():
+    tree = ast.parse("from .specfun import laplace_bessel_moment as lbm\n"
+                     "def _log_moment(p, nu, s, c):\n"
+                     "    return specfun.log_laplace_bessel_moment_scaled(p, nu, s, c)\n"
+                     "def _series(terms, s, c):\n"
+                     "    def block():\n"
+                     "        return specfun.log_laplace_bessel_moments(terms, s, c)\n"
+                     "    return block, specfun.laplace_bessel_terms(terms, 1.0)\n"
+                     "def _other():\n"
+                     "    return lbm(1.0, 1.0, 1.0, 1.0), other.log_laplace_bessel_moments\n")
+    assert list(_moment_callers(tree)) == [("_log_moment", 3), ("_series", 6), ("_other", 9)]

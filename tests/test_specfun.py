@@ -632,7 +632,6 @@ def test_log_laplace_bessel_moment_scaled_arrays_match_floats():
     ((0.5, 1.0, np.array([1.0, np.inf]), 1.0), DomainError),
     ((np.array([0.5, -3.0]), 1.0, 1.0, 1.0), DomainError),  # q <= 0
     ((0.5, 1.0, 1.0, np.array([1.0, -1e-3])), DomainError),
-    ((0.5, 1.0, np.array([1e-300]), 1e200), DomainError),   # c^2/s overflows
     ((0.5, -2.0, np.array([1.0]), 1.0), PoleError)])
 def test_moment_arrays_raise_the_float_errors(args, error):
     with pytest.raises(error):
@@ -640,6 +639,25 @@ def test_moment_arrays_raise_the_float_errors(args, error):
     with pytest.raises(error):  # the failing element as a float
         sf.log_laplace_bessel_moment_scaled(*(float(a[-1]) if np.ndim(a) else a
                                               for a in args))
+
+
+@pytest.mark.parametrize("p,nu,s,c", [(0.5, 1.0, 1e-300, 1e200), (0.7, 1.3, 1e-300, 1e200),
+                                      (2.3, 0.4, 1e-250, 1e160), (10.5, 1.48, 1e-200, 1e250)])
+def test_moment_whose_1f1_argument_overflows(p, nu, s, c):
+    # c^2/s overflows (it raised DomainError "non-finite argument -inf"): the
+    # large-|z| expansion at log(c^2/s) = 2 log c - log s, float and array
+    # alike, without a numpy warning; mpmath at 30 digits
+    with mpmath.workdps(30):
+        q, w = p + 0.5 * nu + 1.0, mpmath.mpf(c) ** 2 / s
+        want = float(nu * mpmath.log(c) + mpmath.loggamma(q) - mpmath.loggamma(nu + 1.0)
+                     - q * mpmath.log(s) + mpmath.log(mpmath.hyp1f1(nu + 1.0 - q, nu + 1.0, -w)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sf.log_laplace_bessel_moment_scaled(p, nu, s, c) == pytest.approx(want, rel=1e-14)
+        got = sf.log_laplace_bessel_moment_scaled(np.array([[p], [p]]), nu, np.array([s, 1.0]), c)
+        assert got[0, 0] == pytest.approx(want, rel=1e-14)
+        with pytest.raises(EvalOverflowError):  # the moment itself: e^(c^2/s) times that
+            sf.laplace_bessel_moment(p, nu, s, c)
 
 
 def test_log_hypergeom_1f1_arrays_raise_the_float_errors():
