@@ -11,8 +11,9 @@ killing potential to:
     available, with a quadrature fallback (see "Quadrature").
 
 Kernels evaluate in the log domain wherever they are positive, so small-t
-Bessel factors do not overflow. Every kernel takes y as a float or as a
-float64 array, and picks the math module or numpy once per call by its type.
+Bessel factors do not overflow. Every kernel takes x and y each as a float
+or as a float64 array (arrays broadcast), and picks the math module or numpy
+for each by its type.
 
 One Bessel core
 ---------------
@@ -180,11 +181,14 @@ class AtomSpec:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Continuous kernel part plus atoms. log_continuous is None only for
-    kernels that can take negative values. A finite_part kernel is not
-    integrable near y = 0 and has pointwise values only."""
+    """Continuous kernel part plus atoms. continuous(t, x, y) and
+    log_continuous(t, x, y) take x and y each as a float or a float64 array
+    (arrays broadcast; the result is an array where either is one).
+    log_continuous is None only for kernels that can take negative values. A
+    finite_part kernel is not integrable near y = 0 and has pointwise values
+    only."""
 
-    continuous: Callable[[float, float, float], float]
+    continuous: Callable[[float, float, float], float]  # (t, x, y)
     log_continuous: Optional[Callable[[float, float, float], float]]
     atoms: Tuple[AtomSpec, ...] = ()
     finite_part: bool = False
@@ -416,13 +420,14 @@ def _with_atoms(val, atoms, lam, t: float, x: float, m: float):
 
 
 def _kernel(logf, atoms=()) -> Kernel:
-    """Kernel of the log density logf(t, x, y, xp=None). Every kernel takes y
-    as a float or as a float64 array and picks xp, the math module or numpy,
-    once per call by the type of y (logf where xp is None), so one formula
-    serves both."""
-    def cont(t: float, x: float, y):
-        xp = np if type(y) is _NDARRAY else math
-        return xp.exp(logf(t, x, y, xp))
+    """Kernel of the log density logf(t, x, y, xp=None). Every kernel takes x
+    and y each as a float or as a float64 array (arrays broadcast) and picks
+    the math module or numpy for each by its type: xp for y (logf's own
+    test where xp is None), numpy on x only where x is an array, so one
+    formula serves all and a float x keeps math's values."""
+    def cont(t: float, x, y):
+        log_p = logf(t, x, y)
+        return np.exp(log_p) if type(log_p) is _NDARRAY else math.exp(log_p)
     return Kernel(continuous=cont, log_continuous=logf, atoms=tuple(atoms))
 
 
@@ -447,17 +452,18 @@ def _log_kernel(core, ratio, k_nu: bool = False, shift: float = 0.0) -> Callable
     log_core = _log_bessel_core(nu, c, omega, k_nu)
     shift += _LOG_2 if m == 2.0 else 0.0  # log 2 of the Jacobian 2y; log y is jac
 
-    def log_p(t: float, x: float, y, xp=None):
+    def log_p(t: float, x, y, xp=None):
         if xp is None:
             xp = np if type(y) is _NDARRAY else math
-        lx, ly = math.log(x), xp.log(y)
+        xq = np if type(x) is _NDARRAY else math
+        lx, ly = xq.log(x), xp.log(y)
         if m == 2.0:
             sx, sy, lsx, lsy, jac = x, y, lx, ly, ly
         else:
-            sx, sy, lsx, lsy, jac = math.sqrt(x), xp.sqrt(y), 0.5 * lx, 0.5 * ly, 0.0
+            sx, sy, lsx, lsy, jac = xq.sqrt(x), xp.sqrt(y), 0.5 * lx, 0.5 * ly, 0.0
         h = ratio(x, y, lx, ly, xp)
         log_p = shift + r * t + jac + h + log_core(t, sx, sy, lsx, lsy)
-        if xp is np or abs(h) > _H_MAX:
+        if xp is np or xq is np or abs(h) > _H_MAX:
             _check_cancellation(h, log_p)
         return log_p
     return log_p
@@ -471,14 +477,16 @@ def _branch_kernel(ratio, core, w_i: float, k_weight) -> Kernel:
     range is kept: continuous only."""
     log_pi, log_pk = (_log_kernel(core, lambda *_: 0.0, k_nu) for k_nu in (False, True))
 
-    def cont(t: float, x: float, y):
+    def cont(t: float, x, y):
         xp = np if type(y) is _NDARRAY else math
-        h = ratio(x, y, math.log(x), xp.log(y), xp)
+        xq = np if type(x) is _NDARRAY else math
+        h = ratio(x, y, xq.log(x), xp.log(y), xp)
         s_k, l_k = k_weight(y, xp)
-        s, top = _scaled_sum(w_i, log_pi(t, x, y, xp), s_k, l_k + log_pk(t, x, y, xp), xp)
-        if xp is np or abs(h) > _H_MAX:
+        xp_xy = xq if xp is math else np  # numpy where either is an array
+        s, top = _scaled_sum(w_i, log_pi(t, x, y, xp), s_k, l_k + log_pk(t, x, y, xp), xp_xy)
+        if xp_xy is np or abs(h) > _H_MAX:
             _check_cancellation(h, h + top)
-        if xp is np:
+        if xp_xy is np:
             return s * np.exp(h + top)
         try:
             return s * math.exp(h + top)
@@ -511,15 +519,16 @@ def _terms_ratio(terms, m: float) -> Callable:
     if len(terms) == 1:
         _, p0, beta0 = terms[0]
 
-        def ratio(x: float, y, lx: float, ly, xp):  # (Y/X)^p0 e^(-beta0 (Y - X))
+        def ratio(x, y, lx, ly, xp):  # (Y/X)^p0 e^(-beta0 (Y - X))
             dY = (y - x) * (y + x) if m == 2.0 else y - x  # Y - X without cancellation
             return p0 * m * (ly - lx) - beta0 * dY
         return ratio
     logc = tuple((math.log(ci), p, beta) for ci, p, beta in terms)
 
-    def ratio(x: float, y, lx: float, ly, xp):
+    def ratio(x, y, lx, ly, xp):
         return (_log_sum_exp(_log_terms(logc, y ** m, m * ly), xp)
-                - _log_sum_exp(_log_terms(logc, x ** m, m * lx)))
+                - _log_sum_exp(_log_terms(logc, x ** m, m * lx),
+                               np if type(x) is _NDARRAY else math))
     return ratio
 
 
@@ -566,7 +575,7 @@ def _gauge_ratio(diff: DiffusionSpec) -> Callable:
     _on_array(F, np.array(_VALIDATION_POINTS),
               f"DiffusionSpec '{diff.label}': drift_antiderivative")
 
-    def ratio(x: float, y, lx: float, ly, xp):
+    def ratio(x, y, lx, ly, xp):
         return (F(y) - F(x)) / s2 - 0.5 * (ly - lx)
     return ratio
 
@@ -1645,9 +1654,10 @@ def expectation(entry, params: Optional[Dict[str, float]], lam, t: float, x: flo
 
 
 def joint_laplace_in_mu(entry, params: Optional[Dict[str, float]], lam: float,
-                        t: float, x: float, mu_grid) -> list:
+                        t: float, x: float, mu_grid, method: str = "auto") -> list:
     """Tabulate the expectation along a grid of functional-strengths, ready
-    for numerical Laplace inversion in that variable."""
+    for numerical Laplace inversion in that variable; method is
+    expectation's, at every grid point."""
     e = _resolve(entry, params)
     if not e.functional_param:
         raise CapabilityError(
@@ -1660,7 +1670,7 @@ def joint_laplace_in_mu(entry, params: Optional[Dict[str, float]], lam: float,
     rows = []
     for m in grid:
         base[e.functional_param] = m
-        rows.append((m, expectation(e.name, base, lam, t, x)))
+        rows.append((m, expectation(e.name, base, lam, t, x, method=method)))
     return rows
 
 

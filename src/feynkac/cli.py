@@ -158,9 +158,12 @@ def _cmd_expect(opts, raw, out) -> int:
     params = _collect_params(raw, opts["entry"])
     t, x, lam = opts["t"], opts["x"], opts["lambda"]
     if opts["mu-grid"] is not None:
+        if opts["lambda-grid"] is not None:
+            raise ValidityError("expect: give --lambda, not --lambda-grid, with --mu-grid")
         lam = lam if lam is not None else 0.0
         rows = catalog.joint_laplace_in_mu(opts["entry"], params, lam, t, x,
-                                           _parse_grid(opts["mu-grid"]))
+                                           _parse_grid(opts["mu-grid"]),
+                                           method=opts["method"])
         header = ("mu", "lambda", "t", "x", "expectation")
         table = [(m, lam, t, x, v) for m, v in rows]
     else:

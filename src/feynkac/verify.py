@@ -5,7 +5,8 @@ forms themselves:
 
   * adaptive Gauss-Kronrod quadrature on (0, inf) (QUADPACK's G10/K21 pair
     and error estimate) that evaluates each refinement round's nodes in one
-    array call of the integrand;
+    array call of the integrand, and integrates a lambda sweep on one shared
+    mesh;
   * Gaver-Stehfest numerical Laplace inversion (with an order-stability
     diagnostic);
   * a forward Whittaker-type index transform evaluated by quadrature;
@@ -190,20 +191,25 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
           tail: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(Kronrod value, QUADPACK error estimate) of each panel [lo, hi], in y
     or, where tail, in u = 1/y with the integrand f(1/u)/u^2: all panels'
-    nodes in one call of f."""
+    nodes in one call of f. f returns shape (n,) or, for k integrands at
+    once, (k, n); each panel's value and error then have shape (k, panels)."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     s = c[:, None] + h[:, None] * _GK_X
     y = np.where(tail[:, None], 1.0 / s, s)
-    fs = np.asarray(f(y.ravel()), dtype=float).reshape(s.shape)
+    fs = np.asarray(f(y.ravel()), dtype=float)
+    fs = fs.reshape(fs.shape[:-1] + s.shape)
     with np.errstate(over="ignore"):
         fs = np.where(tail[:, None], fs / s / s, fs)
     if not np.isfinite(fs).all():
         raise ConvergenceError("quadrature: non-finite integrand value "
                                f"{float(fs[~np.isfinite(fs)][0])!r}")
-    mean = 0.5 * (fs @ _GK_WK)
-    val, err = 2.0 * h * mean, h * np.abs(fs @ _GK_WK - fs @ _GK_WG)
-    resabs = h * (np.abs(fs) @ _GK_WK)
-    resasc = h * (np.abs(fs - mean[:, None]) @ _GK_WK)
+    # the rules as 2-D products, one row of 21 values per integrand and panel
+    rows, shape = fs.reshape(-1, _GK_X.size), fs.shape[:-1]
+    kronrod = (rows @ _GK_WK).reshape(shape)
+    mean = 0.5 * kronrod
+    val, err = 2.0 * h * mean, h * np.abs(kronrod - (rows @ _GK_WG).reshape(shape))
+    resabs = h * (np.abs(rows) @ _GK_WK).reshape(shape)
+    resasc = h * (np.abs(fs - mean[..., None]).reshape(rows.shape) @ _GK_WK).reshape(shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
@@ -227,41 +233,52 @@ _START = (*(np.tile(a, 2) for a in _geometric(np.ones(1), 4)), np.arange(10) >= 
 
 
 def _adaptive_gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                   hi: np.ndarray, tail: np.ndarray) -> float:
+                   hi: np.ndarray, tail: np.ndarray):
     """Sum over the panels (lo, hi, tail) of _gk21, refined in rounds: each
     round splits every panel whose error estimate is above its share of the
     tolerance, and evaluates all the new nodes in one call of f, until the
     error is within max(1e-14, 1e-10 |value|). A non-finite value or error,
     or more than _QUAD_MAX_PANELS panels (a divergent integral), raises
-    ConvergenceError."""
+    ConvergenceError. An f of shape (n,) gives a float; one of shape (k, n)
+    gives the k integrals as an array, on one mesh: a panel is split while
+    any integral's error on it is above that integral's share."""
     val, err = _gk21(f, lo, hi, tail)
+    vector = val.ndim > 1  # f of shape (k, n): k integrals; of shape (n,): a float
+    val, err = val.reshape(-1, lo.size), err.reshape(-1, lo.size)
+
+    def shown(totals: list):
+        return totals if vector else totals[0]
+
     while True:
-        total, total_err = float(val.sum()), float(err.sum())
-        if not (math.isfinite(total) and math.isfinite(total_err)):
-            raise ConvergenceError(f"quadrature: non-finite value {total!r} or "
-                                   f"error estimate {total_err!r}")
-        tol = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(total))
-        if total_err <= tol:
-            return total
+        # the totals as floats: a few Python operations cost less than numpy's on k values
+        total, total_err = val.sum(axis=1).tolist(), err.sum(axis=1).tolist()
+        if not all(map(math.isfinite, total + total_err)):
+            raise ConvergenceError(f"quadrature: non-finite value {shown(total)!r} or "
+                                   f"error estimate {shown(total_err)!r}")
+        tol = [max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(v)) for v in total]
+        if all(e <= t for e, t in zip(total_err, tol)):
+            return np.array(total) if vector else total[0]
         if lo.size > _QUAD_MAX_PANELS:
             raise ConvergenceError(
-                f"quadrature: error estimate {total_err!r} out of tolerance for "
-                f"value {total!r} after {lo.size} panels")
-        split = err > tol / lo.size
+                f"quadrature: error estimate {shown(total_err)!r} out of tolerance for "
+                f"value {shown(total)!r} after {lo.size} panels")
+        split = err > np.array(tol)[:, None] / lo.size
+        split = split.any(axis=0) if len(split) > 1 else split[0]
         new = _split(lo[split], hi[split], tail[split])
         new_val, new_err = _gk21(f, *new)
         keep = ~split
         lo, hi, tail = (np.concatenate([a[keep], b]) for a, b in zip((lo, hi, tail), new))
-        val = np.concatenate([val[keep], new_val])
-        err = np.concatenate([err[keep], new_err])
+        val = np.concatenate([val[:, keep], new_val.reshape(-1, new[0].size)], axis=1)
+        err = np.concatenate([err[:, keep], new_err.reshape(-1, new[0].size)], axis=1)
 
 
-def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]) -> float:
+def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]):
     """Integral over (0, inf) of f, which takes a float64 array of y and
-    returns that shape: QUADPACK's G10/K21 Gauss-Kronrod pair on [0, 1] in y
-    and on (0, 1] in u = 1/y, adaptive from a mesh geometric towards both
-    ends (_adaptive_gk21). Independent of the catalog's double-exponential
-    rule."""
+    returns that shape (a float) or, for k integrands on one shared adaptive
+    mesh, shape (k, n) (an array of the k integrals): QUADPACK's G10/K21
+    Gauss-Kronrod pair on [0, 1] in y and on (0, 1] in u = 1/y, adaptive from
+    a mesh geometric towards both ends (_adaptive_gk21). Independent of the
+    catalog's double-exponential rule."""
     return _adaptive_gk21(f, *_START)
 
 
@@ -336,15 +353,17 @@ def laplace_invert(F: Callable[[float], float], t: float) -> float:
 # ---------------------------------------------------------------------------
 
 def whittaker_forward(phi: Callable[[np.ndarray], np.ndarray], k: float, nu: float,
-                      lam: float) -> float:
+                      lam):
     """Index transform int_0^inf (lam*y)^(-k-1/2) e^(-lam*y/2)
     W_{k+1/2, nu}(lam*y) phi(y) dy computed by quadrature; phi takes a
-    float64 array of y."""
-    if lam <= 0:
+    float64 array of y. lam is a float, or a 1-D array whose transforms are
+    integrated on one mesh (an array), with phi evaluated once per node."""
+    lam = np.asarray(lam, dtype=float)
+    if (lam <= 0).any():
         raise DomainError("whittaker_forward: lam must be > 0")
 
     def f(y: np.ndarray) -> np.ndarray:
-        z = lam * y
+        z = lam[..., None] * y
         return z ** (-k - 0.5) * np.exp(-0.5 * z) \
             * specfun.whittaker_w(k + 0.5, nu, z) * phi(y)
 
@@ -378,9 +397,9 @@ def check_whittaker_identity(sigma: float, a: float, b: float, t: float,
                       + (rA * y - F_y) / (2.0 * sigma)
                       + entry.kernel.log_continuous(t, x, y))
 
-    for lam in lams:
+    lhss = whittaker_forward(phi, k, 0.5 * nu, lams).tolist()
+    for lam, lhs in zip(lams, lhss):
         eps = 1.0 - rA / (sigma * lam)
-        lhs = whittaker_forward(phi, k, 0.5 * nu, lam)
         rhs = lam ** (B / (sigma * rA)) * orbit(eps, x, t)
         report.add("whittaker_index_transform",
                    f"sigma={sigma},a={a},b={b},t={t},x={x},lam={lam}",
@@ -443,6 +462,14 @@ def mc_expectation(entry: cat.CatalogEntry, lam: float, t: float, x: float,
 
     dt = t / spec.n_steps
     sqrt_dt = math.sqrt(dt)
+    s2, gamma = 2.0 * diff.sigma, diff.gamma
+    # the volatility sqrt(2 sigma X^gamma): X^1 = X and X^0 = 1 exactly
+    if gamma == 1.0:
+        vol = lambda Xp: np.sqrt(s2 * Xp)
+    elif gamma == 0.0:
+        vol = lambda Xp: math.sqrt(s2)
+    else:
+        vol = lambda Xp: np.sqrt(s2 * Xp ** gamma)
     X = np.full(spec.n_paths, float(x))
     Xp = np.maximum(X, _MC_CLIP)  # the truncated state the coefficients see
     g_int = np.zeros(spec.n_paths)
@@ -450,7 +477,7 @@ def mc_expectation(entry: cat.CatalogEntry, lam: float, t: float, x: float,
         g_prev = pot(Xp)
     for _ in range(spec.n_steps):
         dW = rng.normal(0.0, sqrt_dt, size=spec.n_paths)
-        X = X + diff.drift(Xp) * dt + np.sqrt(2.0 * diff.sigma * Xp ** diff.gamma) * dW
+        X = X + diff.drift(Xp) * dt + vol(Xp) * dW
         Xp = np.maximum(X, _MC_CLIP)
         if not zero_pot:
             g_now = pot(Xp)
@@ -490,29 +517,35 @@ def residual_convergence_order(u: Callable[[float, float], float],
 # identity checks
 # ---------------------------------------------------------------------------
 
-def check_transform_identity(entry: cat.CatalogEntry, lam: float, t: float,
-                             x: float, tol: float = 1e-8) -> CheckRow:
+def check_transform_identity(entry: cat.CatalogEntry, lams: Sequence[float],
+                             t: float, x: float,
+                             tol: float = 1e-8) -> VerificationReport:
     """Quadrature of exp(-lam*y^m)*u0(y) against the kernel (atoms included)
-    versus the entry's closed-form transform. The weight and a log kernel are
-    added as logs: u0 grows where the kernel underflows."""
+    versus the entry's closed-form transform, one row per lam. The weight and
+    a log kernel are added as logs: u0 grows where the kernel underflows. The
+    lams are integrated on one mesh, so u0 and the kernel are evaluated once
+    per node."""
     if entry.u0 is None or entry.transform_rhs is None:
         raise CapabilityError(
             f"check_transform_identity: entry {entry.name} has no transform")
     m, u0, kernel = entry.state_power, entry.u0, entry.kernel
-
-    def phi(y: float) -> float:
-        return math.exp(-lam * y ** m) * u0(y)
+    lam_col = np.array(lams, dtype=float)[:, None]
 
     def f(y: np.ndarray) -> np.ndarray:  # u0 is float-only: one call per node
-        log_w = np.array([u0.log(v) for v in y.tolist()]) - lam * y ** m
+        log_w = np.array([u0.log(v) for v in y.tolist()]) - lam_col * y ** m
         if kernel.log_continuous is None:
             return np.exp(log_w) * kernel.continuous(t, x, y)
         return np.exp(log_w + kernel.log_continuous(t, x, y))
 
-    lhs = integrate_semi_infinite(f) + _atom_contribution(entry, phi, t, x)
-    rhs = entry.transform_rhs(lam, t, x)
-    return CheckRow(f"transform[{entry.name}]", f"lam={lam},t={t},x={x}",
-                    rhs, lhs, tol)
+    report = VerificationReport("transform")
+    for lam, integral in zip(lams, integrate_semi_infinite(f).tolist()):
+        def phi(y: float) -> float:
+            return math.exp(-lam * y ** m) * u0(y)
+
+        report.add(f"transform[{entry.name}]", f"lam={lam},t={t},x={x}",
+                   entry.transform_rhs(lam, t, x),
+                   integral + _atom_contribution(entry, phi, t, x), tol)
+    return report
 
 
 def check_mass(entry: cat.CatalogEntry, t: float, x: float,
@@ -532,13 +565,13 @@ def check_mass(entry: cat.CatalogEntry, t: float, x: float,
 
 def check_chapman(entry: cat.CatalogEntry, s: float, t: float, x: float,
                   z: float, tol: float = 1e-6) -> CheckRow:
-    """Two-step composition of the kernel equals the one-step kernel."""
+    """Two-step composition of the kernel equals the one-step kernel. The
+    integrand is two kernel calls on the nodes: as y of the first step and,
+    since a kernel takes x as an array too, as x of the second."""
     if entry.kernel.atoms:
         raise CapabilityError("check_chapman: implemented for atom-free kernels")
     k = entry.kernel.continuous
-    # a kernel takes x as a float: the second step is one call per node
-    lhs = integrate_semi_infinite(
-        lambda y: k(s, x, y) * np.array([k(t, v, z) for v in y.tolist()]))
+    lhs = integrate_semi_infinite(lambda y: k(s, x, y) * k(t, y, z))
     rhs = k(s + t, x, z)
     return CheckRow(f"chapman[{entry.name}]", f"s={s},t={t},x={x},z={z}",
                     rhs, lhs, tol)
@@ -611,12 +644,15 @@ def _suite_transform(tol: float = 1e-8) -> VerificationReport:
     report = VerificationReport("transform")
     for entry in _transform_entries():
         tag = ",".join(f"{k}={v:g}" for k, v in entry.params.items())
-        for lam in _TRANSFORM_LAMS:
-            for t in _TRANSFORM_TS:
-                for x in _TRANSFORM_XS:
-                    row = check_transform_identity(entry, lam, t, x, tol=tol)
-                    report.rows.append(dataclasses.replace(
-                        row, identity=f"transform[{entry.name}:{tag}]"))
+        rows = {}  # (t, x) -> the rows of the lams
+        for t in _TRANSFORM_TS:
+            for x in _TRANSFORM_XS:
+                rows[t, x] = check_transform_identity(entry, _TRANSFORM_LAMS, t, x,
+                                                      tol=tol).rows
+        report.rows += [dataclasses.replace(rows[t, x][i],
+                                            identity=f"transform[{entry.name}:{tag}]")
+                        for i in range(len(_TRANSFORM_LAMS))
+                        for t in _TRANSFORM_TS for x in _TRANSFORM_XS]
     return report
 
 
@@ -741,20 +777,25 @@ def _suite_limits(tol: float = 1e-6) -> VerificationReport:
     return report
 
 
-def _closed_form_reference(entry: cat.CatalogEntry, lam: float, t: float,
-                           x: float) -> float:
-    """E_x[exp(-lam*X_t^m)] by adaptive quadrature of the kernel (atoms
-    included), independent of the catalog's own double-exponential rule.
-    Every entry with a closed form has a log kernel: one exp of the summed
-    logs per array of nodes."""
+def _closed_form_reference(entry: cat.CatalogEntry, lams: Sequence[float], t: float,
+                           x: float) -> List[float]:
+    """E_x[exp(-lam*X_t^m)] of each lam by adaptive quadrature of the kernel
+    (atoms included), independent of the catalog's own double-exponential
+    rule, all lams on one mesh. Every entry with a closed form has a log
+    kernel: it is evaluated once per node, and each lam's integrand is one
+    exp of the summed logs."""
     m = entry.state_power
     log_k = entry.kernel.log_continuous
+    lam_col = np.array(lams, dtype=float)[:, None]
+    integrals = integrate_semi_infinite(
+        lambda y: np.exp(log_k(t, x, y) - lam_col * y ** m)).tolist()
+    refs = []
+    for lam, integral in zip(lams, integrals):
+        def phi(y: float) -> float:
+            return math.exp(-lam * y ** m)
 
-    def phi(y: float) -> float:
-        return math.exp(-lam * y ** m)
-
-    return (integrate_semi_infinite(lambda y: np.exp(log_k(t, x, y) - lam * y ** m))
-            + _atom_contribution(entry, phi, t, x))
+        refs.append(integral + _atom_contribution(entry, phi, t, x))
+    return refs
 
 
 def _suite_closed_form(tol: float = 1e-8) -> VerificationReport:
@@ -774,11 +815,13 @@ def _suite_closed_form(tol: float = 1e-8) -> VerificationReport:
         cat.make_entry("radial_ou", a=0.9, b=-0.5, mu=0.7),
         cat.make_entry("sqrt_drift", a=1.5, b=0.8, A=1.2, B=0.6),
     ]
+    lams, points = (0.0, 0.4, 1.5), ((0.8, 1.2), (1.5, 0.6))
     for entry in cases:
         tag = ",".join(f"{k}={v:g}" for k, v in entry.params.items())
-        for lam in (0.0, 0.4, 1.5):
-            for t, x in ((0.8, 1.2), (1.5, 0.6)):
-                ref = _closed_form_reference(entry, lam, t, x)
+        refs = {(t, x): _closed_form_reference(entry, lams, t, x) for t, x in points}
+        for i, lam in enumerate(lams):
+            for t, x in points:
+                ref = refs[t, x][i]
                 val = cat.expectation(entry, None, lam, t, x, method="closed")
                 report.add(f"closed_form[{entry.name}:{tag}]",
                            f"lam={lam},t={t},x={x}", ref, val, tol)

@@ -1616,6 +1616,59 @@ def test_array_kernel_matches_the_scalar_kernel(name, params):
                 assert g == want or abs(g - want) <= 1e-15 * scale, (t, x, y, g, want)
 
 
+# each kernel's float-x values, (p(0.7, 1.3, 0.9), p(0.7, 1.3, 2.0), log
+# p(0.7, 1.3, 0.9)) as the kernels gave them before they took x as an array
+# too: a float x keeps its math-module formula, bit for bit
+_FLOAT_X_VALUES = [
+    (0.007611614171493883, 0.04532155346649474, -4.878080017709646),
+    (0.2870398786197765, 0.4633958615659282, -1.2481341229804668),
+    (0.2775524478605329, 0.44486454445430285, -1.2817453623549255),
+    (0.5542605258137622, 0.255370856429848, -0.5901204395722024),
+    (0.17142202664234346, 0.2233470212595754, None),
+    (0.4604358224144858, 0.18356262752563574, -0.775581798005526),
+    (0.6070843867869662, 0.2521837913997916, None),
+    (0.5542095476224081, 0.3093058232647364, -0.5902124189455957),
+    (0.11882678042299033, 0.07229988762548878, -2.1300884730219174),
+    (0.17861678097437908, 0.15911122395883812, None),
+    (0.12547309273515386, 0.21026728139056722, -2.075663943914077),
+    (0.14730636309348563, 0.11042716562784036, -1.915240758255898),
+    (0.05366577171029977, 0.040268852423082875, -2.9249798790104276),
+]
+_ARRAY_X_POINTS = [(1.0, np.array([1e-8, 0.3, 1.0, 2.5, 10.0]), 1.0),
+                   (0.3, np.array([0.2, 0.7, 1.3, 3.0]), 0.9)]
+
+
+@pytest.mark.parametrize("member,values", zip(_ARRAY_ENTRIES, _FLOAT_X_VALUES),
+                         ids=[f"{n}-{i}" for i, (n, _) in enumerate(_ARRAY_ENTRIES)])
+def test_array_x_kernel_matches_float_x_calls(member, values):
+    # x as an array, against y a float and against y an array of its shape,
+    # equals the float calls element by element within 2 units of eps on
+    # the log (scale max(1, |log p|)), and on p within those carried through
+    # exp plus its own rounding: numpy's exp and log may round one unit away
+    # from math's, and log p sums terms of size |log p|
+    name, params = member
+    k = cat.make_entry(name, **params).kernel
+    assert k.continuous(0.7, 1.3, 0.9) == values[0]
+    assert k.continuous(0.7, 1.3, np.array([0.9, 2.0])).tolist() == list(values[:2])
+    assert values[2] == (k.log_continuous(0.7, 1.3, 0.9) if k.log_continuous else None)
+    eps = np.finfo(float).eps
+    for t, xs, y in _ARRAY_X_POINTS:
+        for ys in (y, 0.8 * xs[::-1]):
+            for fn in (k.continuous, k.log_continuous):
+                if fn is None:
+                    continue
+                with np.errstate(all="ignore"):
+                    got = fn(t, xs, ys)
+                assert isinstance(got, np.ndarray) and got.shape == xs.shape
+                for x, yy, g in zip(xs, np.broadcast_to(ys, xs.shape), got):
+                    want = fn(t, float(x), float(yy))
+                    if fn is k.log_continuous:
+                        bound = 2.0 * eps * max(1.0, abs(want))
+                    else:
+                        bound = (2.0 * max(1.0, abs(math.log(abs(want)))) + 1.0) * eps * abs(want)
+                    assert abs(g - want) <= bound, (t, x, yy, g, want)
+
+
 # ---------------------------------------------------------------------------
 # kernels derived from the declared drift-equation constants
 # ---------------------------------------------------------------------------

@@ -164,6 +164,30 @@ def test_expect_mu_grid():
     assert vals[0] > vals[1] > vals[2] > 0.0
 
 
+def test_expect_mu_grid_takes_the_method(monkeypatch):
+    # --method quadrature on an entry with a closed form integrates at every
+    # grid point; an entry parameter naming the functional parameter is fine
+    calls = []
+    quad = catalog._quadrature_expectation
+
+    def record(*args):
+        calls.append(args)
+        return quad(*args)
+
+    monkeypatch.setattr(catalog, "_quadrature_expectation", record)
+    args = ("expect", "--entry", "cir", "--a", "1", "--b", "1", "--sigma", "1",
+            "--t", "1", "--x", "1", "--lambda", "0.5", "--mu-grid", "0:1:0.5")
+    code, closed = run(*args)
+    assert code == 0 and not calls
+    code, quadrature = run(*args, "--method", "quadrature")
+    assert code == 0 and len(calls) == 3
+    for c, q in zip(closed.splitlines()[1:], quadrature.splitlines()[1:]):
+        assert float(q.split(",")[-1]) == pytest.approx(float(c.split(",")[-1]), rel=1e-8)
+    code, out = run("expect", "--entry", "besq", "--n", "2.5", "--nu", "0.4", "--t", "1",
+                    "--x", "1", "--lambda", "0.5", "--mu-grid", "0:1:0.5")
+    assert code == 0 and len(out.splitlines()) == 4
+
+
 def test_expect_json_format():
     code, out = run("expect", "--entry", "besq", "--n", "3", "--t", "1",
                     "--x", "1", "--lambda", "0.3", "--format", "json")
@@ -575,6 +599,11 @@ _USAGE_ERRORS = {
     "an argument to --manifest": ["--manifest", "--x", "1"],
     "a value to a flag": _DENSITY + ["--check-mass=yes"],
     "an entry parameter that is not a number": _CIR_LAMBDA + ["1", "--a=one"],
+    "--lambda-grid with --mu-grid": ["expect", *_CIR, "--t", "1", "--x", "1",
+                                     "--lambda-grid", "0:1:0.5", "--mu-grid", "0:1:0.5"],
+    "--method closed on a --mu-grid without a closed form": [
+        "expect", "--entry", "bessel_drift", "--a", "0.5", "--b", "1.3", "--t", "1",
+        "--x", "1", "--lambda", "0.5", "--mu-grid", "0:1:0.5", "--method", "closed"],
 }
 
 

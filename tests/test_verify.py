@@ -112,14 +112,38 @@ def test_integrate_semi_infinite_non_finite_raises():
 
 
 def test_integrate_semi_infinite_evaluates_each_round_in_one_call():
-    calls = []
+    # a 1-D integrand and a (k, n) one alike: one call of f per round
+    for k in (None, 3):
+        calls = []
 
-    def f(y):
-        calls.append(y.size)
-        return np.exp(-y) / np.sqrt(y)
+        def f(y):
+            calls.append(y.size)
+            one = np.exp(-y) / np.sqrt(y)
+            return one if k is None else np.outer(np.arange(1.0, k + 1.0), one)
 
-    v.integrate_semi_infinite(f)
-    assert len(calls) > 1 and all(n % 21 == 0 for n in calls)
+        got = v.integrate_semi_infinite(f)
+        assert len(calls) > 1 and all(n % 21 == 0 for n in calls)
+        assert type(got) is float if k is None else got.shape == (k,)
+
+
+_COMPONENTS = [lambda y: np.exp(-y) / np.sqrt(y),
+               lambda y: y ** 2 * np.exp(-2.0 * y),
+               lambda y: 1.0 / (1.0 + y) ** 2,
+               lambda y: 1e-9 * np.exp(-50.0 * (y - 3.0) ** 2)]
+
+
+def test_integrate_semi_infinite_of_a_vector_integrand_matches_each_component():
+    # the k integrals share one mesh, refined until each meets its own
+    # tolerance, so each is within 1e-12 of its own 1-D integration
+    got = v.integrate_semi_infinite(lambda y: np.array([f(y) for f in _COMPONENTS]))
+    assert got.shape == (len(_COMPONENTS),)
+    for g, f in zip(got, _COMPONENTS):
+        one = v.integrate_semi_infinite(f)
+        assert g == pytest.approx(one, rel=1e-12, abs=0.0)
+    # one row is the k = 1 case of the same code: an array of one
+    one_row = v.integrate_semi_infinite(lambda y: np.exp(-y)[None, :])
+    assert one_row.shape == (1,) and one_row[0] == v.integrate_semi_infinite(
+        lambda y: np.exp(-y))
 
 
 def _quadpack(f):
@@ -135,22 +159,68 @@ def _quadpack(f):
             + integrate.quad(scalar, 1.0, math.inf, **kw)[0])
 
 
+_QUADRATURE_CALLS = {"closed_form": 22, "mass": 35}
+
+
 @pytest.mark.parametrize("suite,count", [("closed_form", 66), ("mass", 35)])
 def test_integrate_semi_infinite_agrees_with_quadpack(suite, count, monkeypatch):
-    # every integrand of the two suites, with QUADPACK as an oracle; the
-    # suites' integrands read loop variables, so each is checked at once
-    pairs = []
+    # every integral of the two suites (closed_form's 3 lambdas of each (t,
+    # x) are one call), with QUADPACK as an oracle; the suites' integrands
+    # read loop variables, so each is checked at once
+    pairs, calls = [], []
 
     def record(f, rule=v.integrate_semi_infinite):
         val = rule(f)
-        pairs.append((val, _quadpack(f)))
+        calls.append(f)
+        if np.ndim(val):
+            pairs.extend((vj, _quadpack(lambda y, j=j: f(y)[j])) for j, vj in enumerate(val))
+        else:
+            pairs.append((val, _quadpack(f)))
         return val
 
     monkeypatch.setattr(v, "integrate_semi_infinite", record)
     v.run_suite(suite)
-    assert len(pairs) == count
+    assert len(pairs) == count and len(calls) == _QUADRATURE_CALLS[suite]
     for val, ref in pairs:
         assert val == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("suite,calls", [
+    ("closed_form", 22), ("whittaker", 1),
+    ("transform", len(v._transform_entries()) * len(v._TRANSFORM_TS) * len(v._TRANSFORM_XS))])
+def test_each_lambda_sweep_is_one_integration(suite, calls, monkeypatch):
+    # one integration per (entry, t, x), whatever the number of lambdas
+    n = []
+
+    def count(f, rule=v.integrate_semi_infinite):
+        n.append(f)
+        return rule(f)
+
+    monkeypatch.setattr(v, "integrate_semi_infinite", count)
+    v.run_suite(suite)
+    assert len(n) == calls
+
+
+def test_chapman_evaluates_no_kernel_at_a_single_node(monkeypatch):
+    # the second step takes the nodes as x, in one call: the only kernel
+    # calls at a float x and a float y are the one-step kernels, one a row
+    kinds = []
+    make = cat.make_entry
+
+    def recording(name, **params):
+        e = make(name, **params)
+        k = e.kernel.continuous
+
+        def cont(t, x, y):
+            kinds.append((type(x) is np.ndarray, type(y) is np.ndarray))
+            return k(t, x, y)
+        return dataclasses.replace(e, kernel=dataclasses.replace(e.kernel, continuous=cont))
+
+    monkeypatch.setattr(cat, "make_entry", recording)
+    rows = v.run_suite("chapman").rows
+    assert rows and all(r.passed for r in rows)
+    assert kinds.count((False, False)) == len(rows)
+    assert kinds.count((True, False)) == kinds.count((False, True)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +373,7 @@ def test_mc_euler_step_matches_element_wise_evaluation(name, params):
 
 def test_check_transform_identity_row():
     entry = cat.make_entry("besq", n=3.0)
-    row = v.check_transform_identity(entry, 0.7, 0.8, 1.2)
+    (row,) = v.check_transform_identity(entry, (0.7,), 0.8, 1.2).rows
     assert row.passed
     assert "besq" in row.identity
 
