@@ -203,13 +203,11 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
     if not np.isfinite(fs).all():
         raise ConvergenceError("quadrature: non-finite integrand value "
                                f"{float(fs[~np.isfinite(fs)][0])!r}")
-    # the rules as 2-D products, one row of 21 values per integrand and panel
-    rows, shape = fs.reshape(-1, _GK_X.size), fs.shape[:-1]
-    kronrod = (rows @ _GK_WK).reshape(shape)
+    kronrod = fs @ _GK_WK
     mean = 0.5 * kronrod
-    val, err = 2.0 * h * mean, h * np.abs(kronrod - (rows @ _GK_WG).reshape(shape))
-    resabs = h * (np.abs(rows) @ _GK_WK).reshape(shape)
-    resasc = h * (np.abs(fs - mean[..., None]).reshape(rows.shape) @ _GK_WK).reshape(shape)
+    val, err = 2.0 * h * mean, h * np.abs(kronrod - fs @ _GK_WG)
+    resabs = h * (np.abs(fs) @ _GK_WK)
+    resasc = h * (np.abs(fs - mean[..., None]) @ _GK_WK)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
@@ -243,33 +241,35 @@ def _adaptive_gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     gives the k integrals as an array, on one mesh: a panel is split while
     any integral's error on it is above that integral's share."""
     val, err = _gk21(f, lo, hi, tail)
-    vector = val.ndim > 1  # f of shape (k, n): k integrals; of shape (n,): a float
-    val, err = val.reshape(-1, lo.size), err.reshape(-1, lo.size)
-
-    def shown(totals: list):
-        return totals if vector else totals[0]
-
+    vector = val.ndim > 1  # f of shape (k, n): k integrals; of shape (n,): one
     while True:
-        # the totals as floats: a few Python operations cost less than numpy's on k values
-        total, total_err = val.sum(axis=1).tolist(), err.sum(axis=1).tolist()
-        if not all(map(math.isfinite, total + total_err)):
-            raise ConvergenceError(f"quadrature: non-finite value {shown(total)!r} or "
-                                   f"error estimate {shown(total_err)!r}")
-        tol = [max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(v)) for v in total]
-        if all(e <= t for e, t in zip(total_err, tol)):
-            return np.array(total) if vector else total[0]
+        total, total_err = val.sum(-1), err.sum(-1)
+        if vector:
+            tol = np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(total))
+            finite = np.isfinite(total).all() and np.isfinite(total_err).all()
+            done = (total_err <= tol).all()
+        else:  # one integral by float operations: cheaper than numpy's on one value
+            tol = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(total))
+            finite = math.isfinite(total) and math.isfinite(total_err)
+            done = total_err <= tol
+        if not finite:
+            raise ConvergenceError(f"quadrature: non-finite value {total.tolist()!r} or "
+                                   f"error estimate {total_err.tolist()!r}")
+        if done:
+            return total if vector else float(total)
         if lo.size > _QUAD_MAX_PANELS:
             raise ConvergenceError(
-                f"quadrature: error estimate {shown(total_err)!r} out of tolerance for "
-                f"value {shown(total)!r} after {lo.size} panels")
-        split = err > np.array(tol)[:, None] / lo.size
-        split = split.any(axis=0) if len(split) > 1 else split[0]
+                f"quadrature: error estimate {total_err.tolist()!r} out of tolerance for "
+                f"value {total.tolist()!r} after {lo.size} panels")
+        split = err > (tol[:, None] if vector else tol) / lo.size
+        if vector:  # a panel is split while any integral's error on it is too large
+            split = split.any(axis=0)
         new = _split(lo[split], hi[split], tail[split])
         new_val, new_err = _gk21(f, *new)
         keep = ~split
         lo, hi, tail = (np.concatenate([a[keep], b]) for a, b in zip((lo, hi, tail), new))
-        val = np.concatenate([val[:, keep], new_val.reshape(-1, new[0].size)], axis=1)
-        err = np.concatenate([err[:, keep], new_err.reshape(-1, new[0].size)], axis=1)
+        val = np.concatenate([val.compress(keep, -1), new_val], -1)
+        err = np.concatenate([err.compress(keep, -1), new_err], -1)
 
 
 def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]):
@@ -462,14 +462,6 @@ def mc_expectation(entry: cat.CatalogEntry, lam: float, t: float, x: float,
 
     dt = t / spec.n_steps
     sqrt_dt = math.sqrt(dt)
-    s2, gamma = 2.0 * diff.sigma, diff.gamma
-    # the volatility sqrt(2 sigma X^gamma): X^1 = X and X^0 = 1 exactly
-    if gamma == 1.0:
-        vol = lambda Xp: np.sqrt(s2 * Xp)
-    elif gamma == 0.0:
-        vol = lambda Xp: math.sqrt(s2)
-    else:
-        vol = lambda Xp: np.sqrt(s2 * Xp ** gamma)
     X = np.full(spec.n_paths, float(x))
     Xp = np.maximum(X, _MC_CLIP)  # the truncated state the coefficients see
     g_int = np.zeros(spec.n_paths)
@@ -477,7 +469,7 @@ def mc_expectation(entry: cat.CatalogEntry, lam: float, t: float, x: float,
         g_prev = pot(Xp)
     for _ in range(spec.n_steps):
         dW = rng.normal(0.0, sqrt_dt, size=spec.n_paths)
-        X = X + diff.drift(Xp) * dt + vol(Xp) * dW
+        X = X + diff.drift(Xp) * dt + np.sqrt(2.0 * diff.sigma * Xp ** diff.gamma) * dW
         Xp = np.maximum(X, _MC_CLIP)
         if not zero_pot:
             g_now = pot(Xp)
@@ -517,19 +509,22 @@ def residual_convergence_order(u: Callable[[float, float], float],
 # identity checks
 # ---------------------------------------------------------------------------
 
-def check_transform_identity(entry: cat.CatalogEntry, lams: Sequence[float],
-                             t: float, x: float,
+def check_transform_identity(entry: cat.CatalogEntry, lams, t: float, x: float,
                              tol: float = 1e-8) -> VerificationReport:
     """Quadrature of exp(-lam*y^m)*u0(y) against the kernel (atoms included)
-    versus the entry's closed-form transform, one row per lam. The weight and
-    a log kernel are added as logs: u0 grows where the kernel underflows. The
-    lams are integrated on one mesh, so u0 and the kernel are evaluated once
-    per node."""
+    versus the entry's closed-form transform, one row per lam of lams, a
+    float or a sequence. The weight and a log kernel are added as logs: u0
+    grows where the kernel underflows. The lams are integrated on one mesh,
+    so u0 and the kernel are evaluated once per node."""
     if entry.u0 is None or entry.transform_rhs is None:
         raise CapabilityError(
             f"check_transform_identity: entry {entry.name} has no transform")
     m, u0, kernel = entry.state_power, entry.u0, entry.kernel
-    lam_col = np.array(lams, dtype=float)[:, None]
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if lams.ndim != 1:
+        raise DomainError("check_transform_identity: lams must be a float or a "
+                          f"1-D sequence (got shape {lams.shape})")
+    lam_col = lams[:, None]
 
     def f(y: np.ndarray) -> np.ndarray:  # u0 is float-only: one call per node
         log_w = np.array([u0.log(v) for v in y.tolist()]) - lam_col * y ** m
@@ -538,7 +533,7 @@ def check_transform_identity(entry: cat.CatalogEntry, lams: Sequence[float],
         return np.exp(log_w + kernel.log_continuous(t, x, y))
 
     report = VerificationReport("transform")
-    for lam, integral in zip(lams, integrate_semi_infinite(f).tolist()):
+    for lam, integral in zip(lams.tolist(), integrate_semi_infinite(f).tolist()):
         def phi(y: float) -> float:
             return math.exp(-lam * y ** m) * u0(y)
 

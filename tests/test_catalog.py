@@ -1634,39 +1634,84 @@ _FLOAT_X_VALUES = [
     (0.14730636309348563, 0.11042716562784036, -1.915240758255898),
     (0.05366577171029977, 0.040268852423082875, -2.9249798790104276),
 ]
+# (t, xs, y): two fixed point sets and a log-uniform sweep of t in [0.05, 5]
+# and x in [0.02, 10]; y is taken as the float and as 0.8 xs reversed
+_SWEEP = np.random.default_rng(20261020)
 _ARRAY_X_POINTS = [(1.0, np.array([1e-8, 0.3, 1.0, 2.5, 10.0]), 1.0),
-                   (0.3, np.array([0.2, 0.7, 1.3, 3.0]), 0.9)]
+                   (0.3, np.array([0.2, 0.7, 1.3, 3.0]), 0.9)] + [
+    (float(t), np.exp(_SWEEP.uniform(math.log(0.02), math.log(10.0), 24)), 1.3)
+    for t in np.exp(_SWEEP.uniform(math.log(0.05), math.log(5.0), 3))]
+
+
+def _finite_part_branches(a, mu_inv, t, x, y):
+    """|p+| + |s c2 Z-/N p_K| of rational_drift's finite-part kernel, in
+    mpmath: the sizes of the I and K branches whose sum is p. I_-root =
+    I_root + s K_root, s = (2/pi) sin(root pi) (DLMF 10.27.3), so p = pref
+    ((2 + a y^root) I_root + 2 s K_root), pref as in
+    _mp_rational_drift_inverse."""
+    with mpmath.workdps(40):
+        a, mu_inv, t, x, y = (mpmath.mpf(v) for v in (a, mu_inv, t, x, y))
+        root = mpmath.sqrt(1 + 4 * mu_inv)
+        z = 2 * mpmath.sqrt(x * y) / t
+        pref = (mpmath.sqrt(x / y) / t * mpmath.exp(-(x + y) / t) * (2 + a * y)
+                / ((2 + a * x) * (2 + a * y ** root)))
+        s = 2 / mpmath.pi * mpmath.sin(mpmath.pi * root)
+        return float(pref * ((2 + a * y ** root) * mpmath.besseli(root, z)
+                             + 2 * abs(s) * mpmath.besselk(root, z)))
+
+
+def _assert_array_x_matches_float_x(k, params, t, xs, ys):
+    """kernel k with x an array, against y a float or an array of xs's shape,
+    equals the float calls element by element within 10 eps max(1, |log M|) M
+    on p and 10 eps max(1, |log p|) on log p, M = |p| or, for the signed
+    finite-part kernel, the sum of its branches' sizes: numpy's exp and log
+    may round one unit away from math's, log p sums terms of size |log p|
+    and more, and the finite-part kernel's branches cancel near its zeros.
+    A sweep of 3000 points per kernel read at most 8.4."""
+    eps = np.finfo(float).eps
+    for fn in (k.continuous, k.log_continuous):
+        if fn is None:
+            continue
+        with np.errstate(all="ignore"):
+            got = fn(t, xs, ys)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        for x, y, g in zip(xs, np.broadcast_to(ys, xs.shape), got):
+            want = fn(t, float(x), float(y))
+            if fn is k.log_continuous:
+                bound = 10.0 * eps * max(1.0, abs(want))
+            else:
+                size = (_finite_part_branches(params["a"], params["mu_inv"], t, x, y)
+                        if k.finite_part else abs(want))
+                bound = 10.0 * eps * max(1.0, abs(math.log(size))) * size
+            assert abs(g - want) <= bound, (t, x, y, g, want)
 
 
 @pytest.mark.parametrize("member,values", zip(_ARRAY_ENTRIES, _FLOAT_X_VALUES),
                          ids=[f"{n}-{i}" for i, (n, _) in enumerate(_ARRAY_ENTRIES)])
 def test_array_x_kernel_matches_float_x_calls(member, values):
-    # x as an array, against y a float and against y an array of its shape,
-    # equals the float calls element by element within 2 units of eps on
-    # the log (scale max(1, |log p|)), and on p within those carried through
-    # exp plus its own rounding: numpy's exp and log may round one unit away
-    # from math's, and log p sums terms of size |log p|
     name, params = member
     k = cat.make_entry(name, **params).kernel
     assert k.continuous(0.7, 1.3, 0.9) == values[0]
     assert k.continuous(0.7, 1.3, np.array([0.9, 2.0])).tolist() == list(values[:2])
     assert values[2] == (k.log_continuous(0.7, 1.3, 0.9) if k.log_continuous else None)
-    eps = np.finfo(float).eps
     for t, xs, y in _ARRAY_X_POINTS:
         for ys in (y, 0.8 * xs[::-1]):
-            for fn in (k.continuous, k.log_continuous):
-                if fn is None:
-                    continue
-                with np.errstate(all="ignore"):
-                    got = fn(t, xs, ys)
-                assert isinstance(got, np.ndarray) and got.shape == xs.shape
-                for x, yy, g in zip(xs, np.broadcast_to(ys, xs.shape), got):
-                    want = fn(t, float(x), float(yy))
-                    if fn is k.log_continuous:
-                        bound = 2.0 * eps * max(1.0, abs(want))
-                    else:
-                        bound = (2.0 * max(1.0, abs(math.log(abs(want)))) + 1.0) * eps * abs(want)
-                    assert abs(g - want) <= bound, (t, x, yy, g, want)
+            _assert_array_x_matches_float_x(k, params, t, xs, ys)
+
+
+@pytest.mark.parametrize("params,t,x,y", [
+    # branches 61 times |p|: the array call reads 129 eps of |p| off the float call
+    ({"a": 2.0, "mu_inv": 0.3}, 0.8170366832124885, 0.05006928441478343, 2.1379168867634553),
+    # 1e-6 relatively off a zero of p, whose branches are 8.8e5 times |p|
+    ({"a": 1.0, "mu_inv": 0.6}, 0.7, 1.3, 0.1373273119956458),
+    # no cancellation: the sweep's largest reading, 8.4 eps max(1, |log M|) M
+    ({"a": 2.0, "mu_inv": 1.7}, 1.1288543296777078, 0.04451948959012961, 1.3),
+])
+def test_array_x_finite_part_kernel_within_its_branches(params, t, x, y):
+    k = cat.make_entry("rational_drift", **params).kernel
+    xs = np.array([x, 0.5 * x, 2.0 * x])
+    for ys in (y, np.full(3, y)):
+        _assert_array_x_matches_float_x(k, params, t, xs, ys)
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,10 @@ def test_check_transform_identity_row():
     (row,) = v.check_transform_identity(entry, (0.7,), 0.8, 1.2).rows
     assert row.passed
     assert "besq" in row.identity
+    # a float lam is a sweep of one; a 2-D lams is a DomainError
+    assert v.check_transform_identity(entry, 0.7, 0.8, 1.2).rows == [row]
+    with pytest.raises(DomainError, match="lams"):
+        v.check_transform_identity(entry, [[0.7]], 0.8, 1.2)
 
 
 def test_check_mass_row():
