@@ -118,9 +118,9 @@ _quadrature_expectation integrates exp(-lam y^m) against the kernel with a
 fixed-node double-exponential rule (Takahasi & Mori 1974), split at the
 kernel's bulk c (first x, with the diffusion's width s over t): tanh-sinh on
 [0, c], exp-sinh on [c, inf) (_de_integral). The nodes depend on (t, x) and
-the bulk, not on lam, and the kernel values at them are cached, so a lam grid
-evaluates the kernel once. verify keeps its own adaptive Gauss-Kronrod rule
-as the independent reference.
+the bulk, not on lam, so a lam grid is one pass, the kernel evaluated once
+per node, each lam at its own first agreeing level; no state outlives a call.
+verify keeps its own adaptive Gauss-Kronrod rule as the independent reference.
 
 The rational_showcase entry is structural: its kernel is a fundamental
 solution whose probabilistic meaning is unclear (the drift can push the state
@@ -1426,10 +1426,6 @@ _DE_LOG_ZERO = -800.0   # largest log|f| at the nodes below which the integral i
 _DE_NEAR = (math.asinh(44.0 / math.pi), math.asinh(44.0 / _HALF_PI))
 _DE_FAR = (640.0, 40.0)
 _DE_REACH = (4.0, 3.0)
-# kernel values at the nodes of recent blocks: the nodes depend on the bulk,
-# not on lam, so a lam grid at one (t, x) evaluates the kernel once
-_DE_CACHE: Dict[tuple, tuple] = {}
-_DE_CACHE_SIZE = 64
 
 
 def _de_pieces(c: float, s: float):
@@ -1455,66 +1451,67 @@ def _de_pieces(c: float, s: float):
             (exp_sinh, -_DE_NEAR[1], math.asinh(_DE_FAR[1] / _HALF_PI), -1))
 
 
-@functools.lru_cache(maxsize=256)
 def _de_nodes(lo: float, hi: float, h: float, odd: bool) -> np.ndarray:
-    """The multiples of h in [lo, hi]; only the odd ones when odd (cached: the
-    spans repeat from one expectation to the next)."""
+    """The multiples of h in [lo, hi]; only the odd ones when odd."""
     k = math.ceil(lo / h)
     k += odd and not k % 2
-    return np.arange(k, math.floor(hi / h) + 1, 1 + odd) * h
+    return np.arange(k * h, (math.floor(hi / h) + 0.5) * h, (1 + odd) * h)  # exact: h = 2^-j
 
 
-def _de_terms(problem, c: float, s: float, blocks, what: str):
-    """(w f, log|f|, y) at the nodes u of the blocks (piece index, map, u),
-    one block after the other: the kernel values come from _DE_CACHE or, for
-    all the blocks missing there, from one kernel call."""
-    kernel, weight, key = problem
-    keys = [(key, c, s, i, float(u[0]), float(u[-1]), len(u)) for i, _, u in blocks]
-    parts = [_DE_CACHE.get(k) for k in keys]
-    missing = [j for j, part in enumerate(parts) if part is None]
-    if missing:
-        yw = [blocks[j][1](blocks[j][2]) for j in missing]
-        y = np.concatenate([y for y, _ in yw])
-        values = np.broadcast_to(kernel(y), y.shape)
-        start = 0
-        for j, (y, w) in zip(missing, yw):
-            parts[j] = _DE_CACHE[keys[j]] = (y, w, values[start:start + len(y)])
-            start += len(y)
-        while len(_DE_CACHE) > _DE_CACHE_SIZE:
-            del _DE_CACHE[next(iter(_DE_CACHE))]
-    y, w, values = (np.concatenate(a) for a in zip(*parts))
-    f, log_f = weight(y, values)
-    wf = w * f
+def _de_level(kernel, blocks, lam: np.ndarray, m: float, what: str):
+    """(y, w f, log|f|) at the nodes u of the blocks (map, u) in turn, from one
+    kernel call, kernel(y) = (sign, log|q|), a row of terms per lam: f = sign
+    e^(log|q| - lam y^m), one exp of summed logs (e^(-lam y^m) overflows for
+    lam < 0, and times a q of 0 is NaN); ConvergenceError where one is not finite."""
+    y, w = (np.concatenate(v) for v in zip(*(mp(u) for mp, u in blocks)))
+    sign, log_q = kernel(y) if len(y) else (y, y)
+    damp = lam[:, None] * y ** m
+    damp[lam == 0.0] = 0.0  # not 0 y^m, NaN where y^m overflows
+    log_f = log_q - damp
+    wf = w * (sign * np.exp(log_f))
     if not np.isfinite(wf).all():
         raise ConvergenceError(f"{what}: the integrand is not finite at "
-                               f"y = {float(y[~np.isfinite(wf)][0])!r}")
-    return wf, log_f, y
+                               f"y = {float(y[~np.isfinite(wf).all(axis=0)][0])!r}")
+    return y, wf, log_f
 
 
-def _de_first_level(problem, c: float, s: float, what: str):
-    """The pieces of (c, s), their u-spans and the first level's (w f,
-    log|f|, y), the span of each piece grown at its far end until the end
-    term is negligible."""
+def _de_first_level(kernel, lam: np.ndarray, m: float, c: float, s: float, what: str):
+    """The pieces of (c, s), their u-spans, the first level's nodes y, and the
+    rows of lam whose own first level it is, with their terms: each span
+    grows at its far end, by its new nodes only, while every row's end term
+    is not negligible (ConvergenceError past the end of the range); a row
+    whose end term is not negligible where another's is leaves the rows."""
     pieces = _de_pieces(c, s)
     spans = [[max(lo, -_DE_REACH[0]), hi] if far == 0 else [lo, min(hi, _DE_REACH[1])]
              for _, lo, hi, far in pieces]
+    y = wf = log_f = None
+    count, rows = [0, 0], np.arange(len(lam))  # the nodes of each piece, the rows
     while True:
-        blocks = [(i, m, _de_nodes(a, b, _DE_H, False))
-                  for i, ((m, *_), (a, b)) in enumerate(zip(pieces, spans))]
-        terms = _de_terms(problem, c, s, blocks, what)
-        size = np.abs(terms[0])
-        top, grown = size.max(), False
+        us = [_de_nodes(a, b, _DE_H, False) for a, b in spans]
+        fresh = [(mp, u[:len(u) - n] if far == 0 else u[n:])
+                 for (mp, _, _, far), u, n in zip(pieces, us, count)]
+        count = [len(u) for u in us]
+        n = len(fresh[0][1])  # the far end of piece 0 is the first node, of piece 1 the last
+        new = _de_level(kernel, fresh, lam[rows], m, what)
+        y, wf, log_f = (v if old is None else np.concatenate((v[..., :n], old, v[..., n:]), -1)
+                        for v, old in zip(new, (y, wf, log_f)))
+        size = np.abs(wf)
+        top, keep, grown = size.max(axis=1), np.ones(len(rows), bool), False
         for (_, lo, hi, far), span in zip(pieces, spans):
-            if size[far] > _DE_TAIL * top:  # the far ends are the first and last node
-                limit = (lo, hi)[far]
-                if span[far] == limit:
-                    raise ConvergenceError(f"{what}: the integrand is not negligible "
-                                           "at the ends of the node range")
-                span[far] = max(limit, span[far] - 1.0) if far == 0 else \
-                    min(limit, span[far] + 1.0)
+            need = size[:, far] > _DE_TAIL * top
+            if not need.any():
+                continue
+            if not need[keep].all():  # their own first level spans more
+                keep &= ~need
+            elif span[far] == (lo, hi)[far]:
+                raise ConvergenceError(f"{what}: the integrand is not negligible "
+                                       "at the ends of the node range")
+            else:
+                span[far] = max(lo, span[far] - 1.0) if far == 0 else min(hi, span[far] + 1.0)
                 grown = True
+        rows, wf, log_f = rows[keep], wf[keep], log_f[keep]
         if not grown:
-            return pieces, spans, terms
+            return pieces, spans, y, rows, wf, log_f
 
 
 def _de_peak(y: np.ndarray, log_f: np.ndarray):
@@ -1537,10 +1534,11 @@ def _de_peak(y: np.ndarray, log_f: np.ndarray):
     return y1, 0.5 * (y2 - y0)
 
 
-def _de_integral(problem, c: float, s: float, what: str) -> float:
-    """Integral over (0, inf) of f = weight(y, kernel(y)), problem = (kernel,
-    weight, key): kernel(y) is the costly part, cached under key, and weight
-    returns (f, log|f|). The bulk of f lies near c with width about s.
+def _de_integral(kernel, lam: np.ndarray, m: float, c: float, s: float, what: str) -> np.ndarray:
+    """Integral over (0, inf) of f = sign e^(log|q| - lam y^m) for each row
+    lam of the float64 array lam; kernel(y) returns (sign, log|q|) and is the
+    costly part, evaluated once per node for all the rows. The bulk of f
+    lies near c with width about s.
 
     The first level (_de_first_level) locates the bulk: while the peak it
     sees (_de_peak) lies more than 4 s from c, or at an end of the range, c
@@ -1549,87 +1547,96 @@ def _de_integral(problem, c: float, s: float, what: str) -> float:
     and the largest log|f| is below _DE_LOG_ZERO, and unknown otherwise.
     Each further level halves the spacing and evaluates only the new nodes
     (the first call makes three levels), until two levels agree, or stop
-    converging within _DE_NOISE."""
+    converging within _DE_NOISE. Each row takes its own first agreeing level,
+    equal to its lone call bit for bit; a lone call makes each row whose bulk
+    would move, whose terms all underflow or whose first level is another. An
+    error of the shared pass is that of a row's lone call, at the same node."""
+    k = len(lam)
+    val = np.full(k, np.nan)  # NaN: not integrated yet
     with np.errstate(all="ignore"):
         for _ in range(_DE_LOCATE):
-            pieces, spans, (wf, log_f, y) = _de_first_level(problem, c, s, what)
-            bulk = _de_peak(y, log_f)
-            if bulk is None:
-                c = s = float(y[np.argmax(log_f + np.log(y))])
-            elif abs(bulk[0] - c) <= 4.0 * s or not bulk[1] > 0.0:
+            pieces, spans, y, rows, wf, log_f = _de_first_level(kernel, lam, m, c, s, what)
+            bulks = [_de_peak(y, row) for row in log_f]
+            located = np.array([b is not None and (abs(b[0] - c) <= 4.0 * s or not b[1] > 0.0)
+                                for b in bulks])
+            if k > 1 or located[0]:
                 break
-            else:
-                c, s = bulk
-        else:
-            bulk = None  # not located
-        if not wf.any():
-            if bulk is not None and log_f.max() < _DE_LOG_ZERO:
-                return 0.0
+            c, s = bulks[0] or (float(y[np.argmax(log_f[0] + np.log(y))]),) * 2
+        if k == 1 and not wf.any():
+            if located[0] and log_f.max() < _DE_LOG_ZERO:
+                return np.zeros(1)
             raise ConvergenceError(f"{what}: the integrand vanishes at every node")
-        total, l1 = _DE_H * wf.sum(), _DE_H * np.abs(wf).sum()
-        h, step, level = _DE_H, math.inf, 0
-        while level < _DE_MAX_LEVEL:
+        keep = located & wf.any(axis=1) | (k == 1)  # the other rows go alone
+        # each row's [sum, sum of |f|, last step] until two of its levels agree
+        state = {r: (_DE_H * total, _DE_H * l1, math.inf) for r, total, l1 in zip(
+            rows[keep].tolist(), wf[keep].sum(axis=1).tolist(),
+            np.abs(wf[keep]).sum(axis=1).tolist())}
+        h, level = _DE_H, 0
+        while level < _DE_MAX_LEVEL and state:
             new_levels = (1, 2, 3) if level == 0 else (level + 1,)
-            blocks = [(i, m, _de_nodes(a, b, _DE_H * 0.5 ** k, True))
-                      for k in new_levels
-                      for i, ((m, *_), (a, b)) in enumerate(zip(pieces, spans))]
-            wf = _de_terms(problem, c, s, blocks, what)[0]
+            blocks = [(mp, _de_nodes(a, b, _DE_H * 0.5 ** j, True))
+                      for j in new_levels for (mp, *_), (a, b) in zip(pieces, spans)]
+            rows = list(state)
+            wf = _de_level(kernel, blocks, lam[rows], m, what)[1]
             start = 0
-            for k in new_levels:
-                stop = start + len(blocks[0][2]) + len(blocks[1][2])
-                new, blocks, start = wf[start:stop], blocks[2:], stop
+            for j in new_levels:
+                stop = start + len(blocks[0][1]) + len(blocks[1][1])
+                new, blocks, start = wf[:, start:stop], blocks[2:], stop
                 h *= 0.5
-                new_total = total * 0.5 + h * new.sum()
-                l1 = l1 * 0.5 + h * np.abs(new).sum()
-                step, last = abs(new_total - total), step
-                if step <= _DE_REL_TOL * l1 or (
-                        k >= 3 and step <= _DE_NOISE * l1 and step > 0.125 * last):
-                    return float(new_total)
-                total, level = new_total, k
-    raise ConvergenceError(f"{what}: no two levels agreed down to node spacing "
-                           f"{h!r} (last estimate {float(total)!r})")
+                for r, add, add_l1 in zip(rows, new.sum(axis=1).tolist(),
+                                          np.abs(new).sum(axis=1).tolist()):
+                    if r not in state:  # agreed at an earlier level
+                        continue
+                    total, l1, last = state.pop(r)
+                    new_total, l1 = total * 0.5 + h * add, l1 * 0.5 + h * add_l1
+                    step = abs(new_total - total)
+                    if step <= _DE_REL_TOL * l1 or (
+                            j >= 3 and step <= _DE_NOISE * l1 and step > 0.125 * last):
+                        val[r] = new_total
+                    else:
+                        state[r] = new_total, l1, step
+            level = new_levels[-1]
+        if state:
+            raise ConvergenceError(f"{what}: no two levels agreed down to node spacing "
+                                   f"{h!r} (last estimate {next(iter(state.values()))[0]!r})")
+    for j in np.flatnonzero(np.isnan(val)):
+        val[j] = _de_integral(kernel, lam[j:j + 1], m, c, s, what)[0]
+    return val
 
 
-def _quadrature_expectation(e: CatalogEntry, lam: float, t: float,
-                            x: float) -> float:
+def _quadrature_expectation(e: CatalogEntry, lam, t: float, x: float):
+    """E_x[exp(-lam X_t^m)] by quadrature of the kernel, lam a float or a 1-D
+    float64 array, in blocks of 128 rows (a block's (rows, nodes) arrays stay near 1 MB)."""
     if e.kernel.finite_part:
         raise CapabilityError(f"expectation: entry {e.name} has a finite-part "
                               "kernel; quadrature is not offered")
-    m = e.state_power
-    log_k, k = e.kernel.log_continuous, e.kernel.continuous
+    m, log_k = e.state_power, e.kernel.log_continuous
 
-    if log_k is not None:
-        def kernel(y: np.ndarray):
-            return log_k(t, x, y)
-
-        def weight(y: np.ndarray, log_q: np.ndarray):
-            # one exp of the summed logs: exp(-lam*y^m) alone overflows for lam < 0
-            log_f = log_q - lam * y ** m if lam else log_q
-            return np.exp(log_f), log_f
-    else:
-        def kernel(y: np.ndarray):
-            return k(t, x, y)
-
-        def weight(y: np.ndarray, q: np.ndarray):
-            damp = -lam * y ** m
-            return np.exp(damp) * q, np.log(np.abs(q)) + damp
+    def kernel(y: np.ndarray):  # (sign, log|q|): one weight formula for both kinds
+        if log_k is not None:
+            return 1.0, log_k(t, x, y)
+        q = e.kernel.continuous(t, x, y)
+        return np.sign(q), np.log(np.abs(q))
 
     # the bulk: around x, the width of the diffusion over t (from near 0 it
     # spreads as sigma t: CIR and BESQ have variance 2 sigma t (x + sigma t / 2))
     d = e.diffusion
     s = math.sqrt(2.0 * d.sigma * t * (x + d.sigma * t) ** d.gamma)
-    val = _de_integral((kernel, weight, (log_k or k, t, x)), x, s,
-                       f"expectation: quadrature for entry {e.name}")
-    return _with_atoms(val, e.kernel.atoms, lam, t, x, m)
+    what = f"expectation: quadrature for entry {e.name}"
+    lams = np.atleast_1d(lam)
+    val = np.empty(len(lams))
+    for j in range(0, len(lams), 128):
+        val[j:j + 128] = _de_integral(kernel, lams[j:j + 128], m, x, s, what)
+    return _with_atoms(val if type(lam) is _NDARRAY else float(val[0]),
+                       e.kernel.atoms, lam, t, x, m)
 
 
 def expectation(entry, params: Optional[Dict[str, float]], lam, t: float, x: float,
                 method: str = "auto"):
     """E_x[exp(-lam*X_t^m - killing functionals)], m = entry.state_power.
     method: 'auto' (closed form if available), 'closed', 'quadrature'.
-    lam may be a 1-D array, on every route: a closed form then evaluates all
-    of it in one call, quadrature one integral per element (the kernel
-    values at the nodes are shared), and the result is an array."""
+    lam may be a 1-D array, on every route: a closed form or the quadrature
+    then evaluates all of it in one call, and the result is an array."""
     e = _resolve(entry, params)
     t, x, grid = float(t), float(x), type(lam) is _NDARRAY and lam.ndim
     lam = np.asarray(lam, float) if grid else float(lam)
@@ -1644,9 +1651,7 @@ def expectation(entry, params: Optional[Dict[str, float]], lam, t: float, x: flo
     if method == "quadrature" or fn is None:
         if method == "closed":
             raise CapabilityError(f"expectation: entry {e.name} has no closed form")
-        quad = functools.partial(_quadrature_expectation, e)
-        fn = (lambda lam, t, x: np.array([quad(v, t, x) for v in lam.tolist()])) \
-            if grid else quad
+        fn = functools.partial(_quadrature_expectation, e)
     if not grid:
         return _evaluate("expectation", e, fn, lam, t, x)
     with np.errstate(all="ignore"):

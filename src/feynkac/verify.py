@@ -639,15 +639,11 @@ def _suite_transform(tol: float = 1e-8) -> VerificationReport:
     report = VerificationReport("transform")
     for entry in _transform_entries():
         tag = ",".join(f"{k}={v:g}" for k, v in entry.params.items())
-        rows = {}  # (t, x) -> the rows of the lams
+        identity = f"transform[{entry.name}:{tag}]"
         for t in _TRANSFORM_TS:
             for x in _TRANSFORM_XS:
-                rows[t, x] = check_transform_identity(entry, _TRANSFORM_LAMS, t, x,
-                                                      tol=tol).rows
-        report.rows += [dataclasses.replace(rows[t, x][i],
-                                            identity=f"transform[{entry.name}:{tag}]")
-                        for i in range(len(_TRANSFORM_LAMS))
-                        for t in _TRANSFORM_TS for x in _TRANSFORM_XS]
+                rows = check_transform_identity(entry, _TRANSFORM_LAMS, t, x, tol=tol).rows
+                report.rows += [dataclasses.replace(row, identity=identity) for row in rows]
     return report
 
 
@@ -813,10 +809,8 @@ def _suite_closed_form(tol: float = 1e-8) -> VerificationReport:
     lams, points = (0.0, 0.4, 1.5), ((0.8, 1.2), (1.5, 0.6))
     for entry in cases:
         tag = ",".join(f"{k}={v:g}" for k, v in entry.params.items())
-        refs = {(t, x): _closed_form_reference(entry, lams, t, x) for t, x in points}
-        for i, lam in enumerate(lams):
-            for t, x in points:
-                ref = refs[t, x][i]
+        for t, x in points:
+            for lam, ref in zip(lams, _closed_form_reference(entry, lams, t, x)):
                 val = cat.expectation(entry, None, lam, t, x, method="closed")
                 report.add(f"closed_form[{entry.name}:{tag}]",
                            f"lam={lam},t={t},x={x}", ref, val, tol)

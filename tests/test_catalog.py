@@ -17,7 +17,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import scipy.integrate as si
 import scipy.special as sc
 import scipy.stats as ss
@@ -1025,22 +1025,22 @@ WORKLOADS = _benchmark_module("workloads")
 POOL = [(name, p) for name in sorted(WORKLOADS.POOL) for p in WORKLOADS.POOL[name]]
 
 
-# evaluates closed forms on request in its own interpreter, so that a call
+# evaluates expectations on request in its own interpreter, so that a call
 # that never returns (a scipy C loop cannot be interrupted) fails its example
 # after _CALL_SECONDS instead of hanging the suite: one line of JSON in, [name,
-# params, lam, t, x], one out, the values or the error at a float lam and at
-# the array [lam, 0]
-_CLOSED_FORM_WORKER = """
+# params, lam, t, x, method], one out, the values or the error at a float lam
+# and at the array [lam, 0]
+_EXPECTATION_WORKER = """
 import json, sys
 import numpy as np
 from feynkac import catalog
 from feynkac.errors import FeynkacError
 for line in sys.stdin:
-    name, params, lam, t, x = json.loads(line)
+    name, params, lam, t, x, method = json.loads(line)
     out = []
     for lams in (lam, np.array([lam, 0.0])):
         try:
-            val = catalog.expectation(name, params, lams, t, x, method="closed")
+            val = catalog.expectation(name, params, lams, t, x, method=method)
             out.append(np.atleast_1d(val).tolist())
         except FeynkacError as e:
             out.append(type(e).__name__)
@@ -1051,7 +1051,7 @@ for line in sys.stdin:
 _CALL_SECONDS = 20.0  # the first call includes the worker's start-up
 
 
-class _ClosedFormWorker:
+class _ExpectationWorker:
     def __init__(self):
         self.proc = None
 
@@ -1063,7 +1063,7 @@ class _ClosedFormWorker:
             src = os.path.dirname(os.path.dirname(feynkac.__file__))
             env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
                                                          if env.get("PYTHONPATH") else []))
-            self.proc = subprocess.Popen([sys.executable, "-c", _CLOSED_FORM_WORKER], env=env,
+            self.proc = subprocess.Popen([sys.executable, "-c", _EXPECTATION_WORKER], env=env,
                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         self.proc.stdin.write(json.dumps(request) + "\n")
         self.proc.stdin.flush()
@@ -1080,14 +1080,27 @@ class _ClosedFormWorker:
 
 
 @pytest.fixture(scope="module")
-def closed_form_worker():
-    worker = _ClosedFormWorker()
+def expectation_worker():
+    worker = _ExpectationWorker()
     yield worker
     worker.close()
 
 
+def _check_contract(name, got, bound):
+    """A worker's answer: no time-out and no raw exception, and each value
+    finite and, but for the structural entries, in [0, bound]."""
+    assert got is not None, f"no answer within {_CALL_SECONDS} s"
+    for val in got:
+        if isinstance(val, str):
+            assert not val.startswith("raw "), val
+            continue
+        assert all(math.isfinite(v) for v in val)
+        if name not in WORKLOADS.STRUCTURAL:
+            assert all(0.0 <= v <= bound for v in val), val
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS.CLOSED_FORM))
-def test_closed_form_keeps_its_contract_over_the_whole_range(name, closed_form_worker):
+def test_closed_form_keeps_its_contract_over_the_whole_range(name, expectation_worker):
     # t, x and lam log-uniform over [1e-300, 1e300] (lam = 0 often), float
     # and array lam: within _CALL_SECONDS, a value in [0, 1 + 1e-12] (finite
     # for the structural rational_showcase) or a FeynkacError. The closed
@@ -1099,16 +1112,29 @@ def test_closed_form_keeps_its_contract_over_the_whole_range(name, closed_form_w
     @given(k=st.integers(0, len(members) - 1), lam=st.one_of(st.just(0.0), _FULL_RANGE),
            t=_FULL_RANGE, x=_FULL_RANGE)
     def check(k, lam, t, x):
-        got = closed_form_worker.call([name, members[k], lam, t, x])
-        assert got is not None, f"no answer within {_CALL_SECONDS} s"
-        for val in got:
-            if isinstance(val, str):
-                assert not val.startswith("raw "), val
-                continue
-            assert all(math.isfinite(v) for v in val)
-            if name not in WORKLOADS.STRUCTURAL:
-                assert all(0.0 <= v <= 1.0 + 1e-12 for v in val), val
+        _check_contract(name, expectation_worker.call([name, members[k], lam, t, x, "closed"]),
+                        1.0 + 1e-12)
 
+    check()
+
+
+@pytest.mark.parametrize("name", cat.ENTRY_NAMES)
+def test_quadrature_keeps_its_contract_over_the_whole_range(name, expectation_worker):
+    # as the closed forms, float and array lam, but to 1 + 1e-8 (the rule's
+    # noise floor); the finite-part kernels raise CapabilityError
+    members = WORKLOADS.POOL[name] + _CONTRACT_EXTRA.get(name, [])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(0, len(members) - 1), lam=st.one_of(st.just(0.0), _FULL_RANGE),
+           t=_FULL_RANGE, x=_FULL_RANGE)
+    def check(k, lam, t, x):
+        got = expectation_worker.call([name, members[k], lam, t, x, "quadrature"])
+        if cat.make_entry(name, **members[k]).kernel.finite_part:
+            assert got == ["CapabilityError"] * 2
+        _check_contract(name, got, 1.0 + 1e-8)
+
+    if name == "bessel_drift":  # 1 + 2.1e-9, past the 1e-9 the levels agree to
+        check = example(k=2, lam=5.6299805044378356e-67, t=1e-6, x=277744.74930919404)(check)
     check()
 
 
@@ -1503,14 +1529,17 @@ def test_quadrature_follows_a_bulk_that_the_drift_moves(name, params, t, x):
         == pytest.approx(cat.expectation(name, params, 0.0, t, x), rel=1e-10)
 
 
-def _counting_kernel(entry, calls):
-    """entry with kernel callables that record the type of each y."""
+def _counting_kernel(entry, calls, nodes=None):
+    """entry with kernel callables that record the type of each y (and in
+    nodes, where given, each y)."""
     def wrap(fn):
         if fn is None:
             return None
 
         def counted(t, x, y):
             calls.append(type(y))
+            if nodes is not None:
+                nodes.append(np.array(y))
             return fn(t, x, y)
         return counted
     k = entry.kernel
@@ -1534,20 +1563,105 @@ def test_quadrature_makes_a_few_array_kernel_calls(name, params):
 
 
 def test_quadrature_reuses_kernel_values_along_a_lambda_grid():
-    # the nodes depend on the bulk, not on lambda: a lambda grid at one (t, x)
-    # evaluates the kernel about once, and the values do not depend on what
-    # the cache held
-    calls = []
-    entry = _counting_kernel(cat.make_entry("cir", a=1.1, b=0.8, sigma=0.6), calls)
-    lams = (0.0, 0.5, 1.0, 2.0, 3.0)
-    grid = [cat.expectation(entry, None, lam, 0.9, 1.2, method="quadrature")
-            for lam in lams]
+    # the nodes depend on the bulk, not on lambda: one array call integrates
+    # the grid on one set of nodes, evaluating the kernel once per node, and
+    # each element is its float call
+    calls, nodes = [], []
+    entry = _counting_kernel(cat.make_entry("cir", a=1.1, b=0.8, sigma=0.6), calls, nodes)
+    lams = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+    grid = cat.expectation(entry, None, lams, 0.9, 1.2, method="quadrature")
     assert len(calls) <= 8
-    for lam, val in zip(lams, grid):
-        cat._DE_CACHE.clear()
-        assert cat.expectation(entry, None, lam, 0.9, 1.2, method="quadrature") == val
+    # each node once: only the nodes nearest the bulk c = x, which both maps
+    # round to c itself, share a y
+    y, count = np.unique(np.concatenate(nodes), return_counts=True)
+    assert y[count > 1].tolist() == [1.2]
+    for lam, val in zip(lams.tolist(), grid.tolist()):
+        assert val == cat.expectation(entry, None, lam, 0.9, 1.2, method="quadrature")
         assert val == pytest.approx(cat.expectation(entry, None, lam, 0.9, 1.2),
-                                    rel=1e-10)
+                                    rel=1e-10, abs=0.0)
+
+
+def test_quadrature_grid_where_a_float_call_moves_its_bulk():
+    # at lam = 0 the float call moves its bulk from x to y of about 234; the
+    # damped rows stay near x. That row is integrated alone, so every element
+    # is still its float call
+    entry, t, x = cat.make_entry("tanh_drift"), 1.8, 2.2576427249975612
+    lams = np.linspace(0.0, 3.0, 7)
+    assert cat.expectation(entry, None, lams, t, x, method="quadrature").tolist() == [
+        cat.expectation(entry, None, lam, t, x, method="quadrature") for lam in lams.tolist()]
+
+
+def test_quadrature_grid_where_every_term_of_a_row_underflows():
+    # the closed form is 1.08e-87, and every term of the lam = 1.5e87 row
+    # underflows at the shared nodes, where a shared mesh returned 0: the row
+    # is integrated alone and raises ConvergenceError, as its float call does
+    params, t, x = {"a": 1.0, "b": 1.0, "sigma": 1.0}, 1.0, 5.203591967919793e-14
+    lam = 1.46730056364635e87
+    assert cat.expectation("cir", params, lam, t, x) == pytest.approx(1.08e-87, rel=1e-2)
+    for lams in (lam, np.array([lam, 0.0])):
+        with pytest.raises(ConvergenceError):
+            cat.expectation("cir", params, lams, t, x, method="quadrature")
+
+
+def test_quadrature_row_whose_own_first_level_spans_more_is_integrated_alone():
+    # f = (1 + y)^-3 e^(-lam y): at lam = 0 the far end term of exp-sinh is
+    # not negligible, so that row's own first level grows its span; the
+    # damped rows' do not. It leaves the shared pass and is made alone
+    def kernel(y):
+        return 1.0, -3.0 * np.log1p(y)
+
+    lams, shared = np.array([0.0, 1.0, 2.0]), []
+    first_level = cat._de_first_level
+
+    def spy(*args):
+        out = first_level(*args)
+        shared.append(out[3].tolist())
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cat, "_de_first_level", spy)
+        got = cat._de_integral(kernel, lams, 1.0, 1.0, 1.0, "test")
+    assert shared[0] == [1, 2]
+    assert got.tolist() == [cat._de_integral(kernel, lams[j:j + 1], 1.0, 1.0, 1.0, "test")[0]
+                            for j in range(3)]
+    assert got[0] == pytest.approx(0.5, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("method", ["closed", "quadrature", "auto"])
+def test_an_empty_lambda_array_gives_an_empty_array(method):
+    for name, params in [("besq", {"n": 3.0}),
+                         ("sqrt_drift", {"a": 1.5, "b": 0.8, "A": 1.2, "B": 0.6}),
+                         ("rational_showcase", {"a": 1.0, "b": 1.0}),
+                         ("generic_quadratic", {"sigma": 1.0, "a": 1.0, "b": 1.0})]:
+        if method == "closed" and name == "generic_quadratic":
+            continue  # no closed form
+        got = cat.expectation(name, params, np.array([]), 1.0, 1.0, method=method)
+        assert type(got) is np.ndarray and got.shape == (0,)
+
+
+@pytest.mark.parametrize("name,params,lam,ref", [
+    ("generic_quadratic", {"sigma": 1.0, "a": 1.1, "b": 1.0, "c2": 0.3}, -0.1, 1.4662965408235276),
+    ("generic_quadratic", {"sigma": 1.0, "a": 1.1, "b": 1.0, "c2": 0.3}, -0.3, 1.8916960346678882),
+    ("generic_linear", {"sigma": 1.0, "A": 1.0, "B": -0.3, "c2": 0.5}, -0.1, 1.4776994065551616),
+    ("generic_linear", {"sigma": 1.0, "A": 1.0, "B": -0.3, "c2": 0.5}, -0.3, 4.342994475418668),
+])
+def test_quadrature_with_negative_lambda_on_a_kernel_without_a_log_form(name, params, lam,
+                                                                       ref):
+    # e^(-lam y^m) q was inf * 0 = NaN at the far nodes, where q underflows
+    # ("the integrand is not finite at y = 26817.86..."): f = sign(q)
+    # e^(log|q| - lam y^m) is 0 there. The reference is verify's own
+    # Gauss-Kronrod rule on the same integrand (m = 1)
+    entry = cat.make_entry(name, **params)
+
+    def f(y):
+        with np.errstate(all="ignore"):
+            q = entry.kernel.continuous(1.0, 1.0, y)
+            return np.sign(q) * np.exp(np.log(np.abs(q)) - lam * y)
+
+    assert float(verify.integrate_semi_infinite(f)) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    for lams in (lam, np.array([lam, 0.0])):
+        got = cat.expectation(entry, None, lams, 1.0, 1.0, method="quadrature")
+        assert np.atleast_1d(got)[0] == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_non_finite_lambda_is_a_domain_error():

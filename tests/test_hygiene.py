@@ -12,7 +12,8 @@ and u0 from that y, a float in specfun reaches no fallback but through the
 one array implementation of its function, the closed forms' moments
 (catalog._core_at and _log_core_moments) are one formula for every omega t,
 with no fork on omega = 0 or on a threshold of e^(-2 omega t), and the
-catalog calls specfun's Laplace-Bessel moment from one function only.
+catalog calls specfun's Laplace-Bessel moment from one function only, and no
+catalog function writes into module-level state but the entry cache.
 
 No linter is part of the toolchain, so this walks the package sources with
 ast. A name counts as used when the module reads it anywhere (including in
@@ -585,3 +586,63 @@ def test_the_check_sees_a_second_caller_of_the_moment():
                      "def _other():\n"
                      "    return lbm(1.0, 1.0, 1.0, 1.0), other.log_laplace_bessel_moments\n")
     assert list(_moment_callers(tree)) == [("_log_moment", 3), ("_series", 6), ("_other", 9)]
+
+
+_MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem", "clear", "update",
+             "setdefault", "add", "discard", "fill", "put", "resize", "sort"}
+
+
+def _module_state_writes(tree: ast.Module):
+    """(function, name, line) of each write by a function into a name bound at
+    module level: an item or attribute stored or deleted, a mutating method
+    called, or a global statement. A name that a function binds itself (a
+    parameter or an assignment) is its own, not the module's."""
+    module_names = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    if isinstance(t, ast.Name)}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+        own |= {n.id for n in ast.walk(func) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Store)}
+        names = module_names - own
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                yield from ((func.name, name, node.lineno) for name in node.names)
+            elif isinstance(node, (ast.Subscript, ast.Attribute)) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                    and isinstance(node.value, ast.Name) and node.value.id in names:
+                yield func.name, node.value.id, node.lineno
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _MUTATORS and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id in names:
+                yield func.name, node.func.value.id, node.lineno
+
+
+def test_catalog_keeps_no_state_but_the_entry_cache():
+    # the quadrature kept kernel values in a module-level dict between calls;
+    # a lambda grid is now one pass, and only built entries are kept
+    writes = [w for w in _module_state_writes(_catalog_tree()) if w[1] != "_ENTRIES"]
+    assert not writes, f"catalog.py writes module-level state: {writes}"
+
+
+def test_the_check_sees_a_module_level_cache():
+    tree = ast.parse("_CACHE: dict = {}\n_KEYS = []\n_N = 0\n"
+                     "def lookup(key):\n"
+                     "    if key not in _CACHE:\n"
+                     "        _CACHE[key] = len(_CACHE)\n"
+                     "        _KEYS.append(key)\n"
+                     "    while len(_CACHE) > 64:\n"
+                     "        del _CACHE[_KEYS.pop(0)]\n"
+                     "    return _CACHE[key]\n"
+                     "def count():\n"
+                     "    global _N\n"
+                     "    _N += 1\n"
+                     "def local(_CACHE):\n"
+                     "    _KEYS = []\n"
+                     "    _CACHE[0] = 1\n"
+                     "    _KEYS.append(_CACHE)\n")
+    assert sorted(_module_state_writes(tree)) == [
+        ("count", "_N", 12), ("lookup", "_CACHE", 6), ("lookup", "_CACHE", 9),
+        ("lookup", "_KEYS", 7), ("lookup", "_KEYS", 9)]
