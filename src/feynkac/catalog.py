@@ -131,6 +131,7 @@ excluded from mass accounting.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -1256,34 +1257,29 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
 # registry and operations
 # ---------------------------------------------------------------------------
 
-_BUILDERS: Dict[str, Tuple[Callable[..., CatalogEntry], Tuple[str, ...], str]] = {
-    "besq": (_make_besq, ("n", "mu", "nu", "b"),
-             "n > 0; mu >= 0 (needs n >= 2); nu >= 0; b aliases mu = b^2/2"),
-    "bessel": (_make_bessel, ("a", "mu"), "a > 1/2; mu >= 0"),
-    "bessel_drift": (_make_bessel_drift, ("a", "b", "mu"),
-                     "a > -1; b > 0; mu >= 0"),
-    "cir": (_make_cir, ("a", "b", "sigma", "mu", "mu_lin"),
-            "a, b, sigma > 0; mu, mu_lin >= 0"),
-    "rational_drift": (_make_rational_drift, ("a", "mu", "mu_inv"),
+# name -> (builder, validity); the builder's signature declares the parameters
+_BUILDERS: Dict[str, Tuple[Callable[..., CatalogEntry], str]] = {
+    "besq": (_make_besq, "n > 0; mu >= 0 (needs n >= 2); nu >= 0; b aliases mu = b^2/2"),
+    "bessel": (_make_bessel, "a > 1/2; mu >= 0"),
+    "bessel_drift": (_make_bessel_drift, "a > -1; b > 0; mu >= 0"),
+    "cir": (_make_cir, "a, b, sigma > 0; mu, mu_lin >= 0"),
+    "rational_drift": (_make_rational_drift,
                        "a > 0; mu, mu_inv >= 0, not both positive; "
                        "sqrt(1+4*mu_inv) must not be an integer"),
-    "tanh_drift": (_make_tanh_drift, ("mu",), "mu >= 0"),
-    "radial_ou": (_make_radial_ou, ("a", "b", "mu"),
-                  "a > 1/2; mu >= 0; b != 0 or mu > 0"),
-    "rational_showcase": (_make_rational_showcase, ("a", "b"), "a, b > 0"),
-    "sqrt_drift": (_make_sqrt_drift, ("a", "b", "A", "B"), "A, B > 0"),
+    "tanh_drift": (_make_tanh_drift, "mu >= 0"),
+    "radial_ou": (_make_radial_ou, "a > 1/2; mu >= 0; b != 0 or mu > 0"),
+    "rational_showcase": (_make_rational_showcase, "a, b > 0"),
+    "sqrt_drift": (_make_sqrt_drift, "A, B > 0"),
     "generic_linear": (_make_generic_linear,
-                       ("sigma", "A", "B", "mu", "c1", "c2"),
                        "sigma, A > 0; 2B + sigma^2 > 0; "
                        "2B + sigma^2 + 4*mu*sigma in (0, sigma^2)"),
-    "generic_quadratic": (_make_generic_quadratic,
-                          ("sigma", "a", "b", "mu", "c1", "c2"),
-                          "sigma, a > 0; b != 0 or mu > 0"),
+    "generic_quadratic": (_make_generic_quadratic, "sigma, a > 0; b != 0 or mu > 0"),
 }
 
 ENTRY_NAMES = tuple(sorted(_BUILDERS))
+_SIGNATURES = {name: inspect.signature(b[0]).parameters for name, b in _BUILDERS.items()}
 ENTRY_PARAMETERS: Mapping[str, Tuple[str, ...]] = MappingProxyType(
-    {name: b[1] for name, b in _BUILDERS.items()})
+    {name: tuple(ps) for name, ps in _SIGNATURES.items()})
 
 
 def make_entry(name: str, **params: float) -> CatalogEntry:
@@ -1322,11 +1318,16 @@ def _check_names(name: str, params: Dict[str, float]) -> None:
     if name not in _BUILDERS:
         raise DomainError(f"make_entry: unknown entry {name!r} "
                           f"(known: {', '.join(ENTRY_NAMES)})")
-    names = _BUILDERS[name][1]
+    names = ENTRY_PARAMETERS[name]
     unknown = set(params) - set(names)
     if unknown:
         raise DomainError(f"make_entry: {name} does not take parameters "
                           f"{sorted(unknown)} (takes {list(names)})")
+    missing = [p for p, s in _SIGNATURES[name].items()  # those with no default
+               if s.default is s.empty and p not in params]
+    if missing:
+        raise DomainError(f"make_entry: {name} needs parameters {missing} "
+                          f"(takes {list(names)})")
 
 
 def _build(name: str, params: Dict[str, float]) -> CatalogEntry:
@@ -1682,5 +1683,5 @@ def joint_laplace_in_mu(entry, params: Optional[Dict[str, float]], lam: float,
 def manifest() -> dict:
     """Machine-readable catalog listing."""
     return {"schema_version": 1, "entries": [
-        {"name": name, "parameters": list(_BUILDERS[name][1]), "validity": _BUILDERS[name][2]}
+        {"name": name, "parameters": list(ENTRY_PARAMETERS[name]), "validity": _BUILDERS[name][1]}
         for name in ENTRY_NAMES]}

@@ -11,24 +11,25 @@ Subcommands:
 Options are --name value or --name=value (the last of a repeated option
 wins); density and expect read every other --name value as an entry
 parameter, and `feynkac [SUBCOMMAND] --help` prints the option tables. Grids
-use start:stop:step syntax. Output is CSV (15 significant digits) or JSON
-(native binary64). Exit codes: 0 success, 1 verification failure, 2
-usage/validity error (one `feynkac: ...` line on stderr), 3 numerical error.
-Identical invocations (including seed) produce byte-identical output.
-FEYNKAC_TOL overrides suite tolerances.
+use start:stop:step syntax. Output is CSV ('%.15g' cells) or JSON
+(json.dumps(doc, indent=2) byte for byte). Exit codes: 0 success, 1
+verification failure, 2 usage/validity error (one `feynkac: ...` line on
+stderr), 3 numerical error. Identical invocations (including seed) produce
+byte-identical output. FEYNKAC_TOL overrides suite tolerances.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
+from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import catalog, verify
+from ._jsonout import dumps
 from .errors import CapabilityError, DomainError, EvalOverflowError, FeynkacError, ValidityError
 
 __all__ = ["main"]
@@ -41,10 +42,6 @@ EXIT_NUMERICAL = 3
 _USAGE_ERRORS = (ValidityError, DomainError, CapabilityError)  # every other FeynkacError is numerical
 
 MAX_GRID_POINTS = 10 ** 6  # a start:stop:step grid with more points is a usage error
-
-
-def _fmt(v: Optional[float]) -> str:
-    return "" if v is None else format(v, ".15g")
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -87,10 +84,10 @@ def _collect_params(raw: Dict[str, str], entry: str) -> Dict[str, float]:
     return params
 
 
-def _emit_csv(stream, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(row) + "\n")
+def _csv(header: str, row: str, rows: Sequence[tuple]) -> str:
+    """The header line, then the %-template row (newline included) filled
+    from each tuple of rows; a column the same on every row is fixed text."""
+    return header + (row * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def _cmd_density(opts, raw, out) -> int:
@@ -104,7 +101,7 @@ def _cmd_density(opts, raw, out) -> int:
     # the y=0 boundary carries the atoms, listed below; the rest of the grid
     # is one kernel call, of the log kernel where there is one
     ys = np.array([y for y in ys if y > 0])
-    log_dens = [None] * len(ys)
+    log_dens = None
     if not len(ys):
         dens = []
     elif entry.kernel.log_continuous is None:
@@ -117,29 +114,26 @@ def _cmd_density(opts, raw, out) -> int:
             raise EvalOverflowError(f"density: entry {entry.name} overflows at "
                                     f"y = {float(ys[np.isinf(dens)][0])!r}")
         dens, log_dens = dens.tolist(), log_dens.tolist()
-    rows = [(t, x, y, d, ld) for y, d, ld in zip(ys.tolist(), dens, log_dens)]
+    ys = ys.tolist()
     atoms = catalog.atom_weights(entry, None, t, x)
-    mass_row = None
-    if opts["check-mass"]:
-        mass_row = verify.check_mass(entry, t, x)
+    mass_row = verify.check_mass(entry, t, x) if opts["check-mass"] else None
 
     if opts["format"] == "csv":
-        _emit_csv(out, ("t", "x", "y", "density", "log_density"),
-                  [tuple(_fmt(v) for v in r) for r in rows])
-        out.write("\n")
-        _emit_csv(out, ("atom_location", "atom_order", "atom_weight"),
-                  [(_fmt(l), str(o), _fmt(w)) for l, o, w in atoms])
+        # t and x are fixed text, as is a log_density column with no log form
+        row = "%.15g,%.15g,%%.15g,%%.15g,%s\n" % (t, x, "" if log_dens is None else "%.15g")
+        columns = (ys, dens) if log_dens is None else (ys, dens, log_dens)
+        text = _csv("t,x,y,density,log_density\n", row, list(zip(*columns)))
+        text += _csv("\natom_location,atom_order,atom_weight\n", "%.15g,%s,%.15g\n", atoms)
         if mass_row is not None:
-            out.write("\n")
-            _emit_csv(out, ("mass", "expected", "abs_err", "status"),
-                      [(_fmt(mass_row.computed), _fmt(mass_row.reference),
-                        _fmt(mass_row.abs_err),
-                        "pass" if mass_row.passed else "fail")])
+            text += "\nmass,expected,abs_err,status\n%.15g,%.15g,%.15g,%s\n" % (
+                mass_row.computed, mass_row.reference, mass_row.abs_err,
+                "pass" if mass_row.passed else "fail")
+        out.write(text)
     else:
         doc = {
             "entry": opts["entry"], "params": params,
-            "rows": [{"t": r[0], "x": r[1], "y": r[2], "density": r[3],
-                      "log_density": r[4]} for r in rows],
+            "rows": [{"t": t, "x": x, "y": y, "density": d, "log_density": ld}
+                     for y, d, ld in zip(ys, dens, log_dens or [None] * len(ys))],
             "atoms": [{"location": l, "order": o, "weight": w}
                       for l, o, w in atoms],
         }
@@ -148,7 +142,7 @@ def _cmd_density(opts, raw, out) -> int:
                                  "expected": mass_row.reference,
                                  "abs_err": mass_row.abs_err,
                                  "passed": mass_row.passed}
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(dumps(doc) + "\n")
     if mass_row is not None and not mass_row.passed:
         return EXIT_VERIFY_FAIL
     return EXIT_OK
@@ -157,6 +151,7 @@ def _cmd_density(opts, raw, out) -> int:
 def _cmd_expect(opts, raw, out) -> int:
     params = _collect_params(raw, opts["entry"])
     t, x, lam = opts["t"], opts["x"], opts["lambda"]
+    # a row is a grid value and its expectation; fixed, the columns between
     if opts["mu-grid"] is not None:
         if opts["lambda-grid"] is not None:
             raise ValidityError("expect: give --lambda, not --lambda-grid, with --mu-grid")
@@ -164,27 +159,25 @@ def _cmd_expect(opts, raw, out) -> int:
         rows = catalog.joint_laplace_in_mu(opts["entry"], params, lam, t, x,
                                            _parse_grid(opts["mu-grid"]),
                                            method=opts["method"])
-        header = ("mu", "lambda", "t", "x", "expectation")
-        table = [(m, lam, t, x, v) for m, v in rows]
+        header, fixed = ("mu", "lambda", "t", "x", "expectation"), (lam, t, x)
     else:
         if (lam is None) == (opts["lambda-grid"] is None):
             raise ValidityError("expect: give --lambda or --lambda-grid "
                                 "(or --mu-grid)")
         lams = [lam] if lam is not None else _parse_grid(opts["lambda-grid"])
         entry = catalog.make_entry(opts["entry"], **params)
-        header = ("lambda", "t", "x", "expectation")
         values = catalog.expectation(entry, None, np.array(lams), t, x,
                                      method=opts["method"]).tolist()
-        table = [(lam, t, x, v) for lam, v in zip(lams, values)]
+        rows = list(zip(lams, values))
+        header, fixed = ("lambda", "t", "x", "expectation"), (t, x)
 
     if opts["format"] == "csv":
-        tx = (_fmt(t), _fmt(x))  # the same on every row, before the last column
-        _emit_csv(out, header, [tuple(map(_fmt, r[:-3])) + tx + (_fmt(r[-1]),)
-                                for r in table])
+        row = "%.15g," + "%.15g," * len(fixed) % fixed + "%.15g\n"
+        out.write(_csv(",".join(header) + "\n", row, rows))
     else:
-        out.write(json.dumps({"entry": opts["entry"], "params": params,
-                              "rows": [dict(zip(header, r)) for r in table]},
-                             indent=2) + "\n")
+        out.write(dumps({"entry": opts["entry"], "params": params,
+                         "rows": [dict(zip(header, (g, *fixed, v))) for g, v in rows]})
+                  + "\n")
     return EXIT_OK
 
 
@@ -224,7 +217,7 @@ def _cmd_verify(opts, raw, out) -> int:
 def _cmd_manifest(opts, raw, out) -> int:
     if raw:
         raise ValidityError(f"--manifest: unexpected option --{next(iter(raw))}")
-    out.write(json.dumps(catalog.manifest(), indent=2) + "\n")
+    out.write(dumps(catalog.manifest()) + "\n")
     return EXIT_OK
 
 

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._jsonout import dumps
 from .errors import (
     CapabilityError,
     ConvergenceError,
@@ -129,8 +129,8 @@ class VerificationReport:
                         format(r.abs_err, ".15g"), format(r.rel_err, ".15g"),
                         "pass" if r.passed else "fail"])
 
-    def to_json_obj(self) -> dict:
-        return {
+    def to_json(self, stream) -> None:
+        stream.write(dumps({
             "suite": self.suite,
             "passed": self.passed,
             "checks": len(self.rows),
@@ -141,10 +141,7 @@ class VerificationReport:
                 "abs_err": r.abs_err, "rel_err": r.rel_err,
                 "passed": r.passed,
             } for r in self.rows],
-        }
-
-    def to_json(self, stream) -> None:
-        stream.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
+        }) + "\n")
 
 
 # ---------------------------------------------------------------------------

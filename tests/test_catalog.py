@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import select
 import subprocess
 import sys
@@ -58,6 +59,25 @@ def test_make_entry_rejects_unknown_names_and_parameters():
         cat.make_entry("nope")
     with pytest.raises(DomainError):
         cat.make_entry("besq", n=3.0, zz=1.0)
+
+
+@pytest.mark.parametrize("name,params,missing", [
+    ("sqrt_drift", {"a": 1.0, "b": 1.0}, "['A', 'B']"),
+    ("cir", {"a": 1.0}, "['b', 'sigma']"),
+    ("besq", {"mu": 0.5}, "['n']"),
+])
+def test_make_entry_names_missing_required_parameters(name, params, missing):
+    # a builder's parameters without a default are required; a missing one
+    # raised a raw TypeError from the builder's call
+    for p in (params, {k: np.array(v) for k, v in params.items()}):  # cached, uncached
+        with pytest.raises(DomainError, match=re.escape(f"{name} needs parameters {missing}")):
+            cat.make_entry(name, **p)
+
+
+def test_entry_parameters_are_the_builders_signatures():
+    assert cat.ENTRY_PARAMETERS["cir"] == ("a", "b", "sigma", "mu", "mu_lin")
+    assert cat.ENTRY_PARAMETERS["tanh_drift"] == ("mu",)
+    assert cat.make_entry("tanh_drift").params == {"mu": 0.0}
 
 
 def test_make_entry_shares_one_entry_per_parameter_set():
@@ -1025,23 +1045,32 @@ WORKLOADS = _benchmark_module("workloads")
 POOL = [(name, p) for name in sorted(WORKLOADS.POOL) for p in WORKLOADS.POOL[name]]
 
 
-# evaluates expectations on request in its own interpreter, so that a call
-# that never returns (a scipy C loop cannot be interrupted) fails its example
-# after _CALL_SECONDS instead of hanging the suite: one line of JSON in, [name,
-# params, lam, t, x, method], one out, the values or the error at a float lam
-# and at the array [lam, 0]
+# evaluates a route on request in its own interpreter, so that a call that
+# never returns (a scipy C loop cannot be interrupted) fails its example after
+# _CALL_SECONDS instead of hanging the suite: one line of JSON in, [name,
+# params, lam, t, x, route], one out, the values or the error of each call.
+# The route is an expectation method (a call at a float lam and one at the
+# array [lam, 0]), "atom_weights" (the weights) or "transform_rhs".
 _EXPECTATION_WORKER = """
 import json, sys
 import numpy as np
 from feynkac import catalog
 from feynkac.errors import FeynkacError
+
+def calls(name, params, lam, t, x, route):
+    if route == "atom_weights":
+        return [lambda: [float(w) for _, _, w in catalog.atom_weights(name, params, t, x)]]
+    if route == "transform_rhs":
+        return [lambda: [catalog.transform_rhs(name, params, lam, t, x)]]
+    return [lambda lams=lams: np.atleast_1d(
+                catalog.expectation(name, params, lams, t, x, method=route)).tolist()
+            for lams in (lam, np.array([lam, 0.0]))]
+
 for line in sys.stdin:
-    name, params, lam, t, x, method = json.loads(line)
     out = []
-    for lams in (lam, np.array([lam, 0.0])):
+    for call in calls(*json.loads(line)):
         try:
-            val = catalog.expectation(name, params, lams, t, x, method=method)
-            out.append(np.atleast_1d(val).tolist())
+            out.append(call())
         except FeynkacError as e:
             out.append(type(e).__name__)
         except Exception as e:
@@ -1086,16 +1115,17 @@ def expectation_worker():
     worker.close()
 
 
-def _check_contract(name, got, bound):
+def _check_contract(name, got, bound=None):
     """A worker's answer: no time-out and no raw exception, and each value
-    finite and, but for the structural entries, in [0, bound]."""
+    finite and, but for the structural entries, in [0, bound] where a bound
+    is given."""
     assert got is not None, f"no answer within {_CALL_SECONDS} s"
     for val in got:
         if isinstance(val, str):
             assert not val.startswith("raw "), val
             continue
         assert all(math.isfinite(v) for v in val)
-        if name not in WORKLOADS.STRUCTURAL:
+        if bound is not None and name not in WORKLOADS.STRUCTURAL:
             assert all(0.0 <= v <= bound for v in val), val
 
 
@@ -1135,6 +1165,37 @@ def test_quadrature_keeps_its_contract_over_the_whole_range(name, expectation_wo
 
     if name == "bessel_drift":  # 1 + 2.1e-9, past the 1e-9 the levels agree to
         check = example(k=2, lam=5.6299805044378356e-67, t=1e-6, x=277744.74930919404)(check)
+    check()
+
+
+def _members_with(what):
+    """Each pool member (and contract extra) whose entry has what, by entry."""
+    members = {}
+    for name in cat.ENTRY_NAMES:
+        for p in WORKLOADS.POOL[name] + _CONTRACT_EXTRA.get(name, []):
+            if what(cat.make_entry(name, **p)):
+                members.setdefault(name, []).append(p)
+    return members
+
+
+_WITH_ATOMS = _members_with(lambda e: e.kernel.atoms)
+_WITH_TRANSFORM = _members_with(lambda e: e.transform_rhs is not None)
+
+
+@pytest.mark.parametrize("route,name", [("atom_weights", n) for n in _WITH_ATOMS]
+                         + [("transform_rhs", n) for n in _WITH_TRANSFORM])
+def test_atoms_and_transform_keep_their_contract_over_the_whole_range(route, name,
+                                                                      expectation_worker):
+    # t, x and lam log-uniform over [1e-300, 1e300] (lam = 0 often): within
+    # _CALL_SECONDS, finite values or a FeynkacError
+    members = (_WITH_ATOMS if route == "atom_weights" else _WITH_TRANSFORM)[name]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(0, len(members) - 1), lam=st.one_of(st.just(0.0), _FULL_RANGE),
+           t=_FULL_RANGE, x=_FULL_RANGE)
+    def check(k, lam, t, x):
+        _check_contract(name, expectation_worker.call([name, members[k], lam, t, x, route]))
+
     check()
 
 

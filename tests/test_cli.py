@@ -594,6 +594,8 @@ _USAGE_ERRORS = {
     "no entry parameter value at the end": _CIR_LAMBDA + ["1", "--a"],
     "stray positional": _CIR_LAMBDA + ["1", "stray"],
     "entry parameter to verify": ["verify", "--suite", "hartman", "--a", "1"],
+    "a missing entry parameter": ["density", "--entry", "cir", "--a", "1", "--t", "1",
+                                  "--x", "1", "--y", "1"],
     "--manifest after a subcommand": ["density", "--manifest"],
     "--manifest after a whole density call": _DENSITY + ["--manifest"],
     "an argument to --manifest": ["--manifest", "--x", "1"],
@@ -632,6 +634,13 @@ _BESQ_CSV = ("t,x,y,density,log_density\n1,1,1,0.172475656944122,-1.757499171633
 ])
 def test_name_equals_value_and_repeated_options(args, want):
     assert run(*args) == (0, want)
+
+
+def test_a_missing_entry_parameter_is_named(capsys):
+    assert run(*_USAGE_ERRORS["a missing entry parameter"]) == (2, "")
+    assert capsys.readouterr().err == ("feynkac: make_entry: cir needs parameters "
+                                       "['b', 'sigma'] (takes ['a', 'b', 'sigma', "
+                                       "'mu', 'mu_lin'])\n")
 
 
 def test_the_token_after_an_option_is_its_value(capsys):
@@ -695,6 +704,32 @@ def test_a_json_document_is_one_write(args):
     assert main(args, out=buf) == 0
     assert buf.writes == 1
     json.loads(buf.getvalue())
+
+
+_JSON_ROUTES = {
+    "density with a log form": _DENSITY[:-2] + ["--y-grid", "0.5:3:0.5"],
+    "density without a log form": ["density", "--entry", "generic_linear", "--sigma", "1",
+                                   "--A", "1", "--B", "-0.3", "--t", "0.7", "--x", "1.2",
+                                   "--y-grid", "0.25:2:0.25"],
+    "density with atoms and a mass check": ["density", "--entry", "tanh_drift",
+                                            "--t", "0.7", "--x", "1.2", "--y-grid",
+                                            "0.5:2:0.5", "--check-mass"],
+    "density with two atoms": ["density", "--entry", "rational_showcase", "--a", "1",
+                               "--b", "1", "--t", "1", "--x", "1", "--y", "1"],
+    "expect on a lambda grid": _EXPECT_CLOSED,
+    "expect on a mu grid": _CIR_LAMBDA + ["0.5", "--mu-grid", "0:1:0.25"],
+    "verify": ["verify", "--suite", "hartman"],
+    "manifest": ["--manifest"],
+}
+
+
+@pytest.mark.parametrize("args", _JSON_ROUTES.values(), ids=_JSON_ROUTES.keys())
+def test_json_output_is_json_dumps_with_indent_2(args):
+    if args[0] != "--manifest":
+        args = args + ["--format", "json"]
+    code, out = run(*args)
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package is used, no
-module wraps a callable in numpy's vectorize, the catalog reads Bessel I only
+module wraps a callable in numpy's vectorize, no module but the writer in
+feynkac._jsonout calls json.dumps with an indent, the catalog reads Bessel I only
 in scaled or log-scaled form, no entry passes its transform right-hand side
 (CatalogEntry takes it from the symmetry module), no entry with terms writes
 its drift antiderivative (the terms give it), the catalog takes its
@@ -92,6 +93,42 @@ def test_the_check_sees_numpy_vectorize():
                      "k = np.vectorized\n"
                      "m = other.vectorize(g)\n")
     assert sorted(_numpy_vectorize_uses(tree)) == [2, 3, 4]
+
+
+def _indented_json_calls(tree: ast.Module):
+    """Lines that call json's dump or dumps (as json.dumps, or imported from
+    json) with an indent: json then runs its pure-Python encoder, and
+    feynkac._jsonout writes the same bytes."""
+    from_json = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "json"
+                 for alias in node.names if alias.name in ("dump", "dumps")}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps")
+                and isinstance(func.value, ast.Name) and func.value.id == "json") \
+                or (isinstance(func, ast.Name) and func.id in from_json):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in _SOURCES if p.name != "_jsonout.py"],
+                         ids=lambda p: p.name)
+def test_json_output_goes_through_one_writer(path):
+    bad = list(_indented_json_calls(ast.parse(path.read_text(), filename=str(path))))
+    assert not bad, f"{path.name}: json.dumps with an indent on lines {bad}"
+
+
+def test_the_check_sees_an_indented_json_dumps():
+    tree = ast.parse("import json\n"
+                     "a = json.dumps(doc, indent=2)\n"
+                     "b = json.dumps(doc)\n"
+                     "from json import dumps as d, loads\n"
+                     "c = d(doc, sort_keys=True, indent=None)\n"
+                     "json.dump(doc, fh, indent=1)\n"
+                     "e = other.dumps(doc, indent=2)\n"
+                     "f = loads(text)\n")
+    assert sorted(_indented_json_calls(tree)) == [2, 5, 6]
 
 
 def _unscaled_bessel_uses(tree: ast.Module):
