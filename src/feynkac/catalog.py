@@ -131,7 +131,7 @@ excluded from mass accounting.
 from __future__ import annotations
 
 import functools
-import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -629,18 +629,6 @@ def _core_sum(diff: DiffusionSpec, ric: RiccatiParams, terms, atoms=(),
     return kernel, expect
 
 
-def _check_positive(name: str, **vals: float) -> None:
-    for k, v in vals.items():
-        if not v > 0:
-            raise ValidityError(f"{name}: requires {k} > 0 (got {v})")
-
-
-def _check_nonneg(name: str, **vals: float) -> None:
-    for k, v in vals.items():
-        if v < 0:
-            raise ValidityError(f"{name}: requires {k} >= 0 (got {v})")
-
-
 # ---------------------------------------------------------------------------
 # entry 1: squared Bessel process
 # ---------------------------------------------------------------------------
@@ -649,11 +637,8 @@ def _besq_terms(n: float):
     return ((1.0, 0.25 * (n - 2.0), 0.0),)  # u(Y) = Y^((n - 2)/4)
 
 
-def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
-               b: Optional[float] = None) -> CatalogEntry:
-    """dX = n dt + 2 sqrt(X) dW; killing g(x) = mu*x + nu/x.
-
-    b is a convenience alias: b > 0 sets mu = b^2/2.
+def _make_besq(n: float, mu: float, nu: float, b: Optional[float]) -> CatalogEntry:
+    """dX = n dt + 2 sqrt(X) dW; killing g(x) = mu*x + nu/x; b sets mu = b^2/2.
 
     Kernel: Bessel-type with index-shift absorbing both killings; the mu > 0
     case needs n >= 2 (the C2 = 0 branch is the transition density only
@@ -663,8 +648,6 @@ def _make_besq(n: float, mu: float = 0.0, nu: float = 0.0,
         if mu:
             raise ValidityError("besq: give either mu or its alias b, not both")
         mu = 0.5 * b * b
-    _check_positive("besq", n=n)
-    _check_nonneg("besq", mu=mu, nu=nu)
     if mu > 0 and n < 2:
         raise ValidityError("besq: the mu*x killing kernel requires n >= 2")
 
@@ -706,11 +689,8 @@ def besq_cosh_variant(t: float, x: float, y):
 # entry 2: Bessel process with drift a/x
 # ---------------------------------------------------------------------------
 
-def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
+def _make_bessel(a: float, mu: float) -> CatalogEntry:
     """dX = (a/X) dt + dW; killing g(x) = mu/(4x^2). gamma=0, sigma=1/2."""
-    if not a > 0.5:
-        raise ValidityError("bessel: requires a > 1/2")
-    _check_nonneg("bessel", mu=mu)
 
     terms = ((1.0, 0.5 * (a - 0.5), 0.0),)
     diff = _terms_diffusion(terms, gamma=0.0, sigma=0.5, drift=lambda x: a / x,
@@ -733,13 +713,9 @@ def _make_bessel(a: float, mu: float = 0.0) -> CatalogEntry:
 # entry 3: Bessel process with Bessel-ratio drift
 # ---------------------------------------------------------------------------
 
-def _make_bessel_drift(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
+def _make_bessel_drift(a: float, b: float, mu: float) -> CatalogEntry:
     """dX = ((a+1/2)/X + b*I_{a+1}(bX)/I_a(bX)) dt + dW; killing mu/x^2. No
     closed-form expectation: quadrature only."""
-    if not a > -1.0:
-        raise ValidityError("bessel_drift: requires a > -1")
-    _check_positive("bessel_drift", b=b)
-    _check_nonneg("bessel_drift", mu=mu)
 
     log_ive = specfun.log_bessel_ive
 
@@ -785,11 +761,8 @@ def _affine(a: float, b: float, sigma: float, label: str):
                             drift_derivative=lambda x: -b, label=label), terms
 
 
-def _make_cir(a: float, b: float, sigma: float, mu: float = 0.0,
-              mu_lin: float = 0.0) -> CatalogEntry:
+def _make_cir(a: float, b: float, sigma: float, mu: float, mu_lin: float) -> CatalogEntry:
     """dX = (a - bX) dt + sqrt(2 sigma X) dW; killing mu/x + mu_lin*x."""
-    _check_positive("cir", a=a, b=b, sigma=sigma)
-    _check_nonneg("cir", mu=mu, mu_lin=mu_lin)
 
     diff, terms = _affine(a, b, sigma, "cir")
     if mu or mu_lin:
@@ -813,8 +786,7 @@ def _make_cir(a: float, b: float, sigma: float, mu: float = 0.0,
 # entry 5: drift 2ax/(2+ax)
 # ---------------------------------------------------------------------------
 
-def _make_rational_drift(a: float, mu: float = 0.0,
-                         mu_inv: float = 0.0) -> CatalogEntry:
+def _make_rational_drift(a: float, mu: float, mu_inv: float) -> CatalogEntry:
     """dX = 2aX/(2+aX) dt + sqrt(2X) dW.
 
     Killing mu*x: kernel with a Dirac mass at y=0 whose weight is twice the
@@ -823,8 +795,6 @@ def _make_rational_drift(a: float, mu: float = 0.0,
     Killing mu_inv/x: pointwise kernel whose second term is a finite-part
     distribution near y=0; quadrature-based operations are not offered.
     """
-    _check_positive("rational_drift", a=a)
-    _check_nonneg("rational_drift", mu=mu, mu_inv=mu_inv)
     if mu > 0 and mu_inv > 0:
         raise ValidityError("rational_drift: choose mu*x or mu_inv/x killing, not both")
 
@@ -889,9 +859,8 @@ def _rational_drift_inverse(a: float, mu_inv: float, diff: DiffusionSpec,
 # entry 6: drift 2x tanh x
 # ---------------------------------------------------------------------------
 
-def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
+def _make_tanh_drift(mu: float) -> CatalogEntry:
     """dX = 2X tanh(X) dt + sqrt(2X) dW; killing mu*x; Dirac mass at 0."""
-    _check_nonneg("tanh_drift", mu=mu)
     k = math.sqrt(1.0 + mu)
 
     def sech2(x):  # 4 e^(-2|x|) / (1 + e^(-2|x|))^2: cosh(x)^2 overflows
@@ -922,11 +891,8 @@ def _make_tanh_drift(mu: float = 0.0) -> CatalogEntry:
 # entry 7: radial Ornstein-Uhlenbeck process
 # ---------------------------------------------------------------------------
 
-def _make_radial_ou(a: float, b: float, mu: float = 0.0) -> CatalogEntry:
+def _make_radial_ou(a: float, b: float, mu: float) -> CatalogEntry:
     """dX = (a/X + bX) dt + sqrt(2) dW; killing mu*x^2. gamma=0, sigma=1."""
-    if not a > 0.5:
-        raise ValidityError("radial_ou: requires a > 1/2")
-    _check_nonneg("radial_ou", mu=mu)
     A = b * b + 4.0 * mu
     if A == 0.0:
         raise ValidityError("radial_ou: requires b != 0 or mu > 0")
@@ -957,7 +923,6 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
     Dirac mass AND a signed Dirac-derivative atom at y = 0; the process-level
     meaning is unclear (the drift admits negative values), so this entry is
     structural only."""
-    _check_positive("rational_showcase", a=a, b=b)
 
     terms = ((b, -1.0, 0.0), (a, 1.0, 0.0))  # u(y) = (b + a y^2)/y
     diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0,
@@ -1139,7 +1104,6 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
     L - g); entries of this family are flagged because a plus convention also
     circulates for them.
     """
-    _check_positive("sqrt_drift", A=A, B=B)
 
     def g(x: float) -> float:
         return (0.5 * (A - 0.5 * b * b) + 0.5 * (a - 0.5 * a * a + B) / x
@@ -1171,17 +1135,14 @@ def _make_sqrt_drift(a: float, b: float, A: float, B: float) -> CatalogEntry:
 # entry 10: constructed drifts, linear family, killing mu/x
 # ---------------------------------------------------------------------------
 
-def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
-                         c1: float = 1.0, c2: float = 0.0) -> CatalogEntry:
+def _make_generic_linear(sigma: float, A: float, B: float, mu: float, c1: float,
+                         c2: float) -> CatalogEntry:
     """Drift f = 2*sigma*x*y'/y with y = sqrt(x)*(c1 I_alpha + c2 I_{-alpha})
-    at argument sqrt(2Ax)/sigma; killing mu/x. Requires A > 0,
-    2B + sigma^2 > 0 (so 2B + sigma^2 + 4*mu*sigma > 0) and index nu < 1.
+    at argument sqrt(2Ax)/sigma; killing mu/x; index nu < 1 (see the table).
     y, its drift and u0 (y at index nu over y) are riccati._bessel_y's, in
     the K basis I_-alpha = I_alpha + (2/pi) sin(alpha pi) K_alpha (DLMF
     10.27.3); DomainError where y <= 0. The kernel is p+, or where c2 != 0
     _linear_pair_kernel's (p- where c1 = 0)."""
-    _check_positive("generic_linear", sigma=sigma, A=A)
-    _check_nonneg("generic_linear", mu=mu)
     if 2.0 * B + sigma * sigma <= 0:
         raise ValidityError("generic_linear: requires 2B + sigma^2 > 0")
     if c1 == 0.0 and c2 == 0.0:
@@ -1220,15 +1181,13 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float = 0.0,
 # entry 11: affine drift, quadratic family, killing mu*x
 # ---------------------------------------------------------------------------
 
-def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
-                            c1: float = 1.0, c2: float = 0.0) -> CatalogEntry:
+def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float, c1: float,
+                            c2: float) -> CatalogEntry:
     """dX = (a - bX) dt + sqrt(2 sigma X) dW; killing mu*x. The group-invariant
     kernel of the quadratic family, c1 p+ + c2 p- with default branch weights
     (1, 0); p- takes K_nu in place of I_-nu at integer nu. No Laplace-type
     transform (the group parameter enters exponentially); the
     Whittaker-transform check uses it."""
-    _check_positive("generic_quadratic", sigma=sigma, a=a)
-    _check_nonneg("generic_quadratic", mu=mu)
     A = b * b + 4.0 * mu * sigma
     if A <= 0:
         raise ValidityError("generic_quadratic: requires b != 0 or mu > 0")
@@ -1257,29 +1216,46 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float = 0.0,
 # registry and operations
 # ---------------------------------------------------------------------------
 
-# name -> (builder, validity); the builder's signature declares the parameters
-_BUILDERS: Dict[str, Tuple[Callable[..., CatalogEntry], str]] = {
-    "besq": (_make_besq, "n > 0; mu >= 0 (needs n >= 2); nu >= 0; b aliases mu = b^2/2"),
-    "bessel": (_make_bessel, "a > 1/2; mu >= 0"),
-    "bessel_drift": (_make_bessel_drift, "a > -1; b > 0; mu >= 0"),
-    "cir": (_make_cir, "a, b, sigma > 0; mu, mu_lin >= 0"),
+# each domain's text, as messages and the manifest give it, and its test of a finite value
+_DOMAINS = {"finite": lambda v: True, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+            "> 1/2": lambda v: v > 0.5, "> -1": lambda v: v > -1.0}
+
+# name -> (builder, its parameters in its order as (name, default, domain),
+# default ... where one is required, the rules that tie parameters together):
+# _build fills the defaults and checks each value against its domain, and a
+# builder checks only the rules. besq's alias b has no value by default.
+_TABLE: Dict[str, Tuple[Callable[..., CatalogEntry], tuple, str]] = {
+    "besq": (_make_besq, (("n", ..., "> 0"), ("mu", 0.0, ">= 0"), ("nu", 0.0, ">= 0"),
+                          ("b", None, "finite")),
+             "mu > 0 needs n >= 2; b aliases mu = b^2/2, given without mu"),
+    "bessel": (_make_bessel, (("a", ..., "> 1/2"), ("mu", 0.0, ">= 0")), ""),
+    "bessel_drift": (_make_bessel_drift,
+                     (("a", ..., "> -1"), ("b", ..., "> 0"), ("mu", 0.0, ">= 0")), ""),
+    "cir": (_make_cir, (("a", ..., "> 0"), ("b", ..., "> 0"), ("sigma", ..., "> 0"),
+                        ("mu", 0.0, ">= 0"), ("mu_lin", 0.0, ">= 0")), ""),
     "rational_drift": (_make_rational_drift,
-                       "a > 0; mu, mu_inv >= 0, not both positive; "
-                       "sqrt(1+4*mu_inv) must not be an integer"),
-    "tanh_drift": (_make_tanh_drift, "mu >= 0"),
-    "radial_ou": (_make_radial_ou, "a > 1/2; mu >= 0; b != 0 or mu > 0"),
-    "rational_showcase": (_make_rational_showcase, "a, b > 0"),
-    "sqrt_drift": (_make_sqrt_drift, "A, B > 0"),
+                       (("a", ..., "> 0"), ("mu", 0.0, ">= 0"), ("mu_inv", 0.0, ">= 0")),
+                       "mu, mu_inv not both positive; sqrt(1+4*mu_inv) must not be an integer"),
+    "tanh_drift": (_make_tanh_drift, (("mu", 0.0, ">= 0"),), ""),
+    "radial_ou": (_make_radial_ou, (("a", ..., "> 1/2"), ("b", ..., "finite"),
+                                    ("mu", 0.0, ">= 0")), "b != 0 or mu > 0"),
+    "rational_showcase": (_make_rational_showcase, (("a", ..., "> 0"), ("b", ..., "> 0")), ""),
+    "sqrt_drift": (_make_sqrt_drift, (("a", ..., "finite"), ("b", ..., "finite"),
+                                      ("A", ..., "> 0"), ("B", ..., "> 0")), ""),
     "generic_linear": (_make_generic_linear,
-                       "sigma, A > 0; 2B + sigma^2 > 0; "
+                       (("sigma", ..., "> 0"), ("A", ..., "> 0"), ("B", ..., "finite"),
+                        ("mu", 0.0, ">= 0"), ("c1", 1.0, "finite"), ("c2", 0.0, "finite")),
+                       "2B + sigma^2 > 0; (c1, c2) not both 0; "
                        "2B + sigma^2 + 4*mu*sigma in (0, sigma^2)"),
-    "generic_quadratic": (_make_generic_quadratic, "sigma, a > 0; b != 0 or mu > 0"),
+    "generic_quadratic": (_make_generic_quadratic,
+                          (("sigma", ..., "> 0"), ("a", ..., "> 0"), ("b", ..., "finite"),
+                           ("mu", 0.0, ">= 0"), ("c1", 1.0, "finite"), ("c2", 0.0, "finite")),
+                          "b != 0 or mu > 0"),
 }
 
-ENTRY_NAMES = tuple(sorted(_BUILDERS))
-_SIGNATURES = {name: inspect.signature(b[0]).parameters for name, b in _BUILDERS.items()}
+ENTRY_NAMES = tuple(sorted(_TABLE))
 ENTRY_PARAMETERS: Mapping[str, Tuple[str, ...]] = MappingProxyType(
-    {name: tuple(ps) for name, ps in _SIGNATURES.items()})
+    {name: tuple(k for k, _, _ in row[1]) for name, row in _TABLE.items()})
 
 
 def make_entry(name: str, **params: float) -> CatalogEntry:
@@ -1292,9 +1268,7 @@ def make_entry(name: str, **params: float) -> CatalogEntry:
     except KeyError:
         pass
     except TypeError:  # e.g. a 0-d numpy array: built every time, not cached
-        _check_names(name, params)
         return _build(name, params)
-    _check_names(name, params)
     items = sorted(params.items())  # one entry whatever the keyword order
     canonical = (name, *items, *(type(v) for _, v in items))
     entry = _ENTRIES.get(canonical)
@@ -1314,27 +1288,36 @@ _ENTRIES: Dict[tuple, CatalogEntry] = {}
 _ENTRY_CACHE_SIZE = 2048
 
 
-def _check_names(name: str, params: Dict[str, float]) -> None:
-    if name not in _BUILDERS:
+def _build(name: str, params: Dict[str, float]) -> CatalogEntry:
+    """The builder's entry at params and the table's defaults, each value
+    finite and in its domain; EvalOverflowError where the builder's
+    arithmetic fails (at magnitudes far past 1e12), as _evaluate raises."""
+    if name not in _TABLE:
         raise DomainError(f"make_entry: unknown entry {name!r} "
                           f"(known: {', '.join(ENTRY_NAMES)})")
+    builder, table, _ = _TABLE[name]
     names = ENTRY_PARAMETERS[name]
     unknown = set(params) - set(names)
     if unknown:
         raise DomainError(f"make_entry: {name} does not take parameters "
                           f"{sorted(unknown)} (takes {list(names)})")
-    missing = [p for p, s in _SIGNATURES[name].items()  # those with no default
-               if s.default is s.empty and p not in params]
+    missing = [k for k, default, _ in table if default is ... and k not in params]
     if missing:
         raise DomainError(f"make_entry: {name} needs parameters {missing} "
                           f"(takes {list(names)})")
-
-
-def _build(name: str, params: Dict[str, float]) -> CatalogEntry:
-    for k, v in params.items():  # None is besq's default for its alias b
-        if v is not None and not math.isfinite(v):
+    values = [params.get(k, default) for k, default, _ in table]
+    for (k, _, domain), v in zip(table, values):
+        if v is None:  # besq's b
+            continue
+        if not math.isfinite(v):
             raise ValidityError(f"{name}: parameter {k} must be finite (got {v})")
-    return _BUILDERS[name][0](**params)
+        if not _DOMAINS[domain](v):
+            raise ValidityError(f"{name}: requires {k} {domain} (got {v})")
+    try:
+        return builder(*values)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise EvalOverflowError(f"make_entry: entry {name} failed at {params!r} "
+                                f"({exc})") from exc
 
 
 def _resolve(entry, params: Optional[Dict[str, float]]) -> CatalogEntry:
@@ -1681,7 +1664,16 @@ def joint_laplace_in_mu(entry, params: Optional[Dict[str, float]], lam: float,
 
 
 def manifest() -> dict:
-    """Machine-readable catalog listing."""
-    return {"schema_version": 1, "entries": [
-        {"name": name, "parameters": list(ENTRY_PARAMETERS[name]), "validity": _BUILDERS[name][1]}
-        for name in ENTRY_NAMES]}
+    """Machine-readable catalog listing: each entry's parameters, those it
+    requires, the others' defaults, and its validity region (the domains of
+    each run of parameters, then the rules)."""
+    entries = []
+    for name in ENTRY_NAMES:
+        _, table, rules = _TABLE[name]
+        runs = [f"{', '.join(k for k, _, _ in run)} {d}"
+                for d, run in itertools.groupby(table, key=lambda p: p[2])]
+        entries.append({"name": name, "parameters": list(ENTRY_PARAMETERS[name]),
+                        "required": [k for k, d, _ in table if d is ...],
+                        "defaults": {k: d for k, d, _ in table if d is not ...},
+                        "validity": "; ".join(runs + [rules] if rules else runs)})
+    return {"schema_version": 2, "entries": entries}

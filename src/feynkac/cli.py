@@ -252,15 +252,19 @@ _COMMANDS = {
 }
 _HELP = ("-h", "--help")
 _EXPECTS = {float: "a number", int: "an integer"}
+# each command's option values before its arguments, and its required options
+_DEFAULTS = {command: {name: False if convert is None else choices[0] if choices and not required
+                       else None for name, (convert, required, choices, _) in table.items()}
+             for command, (_, _, table) in _COMMANDS.items()}
+_REQUIRED = {command: [name for name, spec in table.items() if spec[1]]
+             for command, (_, _, table) in _COMMANDS.items()}
 
 
 def _scan(command: str, args: Sequence[str]):
     """Walk args once: the subcommand's options into a dict of converted
     values, every other --name value pair into a dict of raw strings (the
     entry parameters). None where -h/--help stands in an option's place."""
-    table = _COMMANDS[command][2]
-    opts = {name: False if convert is None else choices[0] if choices and not required
-            else None for name, (convert, required, choices, _) in table.items()}
+    table, opts = _COMMANDS[command][2], dict(_DEFAULTS[command])
     raw: Dict[str, str] = {}
     tokens = iter(args)
     for token in tokens:
@@ -291,7 +295,7 @@ def _scan(command: str, args: Sequence[str]):
                 opts[name] = convert(value)
             except ValueError:
                 raise ValidityError(f"--{name} expects {_EXPECTS[convert]}, got {value!r}")
-    missing = [f"--{name}" for name, spec in table.items() if spec[1] and opts[name] is None]
+    missing = [f"--{name}" for name in _REQUIRED[command] if opts[name] is None]
     if missing:
         raise ValidityError(f"{command}: the following options are required: "
                             f"{', '.join(missing)}")

@@ -350,11 +350,13 @@ def exp_scaling_symmetry(diff: DiffusionSpec, pot: PotentialSpec,
     group moves x to x*E/(E - eps), E = exp(sqrt(A)*t). Stationary solutions
     can be fixed points of the group; that is detected and flagged."""
     ev = _exp_orbit(diff, u0, params)
+    rA = math.sqrt(params.A)
     invariant = True
-    for eps, x, t in _INVARIANCE_SAMPLES:
+    for eps, x, t in _INVARIANCE_SAMPLES:  # t in units of the group's time 1/sqrt(A)
         try:
             ref = u0(x)
-            if abs(ev(eps, x, t) - ref) > 1e-9 * max(1.0, abs(ref)):
+            # relative to u0 alone (a u0 far below 1 moves by less than 1e-9); 0 shows nothing
+            if not abs(ev(eps, x, t / rA) - ref) < 1e-9 * abs(ref):
                 invariant = False
                 break
         except (DomainError, OverflowError):

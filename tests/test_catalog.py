@@ -28,7 +28,7 @@ from feynkac import catalog as cat
 from feynkac import specfun as sf
 from feynkac import verify
 from feynkac.errors import (CapabilityError, ConvergenceError, DomainError,
-                            EvalOverflowError, ValidityError)
+                            EvalOverflowError, FeynkacError, ValidityError)
 from feynkac.riccati import fit_riccati
 from test_acceptance import DOCUMENTED_CONSTANTS, RADIAL_OU_CASE
 
@@ -46,11 +46,12 @@ def test_entry_names_sorted_and_complete():
 
 def test_manifest_schema():
     m = cat.manifest()
-    assert m["schema_version"] == 1
+    assert m["schema_version"] == 2
     assert [e["name"] for e in m["entries"]] == list(cat.ENTRY_NAMES)
     for e in m["entries"]:
-        assert set(e) == {"name", "parameters", "validity"}
+        assert set(e) == {"name", "parameters", "required", "defaults", "validity"}
         assert isinstance(e["parameters"], list)
+        assert sorted(e["required"] + list(e["defaults"])) == sorted(e["parameters"])
         assert isinstance(e["validity"], str) and e["validity"]
 
 
@@ -152,6 +153,79 @@ def test_make_entry_rejects_non_finite_parameters(name, params, bad, value):
     for v in (value, np.array(value)):
         with pytest.raises(ValidityError, match=f"parameter {bad} must be finite"):
             cat.make_entry(name, **params, **{bad: v})
+
+
+# arithmetic failures of a builder at extreme values in the declared domains,
+# which make_entry raised as a raw ValueError or OverflowError
+_BUILD_OVERFLOWS = [
+    ("cir", {"a": 1.8926938222665756e-108, "b": 8.307975762656482e-152,  # c omega underflows
+             "sigma": 1.4933773446615243e+227, "mu": 0.2177870434809356}),
+    ("generic_linear", {"sigma": 1.1011727848699844e+204, "A": 2.0713989024154565e+179,
+                        "B": -0.0013883700236360856, "mu": 9.824757822787042e-186,
+                        "c1": 290.2726503353613, "c2": 2.6250566988446047}),  # index inf
+    ("generic_quadratic", {"sigma": 0.36492111758005746, "a": 2.7704163436392677e+237,
+                           "b": -0.004652567368274137, "mu": 45.80247698201432,
+                           "c1": 3.4349965511617435e+116,
+                           "c2": 1.4195026805492273e+81}),  # round(nu) of an infinite nu
+    ("generic_quadratic", {"sigma": 1.3986811374755758e+246, "a": 1.6952728507756854e+204,
+                           "b": -3.2579842000116535e+246, "mu": 3.2327356205278482e-46,
+                           "c1": 6.12505298899225e+261, "c2": -1.3660889396771583}),  # NaN nu
+    ("generic_quadratic", {"sigma": 2.0536680879627707e-203, "a": 4.1484306339560525e+104,
+                           "b": -7.47993902196328e+66, "mu": 1.2046329911336398,
+                           "c1": -7.095137954664726e-96,
+                           "c2": 9.787922555285932e-240}),  # lgamma(nu) overflows
+]
+
+
+@pytest.mark.parametrize("name,params", _BUILD_OVERFLOWS)
+def test_builder_arithmetic_failure_is_eval_overflow(name, params):
+    with pytest.raises(EvalOverflowError, match=f"make_entry: entry {name} failed"):
+        cat.make_entry(name, **params)
+
+
+_BOUNDS = {"finite": None, "> 0": 0.0, ">= 0": 0.0, "> 1/2": 0.5, "> -1": -1.0}
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _declared_params(draw, name):
+    """Each required parameter of the entry, and each other one or not, at a
+    magnitude log-uniform over [1e-300, 1e300]: from 0 with either sign where
+    its domain is every finite value, else into the domain from its bound."""
+    params = {}
+    for k, default, domain in cat._TABLE[name][1]:
+        if default is ... or draw(st.booleans()):
+            bound, mag = _BOUNDS[domain], draw(_MAGNITUDE)
+            if bound is None:
+                params[k] = draw(st.sampled_from([-mag, mag]))
+            else:  # the least value past a bound that bound + mag rounds to
+                params[k] = max(bound + mag, math.nextafter(bound, math.inf))
+    return params
+
+
+@pytest.mark.parametrize("name", cat.ENTRY_NAMES)
+def test_make_entry_over_the_declared_domains(name):
+    # in the domains, an entry or a FeynkacError (a builder's arithmetic
+    # failed raw at extreme magnitudes); one parameter drawn below its bound,
+    # the ValidityError that names it
+    bounded = [(k, d) for k, _, d in cat._TABLE[name][1] if _BOUNDS[d] is not None]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(params=_declared_params(name), bad=st.sampled_from(bounded), mag=_MAGNITUDE)
+    def check(params, bad, mag):
+        try:
+            cat.make_entry(name, **params)
+        except FeynkacError:
+            pass
+        k, domain = bad
+        params[k] = _BOUNDS[domain] - mag
+        with pytest.raises(ValidityError, match=re.escape(f"{name}: requires {k} {domain} (got")):
+            cat.make_entry(name, **params)
+
+    for n, params in _BUILD_OVERFLOWS:
+        if n == name:
+            check = example(params=dict(params), bad=bounded[0], mag=1.0)(check)
+    check()
 
 
 def test_entry_params_are_read_only():
@@ -937,6 +1011,21 @@ def test_transform_identity_spot_check():
                                                   lam, t, x), rel=1e-9)
 
 
+@pytest.mark.parametrize("mu", [100.0, 1e3, 1e4])
+def test_tanh_drift_builds_at_large_mu(mu):
+    # the exp_scaling orbit of u0 = e^(-ky)/cosh(y) was taken for a fixed
+    # point above mu = 87.1158: at fixed times it moved u0 by less than an
+    # absolute 1e-9, so that the atom weight, and the build, raised CapabilityError
+    entry = cat.make_entry("tanh_drift", mu=mu)
+    lams = np.array([0.0, 0.7, 3.0])
+    for t, x in [(0.8, 1.2), (0.3, 0.5)]:
+        for row in verify.check_transform_identity(entry, lams, t, x).rows:
+            assert row.rel_err <= 1e-12, row
+        closed = cat.expectation(entry, None, lams, t, x, method="closed")
+        quad = cat.expectation(entry, None, lams, t, x, method="quadrature")
+        np.testing.assert_allclose(closed, quad, rtol=1e-10, atol=0.0)
+
+
 def test_expectation_capability_errors():
     # no closed form for the radially symmetric entry's transform; squared
     # state variable expectations still work by quadrature
@@ -1165,6 +1254,23 @@ def test_quadrature_keeps_its_contract_over_the_whole_range(name, expectation_wo
 
     if name == "bessel_drift":  # 1 + 2.1e-9, past the 1e-9 the levels agree to
         check = example(k=2, lam=5.6299805044378356e-67, t=1e-6, x=277744.74930919404)(check)
+    check()
+
+
+@pytest.mark.parametrize("name", cat.ENTRY_NAMES)
+def test_auto_keeps_its_contract_over_the_whole_range(name, expectation_worker):
+    # as the routes auto takes: the closed form's 1 + 1e-12 where there is
+    # one, else the quadrature's 1 + 1e-8 (a finite-part kernel has neither)
+    members = WORKLOADS.POOL[name] + _CONTRACT_EXTRA.get(name, [])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(0, len(members) - 1), lam=st.one_of(st.just(0.0), _FULL_RANGE),
+           t=_FULL_RANGE, x=_FULL_RANGE)
+    def check(k, lam, t, x):
+        closed = cat.make_entry(name, **members[k]).expectation_closed is not None
+        _check_contract(name, expectation_worker.call([name, members[k], lam, t, x, "auto"]),
+                        1.0 + (1e-12 if closed else 1e-8))
+
     check()
 
 
@@ -1507,7 +1613,7 @@ def test_derived_transform_makes_no_more_specfun_calls(member, monkeypatch):
     name, params = member
     counts = [0]
     _count_specfun_calls(monkeypatch, counts)
-    entry = cat._BUILDERS[name][0](**params)  # built after the patch, uncached
+    entry = cat._build(name, params)  # built after the patch, uncached
     for lam, t, x in _TRANSFORM_GRID[::7]:
         counts[0] = 0
         _RHS_ORACLES[name](lam, t, x, **params)
@@ -2594,7 +2700,7 @@ def test_generic_linear_kernel_specfun_calls_per_point(monkeypatch):
     for params, want in [({"sigma": 1.0, "A": 1.0, "B": -0.3}, 3),
                          ({"sigma": 0.8, "A": 1.5, "B": -0.2, "mu": 0.05,
                            "c1": 1.0, "c2": 0.7}, 8)]:
-        entry = cat._BUILDERS["generic_linear"][0](**params)  # built after the patch
+        entry = cat._build("generic_linear", params)  # built after the patch
         counts[0] = 0
         entry.kernel.continuous(0.7, 1.3, 0.9)
         assert counts[0] == want

@@ -740,8 +740,9 @@ def test_manifest_flag():
     code, out = run("--manifest")
     assert code == 0
     obj = json.loads(out)
-    assert obj["schema_version"] == 1
+    assert obj["schema_version"] == 2
     assert len(obj["entries"]) == 11
+    assert set(obj["entries"][0]) == {"name", "parameters", "required", "defaults", "validity"}
 
 
 def test_output_is_byte_identical_across_invocations():

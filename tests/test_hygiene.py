@@ -13,8 +13,10 @@ and u0 from that y, a float in specfun reaches no fallback but through the
 one array implementation of its function, the closed forms' moments
 (catalog._core_at and _log_core_moments) are one formula for every omega t,
 with no fork on omega = 0 or on a threshold of e^(-2 omega t), and the
-catalog calls specfun's Laplace-Bessel moment from one function only, and no
-catalog function writes into module-level state but the entry cache.
+catalog calls specfun's Laplace-Bessel moment from one function only, no
+catalog function writes into module-level state but the entry cache, and each
+entry's parameters are declared once, in the catalog's table: every builder
+takes its row's parameters in the row's order, with no default.
 
 No linter is part of the toolchain, so this walks the package sources with
 ast. A name counts as used when the module reads it anywhere (including in
@@ -683,3 +685,49 @@ def test_the_check_sees_a_module_level_cache():
     assert sorted(_module_state_writes(tree)) == [
         ("count", "_N", 12), ("lookup", "_CACHE", 6), ("lookup", "_CACHE", 9),
         ("lookup", "_KEYS", 7), ("lookup", "_KEYS", 9)]
+
+
+def _table_mismatches(tree: ast.Module, table: str = "_TABLE"):
+    """(builder, fault) for each row of the module's table dict whose builder
+    takes other parameters than the row declares, or in another order, or
+    gives one a default."""
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    rows = None
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == table for t in targets):
+            rows = node.value
+    for row in rows.values:
+        builder, params = row.elts[0].id, row.elts[1].elts
+        args = funcs[builder].args
+        takes = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        declared = [p.elts[0].value for p in params]
+        if takes != declared:
+            yield builder, f"takes {takes}, declared {declared}"
+        if args.defaults or any(d is not None for d in args.kw_defaults):
+            yield builder, "has defaults"
+
+
+def test_each_builder_takes_its_declared_parameters():
+    # a builder's signature was a second declaration of the parameter names
+    # and defaults, beside its checks and the manifest's text
+    bad = list(_table_mismatches(_catalog_tree()))
+    assert not bad, f"catalog.py: builders differ from their table rows: {bad}"
+
+
+def test_the_check_sees_a_builder_that_differs_from_its_row():
+    tree = ast.parse("def _make_a(x, y): pass\n"
+                     "def _make_b(y, x): pass\n"
+                     "def _make_c(x, y=1.0): pass\n"
+                     "def _make_d(x, *, y=None): pass\n"
+                     "def _make_e(x): pass\n"
+                     "_TABLE: dict = {\n"
+                     "    'a': (_make_a, (('x', ..., '> 0'), ('y', 0.0, 'finite')), ''),\n"
+                     "    'b': (_make_b, (('x', ..., '> 0'), ('y', 0.0, 'finite')), ''),\n"
+                     "    'c': (_make_c, (('x', ..., '> 0'), ('y', 0.0, 'finite')), ''),\n"
+                     "    'd': (_make_d, (('x', ..., '> 0'), ('y', 0.0, 'finite')), ''),\n"
+                     "    'e': (_make_e, (('x', ..., '> 0'), ('y', 0.0, 'finite')), ''),\n"
+                     "}\n")
+    assert list(_table_mismatches(tree)) == [
+        ("_make_b", "takes ['y', 'x'], declared ['x', 'y']"), ("_make_c", "has defaults"),
+        ("_make_d", "has defaults"), ("_make_e", "takes ['x'], declared ['x', 'y']")]
