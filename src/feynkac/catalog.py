@@ -51,7 +51,7 @@ and a builder supplies only the h-ratio H. An entry with a closed form
 states its h-function once, as the terms of u(Y) = sum_i c_i Y^p_i
 e^(-beta_i Y), H = log u(Y)/u(X): from them _terms_diffusion forms its drift
 antiderivative F = 2 sigma log sum_i c_i x^(m p_i + 1/2) e^(-beta_i x^m),
-checked against the hand-written drift, and _core_sum the kernel with its
+the drift f = x^gamma F' and f', and _core_sum the kernel with its
 atoms and E_x[exp(-lam X_t^m)] = e^(r t) sum_i w_i(X) B_i + atoms, w_i(X) =
 c_i X^p_i e^(-beta_i X)/u(X) and B_i the Laplace-Bessel moment of term i, one
 log-1F1 (_log_core_moments), by one formula for every w and t (at s = 1,
@@ -150,7 +150,7 @@ from .errors import (
 )
 from . import specfun
 from .riccati import (_VALIDATION_POINTS, DiffusionSpec, PotentialSpec, RiccatiParams,
-                      _bessel_y, _finite, _on_array, _ratio_drift)
+                      _bessel_y, _finite, _on_array, _ratio_drift, _sum_of)
 from .symmetry import (StationarySolution, atom_weight, bessel_core, gauge_solution,
                        orbit_transform, stationary_branch)
 
@@ -533,18 +533,22 @@ def _terms_ratio(terms, m: float) -> Callable:
     return ratio
 
 
-def _terms_diffusion(terms, gamma: float, sigma: float, drift, drift_derivative,
-                     label: str) -> DiffusionSpec:
-    """DiffusionSpec with F = 2 sigma log sum_i c_i x^(m p_i + 1/2) e^(-beta_i
-    x^m), m = 2 - gamma, of one or two terms of u(Y) (_terms_ratio), whose F'
-    = f/x^gamma check then checks the terms against the drift. F is float-only,
-    as cheap as a hand-written one: math.log and math.pow keep a numpy scalar x
-    out of the arithmetic, and a sum of two is unrolled. F(0) is finite where
-    no exponent is negative."""
+def _terms_diffusion(terms, gamma: float, sigma: float, label: str) -> DiffusionSpec:
+    """DiffusionSpec of one or two terms of u(Y) (_terms_ratio), gamma 0 or 1
+    (1 for two), m = 2 - gamma, e_i = m p_i + 1/2: F = 2 sigma log sum_i c_i
+    x^e_i e^(-beta_i x^m), f = x^gamma F' = 2 sigma sum_i w_i (e_i x^(gamma-1)
+    - m beta_i x), w_i the terms' weights, and f', zero coefficients left out.
+    Two terms mix each as (a_1 + a_2)/2 + T (a_1 - a_2)/2, T = tanh(h), h half
+    the log of term 1 over term 2, T' = h' sech(h)^2 (4e/(1 + e)^2, e = e^-2|h|:
+    1 - T^2 loses digits). f and f' take x > 0, a float or a float64 array; F
+    a float, by math.log and math.pow, finite at 0 where no e_i is negative."""
     m, s2 = 2.0 - gamma, 2.0 * sigma
     (l1, e1, b1), *rest = [(math.log(ci), m * p + 0.5, beta) for ci, p, beta in terms]
     if not rest:
         log_c, e, b = s2 * l1, s2 * e1, s2 * b1
+        k = -m * b  # f = e x^(gamma-1) + k x, e/x at gamma = 0: numpy's power is slow
+        drift = lambda x: _sum_of(e if gamma else e / x, k and k * x)
+        slope = lambda x: _sum_of(k, 0.0 if gamma else -e / (x * x))
 
         def F(x: float) -> float:
             return e * math.log(x) - b * math.pow(x, m) + log_c
@@ -559,8 +563,23 @@ def _terms_diffusion(terms, gamma: float, sigma: float, drift, drift_derivative,
             if g < h:
                 g, h = h, g
             return s2 * (l1 + (g + math.log1p(math.exp(h - g))))
+        # h = hc + hl log x + hx x (x itself where hx = 1), f = f0 + f1 T + (f2
+        # + f3 T) x and f' = f2 + f3 T + sech(h)^2 h' (f1 + f3 x), h' = hl/x + hx
+        hc, hl, hx = -0.5 * l2, 0.5 * (e1 - e2), 0.5 * (b2 - b1)
+        f0, f1, f2, f3 = sigma * (e1 + e2), s2 * hl, -sigma * (b1 + b2), s2 * hx
+        h_at = lambda x: _sum_of(hc, hl and hl * np.log(x), hx and (x if hx == 1.0 else hx * x))
+
+        def drift(x):
+            T = np.tanh(h_at(x))
+            return _sum_of(f0, f1 and f1 * T, f2 and f2 * x, f3 and f3 * T * x)
+
+        def slope(x):
+            h = h_at(x)
+            e = np.exp(-2.0 * np.abs(h))
+            sech2_dh = 4.0 * e / (1.0 + e) ** 2 * _sum_of(hl and hl / x, hx)
+            return _sum_of(sech2_dh * _sum_of(f1, f3 and f3 * x), f3 and f3 * np.tanh(h), f2)
     return DiffusionSpec(gamma=gamma, sigma=sigma, drift=drift, drift_antiderivative=F,
-                         label=label, drift_derivative=drift_derivative)
+                         label=label, drift_derivative=slope)
 
 
 def _log_terms(logc, z: float, lz: float):
@@ -652,8 +671,7 @@ def _make_besq(n: float, mu: float, nu: float, b: Optional[float]) -> CatalogEnt
         raise ValidityError("besq: the mu*x killing kernel requires n >= 2")
 
     terms = _besq_terms(n)
-    diff = _terms_diffusion(terms, gamma=1.0, sigma=2.0, drift=lambda x: n,
-                            drift_derivative=lambda x: 0.0, label="besq")
+    diff = _terms_diffusion(terms, gamma=1.0, sigma=2.0, label="besq")
     pot = PotentialSpec(form="inverse_plus_linear", mu=mu, nu_coeff=nu) \
         if (mu or nu) else PotentialSpec(form="zero")
     C = 0.5 * n * (n - 4.0) + 4.0 * nu
@@ -693,8 +711,7 @@ def _make_bessel(a: float, mu: float) -> CatalogEntry:
     """dX = (a/X) dt + dW; killing g(x) = mu/(4x^2). gamma=0, sigma=1/2."""
 
     terms = ((1.0, 0.5 * (a - 0.5), 0.0),)
-    diff = _terms_diffusion(terms, gamma=0.0, sigma=0.5, drift=lambda x: a / x,
-                            drift_derivative=lambda x: -a / (x * x), label="bessel")
+    diff = _terms_diffusion(terms, gamma=0.0, sigma=0.5, label="bessel")
     pot = PotentialSpec(form="power", mu=mu / 4.0, n=-2.0) if mu \
         else PotentialSpec(form="zero")
     ric = RiccatiParams("linear", A=0.0, B=0.5 * a * (a - 1.0) + 0.25 * mu)
@@ -757,8 +774,7 @@ def _affine(a: float, b: float, sigma: float, label: str):
     c omega is, (1/s)(sqrt(A)/2), so that the two are equal at A = b^2."""
     s = 1.0 / sigma
     terms = ((1.0, 0.5 * a * s - 0.5, 0.5 * b * s),)
-    return _terms_diffusion(terms, gamma=1.0, sigma=sigma, drift=lambda x: a - b * x,
-                            drift_derivative=lambda x: -b, label=label), terms
+    return _terms_diffusion(terms, gamma=1.0, sigma=sigma, label=label), terms
 
 
 def _make_cir(a: float, b: float, sigma: float, mu: float, mu_lin: float) -> CatalogEntry:
@@ -799,10 +815,7 @@ def _make_rational_drift(a: float, mu: float, mu_inv: float) -> CatalogEntry:
         raise ValidityError("rational_drift: choose mu*x or mu_inv/x killing, not both")
 
     terms = ((2.0, -0.5, 0.0), (a, 0.5, 0.0))  # u(y) = (2 + ay)/sqrt(y)
-    diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0,
-                            drift=lambda x: 2.0 * a * x / (2.0 + a * x),
-                            drift_derivative=lambda x: 4.0 * a / (2.0 + a * x) ** 2,
-                            label="rational_drift")
+    diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0, label="rational_drift")
 
     if mu_inv > 0.0:
         return _rational_drift_inverse(a, mu_inv, diff, terms)
@@ -862,16 +875,8 @@ def _rational_drift_inverse(a: float, mu_inv: float, diff: DiffusionSpec,
 def _make_tanh_drift(mu: float) -> CatalogEntry:
     """dX = 2X tanh(X) dt + sqrt(2X) dW; killing mu*x; Dirac mass at 0."""
     k = math.sqrt(1.0 + mu)
-
-    def sech2(x):  # 4 e^(-2|x|) / (1 + e^(-2|x|))^2: cosh(x)^2 overflows
-        e = np.exp(-2.0 * np.abs(x))
-        return 4.0 * e / (1.0 + e) ** 2
-
     terms = ((0.5, -0.5, -1.0), (0.5, -0.5, 1.0))  # u(y) = cosh(y)/sqrt(y)
-    diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0,
-                            drift=lambda x: 2.0 * x * np.tanh(x),
-                            drift_derivative=lambda x: 2.0 * np.tanh(x) + 2.0 * x * sech2(x),
-                            label="tanh_drift")
+    diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0, label="tanh_drift")
     pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
 
     u0 = gauge_solution(diff, lambda y: -k * y, "decaying branch exp(-ky)/cosh(y)")
@@ -899,9 +904,7 @@ def _make_radial_ou(a: float, b: float, mu: float) -> CatalogEntry:
 
     # u(y) = y^((a - 1)/2) e^(b y^2/4), the index (a - 1)/2 of the branch sign(a - 1)
     terms = ((1.0, 0.25 * (a - 1.0), -0.25 * b),)
-    diff = _terms_diffusion(terms, gamma=0.0, sigma=1.0, drift=lambda x: a / x + b * x,
-                            drift_derivative=lambda x: -a / (x * x) + b,
-                            label="radial_ou")
+    diff = _terms_diffusion(terms, gamma=0.0, sigma=1.0, label="radial_ou")
     pot = PotentialSpec(form="power", mu=mu, n=2.0) if mu else PotentialSpec(form="zero")
     ric = RiccatiParams("quadratic", A=A, B=b * (1.0 + a), C=0.5 * a * a - a)
 
@@ -925,10 +928,7 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
     structural only."""
 
     terms = ((b, -1.0, 0.0), (a, 1.0, 0.0))  # u(y) = (b + a y^2)/y
-    diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0,
-                            drift=lambda x: 3.0 - 4.0 * b / (b + a * x * x),
-                            drift_derivative=lambda x: 8.0 * a * b * x / (b + a * x * x) ** 2,
-                            label="rational_showcase")
+    diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0, label="rational_showcase")
     pot = PotentialSpec(form="zero")
     ric = RiccatiParams("linear", A=0.0, B=1.5)
 

@@ -87,14 +87,24 @@ def _on_array(func: Callable, xs: np.ndarray, what: str):
     return out
 
 
+def _sum_of(*vals):
+    """The sum of floats and float64 arrays, float zeros left out (0.0 where all are)."""
+    out = None
+    for v in vals:
+        if type(v) is np.ndarray or v:
+            out = v if out is None else out + v
+    return 0.0 if out is None else out
+
+
 @dataclass(frozen=True)
 class DiffusionSpec:
     """A diffusion on [0, inf): generator sigma*x^gamma*d2/dx2 + f(x)*d/dx.
 
     drift f, and drift_derivative when given, take a float or a float64
     array and return that shape or a scalar (a constant). Construction
-    evaluates both once on an array and raises ConstructionError for a
-    callable that does not; the Euler estimator (verify.mc_expectation) and
+    evaluates both once on an array of _VALIDATION_POINTS and raises
+    ConstructionError for a callable that does not, or whose values there are
+    not all finite; the Euler estimator (verify.mc_expectation) and
     fit_riccati then call them once on all paths or grid points.
     drift_antiderivative is F with F'(x) = f(x)/x^gamma, float-only (checked
     numerically at construction). drift_derivative, when given, makes
@@ -113,9 +123,14 @@ class DiffusionSpec:
             raise DomainError("DiffusionSpec: sigma must be > 0")
         xs = np.array(_VALIDATION_POINTS)
         f = _on_array(self.drift, xs, f"DiffusionSpec '{self.label}': drift")
+        values = {"drift": f}
         if self.drift_derivative is not None:
-            _on_array(self.drift_derivative, xs,
-                      f"DiffusionSpec '{self.label}': drift_derivative")
+            values["drift_derivative"] = _on_array(
+                self.drift_derivative, xs, f"DiffusionSpec '{self.label}': drift_derivative")
+        for what, v in values.items():
+            if not np.isfinite(v).all():
+                raise ConstructionError(f"DiffusionSpec '{self.label}': {what} is not finite "
+                                        f"at x = {_VALIDATION_POINTS}: {v!r}")
         if self.drift_antiderivative is None:
             return
         for x, fx in zip(_VALIDATION_POINTS, np.broadcast_to(f, xs.shape)):
@@ -156,7 +171,7 @@ class PotentialSpec:
     """Killing function g(x).
 
     form 'power': g = mu * x^n (n < 0 is singular at the origin);
-    form 'inverse_plus_linear': g = nu_coeff / x + mu * x;
+    form 'inverse_plus_linear': g = nu_coeff / x + mu * x (a zero term left out);
     form 'zero': g = 0;
     form 'tabulated': a callable func under the array contract of the drift
     (checked at construction), no analytic derivative.
@@ -193,7 +208,7 @@ class PotentialSpec:
         if self.form == "power":
             return self.mu * x ** self.n
         if self.form == "inverse_plus_linear":
-            return self.nu_coeff / x + self.mu * x
+            return _sum_of(self.nu_coeff and self.nu_coeff / x, self.mu and self.mu * x)
         return self.func(x)
 
     def derivative(self, x: float) -> float:
@@ -203,7 +218,7 @@ class PotentialSpec:
         if self.form == "power":
             return self.mu * self.n * x ** (self.n - 1.0)
         if self.form == "inverse_plus_linear":
-            return -self.nu_coeff / (x * x) + self.mu
+            return _sum_of(self.nu_coeff and -self.nu_coeff / (x * x), self.mu)
         raise CapabilityError("PotentialSpec: tabulated potential has no analytic derivative")
 
 

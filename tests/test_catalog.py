@@ -456,6 +456,83 @@ def test_tanh_drift_derivative_does_not_overflow():
     assert np.allclose(d(x), old, rtol=1e-15, atol=0.0)
 
 
+def _sech2(x):  # 4 e^(-2|x|) / (1 + e^(-2|x|))^2, as tanh_drift's was written
+    e = np.exp(-2.0 * np.abs(x))
+    return 4.0 * e / (1.0 + e) ** 2
+
+
+# each terms entry's drift and drift derivative as they were written by hand,
+# at the parameters of _HAND_WRITTEN_F, frozen
+_HAND_WRITTEN_DRIFT = [
+    ("besq", {"n": 3.0}, lambda x: 3.0, lambda x: 0.0),
+    ("bessel", {"a": 1.2}, lambda x: 1.2 / x, lambda x: -1.2 / (x * x)),
+    ("cir", {"a": 0.9, "b": 1.4, "sigma": 0.6}, lambda x: 0.9 - 1.4 * x, lambda x: -1.4),
+    ("generic_quadratic", {"sigma": 0.6, "a": 1.1, "b": 0.8},
+     lambda x: 1.1 - 0.8 * x, lambda x: -0.8),
+    ("rational_drift", {"a": 2.0, "mu": 1.0},
+     lambda x: 2.0 * 2.0 * x / (2.0 + 2.0 * x), lambda x: 4.0 * 2.0 / (2.0 + 2.0 * x) ** 2),
+    ("rational_drift", {"a": 1.5, "mu_inv": 0.3},
+     lambda x: 2.0 * 1.5 * x / (2.0 + 1.5 * x), lambda x: 4.0 * 1.5 / (2.0 + 1.5 * x) ** 2),
+    ("tanh_drift", {}, lambda x: 2.0 * x * np.tanh(x),
+     lambda x: 2.0 * np.tanh(x) + 2.0 * x * _sech2(x)),
+    ("radial_ou", {"a": 0.9, "b": -0.5},
+     lambda x: 0.9 / x + -0.5 * x, lambda x: -0.9 / (x * x) + -0.5),
+    ("rational_showcase", {"a": 0.8, "b": 1.3},
+     lambda x: 3.0 - 4.0 * 1.3 / (1.3 + 0.8 * x * x),
+     lambda x: 8.0 * 0.8 * 1.3 * x / (1.3 + 0.8 * x * x) ** 2),
+]
+
+
+@pytest.mark.parametrize("name,params,f,fp", _HAND_WRITTEN_DRIFT)
+def test_drift_from_the_terms_matches_the_hand_written_one(name, params, f, fp):
+    # f = x^gamma F' and f' of the terms, two terms mixed by T = tanh(h), h
+    # half the log of term 1 over term 2, at the xs of _HAND_WRITTEN_F, as a
+    # float, a numpy scalar and an array; x = 0 only for tanh_drift: the
+    # rational entries' h has a log x term, and their drifts take x > 0
+    diff = cat.make_entry(name, **params).diffusion
+    xs = [1e-3, 0.5, 1.0, 2.0, 7.5, 40.0] + {"tanh_drift": [0.0, 800.0]}.get(name, [])
+    for arg in (*xs, *map(np.float64, xs), np.array(xs)):
+        want, want_p, got, got_p = (np.broadcast_to(g(arg), np.shape(arg))
+                                    for g in (f, fp, diff.drift, diff.drift_derivative))
+        scale = np.maximum(1.0, np.abs(want))
+        assert (np.abs(got - want) <= 1e-14 * scale).all(), (arg, got, want)
+        assert (np.abs(arg * (got_p - want_p))
+                <= 1e-14 * np.maximum(scale, np.abs(arg * want_p))).all(), (arg, got_p, want_p)
+
+
+@pytest.mark.parametrize("name,params,want", [
+    # (b + a x^2)^2 overflowed in the hand-written f' = 8abx/(b + ax^2)^2: f' = 8a/b
+    ("rational_showcase", {"a": 8.79e-52, "b": 2.99e261}, (-1.0, 8.0 * 8.79e-52 / 2.99e261)),
+    # ... and underflowed to 0 (ZeroDivisionError): f' = 8b/a
+    ("rational_showcase", {"a": 9.87e-177, "b": 1.72e-286},
+     (3.0, 8.0 * 1.72e-286 / 9.87e-177)),
+    # (2 + a x)^2 overflowed in the hand-written f' = 4a/(2 + ax)^2: f' = 4/a
+    ("rational_drift", {"a": 5.25e204, "mu": 2.49e109}, (2.0, 4.0 / 5.25e204)),
+])
+def test_drift_derivative_at_extreme_parameters_is_finite(name, params, want):
+    # at x = 1 as a float and on an array, no exception and no numpy warning
+    diff = cat.make_entry(name, **params).diffusion
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1.0, np.array([1.0, 1.0])):
+            for func, value in zip((diff.drift, diff.drift_derivative), want):
+                got = func(x)
+                assert np.isfinite(got).all()
+                assert np.allclose(got, value, rtol=1e-9, atol=0.0), (func, got, value)
+
+
+@pytest.mark.parametrize("params", [
+    {"a": 4.97e142, "b": 8.19e196, "mu": 5.34e205},
+    {"a": 4.19e278, "b": 9.12e29, "mu": 1.48e-123},
+    {"a": -0.9999999999999999, "b": 1.42e261},  # only the drift derivative is NaN
+])
+def test_bessel_drift_with_a_drift_that_is_not_finite_is_refused(params):
+    # the ratio of two overflowing log-Bessel terms is NaN: a FeynkacError
+    # (exit 3) when the entry is built, not a NaN drift for the Euler scheme
+    with np.errstate(all="ignore"), pytest.raises(FeynkacError, match="is not finite"):
+        cat.make_entry("bessel_drift", **params)
+
+
 @pytest.mark.parametrize("name,params", [
     ("besq", {"n": 1.5, "mu": 0.5}),       # linear killing needs n >= 2
     ("bessel", {"a": 0.4}),                  # needs a > 1/2

@@ -3,11 +3,11 @@ module wraps a callable in numpy's vectorize, no module but the writer in
 feynkac._jsonout calls json.dumps with an indent, the catalog reads Bessel I only
 in scaled or log-scaled form, no entry passes its transform right-hand side
 (CatalogEntry takes it from the symmetry module), no entry with terms writes
-its drift antiderivative (the terms give it), the catalog takes its
-closed-form expectations from the kernels' Bessel-core terms and every
-kernel, rational_drift's finite-part one too, from the declared Riccati
-constants instead of writing them, riccati and
-symmetry write the linear family's Bessel solution y once (riccati._bessel_y),
+its drift, drift derivative or drift antiderivative (the terms give them),
+the catalog takes its closed-form expectations from the kernels' Bessel-core
+terms and every kernel, rational_drift's finite-part one too, from the
+declared Riccati constants instead of writing them, riccati and symmetry
+write the linear family's Bessel solution y once (riccati._bessel_y),
 generic_linear and rational_drift's finite part take their two-branch kernel
 and u0 from that y, a float in specfun reaches no fallback but through the
 one array implementation of its function, the closed forms' moments
@@ -238,19 +238,19 @@ def _catalog_tree():
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _keyword_passes(tree: ast.Module, callee: str, field: str, caller_calls: str = ""):
-    """Lines of the calls to callee that pass the keyword field, in the
-    module-level functions that call caller_calls too (in every function
-    where it is empty)."""
+def _keyword_passes(tree: ast.Module, callee, field: str, caller_calls: str = ""):
+    """Lines of the calls to callee (to any callable where it is None) that
+    pass the keyword field, in the module-level functions that call
+    caller_calls too (in every function where it is empty)."""
     for func in tree.body:
         if not isinstance(func, ast.FunctionDef):
             continue
-        calls = [n for n in ast.walk(func)
-                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
-        if caller_calls and not any(c.func.id == caller_calls for c in calls):
+        calls = [n for n in ast.walk(func) if isinstance(n, ast.Call)]
+        if caller_calls and not any(getattr(c.func, "id", None) == caller_calls for c in calls):
             continue
         for call in calls:
-            if call.func.id == callee and any(k.arg == field for k in call.keywords):
+            if callee in (None, getattr(call.func, "id", None)) and any(
+                    k.arg == field for k in call.keywords):
                 yield call.lineno
 
 
@@ -290,6 +290,36 @@ def test_the_check_sees_a_hand_written_drift_antiderivative():
                      "    return DiffusionSpec(drift=f, drift_antiderivative=F)\n")
     assert list(_keyword_passes(tree, "DiffusionSpec", "drift_antiderivative",
                                 "_core_sum")) == [2]
+
+
+def _drift_passes(tree: ast.Module):
+    """Lines of the calls, to any callable, that pass drift or drift_derivative
+    in the module-level functions that call _core_sum."""
+    return sorted(line for field in ("drift", "drift_derivative")
+                  for line in _keyword_passes(tree, None, field, "_core_sum"))
+
+
+def test_terms_entries_write_no_drift():
+    # a builder with a closed form (_core_sum's terms) takes its drift and
+    # drift derivative from its terms (_terms_diffusion), as it takes F
+    bad = _drift_passes(_catalog_tree())
+    assert not bad, f"catalog.py: a drift or its derivative next to _core_sum on lines {bad}"
+
+
+def test_the_check_sees_a_hand_written_drift():
+    tree = ast.parse("def _make_a(n):\n"
+                     "    diff = _terms_diffusion(terms, drift=lambda x: n)\n"
+                     "    kernel, expect = _core_sum(diff, ric, terms)\n"
+                     "def _make_b(n):\n"
+                     "    diff = DiffusionSpec(drift_derivative=fp, label='b')\n"
+                     "    diff = dataclasses.replace(diff, drift=f)\n"
+                     "    kernel, expect = _core_sum(diff, ric, terms)\n"
+                     "def _make_c(n):\n"
+                     "    diff = _terms_diffusion(terms, label='c')\n"
+                     "    kernel, expect = _core_sum(diff, ric, terms)\n"
+                     "def _make_d(n):\n"
+                     "    return DiffusionSpec(drift=f, drift_derivative=fp)\n")
+    assert _drift_passes(tree) == [2, 5, 6]
 
 
 def test_catalog_writes_no_expectation_by_hand():

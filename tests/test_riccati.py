@@ -359,6 +359,27 @@ def test_specs_refuse_callables_that_do_not_take_arrays(make):
         make()
 
 
+@pytest.mark.parametrize("field", ["drift", "drift_derivative"])
+def test_diffusion_spec_refuses_a_drift_that_is_not_finite(field):
+    # a NaN or infinite value at a check point is refused when the spec is
+    # made, not handed to the Euler scheme or a residual
+    funcs = {"drift": lambda x: 1.0 - x, field: lambda x: np.where(x > 1.5, np.inf, 1.0)}
+    with pytest.raises(ConstructionError, match=f"{field} is not finite"):
+        DiffusionSpec(gamma=1.0, sigma=1.0, **funcs)
+
+
+def test_inverse_plus_linear_leaves_a_zero_term_out():
+    # nu/x alone and mu*x alone, bit for bit, with no array operation for
+    # the zero term; its derivative a constant where nu = 0
+    x = np.geomspace(1e-3, 1e3, 7)
+    assert np.array_equal(PotentialSpec(form="inverse_plus_linear", nu_coeff=0.3)(x), 0.3 / x)
+    assert np.array_equal(PotentialSpec(form="inverse_plus_linear", mu=0.7)(x), 0.7 * x)
+    both = PotentialSpec(form="inverse_plus_linear", nu_coeff=0.3, mu=0.7)
+    assert np.array_equal(both(x), 0.3 / x + 0.7 * x)
+    assert np.array_equal(both.derivative(x), -0.3 / (x * x) + 0.7)
+    assert PotentialSpec(form="inverse_plus_linear", mu=0.7).derivative(x) == 0.7
+
+
 def test_potential_spec_forms():
     pot = PotentialSpec(form="power", mu=2.0, n=-1.0)
     assert pot(4.0) == pytest.approx(0.5)
