@@ -1147,6 +1147,12 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float, c1: float,
         raise ValidityError("generic_linear: requires 2B + sigma^2 > 0")
     if c1 == 0.0 and c2 == 0.0:
         raise ValidityError("generic_linear: (c1, c2) must not both be zero")
+    ric = RiccatiParams("linear", A=0.5 * A / sigma, B=B + 2.0 * sigma * mu)
+    nu = math.sqrt(sigma * sigma + 2.0 * ric.B) / sigma  # bessel_core's index at gamma = 1
+    if not nu < 1.0:  # before the drift, whose self-check may fail first out of range
+        raise ValidityError(
+            f"generic_linear: requires index < 1 (got {nu:.6g}); the inverse "
+            "transform is otherwise distribution-valued")
     alpha = math.sqrt(2.0 * B + sigma * sigma) / sigma
     c = math.sqrt(2.0 * A) / sigma
 
@@ -1155,13 +1161,7 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float, c1: float,
 
     diff = _ratio_drift(sigma, A, B, y_at(alpha), "generic_linear", DomainError)
     pot = PotentialSpec(form="power", mu=mu, n=-1.0) if mu else PotentialSpec(form="zero")
-    ric = RiccatiParams("linear", A=0.5 * A / sigma, B=B + 2.0 * sigma * mu)
     core = bessel_core(diff, ric)
-    nu = core[0]
-    if not nu < 1.0:
-        raise ValidityError(
-            f"generic_linear: requires index < 1 (got {nu:.6g}); the inverse "
-            "transform is otherwise distribution-valued")
 
     ratio = _gauge_ratio(diff)
     cont = (_linear_pair_kernel(ratio, core, c, c1, c2) if c2

@@ -104,7 +104,7 @@ class DiffusionSpec:
     array and return that shape or a scalar (a constant). Construction
     evaluates both once on an array of _VALIDATION_POINTS and raises
     ConstructionError for a callable that does not, or whose values there are
-    not all finite; the Euler estimator (verify.mc_expectation) and
+    not all finite; the Euler estimator (verify.mc_expectations) and
     fit_riccati then call them once on all paths or grid points.
     drift_antiderivative is F with F'(x) = f(x)/x^gamma, float-only (checked
     numerically at construction). drift_derivative, when given, makes
@@ -201,7 +201,7 @@ class PotentialSpec:
 
     def __call__(self, x: float) -> float:
         """g(x) for a float or a float64 array: the same shape, or a scalar
-        (the zero form). The Euler estimator (verify.mc_expectation) calls it
+        (the zero form). The Euler estimator (verify.mc_expectations) calls it
         once per step on all paths."""
         if self.form == "zero":
             return 0.0

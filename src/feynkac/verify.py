@@ -56,6 +56,7 @@ __all__ = [
     "whittaker_forward",
     "check_whittaker_identity",
     "mc_expectation",
+    "mc_expectations",
     "residual_convergence_order",
     "check_transform_identity",
     "check_mass",
@@ -432,56 +433,108 @@ class McSpec:
 MC_SUITE_SPEC = McSpec(n_paths=20000, n_steps=300)
 
 
+class _EulerRun:
+    """One case's full-truncation Euler paths, advanced a step at a time on
+    standard normals drawn by the caller; what names the case in errors."""
+
+    def __init__(self, entry: cat.CatalogEntry, lam: float, t: float, x: float,
+                 spec: McSpec, what: str) -> None:
+        self.entry, self.lam, self.what = entry, lam, what
+        self.dt = t / spec.n_steps
+        self.sqrt_dt = math.sqrt(self.dt)
+        self.X = np.full(spec.n_paths, float(x))
+        self.Xp = np.maximum(self.X, _MC_CLIP)  # the truncated state the coefficients see
+        self.g_int = np.zeros(spec.n_paths)
+        self.killing = entry.potential.form != "zero"
+        if self.killing:
+            self.g_prev = entry.potential(self.Xp)
+
+    def step(self, z: np.ndarray) -> None:
+        diff, dt = self.entry.diffusion, self.dt
+        dW = self.sqrt_dt * z
+        self.X = (self.X + diff.drift(self.Xp) * dt
+                  + np.sqrt(2.0 * diff.sigma * self.Xp ** diff.gamma) * dW)
+        self.Xp = np.maximum(self.X, _MC_CLIP)
+        if self.killing:
+            g_now = self.entry.potential(self.Xp)
+            self.g_int += 0.5 * dt * (self.g_prev + g_now)
+            self.g_prev = g_now
+
+    def estimate(self) -> Tuple[float, float]:
+        Xp = np.maximum(self.X, 0.0)
+        vals = np.exp(-self.lam * Xp ** self.entry.state_power - self.g_int)
+        bad = ~np.isfinite(vals)
+        if bad.mean() > _MC_MAX_NAN_FRACTION:
+            raise SchemeError(
+                f"mc_expectations: {self.what}: {bad.mean():.2%} of paths produced "
+                "non-finite weights; the scheme broke down for these parameters")
+        return _mean_se(vals[~bad])
+
+
+def _mean_se(vals: np.ndarray) -> Tuple[float, float]:
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+
+def mc_expectations(cases: Sequence[Tuple[cat.CatalogEntry, float, float, float,
+                                          Optional[bool]]],
+                    spec: McSpec = McSpec(),
+                    run_index: int = 0) -> List[Tuple[float, float]]:
+    """Monte Carlo estimates (mean, standard error), one per case
+    (entry, lam, t, x, exact), of E_x[exp(-lam*X_t^m - int g(X_s) ds)] by
+    full-truncation Euler simulation of dX = f dt + sqrt(2*sigma*X^gamma) dW;
+    the path integral of the killing potential uses the trapezoid rule. For
+    the squared-Bessel entry without killing an exact terminal sampler is
+    available (exact=True, the default when applicable; False forces Euler).
+
+    Each case draws from the generator seeded by (spec.seed, run_index): the
+    Euler cases advance together on one array of standard normals per step,
+    which each scales by its own sqrt(dt), and each exact case draws from a
+    fresh generator of its own. So a case's estimate is the same alone or in
+    a batch, and a different run_index gives independent streams.
+    CapabilityError (before any draw) for exact=True elsewhere; DomainError
+    where the path arrays cannot be allocated; SchemeError, naming the case,
+    where more than 0.1 % of its path weights are not finite."""
+    def rng():
+        return np.random.default_rng(np.random.SeedSequence([spec.seed, run_index]))
+
+    exact = []
+    for i, (entry, _, _, _, flag) in enumerate(cases):
+        can = entry.name == "besq" and entry.potential.form == "zero"
+        if flag and not can:
+            raise CapabilityError(f"mc_expectations: case {i} ({entry.name}): exact "
+                                  "sampling is available for the killing-free "
+                                  "squared-Bessel entry only")
+        exact.append(can if flag is None else flag)
+    out: List[Optional[Tuple[float, float]]] = [None] * len(cases)
+    runs: Dict[int, _EulerRun] = {}
+    try:
+        for i, ((entry, lam, t, x, _), flag) in enumerate(zip(cases, exact)):
+            if flag:
+                xt = t * rng().noncentral_chisquare(entry.params["n"], x / t,
+                                                    size=spec.n_paths)
+                out[i] = _mean_se(np.exp(-lam * xt ** entry.state_power))
+            else:
+                runs[i] = _EulerRun(entry, lam, t, x, spec,
+                                    f"case {i} ({entry.name}, lam={lam}, t={t}, x={x})")
+        if runs:
+            gen = rng()
+            for _ in range(spec.n_steps):
+                z = gen.standard_normal(spec.n_paths)
+                for run in runs.values():
+                    run.step(z)
+        for i, run in runs.items():
+            out[i] = run.estimate()
+    except MemoryError:
+        raise DomainError(f"mc_expectations: cannot allocate arrays of {spec.n_paths} "
+                          "paths") from None
+    return out
+
+
 def mc_expectation(entry: cat.CatalogEntry, lam: float, t: float, x: float,
                    spec: McSpec = McSpec(), run_index: int = 0,
                    exact: Optional[bool] = None) -> Tuple[float, float]:
-    """Monte Carlo estimate (mean, standard error) of
-    E_x[exp(-lam*X_t^m - int g(X_s) ds)] by full-truncation Euler simulation
-    of dX = f dt + sqrt(2*sigma*X^gamma) dW; the path integral of the killing
-    potential uses the trapezoid rule. For the squared-Bessel entry without
-    killing an exact terminal sampler is available (exact=True, the default
-    when applicable)."""
-    diff, pot = entry.diffusion, entry.potential
-    m = entry.state_power
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, run_index]))
-
-    zero_pot = pot.form == "zero"
-    if exact is None:
-        exact = entry.name == "besq" and zero_pot
-    if exact:
-        if not (entry.name == "besq" and zero_pot):
-            raise CapabilityError("mc_expectation: exact sampling is available "
-                                  "for the killing-free squared-Bessel entry only")
-        n = entry.params["n"]
-        xt = t * rng.noncentral_chisquare(n, x / t, size=spec.n_paths)
-        vals = np.exp(-lam * xt ** m)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(spec.n_paths))
-
-    dt = t / spec.n_steps
-    sqrt_dt = math.sqrt(dt)
-    X = np.full(spec.n_paths, float(x))
-    Xp = np.maximum(X, _MC_CLIP)  # the truncated state the coefficients see
-    g_int = np.zeros(spec.n_paths)
-    if not zero_pot:
-        g_prev = pot(Xp)
-    for _ in range(spec.n_steps):
-        dW = rng.normal(0.0, sqrt_dt, size=spec.n_paths)
-        X = X + diff.drift(Xp) * dt + np.sqrt(2.0 * diff.sigma * Xp ** diff.gamma) * dW
-        Xp = np.maximum(X, _MC_CLIP)
-        if not zero_pot:
-            g_now = pot(Xp)
-            g_int += 0.5 * dt * (g_prev + g_now)
-            g_prev = g_now
-    Xp = np.maximum(X, 0.0)
-    log_w = -lam * Xp ** m - g_int
-    vals = np.exp(log_w)
-    bad = ~np.isfinite(vals)
-    if bad.mean() > _MC_MAX_NAN_FRACTION:
-        raise SchemeError(
-            f"mc_expectation: {bad.mean():.2%} of paths produced non-finite "
-            "weights; the scheme broke down for these parameters")
-    vals = vals[~bad]
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+    """mc_expectations of the one case (entry, lam, t, x, exact)."""
+    return mc_expectations([(entry, lam, t, x, exact)], spec, run_index)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -877,16 +930,15 @@ def _suite_mc(spec: Optional[McSpec] = None) -> VerificationReport:
     """Single-run Monte Carlo agreement at 3 standard errors."""
     report = VerificationReport("mc")
     spec = spec or MC_SUITE_SPEC
+    t, x = 0.8, 1.2
     cases = [
-        (cat.make_entry("besq", n=3.0), 0.5, True),
-        (cat.make_entry("besq", n=3.0), 0.5, False),
-        (cat.make_entry("cir", a=1.0, b=1.0, sigma=1.0, mu=0.3), 0.4, False),
-        (cat.make_entry("tanh_drift", mu=0.5), 0.3, False),
+        (cat.make_entry("besq", n=3.0), 0.5, t, x, True),
+        (cat.make_entry("besq", n=3.0), 0.5, t, x, False),
+        (cat.make_entry("cir", a=1.0, b=1.0, sigma=1.0, mu=0.3), 0.4, t, x, False),
+        (cat.make_entry("tanh_drift", mu=0.5), 0.3, t, x, False),
     ]
-    for entry, lam, exact in cases:
-        t, x = 0.8, 1.2
+    for (entry, lam, _, _, exact), (est, se) in zip(cases, mc_expectations(cases, spec)):
         ref = cat.expectation(entry, None, lam, t, x)
-        est, se = mc_expectation(entry, lam, t, x, spec=spec, exact=exact)
         tag = ",".join(f"{k}={v:g}" for k, v in entry.params.items())
         report.add(f"mc[{entry.name}:{tag},exact={exact}]",
                    f"lam={lam},t={t},x={x},3se={3 * se:.3g}",

@@ -160,9 +160,6 @@ def test_make_entry_rejects_non_finite_parameters(name, params, bad, value):
 _BUILD_OVERFLOWS = [
     ("cir", {"a": 1.8926938222665756e-108, "b": 8.307975762656482e-152,  # c omega underflows
              "sigma": 1.4933773446615243e+227, "mu": 0.2177870434809356}),
-    ("generic_linear", {"sigma": 1.1011727848699844e+204, "A": 2.0713989024154565e+179,
-                        "B": -0.0013883700236360856, "mu": 9.824757822787042e-186,
-                        "c1": 290.2726503353613, "c2": 2.6250566988446047}),  # index inf
     ("generic_quadratic", {"sigma": 0.36492111758005746, "a": 2.7704163436392677e+237,
                            "b": -0.004652567368274137, "mu": 45.80247698201432,
                            "c1": 3.4349965511617435e+116,
@@ -181,6 +178,26 @@ _BUILD_OVERFLOWS = [
 def test_builder_arithmetic_failure_is_eval_overflow(name, params):
     with pytest.raises(EvalOverflowError, match=f"make_entry: entry {name} failed"):
         cat.make_entry(name, **params)
+
+
+# generic_linear parameters whose index is past 1, where building the drift
+# first failed its self-check (ConstructionError, with numpy warnings) or its
+# arithmetic (EvalOverflowError, index inf): the index is checked first
+_GENERIC_LINEAR_INDEX_PAST_1 = [
+    {"sigma": 9.991775177046996e-148, "A": 1.1569726915264474e252,
+     "B": 3.048851905278742e-291, "mu": 4.260403382412975e-45, "c1": 9.295883837466685e-40},
+    {"sigma": 1.1011727848699844e+204, "A": 2.0713989024154565e+179,
+     "B": -0.0013883700236360856, "mu": 9.824757822787042e-186,
+     "c1": 290.2726503353613, "c2": 2.6250566988446047},
+]
+
+
+@pytest.mark.parametrize("params", _GENERIC_LINEAR_INDEX_PAST_1)
+def test_generic_linear_checks_its_index_before_its_drift(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidityError, match="generic_linear: requires index < 1"):
+            cat.make_entry("generic_linear", **params)
 
 
 _BOUNDS = {"finite": None, "> 0": 0.0, ">= 0": 0.0, "> 1/2": 0.5, "> -1": -1.0}

@@ -643,6 +643,28 @@ def test_a_missing_entry_parameter_is_named(capsys):
                                        "'mu', 'mu_lin'])\n")
 
 
+def test_generic_linear_index_past_1_exits_2(capsys):
+    params = {"sigma": 9.991775177046996e-148, "A": 1.1569726915264474e252,
+              "B": 3.048851905278742e-291, "mu": 4.260403382412975e-45,
+              "c1": 9.295883837466685e-40}
+    args = [a for k, val in params.items() for a in (f"--{k}", repr(val))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("density", "--entry", "generic_linear", *args,
+                   "--t", "1", "--x", "1", "--y", "1")
+    assert code == (2, "")
+    assert capsys.readouterr().err == (
+        "feynkac: generic_linear: requires index < 1 (got 4.12985e+51); the inverse "
+        "transform is otherwise distribution-valued\n")
+
+
+def test_mc_paths_that_cannot_be_allocated_exit_2(capsys):
+    # 10^15 paths are 8 PB per array: the allocation fails without touching memory
+    assert run("verify", "--suite", "mc", "--paths", str(10 ** 15)) == (2, "")
+    assert capsys.readouterr().err == ("feynkac: mc_expectations: cannot allocate "
+                                       "arrays of 1000000000000000 paths\n")
+
+
 def test_the_token_after_an_option_is_its_value(capsys):
     # --x -1 is the value -1, which the domain check refuses
     assert run(*_CIR_LAMBDA[:-3], "--x", "-1", "--lambda", "0.5") == (2, "")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from feynkac import catalog as cat
 from feynkac import verify as v
 from feynkac.errors import (CapabilityError, ConvergenceError, DomainError,
-                            InstabilityError)
+                            InstabilityError, SchemeError)
 from feynkac.riccati import PotentialSpec
 
 
@@ -365,6 +365,116 @@ def test_mc_euler_step_matches_element_wise_evaluation(name, params):
     else:
         assert fast[0] == pytest.approx(slow[0], rel=1e-12, abs=0.0)
         assert fast[1] == pytest.approx(slow[1], rel=1e-12, abs=0.0)
+
+
+def _frozen_mc_euler(entry, lam, t, x, spec, run_index):
+    """the one-case Euler loop as it was written before the cases of a seed
+    shared their draws: its own generator and one rng.normal(0, sqrt(dt)) per
+    step"""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, run_index]))
+    diff, pot = entry.diffusion, entry.potential
+    dt = t / spec.n_steps
+    X = np.full(spec.n_paths, float(x))
+    Xp = np.maximum(X, v._MC_CLIP)
+    g_int = np.zeros(spec.n_paths)
+    g_prev = pot(Xp)
+    for _ in range(spec.n_steps):
+        dW = rng.normal(0.0, math.sqrt(dt), size=spec.n_paths)
+        X = X + diff.drift(Xp) * dt + np.sqrt(2.0 * diff.sigma * Xp ** diff.gamma) * dW
+        Xp = np.maximum(X, v._MC_CLIP)
+        g_now = pot(Xp)
+        g_int += 0.5 * dt * (g_prev + g_now)
+        g_prev = g_now
+    vals = np.exp(-lam * np.maximum(X, 0.0) ** entry.state_power - g_int)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+
+def _mixed_cases():
+    """every _ARRAY_NATIVE entry by Euler and besq by its exact sampler (by
+    default and asked for), each at its own lam, t and x"""
+    cases = [(cat.make_entry(name, **params), 0.1 + 0.05 * i, 0.5 + 0.1 * i,
+              0.9 + 0.07 * i, False) for i, (name, params) in enumerate(_ARRAY_NATIVE)]
+    besq = cat.make_entry("besq", n=3.0)
+    cases.insert(3, (besq, 0.45, 1.1, 0.7, None))
+    return cases + [(besq, 0.6, 0.4, 1.3, True)]
+
+
+def test_mc_expectations_equal_each_case_alone():
+    cases = _mixed_cases()
+    batch = v.mc_expectations(cases, _SMALL_MC, run_index=2)
+    alone = [v.mc_expectation(e, lam, t, x, _SMALL_MC, run_index=2, exact=exact)
+             for e, lam, t, x, exact in cases]
+    assert batch == alone
+    assert batch != v.mc_expectations(cases, _SMALL_MC, run_index=3)
+    for (e, lam, t, x, exact), got in zip(cases, batch):
+        if exact is False:
+            assert got == _frozen_mc_euler(e, lam, t, x, _SMALL_MC, 2)
+
+
+class _LoggedGenerator:
+    """a numpy Generator that appends the name of each method called to log"""
+
+    def __init__(self, gen, log):
+        self._gen, self._log = gen, log
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def logged(*args, **kwargs):
+            self._log.append(name)
+            return method(*args, **kwargs)
+        return logged
+
+
+@pytest.fixture
+def generator_logs(monkeypatch):
+    """one log per generator that default_rng makes"""
+    logs, default_rng = [], np.random.default_rng
+
+    def logged_rng(seed):
+        logs.append([])
+        return _LoggedGenerator(default_rng(seed), logs[-1])
+    monkeypatch.setattr(np.random, "default_rng", logged_rng)
+    return logs
+
+
+@pytest.mark.parametrize("k", [1, 2, len(_ARRAY_NATIVE)])
+def test_mc_expectations_draws_one_normal_array_per_step(k, generator_logs):
+    cases = [(cat.make_entry(name, **params), 0.3, 0.8, 1.2, False)
+             for name, params in _ARRAY_NATIVE[:k]]
+    v.mc_expectations(cases, _SMALL_MC)
+    assert generator_logs == [["standard_normal"] * _SMALL_MC.n_steps]
+    generator_logs.clear()
+    v.mc_expectations(cases + [(cat.make_entry("besq", n=3.0), 0.3, 0.8, 1.2, True)],
+                      _SMALL_MC)
+    assert sorted(generator_logs) == [["noncentral_chisquare"],
+                                      ["standard_normal"] * _SMALL_MC.n_steps]
+
+
+def test_mc_expectations_refuses_exact_sampling_before_any_draw(generator_logs):
+    cir = cat.make_entry("cir", a=1.0, b=0.8, sigma=0.5)
+    cases = [(cir, 0.5, 1.0, 1.0, False), (cir, 0.5, 1.0, 1.0, True)]
+    with pytest.raises(CapabilityError, match=r"case 1 \(cir\): exact sampling"):
+        v.mc_expectations(cases, _SMALL_MC)
+    assert generator_logs == []
+
+
+def test_mc_scheme_error_names_its_case():
+    # lam = -1000 makes the weight exp(1000 X_t) overflow on most paths
+    cases = [(cat.make_entry("cir", a=1.0, b=0.8, sigma=0.5), 0.5, 1.0, 1.0, False),
+             (cat.make_entry("besq", n=3.0), -1000.0, 0.8, 1.2, False)]
+    with np.errstate(over="ignore"), pytest.raises(
+            SchemeError, match=r"case 1 \(besq, lam=-1000.0, t=0.8, x=1.2\): [0-9.]+% of paths"):
+        v.mc_expectations(cases, _SMALL_MC)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_mc_paths_that_cannot_be_allocated_raise_domain_error(exact):
+    # 10^15 paths are 8 PB per array, past any address space: the first
+    # allocation fails without touching memory
+    spec = v.McSpec(n_paths=10 ** 15, n_steps=1)
+    with pytest.raises(DomainError, match="cannot allocate arrays of 1000000000000000 paths"):
+        v.mc_expectation(cat.make_entry("besq", n=3.0), 0.5, 1.0, 1.0, spec, exact=exact)
 
 
 # ---------------------------------------------------------------------------
