@@ -257,6 +257,68 @@ def test_entry_params_are_read_only():
     assert rows[1][1] < rows[0][1]
 
 
+# one parameter set per branch of each builder with a closed form: (gamma,
+# sigma, label), the potential (form, mu, nu_coeff, n), the declared
+# constants (family, A, B, C), functional_param, u0's description (None:
+# no u0), the atom orders, finite_part, and whether a log kernel, a closed
+# form and a transform exist
+_STRUCTURES = [
+    ("besq", {"n": 3.0}, (1.0, 2.0, "besq"), ("zero", 0.0, 0.0, 1.0),
+     ("linear", 0.0, -1.5, 0.0), "mu", "power branch x^{0.75} times exp(-F/(2 sigma))",
+     [], False, (True, True, True)),
+    ("besq", {"n": 3.0, "mu": 0.5}, (1.0, 2.0, "besq"), ("inverse_plus_linear", 0.5, 0.0, 1.0),
+     ("quadratic", 4.0, 0.0, -1.5), "mu", None, [], False, (True, True, False)),
+    ("besq", {"n": 3.0, "nu": 0.4}, (1.0, 2.0, "besq"), ("inverse_plus_linear", 0.0, 0.4, 1.0),
+     ("linear", 0.0, 0.1, 0.0), "nu", "power branch x^{1.01235} times exp(-F/(2 sigma))",
+     [], False, (True, True, True)),
+    ("besq", {"n": 2.5, "b": 1.2}, (1.0, 2.0, "besq"), ("inverse_plus_linear", 0.72, 0.0, 1.0),
+     ("quadratic", 5.76, 0.0, -1.875), "mu", None, [], False, (True, True, False)),
+    ("bessel", {"a": 1.5, "mu": 0.3}, (0.0, 0.5, "bessel"), ("power", 0.075, 0.0, -2.0),
+     ("linear", 0.0, 0.45, 0.0), "mu", "power branch x^{1.57238} times exp(-F/(2 sigma))",
+     [], False, (True, True, True)),
+    ("cir", {"a": 1.1, "b": 0.8, "sigma": 0.6, "mu": 0.2, "mu_lin": 0.1}, (1.0, 0.6, "cir"),
+     ("inverse_plus_linear", 0.1, 0.2, 1.0), ("quadratic", 0.88, -0.88, 0.185), "mu", None,
+     [], False, (True, True, False)),
+    ("rational_drift", {"a": 1.5, "mu": 0.4}, (1.0, 1.0, "rational_drift"),
+     ("power", 0.4, 0.0, 1.0), ("quadratic", 1.6, 0.0, 0.0), "mu",
+     "decaying exponential branch /(2+ay)", [0], False, (True, True, True)),
+    ("rational_drift", {"a": 1.5, "mu_inv": 0.3}, (1.0, 1.0, "rational_drift"),
+     ("power", 0.3, 0.0, -1.0), ("linear", 0.0, 0.6, 0.0), "mu_inv",
+     "combined power branch (value 1 at mu_inv=0)", [], True, (False, False, True)),
+    ("tanh_drift", {"mu": 0.5}, (1.0, 1.0, "tanh_drift"), ("power", 0.5, 0.0, 1.0),
+     ("quadratic", 6.0, 0.0, 0.0), "mu", "decaying branch exp(-ky)/cosh(y)", [0], False,
+     (True, True, True)),
+    ("radial_ou", {"a": 0.7, "b": 0.6, "mu": 0.2}, (0.0, 1.0, "radial_ou"),
+     ("power", 0.2, 0.0, 2.0), ("quadratic", 1.16, 1.02, -0.455), "mu", None, [], False,
+     (True, True, False)),
+    ("radial_ou", {"a": 1.5, "b": -0.6}, (0.0, 1.0, "radial_ou"), ("zero", 0.0, 0.0, 1.0),
+     ("quadratic", 0.36, -1.5, -0.375), "mu", None, [], False, (True, True, False)),
+    ("rational_showcase", {"a": 1.2, "b": 0.7}, (1.0, 1.0, "rational_showcase"),
+     ("zero", 0.0, 0.0, 1.0), ("linear", 0.0, 1.5, 0.0), "", "constant 1", [0, 1], False,
+     (True, True, True)),
+]
+
+
+@pytest.mark.parametrize("name,params,diff,pot,ric,functional,u0,orders,finite_part,has",
+                         _STRUCTURES, ids=[f"{c[0]}-{'-'.join(c[1])}" for c in _STRUCTURES])
+def test_each_closed_form_entry_is_assembled_as_declared(name, params, diff, pot, ric,
+                                                         functional, u0, orders, finite_part,
+                                                         has):
+    e = cat.make_entry(name, **params)
+    d, p, r = e.diffusion, e.potential, e.riccati
+    assert (d.gamma, d.sigma, d.label) == diff
+    assert p.form == pot[0]
+    assert (p.mu, p.nu_coeff, p.n) == pytest.approx(pot[1:], rel=1e-14, abs=1e-15)
+    assert r.family == ric[0]
+    assert (r.A, r.B, r.C) == pytest.approx(ric[1:], rel=1e-14, abs=1e-15)
+    assert e.functional_param == functional
+    assert (e.u0.description if e.u0 is not None else None) == u0
+    assert [a.order for a in e.kernel.atoms] == orders
+    assert e.kernel.finite_part is finite_part
+    assert (e.kernel.log_continuous is not None, e.expectation_closed is not None,
+            e.transform_rhs is not None) == has
+
+
 def test_closed_form_arithmetic_error_is_feynkac_error():
     # x^2 overflows in the radial_ou closed form (state power 2) at x = 1e160
     with pytest.raises(EvalOverflowError):
