@@ -13,7 +13,9 @@ killing potential to:
 Kernels evaluate in the log domain wherever they are positive, so small-t
 Bessel factors do not overflow. Every kernel takes x and y each as a float
 or as a float64 array (arrays broadcast), and picks the math module or numpy
-for each by its type.
+for each by its type. make_entry builds with numpy's warnings off: where
+numpy would have warned of a value that is not finite, DiffusionSpec's
+checks refuse the build with ConstructionError.
 
 One Bessel core
 ---------------
@@ -49,7 +51,9 @@ Every one-branch kernel is then
 
 and a builder supplies only the h-ratio H. An entry with a closed form
 states its h-function once, as the terms of u(Y) = sum_i c_i Y^p_i
-e^(-beta_i Y), H = log u(Y)/u(X): from them _terms_diffusion forms its drift
+e^(-beta_i Y), H = log u(Y)/u(X), and _closed_entry assembles it in one
+place from those terms, its potential, its declared constants and, where it
+has them, its u0 and atoms: from the terms _terms_diffusion forms its drift
 antiderivative F = 2 sigma log sum_i c_i x^(m p_i + 1/2) e^(-beta_i x^m),
 the drift f = x^gamma F' and f', and _core_sum the kernel with its
 atoms and E_x[exp(-lam X_t^m)] = e^(r t) sum_i w_i(X) B_i + atoms, w_i(X) =
@@ -648,6 +652,31 @@ def _core_sum(diff: DiffusionSpec, ric: RiccatiParams, terms, atoms=(),
     return kernel, expect
 
 
+def _closed_entry(name: str, params: Dict[str, float], terms, gamma: float, sigma: float,
+                  pot: PotentialSpec, ric: RiccatiParams, *,
+                  u0: Optional[Callable[[DiffusionSpec], StationarySolution]] = None,
+                  atoms: Optional[Callable[[DiffusionSpec, Optional[StationarySolution]],
+                                           tuple]] = None, sign: float = 1.0,
+                  functional_param: str = "mu") -> CatalogEntry:
+    """The entry of an h-function u(Y) = sum_i c_i Y^p_i e^(-beta_i Y), terms
+    = ((c_i, p_i, beta_i), ...), the potential pot and the declared constants
+    ric: its diffusion from the terms (_terms_diffusion, labelled name), and
+    its kernel and closed form from the terms and the core of ric at sign
+    (_core_sum). u0(diff) gives its u0 and atoms(diff, u0) its atoms, where
+    given; CatalogEntry forms the transform from u0."""
+    diff = _terms_diffusion(terms, gamma, sigma, name)
+    u0 = u0(diff) if u0 else None
+    kernel, expect = _core_sum(diff, ric, terms, atoms(diff, u0) if atoms else (), sign)
+    return CatalogEntry(name=name, params=params, diffusion=diff, potential=pot, kernel=kernel,
+                        u0=u0, riccati=ric, expectation_closed=expect,
+                        functional_param=functional_param)
+
+
+def _power(mu: float, n: float) -> PotentialSpec:
+    """The killing g(x) = mu x^n, zero where mu is."""
+    return PotentialSpec(form="power", mu=mu, n=n) if mu else PotentialSpec(form="zero")
+
+
 # ---------------------------------------------------------------------------
 # entry 1: squared Bessel process
 # ---------------------------------------------------------------------------
@@ -670,22 +699,15 @@ def _make_besq(n: float, mu: float, nu: float, b: Optional[float]) -> CatalogEnt
     if mu > 0 and n < 2:
         raise ValidityError("besq: the mu*x killing kernel requires n >= 2")
 
-    terms = _besq_terms(n)
-    diff = _terms_diffusion(terms, gamma=1.0, sigma=2.0, label="besq")
     pot = PotentialSpec(form="inverse_plus_linear", mu=mu, nu_coeff=nu) \
         if (mu or nu) else PotentialSpec(form="zero")
     C = 0.5 * n * (n - 4.0) + 4.0 * nu
     ric = RiccatiParams("quadratic", A=8.0 * mu, B=0.0, C=C) if mu \
         else RiccatiParams("linear", A=0.0, B=C)
-
-    kernel, expect = _core_sum(diff, ric, terms)
-    # the linear family's power branch; mu*x killing needs a Kummer one
-    u0 = stationary_branch(diff, ric, "principal") if mu == 0.0 else None
-
-    return CatalogEntry(
-        name="besq", params={"n": n, "mu": mu, "nu": nu},
-        diffusion=diff, potential=pot, kernel=kernel, u0=u0, riccati=ric,
-        expectation_closed=expect, functional_param="nu" if nu else "mu")
+    # u0: the linear family's power branch; mu*x killing needs a Kummer one
+    return _closed_entry("besq", {"n": n, "mu": mu, "nu": nu}, _besq_terms(n), 1.0, 2.0, pot,
+                         ric, functional_param="nu" if nu else "mu",
+                         u0=None if mu else lambda diff: stationary_branch(diff, ric, "principal"))
 
 
 @functools.lru_cache(maxsize=1)
@@ -709,21 +731,11 @@ def besq_cosh_variant(t: float, x: float, y):
 
 def _make_bessel(a: float, mu: float) -> CatalogEntry:
     """dX = (a/X) dt + dW; killing g(x) = mu/(4x^2). gamma=0, sigma=1/2."""
-
-    terms = ((1.0, 0.5 * (a - 0.5), 0.0),)
-    diff = _terms_diffusion(terms, gamma=0.0, sigma=0.5, label="bessel")
-    pot = PotentialSpec(form="power", mu=mu / 4.0, n=-2.0) if mu \
-        else PotentialSpec(form="zero")
     ric = RiccatiParams("linear", A=0.0, B=0.5 * a * (a - 1.0) + 0.25 * mu)
-
     # E_x[exp(-lam*X_t^2 - (mu/4) int ds/X_s^2)]
-    kernel, expect = _core_sum(diff, ric, terms)
-
-    return CatalogEntry(
-        name="bessel", params={"a": a, "mu": mu},
-        diffusion=diff, potential=pot, kernel=kernel,
-        u0=stationary_branch(diff, ric, "principal"), riccati=ric,
-        expectation_closed=expect, functional_param="mu")
+    return _closed_entry("bessel", {"a": a, "mu": mu}, ((1.0, 0.5 * (a - 0.5), 0.0),), 0.0, 0.5,
+                         _power(mu / 4.0, -2.0), ric,
+                         u0=lambda diff: stationary_branch(diff, ric, "principal"))
 
 
 # ---------------------------------------------------------------------------
@@ -754,12 +766,11 @@ def _make_bessel_drift(a: float, b: float, mu: float) -> CatalogEntry:
                          drift_derivative=drift_derivative,
                          drift_antiderivative=_bessel_y(a, b, 1.0, 0.0, 2.0)[0],
                          label="bessel_drift")
-    pot = PotentialSpec(form="power", mu=mu, n=-2.0) if mu \
-        else PotentialSpec(form="zero")
     ric = RiccatiParams("linear", A=0.5 * b * b, B=0.5 * (a * a - 0.25) + mu)
 
     return CatalogEntry(
-        name="bessel_drift", params={"a": a, "b": b, "mu": mu}, diffusion=diff, potential=pot,
+        name="bessel_drift", params={"a": a, "b": b, "mu": mu}, diffusion=diff,
+        potential=_power(mu, -2.0),
         kernel=_kernel(_log_kernel(bessel_core(diff, ric), _gauge_ratio(diff))),
         u0=stationary_branch(diff, ric, "principal"), riccati=ric, functional_param="mu")
 
@@ -768,34 +779,23 @@ def _make_bessel_drift(a: float, b: float, mu: float) -> CatalogEntry:
 # entry 4: mean-reverting square-root process
 # ---------------------------------------------------------------------------
 
-def _affine(a: float, b: float, sigma: float, label: str):
-    """(dX = (a - bX) dt + sqrt(2 sigma X) dW, the terms of its u(Y) =
-    Y^(a/2s - 1/2) e^(-b Y/2s)), s = sigma; b/2s is formed as bessel_core's
-    c omega is, (1/s)(sqrt(A)/2), so that the two are equal at A = b^2."""
+def _affine_terms(a: float, b: float, sigma: float):
+    """The terms of the u(Y) = Y^(a/2s - 1/2) e^(-b Y/2s), s = sigma, of dX =
+    (a - bX) dt + sqrt(2 sigma X) dW; b/2s is formed as bessel_core's c omega
+    is, (1/s)(sqrt(A)/2), so that the two are equal at A = b^2."""
     s = 1.0 / sigma
-    terms = ((1.0, 0.5 * a * s - 0.5, 0.5 * b * s),)
-    return _terms_diffusion(terms, gamma=1.0, sigma=sigma, label=label), terms
+    return ((1.0, 0.5 * a * s - 0.5, 0.5 * b * s),)
 
 
 def _make_cir(a: float, b: float, sigma: float, mu: float, mu_lin: float) -> CatalogEntry:
     """dX = (a - bX) dt + sqrt(2 sigma X) dW; killing mu/x + mu_lin*x."""
-
-    diff, terms = _affine(a, b, sigma, "cir")
-    if mu or mu_lin:
-        pot = PotentialSpec(form="inverse_plus_linear", nu_coeff=mu, mu=mu_lin)
-    else:
-        pot = PotentialSpec(form="zero")
+    pot = PotentialSpec(form="inverse_plus_linear", nu_coeff=mu, mu=mu_lin) \
+        if (mu or mu_lin) else PotentialSpec(form="zero")
     ric = RiccatiParams("quadratic", A=b * b + 4.0 * sigma * mu_lin, B=-a * b,
                         C=0.5 * a * a - a * sigma + 2.0 * sigma * mu)
-
     # E_x[exp(-lam*X_t - mu int ds/X_s - mu_lin int X_s ds)]
-    kernel, expect = _core_sum(diff, ric, terms)
-
-    return CatalogEntry(
-        name="cir", params={"a": a, "b": b, "sigma": sigma, "mu": mu,
-                            "mu_lin": mu_lin},
-        diffusion=diff, potential=pot, kernel=kernel, riccati=ric,
-        expectation_closed=expect, functional_param="mu")
+    return _closed_entry("cir", {"a": a, "b": b, "sigma": sigma, "mu": mu, "mu_lin": mu_lin},
+                         _affine_terms(a, b, sigma), 1.0, sigma, pot, ric)
 
 
 # ---------------------------------------------------------------------------
@@ -815,13 +815,10 @@ def _make_rational_drift(a: float, mu: float, mu_inv: float) -> CatalogEntry:
         raise ValidityError("rational_drift: choose mu*x or mu_inv/x killing, not both")
 
     terms = ((2.0, -0.5, 0.0), (a, 0.5, 0.0))  # u(y) = (2 + ay)/sqrt(y)
-    diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0, label="rational_drift")
-
     if mu_inv > 0.0:
-        return _rational_drift_inverse(a, mu_inv, diff, terms)
+        return _rational_drift_inverse(a, mu_inv, terms)
 
     rmu = math.sqrt(mu)
-    pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
     ric = RiccatiParams("quadratic", A=4.0 * mu, B=0.0) if mu \
         else RiccatiParams("linear", A=0.0, B=0.0)
 
@@ -830,24 +827,20 @@ def _make_rational_drift(a: float, mu: float, mu_inv: float) -> CatalogEntry:
         rate = rmu / math.tanh(rmu * t) if mu else 1.0 / t
         return -rate * x - math.log(2.0 + a * x)
 
-    atom = AtomSpec(weight=lambda t, x: 2.0 * math.exp(log_u1(t, x)), order=0)
     # E_x[exp(-lam*X_t - mu int X_s ds)]
-    kernel, expect = _core_sum(diff, ric, terms, atoms=(atom,))
-
-    u0 = gauge_solution(diff, lambda y: -rmu * y, "decaying exponential branch /(2+ay)")
-
-    return CatalogEntry(
-        name="rational_drift", params={"a": a, "mu": mu, "mu_inv": 0.0},
-        diffusion=diff, potential=pot, kernel=kernel, u0=u0, riccati=ric,
-        expectation_closed=expect, functional_param="mu")
+    return _closed_entry(
+        "rational_drift", {"a": a, "mu": mu, "mu_inv": 0.0}, terms, 1.0, 1.0, _power(mu, 1.0),
+        ric, atoms=lambda diff, u0: (AtomSpec(weight=lambda t, x: 2.0 * math.exp(log_u1(t, x))),),
+        u0=lambda diff: gauge_solution(diff, lambda y: -rmu * y,
+                                       "decaying exponential branch /(2+ay)"))
 
 
-def _rational_drift_inverse(a: float, mu_inv: float, diff: DiffusionSpec,
-                            terms) -> CatalogEntry:
+def _rational_drift_inverse(a: float, mu_inv: float, terms) -> CatalogEntry:
     """The mu_inv/x killing: u0 and, with H from the terms, the kernel are
     those of y = a x^((1 + root)/2) + 2 x^((1 - root)/2), the power limit
     of riccati._bessel_y at the core's index root = sqrt(1 + 4 mu_inv):
     e^H (p+ + (4/pi) sin(root pi) p_K/(2 + a y^root)) (_linear_pair_kernel)."""
+    diff = _terms_diffusion(terms, 1.0, 1.0, "rational_drift")
     ric = RiccatiParams("linear", A=0.0, B=2.0 * mu_inv)
     core = bessel_core(diff, ric)
     root = core[0]
@@ -855,7 +848,6 @@ def _rational_drift_inverse(a: float, mu_inv: float, diff: DiffusionSpec,
         raise CapabilityError(
             "rational_drift: mu_inv with integer sqrt(1+4*mu_inv) needs a "
             "distribution-order inverse transform that is not implemented")
-    pot = PotentialSpec(form="power", mu=mu_inv, n=-1.0)
     u0 = gauge_solution(diff, _finite(_bessel_y(root, 0.0, a, 2.0)[0], DomainError,
                                       "rational_drift"),
                         "combined power branch (value 1 at mu_inv=0)")
@@ -863,7 +855,7 @@ def _rational_drift_inverse(a: float, mu_inv: float, diff: DiffusionSpec,
 
     return CatalogEntry(
         name="rational_drift", params={"a": a, "mu": 0.0, "mu_inv": mu_inv},
-        diffusion=diff, potential=pot,
+        diffusion=diff, potential=_power(mu_inv, -1.0),
         kernel=Kernel(continuous=cont, log_continuous=None, finite_part=True),
         u0=u0, riccati=ric, functional_param="mu_inv")
 
@@ -875,21 +867,18 @@ def _rational_drift_inverse(a: float, mu_inv: float, diff: DiffusionSpec,
 def _make_tanh_drift(mu: float) -> CatalogEntry:
     """dX = 2X tanh(X) dt + sqrt(2X) dW; killing mu*x; Dirac mass at 0."""
     k = math.sqrt(1.0 + mu)
-    terms = ((0.5, -0.5, -1.0), (0.5, -0.5, 1.0))  # u(y) = cosh(y)/sqrt(y)
-    diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0, label="tanh_drift")
-    pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
-
-    u0 = gauge_solution(diff, lambda y: -k * y, "decaying branch exp(-ky)/cosh(y)")
+    pot = _power(mu, 1.0)
     ric = RiccatiParams("quadratic", A=4.0 * (1.0 + mu), B=0.0)
-    u1 = atom_weight(diff, pot, u0, ric)  # (x, t); u0(0+) = 1
-    atom = AtomSpec(weight=lambda t, x: u1(x, t), order=0)
-    # E_x[exp(-lam*X_t - mu int X_s ds)]
-    kernel, expect = _core_sum(diff, ric, terms, atoms=(atom,))
 
-    return CatalogEntry(
-        name="tanh_drift", params={"mu": mu},
-        diffusion=diff, potential=pot, kernel=kernel, u0=u0, riccati=ric,
-        expectation_closed=expect, functional_param="mu")
+    def atoms(diff: DiffusionSpec, u0: StationarySolution) -> tuple:
+        u1 = atom_weight(diff, pot, u0, ric)  # (x, t); u0(0+) = 1
+        return (AtomSpec(weight=lambda t, x: u1(x, t)),)
+
+    # E_x[exp(-lam*X_t - mu int X_s ds)]; u(y) = cosh(y)/sqrt(y)
+    return _closed_entry(
+        "tanh_drift", {"mu": mu}, ((0.5, -0.5, -1.0), (0.5, -0.5, 1.0)), 1.0, 1.0, pot, ric,
+        atoms=atoms,
+        u0=lambda diff: gauge_solution(diff, lambda y: -k * y, "decaying branch exp(-ky)/cosh(y)"))
 
 
 # ---------------------------------------------------------------------------
@@ -902,19 +891,12 @@ def _make_radial_ou(a: float, b: float, mu: float) -> CatalogEntry:
     if A == 0.0:
         raise ValidityError("radial_ou: requires b != 0 or mu > 0")
 
-    # u(y) = y^((a - 1)/2) e^(b y^2/4), the index (a - 1)/2 of the branch sign(a - 1)
-    terms = ((1.0, 0.25 * (a - 1.0), -0.25 * b),)
-    diff = _terms_diffusion(terms, gamma=0.0, sigma=1.0, label="radial_ou")
-    pot = PotentialSpec(form="power", mu=mu, n=2.0) if mu else PotentialSpec(form="zero")
     ric = RiccatiParams("quadratic", A=A, B=b * (1.0 + a), C=0.5 * a * a - a)
-
-    # E_x[exp(-lam*X_t^2 - mu int X_s^2 ds)]
-    kernel, expect = _core_sum(diff, ric, terms, sign=math.copysign(1.0, a - 1.0))
-
-    return CatalogEntry(
-        name="radial_ou", params={"a": a, "b": b, "mu": mu},
-        diffusion=diff, potential=pot, kernel=kernel, riccati=ric,
-        expectation_closed=expect, functional_param="mu")
+    # E_x[exp(-lam*X_t^2 - mu int X_s^2 ds)]; u(y) = y^((a - 1)/2) e^(b y^2/4),
+    # the index (a - 1)/2 of the branch sign(a - 1)
+    return _closed_entry("radial_ou", {"a": a, "b": b, "mu": mu},
+                         ((1.0, 0.25 * (a - 1.0), -0.25 * b),), 0.0, 1.0, _power(mu, 2.0), ric,
+                         sign=math.copysign(1.0, a - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -926,25 +908,18 @@ def _make_rational_showcase(a: float, b: float) -> CatalogEntry:
     Dirac mass AND a signed Dirac-derivative atom at y = 0; the process-level
     meaning is unclear (the drift admits negative values), so this entry is
     structural only."""
-
-    terms = ((b, -1.0, 0.0), (a, 1.0, 0.0))  # u(y) = (b + a y^2)/y
-    diff = _terms_diffusion(terms, gamma=1.0, sigma=1.0, label="rational_showcase")
-    pot = PotentialSpec(form="zero")
-    ric = RiccatiParams("linear", A=0.0, B=1.5)
-
-    atom0 = AtomSpec(order=0, weight=lambda t, x:
-                     b * (x + t) * math.exp(-x / t) / (t * (b + a * x * x)))
-    atom1 = AtomSpec(order=1, weight=lambda t, x:
-                     b * t * math.exp(-x / t) / (b + a * x * x))
-    # E_x[exp(-lam*X_t)] with both atoms
-    kernel, expect = _core_sum(diff, ric, terms, atoms=(atom0, atom1))
-    u0 = StationarySolution(eval=lambda y: 1.0, log_eval=lambda y: 0.0, description="constant 1",
-                            log_gauge=lambda y: 0.5 * diff.drift_antiderivative(y))
-
-    return CatalogEntry(
-        name="rational_showcase", params={"a": a, "b": b},
-        diffusion=diff, potential=pot, kernel=kernel, u0=u0, riccati=ric,
-        expectation_closed=expect, functional_param="")
+    atoms = (AtomSpec(order=0, weight=lambda t, x:
+                      b * (x + t) * math.exp(-x / t) / (t * (b + a * x * x))),
+             AtomSpec(order=1, weight=lambda t, x:
+                      b * t * math.exp(-x / t) / (b + a * x * x)))
+    # E_x[exp(-lam*X_t)] with both atoms; u(y) = (b + a y^2)/y
+    return _closed_entry(
+        "rational_showcase", {"a": a, "b": b}, ((b, -1.0, 0.0), (a, 1.0, 0.0)), 1.0, 1.0,
+        PotentialSpec(form="zero"), RiccatiParams("linear", A=0.0, B=1.5),
+        atoms=lambda diff, u0: atoms, functional_param="",
+        u0=lambda diff: StationarySolution(
+            eval=lambda y: 1.0, log_eval=lambda y: 0.0, description="constant 1",
+            log_gauge=lambda y: 0.5 * diff.drift_antiderivative(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -1160,7 +1135,6 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float, c1: float,
         return _bessel_y(order, c, c1 + c2, c2 * (2.0 / math.pi) * math.sin(math.pi * order))
 
     diff = _ratio_drift(sigma, A, B, y_at(alpha), "generic_linear", DomainError)
-    pot = PotentialSpec(form="power", mu=mu, n=-1.0) if mu else PotentialSpec(form="zero")
     core = bessel_core(diff, ric)
 
     ratio = _gauge_ratio(diff)
@@ -1173,8 +1147,9 @@ def _make_generic_linear(sigma: float, A: float, B: float, mu: float, c1: float,
     return CatalogEntry(
         name="generic_linear",
         params={"sigma": sigma, "A": A, "B": B, "mu": mu, "c1": c1, "c2": c2},
-        diffusion=diff, potential=pot, kernel=Kernel(continuous=cont, log_continuous=None),
-        u0=u0, riccati=ric, functional_param="mu")
+        diffusion=diff, potential=_power(mu, -1.0),
+        kernel=Kernel(continuous=cont, log_continuous=None), u0=u0, riccati=ric,
+        functional_param="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -1192,8 +1167,8 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float, c1: flo
     if A <= 0:
         raise ValidityError("generic_quadratic: requires b != 0 or mu > 0")
 
-    diff, terms = _affine(a, b, sigma, "generic_quadratic")
-    pot = PotentialSpec(form="power", mu=mu, n=1.0) if mu else PotentialSpec(form="zero")
+    terms = _affine_terms(a, b, sigma)
+    diff = _terms_diffusion(terms, 1.0, sigma, "generic_quadratic")
     ric = RiccatiParams("quadratic", A=A, B=-a * b, C=0.5 * a * a - a * sigma)
     core, ratio = bessel_core(diff, ric), _terms_ratio(terms, 1.0)
 
@@ -1208,7 +1183,7 @@ def _make_generic_quadratic(sigma: float, a: float, b: float, mu: float, c1: flo
     return CatalogEntry(
         name="generic_quadratic",
         params={"sigma": sigma, "a": a, "b": b, "mu": mu, "c1": c1, "c2": c2},
-        diffusion=diff, potential=pot, kernel=kernel, riccati=ric,
+        diffusion=diff, potential=_power(mu, 1.0), kernel=kernel, riccati=ric,
         functional_param="mu")
 
 
@@ -1291,7 +1266,9 @@ _ENTRY_CACHE_SIZE = 2048
 def _build(name: str, params: Dict[str, float]) -> CatalogEntry:
     """The builder's entry at params and the table's defaults, each value
     finite and in its domain; EvalOverflowError where the builder's
-    arithmetic fails (at magnitudes far past 1e12), as _evaluate raises."""
+    arithmetic fails (at magnitudes far past 1e12), as _evaluate raises. The
+    builder runs without numpy's warnings: where its values are not finite,
+    DiffusionSpec's checks refuse the build with ConstructionError."""
     if name not in _TABLE:
         raise DomainError(f"make_entry: unknown entry {name!r} "
                           f"(known: {', '.join(ENTRY_NAMES)})")
@@ -1314,7 +1291,8 @@ def _build(name: str, params: Dict[str, float]) -> CatalogEntry:
         if not _DOMAINS[domain](v):
             raise ValidityError(f"{name}: requires {k} {domain} (got {v})")
     try:
-        return builder(*values)
+        with np.errstate(all="ignore"):
+            return builder(*values)
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise EvalOverflowError(f"make_entry: entry {name} failed at {params!r} "
                                 f"({exc})") from exc

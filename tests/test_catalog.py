@@ -27,7 +27,7 @@ import feynkac
 from feynkac import catalog as cat
 from feynkac import specfun as sf
 from feynkac import verify
-from feynkac.errors import (CapabilityError, ConvergenceError, DomainError,
+from feynkac.errors import (CapabilityError, ConstructionError, ConvergenceError, DomainError,
                             EvalOverflowError, FeynkacError, ValidityError)
 from feynkac.riccati import fit_riccati
 from test_acceptance import DOCUMENTED_CONSTANTS, RADIAL_OU_CASE
@@ -198,6 +198,21 @@ def test_generic_linear_checks_its_index_before_its_drift(params):
         warnings.simplefilter("error")
         with pytest.raises(ValidityError, match="generic_linear: requires index < 1"):
             cat.make_entry("generic_linear", **params)
+
+
+# in-domain parameters whose drift or drift derivative is not finite at the
+# check points: numpy warned ("invalid value in add" in cir's drift,
+# "in multiply" in bessel_drift's f') before DiffusionSpec refused the build
+_UNFINISHED_BUILDS = [("cir", {"a": 1e192, "b": 1e192, "sigma": 1e-117}, "drift"),
+                      ("bessel_drift", {"a": 0.0, "b": 1e155}, "drift_derivative")]
+
+
+@pytest.mark.parametrize("name,params,field", _UNFINISHED_BUILDS)
+def test_a_refused_build_emits_no_numpy_warning(name, params, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstructionError, match=f"'{name}': {field} is not finite"):
+            cat.make_entry(name, **params)
 
 
 _BOUNDS = {"finite": None, "> 0": 0.0, ">= 0": 0.0, "> 1/2": 0.5, "> -1": -1.0}

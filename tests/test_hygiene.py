@@ -16,13 +16,15 @@ with no fork on omega = 0 or on a threshold of e^(-2 omega t), and the
 catalog calls specfun's Laplace-Bessel moment from one function only, no
 catalog function writes into module-level state but the entry cache, and each
 entry's parameters are declared once, in the catalog's table: every builder
-takes its row's parameters in the row's order, with no default.
+takes its row's parameters in the row's order, with no default. Last, the
+benchmark's tracer finds every package function it wraps by name.
 
 No linter is part of the toolchain, so this walks the package sources with
 ast. A name counts as used when the module reads it anywhere (including in
 annotations) or lists it in __all__."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -238,15 +240,20 @@ def _catalog_tree():
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _keyword_passes(tree: ast.Module, callee, field: str, caller_calls: str = ""):
+# the functions that build a closed-form entry's kernel and expectation from
+# its terms: a builder calls _closed_entry, which calls _core_sum
+_CLOSED_FORM_CALLS = ("_core_sum", "_closed_entry")
+
+
+def _keyword_passes(tree: ast.Module, callee, field: str, caller_calls=()):
     """Lines of the calls to callee (to any callable where it is None) that
-    pass the keyword field, in the module-level functions that call
+    pass the keyword field, in the module-level functions that call one of
     caller_calls too (in every function where it is empty)."""
     for func in tree.body:
         if not isinstance(func, ast.FunctionDef):
             continue
         calls = [n for n in ast.walk(func) if isinstance(n, ast.Call)]
-        if caller_calls and not any(getattr(c.func, "id", None) == caller_calls for c in calls):
+        if caller_calls and not any(getattr(c.func, "id", None) in caller_calls for c in calls):
             continue
         for call in calls:
             if callee in (None, getattr(call.func, "id", None)) and any(
@@ -273,10 +280,10 @@ def test_the_check_sees_a_hand_written_transform():
 
 
 def test_terms_entries_write_no_drift_antiderivative():
-    # a builder with a closed form (_core_sum's terms) takes F from its terms
+    # a builder with a closed form (_closed_entry's terms) takes F from its terms
     bad = list(_keyword_passes(_catalog_tree(), "DiffusionSpec", "drift_antiderivative",
-                               "_core_sum"))
-    assert not bad, f"catalog.py: drift_antiderivative next to _core_sum on lines {bad}"
+                               _CLOSED_FORM_CALLS))
+    assert not bad, f"catalog.py: drift_antiderivative next to a closed form on lines {bad}"
 
 
 def test_the_check_sees_a_hand_written_drift_antiderivative():
@@ -287,23 +294,26 @@ def test_the_check_sees_a_hand_written_drift_antiderivative():
                      "    diff = _terms_diffusion(terms, drift=f)\n"
                      "    kernel, expect = _core_sum(diff, ric, terms)\n"
                      "def _make_c(n):\n"
-                     "    return DiffusionSpec(drift=f, drift_antiderivative=F)\n")
+                     "    return DiffusionSpec(drift=f, drift_antiderivative=F)\n"
+                     "def _make_d(n):\n"
+                     "    diff = DiffusionSpec(drift=f, drift_antiderivative=F)\n"
+                     "    return _closed_entry('d', {'n': n}, terms, 1.0, 1.0, pot, ric)\n")
     assert list(_keyword_passes(tree, "DiffusionSpec", "drift_antiderivative",
-                                "_core_sum")) == [2]
+                                _CLOSED_FORM_CALLS)) == [2, 10]
 
 
 def _drift_passes(tree: ast.Module):
     """Lines of the calls, to any callable, that pass drift or drift_derivative
-    in the module-level functions that call _core_sum."""
+    in the module-level functions that call _core_sum or _closed_entry."""
     return sorted(line for field in ("drift", "drift_derivative")
-                  for line in _keyword_passes(tree, None, field, "_core_sum"))
+                  for line in _keyword_passes(tree, None, field, _CLOSED_FORM_CALLS))
 
 
 def test_terms_entries_write_no_drift():
-    # a builder with a closed form (_core_sum's terms) takes its drift and
+    # a builder with a closed form (_closed_entry's terms) takes its drift and
     # drift derivative from its terms (_terms_diffusion), as it takes F
     bad = _drift_passes(_catalog_tree())
-    assert not bad, f"catalog.py: a drift or its derivative next to _core_sum on lines {bad}"
+    assert not bad, f"catalog.py: a drift or its derivative next to a closed form on lines {bad}"
 
 
 def test_the_check_sees_a_hand_written_drift():
@@ -318,8 +328,11 @@ def test_the_check_sees_a_hand_written_drift():
                      "    diff = _terms_diffusion(terms, label='c')\n"
                      "    kernel, expect = _core_sum(diff, ric, terms)\n"
                      "def _make_d(n):\n"
-                     "    return DiffusionSpec(drift=f, drift_derivative=fp)\n")
-    assert _drift_passes(tree) == [2, 5, 6]
+                     "    return DiffusionSpec(drift=f, drift_derivative=fp)\n"
+                     "def _make_e(n):\n"
+                     "    check(drift=lambda x: n)\n"
+                     "    return _closed_entry('e', {'n': n}, terms, 1.0, 1.0, pot, ric)\n")
+    assert _drift_passes(tree) == [2, 5, 6, 14]
 
 
 def test_catalog_writes_no_expectation_by_hand():
@@ -343,16 +356,17 @@ def test_the_check_sees_a_hand_written_expectation():
 
 
 def _local_kernels(tree: ast.Module):
-    """(builder, line) of each builder (a function that makes a CatalogEntry)
-    that passes a lambda or a function it defines as its kernel: to
-    CatalogEntry(kernel=...), as the log density of _kernel(...) or as
-    continuous or log_continuous of Kernel(...). The catalog derives each
-    kernel from the entry's declared constants (symmetry.bessel_core) and
-    h-ratio instead; a builder may still define the weights of its branches."""
+    """(builder, line) of each builder (a function that makes a CatalogEntry,
+    itself or by _closed_entry) that passes a lambda or a function it defines
+    as its kernel: to CatalogEntry(kernel=...), as the log density of
+    _kernel(...) or as continuous or log_continuous of Kernel(...). The
+    catalog derives each kernel from the entry's declared constants
+    (symmetry.bessel_core) and h-ratio instead; a builder may still define
+    the weights of its branches."""
     for builder in tree.body:
         if not isinstance(builder, ast.FunctionDef) or not any(
                 isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-                and n.func.id == "CatalogEntry" for n in ast.walk(builder)):
+                and n.func.id in ("CatalogEntry", "_closed_entry") for n in ast.walk(builder)):
             continue
         local = {n.name for n in ast.walk(builder)
                  if isinstance(n, ast.FunctionDef) and n is not builder}
@@ -396,9 +410,12 @@ def test_the_check_sees_a_hand_written_kernel():
                      "    return (CatalogEntry(kernel=_kernel(log_p)),\n"
                      "            CatalogEntry(kernel=_branch_kernel(h, b, weights)),\n"
                      "            CatalogEntry(kernel=Kernel(None, lambda t, x, y: 0.0)),\n"
-                     "            CatalogEntry(kernel=lambda t, x, y: 0.0))\n")
+                     "            CatalogEntry(kernel=lambda t, x, y: 0.0))\n"
+                     "def _make_d():\n"
+                     "    k = Kernel(lambda t, x, y: 0.0, None)\n"
+                     "    return _closed_entry('d', {}, terms, 1.0, 1.0, pot, ric)\n")
     assert sorted(_local_kernels(tree)) == [("_make_a", 4), ("_make_b", 11),
-                                           ("_make_c", 19), ("_make_c", 20)]
+                                           ("_make_c", 19), ("_make_c", 20), ("_make_d", 22)]
 
 
 _LINEAR_PAIR_BUILDERS = ("_make_generic_linear", "_rational_drift_inverse")
@@ -761,3 +778,24 @@ def test_the_check_sees_a_builder_that_differs_from_its_row():
     assert list(_table_mismatches(tree)) == [
         ("_make_b", "takes ['y', 'x'], declared ['x', 'y']"), ("_make_c", "has defaults"),
         ("_make_d", "has defaults"), ("_make_e", "takes ['x'], declared ['x', 'y']")]
+
+
+def test_the_traced_benchmark_run_finds_every_name_it_wraps(monkeypatch):
+    # perfbench/tracer.py wraps specfun, symmetry, riccati and verify functions
+    # by name (hypergeom_1f1, whittaker_m, gamma_ln, laplace_bessel_moment, erf
+    # and verify.mc_expectation among them, which src itself may not call), so
+    # they are public API: prepare() builds every wrapper, and raises
+    # AttributeError where a name is gone; it installs none of them
+    from feynkac import specfun, verify
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # as perfbench/run.py runs it
+    spec = importlib.util.spec_from_file_location("_benchmark_tracer", perfbench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    originals = (specfun.hypergeom_1f1, verify.mc_expectation)
+    tr = tracer.Tracer()
+    tr.prepare()
+    wrapped = {(getattr(owner, "__name__", ""), attr) for owner, attr, _, _ in tr._patches}
+    assert {("feynkac.specfun", name) for name in tracer.SPECFUN_FUNCTIONS} <= wrapped
+    assert ("feynkac.verify", "mc_expectation") in wrapped
+    assert (specfun.hypergeom_1f1, verify.mc_expectation) == originals
